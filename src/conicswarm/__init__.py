@@ -7,19 +7,18 @@ birth/death process that inserts particles where the dual certificate is
 negative and removes them where it is safely positive.
 """
 
-from .birth_death import BirthRule, DeathRule, apply_mass_tweak, propose_births, select_deaths
+from .birth_death import BirthRule, DeathRule, apply_mass_tweak, evaluate_birth_candidates, \
+    select_deaths
 from .domain import Ball, Box, Domain, grid_points
 from .dynamics import StepRates, descent_check, weight_push_update
 from .kernels import AssumptionBounds, GmmKernel, KernelModel, ReluKernel, SyntheticKernel, \
     audit_assumptions, gram_matrix, y_inner_vec
-from .objective import KktReport, Problem, dual_certificate, dual_certificate_grad, \
-    dual_certificate_grad_many, dual_certificate_many, frechet_gap, kkt_residual, loss
-from .oracle import MiniBatch, OracleConfig, check_hoeffding_cap, draw_batch, \
-    estimate_certificate, estimate_certificate_grad
-from .runner import IterationRecord, RunConfig, RunResult, run, trace_from_csv, trace_to_csv, \
-    track_excess
-from .schedules import AnytimePlan, Calibration, CalibrationError, HorizonPlan, anytime_at, \
-    calibrate, horizon_plan
-from .swarm import Particle, ParticleSwarm, lift_signed
+from .objective import KktReport, Problem, certificate, certificate_and_grad, frechet_gap, \
+    kkt_residual, loss
+from .oracle import OracleConfig, check_hoeffding_cap, draw_batch
+from .runner import IterationRecord, RunConfig, RunResult, run, trace_from_csv, trace_to_csv
+from .schedules import AnytimePlan, Calibration, CalibrationError, HorizonPlan, calibrate, \
+    horizon_plan
+from .swarm import ParticleSwarm, lift_signed
 
 __version__ = "0.1.0"

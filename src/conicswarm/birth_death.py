@@ -17,15 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import Problem
-from .oracle import MiniBatch, estimate_certificate
-from .swarm import Particle, ParticleSwarm
+from .objective import Problem, certificate
+from .swarm import ParticleSwarm
 
 __all__ = [
     "DeathRule",
     "BirthRule",
     "select_deaths",
-    "propose_births",
     "evaluate_birth_candidates",
     "apply_mass_tweak",
 ]
@@ -102,12 +100,13 @@ def select_deaths(swarm: ParticleSwarm, pushed_certs, rule: DeathRule, eps_k: fl
 
 
 def evaluate_birth_candidates(problem: Problem, swarm: ParticleSwarm, rule: BirthRule,
-                              eps_k: float, m_k: int, batch: MiniBatch | None,
+                              eps_k: float, m_k: int, idx: np.ndarray | None,
                               rng: np.random.Generator):
-    """Draw candidates, estimate their certificates and apply the threshold.
+    """Draw candidates, estimate their certificates on the batch ``idx``
+    (``None``: exactly) and apply the threshold.
 
-    Returns ``(particles, candidates, cand_signs, cand_certs, threshold)``;
-    the particles list preserves candidate draw order.
+    Returns ``(born, candidates, cand_signs, cand_certs, threshold)``; the
+    ``born`` swarm holds the accepted candidates in draw order.
     """
     n_cand = rule.candidates_per_iter
     positions = problem.domain.sample_uniform(rng, size=n_cand)
@@ -115,25 +114,15 @@ def evaluate_birth_candidates(problem: Problem, swarm: ParticleSwarm, rule: Birt
         signs = np.where(rng.integers(0, 2, size=n_cand) == 0, 1.0, -1.0)
     else:
         signs = np.ones(n_cand)
-    certs = estimate_certificate(problem, swarm, positions, signs, batch)
+    certs = certificate(problem, swarm, positions, signs, idx)
     level = rule.threshold(m_k)
     mass = eps_k if rule.birth_mass is None else rule.birth_mass
-    born = [
-        Particle(mass, int(signs[i]), positions[i].copy())
-        for i in range(n_cand)
-        if certs[i] <= level
-    ]
+    accept = certs <= level
+    born = ParticleSwarm(np.full(int(accept.sum()), mass), signs[accept], positions[accept])
     return born, positions, signs, certs, level
 
 
-def propose_births(problem: Problem, swarm: ParticleSwarm, rule: BirthRule, eps_k: float,
-                   m_k: int, batch: MiniBatch | None, rng: np.random.Generator):
-    """Accepted new particles for this iteration, in candidate order."""
-    born, *_ = evaluate_birth_candidates(problem, swarm, rule, eps_k, m_k, batch, rng)
-    return born
-
-
-def apply_mass_tweak(swarm: ParticleSwarm, deaths, births) -> ParticleSwarm:
+def apply_mass_tweak(swarm: ParticleSwarm, deaths, births: ParticleSwarm) -> ParticleSwarm:
     """Remove the death indices, then append births in draw order.
 
     Equivalent to zeroing the dead weights and pruning zero-weight atoms;
@@ -148,8 +137,5 @@ def apply_mass_tweak(swarm: ParticleSwarm, deaths, births) -> ParticleSwarm:
             raise ValueError("death index out of range")
         keep = np.ones(len(swarm), dtype=bool)
         keep[deaths] = False
-        survivors = ParticleSwarm(swarm.weights[keep], swarm.signs[keep],
-                                  swarm.positions[keep])
-    else:
-        survivors = swarm
-    return survivors.appended(births)
+        swarm = ParticleSwarm(swarm.weights[keep], swarm.signs[keep], swarm.positions[keep])
+    return swarm.appended(births)

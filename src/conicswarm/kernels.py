@@ -9,9 +9,15 @@ full-data quantity):
 * ``y_inner_many(T, idx)``            -- <y, phi_t> per row of T
 * ``grad_y_inner_many(T, idx)``       -- gradient of the above
 
-Scalar and per-data-sample accessors are derived from these, so the
-average of per-sample values reproduces the full quantity by construction
-of each concrete model.
+and one fused evaluator of the unsigned certificate field,
+
+* ``certificate_field(T, S, c, idx)`` -- ``(K(T, S) c - <y, phi_T>,
+  sum_j c_j grad K(T, s_j) - grad <y, phi_T>)``
+
+which builds one kernel matrix and one data-side density (for ReLU, one
+activation array) for both values and gradients and matches the four
+primitives bit for bit. A batch restriction averages per-sample
+quantities, so ``idx = arange(n)`` reproduces the exact one.
 """
 
 from __future__ import annotations
@@ -56,6 +62,13 @@ def gauss_density(a: np.ndarray, b: np.ndarray, var: float, dim: int) -> np.ndar
     return norm * np.exp(-_sqdist(a, b) / (2.0 * var))
 
 
+def _gauss_grad(k: np.ndarray, a: np.ndarray, b: np.ndarray, coef, var: float) -> np.ndarray:
+    """``sum_j coef_j grad_a K(a_i, b_j)`` from the Gaussian kernel matrix ``k``
+    of variance ``var``, using ``grad_a K = K * (b - a) / var``."""
+    k = k * coef[None, :]
+    return (k @ b - k.sum(axis=1)[:, None] * a) / var
+
+
 class KernelModel(ABC):
     """Abstract evaluator of the kernel and observation inner products."""
 
@@ -85,32 +98,9 @@ class KernelModel(ABC):
     @abstractmethod
     def grad_y_inner_many(self, t, idx=None) -> np.ndarray: ...
 
-    # Scalar and per-sample views, derived from the vectorized primitives.
-
-    def kernel(self, s, t) -> float:
-        return float(self.kernel_matrix(_rows(s, self.dim), _rows(t, self.dim))[0, 0])
-
-    def kernel_sample(self, s, t, i: int) -> float:
-        return float(self.kernel_matrix(_rows(s, self.dim), _rows(t, self.dim), idx=np.array([i]))[0, 0])
-
-    def grad1_kernel(self, s, t) -> np.ndarray:
-        return self.weighted_grad1_kernel(_rows(s, self.dim), _rows(t, self.dim), np.ones(1))[0]
-
-    def grad1_kernel_sample(self, s, t, i: int) -> np.ndarray:
-        return self.weighted_grad1_kernel(
-            _rows(s, self.dim), _rows(t, self.dim), np.ones(1), idx=np.array([i]))[0]
-
-    def y_inner(self, t) -> float:
-        return float(self.y_inner_many(_rows(t, self.dim))[0])
-
-    def y_inner_sample(self, t, i: int) -> float:
-        return float(self.y_inner_many(_rows(t, self.dim), idx=np.array([i]))[0])
-
-    def grad_y_inner(self, t) -> np.ndarray:
-        return self.grad_y_inner_many(_rows(t, self.dim))[0]
-
-    def grad_y_inner_sample(self, t, i: int) -> np.ndarray:
-        return self.grad_y_inner_many(_rows(t, self.dim), idx=np.array([i]))[0]
+    @abstractmethod
+    def certificate_field(self, t, support, coef, idx=None) -> tuple[np.ndarray, np.ndarray]:
+        """Values ``K(t, S) c - <y, phi_t>`` and their gradients in t."""
 
 
 class SyntheticKernel(KernelModel):
@@ -179,9 +169,7 @@ class SyntheticKernel(KernelModel):
         a = _rows(a, self.dim)
         b = _rows(b, self.dim)
         coef = np.asarray(coef, dtype=float).reshape(-1)
-        k = self.kernel_matrix(a, b) * coef[None, :]
-        # grad_a K = K * (b - a) / sigma^2
-        return (k @ b - k.sum(axis=1)[:, None] * a) / self.sigma**2
+        return _gauss_grad(self.kernel_matrix(a, b), a, b, coef, self.sigma**2)
 
     def _noise_coef(self, idx):
         if idx is None:
@@ -197,6 +185,21 @@ class SyntheticKernel(KernelModel):
         t = _rows(t, self.dim)
         g = self.weighted_grad1_kernel(t, self.atom_positions, self.atom_weights)
         return g + self.weighted_grad1_kernel(t, self.anchors, self._noise_coef(idx))
+
+    def certificate_field(self, t, support, coef, idx=None):
+        t = _rows(t, self.dim)
+        support = _rows(support, self.dim)
+        coef = np.asarray(coef, dtype=float).reshape(-1)
+        var = self.sigma**2
+        noise = self._noise_coef(idx)
+        k_s = self.kernel_matrix(t, support)
+        k_atoms = self.kernel_matrix(t, self.atom_positions)
+        k_anchors = self.kernel_matrix(t, self.anchors)
+        vals = k_s @ coef - (k_atoms @ self.atom_weights + k_anchors @ noise)
+        grads = _gauss_grad(k_s, t, support, coef, var) - (
+            _gauss_grad(k_atoms, t, self.atom_positions, self.atom_weights, var)
+            + _gauss_grad(k_anchors, t, self.anchors, noise, var))
+        return vals, grads
 
 
 class GmmKernel(KernelModel):
@@ -244,8 +247,7 @@ class GmmKernel(KernelModel):
         a = _rows(a, self.dim)
         b = _rows(b, self.dim)
         coef = np.asarray(coef, dtype=float).reshape(-1)
-        k = self.kernel_matrix(a, b) * coef[None, :]
-        return (k @ b - k.sum(axis=1)[:, None] * a) / self._kvar
+        return _gauss_grad(self.kernel_matrix(a, b), a, b, coef, self._kvar)
 
     def _batch(self, idx):
         return self.data if idx is None else self.data[np.asarray(idx, dtype=int)]
@@ -260,6 +262,19 @@ class GmmKernel(KernelModel):
         x = self._batch(idx)
         k = gauss_density(t, x, self._yvar, self.dim)
         return (k @ x / x.shape[0] - k.mean(axis=1)[:, None] * t) / self._yvar
+
+    def certificate_field(self, t, support, coef, idx=None):
+        t = _rows(t, self.dim)
+        support = _rows(support, self.dim)
+        coef = np.asarray(coef, dtype=float).reshape(-1)
+        x = self._batch(idx)
+        k_s = self.kernel_matrix(t, support)
+        k_y = gauss_density(t, x, self._yvar, self.dim)
+        y = k_y.mean(axis=1)
+        vals = k_s @ coef - y
+        grads = _gauss_grad(k_s, t, support, coef, self._kvar) \
+            - (k_y @ x / x.shape[0] - y[:, None] * t) / self._yvar
+        return vals, grads
 
 
 class ReluKernel(KernelModel):
@@ -293,6 +308,9 @@ class ReluKernel(KernelModel):
         pre = aug @ pos.T
         return aug, pre
 
+    def _targets(self, idx):
+        return self.targets if idx is None else self.targets[np.asarray(idx, dtype=int)]
+
     def kernel_matrix(self, a, b, idx=None):
         a = _rows(a, self.dim)
         b = _rows(b, self.dim)
@@ -314,15 +332,32 @@ class ReluKernel(KernelModel):
     def y_inner_many(self, t, idx=None):
         t = _rows(t, self.dim)
         aug, pre = self._acts(t, idx)
-        y = self.targets if idx is None else self.targets[np.asarray(idx, dtype=int)]
-        return np.maximum(pre, 0.0).T @ y / aug.shape[0]
+        return np.maximum(pre, 0.0).T @ self._targets(idx) / aug.shape[0]
 
     def grad_y_inner_many(self, t, idx=None):
         t = _rows(t, self.dim)
         aug, pre = self._acts(t, idx)
-        y = self.targets if idx is None else self.targets[np.asarray(idx, dtype=int)]
         mask = pre > 0.0
-        return (mask * y[:, None]).T @ aug / aug.shape[0]
+        return (mask * self._targets(idx)[:, None]).T @ aug / aug.shape[0]
+
+    def certificate_field(self, t, support, coef, idx=None):
+        t = _rows(t, self.dim)
+        support = _rows(support, self.dim)
+        coef = np.asarray(coef, dtype=float).reshape(-1)
+        aug, pre = self._acts(t, idx)
+        y = self._targets(idx)
+        m = aug.shape[0]
+        act = np.maximum(pre, 0.0)
+        # Evaluating at the support itself reuses its activations; the copy
+        # keeps ``act.T @ act_s`` on the general product, as in kernel_matrix.
+        if np.array_equal(support, t):
+            act_s = act.copy()
+        else:
+            act_s = np.maximum(aug @ support.T, 0.0)
+        mask = pre > 0.0
+        vals = act.T @ act_s / m @ coef - act.T @ y / m
+        grads = (mask * (act_s @ coef)[:, None]).T @ aug / m - (mask * y[:, None]).T @ aug / m
+        return vals, grads
 
 
 def gram_matrix(model: KernelModel, positions, signs) -> np.ndarray:
@@ -370,6 +405,11 @@ class AssumptionBounds:
             raise ValueError("smooth_max must dominate kernel_min")
 
 
+def _grad1(model: KernelModel, s, t, idx=None) -> np.ndarray:
+    """``grad_s K(s, t)`` for one pair of points, through the vectorized primitive."""
+    return model.weighted_grad1_kernel(s[None, :], t[None, :], np.ones(1), idx)[0]
+
+
 def _fd_hessian_norm(model: KernelModel, s, t, h: float = 1e-4) -> float:
     """Spectral norm of a central finite-difference Hessian of K in s."""
     d = model.dim
@@ -377,8 +417,8 @@ def _fd_hessian_norm(model: KernelModel, s, t, h: float = 1e-4) -> float:
     for j in range(d):
         e = np.zeros(d)
         e[j] = h
-        gp = model.grad1_kernel(s + e, t)
-        gm = model.grad1_kernel(s - e, t)
+        gp = _grad1(model, s + e, t)
+        gm = _grad1(model, s - e, t)
         hess[:, j] = (gp - gm) / (2.0 * h)
     hess = 0.5 * (hess + hess.T)
     return float(np.max(np.abs(np.linalg.eigvalsh(hess))))
@@ -404,13 +444,14 @@ def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
     kmat = model.kernel_matrix(pts, pts)
     kernel_min = max(float(kmat.min()), 0.0)
     kernel_abs_max = float(np.abs(kmat).max())
-    diag = np.array([model.kernel(p, p) for p in pts[: min(64, len(pts))]])
+    diag = np.array([model.kernel_matrix(p[None, :], p[None, :])[0, 0]
+                     for p in pts[: min(64, len(pts))]])
     diag_gap = float(np.abs(diag - 1.0).max())
 
     n_pairs = min(48, len(pts) - 1)
     pair_a = pts[:n_pairs]
     pair_b = pts[1 : n_pairs + 1]
-    grad_norms = [float(np.linalg.norm(model.grad1_kernel(a, b))) for a, b in zip(pair_a, pair_b)]
+    grad_norms = [float(np.linalg.norm(_grad1(model, a, b))) for a, b in zip(pair_a, pair_b)]
     inner_idx = [i for i in range(n_pairs) if _strictly_inside(domain, pair_a[i])][:12]
     hess_norms = [_fd_hessian_norm(model, pair_a[i], pair_b[i]) for i in inner_idx]
     smooth_max = max([kernel_abs_max] + grad_norms + hess_norms)
@@ -424,11 +465,7 @@ def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
     gy_full = model.grad_y_inner_many(eval_pts)
     k_full = model.kernel_matrix(pair_a, pair_b)
     n_gpairs = min(8, n_pairs)
-    one_coef = np.ones(1)
-    gk_full = np.array([
-        model.weighted_grad1_kernel(pair_a[j : j + 1], pair_b[j : j + 1], one_coef)[0]
-        for j in range(n_gpairs)
-    ])
+    gk_full = np.array([_grad1(model, pair_a[j], pair_b[j]) for j in range(n_gpairs)])
     dev_y = dev_gy = dev_k = dev_gk = 0.0
     for i in range(model.n_samples):
         one = np.array([i])
@@ -438,10 +475,7 @@ def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
         if not model.kernel_depends_on_samples:
             continue
         dev_k = max(dev_k, float(np.abs(model.kernel_matrix(pair_a, pair_b, one) - k_full).max()))
-        gk_one = np.array([
-            model.weighted_grad1_kernel(pair_a[j : j + 1], pair_b[j : j + 1], one_coef, one)[0]
-            for j in range(n_gpairs)
-        ])
+        gk_one = np.array([_grad1(model, pair_a[j], pair_b[j], one) for j in range(n_gpairs)])
         dev_gk = max(dev_gk, float(np.linalg.norm(gk_one - gk_full, axis=1).max()))
     noise_val = dev_y + tv_cap * dev_k
     noise_grad = dev_gy + tv_cap * dev_gk

@@ -8,6 +8,10 @@ with the signed Gram matrix ``K_T[i, j] = s_i s_j K(t_i, t_j)`` and
 ``k_T[j] = s_j <y, phi_{t_j}>``. The dual certificate at a lifted point
 ``(t, s)`` is ``s * (sum_j w_j s_j K(t_j, t) - <y, phi_t>) + kappa``; its
 sign field drives birth (negative regions) and death (positive regions).
+
+``certificate`` and ``certificate_and_grad`` are the one implementation of
+the certificate: ``idx=None`` evaluates it exactly, an index array from
+``oracle.draw_batch`` gives its mini-batch estimate.
 """
 
 from __future__ import annotations
@@ -24,10 +28,8 @@ __all__ = [
     "Problem",
     "KktReport",
     "loss",
-    "dual_certificate",
-    "dual_certificate_many",
-    "dual_certificate_grad",
-    "dual_certificate_grad_many",
+    "certificate",
+    "certificate_and_grad",
     "frechet_gap",
     "kkt_residual",
 ]
@@ -64,40 +66,28 @@ def loss(problem: Problem, swarm: ParticleSwarm) -> float:
     return float(base + (problem.kappa - k_t) @ w + 0.5 * w @ gram @ w)
 
 
-def dual_certificate_many(problem: Problem, swarm: ParticleSwarm,
-                          points, signs) -> np.ndarray:
-    """Exact certificate values at lifted points, vectorized."""
+def _lifted(problem: Problem, points, signs):
     points = np.asarray(points, dtype=float).reshape(-1, problem.model.dim)
-    signs = np.asarray(signs, dtype=float).reshape(-1)
+    return points, np.asarray(signs, dtype=float).reshape(-1)
+
+
+def certificate(problem: Problem, swarm: ParticleSwarm, points, signs,
+                idx=None) -> np.ndarray:
+    """Certificate values at lifted points, exact or on the batch ``idx``."""
+    points, signs = _lifted(problem, points, signs)
     model = problem.model
-    if len(swarm):
-        field = model.kernel_matrix(points, swarm.positions) @ (swarm.weights * swarm.signs)
-    else:
-        field = np.zeros(points.shape[0])
-    return signs * (field - model.y_inner_many(points)) + problem.kappa
+    field = model.kernel_matrix(points, swarm.positions, idx) @ (swarm.weights * swarm.signs)
+    return signs * (field - model.y_inner_many(points, idx)) + problem.kappa
 
 
-def dual_certificate(problem: Problem, swarm: ParticleSwarm, t, sign: float = 1.0) -> float:
-    return float(dual_certificate_many(problem, swarm, np.asarray(t, dtype=float)[None, :],
-                                       np.array([sign]))[0])
-
-
-def dual_certificate_grad_many(problem: Problem, swarm: ParticleSwarm,
-                               points, signs) -> np.ndarray:
-    """Exact spatial gradient of the certificate at lifted points."""
-    points = np.asarray(points, dtype=float).reshape(-1, problem.model.dim)
-    signs = np.asarray(signs, dtype=float).reshape(-1)
-    model = problem.model
-    if len(swarm):
-        field = model.weighted_grad1_kernel(points, swarm.positions, swarm.weights * swarm.signs)
-    else:
-        field = np.zeros_like(points)
-    return signs[:, None] * (field - model.grad_y_inner_many(points))
-
-
-def dual_certificate_grad(problem: Problem, swarm: ParticleSwarm, t, sign: float = 1.0) -> np.ndarray:
-    return dual_certificate_grad_many(problem, swarm, np.asarray(t, dtype=float)[None, :],
-                                      np.array([sign]))[0]
+def certificate_and_grad(problem: Problem, swarm: ParticleSwarm, points, signs,
+                         idx=None) -> tuple[np.ndarray, np.ndarray]:
+    """Certificate values and spatial gradients at lifted points, from one
+    kernel evaluation, exact or on the batch ``idx``."""
+    points, signs = _lifted(problem, points, signs)
+    field, grad = problem.model.certificate_field(points, swarm.positions,
+                                                  swarm.weights * swarm.signs, idx)
+    return signs * field + problem.kappa, signs[:, None] * grad
 
 
 def frechet_gap(problem: Problem, nu: ParticleSwarm, sigma: ParticleSwarm) -> float:
@@ -108,14 +98,9 @@ def frechet_gap(problem: Problem, nu: ParticleSwarm, sigma: ParticleSwarm) -> fl
     """
     if len(sigma) == 0:
         return 0.0
-    combined = ParticleSwarm(
-        np.concatenate([nu.weights, sigma.weights]),
-        np.concatenate([nu.signs, sigma.signs]),
-        np.vstack([nu.positions, sigma.positions]),
-    )
-    j_plus = loss(problem, combined)
+    j_plus = loss(problem, nu.appended(sigma))
     j_nu = loss(problem, nu)
-    certs = dual_certificate_many(problem, nu, sigma.positions, sigma.signs)
+    certs = certificate(problem, nu, sigma.positions, sigma.signs)
     linear = float(certs @ sigma.weights)
     gram_sigma = gram_matrix(problem.model, sigma.positions, sigma.signs)
     quad = 0.5 * float(sigma.weights @ gram_sigma @ sigma.weights)
@@ -144,13 +129,13 @@ def kkt_residual(problem: Problem, swarm: ParticleSwarm, grid) -> KktReport:
     best_val = np.inf
     best_arg = grid[0]
     for sign in problem.sign_choices:
-        vals = dual_certificate_many(problem, swarm, grid, np.full(grid.shape[0], sign))
+        vals = certificate(problem, swarm, grid, np.full(grid.shape[0], sign))
         j = int(np.argmin(vals))
         if vals[j] < best_val:
             best_val = float(vals[j])
             best_arg = grid[j].copy()
     if len(swarm):
-        support = dual_certificate_many(problem, swarm, swarm.positions, swarm.signs)
+        support = certificate(problem, swarm, swarm.positions, swarm.signs)
         support_resid = float(np.abs(support).max())
     else:
         support_resid = 0.0

@@ -1,8 +1,10 @@
-"""Mini-batch estimators of the dual certificate and its gradient.
+"""Mini-batch sampling and the noise configuration of the stochastic oracle.
 
-Batches are drawn i.i.d. uniform with replacement. Passing ``batch=None``
-evaluates the exact full-data quantity, which coincides with a batch that
-enumerates every sample index exactly once.
+Batches are index arrays drawn i.i.d. uniform with replacement; passing one
+as ``idx`` to ``objective.certificate`` or ``objective.certificate_and_grad``
+gives the mini-batch estimate, while ``idx=None`` evaluates the exact
+full-data quantity, which coincides with a batch that enumerates every
+sample index exactly once.
 """
 
 from __future__ import annotations
@@ -12,37 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import Problem
-from .swarm import ParticleSwarm
-
 __all__ = [
-    "MiniBatch",
     "OracleConfig",
     "draw_batch",
-    "estimate_certificate",
-    "estimate_certificate_grad",
     "check_hoeffding_cap",
     "HOEFFDING_CAP_CONST",
 ]
 
 #: numeric value of sqrt(8 * ln 8), the weight-rate cap scale
 HOEFFDING_CAP_CONST = math.sqrt(8.0 * math.log(8.0))
-
-
-@dataclass
-class MiniBatch:
-    """Indices of the data samples participating in one estimate."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=int).reshape(-1)
-        if self.indices.size < 1:
-            raise ValueError("a mini-batch needs at least one index")
-
-    @property
-    def size(self) -> int:
-        return self.indices.size
 
 
 @dataclass
@@ -69,46 +49,13 @@ class OracleConfig:
         return cls(tail_exponent=d / (2.0 * (2.0 + d)), noise_sup=noise_sup)
 
 
-def draw_batch(rng: np.random.Generator, m: int, n: int) -> MiniBatch:
+def draw_batch(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """Draw m indices i.i.d. uniform with replacement from range(n)."""
     if m < 1:
         raise ValueError("batch size must be at least 1")
     if n < 1:
         raise ValueError("need at least one data sample")
-    return MiniBatch(rng.integers(0, n, size=m))
-
-
-def _idx(batch: MiniBatch | None):
-    return None if batch is None else batch.indices
-
-
-def estimate_certificate(problem: Problem, swarm: ParticleSwarm, points, signs,
-                         batch: MiniBatch | None) -> np.ndarray:
-    """Mini-batch certificate estimate at lifted evaluation points."""
-    points = np.asarray(points, dtype=float).reshape(-1, problem.model.dim)
-    signs = np.asarray(signs, dtype=float).reshape(-1)
-    model = problem.model
-    idx = _idx(batch)
-    if len(swarm):
-        field = model.kernel_matrix(points, swarm.positions, idx) @ (swarm.weights * swarm.signs)
-    else:
-        field = np.zeros(points.shape[0])
-    return signs * (field - model.y_inner_many(points, idx)) + problem.kappa
-
-
-def estimate_certificate_grad(problem: Problem, swarm: ParticleSwarm, points, signs,
-                              batch: MiniBatch | None) -> np.ndarray:
-    """Mini-batch estimate of the certificate's spatial gradient."""
-    points = np.asarray(points, dtype=float).reshape(-1, problem.model.dim)
-    signs = np.asarray(signs, dtype=float).reshape(-1)
-    model = problem.model
-    idx = _idx(batch)
-    if len(swarm):
-        field = model.weighted_grad1_kernel(points, swarm.positions,
-                                            swarm.weights * swarm.signs, idx)
-    else:
-        field = np.zeros_like(points)
-    return signs[:, None] * (field - model.grad_y_inner_many(points, idx))
+    return rng.integers(0, n, size=m)
 
 
 def check_hoeffding_cap(alpha: float, noise_sup: float) -> bool:

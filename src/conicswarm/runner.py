@@ -1,10 +1,10 @@
 """End-to-end optimization loop with optional birth/death, plus tracing.
 
 Each iteration draws a mini-batch, estimates certificates and gradients at
-the support, applies the conic update, and (when enabled) draws a second
-independent batch to evaluate the pushed certificate that drives deletion
-and creation. Exact losses are only evaluated at a configurable cadence
-since they cost O(p^2) kernel entries.
+the support in one fused evaluation, applies the conic update, and (when
+enabled) draws a second independent batch to evaluate the pushed
+certificate that drives deletion and creation. Exact losses are only
+evaluated at a configurable cadence since they cost O(p^2) kernel entries.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import numpy as np
 from .birth_death import BirthRule, DeathRule, apply_mass_tweak, evaluate_birth_candidates, \
     select_deaths
 from .dynamics import StepRates, weight_push_update
-from .objective import Problem, loss
-from .oracle import draw_batch, estimate_certificate, estimate_certificate_grad
+from .objective import Problem, certificate, certificate_and_grad, loss
+from .oracle import draw_batch
 from .schedules import AnytimePlan, HorizonPlan
 from .swarm import ParticleSwarm
 
-__all__ = ["RunConfig", "IterationRecord", "RunResult", "run", "track_excess",
+__all__ = ["RunConfig", "IterationRecord", "RunResult", "run",
            "trace_to_csv", "trace_from_csv", "TRACE_COLUMNS"]
 
 TRACE_COLUMNS = ["k", "time_s", "loss", "tv", "particles", "births", "deaths",
@@ -119,11 +119,10 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
             eps_k, m_k, beta_k = config.plan.at(k)
         else:
             eps_k, m_k, beta_k = config.eps, config.batch_size, config.rates.beta
-        batch = None if config.full_batch else draw_batch(rng, m_k, n)
+        idx = None if config.full_batch else draw_batch(rng, m_k, n)
         threshold_m = n if config.full_batch else m_k
 
-        certs = estimate_certificate(problem, swarm, swarm.positions, swarm.signs, batch)
-        grads = estimate_certificate_grad(problem, swarm, swarm.positions, swarm.signs, batch)
+        certs, grads = certificate_and_grad(problem, swarm, swarm.positions, swarm.signs, idx)
         cert_norm_sq = float(swarm.weights @ certs**2) if len(swarm) else 0.0
         # the recorded minimum tracks the pushed certificate; without the
         # birth/death step the pre-update support values stand in for it
@@ -134,12 +133,11 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
 
         births = deaths = 0
         if config.birth_death:
-            batch_plus = None if config.full_batch else draw_batch(rng, m_k, n)
-            pushed = estimate_certificate(problem, swarm, swarm.positions, swarm.signs,
-                                          batch_plus)
+            idx_plus = None if config.full_batch else draw_batch(rng, m_k, n)
+            pushed = certificate(problem, swarm, swarm.positions, swarm.signs, idx_plus)
             death_idx = select_deaths(swarm, pushed, config.death_rule, eps_k, rng)
             born, _, _, cand_certs, _ = evaluate_birth_candidates(
-                problem, swarm, config.birth_rule, eps_k, threshold_m, batch_plus, rng)
+                problem, swarm, config.birth_rule, eps_k, threshold_m, idx_plus, rng)
             if len(swarm):
                 min_cert_vals.append(float(pushed.min()))
             if cand_certs.size:
@@ -166,14 +164,6 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
     return RunResult(trace=trace, final_swarm=swarm, rho_hat=rho_hat,
                      best_index=trace[best_index].k, j_ref=config.j_ref,
                      total_time_s=time.perf_counter() - t0)
-
-
-def track_excess(trace: list[IterationRecord], j_ref: float) -> float:
-    """Minimum recorded loss minus a reference objective value."""
-    losses = [rec.loss for rec in trace if rec.loss is not None]
-    if not losses:
-        raise ValueError("trace holds no evaluated loss")
-    return min(losses) - j_ref
 
 
 def _cell(value) -> str:

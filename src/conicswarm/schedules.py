@@ -22,7 +22,6 @@ __all__ = [
     "AnytimePlan",
     "calibrate",
     "horizon_plan",
-    "anytime_at",
 ]
 
 _E = math.e
@@ -152,8 +151,3 @@ def horizon_plan(k_total: int, cal: Calibration, d: int) -> HorizonPlan:
     beta = min(cal.beta_max_struct, 1.0 / (cal.alpha ** (d / 4.0) * math.sqrt(k_total)))
     return HorizonPlan(k_total=k_total, eps=eps, m=k_total, beta=beta, alpha=cal.alpha)
 
-
-def anytime_at(k: int, cal: Calibration):
-    """Schedule values at iteration k: ``(min(alpha, 1/sqrt(k or 1)), k or 1,
-    1/(k or 1))``."""
-    return AnytimePlan(alpha=cal.alpha).at(k)

@@ -8,18 +8,9 @@ is ``sign * phi(position)``, so all conic-descent formulas apply verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["Particle", "ParticleSwarm", "lift_signed"]
-
-
-@dataclass
-class Particle:
-    weight: float
-    sign: int
-    position: np.ndarray
+__all__ = ["ParticleSwarm", "lift_signed"]
 
 
 class ParticleSwarm:
@@ -46,19 +37,6 @@ class ParticleSwarm:
     def empty(cls, dim: int) -> "ParticleSwarm":
         return cls(np.empty(0), np.empty(0), np.empty((0, dim)))
 
-    @classmethod
-    def from_particles(cls, particles, dim: int | None = None) -> "ParticleSwarm":
-        particles = list(particles)
-        if not particles:
-            if dim is None:
-                raise ValueError("dim required for an empty particle list")
-            return cls.empty(dim)
-        return cls(
-            np.array([p.weight for p in particles]),
-            np.array([p.sign for p in particles]),
-            np.array([np.asarray(p.position, dtype=float) for p in particles]),
-        )
-
     def __len__(self):
         return self.weights.size
 
@@ -77,19 +55,11 @@ class ParticleSwarm:
         keep = self.weights > floor
         return ParticleSwarm(self.weights[keep], self.signs[keep], self.positions[keep])
 
-    def particles(self):
-        return [Particle(float(w), int(s), p.copy())
-                for w, s, p in zip(self.weights, self.signs, self.positions)]
-
     def copy(self) -> "ParticleSwarm":
         return ParticleSwarm(self.weights, self.signs, self.positions)
 
-    def appended(self, particles) -> "ParticleSwarm":
-        """New swarm with the given particles appended in order."""
-        particles = list(particles)
-        if not particles:
-            return self.copy()
-        extra = ParticleSwarm.from_particles(particles, dim=self.dim)
+    def appended(self, extra: "ParticleSwarm") -> "ParticleSwarm":
+        """New swarm with the particles of ``extra`` appended in order."""
         return ParticleSwarm(
             np.concatenate([self.weights, extra.weights]),
             np.concatenate([self.signs, extra.signs]),

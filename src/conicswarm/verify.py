@@ -15,9 +15,8 @@ import numpy as np
 from .domain import Ball, Box
 from .dynamics import StepRates, descent_check
 from .kernels import GmmKernel, ReluKernel, SyntheticKernel, audit_assumptions
-from .objective import Problem, dual_certificate, dual_certificate_grad_many, \
-    dual_certificate_many, frechet_gap, loss
-from .oracle import OracleConfig, draw_batch, estimate_certificate
+from .objective import Problem, certificate, certificate_and_grad, frechet_gap, loss
+from .oracle import OracleConfig, draw_batch
 from .schedules import calibrate
 from .swarm import ParticleSwarm
 
@@ -122,8 +121,7 @@ def suite_descent(seed=0, n_swarms=100, tol=1e-10):
     for _ in range(n_swarms):
         swarm = random_swarm(problem, rng, max_particles=12,
                              tv=float(rng.uniform(0.05, cal.tv_bound)))
-        certs = dual_certificate_many(problem, swarm, swarm.positions, swarm.signs)
-        grads = dual_certificate_grad_many(problem, swarm, swarm.positions, swarm.signs)
+        certs, grads = certificate_and_grad(problem, swarm, swarm.positions, swarm.signs)
         _, pis = problem.domain.prox_step(swarm.positions, grads, rates.beta)
         holds, lhs, rhs = descent_check(problem, swarm, rates, certs, pis, tol=tol)
         worst_slack = max(worst_slack, lhs - rhs)
@@ -176,13 +174,12 @@ def suite_oracle(seed=0, n_batches=100_000, m_mean=64, slope_batches=10_000):
         swarm = random_swarm(problem, rng, max_particles=5)
         point = problem.domain.sample_uniform(rng)[None, :]
         sign = np.ones(1)
-        exact = float(dual_certificate_many(problem, swarm, point, sign)[0])
+        exact = float(certificate(problem, swarm, point, sign)[0])
         n = problem.model.n_samples
         count = n_batches if name == "relu" else n_batches // 5
         vals = np.empty(count)
         for b in range(count):
-            batch = draw_batch(rng, m_mean, n)
-            vals[b] = estimate_certificate(problem, swarm, point, sign, batch)[0]
+            vals[b] = certificate(problem, swarm, point, sign, draw_batch(rng, m_mean, n))[0]
         sigma_mc = vals.std(ddof=1) / math.sqrt(count)
         dev = abs(vals.mean() - exact)
         results.append(CheckResult(
@@ -201,8 +198,7 @@ def suite_oracle(seed=0, n_batches=100_000, m_mean=64, slope_batches=10_000):
     for m in sizes:
         vals = np.empty(slope_batches)
         for b in range(slope_batches):
-            batch = draw_batch(rng, m, n)
-            vals[b] = estimate_certificate(problem, swarm, point, sign, batch)[0]
+            vals[b] = certificate(problem, swarm, point, sign, draw_batch(rng, m, n))[0]
         stds.append(vals.std(ddof=1))
     slope = float(np.polyfit(np.log(sizes), np.log(stds), 1)[0])
     results.append(CheckResult(
@@ -221,9 +217,9 @@ def suite_hoeffding(seed=0, n_batches=10_000, sizes=(64, 256, 1024)):
     swarm = random_swarm(problem, rng, max_particles=4)
     # scan for a point whose exact certificate is nonnegative
     cands = problem.domain.sample_uniform(rng, size=256)
-    certs = dual_certificate_many(problem, swarm, cands, np.ones(len(cands)))
+    certs = certificate(problem, swarm, cands, np.ones(len(cands)))
     point = cands[int(np.argmax(certs))][None, :]
-    exact = float(dual_certificate_many(problem, swarm, point, np.ones(1))[0])
+    exact = float(certificate(problem, swarm, point, np.ones(1))[0])
     assert exact >= 0.0, "fixture must provide a nonnegative-certificate point"
     n = problem.model.n_samples
     results = []
@@ -232,8 +228,7 @@ def suite_hoeffding(seed=0, n_batches=10_000, sizes=(64, 256, 1024)):
         hits = 0
         spread = np.empty(n_batches)
         for b in range(n_batches):
-            batch = draw_batch(rng, m, n)
-            est = float(estimate_certificate(problem, swarm, point, np.ones(1), batch)[0])
+            est = float(certificate(problem, swarm, point, np.ones(1), draw_batch(rng, m, n))[0])
             spread[b] = est - exact
             hits += est - exact <= -level
         rate = hits / n_batches

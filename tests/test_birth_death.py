@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conicswarm.birth_death import SQRT2, BirthRule, DeathRule, apply_mass_tweak, \
-    evaluate_birth_candidates, propose_births, select_deaths
-from conicswarm.objective import dual_certificate_many, loss
+    evaluate_birth_candidates, select_deaths
+from conicswarm.objective import certificate, loss
 from conicswarm.oracle import OracleConfig, draw_batch
-from conicswarm.swarm import Particle, ParticleSwarm
+from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_synthetic_problem, random_swarm
 
 
@@ -18,6 +18,11 @@ def rng(seed=0):
 def swarm_of(weights, certs_dim=1):
     p = len(weights)
     return ParticleSwarm(weights, np.ones(p), np.zeros((p, certs_dim)))
+
+
+def births(problem, swarm, rule, eps_k, m_k, idx, g):
+    """The accepted candidates of one birth step."""
+    return evaluate_birth_candidates(problem, swarm, rule, eps_k, m_k, idx, g)[0]
 
 
 class TestSelectDeaths:
@@ -72,24 +77,24 @@ class TestProposeBirths:
         sw = random_swarm(problem, rng(7))
         rule = BirthRule(threshold_coeff=math.inf, candidates_per_iter=16)
         eps = 0.03
-        born = propose_births(problem, sw, rule, eps, 64, None, rng(8))
+        born = births(problem, sw, rule, eps, 64, None, rng(8))
         assert len(born) == 16
-        assert all(p.weight == eps for p in born)
-        assert all(problem.domain.contains(p.position) for p in born)
+        assert np.all(born.weights == eps)
+        assert all(problem.domain.contains(p) for p in born.positions)
 
     def test_explicit_birth_mass_overrides_eps(self):
         problem = make_synthetic_problem()
         sw = random_swarm(problem, rng(9))
         rule = BirthRule(threshold_coeff=math.inf, candidates_per_iter=4, birth_mass=0.5)
-        born = propose_births(problem, sw, rule, 0.03, 64, None, rng(10))
-        assert all(p.weight == 0.5 for p in born)
+        born = births(problem, sw, rule, 0.03, 64, None, rng(10))
+        assert len(born) == 4 and np.all(born.weights == 0.5)
 
     def test_unsigned_problem_births_positive(self):
         problem = make_synthetic_problem(signed=False)
         sw = random_swarm(problem, rng(11))
         rule = BirthRule(threshold_coeff=math.inf, candidates_per_iter=8)
-        born = propose_births(problem, sw, rule, 0.01, 16, None, rng(12))
-        assert all(p.sign == 1 for p in born)
+        born = births(problem, sw, rule, 0.01, 16, None, rng(12))
+        assert len(born) == 8 and np.all(born.signs == 1.0)
 
     def test_acceptance_rate_on_planted_negative_region(self):
         # empty swarm, strong observation: the certificate kappa - <y, phi>
@@ -106,7 +111,7 @@ class TestProposeBirths:
         # measure the deep-violation fraction q on a dense grid
         g = rng(14)
         grid = problem.domain.sample_uniform(g, size=20_000)
-        exact = dual_certificate_many(problem, sw, grid, np.ones(len(grid)))
+        exact = certificate(problem, sw, grid, np.ones(len(grid)))
         q = float(np.mean(exact < -2 * level))
         assert q > 0.05, "fixture must have a substantial violation region"
 
@@ -115,7 +120,7 @@ class TestProposeBirths:
         accepted = 0
         for _ in range(trials):
             batch = draw_batch(g, m, model.n_samples)
-            accepted += len(propose_births(problem, sw, rule, 0.01, m, batch, g))
+            accepted += len(births(problem, sw, rule, 0.01, m, batch, g))
         rate = accepted / trials
         bound = q - m ** (-cfg.tail_exponent)
         sigma = math.sqrt(q * (1 - q) / trials)
@@ -134,7 +139,7 @@ class TestProposeBirths:
         sw = ParticleSwarm.empty(problem.domain.dim)
         g = rng(16)
         grid = problem.domain.sample_uniform(g, size=5000)
-        exact = dual_certificate_many(problem, sw, grid, np.ones(len(grid)))
+        exact = certificate(problem, sw, grid, np.ones(len(grid)))
         assert exact.min() >= 2 * level, "fixture must be uniformly positive"
 
         rule = BirthRule(threshold_coeff=cfg.threshold_scale, candidates_per_iter=1)
@@ -142,7 +147,7 @@ class TestProposeBirths:
         accepted = 0
         for _ in range(trials):
             batch = draw_batch(g, m, model.n_samples)
-            accepted += len(propose_births(problem, sw, rule, 0.01, m, batch, g))
+            accepted += len(births(problem, sw, rule, 0.01, m, batch, g))
         rate = accepted / trials
         bound = m ** (-cfg.tail_exponent)
         sigma = math.sqrt(bound * (1 - bound) / trials)
@@ -154,19 +159,19 @@ class TestProposeBirths:
         rule = BirthRule(threshold_coeff=math.inf, candidates_per_iter=5)
         born, cands, _, _, _ = evaluate_birth_candidates(problem, sw, rule, 0.01, 16,
                                                          None, rng(17))
-        assert np.array_equal(np.array([p.position for p in born]), cands)
+        assert np.array_equal(born.positions, cands)
 
 
 class TestApplyMassTweak:
     def test_noop(self):
         sw = swarm_of([0.1, 0.2])
-        out = apply_mass_tweak(sw, [], [])
+        out = apply_mass_tweak(sw, [], ParticleSwarm.empty(1))
         assert np.array_equal(out.weights, sw.weights)
         assert np.array_equal(out.positions, sw.positions)
 
     def test_counts_and_order(self):
         sw = ParticleSwarm([0.1, 0.2, 0.3], [1, -1, 1], np.arange(3.0).reshape(3, 1))
-        born = [Particle(0.05, 1, np.array([9.0]))]
+        born = ParticleSwarm([0.05], [1], [[9.0]])
         out = apply_mass_tweak(sw, [1], born)
         assert len(out) == 3 - 1 + 1
         assert np.allclose(out.positions.ravel(), [0.0, 2.0, 9.0])
@@ -175,12 +180,12 @@ class TestApplyMassTweak:
     def test_duplicate_death_indices_rejected(self):
         sw = swarm_of([0.1, 0.2])
         with pytest.raises(ValueError):
-            apply_mass_tweak(sw, [0, 0], [])
+            apply_mass_tweak(sw, [0, 0], ParticleSwarm.empty(1))
 
     def test_out_of_range_rejected(self):
         sw = swarm_of([0.1])
         with pytest.raises(ValueError):
-            apply_mass_tweak(sw, [3], [])
+            apply_mass_tweak(sw, [3], ParticleSwarm.empty(1))
 
     @pytest.mark.parametrize("p0,total_deaths,total_births,p_final", [
         (20, 78, 97, 39),    # reported mixture end state
@@ -196,7 +201,7 @@ class TestApplyMassTweak:
             d = min(deaths_left, int(g.integers(0, 4)), max(len(sw) - 1, 0))
             b = min(births_left, int(g.integers(0, 5)))
             idx = g.choice(len(sw), size=d, replace=False) if d else []
-            born = [Particle(0.01, 1, np.zeros(2)) for _ in range(b)]
+            born = ParticleSwarm(np.full(b, 0.01), np.ones(b), np.zeros((b, 2)))
             expected = len(sw) - d + b
             sw = apply_mass_tweak(sw, idx, born)
             assert len(sw) == expected
@@ -218,12 +223,12 @@ class TestTweakEffects:
         sw = ParticleSwarm(np.concatenate([heavy.weights * 5, light.weights]),
                            np.concatenate([heavy.signs, light.signs]),
                            np.vstack([heavy.positions, light.positions]))
-        certs = dual_certificate_many(problem, sw, sw.positions, sw.signs)
+        certs = certificate(problem, sw, sw.positions, sw.signs)
         deaths = select_deaths(sw, certs, DeathRule(kind="guarded"), eps, g)
         if deaths.size == 0:
             pytest.skip("fixture produced no qualifying deaths")
         before = loss(problem, sw)
-        after_sw = apply_mass_tweak(sw, deaths, [])
+        after_sw = apply_mass_tweak(sw, deaths, ParticleSwarm.empty(2))
         k_max = 1.0  # unit-normalized kernel
         budget = 0.5 * k_max * float(np.sum(sw.weights[deaths] ** 2))
         assert loss(problem, after_sw) - before <= budget + 1e-12
@@ -239,14 +244,14 @@ class TestTweakEffects:
             np.ones(6),
             problem.domain.sample_uniform(g, size=6),
         )
-        certs = dual_certificate_many(problem, sw, sw.positions, sw.signs)
+        certs = certificate(problem, sw, sw.positions, sw.signs)
         deaths = select_deaths(sw, certs, DeathRule(kind="guarded", scan="single"), eps, g)
-        born = [Particle(eps, 1, problem.domain.sample_uniform(g))]
+        born = ParticleSwarm([eps], [1], problem.domain.sample_uniform(g)[None, :])
         after = apply_mass_tweak(sw, deaths, born)
         grid = problem.domain.sample_uniform(g, size=400)
         ones = np.ones(len(grid))
-        before_vals = dual_certificate_many(problem, sw, grid, ones)
-        after_vals = dual_certificate_many(problem, after, grid, ones)
+        before_vals = certificate(problem, sw, grid, ones)
+        after_vals = certificate(problem, after, grid, ones)
         assert np.abs(after_vals - before_vals).max() <= (SQRT2 + 1) * eps + 1e-12
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from conicswarm.dynamics import StepRates, descent_check, weight_push_update
 from conicswarm.kernels import audit_assumptions
-from conicswarm.objective import dual_certificate_grad_many, dual_certificate_many
+from conicswarm.objective import certificate_and_grad
 from conicswarm.schedules import calibrate
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_synthetic_problem, random_swarm
@@ -16,8 +16,7 @@ def rng(seed=0):
 
 
 def exact_certs_and_pis(problem, swarm, beta):
-    certs = dual_certificate_many(problem, swarm, swarm.positions, swarm.signs)
-    grads = dual_certificate_grad_many(problem, swarm, swarm.positions, swarm.signs)
+    certs, grads = certificate_and_grad(problem, swarm, swarm.positions, swarm.signs)
     if beta > 0:
         _, pis = problem.domain.prox_step(swarm.positions, grads, beta)
     else:

@@ -47,7 +47,7 @@ class TestGmmSpec:
         # sanity: observation inner product peaks near the true means
         spec = GmmSpec.ring(n_samples=4000, seed=7)
         _, problem = gen_gmm(spec, rng(7))
-        at_mean = problem.model.y_inner(spec.means[0])
+        at_mean = problem.model.y_inner_many(spec.means[0][None, :])[0]
         g = rng(8)
         far = problem.model.y_inner_many(problem.domain.sample_uniform(g, size=100)).mean()
         assert at_mean > 2 * far

@@ -14,6 +14,21 @@ def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
+# One-pair views of the vectorized primitives; ``i`` restricts to one sample.
+
+def k_at(model, s, t, i=None):
+    return model.kernel_matrix(s[None, :], t[None, :], None if i is None else [i])[0, 0]
+
+
+def grad_k_at(model, s, t, i=None):
+    return model.weighted_grad1_kernel(s[None, :], t[None, :], np.ones(1),
+                                       None if i is None else [i])[0]
+
+
+def y_at(model, t, i=None):
+    return model.y_inner_many(t[None, :], None if i is None else [i])[0]
+
+
 ALL_BUILDERS = [make_synthetic_problem, make_gmm_problem, make_relu_problem]
 
 
@@ -33,10 +48,10 @@ def test_per_sample_average_reproduces_full(build):
     model = problem.model
     g = rng(4)
     s, t = problem.domain.sample_uniform(g, size=2)
-    k_mean = np.mean([model.kernel_sample(s, t, i) for i in range(model.n_samples)])
-    assert k_mean == pytest.approx(model.kernel(s, t), rel=1e-10, abs=1e-14)
-    y_mean = np.mean([model.y_inner_sample(t, i) for i in range(model.n_samples)])
-    assert y_mean == pytest.approx(model.y_inner(t), rel=1e-10, abs=1e-14)
+    k_mean = np.mean([k_at(model, s, t, i) for i in range(model.n_samples)])
+    assert k_mean == pytest.approx(k_at(model, s, t), rel=1e-10, abs=1e-14)
+    y_mean = np.mean([y_at(model, t, i) for i in range(model.n_samples)])
+    assert y_mean == pytest.approx(y_at(model, t), rel=1e-10, abs=1e-14)
 
 
 @pytest.mark.parametrize("build", ALL_BUILDERS)
@@ -50,12 +65,12 @@ def test_gradient_matches_finite_differences(build):
         s, t = 0.5 * (pts[0] + 0.5), 0.5 * (pts[1] + 0.2)  # pull strictly inside
         s = problem.domain.project(s)
         t = problem.domain.project(t)
-        grad = model.grad1_kernel(s, t)
+        grad = grad_k_at(model, s, t)
         fd = np.empty_like(grad)
         for j in range(model.dim):
             e = np.zeros(model.dim)
             e[j] = h
-            fd[j] = (model.kernel(s + e, t) - model.kernel(s - e, t)) / (2 * h)
+            fd[j] = (k_at(model, s + e, t) - k_at(model, s - e, t)) / (2 * h)
         scale = max(1.0, np.linalg.norm(fd))
         assert np.linalg.norm(grad - fd) / scale < 1e-6
 
@@ -130,7 +145,7 @@ class TestYInner:
             / (2 * math.pi * var)
         val, _ = integrate.dblquad(lambda x1, x0: smoothed_data(x0, x1) * feat(x0, x1),
                                    -10, 10, -10, 10, epsabs=1e-9)
-        assert model.y_inner(t) == pytest.approx(val, rel=1e-6)
+        assert y_at(model, t) == pytest.approx(val, rel=1e-6)
 
     def test_gmm_empty_swarm_energy_matches_quadrature(self):
         # 0.5 |y|^2 equals half the integral of the squared smoothed sample
@@ -181,7 +196,7 @@ class TestAudit:
         pts = problem.domain.sample_uniform(g, size=40)
         for i in range(0, 40, 2):
             s, t = pts[i], pts[i + 1]
-            dk_sq = 2.0 * (1.0 - model.kernel(s, t))
+            dk_sq = 2.0 * (1.0 - k_at(model, s, t))
             assert dk_sq <= bounds.smooth_max * np.sum((s - t) ** 2) + 1e-12
 
     def test_noise_sup_dominates_observed_deviations(self):
@@ -191,7 +206,7 @@ class TestAudit:
         g = rng(17)
         pts = problem.domain.sample_uniform(g, size=10)
         worst = max(
-            abs(model.y_inner_sample(t, i) - model.y_inner(t))
+            abs(y_at(model, t, i) - y_at(model, t))
             for t in pts for i in range(model.n_samples)
         )
         assert bounds.noise_sup >= worst
@@ -225,11 +240,11 @@ def test_vectorized_matches_scalar_loops():
     kmat = model.kernel_matrix(a, b, idx)
     for i in range(3):
         for j in range(4):
-            manual = np.mean([model.kernel_sample(a[i], b[j], s) for s in idx])
+            manual = np.mean([k_at(model, a[i], b[j], s) for s in idx])
             assert kmat[i, j] == pytest.approx(manual, abs=1e-14)
     coef = np.array([0.5, -0.2, 0.1, 0.4])
     wg = model.weighted_grad1_kernel(a, b, coef, idx)
     for i in range(3):
-        manual = sum(coef[j] * np.mean([model.grad1_kernel_sample(a[i], b[j], s)
-                                        for s in idx], axis=0) for j in range(4))
+        manual = sum(coef[j] * np.mean([grad_k_at(model, a[i], b[j], s) for s in idx], axis=0)
+                     for j in range(4))
         assert np.allclose(wg[i], manual, atol=1e-14)

@@ -5,8 +5,8 @@ import pytest
 
 from conicswarm.domain import Box, grid_points
 from conicswarm.kernels import SyntheticKernel, audit_assumptions
-from conicswarm.objective import Problem, dual_certificate, dual_certificate_grad, \
-    dual_certificate_grad_many, dual_certificate_many, frechet_gap, kkt_residual, loss
+from conicswarm.objective import Problem, certificate, certificate_and_grad, frechet_gap, \
+    kkt_residual, loss
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem, \
     random_swarm
@@ -14,6 +14,24 @@ from conicswarm.verify import make_gmm_problem, make_relu_problem, make_syntheti
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+# One-point views of the vectorized evaluators.
+
+def cert_at(problem, swarm, t, sign):
+    return certificate(problem, swarm, t[None, :], [sign])[0]
+
+
+def grad_at(problem, swarm, t, sign):
+    return certificate_and_grad(problem, swarm, t[None, :], [sign])[1][0]
+
+
+def k_at(model, s, t):
+    return model.kernel_matrix(s[None, :], t[None, :])[0, 0]
+
+
+def y_at(model, t):
+    return model.y_inner_many(t[None, :])[0]
 
 
 def planted_stationary_instance(kappa=5e-3, sigma=0.15, seed=0):
@@ -49,7 +67,7 @@ class TestLoss:
         t = np.array([0.4, 0.6])
         w = 0.37
         sw = ParticleSwarm([w], [1], t[None, :])
-        expected = 0.5 * model.y_norm_sq + w * (kappa - model.y_inner(t)) + 0.5 * w**2
+        expected = 0.5 * model.y_norm_sq + w * (kappa - y_at(model, t)) + 0.5 * w**2
         assert loss(problem, sw) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("build", [make_synthetic_problem, make_gmm_problem,
@@ -60,9 +78,9 @@ class TestLoss:
         g = rng(5)
         sw = random_swarm(problem, g, max_particles=3)
         w = sw.weights * sw.signs
-        quad = sum(w[i] * w[j] * model.kernel(sw.positions[i], sw.positions[j])
+        quad = sum(w[i] * w[j] * k_at(model, sw.positions[i], sw.positions[j])
                    for i in range(len(sw)) for j in range(len(sw)))
-        cross = sum(w[j] * model.y_inner(sw.positions[j]) for j in range(len(sw)))
+        cross = sum(w[j] * y_at(model, sw.positions[j]) for j in range(len(sw)))
         manual = 0.5 * model.y_norm_sq - cross + 0.5 * quad + kappa * sw.weights.sum()
         assert loss(problem, sw) == pytest.approx(manual, rel=1e-12)
 
@@ -91,16 +109,16 @@ class TestCertificate:
         problem = make_synthetic_problem()
         t = np.array([0.2, 0.9])
         for sign in (1.0, -1.0):
-            expected = problem.kappa - sign * problem.model.y_inner(t)
-            assert dual_certificate(problem, ParticleSwarm.empty(2), t, sign) == \
+            expected = problem.kappa - sign * y_at(problem.model, t)
+            assert cert_at(problem, ParticleSwarm.empty(2), t, sign) == \
                 pytest.approx(expected, rel=1e-12)
 
     def test_empty_swarm_gradient(self):
         problem = make_synthetic_problem()
         t = np.array([0.4, 0.3])
         for sign in (1.0, -1.0):
-            grad = dual_certificate_grad(problem, ParticleSwarm.empty(2), t, sign)
-            assert np.allclose(grad, -sign * problem.model.grad_y_inner(t))
+            grad = grad_at(problem, ParticleSwarm.empty(2), t, sign)
+            assert np.allclose(grad, -sign * problem.model.grad_y_inner_many(t[None, :])[0])
 
     def test_lower_bound_for_positive_swarms(self):
         problem = make_synthetic_problem(signed=False)
@@ -110,7 +128,7 @@ class TestCertificate:
         for _ in range(20):
             sw = random_swarm(problem, g, max_particles=8)
             t = problem.domain.sample_uniform(g)
-            cert = dual_certificate(problem, sw, t, 1.0)
+            cert = cert_at(problem, sw, t, 1.0)
             floor = bounds.kernel_min * sw.tv_norm() - y_norm + problem.kappa
             assert cert >= floor - 1e-12
 
@@ -122,7 +140,7 @@ class TestCertificate:
         sw = random_swarm(problem, g, max_particles=5)
         t = problem.domain.sample_uniform(g)
         sign = -1.0
-        cert = dual_certificate(problem, sw, t, sign)
+        cert = cert_at(problem, sw, t, sign)
         for h in (1.0, 0.1, 1e-3):
             bumped = ParticleSwarm(
                 np.concatenate([sw.weights, [h]]),
@@ -130,7 +148,7 @@ class TestCertificate:
                 np.vstack([sw.positions, t[None, :]]),
             )
             diff = (loss(problem, bumped) - loss(problem, sw)) / h \
-                - 0.5 * h * problem.model.kernel(t, t)
+                - 0.5 * h * k_at(problem.model, t, t)
             assert diff == pytest.approx(cert, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("build", [make_synthetic_problem, make_gmm_problem,
@@ -142,14 +160,14 @@ class TestCertificate:
         t = 0.7 * problem.domain.sample_uniform(g) + 0.3 * problem.domain.project(
             np.zeros(problem.domain.dim))
         sign = -1.0 if problem.signed else 1.0
-        grad = dual_certificate_grad(problem, sw, t, sign)
+        grad = grad_at(problem, sw, t, sign)
         h = 1e-6
         fd = np.empty_like(grad)
         for j in range(problem.domain.dim):
             e = np.zeros(problem.domain.dim)
             e[j] = h
-            fd[j] = (dual_certificate(problem, sw, t + e, sign)
-                     - dual_certificate(problem, sw, t - e, sign)) / (2 * h)
+            fd[j] = (cert_at(problem, sw, t + e, sign)
+                     - cert_at(problem, sw, t - e, sign)) / (2 * h)
         assert np.linalg.norm(grad - fd) / max(1.0, np.linalg.norm(fd)) < 1e-6
 
     def test_grad_norm_within_audited_lipschitz_bound(self):
@@ -159,7 +177,7 @@ class TestCertificate:
         for _ in range(25):
             sw = random_swarm(problem, g, max_particles=6)
             t = problem.domain.sample_uniform(g)
-            grad = dual_certificate_grad(problem, sw, t, 1.0)
+            grad = grad_at(problem, sw, t, 1.0)
             lip = math.sqrt(bounds.smooth_max) * (bounds.smooth_max + sw.tv_norm())
             assert np.linalg.norm(grad) <= lip + 1e-9
 
@@ -170,7 +188,7 @@ class TestCertificate:
         sw = random_swarm(problem, g, max_particles=5)
         lip = math.sqrt(bounds.smooth_max) * (bounds.smooth_max + sw.tv_norm())
         pts = problem.domain.sample_uniform(g, size=60)
-        vals = dual_certificate_many(problem, sw, pts, np.ones(60))
+        vals = certificate(problem, sw, pts, np.ones(60))
         for i in range(0, 60, 2):
             gap = abs(vals[i] - vals[i + 1])
             assert gap <= lip * np.linalg.norm(pts[i] - pts[i + 1]) + 1e-12
@@ -244,6 +262,7 @@ def test_grad_many_consistent_with_scalar():
     sw = random_swarm(problem, g, max_particles=4)
     pts = problem.domain.sample_uniform(g, size=5)
     signs = g.choice([-1.0, 1.0], size=5)
-    many = dual_certificate_grad_many(problem, sw, pts, signs)
+    vals, grads = certificate_and_grad(problem, sw, pts, signs)
     for i in range(5):
-        assert np.allclose(many[i], dual_certificate_grad(problem, sw, pts[i], signs[i]))
+        assert np.allclose(vals[i], cert_at(problem, sw, pts[i], signs[i]))
+        assert np.allclose(grads[i], grad_at(problem, sw, pts[i], signs[i]))

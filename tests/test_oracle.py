@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from conicswarm.kernels import audit_assumptions
-from conicswarm.objective import dual_certificate_grad_many, dual_certificate_many
-from conicswarm.oracle import HOEFFDING_CAP_CONST, MiniBatch, OracleConfig, check_hoeffding_cap, \
-    draw_batch, estimate_certificate, estimate_certificate_grad
+from conicswarm.objective import certificate, certificate_and_grad
+from conicswarm.oracle import HOEFFDING_CAP_CONST, OracleConfig, check_hoeffding_cap, draw_batch
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem, \
     random_swarm
 
@@ -18,7 +17,7 @@ def rng(seed=0):
 class TestDrawBatch:
     def test_single_sample_dataset(self):
         batch = draw_batch(rng(1), 16, 1)
-        assert batch.size == 16 and np.all(batch.indices == 0)
+        assert batch.size == 16 and np.all(batch == 0)
 
     def test_size_recorded(self):
         assert draw_batch(rng(2), 37, 100).size == 37
@@ -27,12 +26,12 @@ class TestDrawBatch:
         with pytest.raises(ValueError):
             draw_batch(rng(3), 0, 10)
         with pytest.raises(ValueError):
-            MiniBatch(np.empty(0, dtype=int))
+            draw_batch(rng(3), 4, 0)
 
     def test_histogram_uniform(self):
         n, draws = 8, 1_000_000
         batch = draw_batch(rng(4), draws, n)
-        counts = np.bincount(batch.indices, minlength=n)
+        counts = np.bincount(batch, minlength=n)
         p = 1.0 / n
         sigma = math.sqrt(draws * p * (1 - p))
         assert np.abs(counts - draws * p).max() <= 3 * sigma
@@ -46,15 +45,16 @@ def test_full_enumeration_equals_exact(build):
     sw = random_swarm(problem, g, max_particles=5)
     pts = problem.domain.sample_uniform(g, size=4)
     signs = g.choice([-1.0, 1.0], size=4)
-    full = MiniBatch(np.arange(problem.model.n_samples))
-    est = estimate_certificate(problem, sw, pts, signs, full)
-    exact = dual_certificate_many(problem, sw, pts, signs)
+    full = np.arange(problem.model.n_samples)
+    est = certificate(problem, sw, pts, signs, full)
+    exact = certificate(problem, sw, pts, signs)
     assert np.abs(est - exact).max() < 1e-12
-    est_g = estimate_certificate_grad(problem, sw, pts, signs, full)
-    exact_g = dual_certificate_grad_many(problem, sw, pts, signs)
+    est_v, est_g = certificate_and_grad(problem, sw, pts, signs, full)
+    exact_v, exact_g = certificate_and_grad(problem, sw, pts, signs)
+    assert np.abs(est_v - exact).max() < 1e-12
     assert np.abs(est_g - exact_g).max() < 1e-12
-    # batch=None is the same exact path
-    assert np.abs(estimate_certificate(problem, sw, pts, signs, None) - exact).max() < 1e-15
+    # idx=None is the exact path of both evaluators
+    assert np.array_equal(exact_v, exact)
 
 
 def test_certificate_estimate_is_batch_mean_of_per_sample_values():
@@ -64,13 +64,13 @@ def test_certificate_estimate_is_batch_mean_of_per_sample_values():
     pt = problem.domain.sample_uniform(g, size=1)
     sign = np.ones(1)
     per_sample = np.array([
-        estimate_certificate(problem, sw, pt, sign, MiniBatch([i]))[0]
+        certificate(problem, sw, pt, sign, np.array([i]))[0]
         for i in range(problem.model.n_samples)
     ])
     for m in (1, 7, 32):
         batch = draw_batch(g, m, problem.model.n_samples)
-        val = estimate_certificate(problem, sw, pt, sign, batch)[0]
-        assert val == pytest.approx(per_sample[batch.indices].mean(), abs=1e-12)
+        val = certificate(problem, sw, pt, sign, batch)[0]
+        assert val == pytest.approx(per_sample[batch].mean(), abs=1e-12)
 
 
 def test_gradient_unbiased_and_bounded_by_audit():
@@ -81,14 +81,14 @@ def test_gradient_unbiased_and_bounded_by_audit():
     g = rng(12)
     pt = problem.domain.sample_uniform(g, size=1)
     sign = np.ones(1)
-    exact = dual_certificate_grad_many(problem, sw, pt, sign)[0]
+    exact = certificate_and_grad(problem, sw, pt, sign)[1][0]
     n = problem.model.n_samples
     devs = []
     acc = np.zeros_like(exact)
     trials = 300
     for _ in range(trials):
         batch = draw_batch(g, 16, n)
-        est = estimate_certificate_grad(problem, sw, pt, sign, batch)[0]
+        est = certificate_and_grad(problem, sw, pt, sign, batch)[1][0]
         devs.append(np.linalg.norm(est - exact))
         acc += est
     assert max(devs) <= bounds.noise_sup + 1e-12

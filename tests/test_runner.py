@@ -8,7 +8,7 @@ from conicswarm.domain import grid_points
 from conicswarm.dynamics import StepRates
 from conicswarm.kernels import audit_assumptions
 from conicswarm.objective import kkt_residual, loss
-from conicswarm.runner import RunConfig, run, trace_from_csv, trace_to_csv, track_excess
+from conicswarm.runner import RunConfig, RunResult, run, trace_from_csv, trace_to_csv
 from conicswarm.schedules import AnytimePlan, calibrate
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_synthetic_problem, random_swarm
@@ -142,20 +142,25 @@ class TestTrackExcess:
     def test_constant_trace(self):
         problem = make_synthetic_problem()
         init = random_swarm(problem, rng(13))
-        res = run(small_config(init, k_iters=0), problem)
-        j0 = res.trace[0].loss
-        assert track_excess(res.trace, j0 - 0.5) == pytest.approx(0.5)
+        j0 = loss(problem, init)
+        res = run(small_config(init, k_iters=0, j_ref=j0 - 0.5), problem)
+        assert res.trace[0].loss == j0
+        assert res.rho_hat == pytest.approx(0.5)
 
     def test_reference_equal_to_min_gives_zero(self):
         problem = make_synthetic_problem()
         init = random_swarm(problem, rng(14))
         res = run(small_config(init, k_iters=20), problem)
         best = min(r.loss for r in res.trace if r.loss is not None)
-        assert track_excess(res.trace, best) == pytest.approx(0.0)
+        assert res.rho_hat == best  # no reference: the best loss itself
+        again = run(small_config(init, k_iters=20, j_ref=best), problem)
+        assert again.rho_hat == pytest.approx(0.0)
 
     def test_empty_trace_rejected(self):
+        empty = RunResult(trace=[], final_swarm=ParticleSwarm.empty(2), rho_hat=0.0,
+                          best_index=0, j_ref=None, total_time_s=0.0)
         with pytest.raises(ValueError):
-            track_excess([], 0.0)
+            empty.final_loss
 
     def test_rho_hat_uses_reference(self):
         problem = make_synthetic_problem()

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicswarm.kernels import AssumptionBounds
-from conicswarm.schedules import AnytimePlan, Calibration, CalibrationError, anytime_at, \
-    calibrate, horizon_plan
+from conicswarm.schedules import AnytimePlan, Calibration, CalibrationError, calibrate, \
+    horizon_plan
 
 E = math.e
 
@@ -105,24 +105,24 @@ class TestHorizonPlan:
 
 class TestAnytime:
     def test_k_zero_floors(self):
-        eps, m, beta = anytime_at(0, manual_calibration(0.7))
+        eps, m, beta = AnytimePlan(alpha=0.7).at(0)
         assert (eps, m, beta) == (pytest.approx(min(0.7, 1.0)), 1, pytest.approx(1.0))
 
     def test_reference_values_at_k4(self):
-        eps, m, beta = anytime_at(4, manual_calibration(1.0))
+        eps, m, beta = AnytimePlan(alpha=1.0).at(4)
         assert eps == pytest.approx(0.5)
         assert m == 4
         assert beta == pytest.approx(0.25)
 
     def test_min_branch_large_k(self):
-        eps, m, beta = anytime_at(10**6, manual_calibration(0.05))
+        eps, m, beta = AnytimePlan(alpha=0.05).at(10**6)
         assert eps == pytest.approx(1e-3)
         assert m == 10**6
 
     @given(st.integers(0, 10**7), st.floats(1e-4, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_eps_never_exceeds_alpha(self, k, alpha):
-        eps, _, _ = anytime_at(k, manual_calibration(alpha))
+        eps, _, _ = AnytimePlan(alpha=alpha).at(k)
         assert eps <= alpha + 1e-15
 
     def test_monotone_schedules(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conicswarm.objective import loss
-from conicswarm.swarm import Particle, ParticleSwarm, lift_signed
+from conicswarm.swarm import ParticleSwarm, lift_signed
 from conicswarm.verify import make_synthetic_problem
 
 
@@ -75,8 +75,9 @@ def test_lift_preserves_objective_of_signed_measure():
     a = np.array([0.4, -0.3, 0.7])
     pos = problem.domain.sample_uniform(rng, size=3)
 
-    quad = sum(a[i] * a[j] * model.kernel(pos[i], pos[j]) for i in range(3) for j in range(3))
-    cross = sum(a[j] * model.y_inner(pos[j]) for j in range(3))
+    quad = sum(a[i] * a[j] * model.kernel_matrix(pos[i : i + 1], pos[j : j + 1])[0, 0]
+               for i in range(3) for j in range(3))
+    cross = sum(a[j] * model.y_inner_many(pos[j : j + 1])[0] for j in range(3))
     direct = 0.5 * model.y_norm_sq - cross + 0.5 * quad + kappa * np.abs(a).sum()
 
     assert loss(problem, lift_signed(a, pos)) == pytest.approx(direct, rel=1e-12)
@@ -109,12 +110,15 @@ def test_rejects_bad_sign():
         ParticleSwarm([0.1], [2], [[0.0]])
 
 
-def test_from_particles_round_trip():
-    parts = [Particle(0.2, 1, np.array([0.0, 1.0])), Particle(0.3, -1, np.array([2.0, 3.0]))]
-    sw = ParticleSwarm.from_particles(parts)
-    assert len(sw) == 2 and sw.dim == 2
-    back = sw.particles()
-    assert back[1].sign == -1 and back[1].weight == 0.3
+def test_appended_keeps_order_and_inputs():
+    head = ParticleSwarm([0.2], [1], [[0.0, 1.0]])
+    tail = ParticleSwarm([0.3, 0.4], [-1, 1], [[2.0, 3.0], [4.0, 5.0]])
+    sw = head.appended(tail)
+    assert len(sw) == 3 and sw.dim == 2
+    assert sw.weights.tolist() == [0.2, 0.3, 0.4] and sw.signs.tolist() == [1.0, -1.0, 1.0]
+    assert np.array_equal(sw.positions, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    assert len(head) == 1 and len(tail) == 2
+    assert np.array_equal(head.appended(ParticleSwarm.empty(2)).positions, head.positions)
 
 
 def test_prune_tv_change_bounded_by_count_times_floor():
