@@ -72,6 +72,8 @@ class BirthRule:
     def __post_init__(self):
         if self.candidates_per_iter < 1:
             raise ValueError("need at least one birth candidate per iteration")
+        if self.birth_mass is not None and not 0 <= self.birth_mass < math.inf:
+            raise ValueError("birth mass must be finite and nonnegative")
 
     def threshold(self, m_k: int) -> float:
         if m_k < 1:
@@ -130,6 +132,7 @@ def apply_mass_tweak(swarm: ParticleSwarm, deaths, births: ParticleSwarm) -> Par
     ``new = old - len(deaths) + len(births)`` exactly.
     """
     deaths = np.asarray(deaths, dtype=int).reshape(-1)
+    keep = slice(None)
     if deaths.size:
         if np.unique(deaths).size != deaths.size:
             raise ValueError("duplicate death indices")
@@ -137,5 +140,6 @@ def apply_mass_tweak(swarm: ParticleSwarm, deaths, births: ParticleSwarm) -> Par
             raise ValueError("death index out of range")
         keep = np.ones(len(swarm), dtype=bool)
         keep[deaths] = False
-        swarm = ParticleSwarm(swarm.weights[keep], swarm.signs[keep], swarm.positions[keep])
-    return swarm.appended(births)
+    return ParticleSwarm(np.concatenate([swarm.weights[keep], births.weights]),
+                         np.concatenate([swarm.signs[keep], births.signs]),
+                         np.vstack([swarm.positions[keep], births.positions]))

@@ -23,7 +23,7 @@ from .kernels import SyntheticKernel, audit_assumptions
 from .objective import Problem, kkt_residual
 from .oracle import OracleConfig
 from .runner import RunConfig, run, trace_from_csv, trace_to_csv
-from .schedules import AnytimePlan, Calibration, CalibrationError, calibrate, horizon_plan
+from .schedules import AnytimePlan, CalibrationError, calibrate, horizon_plan
 from .swarm import ParticleSwarm
 
 __all__ = ["main", "build_problem", "build_run_config"]
@@ -119,7 +119,7 @@ def build_init_swarm(spec: RunSpec, problem: Problem, extras) -> ParticleSwarm:
     else:
         pos = problem.domain.sample_uniform(rng, size=p0)
     signs = rng.choice([-1.0, 1.0], size=p0) if problem.signed else np.ones(p0)
-    return ParticleSwarm(np.full(p0, w0), signs, pos)
+    return ParticleSwarm(np.full(p0, w0), signs, pos).check()
 
 
 def build_run_config(spec: RunSpec, problem: Problem, extras):
@@ -149,11 +149,9 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
     variant = spec.schedule["variant"]
     plan = None
     if variant == "horizon":
-        plan_cal = cal if rates_cfg["mode"] == "calibrated" else Calibration(
-            tv_radius=0.0, tv_bound=0.0, alpha=alpha, alpha_cap_mass=alpha,
-            alpha_cap_descent=alpha, hoeffding_cap=math.inf,
-            beta_max_struct=beta if beta > 0 else math.inf, chosen_beta=beta)
-        plan = horizon_plan(spec.run["iterations"], plan_cal, problem.domain.dim)
+        beta_cap = cal.beta_max_struct if rates_cfg["mode"] == "calibrated" else \
+            (beta if beta > 0 else math.inf)
+        plan = horizon_plan(spec.run["iterations"], alpha, beta_cap, problem.domain.dim)
     elif variant == "anytime":
         plan = AnytimePlan(alpha=alpha)
 
@@ -166,9 +164,8 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
                 raise ConfigError("guarded birth threshold needs a positive audited "
                                   "noise bound; set birth_threshold explicitly")
             exponent = bd["tail_exponent"]
-            d = problem.domain.dim
-            oc = OracleConfig(tail_exponent=exponent if exponent is not None
-                              else d / (2.0 * (2.0 + d)), noise_sup=noise)
+            oc = OracleConfig.for_dim(problem.domain.dim, noise) if exponent is None \
+                else OracleConfig(tail_exponent=exponent, noise_sup=noise)
             threshold = oc.threshold_scale
         else:
             threshold = 0.0
@@ -280,15 +277,13 @@ def _trace_summary_row(path: Path):
     if not losses:
         raise ValueError(f"{path}: trace holds no evaluated loss")
     last = trace[-1]
-    times = [r.time_s for r in trace if r.time_s]
     return {
         "name": path.stem if path.stem != "trace" else path.parent.name,
         "k": last.k,
-        "final_loss": next(r.loss for r in reversed(trace) if r.loss is not None),
+        "final_loss": losses[-1],
         "min_loss": min(losses),
         "tv": last.tv,
         "p_final": last.particles,
-        "time_s": times[-1] if times else float("nan"),
         "deaths": sum(r.deaths for r in trace),
         "births": sum(r.births for r in trace),
     }

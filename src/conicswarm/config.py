@@ -32,10 +32,6 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _floats(text: str):
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
 def _maybe_float(text: str):
     low = text.strip().lower()
     return None if low in ("", "none", "auto") else float(text)
@@ -85,7 +81,7 @@ _SCHEMA = {
         "profile": (str, "experiments"),    # experiments | theory
         "death": (str, None),               # guarded | ratio (default by profile)
         "tau_death": (float, 5.0),
-        "scan": (str, None),                # all | single (default by profile)
+        "scan": (str, "all"),               # all | single
         "birth_threshold": (_maybe_float, None),  # None: by profile (theory: noise cap)
         "candidates": (int, None),          # default by profile
         "tail_exponent": (_maybe_float, None),    # None: d / (2 (2 + d))
@@ -198,8 +194,6 @@ def _apply_profile_defaults(sections) -> None:
     theory = bd["profile"] == "theory"
     if bd["death"] is None:
         bd["death"] = "guarded" if theory else "ratio"
-    if bd["scan"] is None:
-        bd["scan"] = "all"
     if bd["candidates"] is None:
         bd["candidates"] = 1 if theory else 32
     if theory and sections["rates"]["mode"] == "manual" and sections["rates"]["alpha"] is None:
@@ -210,10 +204,6 @@ def _validate(sections, path) -> None:
     rates = sections["rates"]
     if rates["mode"] == "manual" and rates["alpha"] is None:
         raise ConfigError(f"{path}: manual rates need an explicit alpha")
-    sched = sections["schedule"]
-    if sched["variant"] in ("horizon", "anytime") and rates["mode"] == "manual" \
-            and rates["alpha"] is None:
-        raise ConfigError(f"{path}: scheduled runs need a weight rate")
     run = sections["run"]
     if run["iterations"] < 0:
         raise ConfigError(f"{path}: iterations must be nonnegative")

@@ -20,7 +20,7 @@ class StepRates:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ValueError("rates must be nonnegative")
 
 
@@ -31,6 +31,7 @@ def weight_push_update(problem: Problem, swarm: ParticleSwarm, certs, grads,
     ``certs`` and ``grads`` must be indexed like the swarm and already
     sign-folded (evaluated at each particle's lifted point). With beta = 0
     the positions are returned bitwise unchanged; signs never change.
+    Raises ``ValueError`` if the exponential overflows to a non-finite weight.
     """
     certs = np.asarray(certs, dtype=float).reshape(-1)
     grads = np.asarray(grads, dtype=float).reshape(len(swarm), -1) if len(swarm) else \
@@ -38,6 +39,8 @@ def weight_push_update(problem: Problem, swarm: ParticleSwarm, certs, grads,
     if certs.size != len(swarm) or grads.shape[0] != len(swarm):
         raise ValueError("certs and grads must match the swarm length")
     new_weights = swarm.weights * np.exp(-rates.alpha * certs)
+    if not np.isfinite(new_weights).all():
+        raise ValueError("weight update overflowed to non-finite weights; lower alpha")
     if rates.beta > 0 and len(swarm):
         new_positions, _ = problem.domain.prox_step(swarm.positions, grads, rates.beta)
     else:

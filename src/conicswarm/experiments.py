@@ -20,7 +20,7 @@ from .domain import Ball, Box
 from .kernels import GmmKernel, ReluKernel
 from .objective import Problem
 from .runner import RunResult
-from .swarm import ParticleSwarm
+from .swarm import ParticleSwarm, lift_signed
 
 __all__ = [
     "GmmSpec",
@@ -217,8 +217,7 @@ def gen_teacher_regression(n_samples: int, n_features: int, n_teacher: int,
         weights.append(a * norm / dataset.target_std)
     mapped.append(np.concatenate([np.zeros(n_features), [1.0]]))
     weights.append(-dataset.target_mean / dataset.target_std)
-    signed = np.asarray(weights)
-    teacher = ParticleSwarm(np.abs(signed), np.sign(signed), np.asarray(mapped))
+    teacher = lift_signed(weights, mapped)
     return dataset, problem, teacher
 
 

@@ -75,6 +75,9 @@ class RunConfig:
             raise ValueError("iteration count must be nonnegative")
         if self.trace_cadence < 1:
             raise ValueError("trace cadence must be >= 1")
+        if self.plan is None and not 0 < self.eps < np.inf:
+            raise ValueError("exploration mass eps must be finite and > 0")
+        self.init_swarm.check()
 
 
 @dataclass
@@ -105,7 +108,7 @@ class RunResult:
 def run(config: RunConfig, problem: Problem) -> RunResult:
     """Execute the loop and record one trace row per iteration."""
     rng = np.random.Generator(np.random.Philox(config.seed))
-    swarm = config.init_swarm.copy()
+    swarm = config.init_swarm
     n = problem.model.n_samples
     t0 = time.perf_counter()
 
@@ -147,8 +150,7 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
 
         at_cadence = (k % config.trace_cadence == 0) or (k == config.k_iters)
         cur_loss = loss(problem, swarm) if at_cadence else None
-        delta = (last_loss - cur_loss) if (cur_loss is not None and last_loss is not None) \
-            else None
+        delta = None if cur_loss is None else last_loss - cur_loss
         if cur_loss is not None:
             last_loss = cur_loss
         min_cert = min(min_cert_vals) if min_cert_vals else None
@@ -174,15 +176,15 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def trace_to_csv(trace: list[IterationRecord], path, include_time: bool = False) -> None:
-    """Write the trace. Wall-time cells are left empty unless requested so
-    that identical configurations produce byte-identical files."""
+def trace_to_csv(trace: list[IterationRecord], path) -> None:
+    """Write the trace. Wall-time cells are left empty so that identical
+    configurations produce byte-identical files."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for rec in trace:
             row = [
                 _cell(rec.k),
-                _cell(rec.time_s) if include_time else "",
+                "",
                 _cell(rec.loss),
                 _cell(rec.tv),
                 _cell(rec.particles),

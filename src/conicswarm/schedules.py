@@ -114,11 +114,9 @@ def calibrate(bounds: AssumptionBounds, nu0_tv: float, kappa: float, lambda_x: f
 class HorizonPlan:
     """Constant schedule tuned to a known iteration budget K."""
 
-    k_total: int
     eps: float
     m: int
     beta: float
-    alpha: float
 
     def at(self, k: int):
         return self.eps, self.m, self.beta
@@ -138,16 +136,16 @@ class AnytimePlan:
         return eps_k, kk, beta_k
 
 
-def horizon_plan(k_total: int, cal: Calibration, d: int) -> HorizonPlan:
-    """Budget-aware plan: eps = 1/sqrt(K), m = K, beta capped by structure.
+def horizon_plan(k_total: int, alpha: float, beta_cap: float, d: int) -> HorizonPlan:
+    """Budget-aware plan: eps = 1/sqrt(K), m = K, beta capped by ``beta_cap``.
 
     Requires ``K >= 1 / alpha^2`` so that the constant exploration mass
     stays below alpha.
     """
-    k_min = math.ceil(1.0 / cal.alpha**2)
+    k_min = math.ceil(1.0 / alpha**2)
     if k_total < k_min:
-        raise ValueError(f"horizon K={k_total} below the minimum {k_min} for alpha={cal.alpha}")
+        raise ValueError(f"horizon K={k_total} below the minimum {k_min} for alpha={alpha}")
     eps = 1.0 / math.sqrt(k_total)
-    beta = min(cal.beta_max_struct, 1.0 / (cal.alpha ** (d / 4.0) * math.sqrt(k_total)))
-    return HorizonPlan(k_total=k_total, eps=eps, m=k_total, beta=beta, alpha=cal.alpha)
+    beta = min(beta_cap, 1.0 / (alpha ** (d / 4.0) * math.sqrt(k_total)))
+    return HorizonPlan(eps=eps, m=k_total, beta=beta)
 

@@ -4,6 +4,13 @@ A swarm stores a nonnegative weight, a sign in {-1, +1} and a position per
 particle. The sign is the lifted second coordinate that lets a signed
 measure be treated as a nonnegative one: the feature of a signed particle
 is ``sign * phi(position)``, so all conic-descent formulas apply verbatim.
+
+Values are checked once, by ``ParticleSwarm.check``, where a swarm enters
+the program: ``from_csv``, ``lift_signed``, the CLI's initial swarm and
+``RunConfig``. The loop needs no check: its weights are nonnegative weights
+times ``exp`` (``weight_push_update`` rejects overflow) or birth masses
+(``BirthRule`` and ``RunConfig`` reject a bad ``birth_mass`` or ``eps``), its
+signs are copied or drawn from {-1, +1}; the constructor checks lengths.
 """
 
 from __future__ import annotations
@@ -26,12 +33,16 @@ class ParticleSwarm:
             self.positions = self.positions.reshape(len(self.weights), -1)
         if self.positions.shape[0] != self.weights.size or self.signs.size != self.weights.size:
             raise ValueError("weights, signs and positions must agree in length")
+
+    def check(self) -> "ParticleSwarm":
+        """Raise ``ValueError`` unless every value is valid; returns ``self``."""
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.positions))):
             raise ValueError("swarm contains non-finite values")
         if np.any(self.weights < 0):
             raise ValueError("particle weights must be nonnegative")
         if self.signs.size and not np.all(np.isin(self.signs, (-1.0, 1.0))):
             raise ValueError("particle signs must be +1 or -1")
+        return self
 
     @classmethod
     def empty(cls, dim: int) -> "ParticleSwarm":
@@ -54,9 +65,6 @@ class ParticleSwarm:
             raise ValueError("floor must be nonnegative")
         keep = self.weights > floor
         return ParticleSwarm(self.weights[keep], self.signs[keep], self.positions[keep])
-
-    def copy(self) -> "ParticleSwarm":
-        return ParticleSwarm(self.weights, self.signs, self.positions)
 
     def appended(self, extra: "ParticleSwarm") -> "ParticleSwarm":
         """New swarm with the particles of ``extra`` appended in order."""
@@ -94,7 +102,7 @@ class ParticleSwarm:
                 signs.append(float(parts[1]))
                 positions.append([float(v) for v in parts[2:]])
         return cls(np.array(weights), np.array(signs),
-                   np.array(positions).reshape(len(weights), dim))
+                   np.array(positions).reshape(len(weights), dim)).check()
 
     def __repr__(self):
         return f"ParticleSwarm(p={len(self)}, dim={self.dim}, tv={self.tv_norm():.6g})"
@@ -113,4 +121,4 @@ def lift_signed(signed_weights, positions) -> ParticleSwarm:
     if pos.shape[0] != a.size:
         raise ValueError("signed weights and positions must agree in length")
     keep = a != 0.0
-    return ParticleSwarm(np.abs(a[keep]), np.sign(a[keep]), pos[keep])
+    return ParticleSwarm(np.abs(a[keep]), np.sign(a[keep]), pos[keep]).check()

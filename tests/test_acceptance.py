@@ -22,7 +22,7 @@ from conicswarm.kernels import SyntheticKernel
 from conicswarm.objective import Problem, kkt_residual, loss
 from conicswarm.oracle import OracleConfig
 from conicswarm.runner import RunConfig, run
-from conicswarm.schedules import Calibration, horizon_plan
+from conicswarm.schedules import horizon_plan
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import suite_descent, suite_frechet, suite_hoeffding, suite_oracle, \
     suite_projection, suite_volume
@@ -128,9 +128,7 @@ def horizon_sweep():
 
     noise_val, noise_grad = model.noise_sup()
     oc = OracleConfig.for_dim(1, max(noise_val, noise_grad))
-    cal = Calibration(tv_radius=9.0, tv_bound=18.0, alpha=0.1, alpha_cap_mass=0.1,
-                      alpha_cap_descent=0.1, hoeffding_cap=math.inf,
-                      beta_max_struct=0.05, chosen_beta=0.05)
+    alpha, beta_cap = 0.1, 0.05
     irng = np.random.Generator(np.random.Philox(99))
     init = ParticleSwarm(np.full(6, 0.05), np.ones(6), domain.sample_uniform(irng, size=6))
 
@@ -138,9 +136,9 @@ def horizon_sweep():
     traces = {}
     t0 = time.perf_counter()
     for k_iter in (250, 500, 1000, 2000):
-        plan = horizon_plan(k_iter, cal, d=1)
+        plan = horizon_plan(k_iter, alpha, beta_cap, d=1)
         cfg = RunConfig(init_swarm=init, k_iters=k_iter,
-                        rates=StepRates(cal.alpha, plan.beta), full_batch=False,
+                        rates=StepRates(alpha, plan.beta), full_batch=False,
                         birth_death=True, plan=plan,
                         death_rule=DeathRule(kind="guarded", scan="all"),
                         birth_rule=BirthRule(threshold_coeff=oc.threshold_scale,

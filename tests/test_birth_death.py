@@ -263,3 +263,11 @@ def test_rule_validation():
     with pytest.raises(ValueError):
         BirthRule(threshold_coeff=0.0, candidates_per_iter=0)
     assert BirthRule(threshold_coeff=1.0).threshold(1) == 0.0
+
+
+@pytest.mark.parametrize("birth_mass", [-0.01, math.nan, math.inf])
+def test_bad_birth_mass_rejected(birth_mass):
+    # Births carry this weight unchecked inside the loop, so it is checked here.
+    with pytest.raises(ValueError, match="birth mass"):
+        BirthRule(threshold_coeff=0.0, birth_mass=birth_mass)
+    assert BirthRule(threshold_coeff=0.0, birth_mass=0.0).birth_mass == 0.0

@@ -101,6 +101,12 @@ class TestCalibrateCommand:
         assert "alpha = min of caps" in out
         assert "binding:" in out
 
+    def test_negative_init_weight_exits_1(self, tmp_path, capsys):
+        body = TINY_SYNTHETIC.replace("init_weight = 0.05", "init_weight = -0.05")
+        cfg = write_config(tmp_path, body)
+        assert main(["calibrate", "--config", str(cfg)]) == 1
+        assert "nonnegative" in capsys.readouterr().err
+
     def test_gmm_normalization_warning(self, tmp_path, capsys):
         body = """
 [problem]
@@ -173,6 +179,17 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out1), "--seed", "9"]) == 0
         assert main(["run", "--config", str(cfg), "--out", str(out2), "--seed", "10"]) == 0
         assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("candidates = 2", "candidates = 2\nbirth_mass = -0.01", "birth mass"),
+        ("eps = 0.01", "eps = -0.01", "eps"),
+    ])
+    def test_bad_birth_weight_exits_1(self, tmp_path, capsys, old, new, message):
+        cfg = write_config(tmp_path, TINY_SYNTHETIC.replace(old, new))
+        out = tmp_path / "bad"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "final_swarm.csv").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),

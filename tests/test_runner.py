@@ -82,6 +82,14 @@ class TestRunBasics:
         res = run(small_config(init, plan=plan, full_batch=False, k_iters=10), problem)
         assert len(res.trace) == 11
 
+    @pytest.mark.parametrize("eps", [0.0, -0.01, math.nan, math.inf])
+    def test_bad_eps_rejected(self, eps):
+        # Fixed-schedule births carry eps unchecked inside the loop.
+        init = random_swarm(make_synthetic_problem(), rng(6))
+        with pytest.raises(ValueError, match="eps"):
+            small_config(init, eps=eps)
+        small_config(init, eps=eps, plan=AnytimePlan(alpha=0.2))  # a plan sets eps_k
+
 
 class TestMonotoneDescent:
     def test_full_batch_no_bd_loss_nonincreasing_at_calibrated_rates(self):

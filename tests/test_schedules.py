@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicswarm.kernels import AssumptionBounds
-from conicswarm.schedules import AnytimePlan, Calibration, CalibrationError, calibrate, \
-    horizon_plan
+from conicswarm.schedules import AnytimePlan, CalibrationError, calibrate, horizon_plan
 
 E = math.e
 
@@ -73,33 +72,25 @@ class TestCalibrate:
         assert a == b
 
 
-def manual_calibration(alpha, beta_struct=0.05):
-    return Calibration(tv_radius=1.0, tv_bound=2.0, alpha=alpha, alpha_cap_mass=alpha,
-                       alpha_cap_descent=alpha, hoeffding_cap=math.inf,
-                       beta_max_struct=beta_struct, chosen_beta=beta_struct)
-
-
 class TestHorizonPlan:
     def test_unit_alpha_small_horizon(self):
-        plan = horizon_plan(4, manual_calibration(1.0), d=1)
+        plan = horizon_plan(4, 1.0, 0.05, d=1)
         assert plan.eps == pytest.approx(0.5)
         assert plan.m == 4
 
     def test_minimum_horizon_enforced(self):
-        cal = manual_calibration(0.1)
-        horizon_plan(100, cal, d=1)
+        horizon_plan(100, 0.1, 0.05, d=1)
         with pytest.raises(ValueError):
-            horizon_plan(99, cal, d=1)
+            horizon_plan(99, 0.1, 0.05, d=1)
 
     def test_beta_min_of_structural_and_horizon(self):
-        cal = manual_calibration(0.5, beta_struct=1e9)
-        plan = horizon_plan(16, cal, d=2)
+        plan = horizon_plan(16, 0.5, 1e9, d=2)
         assert plan.beta == pytest.approx(1.0 / (0.5**0.5 * 4.0))
-        tight = manual_calibration(0.5, beta_struct=1e-4)
-        assert horizon_plan(16, tight, d=2).beta == pytest.approx(1e-4)
+        assert horizon_plan(16, 0.5, 1e-4, d=2).beta == pytest.approx(1e-4)
+        assert horizon_plan(16, 0.5, math.inf, d=2).beta == plan.beta
 
     def test_constant_over_iterations(self):
-        plan = horizon_plan(25, manual_calibration(0.3), d=1)
+        plan = horizon_plan(25, 0.3, 0.05, d=1)
         assert plan.at(1) == plan.at(25)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from conicswarm.dynamics import StepRates
 from conicswarm.objective import loss
+from conicswarm.runner import RunConfig
 from conicswarm.swarm import ParticleSwarm, lift_signed
 from conicswarm.verify import make_synthetic_problem
 
@@ -95,19 +97,44 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.positions, sw.positions)
 
 
-def test_rejects_negative_weight():
-    with pytest.raises(ValueError):
-        ParticleSwarm([-0.1], [1], [[0.0]])
+def _from_csv_row(tmp_path, weight, sign):
+    path = tmp_path / "swarm.csv"
+    path.write_text(f"weight,sign,x0\n0.5,1,0.0\n{weight!r},{sign!r},0.0\n")
+    return ParticleSwarm.from_csv(path)
 
 
-def test_rejects_nan():
-    with pytest.raises(ValueError):
-        ParticleSwarm([np.nan], [1], [[0.0]])
+ENTRY_POINTS = {
+    "check": lambda tmp_path, w, s: ParticleSwarm([0.5, w], [1, s], [[0.0], [0.0]]).check(),
+    "from_csv": _from_csv_row,
+    "run_config": lambda tmp_path, w, s: RunConfig(
+        init_swarm=ParticleSwarm([0.5, w], [1, s], [[0.0], [0.0]]), k_iters=1,
+        rates=StepRates(0.1)),
+}
 
 
-def test_rejects_bad_sign():
-    with pytest.raises(ValueError):
-        ParticleSwarm([0.1], [2], [[0.0]])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("weight, sign, message", [
+    pytest.param(-0.1, 1.0, "nonnegative", id="negative_weight"),
+    pytest.param(float("nan"), 1.0, "non-finite", id="nan"),
+    pytest.param(0.1, 2.0, "signs", id="bad_sign"),
+])
+def test_entry_points_reject_bad_values(tmp_path, entry, weight, sign, message):
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[entry](tmp_path, weight, sign)
+
+
+def test_lift_signed_rejects_nan():
+    with pytest.raises(ValueError, match="non-finite"):
+        lift_signed([0.5, np.nan], [[0.0], [1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        lift_signed([0.5], [[np.nan]])
+
+
+def test_constructor_checks_only_lengths():
+    sw = ParticleSwarm([-0.1], [2], [[np.nan]])
+    assert len(sw) == 1
+    with pytest.raises(ValueError, match="agree in length"):
+        ParticleSwarm([0.1, 0.2], [1], [[0.0], [1.0]])
 
 
 def test_appended_keeps_order_and_inputs():
