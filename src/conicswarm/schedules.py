@@ -129,6 +129,13 @@ class AnytimePlan:
     alpha: float
     beta_cap: float = math.inf
 
+    def __post_init__(self):
+        # alpha caps the exploration mass eps_k, which becomes birth weights
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be finite and > 0")
+        if not self.beta_cap > 0:
+            raise ValueError("beta_cap must be > 0")
+
     def at(self, k: int):
         kk = max(k, 1)
         eps_k = min(self.alpha, 1.0 / math.sqrt(kk))
@@ -142,6 +149,8 @@ def horizon_plan(k_total: int, alpha: float, beta_cap: float, d: int) -> Horizon
     Requires ``K >= 1 / alpha^2`` so that the constant exploration mass
     stays below alpha.
     """
+    if not alpha > 0:
+        raise ValueError("alpha must be > 0")
     k_min = math.ceil(1.0 / alpha**2)
     if k_total < k_min:
         raise ValueError(f"horizon K={k_total} below the minimum {k_min} for alpha={alpha}")

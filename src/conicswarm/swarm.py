@@ -10,7 +10,13 @@ the program: ``from_csv``, ``lift_signed``, the CLI's initial swarm and
 ``RunConfig``. The loop needs no check: its weights are nonnegative weights
 times ``exp`` (``weight_push_update`` rejects overflow) or birth masses
 (``BirthRule`` and ``RunConfig`` reject a bad ``birth_mass`` or ``eps``), its
-signs are copied or drawn from {-1, +1}; the constructor checks lengths.
+signs are carried over or drawn from {-1, +1}; the constructor checks lengths.
+
+A swarm takes ownership of the arrays it is given: the constructor does not
+copy them, so a caller must not write to an array after handing it over.
+No code writes swarm arrays in place; every update builds new arrays, and
+swarms may share the ones an update leaves unchanged (signs, and positions
+when beta = 0).
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ class ParticleSwarm:
     __slots__ = ("weights", "signs", "positions")
 
     def __init__(self, weights, signs, positions):
-        self.weights = np.asarray(weights, dtype=float).reshape(-1).copy()
-        self.signs = np.asarray(signs, dtype=float).reshape(-1).copy()
-        self.positions = np.asarray(positions, dtype=float).copy()
+        self.weights = np.asarray(weights, dtype=float).reshape(-1)
+        self.signs = np.asarray(signs, dtype=float).reshape(-1)
+        self.positions = np.asarray(positions, dtype=float)
         if self.positions.ndim == 1:
             self.positions = self.positions.reshape(len(self.weights), -1)
         if self.positions.shape[0] != self.weights.size or self.signs.size != self.weights.size:

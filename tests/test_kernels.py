@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from conicswarm.domain import Ball
+from conicswarm.experiments import GmmSpec, gen_gmm
 from conicswarm.kernels import GmmKernel, ReluKernel, audit_assumptions, \
     gram_matrix, y_inner_vec
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
@@ -248,3 +250,72 @@ def test_vectorized_matches_scalar_loops():
         manual = sum(coef[j] * np.mean([grad_k_at(model, a[i], b[j], s) for s in idx], axis=0)
                      for j in range(4))
         assert np.allclose(wg[i], manual, atol=1e-14)
+
+
+# ``GmmKernel.y_norm_sq`` skips pairs beyond a cutoff; the reference is the
+# exact double sum over all ordered pairs, from coordinate differences.
+
+def brute_y_norm_sq(data, tau):
+    n, d = data.shape
+    total = 0.0
+    for lo in range(0, n, 256):
+        diff = data[lo : lo + 256, None, :] - data[None, :, :]
+        total += np.exp(-np.sum(diff * diff, axis=-1) / (4.0 * tau**2)).sum()
+    return (4.0 * math.pi * tau**2) ** (-d / 2.0) * total / n**2
+
+
+def gmm_cutoff(n, tau):
+    return math.sqrt(4.0 * tau**2 * (math.log(n) + 60.0 * math.log(2.0)))
+
+
+@given(n=st.integers(1, 400), d=st.sampled_from([1, 2, 3]), tau=st.floats(0.05, 1.0),
+       layout=st.sampled_from(["clustered", "spread", "duplicated"]),
+       offset=st.sampled_from([0.0, -3.7e6]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_gmm_y_norm_sq_matches_brute_force(n, d, tau, layout, offset, seed):
+    g = rng(seed)
+    if layout == "clustered":
+        centres = g.uniform(-3.0, 3.0, size=(int(g.integers(1, 6)), d))
+        data = centres[g.integers(0, len(centres), size=n)] \
+            + tau * g.uniform(0.2, 3.0) * g.standard_normal((n, d))
+    elif layout == "spread":
+        data = g.uniform(0.0, g.uniform(1.0, 10.0) * gmm_cutoff(n, tau), size=(n, d))
+    else:
+        distinct = g.standard_normal((int(g.integers(1, n + 1)), d))
+        data = distinct[g.integers(0, len(distinct), size=n)]
+    data = data + offset
+    assert GmmKernel(data, tau).y_norm_sq == pytest.approx(brute_y_norm_sq(data, tau),
+                                                           rel=1e-13, abs=0)
+
+
+def test_gmm_y_norm_sq_single_sample():
+    tau = 0.3
+    model = GmmKernel(np.array([[0.4, -1.2]]), tau)
+    assert model.y_norm_sq == pytest.approx(1.0 / (4.0 * math.pi * tau**2), rel=1e-15)
+
+
+def test_gmm_y_norm_sq_far_outlier():
+    data = np.vstack([rng(31).standard_normal((300, 2)), [[1e9, -1e9]]])
+    assert GmmKernel(data, 0.2).y_norm_sq == pytest.approx(brute_y_norm_sq(data, 0.2),
+                                                           rel=1e-13, abs=0)
+
+
+def test_gmm_y_norm_sq_desk_shaped_data():
+    spec = GmmSpec.ring(5, 5.0, 2000, 0.2)
+    data, problem = gen_gmm(spec, rng(32))
+    assert problem.model.y_norm_sq == pytest.approx(brute_y_norm_sq(data, spec.tau),
+                                                    rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("data", [np.empty((0, 2)), np.empty((3, 0))])
+def test_gmm_rejects_empty_data(data):
+    with pytest.raises(ValueError, match="non-empty"):
+        GmmKernel(data, 0.2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gmm_rejects_non_finite_data(bad):
+    data = np.zeros((4, 2))
+    data[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GmmKernel(data, 0.2)

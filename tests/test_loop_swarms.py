@@ -7,6 +7,7 @@ swarms that pass it without being checked.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicswarm.birth_death import BirthRule, DeathRule, apply_mass_tweak, \
@@ -68,3 +69,24 @@ def test_run_final_swarm_passes_check(name, seed, death_rule, birth_rule, full_b
                        full_batch=full_batch, eps=eps, batch_size=16, death_rule=death_rule,
                        birth_rule=birth_rule, seed=seed)
     run(config, problem).final_swarm.check()
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+@pytest.mark.parametrize("full_batch", [False, True])
+@pytest.mark.parametrize("beta", [0.0, 0.1])
+def test_run_never_writes_swarm_arrays(name, full_batch, beta):
+    # A swarm owns the arrays it is given without copying them, so the loop
+    # must build new arrays instead of writing old ones in place.
+    problem = PROBLEMS[name]
+    init = random_swarm(problem, np.random.Generator(np.random.Philox(5)), max_particles=6)
+    for arr in (init.weights, init.signs, init.positions):
+        arr.flags.writeable = False
+    config = RunConfig(init_swarm=init, k_iters=6, rates=StepRates(0.5, beta),
+                       full_batch=full_batch, eps=0.05, batch_size=16,
+                       death_rule=DeathRule(kind="ratio", tau_death=0.01),
+                       birth_rule=BirthRule(threshold_coeff=float("inf"),
+                                            candidates_per_iter=3),
+                       seed=2)
+    result = run(config, problem)
+    assert result.total_births > 0 and result.total_deaths > 0
+    result.final_swarm.check()

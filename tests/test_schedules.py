@@ -125,3 +125,20 @@ class TestAnytime:
         assert all(a >= b for a, b in zip(eps, eps[1:]))
         assert all(a <= b for a, b in zip(ms, ms[1:]))
         assert all(a >= b for a, b in zip(betas, betas[1:]))
+
+
+class TestPlanValidation:
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, math.nan, math.inf, -math.inf])
+    def test_anytime_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            AnytimePlan(alpha=alpha)
+
+    @pytest.mark.parametrize("beta_cap", [0.0, -1.0, math.nan])
+    def test_anytime_rejects_bad_beta_cap(self, beta_cap):
+        with pytest.raises(ValueError, match="beta_cap"):
+            AnytimePlan(alpha=0.5, beta_cap=beta_cap)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan])
+    def test_horizon_rejects_nonpositive_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be > 0"):
+            horizon_plan(100, alpha, 0.05, d=1)
