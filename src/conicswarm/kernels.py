@@ -9,15 +9,23 @@ full-data quantity):
 * ``y_inner_many(T, idx)``            -- <y, phi_t> per row of T
 * ``grad_y_inner_many(T, idx)``       -- gradient of the above
 
+the value-side twin of ``weighted_grad1_kernel``, whose default is
+``kernel_matrix(A, B, idx) @ c`` and which ReLU forms in feature space,
+``relu(X A)' (relu(X B) c) / m``, in O(m (|A| + |B|) d) without the
+|A| x |B| matrix,
+
+* ``weighted_kernel(A, B, c, idx)``   -- sum_j c_j K(a_i, b_j)
+
 and one fused evaluator of the unsigned certificate field,
 
 * ``certificate_field(T, S, c, idx)`` -- ``(K(T, S) c - <y, phi_T>,
   sum_j c_j grad K(T, s_j) - grad <y, phi_T>)``
 
 which builds one kernel matrix and one data-side density (for ReLU, one
-activation array) for both values and gradients and matches the four
-primitives bit for bit. A batch restriction averages per-sample
-quantities, so ``idx = arange(n)`` reproduces the exact one.
+activation array and no kernel matrix) for both values and gradients and
+matches ``weighted_kernel``, ``y_inner_many``, ``weighted_grad1_kernel``
+and ``grad_y_inner_many`` bit for bit. A batch restriction averages
+per-sample quantities, so ``idx = arange(n)`` reproduces the exact one.
 """
 
 from __future__ import annotations
@@ -158,6 +166,10 @@ class KernelModel(ABC):
 
     @abstractmethod
     def kernel_matrix(self, a, b, idx=None) -> np.ndarray: ...
+
+    def weighted_kernel(self, a, b, coef, idx=None) -> np.ndarray:
+        """``sum_j coef_j K(a_i, b_j)``, shape (|a|,)."""
+        return self.kernel_matrix(a, b, idx) @ np.asarray(coef, dtype=float).reshape(-1)
 
     @abstractmethod
     def weighted_grad1_kernel(self, a, b, coef, idx=None) -> np.ndarray: ...
@@ -359,6 +371,10 @@ class ReluKernel(KernelModel):
     Positions are neuron parameters ``t = (v, b)`` in R^{d+1}; the feature
     evaluates ``relu(<v, x_k> + b)`` across the data, with the empirical
     L2(P_n) inner product. The subgradient of relu at 0 is taken as 0.
+
+    Weighted sums of kernel values are formed in feature space,
+    ``K(A, B) c = relu(X A)' (relu(X B) c) / m``, so neither the
+    certificate nor the loss builds a particle-by-particle matrix.
     """
 
     kernel_depends_on_samples = True
@@ -368,6 +384,10 @@ class ReluKernel(KernelModel):
         self.targets = np.asarray(targets, dtype=float).reshape(-1)
         if self.features.ndim != 2 or self.features.shape[0] != self.targets.size:
             raise ValueError("features must be (n, d) matching targets")
+        if self.features.shape[0] == 0:
+            raise ValueError("features must hold at least one sample")
+        if not (np.all(np.isfinite(self.features)) and np.all(np.isfinite(self.targets))):
+            raise ValueError("features and targets must be finite")
         self.dim = self.features.shape[1] + 1
         self._aug = np.hstack([self.features, np.ones((self.features.shape[0], 1))])
 
@@ -394,6 +414,15 @@ class ReluKernel(KernelModel):
         act_a = np.maximum(pre_a, 0.0)
         act_b = np.maximum(aug @ b.T, 0.0)
         return act_a.T @ act_b / aug.shape[0]
+
+    def weighted_kernel(self, a, b, coef, idx=None):
+        a = _rows(a, self.dim)
+        b = _rows(b, self.dim)
+        coef = np.asarray(coef, dtype=float).reshape(-1)
+        aug, pre_a = self._acts(a, idx)
+        act_a = np.maximum(pre_a, 0.0)
+        act_b = act_a if np.array_equal(a, b) else np.maximum(aug @ b.T, 0.0)
+        return act_a.T @ (act_b @ coef) / aug.shape[0]
 
     def weighted_grad1_kernel(self, a, b, coef, idx=None):
         a = _rows(a, self.dim)
@@ -424,15 +453,11 @@ class ReluKernel(KernelModel):
         y = self._targets(idx)
         m = aug.shape[0]
         act = np.maximum(pre, 0.0)
-        # Evaluating at the support itself reuses its activations; the copy
-        # keeps ``act.T @ act_s`` on the general product, as in kernel_matrix.
-        if np.array_equal(support, t):
-            act_s = act.copy()
-        else:
-            act_s = np.maximum(aug @ support.T, 0.0)
+        act_s = act if np.array_equal(support, t) else np.maximum(aug @ support.T, 0.0)
+        u = act_s @ coef
         mask = pre > 0.0
-        vals = act.T @ act_s / m @ coef - act.T @ y / m
-        grads = (mask * (act_s @ coef)[:, None]).T @ aug / m - (mask * y[:, None]).T @ aug / m
+        vals = act.T @ u / m - act.T @ y / m
+        grads = (mask * u[:, None]).T @ aug / m - (mask * y[:, None]).T @ aug / m
         return vals, grads
 
 

@@ -5,9 +5,13 @@ For a lifted swarm with weights W, signs s and positions T the objective is
     J(nu) = 0.5 * |y|^2 + <kappa - k_T, W> + 0.5 * W' K_T W
 
 with the signed Gram matrix ``K_T[i, j] = s_i s_j K(t_i, t_j)`` and
-``k_T[j] = s_j <y, phi_{t_j}>``. The dual certificate at a lifted point
-``(t, s)`` is ``s * (sum_j w_j s_j K(t_j, t) - <y, phi_t>) + kappa``; its
-sign field drives birth (negative regions) and death (positive regions).
+``k_T[j] = s_j <y, phi_{t_j}>``. ``loss`` evaluates the quadratic term as
+``c'(K c)`` with ``c = s * W``, through ``KernelModel.weighted_kernel``,
+so a model that can apply K without forming it (ReLU) never builds K_T.
+
+The dual certificate at a lifted point ``(t, s)`` is
+``s * (sum_j w_j s_j K(t_j, t) - <y, phi_t>) + kappa``; its sign field
+drives birth (negative regions) and death (positive regions).
 
 ``certificate`` and ``certificate_and_grad`` are the one implementation of
 the certificate: ``idx=None`` evaluates it exactly, an index array from
@@ -61,9 +65,10 @@ def loss(problem: Problem, swarm: ParticleSwarm) -> float:
     if len(swarm) == 0:
         return base
     k_t = y_inner_vec(problem.model, swarm.positions, swarm.signs)
-    gram = gram_matrix(problem.model, swarm.positions, swarm.signs)
     w = swarm.weights
-    return float(base + (problem.kappa - k_t) @ w + 0.5 * w @ gram @ w)
+    c = w * swarm.signs
+    quad = c @ problem.model.weighted_kernel(swarm.positions, swarm.positions, c)
+    return float(base + (problem.kappa - k_t) @ w + 0.5 * quad)
 
 
 def _lifted(problem: Problem, points, signs):
@@ -76,7 +81,7 @@ def certificate(problem: Problem, swarm: ParticleSwarm, points, signs,
     """Certificate values at lifted points, exact or on the batch ``idx``."""
     points, signs = _lifted(problem, points, signs)
     model = problem.model
-    field = model.kernel_matrix(points, swarm.positions, idx) @ (swarm.weights * swarm.signs)
+    field = model.weighted_kernel(points, swarm.positions, swarm.weights * swarm.signs, idx)
     return signs * (field - model.y_inner_many(points, idx)) + problem.kappa
 
 

@@ -4,7 +4,9 @@ Each iteration draws a mini-batch, estimates certificates and gradients at
 the support in one fused evaluation, applies the conic update, and (when
 enabled) draws a second independent batch to evaluate the pushed
 certificate that drives deletion and creation. Exact losses are only
-evaluated at a configurable cadence since they cost O(p^2) kernel entries.
+evaluated at a configurable cadence since they apply the kernel over the
+whole support: O(p^2) kernel entries for the Gaussian models, O(n p d)
+for ReLU over n samples in d + 1 parameters.
 """
 
 from __future__ import annotations
@@ -131,8 +133,11 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
         # birth/death step the pre-update support values stand in for it
         min_cert_vals = [] if config.birth_death else \
             ([float(certs.min())] if len(swarm) else [])
-        swarm = weight_push_update(problem, swarm, certs, grads,
-                                   StepRates(config.rates.alpha, beta_k))
+        try:
+            swarm = weight_push_update(problem, swarm, certs, grads,
+                                       StepRates(config.rates.alpha, beta_k))
+        except ValueError as exc:
+            raise ValueError(f"iteration {k}: {exc}") from exc
 
         births = deaths = 0
         if config.birth_death:

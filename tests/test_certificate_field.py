@@ -2,19 +2,21 @@
 
 ``certificate_and_grad`` (through ``KernelModel.certificate_field``) and
 ``certificate`` must reproduce, bit for bit, the certificate assembled from
-``kernel_matrix``, ``y_inner_many``, ``weighted_grad1_kernel`` and
+``weighted_kernel``, ``y_inner_many``, ``weighted_grad1_kernel`` and
 ``grad_y_inner_many``: exactly and on a batch, on an empty support, at the
 support itself and away from it, for signed and unsigned problems.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicswarm.domain import Ball
 from conicswarm.kernels import ReluKernel
-from conicswarm.objective import Problem, certificate, certificate_and_grad
+from conicswarm.objective import Problem, certificate, certificate_and_grad, loss
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
+from test_weighted_kernel import relu_sum_bound
 
 PROBLEMS = {
     "synthetic-signed": make_synthetic_problem(seed=3, signed=True),
@@ -27,7 +29,7 @@ PROBLEMS = {
 def reference(problem, swarm, points, signs, idx):
     model = problem.model
     coef = swarm.weights * swarm.signs
-    field = model.kernel_matrix(points, swarm.positions, idx) @ coef
+    field = model.weighted_kernel(points, swarm.positions, coef, idx)
     vals = signs * (field - model.y_inner_many(points, idx)) + problem.kappa
     grad = model.weighted_grad1_kernel(points, swarm.positions, coef, idx)
     grads = signs[:, None] * (grad - model.grad_y_inner_many(points, idx))
@@ -62,17 +64,47 @@ def test_fused_certificate_matches_reference_primitives(name, seed, p, n_points,
     assert np.array_equal(certificate(problem, swarm, points, signs, idx), ref_vals)
 
 
-def test_relu_support_evaluation_matches_at_run_scale():
-    # At a few hundred particles BLAS takes different paths for a product of
-    # an array with itself and with a copy of itself; the fused evaluation
-    # at the support must stay on the reference path's bits there too.
+def relu_run_scale_problem():
     g = np.random.Generator(np.random.Philox(1))
     model = ReluKernel(g.standard_normal((2000, 8)), g.standard_normal(2000))
     problem = Problem(model=model, domain=Ball(np.zeros(9), 1.0), kappa=1e-3)
     swarm = ParticleSwarm(g.uniform(0.01, 1.0, size=300), g.choice([-1.0, 1.0], size=300),
                           problem.domain.sample_uniform(g, size=300))
+    return problem, swarm, g
+
+
+def test_relu_support_evaluation_matches_at_run_scale():
+    # p = 300, where BLAS blocks the sums: the fused evaluation at the
+    # support keeps the reference path's bits, and both stay within the
+    # summation error bound of the kernel matrix product.
+    problem, swarm, g = relu_run_scale_problem()
+    model = problem.model
+    coef = swarm.weights * swarm.signs
     for idx in (None, g.integers(0, 2000, size=256)):
         ref_vals, ref_grads = reference(problem, swarm, swarm.positions, swarm.signs, idx)
         vals, grads = certificate_and_grad(problem, swarm, swarm.positions, swarm.signs, idx)
         assert np.array_equal(vals, ref_vals)
         assert np.array_equal(grads, ref_grads)
+        field = model.weighted_kernel(swarm.positions, swarm.positions, coef, idx)
+        matrix_field = model.kernel_matrix(swarm.positions, swarm.positions, idx) @ coef
+        bound = relu_sum_bound(model, swarm.positions, swarm.positions, coef, idx)
+        assert np.all(np.abs(field - matrix_field) <= bound)
+
+
+def test_relu_solver_paths_build_no_kernel_matrix(monkeypatch):
+    problem, swarm, g = relu_run_scale_problem()
+    points = problem.domain.sample_uniform(g, size=50)
+    signs = g.choice([-1.0, 1.0], size=50)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("ReluKernel.kernel_matrix called")
+
+    monkeypatch.setattr(ReluKernel, "kernel_matrix", refuse)
+    loss(problem, swarm)
+    for idx in (None, g.integers(0, 2000, size=256)):
+        certificate(problem, swarm, swarm.positions, swarm.signs, idx)
+        certificate(problem, swarm, points, signs, idx)
+        certificate_and_grad(problem, swarm, swarm.positions, swarm.signs, idx)
+        certificate_and_grad(problem, swarm, points, signs, idx)
+    with pytest.raises(AssertionError, match="kernel_matrix called"):
+        problem.model.kernel_matrix(points, points)

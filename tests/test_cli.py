@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conicswarm
 from conicswarm.cli import main
 from conicswarm.config import ConfigError, load_config
 
@@ -51,6 +55,17 @@ init_weight = 0.05
 [output]
 dir = out
 """
+
+
+def test_python_dash_m_runs_the_cli():
+    # ``python -m conicswarm`` from the package's own source tree, installed or not
+    src = str(Path(conicswarm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "conicswarm", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "verify" in done.stdout
 
 
 class TestConfigParsing:
@@ -154,6 +169,13 @@ iterations = 10
 
 
 class TestRunCommand:
+    def test_weight_overflow_exits_1_naming_the_iteration(self, tmp_path, capsys):
+        body = TINY_SYNTHETIC.replace("alpha = 0.05", "alpha = 1e6") \
+            .replace("init_weight = 0.05", "init_weight = 1e-6")
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "error: iteration 1: weight update overflowed" in capsys.readouterr().err
+
     def test_zero_iterations_writes_initial_artifacts(self, tmp_path):
         body = TINY_SYNTHETIC.replace("iterations = 40", "iterations = 0")
         cfg = write_config(tmp_path, body)

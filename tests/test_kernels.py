@@ -319,3 +319,17 @@ def test_gmm_rejects_non_finite_data(bad):
     data[2, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         GmmKernel(data, 0.2)
+
+
+def test_relu_rejects_empty_features():
+    with pytest.raises(ValueError, match="at least one sample"):
+        ReluKernel(np.empty((0, 3)), np.empty(0))
+
+
+@pytest.mark.parametrize("where", ["features", "targets"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_relu_rejects_non_finite_data(where, bad):
+    features, targets = np.zeros((4, 2)), np.zeros(4)
+    (features[2] if where == "features" else targets)[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ReluKernel(features, targets)

@@ -84,6 +84,19 @@ class TestLoss:
         manual = 0.5 * model.y_norm_sq - cross + 0.5 * quad + kappa * sw.weights.sum()
         assert loss(problem, sw) == pytest.approx(manual, rel=1e-12)
 
+    def test_relu_matches_network_residual(self):
+        # J = 0.5 mean((relu(aug T') c - y)^2) + kappa TV with c = s * w,
+        # evaluated from the network output without any kernel
+        problem = make_relu_problem(seed=12, n=500, d=4)
+        model = problem.model
+        g = rng(13)
+        swarm = ParticleSwarm(g.uniform(0.01, 1.0, size=40), g.choice([-1.0, 1.0], size=40),
+                              problem.domain.sample_uniform(g, size=40))
+        aug = np.hstack([model.features, np.ones((model.n_samples, 1))])
+        out = np.maximum(aug @ swarm.positions.T, 0.0) @ (swarm.weights * swarm.signs)
+        closed = 0.5 * np.mean((out - model.targets) ** 2) + problem.kappa * swarm.tv_norm()
+        assert loss(problem, swarm) == pytest.approx(closed, rel=1e-10, abs=0)
+
     def test_permutation_invariance(self):
         problem = make_synthetic_problem()
         g = rng(6)

@@ -82,6 +82,14 @@ class TestRunBasics:
         res = run(small_config(init, plan=plan, full_batch=False, k_iters=10), problem)
         assert len(res.trace) == 11
 
+    def test_weight_overflow_names_the_iteration(self):
+        # a light particle on a planted atom has a negative certificate, and
+        # alpha = 1e6 sends exp(-alpha * cert) past the float range
+        problem = make_synthetic_problem(signed=False)
+        init = ParticleSwarm(np.full(1, 1e-6), np.ones(1), problem.model.atom_positions[:1])
+        with pytest.raises(ValueError, match="^iteration 1: weight update overflowed"):
+            run(small_config(init, rates=StepRates(1e6, 0.0)), problem)
+
     @pytest.mark.parametrize("eps", [0.0, -0.01, math.nan, math.inf])
     def test_bad_eps_rejected(self, eps):
         # Fixed-schedule births carry eps unchecked inside the loop.
