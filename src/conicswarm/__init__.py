@@ -16,7 +16,8 @@ from .kernels import AssumptionBounds, GmmKernel, KernelModel, ReluKernel, Synth
 from .objective import KktReport, Problem, certificate, certificate_and_grad, frechet_gap, \
     kkt_residual, loss
 from .oracle import OracleConfig, check_hoeffding_cap, draw_batch
-from .runner import IterationRecord, RunConfig, RunResult, run, trace_from_csv, trace_to_csv
+from .runner import IterationRecord, RunAborted, RunConfig, RunResult, run, trace_from_csv, \
+    trace_to_csv
 from .schedules import AnytimePlan, Calibration, CalibrationError, HorizonPlan, calibrate, \
     horizon_plan
 from .swarm import ParticleSwarm, lift_signed

@@ -22,7 +22,7 @@ from .dynamics import StepRates
 from .kernels import SyntheticKernel, audit_assumptions
 from .objective import Problem, kkt_residual
 from .oracle import OracleConfig
-from .runner import RunConfig, run, trace_from_csv, trace_to_csv
+from .runner import RunAborted, RunConfig, run, trace_from_csv, trace_to_csv
 from .schedules import AnytimePlan, CalibrationError, calibrate, horizon_plan
 from .swarm import ParticleSwarm
 
@@ -228,12 +228,19 @@ def cmd_run(args) -> int:
         spec.run["seed"] = args.seed
     problem, extras = build_problem(spec)
     config, cal = build_run_config(spec, problem, extras)
-    result = run(config, problem)
-
     out_dir = Path(args.out) if args.out else spec.resolve_path(spec.output["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_to_csv(result.trace, out_dir / "trace.csv")
-    result.final_swarm.to_csv(out_dir / "final_swarm.csv")
+
+    def save(trace, swarm):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        trace_to_csv(trace, out_dir / "trace.csv")
+        swarm.to_csv(out_dir / "final_swarm.csv")
+
+    try:
+        result = run(config, problem)
+    except RunAborted as exc:
+        save(exc.trace, exc.swarm)  # the last good swarm and the rows so far
+        raise
+    save(result.trace, result.final_swarm)
 
     method = f"{spec.run['variant']}{'+bd' if spec.birth_death['enabled'] else ''}"
     mses = {}

@@ -24,8 +24,25 @@ and one fused evaluator of the unsigned certificate field,
 which builds one kernel matrix and one data-side density (for ReLU, one
 activation array and no kernel matrix) for both values and gradients and
 matches ``weighted_kernel``, ``y_inner_many``, ``weighted_grad1_kernel``
-and ``grad_y_inner_many`` bit for bit. A batch restriction averages
-per-sample quantities, so ``idx = arange(n)`` reproduces the exact one.
+and ``grad_y_inner_many`` bit for bit. Two more evaluators serve the
+solver's value-only calls:
+
+* ``certificate_values(T, S, c, idx)`` -- the values of
+  ``certificate_field`` alone, by default
+  ``weighted_kernel(T, S, c, idx) - y_inner_many(T, idx)``; ReLU builds
+  one activation of T (reused for S when S equals T) with the same
+  expression as its ``certificate_field``, so all three agree bit for bit;
+* ``objective_value(T, w, s, kappa)`` -- the exact objective of a
+  non-empty swarm, by default the expanded
+  ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
+  ``c = s w``. ReLU sums the residual
+  ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)`` over row blocks of at
+  most ``_RELU_BLOCK_ENTRIES`` activations (1 MiB) in one reused buffer,
+  so its temporaries stay that size whatever n is (one row of p entries
+  once p exceeds the block).
+
+A batch restriction averages per-sample quantities, so
+``idx = arange(n)`` reproduces the exact one.
 """
 
 from __future__ import annotations
@@ -74,6 +91,8 @@ def gauss_density(a: np.ndarray, b: np.ndarray, var: float, dim: int) -> np.ndar
 
 #: pair terms per temporary block in ``_exp_sum``
 _BLOCK_ENTRIES = 2_000_000
+#: activations per row block of ``ReluKernel.objective_value`` (1 MiB)
+_RELU_BLOCK_ENTRIES = 2**17
 #: leading coordinates that index the cell list of ``_close_pair_sum``
 _CELL_DIMS = 3
 
@@ -183,6 +202,19 @@ class KernelModel(ABC):
     @abstractmethod
     def certificate_field(self, t, support, coef, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """Values ``K(t, S) c - <y, phi_t>`` and their gradients in t."""
+
+    def certificate_values(self, t, support, coef, idx=None) -> np.ndarray:
+        """Values ``K(t, S) c - <y, phi_t>`` alone, the value twin of
+        ``certificate_field``."""
+        return self.weighted_kernel(t, support, coef, idx) - self.y_inner_many(t, idx)
+
+    def objective_value(self, t, weights, signs, kappa: float) -> float:
+        """``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
+        ``c = s w``: the exact objective of a non-empty swarm."""
+        c = weights * signs
+        k_t = signs * self.y_inner_many(t)
+        quad = c @ self.weighted_kernel(t, t, c)
+        return float(0.5 * self.y_norm_sq + (kappa - k_t) @ weights + 0.5 * quad)
 
 
 class SyntheticKernel(KernelModel):
@@ -445,7 +477,11 @@ class ReluKernel(KernelModel):
         mask = pre > 0.0
         return (mask * self._targets(idx)[:, None]).T @ aug / aug.shape[0]
 
-    def certificate_field(self, t, support, coef, idx=None):
+    def _field(self, t, support, coef, idx):
+        """Batch rows, pre-activations of ``t``, the network output ``u`` of
+        the support on the batch, targets and values of the certificate
+        field, from one activation of ``t`` (reused for the support when it
+        equals ``t``)."""
         t = _rows(t, self.dim)
         support = _rows(support, self.dim)
         coef = np.asarray(coef, dtype=float).reshape(-1)
@@ -455,10 +491,36 @@ class ReluKernel(KernelModel):
         act = np.maximum(pre, 0.0)
         act_s = act if np.array_equal(support, t) else np.maximum(aug @ support.T, 0.0)
         u = act_s @ coef
+        return aug, pre, u, y, act.T @ u / m - act.T @ y / m
+
+    def certificate_values(self, t, support, coef, idx=None):
+        return self._field(t, support, coef, idx)[-1]
+
+    def certificate_field(self, t, support, coef, idx=None):
+        aug, pre, u, y, vals = self._field(t, support, coef, idx)
+        m = aug.shape[0]
         mask = pre > 0.0
-        vals = act.T @ u / m - act.T @ y / m
         grads = (mask * u[:, None]).T @ aug / m - (mask * y[:, None]).T @ aug / m
         return vals, grads
+
+    def objective_value(self, t, weights, signs, kappa):
+        """The residual ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``,
+        ``c = s w``, over row blocks of at most ``_RELU_BLOCK_ENTRIES``
+        activations in one reused buffer, so no n x p array is built."""
+        t = _rows(t, self.dim)
+        c = weights * signs
+        n = self.n_samples
+        step = max(1, _RELU_BLOCK_ENTRIES // len(c))
+        buf = np.empty((min(step, n), len(c)))
+        total = 0.0
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            act = buf[: hi - lo]
+            np.matmul(self._aug[lo:hi], t.T, out=act)
+            np.maximum(act, 0.0, out=act)
+            resid = act @ c - self.targets[lo:hi]
+            total += float(resid @ resid)
+        return 0.5 * total / n + kappa * float(weights.sum())
 
 
 def gram_matrix(model: KernelModel, positions, signs) -> np.ndarray:

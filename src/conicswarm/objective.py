@@ -5,17 +5,22 @@ For a lifted swarm with weights W, signs s and positions T the objective is
     J(nu) = 0.5 * |y|^2 + <kappa - k_T, W> + 0.5 * W' K_T W
 
 with the signed Gram matrix ``K_T[i, j] = s_i s_j K(t_i, t_j)`` and
-``k_T[j] = s_j <y, phi_{t_j}>``. ``loss`` evaluates the quadratic term as
-``c'(K c)`` with ``c = s * W``, through ``KernelModel.weighted_kernel``,
-so a model that can apply K without forming it (ReLU) never builds K_T.
+``k_T[j] = s_j <y, phi_{t_j}>``. ``loss`` hands a non-empty swarm to
+``KernelModel.objective_value``: the Gaussian models evaluate this
+expanded form with the quadratic term ``c'(K c)``, ``c = s * W``, through
+``weighted_kernel``; ReLU sums the equal network residual
+``0.5 mean((relu(X T) c - y)^2) + kappa * sum(W)`` over fixed row blocks,
+so it builds neither K_T nor an n x p activation array.
 
 The dual certificate at a lifted point ``(t, s)`` is
 ``s * (sum_j w_j s_j K(t_j, t) - <y, phi_t>) + kappa``; its sign field
 drives birth (negative regions) and death (positive regions).
 
 ``certificate`` and ``certificate_and_grad`` are the one implementation of
-the certificate: ``idx=None`` evaluates it exactly, an index array from
-``oracle.draw_batch`` gives its mini-batch estimate.
+the certificate, over ``KernelModel.certificate_values`` and
+``certificate_field``, which return the same values bit for bit; they fold
+in the sign and kappa. ``idx=None`` evaluates it exactly, an index array
+from ``oracle.draw_batch`` gives its mini-batch estimate.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain
-from .kernels import KernelModel, gram_matrix, y_inner_vec
+from .kernels import KernelModel, gram_matrix
 from .swarm import ParticleSwarm
 
 __all__ = [
@@ -61,14 +66,10 @@ class Problem:
 
 def loss(problem: Problem, swarm: ParticleSwarm) -> float:
     """Exact objective value of a swarm (empty swarm gives 0.5 |y|^2)."""
-    base = 0.5 * problem.model.y_norm_sq
     if len(swarm) == 0:
-        return base
-    k_t = y_inner_vec(problem.model, swarm.positions, swarm.signs)
-    w = swarm.weights
-    c = w * swarm.signs
-    quad = c @ problem.model.weighted_kernel(swarm.positions, swarm.positions, c)
-    return float(base + (problem.kappa - k_t) @ w + 0.5 * quad)
+        return 0.5 * problem.model.y_norm_sq
+    return problem.model.objective_value(swarm.positions, swarm.weights, swarm.signs,
+                                         problem.kappa)
 
 
 def _lifted(problem: Problem, points, signs):
@@ -80,9 +81,9 @@ def certificate(problem: Problem, swarm: ParticleSwarm, points, signs,
                 idx=None) -> np.ndarray:
     """Certificate values at lifted points, exact or on the batch ``idx``."""
     points, signs = _lifted(problem, points, signs)
-    model = problem.model
-    field = model.weighted_kernel(points, swarm.positions, swarm.weights * swarm.signs, idx)
-    return signs * (field - model.y_inner_many(points, idx)) + problem.kappa
+    field = problem.model.certificate_values(points, swarm.positions,
+                                             swarm.weights * swarm.signs, idx)
+    return signs * field + problem.kappa
 
 
 def certificate_and_grad(problem: Problem, swarm: ParticleSwarm, points, signs,

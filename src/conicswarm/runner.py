@@ -6,7 +6,11 @@ enabled) draws a second independent batch to evaluate the pushed
 certificate that drives deletion and creation. Exact losses are only
 evaluated at a configurable cadence since they apply the kernel over the
 whole support: O(p^2) kernel entries for the Gaussian models, O(n p d)
-for ReLU over n samples in d + 1 parameters.
+for ReLU over n samples in d + 1 parameters, as one network residual
+streamed over row blocks whose temporaries do not grow with n.
+
+A weight-update overflow raises ``RunAborted``, which names the iteration
+and carries the trace rows recorded so far and the last good swarm.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .oracle import draw_batch
 from .schedules import AnytimePlan, HorizonPlan
 from .swarm import ParticleSwarm
 
-__all__ = ["RunConfig", "IterationRecord", "RunResult", "run",
+__all__ = ["RunConfig", "IterationRecord", "RunResult", "RunAborted", "run",
            "trace_to_csv", "trace_from_csv", "TRACE_COLUMNS"]
 
 TRACE_COLUMNS = ["k", "time_s", "loss", "tv", "particles", "births", "deaths",
@@ -107,6 +111,16 @@ class RunResult:
         raise ValueError("trace holds no evaluated loss")
 
 
+class RunAborted(ValueError):
+    """A run stopped at an iteration it could not complete; carries the trace
+    rows recorded so far and the last good swarm."""
+
+    def __init__(self, message: str, trace: list[IterationRecord], swarm: ParticleSwarm):
+        super().__init__(message)
+        self.trace = trace
+        self.swarm = swarm
+
+
 def run(config: RunConfig, problem: Problem) -> RunResult:
     """Execute the loop and record one trace row per iteration."""
     rng = np.random.Generator(np.random.Philox(config.seed))
@@ -137,7 +151,7 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
             swarm = weight_push_update(problem, swarm, certs, grads,
                                        StepRates(config.rates.alpha, beta_k))
         except ValueError as exc:
-            raise ValueError(f"iteration {k}: {exc}") from exc
+            raise RunAborted(f"iteration {k}: {exc}", trace, swarm) from exc
 
         births = deaths = 0
         if config.birth_death:

@@ -176,6 +176,23 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "error: iteration 1: weight update overflowed" in capsys.readouterr().err
 
+    def test_weight_overflow_saves_the_last_good_swarm(self, tmp_path):
+        body = TINY_SYNTHETIC.replace("alpha = 0.05", "alpha = 1e6") \
+            .replace("init_weight = 0.05", "init_weight = 1e-6")
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        from conicswarm.runner import trace_from_csv
+        from conicswarm.swarm import ParticleSwarm
+        swarm = ParticleSwarm.from_csv(out / "final_swarm.csv")
+        # iteration 1 overflowed, so the initial swarm is the last good one
+        assert len(swarm) == 6
+        assert np.all(swarm.weights == 1e-6)
+        trace = trace_from_csv(out / "trace.csv")
+        assert [rec.k for rec in trace] == [0]
+        assert trace[0].particles == 6
+        assert not (out / "summary.txt").exists()
+
     def test_zero_iterations_writes_initial_artifacts(self, tmp_path):
         body = TINY_SYNTHETIC.replace("iterations = 40", "iterations = 0")
         cfg = write_config(tmp_path, body)

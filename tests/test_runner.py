@@ -8,7 +8,7 @@ from conicswarm.domain import grid_points
 from conicswarm.dynamics import StepRates
 from conicswarm.kernels import audit_assumptions
 from conicswarm.objective import kkt_residual, loss
-from conicswarm.runner import RunConfig, RunResult, run, trace_from_csv, trace_to_csv
+from conicswarm.runner import RunAborted, RunConfig, RunResult, run, trace_from_csv, trace_to_csv
 from conicswarm.schedules import AnytimePlan, calibrate
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_synthetic_problem, random_swarm
@@ -89,6 +89,14 @@ class TestRunBasics:
         init = ParticleSwarm(np.full(1, 1e-6), np.ones(1), problem.model.atom_positions[:1])
         with pytest.raises(ValueError, match="^iteration 1: weight update overflowed"):
             run(small_config(init, rates=StepRates(1e6, 0.0)), problem)
+
+    def test_overflow_carries_the_trace_and_last_good_swarm(self):
+        problem = make_synthetic_problem(signed=False)
+        init = ParticleSwarm(np.full(1, 1e-6), np.ones(1), problem.model.atom_positions[:1])
+        with pytest.raises(RunAborted) as info:
+            run(small_config(init, rates=StepRates(1e6, 0.0)), problem)
+        assert [rec.k for rec in info.value.trace] == [0]
+        assert info.value.swarm is init
 
     @pytest.mark.parametrize("eps", [0.0, -0.01, math.nan, math.inf])
     def test_bad_eps_rejected(self, eps):
