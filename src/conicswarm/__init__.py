@@ -12,13 +12,13 @@ from .birth_death import BirthRule, DeathRule, apply_mass_tweak, evaluate_birth_
 from .domain import Ball, Box, Domain, grid_points
 from .dynamics import StepRates, descent_check, weight_push_update
 from .kernels import AssumptionBounds, GmmKernel, KernelModel, ReluKernel, SyntheticKernel, \
-    audit_assumptions, gram_matrix, y_inner_vec
+    audit_assumptions
 from .objective import KktReport, Problem, certificate, certificate_and_grad, frechet_gap, \
     kkt_residual, loss
 from .oracle import OracleConfig, check_hoeffding_cap, draw_batch
 from .runner import IterationRecord, RunAborted, RunConfig, RunResult, run, trace_from_csv, \
     trace_to_csv
-from .schedules import AnytimePlan, Calibration, CalibrationError, HorizonPlan, calibrate, \
+from .schedules import AnytimePlan, Calibration, CalibrationError, FixedPlan, calibrate, \
     horizon_plan
 from .swarm import ParticleSwarm, lift_signed
 

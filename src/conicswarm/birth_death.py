@@ -60,7 +60,8 @@ class BirthRule:
     """Particle-creation policy.
 
     threshold_coeff    -- scale of the acceptance level (the noise-derived
-                          scale for guarded runs, a hand-set value otherwise)
+                          scale for guarded runs, a hand-set value otherwise);
+                          +inf accepts every candidate, -inf none
     candidates_per_iter -- uniform candidate draws per iteration
     birth_mass         -- weight of accepted particles (None: use eps_k)
     """
@@ -74,12 +75,14 @@ class BirthRule:
             raise ValueError("need at least one birth candidate per iteration")
         if self.birth_mass is not None and not 0 <= self.birth_mass < math.inf:
             raise ValueError("birth mass must be finite and nonnegative")
+        if math.isnan(self.threshold_coeff):
+            raise ValueError("birth threshold coefficient must not be NaN")
 
     def threshold(self, m_k: int) -> float:
         if m_k < 1:
             raise ValueError("batch size for the birth threshold must be >= 1")
         if math.isinf(self.threshold_coeff):
-            return math.inf
+            return self.threshold_coeff
         return self.threshold_coeff * math.sqrt(math.log(m_k) / m_k) if m_k > 1 else 0.0
 
 

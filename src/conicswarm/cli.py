@@ -18,12 +18,11 @@ from . import experiments
 from .birth_death import BirthRule, DeathRule
 from .config import ConfigError, RunSpec, load_config
 from .domain import Box, grid_points
-from .dynamics import StepRates
 from .kernels import SyntheticKernel, audit_assumptions
 from .objective import Problem, kkt_residual
 from .oracle import OracleConfig
 from .runner import RunAborted, RunConfig, run, trace_from_csv, trace_to_csv
-from .schedules import AnytimePlan, CalibrationError, calibrate, horizon_plan
+from .schedules import AnytimePlan, CalibrationError, FixedPlan, calibrate, horizon_plan
 from .swarm import ParticleSwarm
 
 __all__ = ["main", "build_problem", "build_run_config"]
@@ -147,12 +146,15 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
         beta = rates_cfg["beta"] if rates_cfg["beta"] is not None else 0.0
 
     variant = spec.schedule["variant"]
-    plan = None
-    if variant == "horizon":
+    if variant == "fixed":
+        plan = FixedPlan(spec.schedule["eps"], spec.schedule["batch"], beta)
+    elif not beta >= 0:  # the plans set beta_k themselves, but a bad beta is still refused
+        raise ValueError("rates must be nonnegative")
+    elif variant == "horizon":
         beta_cap = cal.beta_max_struct if rates_cfg["mode"] == "calibrated" else \
             (beta if beta > 0 else math.inf)
         plan = horizon_plan(spec.run["iterations"], alpha, beta_cap, problem.domain.dim)
-    elif variant == "anytime":
+    else:
         plan = AnytimePlan(alpha=alpha)
 
     death = DeathRule(kind=bd["death"], tau_death=bd["tau_death"], scan=bd["scan"])
@@ -175,12 +177,10 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
     config = RunConfig(
         init_swarm=init_swarm,
         k_iters=spec.run["iterations"],
-        rates=StepRates(alpha, beta),
+        alpha=alpha,
         full_batch=spec.run["variant"] == "full",
         birth_death=bd["enabled"],
         plan=plan,
-        eps=spec.schedule["eps"],
-        batch_size=spec.schedule["batch"],
         death_rule=death,
         birth_rule=birth,
         seed=spec.run["seed"],

@@ -62,8 +62,6 @@ __all__ = [
     "GmmKernel",
     "ReluKernel",
     "AssumptionBounds",
-    "gram_matrix",
-    "y_inner_vec",
     "audit_assumptions",
 ]
 
@@ -521,25 +519,6 @@ class ReluKernel(KernelModel):
             resid = act @ c - self.targets[lo:hi]
             total += float(resid @ resid)
         return 0.5 * total / n + kappa * float(weights.sum())
-
-
-def gram_matrix(model: KernelModel, positions, signs) -> np.ndarray:
-    """Signed Gram matrix with entries ``s_i s_j K(t_i, t_j)``."""
-    positions = _rows(positions, model.dim)
-    signs = np.asarray(signs, dtype=float).reshape(-1)
-    if positions.shape[0] == 0:
-        return np.empty((0, 0))
-    k = model.kernel_matrix(positions, positions)
-    return k * signs[:, None] * signs[None, :]
-
-
-def y_inner_vec(model: KernelModel, positions, signs) -> np.ndarray:
-    """Signed observation inner products ``s_j <y, phi_{t_j}>``."""
-    positions = _rows(positions, model.dim)
-    signs = np.asarray(signs, dtype=float).reshape(-1)
-    if positions.shape[0] == 0:
-        return np.empty(0)
-    return signs * model.y_inner_many(positions)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain
-from .kernels import KernelModel, gram_matrix
+from .kernels import KernelModel
 from .swarm import ParticleSwarm
 
 __all__ = [
@@ -108,8 +108,8 @@ def frechet_gap(problem: Problem, nu: ParticleSwarm, sigma: ParticleSwarm) -> fl
     j_nu = loss(problem, nu)
     certs = certificate(problem, nu, sigma.positions, sigma.signs)
     linear = float(certs @ sigma.weights)
-    gram_sigma = gram_matrix(problem.model, sigma.positions, sigma.signs)
-    quad = 0.5 * float(sigma.weights @ gram_sigma @ sigma.weights)
+    c = sigma.weights * sigma.signs
+    quad = 0.5 * float(c @ problem.model.weighted_kernel(sigma.positions, sigma.positions, c))
     return abs(j_plus - j_nu - linear - quad)
 
 

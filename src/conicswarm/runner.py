@@ -25,7 +25,7 @@ from .birth_death import BirthRule, DeathRule, apply_mass_tweak, evaluate_birth_
 from .dynamics import StepRates, weight_push_update
 from .objective import Problem, certificate, certificate_and_grad, loss
 from .oracle import draw_batch
-from .schedules import AnytimePlan, HorizonPlan
+from .schedules import AnytimePlan, FixedPlan
 from .swarm import ParticleSwarm
 
 __all__ = ["RunConfig", "IterationRecord", "RunResult", "RunAborted", "run",
@@ -55,21 +55,18 @@ class IterationRecord:
 class RunConfig:
     """Everything a run needs besides the problem itself.
 
-    With ``plan`` set, per-iteration exploration mass, batch size and
-    position rate come from the plan (and ``rates.alpha`` should equal the
-    plan's alpha); otherwise ``eps`` and ``batch_size`` are constants and
-    ``rates.beta`` is used throughout. ``full_batch`` switches the oracle
-    to exact evaluation; the birth threshold then uses the dataset size.
+    ``alpha`` is the weight rate; the exploration mass, batch size and
+    position rate of iteration k are ``plan.at(k)`` (an ``AnytimePlan``
+    should carry the same alpha). ``full_batch`` switches the oracle to
+    exact evaluation; the birth threshold then uses the dataset size.
     """
 
     init_swarm: ParticleSwarm
     k_iters: int
-    rates: StepRates
+    alpha: float
     full_batch: bool = False
     birth_death: bool = True
-    plan: HorizonPlan | AnytimePlan | None = None
-    eps: float = 0.05
-    batch_size: int = 256
+    plan: FixedPlan | AnytimePlan = field(default_factory=lambda: FixedPlan(0.05, 256, 0.0))
     death_rule: DeathRule = field(default_factory=DeathRule)
     birth_rule: BirthRule = field(default_factory=lambda: BirthRule(threshold_coeff=0.0))
     seed: int = 0
@@ -81,8 +78,8 @@ class RunConfig:
             raise ValueError("iteration count must be nonnegative")
         if self.trace_cadence < 1:
             raise ValueError("trace cadence must be >= 1")
-        if self.plan is None and not 0 < self.eps < np.inf:
-            raise ValueError("exploration mass eps must be finite and > 0")
+        if not self.alpha >= 0:
+            raise ValueError("rates must be nonnegative")
         self.init_swarm.check()
 
 
@@ -134,10 +131,7 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
                                  0, 0, None, None, None))
 
     for k in range(1, config.k_iters + 1):
-        if config.plan is not None:
-            eps_k, m_k, beta_k = config.plan.at(k)
-        else:
-            eps_k, m_k, beta_k = config.eps, config.batch_size, config.rates.beta
+        eps_k, m_k, beta_k = config.plan.at(k)
         idx = None if config.full_batch else draw_batch(rng, m_k, n)
         threshold_m = n if config.full_batch else m_k
 
@@ -149,7 +143,7 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
             ([float(certs.min())] if len(swarm) else [])
         try:
             swarm = weight_push_update(problem, swarm, certs, grads,
-                                       StepRates(config.rates.alpha, beta_k))
+                                       StepRates(config.alpha, beta_k))
         except ValueError as exc:
             raise RunAborted(f"iteration {k}: {exc}", trace, swarm) from exc
 

@@ -5,6 +5,10 @@ radius R bounds the total variation the iterates can accumulate, the TV
 cap ``C = max(tv(nu_0), 2 R)`` turns the descent condition into a numeric
 cap, and (for stochastic runs) a Hoeffding condition adds a third cap.
 Every other parameter is derived downstream of alpha.
+
+A run follows a plan whose ``at(k)`` gives ``(eps_k, m_k, beta_k)``:
+``FixedPlan`` holds them constant (a hand-set schedule, or one tuned to a
+known budget K by ``horizon_plan``); ``AnytimePlan`` varies them with k.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .oracle import HOEFFDING_CAP_CONST
 __all__ = [
     "CalibrationError",
     "Calibration",
-    "HorizonPlan",
+    "FixedPlan",
     "AnytimePlan",
     "calibrate",
     "horizon_plan",
@@ -111,12 +115,19 @@ def calibrate(bounds: AssumptionBounds, nu0_tv: float, kappa: float, lambda_x: f
 
 
 @dataclass
-class HorizonPlan:
-    """Constant schedule tuned to a known iteration budget K."""
+class FixedPlan:
+    """Constant schedule: the same exploration mass, batch and step at every k."""
 
     eps: float
     m: int
     beta: float
+
+    def __post_init__(self):
+        # eps is the weight of every birth whose rule sets no birth_mass
+        if not 0 < self.eps < math.inf:
+            raise ValueError("exploration mass eps must be finite and > 0")
+        if not self.beta >= 0:
+            raise ValueError("rates must be nonnegative")
 
     def at(self, k: int):
         return self.eps, self.m, self.beta
@@ -143,7 +154,7 @@ class AnytimePlan:
         return eps_k, kk, beta_k
 
 
-def horizon_plan(k_total: int, alpha: float, beta_cap: float, d: int) -> HorizonPlan:
+def horizon_plan(k_total: int, alpha: float, beta_cap: float, d: int) -> FixedPlan:
     """Budget-aware plan: eps = 1/sqrt(K), m = K, beta capped by ``beta_cap``.
 
     Requires ``K >= 1 / alpha^2`` so that the constant exploration mass
@@ -156,5 +167,5 @@ def horizon_plan(k_total: int, alpha: float, beta_cap: float, d: int) -> Horizon
         raise ValueError(f"horizon K={k_total} below the minimum {k_min} for alpha={alpha}")
     eps = 1.0 / math.sqrt(k_total)
     beta = min(beta_cap, 1.0 / (alpha ** (d / 4.0) * math.sqrt(k_total)))
-    return HorizonPlan(eps=eps, m=k_total, beta=beta)
+    return FixedPlan(eps=eps, m=k_total, beta=beta)
 

@@ -9,7 +9,7 @@ Values are checked once, by ``ParticleSwarm.check``, where a swarm enters
 the program: ``from_csv``, ``lift_signed``, the CLI's initial swarm and
 ``RunConfig``. The loop needs no check: its weights are nonnegative weights
 times ``exp`` (``weight_push_update`` rejects overflow) or birth masses
-(``BirthRule`` and ``RunConfig`` reject a bad ``birth_mass`` or ``eps``), its
+(``BirthRule`` rejects a bad ``birth_mass``, the plans a bad ``eps``), its
 signs are carried over or drawn from {-1, +1}; the constructor checks lengths.
 
 A swarm takes ownership of the arrays it is given: the constructor does not
@@ -64,13 +64,6 @@ class ParticleSwarm:
     def tv_norm(self) -> float:
         """Total variation norm: the sum of (lifted, nonnegative) weights."""
         return float(self.weights.sum()) if len(self) else 0.0
-
-    def prune_zero(self, floor: float = 0.0) -> "ParticleSwarm":
-        """Drop particles with weight <= floor, preserving survivor order."""
-        if floor < 0:
-            raise ValueError("floor must be nonnegative")
-        keep = self.weights > floor
-        return ParticleSwarm(self.weights[keep], self.signs[keep], self.positions[keep])
 
     def appended(self, extra: "ParticleSwarm") -> "ParticleSwarm":
         """New swarm with the particles of ``extra`` appended in order."""

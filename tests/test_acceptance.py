@@ -16,13 +16,12 @@ from conicswarm.birth_death import BirthRule, DeathRule
 from conicswarm.cli import build_problem, build_run_config, main
 from conicswarm.config import load_config
 from conicswarm.domain import Box
-from conicswarm.dynamics import StepRates
 from conicswarm.experiments import GmmSpec, gen_gmm, gen_teacher_regression, heldout_mse
 from conicswarm.kernels import SyntheticKernel
 from conicswarm.objective import Problem, kkt_residual, loss
 from conicswarm.oracle import OracleConfig
 from conicswarm.runner import RunConfig, run
-from conicswarm.schedules import horizon_plan
+from conicswarm.schedules import FixedPlan, horizon_plan
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import suite_descent, suite_frechet, suite_hoeffding, suite_oracle, \
     suite_projection, suite_volume
@@ -59,8 +58,8 @@ def gmm_runs():
     out = {}
     t0 = time.perf_counter()
     for bd in (False, True):
-        cfg = RunConfig(init_swarm=init, k_iters=5000, rates=StepRates(10.0, 40.0),
-                        full_batch=True, birth_death=bd, eps=2e-3,
+        cfg = RunConfig(init_swarm=init, k_iters=5000, alpha=10.0,
+                        plan=FixedPlan(2e-3, 256, 40.0), full_batch=True, birth_death=bd,
                         death_rule=DeathRule(kind="ratio", tau_death=5.0),
                         birth_rule=BirthRule(threshold_coeff=-0.15, candidates_per_iter=4),
                         seed=1, trace_cadence=100)
@@ -84,8 +83,8 @@ def teacher_runs():
     out = {"dataset": dataset, "teacher": teacher, "problem": problem, "p0": 100}
     t0 = time.perf_counter()
     for bd in (False, True):
-        cfg = RunConfig(init_swarm=init, k_iters=20000, rates=StepRates(1.0, 0.5),
-                        full_batch=False, birth_death=bd, eps=0.002, batch_size=256,
+        cfg = RunConfig(init_swarm=init, k_iters=20000, alpha=1.0,
+                        plan=FixedPlan(0.002, 256, 0.5), full_batch=False, birth_death=bd,
                         death_rule=DeathRule(kind="ratio", tau_death=1.5),
                         birth_rule=BirthRule(threshold_coeff=-0.6, candidates_per_iter=4),
                         seed=1, trace_cadence=500)
@@ -137,9 +136,8 @@ def horizon_sweep():
     t0 = time.perf_counter()
     for k_iter in (250, 500, 1000, 2000):
         plan = horizon_plan(k_iter, alpha, beta_cap, d=1)
-        cfg = RunConfig(init_swarm=init, k_iters=k_iter,
-                        rates=StepRates(alpha, plan.beta), full_batch=False,
-                        birth_death=True, plan=plan,
+        cfg = RunConfig(init_swarm=init, k_iters=k_iter, alpha=alpha, plan=plan,
+                        full_batch=False, birth_death=True,
                         death_rule=DeathRule(kind="guarded", scan="all"),
                         birth_rule=BirthRule(threshold_coeff=oc.threshold_scale,
                                              candidates_per_iter=1),

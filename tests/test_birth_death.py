@@ -82,6 +82,12 @@ class TestProposeBirths:
         assert np.all(born.weights == eps)
         assert all(problem.domain.contains(p) for p in born.positions)
 
+    def test_minus_infinite_threshold_accepts_none(self):
+        problem = make_synthetic_problem()
+        sw = random_swarm(problem, rng(7))
+        rule = BirthRule(threshold_coeff=-math.inf, candidates_per_iter=16)
+        assert len(births(problem, sw, rule, 0.03, 64, None, rng(8))) == 0
+
     def test_explicit_birth_mass_overrides_eps(self):
         problem = make_synthetic_problem()
         sw = random_swarm(problem, rng(9))
@@ -263,6 +269,25 @@ def test_rule_validation():
     with pytest.raises(ValueError):
         BirthRule(threshold_coeff=0.0, candidates_per_iter=0)
     assert BirthRule(threshold_coeff=1.0).threshold(1) == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 256])
+def test_infinite_threshold_keeps_its_sign(m):
+    assert BirthRule(threshold_coeff=-math.inf).threshold(m) == -math.inf
+    assert BirthRule(threshold_coeff=math.inf).threshold(m) == math.inf
+
+
+@pytest.mark.parametrize("coeff", [-0.6, 0.0, 0.37, 2.5])
+@pytest.mark.parametrize("m", [1, 2, 16, 256, 20640])
+def test_finite_threshold_formula(coeff, m):
+    expected = coeff * math.sqrt(math.log(m) / m) if m > 1 else 0.0
+    assert BirthRule(threshold_coeff=coeff).threshold(m) == expected
+
+
+def test_nan_threshold_rejected():
+    # a NaN level compares false against every certificate, silently stopping births
+    with pytest.raises(ValueError, match="NaN"):
+        BirthRule(threshold_coeff=math.nan)
 
 
 @pytest.mark.parametrize("birth_mass", [-0.01, math.nan, math.inf])

@@ -230,6 +230,26 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not (out / "final_swarm.csv").exists()
 
+    @pytest.mark.parametrize("variant, old, new", [
+        pytest.param("fixed", "beta = 0.01", "beta = -0.01", id="fixed-negative-beta"),
+        pytest.param("fixed", "beta = 0.01", "beta = nan", id="fixed-nan-beta"),
+        # alpha = 0.5 keeps K = 40 above the horizon minimum 1 / alpha^2
+        pytest.param("horizon", "alpha = 0.05\nbeta = 0.01", "alpha = 0.5\nbeta = -0.01",
+                     id="horizon-negative-beta"),
+        pytest.param("anytime", "beta = 0.01", "beta = -0.01", id="anytime-negative-beta"),
+        pytest.param("fixed", "alpha = 0.05", "alpha = -0.05", id="fixed-negative-alpha"),
+        pytest.param("fixed", "alpha = 0.05", "alpha = nan", id="fixed-nan-alpha"),
+    ])
+    def test_bad_rate_exits_1(self, tmp_path, capsys, variant, old, new):
+        # every schedule variant refuses the rate before the run, though the
+        # horizon and anytime plans never read [rates] beta as the step
+        body = TINY_SYNTHETIC.replace("variant = fixed", f"variant = {variant}")
+        cfg = write_config(tmp_path, body.replace(old, new))
+        out = tmp_path / "bad"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "rates must be nonnegative" in capsys.readouterr().err
+        assert not (out / "final_swarm.csv").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 2

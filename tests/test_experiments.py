@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conicswarm.domain import Ball, Box
-from conicswarm.dynamics import StepRates
 from conicswarm.experiments import GmmSpec, gen_gmm, gen_teacher_regression, \
     load_gmm_data, load_regression, relu_predict, summarize, summary_csv, summary_text, heldout_mse
 from conicswarm.objective import loss
@@ -136,7 +135,7 @@ class TestSummary:
 
         problem = make_synthetic_problem(signed=False)
         init = random_swarm(problem, rng(seed), max_particles=4)
-        cfg = RunConfig(init_swarm=init, k_iters=5, rates=StepRates(0.1, 0.0),
+        cfg = RunConfig(init_swarm=init, k_iters=5, alpha=0.1,
                         full_batch=True, birth_death=False, seed=seed, trace_cadence=1)
         return run(cfg, problem)
 

@@ -7,8 +7,7 @@ from scipy import integrate
 
 from conicswarm.domain import Ball
 from conicswarm.experiments import GmmSpec, gen_gmm
-from conicswarm.kernels import GmmKernel, ReluKernel, audit_assumptions, \
-    gram_matrix, y_inner_vec
+from conicswarm.kernels import GmmKernel, ReluKernel, audit_assumptions
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
 
 
@@ -80,19 +79,18 @@ def test_gradient_matches_finite_differences(build):
 class TestGram:
     def test_empty(self):
         problem = make_synthetic_problem()
-        assert gram_matrix(problem.model, np.empty((0, 2)), np.empty(0)).shape == (0, 0)
+        assert problem.model.kernel_matrix(np.empty((0, 2)), np.empty((0, 2))).shape == (0, 0)
 
     def test_synthetic_unit_diagonal(self):
         problem = make_synthetic_problem()
         t = np.array([[0.3, 0.7]])
-        gram = gram_matrix(problem.model, t, np.array([1.0]))
-        assert gram[0, 0] == pytest.approx(1.0)
+        assert problem.model.kernel_matrix(t, t)[0, 0] == pytest.approx(1.0)
 
     def test_gmm_diagonal_closed_form_and_quadrature(self):
         tau = 0.3
         model = GmmKernel(np.zeros((4, 2)), tau)
         t = np.array([[0.1, -0.2]])
-        diag = gram_matrix(model, t, np.array([1.0]))[0, 0]
+        diag = model.kernel_matrix(t, t)[0, 0]
         closed = 1.0 / (4.0 * math.pi * (1.0 + tau**2))
         assert diag == pytest.approx(closed, rel=1e-12)
 
@@ -104,30 +102,12 @@ class TestGram:
                                    epsabs=1e-10)
         assert diag == pytest.approx(val, rel=1e-6)
 
-    def test_signed_lift_flips_cross_terms(self):
-        problem = make_synthetic_problem()
-        g = rng(7)
-        pos = problem.domain.sample_uniform(g, size=2)
-        plain = gram_matrix(problem.model, pos, np.array([1.0, 1.0]))
-        flipped = gram_matrix(problem.model, pos, np.array([1.0, -1.0]))
-        assert flipped[0, 1] == pytest.approx(-plain[0, 1])
-        assert flipped[0, 0] == pytest.approx(plain[0, 0])
-
 
 class TestYInner:
     def test_relu_single_data_point(self):
         model = ReluKernel(np.array([[1.0, 0.0]]), np.array([1.0]))
         neuron = np.array([[1.0, 0.0, 0.0]])  # v = e1, b = 0
-        vec = y_inner_vec(model, neuron, np.array([1.0]))
-        assert vec[0] == pytest.approx(1.0)
-
-    def test_sign_flip_negates(self):
-        problem = make_gmm_problem(seed=8)
-        g = rng(9)
-        t = problem.domain.sample_uniform(g, size=1)
-        plus = y_inner_vec(problem.model, t, np.array([1.0]))
-        minus = y_inner_vec(problem.model, t, np.array([-1.0]))
-        assert minus[0] == pytest.approx(-plus[0])
+        assert model.y_inner_many(neuron)[0] == pytest.approx(1.0)
 
     def test_gmm_matches_quadrature(self):
         tau = 0.25

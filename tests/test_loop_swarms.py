@@ -16,6 +16,7 @@ from conicswarm.dynamics import StepRates, weight_push_update
 from conicswarm.objective import certificate, certificate_and_grad
 from conicswarm.oracle import draw_batch
 from conicswarm.runner import RunConfig, run
+from conicswarm.schedules import FixedPlan
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem, \
     random_swarm
 
@@ -65,9 +66,9 @@ def test_run_final_swarm_passes_check(name, seed, death_rule, birth_rule, full_b
                                       eps):
     problem = PROBLEMS[name]
     init = random_swarm(problem, np.random.Generator(np.random.Philox(seed)), max_particles=6)
-    config = RunConfig(init_swarm=init, k_iters=k_iters, rates=StepRates(0.5, 0.1),
-                       full_batch=full_batch, eps=eps, batch_size=16, death_rule=death_rule,
-                       birth_rule=birth_rule, seed=seed)
+    config = RunConfig(init_swarm=init, k_iters=k_iters, alpha=0.5,
+                       plan=FixedPlan(eps, 16, 0.1), full_batch=full_batch,
+                       death_rule=death_rule, birth_rule=birth_rule, seed=seed)
     run(config, problem).final_swarm.check()
 
 
@@ -81,8 +82,8 @@ def test_run_never_writes_swarm_arrays(name, full_batch, beta):
     init = random_swarm(problem, np.random.Generator(np.random.Philox(5)), max_particles=6)
     for arr in (init.weights, init.signs, init.positions):
         arr.flags.writeable = False
-    config = RunConfig(init_swarm=init, k_iters=6, rates=StepRates(0.5, beta),
-                       full_batch=full_batch, eps=0.05, batch_size=16,
+    config = RunConfig(init_swarm=init, k_iters=6, alpha=0.5, plan=FixedPlan(0.05, 16, beta),
+                       full_batch=full_batch,
                        death_rule=DeathRule(kind="ratio", tau_death=0.01),
                        birth_rule=BirthRule(threshold_coeff=float("inf"),
                                             candidates_per_iter=3),

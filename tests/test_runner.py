@@ -5,11 +5,10 @@ import pytest
 
 from conicswarm.birth_death import BirthRule, DeathRule
 from conicswarm.domain import grid_points
-from conicswarm.dynamics import StepRates
 from conicswarm.kernels import audit_assumptions
 from conicswarm.objective import kkt_residual, loss
 from conicswarm.runner import RunAborted, RunConfig, RunResult, run, trace_from_csv, trace_to_csv
-from conicswarm.schedules import AnytimePlan, calibrate
+from conicswarm.schedules import AnytimePlan, FixedPlan, calibrate
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_synthetic_problem, random_swarm
 
@@ -19,8 +18,8 @@ def rng(seed=0):
 
 
 def small_config(init, **kw):
-    base = dict(init_swarm=init, k_iters=30, rates=StepRates(0.2, 0.01), full_batch=True,
-                birth_death=True, eps=0.02,
+    base = dict(init_swarm=init, k_iters=30, alpha=0.2, plan=FixedPlan(0.02, 256, 0.01),
+                full_batch=True, birth_death=True,
                 death_rule=DeathRule(kind="ratio", tau_death=5.0),
                 birth_rule=BirthRule(threshold_coeff=0.0, candidates_per_iter=4),
                 seed=5, trace_cadence=5)
@@ -88,23 +87,33 @@ class TestRunBasics:
         problem = make_synthetic_problem(signed=False)
         init = ParticleSwarm(np.full(1, 1e-6), np.ones(1), problem.model.atom_positions[:1])
         with pytest.raises(ValueError, match="^iteration 1: weight update overflowed"):
-            run(small_config(init, rates=StepRates(1e6, 0.0)), problem)
+            run(small_config(init, alpha=1e6, plan=FixedPlan(0.02, 256, 0.0)), problem)
 
     def test_overflow_carries_the_trace_and_last_good_swarm(self):
         problem = make_synthetic_problem(signed=False)
         init = ParticleSwarm(np.full(1, 1e-6), np.ones(1), problem.model.atom_positions[:1])
         with pytest.raises(RunAborted) as info:
-            run(small_config(init, rates=StepRates(1e6, 0.0)), problem)
+            run(small_config(init, alpha=1e6, plan=FixedPlan(0.02, 256, 0.0)), problem)
         assert [rec.k for rec in info.value.trace] == [0]
         assert info.value.swarm is init
 
     @pytest.mark.parametrize("eps", [0.0, -0.01, math.nan, math.inf])
     def test_bad_eps_rejected(self, eps):
         # Fixed-schedule births carry eps unchecked inside the loop.
-        init = random_swarm(make_synthetic_problem(), rng(6))
         with pytest.raises(ValueError, match="eps"):
-            small_config(init, eps=eps)
-        small_config(init, eps=eps, plan=AnytimePlan(alpha=0.2))  # a plan sets eps_k
+            FixedPlan(eps, 256, 0.0)
+
+    @pytest.mark.parametrize("alpha", [-0.01, math.nan])
+    def test_bad_alpha_rejected(self, alpha):
+        init = random_swarm(make_synthetic_problem(), rng(6))
+        with pytest.raises(ValueError, match="rates must be nonnegative"):
+            small_config(init, alpha=alpha)
+        small_config(init, alpha=0.0)  # the trivial rate is legal
+
+    def test_default_plan_is_a_fixed_schedule(self):
+        init = random_swarm(make_synthetic_problem(), rng(6))
+        config = RunConfig(init_swarm=init, k_iters=1, alpha=0.1)
+        assert [config.plan.at(k) for k in (1, 7)] == [(0.05, 256, 0.0)] * 2
 
 
 class TestMonotoneDescent:
@@ -115,7 +124,8 @@ class TestMonotoneDescent:
                         lambda_x=problem.domain.volume(),
                         y_norm=math.sqrt(problem.model.y_norm_sq), stochastic=False)
         init = random_swarm(problem, rng(8), max_particles=6, tv=0.8)
-        cfg = RunConfig(init_swarm=init, k_iters=200, rates=StepRates(cal.alpha, cal.chosen_beta),
+        cfg = RunConfig(init_swarm=init, k_iters=200, alpha=cal.alpha,
+                        plan=FixedPlan(0.05, 256, cal.chosen_beta),
                         full_batch=True, birth_death=False, seed=1, trace_cadence=1)
         res = run(cfg, problem)
         losses = [r.loss for r in res.trace]
@@ -149,8 +159,8 @@ class TestEscapeFixture:
         init = ParticleSwarm(np.full(10, 0.08), np.ones(10), pos)
         results = {}
         for bd in (False, True):
-            cfg = RunConfig(init_swarm=init, k_iters=2000, rates=StepRates(1.0, 0.005),
-                            full_batch=True, birth_death=bd, eps=5e-3,
+            cfg = RunConfig(init_swarm=init, k_iters=2000, alpha=1.0,
+                            plan=FixedPlan(5e-3, 256, 0.005), full_batch=True, birth_death=bd,
                             death_rule=DeathRule(kind="ratio", tau_death=5.0),
                             birth_rule=BirthRule(threshold_coeff=0.0,
                                                  candidates_per_iter=8),

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicswarm.kernels import AssumptionBounds
-from conicswarm.schedules import AnytimePlan, CalibrationError, calibrate, horizon_plan
+from conicswarm.schedules import AnytimePlan, CalibrationError, FixedPlan, calibrate, \
+    horizon_plan
 
 E = math.e
 
@@ -91,7 +92,8 @@ class TestHorizonPlan:
 
     def test_constant_over_iterations(self):
         plan = horizon_plan(25, 0.3, 0.05, d=1)
-        assert plan.at(1) == plan.at(25)
+        assert isinstance(plan, FixedPlan)
+        assert plan.at(1) == plan.at(25) == (plan.eps, plan.m, plan.beta)
 
 
 class TestAnytime:
@@ -137,6 +139,12 @@ class TestPlanValidation:
     def test_anytime_rejects_bad_beta_cap(self, beta_cap):
         with pytest.raises(ValueError, match="beta_cap"):
             AnytimePlan(alpha=0.5, beta_cap=beta_cap)
+
+    @pytest.mark.parametrize("beta", [-0.01, math.nan])
+    def test_fixed_rejects_bad_beta(self, beta):
+        with pytest.raises(ValueError, match="rates must be nonnegative"):
+            FixedPlan(0.05, 256, beta)
+        assert FixedPlan(0.05, 256, 0.0).at(3) == (0.05, 256, 0.0)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan])
     def test_horizon_rejects_nonpositive_alpha(self, alpha):

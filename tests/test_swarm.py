@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conicswarm.dynamics import StepRates
 from conicswarm.objective import loss
 from conicswarm.runner import RunConfig
 from conicswarm.swarm import ParticleSwarm, lift_signed
@@ -23,29 +22,6 @@ def test_tv_reported_final_state():
     sw = ParticleSwarm(weights, np.ones(39), np.zeros((39, 2)))
     assert sw.tv_norm() == pytest.approx(0.9786)
     assert len(sw) == 39
-
-
-def test_prune_zero_removes_zero_weights():
-    sw = ParticleSwarm([0.0, 0.5], [1, -1], [[0.0], [1.0]])
-    out = sw.prune_zero(0.0)
-    assert len(out) == 1 and out.weights[0] == 0.5 and out.signs[0] == -1
-
-
-def test_prune_all_zero_gives_empty():
-    sw = ParticleSwarm([0.0, 0.0], [1, 1], [[0.0], [1.0]])
-    assert len(sw.prune_zero()) == 0
-
-
-def test_prune_floor_semantics():
-    sw = ParticleSwarm([1e-13, 1e-11], [1, 1], [[0.0], [1.0]])
-    out = sw.prune_zero(1e-12)
-    assert len(out) == 1 and out.weights[0] == 1e-11
-
-
-def test_prune_preserves_order():
-    sw = ParticleSwarm([0.1, 0.0, 0.2, 0.3], [1, 1, -1, 1], np.arange(4.0).reshape(4, 1))
-    out = sw.prune_zero()
-    assert np.allclose(out.positions.ravel(), [0.0, 2.0, 3.0])
 
 
 def test_lift_negative_atom():
@@ -107,8 +83,7 @@ ENTRY_POINTS = {
     "check": lambda tmp_path, w, s: ParticleSwarm([0.5, w], [1, s], [[0.0], [0.0]]).check(),
     "from_csv": _from_csv_row,
     "run_config": lambda tmp_path, w, s: RunConfig(
-        init_swarm=ParticleSwarm([0.5, w], [1, s], [[0.0], [0.0]]), k_iters=1,
-        rates=StepRates(0.1)),
+        init_swarm=ParticleSwarm([0.5, w], [1, s], [[0.0], [0.0]]), k_iters=1, alpha=0.1),
 }
 
 
@@ -146,12 +121,3 @@ def test_appended_keeps_order_and_inputs():
     assert np.array_equal(sw.positions, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
     assert len(head) == 1 and len(tail) == 2
     assert np.array_equal(head.appended(ParticleSwarm.empty(2)).positions, head.positions)
-
-
-def test_prune_tv_change_bounded_by_count_times_floor():
-    rng = np.random.Generator(np.random.Philox(9))
-    w = rng.uniform(0, 1e-6, size=20)
-    sw = ParticleSwarm(w, np.ones(20), np.zeros((20, 1)))
-    floor = 5e-7
-    out = sw.prune_zero(floor)
-    assert sw.tv_norm() - out.tv_norm() <= len(sw) * floor
