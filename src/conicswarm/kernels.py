@@ -43,6 +43,12 @@ solver's value-only calls:
 
 A batch restriction averages per-sample quantities, so
 ``idx = arange(n)`` reproduces the exact one.
+
+Gaussian entries are finished in place from sums of squared coordinate
+differences, so each depends on its two points alone: a row has the same
+bits whatever else shares the call, and ``K(A, B)`` is ``K(B, A)'`` exactly.
+That lets ``GmmKernel`` reuse exact data-side rows inside ``run_scope``, the
+span of one ``runner.run`` call.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,17 +81,27 @@ def _rows(x, dim):
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, shape (|a|, |b|)."""
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
+    """Pairwise squared Euclidean distances, shape (|a|, |b|), as sums of
+    squared coordinate differences in one buffer: each entry depends on its
+    two points alone, whatever else shares the call, and loses no digits far
+    from the origin."""
+    d2 = np.subtract.outer(a[:, 0], b[:, 0])
+    d2 *= d2
+    for j in range(1, a.shape[1]):
+        diff = np.subtract.outer(a[:, j], b[:, j])
+        diff *= diff
+        d2 += diff
+    return d2
 
 
 def gauss_density(a: np.ndarray, b: np.ndarray, var: float, dim: int) -> np.ndarray:
-    """Isotropic Gaussian density N(a; b, var*I) evaluated pairwise."""
-    norm = (2.0 * np.pi * var) ** (-dim / 2.0)
-    return norm * np.exp(-_sqdist(a, b) / (2.0 * var))
+    """Isotropic Gaussian density N(a; b, var*I) evaluated pairwise, finished
+    in the distance buffer."""
+    d2 = _sqdist(a, b)
+    d2 /= -2.0 * var
+    np.exp(d2, out=d2)
+    d2 *= (2.0 * np.pi * var) ** (-dim / 2.0)
+    return d2
 
 
 #: pair terms per temporary block in ``_exp_sum``
@@ -102,19 +119,13 @@ def _exp_sum(x: np.ndarray, m: int, scale: float) -> float:
 
     Each row block, at most ``_BLOCK_ENTRIES`` terms, meets only itself
     and the columns after it, the latter counted twice, so every unordered
-    pair is evaluated once. Distances come from coordinate differences,
-    which lose no digits far from the origin.
+    pair is evaluated once, its distance by ``_sqdist``.
     """
     step = max(1, _BLOCK_ENTRIES // len(x))
     total = 0.0
     for lo in range(0, m, step):
         hi = min(lo + step, m)
-        d2 = np.subtract.outer(x[lo:hi, 0], x[lo:, 0])
-        d2 *= d2
-        for j in range(1, x.shape[1]):
-            diff = np.subtract.outer(x[lo:hi, j], x[lo:, j])
-            diff *= diff
-            d2 += diff
+        d2 = _sqdist(x[lo:hi], x[lo:])
         d2 *= -1.0 / scale
         terms = np.exp(d2, out=d2)
         total += float(terms[:, : hi - lo].sum()) + 2.0 * float(terms[:, hi - lo :].sum())
@@ -201,6 +212,13 @@ class KernelModel(ABC):
     def certificate_field(self, t, support, coef, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """Values ``K(t, S) c - <y, phi_t>`` and their gradients in t."""
 
+    @contextmanager
+    def run_scope(self):
+        """The span of one solver run. A model may keep exact evaluations
+        between calls inside it and drops them on exit; by default it keeps
+        nothing."""
+        yield
+
     def certificate_values(self, t, support, coef, idx=None) -> np.ndarray:
         """Values ``K(t, S) c - <y, phi_t>`` alone, the value twin of
         ``certificate_field``."""
@@ -275,7 +293,9 @@ class SyntheticKernel(KernelModel):
         a = _rows(a, self.dim)
         b = _rows(b, self.dim)
         # Data-independent kernel: per-sample value equals the exact value.
-        return np.exp(-_sqdist(a, b) / (2.0 * self.sigma**2))
+        d2 = _sqdist(a, b)
+        d2 /= -2.0 * self.sigma**2
+        return np.exp(d2, out=d2)
 
     def weighted_grad1_kernel(self, a, b, coef, idx=None):
         a = _rows(a, self.dim)
@@ -329,6 +349,14 @@ class GmmKernel(KernelModel):
     ``c = (4 pi tau^2)^(-d/2)``, and the diagonal alone contributes ``n c``,
     so the at most n^2 skipped terms change the sum by a relative 2^-60 or
     less.
+
+    Inside ``run_scope`` the data-side density rows of the two most recent
+    exact certificate evaluations are kept, keyed by each point's bytes, and
+    every exact call builds rows only for points not found there. A
+    full-batch iteration's support is the last one's pushed survivors plus
+    accepted candidates, so it builds none. Other exact calls, such as the
+    loss's, read the kept rows without adding to them; mini-batch calls
+    bypass them. At most two (|T|, n) arrays are kept, until the scope ends.
     """
 
     def __init__(self, data: np.ndarray, tau: float):
@@ -344,6 +372,10 @@ class GmmKernel(KernelModel):
         self._kvar = 2.0 * (1.0 + tau**2)
         self._yvar = 1.0 + 2.0 * tau**2
         self._y_norm_sq = None
+        #: (points' bytes, density rows, row of each point) of the kept exact
+        #: evaluations, and those rows by each point's bytes; None outside a
+        #: run scope
+        self._kept = self._kept_rows = None
 
     @property
     def n_samples(self):
@@ -370,16 +402,65 @@ class GmmKernel(KernelModel):
     def _batch(self, idx):
         return self.data if idx is None else self.data[np.asarray(idx, dtype=int)]
 
+    @contextmanager
+    def run_scope(self):
+        self._kept, self._kept_rows = [], {}
+        try:
+            yield
+        finally:
+            self._kept = self._kept_rows = None
+
+    def _density(self, t, idx, keep=False):
+        """``N(t_i; x_j, (1 + 2 tau^2) I)`` over the batch ``idx``, with the
+        kept rows of a run scope (see the class docstring); ``keep`` makes
+        this evaluation one of the kept ones. A request equal to a kept
+        evaluation gets its array itself, uncopied."""
+        x = self._batch(idx)
+        if idx is not None or self._kept is None:
+            return gauss_density(t, x, self._yvar, self.dim)
+        points = np.ascontiguousarray(t).tobytes()
+        entry = next((e for e in self._kept if e[0] == points), None)
+        if entry is None:
+            width = 8 * self.dim
+            keys = [points[i : i + width] for i in range(0, len(points), width)]
+            found = [self._kept_rows.get(key) for key in keys]
+            miss = [i for i, hit in enumerate(found) if hit is None]
+            if len(miss) == len(keys):
+                out = gauss_density(t, x, self._yvar, self.dim)
+            else:
+                out = np.empty((len(keys), x.shape[0]))
+                for i, hit in enumerate(found):
+                    if hit is not None:
+                        block, j = hit
+                        out[i] = block[j]
+                if miss:
+                    out[miss] = gauss_density(t[miss], x, self._yvar, self.dim)
+            if not keep:
+                return out
+            entry = (points, out, {key: (out, j) for j, key in enumerate(keys)})
+        if keep:
+            entry[1].flags.writeable = False
+            self._kept = self._kept[-1:] + [entry]
+            self._kept_rows = {}
+            for _, _, rows in self._kept:
+                self._kept_rows.update(rows)
+        return entry[1]
+
     def y_inner_many(self, t, idx=None):
         t = _rows(t, self.dim)
-        x = self._batch(idx)
-        return gauss_density(t, x, self._yvar, self.dim).mean(axis=1)
+        return self._density(t, idx).mean(axis=1)
 
     def grad_y_inner_many(self, t, idx=None):
         t = _rows(t, self.dim)
         x = self._batch(idx)
-        k = gauss_density(t, x, self._yvar, self.dim)
+        k = self._density(t, idx)
         return (k @ x / x.shape[0] - k.mean(axis=1)[:, None] * t) / self._yvar
+
+    def certificate_values(self, t, support, coef, idx=None):
+        t = _rows(t, self.dim)
+        coef = np.asarray(coef, dtype=float).reshape(-1)
+        return self.kernel_matrix(t, support) @ coef \
+            - self._density(t, idx, keep=True).mean(axis=1)
 
     def certificate_field(self, t, support, coef, idx=None):
         t = _rows(t, self.dim)
@@ -387,7 +468,7 @@ class GmmKernel(KernelModel):
         coef = np.asarray(coef, dtype=float).reshape(-1)
         x = self._batch(idx)
         k_s = self.kernel_matrix(t, support)
-        k_y = gauss_density(t, x, self._yvar, self.dim)
+        k_y = self._density(t, idx, keep=True)
         y = k_y.mean(axis=1)
         vals = k_s @ coef - y
         grads = _gauss_grad(k_s, t, support, coef, self._kvar) \

@@ -11,6 +11,11 @@ streamed over row blocks whose temporaries do not grow with n.
 
 A weight-update overflow raises ``RunAborted``, which names the iteration
 and carries the trace rows recorded so far and the last good swarm.
+
+The loop runs inside ``KernelModel.run_scope``, so a full-batch mixture
+run scores each support with the data-side rows built for the previous
+iteration's pushed support and candidates; they are dropped when ``run``
+returns or raises.
 """
 
 from __future__ import annotations
@@ -119,7 +124,13 @@ class RunAborted(ValueError):
 
 
 def run(config: RunConfig, problem: Problem) -> RunResult:
-    """Execute the loop and record one trace row per iteration."""
+    """Execute the loop and record one trace row per iteration, inside
+    ``problem.model.run_scope()``."""
+    with problem.model.run_scope():
+        return _iterate(config, problem)
+
+
+def _iterate(config: RunConfig, problem: Problem) -> RunResult:
     rng = np.random.Generator(np.random.Philox(config.seed))
     swarm = config.init_swarm
     n = problem.model.n_samples

@@ -126,6 +126,8 @@ class FixedPlan:
         # eps is the weight of every birth whose rule sets no birth_mass
         if not 0 < self.eps < math.inf:
             raise ValueError("exploration mass eps must be finite and > 0")
+        if not self.m >= 1:
+            raise ValueError("batch size must be at least 1")
         if not self.beta >= 0:
             raise ValueError("rates must be nonnegative")
 

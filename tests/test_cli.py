@@ -250,6 +250,19 @@ class TestRunCommand:
         assert "rates must be nonnegative" in capsys.readouterr().err
         assert not (out / "final_swarm.csv").exists()
 
+    def test_empty_batch_exits_1_before_the_loop(self, tmp_path, capsys, monkeypatch):
+        import conicswarm.cli
+
+        def loop_started(*_args):
+            pytest.fail("the run started with an empty batch")
+
+        monkeypatch.setattr(conicswarm.cli, "run", loop_started)
+        cfg = write_config(tmp_path, TINY_SYNTHETIC.replace("batch = 16", "batch = 0"))
+        out = tmp_path / "empty"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "batch size must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 2

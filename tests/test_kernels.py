@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from conicswarm.domain import Ball
+from conicswarm.domain import Ball, Box
 from conicswarm.experiments import GmmSpec, gen_gmm
-from conicswarm.kernels import GmmKernel, ReluKernel, audit_assumptions
+from conicswarm.kernels import GmmKernel, ReluKernel, SyntheticKernel, audit_assumptions, \
+    gauss_density
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
 
 
@@ -230,6 +231,44 @@ def test_vectorized_matches_scalar_loops():
         manual = sum(coef[j] * np.mean([grad_k_at(model, a[i], b[j], s) for s in idx], axis=0)
                      for j in range(4))
         assert np.allclose(wg[i], manual, atol=1e-14)
+
+
+# Gaussian entries are finished from sums of squared coordinate differences,
+# so each depends on its two points alone: a subset of rows (repeated,
+# permuted or single), a subset of columns and the transposed call all give
+# the bits of the full call. Points on a 2^-20 grid stay exact when shifted
+# by 1e6, so there the entries must equal those of the unshifted points.
+
+def same_bits(x, y):
+    return x.shape == y.shape and \
+        np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
+
+
+def dyadic_points(g, n, d):
+    return np.round(g.uniform(-8.0, 8.0, size=(n, d)) * 2**20) / 2**20
+
+
+@given(p=st.integers(1, 9), q=st.integers(1, 9), d=st.sampled_from([1, 2, 3]),
+       offset=st.sampled_from([0.0, 1e6]), seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_gaussian_entries_are_pair_local(p, q, d, offset, seed, data):
+    g = rng(seed)
+    a, b, x = dyadic_points(g, p, d), dyadic_points(g, q, d), dyadic_points(g, 40, d)
+    box = Box(np.full(d, -8.0), np.full(d, 8.0))
+    kernels = [SyntheticKernel(box, 1.3, [1.0], a[:1]).kernel_matrix,
+               GmmKernel(x, 0.3).kernel_matrix,
+               lambda s, t: gauss_density(s, t, 1.18, d)]
+    rows = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2 * p))
+    cols = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=2 * q))
+    a_off, b_off = a + offset, b + offset
+    for kernel in kernels:
+        full = kernel(a_off, b_off)
+        assert same_bits(full, kernel(a, b))
+        assert same_bits(kernel(b_off, a_off).T, full)
+        assert same_bits(kernel(a_off[rows], b_off), full[rows])
+        assert same_bits(kernel(a_off, b_off[cols]), full[:, cols])
+        for i in rows:
+            assert same_bits(kernel(a_off[i : i + 1], b_off), full[i : i + 1])
 
 
 # ``GmmKernel.y_norm_sq`` skips pairs beyond a cutoff; the reference is the

@@ -146,6 +146,12 @@ class TestPlanValidation:
             FixedPlan(0.05, 256, beta)
         assert FixedPlan(0.05, 256, 0.0).at(3) == (0.05, 256, 0.0)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_fixed_rejects_empty_batch(self, m):
+        with pytest.raises(ValueError, match="batch size must be at least 1"):
+            FixedPlan(0.05, m, 0.0)
+        assert FixedPlan(0.05, 1, 0.0).at(1) == (0.05, 1, 0.0)
+
     @pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan])
     def test_horizon_rejects_nonpositive_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha must be > 0"):
