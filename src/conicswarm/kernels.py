@@ -37,7 +37,7 @@ solver's value-only calls:
   ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
   ``c = s w``. ReLU sums the residual
   ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)`` over row blocks of at
-  most ``_RELU_BLOCK_ENTRIES`` activations (1 MiB) in one reused buffer,
+  most ``_ROW_BLOCK_ENTRIES`` activations (1 MiB) in one reused buffer,
   so its temporaries stay that size whatever n is (one row of p entries
   once p exceeds the block).
 
@@ -47,8 +47,11 @@ A batch restriction averages per-sample quantities, so
 Gaussian entries are finished in place from sums of squared coordinate
 differences, so each depends on its two points alone: a row has the same
 bits whatever else shares the call, and ``K(A, B)`` is ``K(B, A)'`` exactly.
-That lets ``GmmKernel`` reuse exact data-side rows inside ``run_scope``, the
-span of one ``runner.run`` call.
+So ``GmmKernel`` averages exact data-side densities over row blocks of
+``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array, and inside
+``run_scope``, the span of one ``runner.run`` call, it reuses exact
+data-side rows and assembles each support's kernel matrix from the blocks
+of the previous pushed and candidate evaluations.
 """
 
 from __future__ import annotations
@@ -106,8 +109,9 @@ def gauss_density(a: np.ndarray, b: np.ndarray, var: float, dim: int) -> np.ndar
 
 #: pair terms per temporary block in ``_exp_sum``
 _BLOCK_ENTRIES = 2_000_000
-#: activations per row block of ``ReluKernel.objective_value`` (1 MiB)
-_RELU_BLOCK_ENTRIES = 2**17
+#: entries per row block of an n-long evaluation: ``ReluKernel.objective_value``'s
+#: activations and ``GmmKernel``'s exact data-side means (1 MiB)
+_ROW_BLOCK_ENTRIES = 2**17
 #: leading coordinates that index the cell list of ``_close_pair_sum``
 _CELL_DIMS = 3
 
@@ -214,9 +218,9 @@ class KernelModel(ABC):
 
     @contextmanager
     def run_scope(self):
-        """The span of one solver run. A model may keep exact evaluations
-        between calls inside it and drops them on exit; by default it keeps
-        nothing."""
+        """The span of one solver run. A model may keep evaluations between
+        calls inside it (``GmmKernel`` keeps exact data-side rows and kernel
+        blocks) and drops them on exit; by default it keeps nothing."""
         yield
 
     def certificate_values(self, t, support, coef, idx=None) -> np.ndarray:
@@ -350,13 +354,31 @@ class GmmKernel(KernelModel):
     so the at most n^2 skipped terms change the sum by a relative 2^-60 or
     less.
 
-    Inside ``run_scope`` the data-side density rows of the two most recent
-    exact certificate evaluations are kept, keyed by each point's bytes, and
-    every exact call builds rows only for points not found there. A
-    full-batch iteration's support is the last one's pushed survivors plus
-    accepted candidates, so it builds none. Other exact calls, such as the
-    loss's, read the kept rows without adding to them; mini-batch calls
-    bypass them. At most two (|T|, n) arrays are kept, until the scope ends.
+    An exact data-side mean whose rows are not kept (``y_inner_many``, and
+    so the loss; ``certificate_values`` outside a run scope, and so
+    ``kkt_residual``) is built and averaged in row blocks of at most
+    ``_ROW_BLOCK_ENTRIES`` densities, so no |T| x n array is held.
+
+    Inside ``run_scope`` the model keeps two kinds of evaluation:
+
+    * the data-side density rows of the two most recent distinct exact
+      certificate evaluations, with their means, keyed by each point's
+      bytes. Every exact certificate call builds rows only for points not
+      found there, so a full-batch iteration's support, the last one's
+      pushed survivors plus accepted candidates, builds none; exact means
+      read them without adding to them; mini-batch calls bypass them;
+    * the kernel blocks ``K(T, S)`` of the two most recent value-only
+      evaluations, mini-batch ones included, as the kernel does not depend
+      on the batch. In the loop these are the pushed ``K(T', T')`` and the
+      candidates' ``K(C, T')``, so ``certificate_field`` at a support that
+      is ``T'`` followed by rows of ``C`` builds no |T| x |T| block: with no
+      births it uses the kept ``K(T', T')`` itself, with births it copies
+      that and the born rows of ``K(C, T')`` with their transpose and builds
+      only ``K(C_born, C_born)``. Any other support, such as one after a
+      death, is built fresh.
+
+    At most two (|T|, n) density arrays and two kernel blocks are kept; each
+    is read-only and is dropped when the scope ends.
     """
 
     def __init__(self, data: np.ndarray, tau: float):
@@ -372,10 +394,11 @@ class GmmKernel(KernelModel):
         self._kvar = 2.0 * (1.0 + tau**2)
         self._yvar = 1.0 + 2.0 * tau**2
         self._y_norm_sq = None
-        #: (points' bytes, density rows, row of each point) of the kept exact
-        #: evaluations, and those rows by each point's bytes; None outside a
-        #: run scope
-        self._kept = self._kept_rows = None
+        #: (points' bytes, density rows, their means, each point's bytes) of
+        #: the kept exact evaluations; (rows, means, row) by each point's
+        #: bytes; (points' bytes, support's bytes, K) of the kept kernel
+        #: blocks. None outside a run scope
+        self._kept = self._kept_rows = self._kept_kernels = None
 
     @property
     def n_samples(self):
@@ -404,72 +427,135 @@ class GmmKernel(KernelModel):
 
     @contextmanager
     def run_scope(self):
-        self._kept, self._kept_rows = [], {}
+        self._kept, self._kept_rows, self._kept_kernels = [], {}, []
         try:
             yield
         finally:
-            self._kept = self._kept_rows = None
+            self._kept = self._kept_rows = self._kept_kernels = None
+
+    def _point_keys(self, points: bytes) -> list[bytes]:
+        """Each point's bytes, from the C-order bytes of a (|T|, d) array."""
+        width = 8 * self.dim
+        return [points[i : i + width] for i in range(0, len(points), width)]
 
     def _density(self, t, idx, keep=False):
-        """``N(t_i; x_j, (1 + 2 tau^2) I)`` over the batch ``idx``, with the
-        kept rows of a run scope (see the class docstring); ``keep`` makes
-        this evaluation one of the kept ones. A request equal to a kept
-        evaluation gets its array itself, uncopied."""
-        x = self._batch(idx)
+        """Density rows ``N(t_i; x_j, (1 + 2 tau^2) I)`` over the batch
+        ``idx`` and their means, with the kept rows of a run scope (see the
+        class docstring); ``keep`` makes this evaluation one of the kept
+        ones. A request equal to a kept evaluation gets its arrays
+        themselves, uncopied."""
         if idx is not None or self._kept is None:
-            return gauss_density(t, x, self._yvar, self.dim)
+            rows = gauss_density(t, self._batch(idx), self._yvar, self.dim)
+            return rows, rows.mean(axis=1)
         points = np.ascontiguousarray(t).tobytes()
         entry = next((e for e in self._kept if e[0] == points), None)
         if entry is None:
-            width = 8 * self.dim
-            keys = [points[i : i + width] for i in range(0, len(points), width)]
+            keys = self._point_keys(points)
             found = [self._kept_rows.get(key) for key in keys]
             miss = [i for i, hit in enumerate(found) if hit is None]
             if len(miss) == len(keys):
-                out = gauss_density(t, x, self._yvar, self.dim)
+                rows = gauss_density(t, self.data, self._yvar, self.dim)
             else:
-                out = np.empty((len(keys), x.shape[0]))
+                rows = np.empty((len(keys), self.n_samples))
                 for i, hit in enumerate(found):
                     if hit is not None:
-                        block, j = hit
-                        out[i] = block[j]
+                        rows[i] = hit[0][hit[2]]
                 if miss:
-                    out[miss] = gauss_density(t[miss], x, self._yvar, self.dim)
+                    rows[miss] = gauss_density(t[miss], self.data, self._yvar, self.dim)
+            entry = (points, rows, rows.mean(axis=1), keys)
             if not keep:
-                return out
-            entry = (points, out, {key: (out, j) for j, key in enumerate(keys)})
+                return entry[1:3]
         if keep:
-            entry[1].flags.writeable = False
-            self._kept = self._kept[-1:] + [entry]
-            self._kept_rows = {}
-            for _, _, rows in self._kept:
-                self._kept_rows.update(rows)
-        return entry[1]
+            entry[1].flags.writeable = entry[2].flags.writeable = False
+            self._kept = [e for e in self._kept if e is not entry][-1:] + [entry]
+            self._kept_rows = {key: (e[1], e[2], j)
+                               for e in self._kept for j, key in enumerate(e[3])}
+        return entry[1:3]
+
+    def _exact_means(self, t):
+        """``<y, phi_t>`` exactly: the kept means of a run scope are read,
+        the other rows are built and averaged in blocks of at most
+        ``_ROW_BLOCK_ENTRIES`` densities (one row of n once n exceeds it)."""
+        out = np.empty(len(t))
+        todo = np.arange(len(t))
+        if self._kept_rows:
+            found = [self._kept_rows.get(key)
+                     for key in self._point_keys(np.ascontiguousarray(t).tobytes())]
+            for i, hit in enumerate(found):
+                if hit is not None:
+                    out[i] = hit[1][hit[2]]
+            todo = np.array([i for i, hit in enumerate(found) if hit is None], dtype=int)
+        step = max(1, _ROW_BLOCK_ENTRIES // self.n_samples)
+        for lo in range(0, len(todo), step):
+            rows = todo[lo : lo + step]
+            out[rows] = gauss_density(t[rows], self.data, self._yvar, self.dim).mean(axis=1)
+        return out
 
     def y_inner_many(self, t, idx=None):
         t = _rows(t, self.dim)
-        return self._density(t, idx).mean(axis=1)
+        return self._exact_means(t) if idx is None else self._density(t, idx)[1]
 
     def grad_y_inner_many(self, t, idx=None):
         t = _rows(t, self.dim)
         x = self._batch(idx)
-        k = self._density(t, idx)
-        return (k @ x / x.shape[0] - k.mean(axis=1)[:, None] * t) / self._yvar
+        k, y = self._density(t, idx)
+        return (k @ x / x.shape[0] - y[:, None] * t) / self._yvar
+
+    def _keep_kernel(self, t, support, k):
+        """Makes ``k = K(t, support)`` one of the two kept kernel blocks."""
+        if self._kept_kernels is not None:
+            k.flags.writeable = False
+            key = (t.tobytes(), support.tobytes())
+            self._kept_kernels = [e for e in self._kept_kernels if e[:2] != key][-1:] \
+                + [key + (k,)]
+
+    def _support_kernel(self, t, support):
+        """``K(t, support)``, assembled from the kept kernel blocks when ``t``
+        is the support and equals a kept pushed support ``T'`` followed by
+        rows of the kept candidates ``C`` (see the class docstring); built
+        fresh otherwise."""
+        kept = self._kept_kernels or []
+        pushed = next((e for e in kept if e[0] == e[1]), None)
+        if pushed is None or not np.array_equal(t, support):
+            return self.kernel_matrix(t, support)
+        points, _, k_pp = pushed
+        p = len(k_pp)
+        if t[:p].tobytes() != points:
+            return self.kernel_matrix(t, support)
+        if len(t) == p:
+            return k_pp
+        cand = next((e for e in kept if e is not pushed and e[1] == points), None)
+        index = {} if cand is None else {key: j for j, key in enumerate(self._point_keys(cand[0]))}
+        born = [index.get(key) for key in self._point_keys(t[p:].tobytes())]
+        if None in born:
+            return self.kernel_matrix(t, support)
+        k_cb = cand[2][born]
+        k = np.empty((len(t), len(t)))
+        k[:p, :p] = k_pp
+        k[p:, :p] = k_cb
+        k[:p, p:] = k_cb.T
+        k[p:, p:] = self.kernel_matrix(t[p:], t[p:])
+        return k
 
     def certificate_values(self, t, support, coef, idx=None):
         t = _rows(t, self.dim)
+        support = _rows(support, self.dim)
         coef = np.asarray(coef, dtype=float).reshape(-1)
-        return self.kernel_matrix(t, support) @ coef \
-            - self._density(t, idx, keep=True).mean(axis=1)
+        k = self.kernel_matrix(t, support)
+        self._keep_kernel(t, support, k)
+        if idx is None and self._kept is None:
+            y = self._exact_means(t)
+        else:
+            y = self._density(t, idx, keep=True)[1]
+        return k @ coef - y
 
     def certificate_field(self, t, support, coef, idx=None):
         t = _rows(t, self.dim)
         support = _rows(support, self.dim)
         coef = np.asarray(coef, dtype=float).reshape(-1)
         x = self._batch(idx)
-        k_s = self.kernel_matrix(t, support)
-        k_y = self._density(t, idx, keep=True)
-        y = k_y.mean(axis=1)
+        k_s = self._support_kernel(t, support)
+        k_y, y = self._density(t, idx, keep=True)
         vals = k_s @ coef - y
         grads = _gauss_grad(k_s, t, support, coef, self._kvar) \
             - (k_y @ x / x.shape[0] - y[:, None] * t) / self._yvar
@@ -584,12 +670,12 @@ class ReluKernel(KernelModel):
 
     def objective_value(self, t, weights, signs, kappa):
         """The residual ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``,
-        ``c = s w``, over row blocks of at most ``_RELU_BLOCK_ENTRIES``
+        ``c = s w``, over row blocks of at most ``_ROW_BLOCK_ENTRIES``
         activations in one reused buffer, so no n x p array is built."""
         t = _rows(t, self.dim)
         c = weights * signs
         n = self.n_samples
-        step = max(1, _RELU_BLOCK_ENTRIES // len(c))
+        step = max(1, _ROW_BLOCK_ENTRIES // len(c))
         buf = np.empty((min(step, n), len(c)))
         total = 0.0
         for lo in range(0, n, step):

@@ -5,16 +5,18 @@ the support in one fused evaluation, applies the conic update, and (when
 enabled) draws a second independent batch to evaluate the pushed
 certificate that drives deletion and creation. Exact losses are only
 evaluated at a configurable cadence since they apply the kernel over the
-whole support: O(p^2) kernel entries for the Gaussian models, O(n p d)
-for ReLU over n samples in d + 1 parameters, as one network residual
-streamed over row blocks whose temporaries do not grow with n.
+whole support: O(p^2) kernel entries for the Gaussian models, plus the
+mixture's O(n p) data-side means, O(n p d) for ReLU over n samples in
+d + 1 parameters, as one network residual; both stream over row blocks
+whose temporaries do not grow with n.
 
 A weight-update overflow raises ``RunAborted``, which names the iteration
 and carries the trace rows recorded so far and the last good swarm.
 
-The loop runs inside ``KernelModel.run_scope``, so a full-batch mixture
-run scores each support with the data-side rows built for the previous
-iteration's pushed support and candidates; they are dropped when ``run``
+The loop runs inside ``KernelModel.run_scope``. There a mixture run takes
+each support's kernel matrix from the blocks built for the previous
+iteration's pushed support and candidates (unless a particle died), and a
+full-batch one also their data-side rows; they are dropped when ``run``
 returns or raises.
 """
 

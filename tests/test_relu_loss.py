@@ -2,7 +2,7 @@
 
 ``ReluKernel.objective_value`` sums the residual
 ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)`` over row blocks of at most
-``_RELU_BLOCK_ENTRIES`` activations. It must agree with the expanded
+``_ROW_BLOCK_ENTRIES`` activations. It must agree with the expanded
 objective of the base class, ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> +
 0.5 c' K c``, and with the residual evaluated in one piece, on both sides of
 every block edge, and its temporaries must not grow with the sample count.
@@ -20,7 +20,7 @@ from conicswarm.objective import Problem, loss
 from conicswarm.swarm import ParticleSwarm
 
 EPS = np.finfo(float).eps
-ENTRIES = kernels._RELU_BLOCK_ENTRIES
+ENTRIES = kernels._ROW_BLOCK_ENTRIES
 #: a swarm this large fits one activation row per block
 SINGLE_ROW_P = ENTRIES // 2 + 1
 
@@ -85,7 +85,7 @@ def test_relu_loss_matches_expanded_and_closed_forms(seed, d, p_kind, n_kind, bl
 def test_relu_loss_temporaries_do_not_scale_with_n():
     # n = 16,512 samples (the housing training split) and p = 400 particles:
     # the one-piece residual would hold n x p activations, 53 MB; the blocked
-    # loss holds one block of at most _RELU_BLOCK_ENTRIES, 1 MiB.
+    # loss holds one block of at most _ROW_BLOCK_ENTRIES, 1 MiB.
     g = np.random.Generator(np.random.Philox(4))
     model = ReluKernel(g.standard_normal((16_512, 8)), g.standard_normal(16_512))
     problem = Problem(model=model, domain=Ball(np.zeros(9), 1.0), kappa=1e-3)

@@ -104,10 +104,24 @@ def test_kept_rows_are_reused_and_read_only():
     pts = problem.domain.sample_uniform(rng(5), size=6)
     with model.run_scope():
         model.certificate_values(pts, pts, np.ones(6))
-        first = model._density(pts, None)
-        assert first is model._density(pts.copy(), None)  # the kept array itself
+        first = model._density(pts, None)[0]
+        assert first is model._density(pts.copy(), None)[0]  # the kept array itself
         assert not first.flags.writeable
-        assert same_bits(model._density(pts[[5, 0, 0]], None), first[[5, 0, 0]])
+        assert same_bits(model._density(pts[[5, 0, 0]], None)[0], first[[5, 0, 0]])
+
+
+def test_a_repeated_evaluation_does_not_evict_the_other(rows_built):
+    # the two most recent distinct evaluations stay kept: A, B, B keeps A
+    problem = make_gmm_problem(seed=4, n=DATA_ROWS)
+    model = problem.model
+    a = problem.domain.sample_uniform(rng(7), size=5)
+    b = problem.domain.sample_uniform(rng(8), size=3)
+    with model.run_scope():
+        for pts in (a, b, b):
+            model.certificate_values(pts, pts, np.ones(len(pts)))
+        assert rows_built["rows"] == 8
+        model.certificate_values(a, a, np.ones(5))
+        assert rows_built["rows"] == 8
 
 
 def test_mini_batch_unscoped_and_loss_calls_keep_nothing(rows_built):
@@ -144,7 +158,7 @@ def test_nothing_kept_after_run(rows_built):
     problem = make_gmm_problem(seed=7, n=DATA_ROWS)
     init = random_swarm(problem, rng(8), max_particles=6)
     res = run(full_batch_config(init), problem)
-    assert problem.model._kept is None
+    assert problem.model._kept is None and problem.model._kept_kernels is None
     before = rows_built["rows"]
     problem.model.y_inner_many(res.final_swarm.positions)
     assert rows_built["rows"] == before + len(res.final_swarm)
@@ -161,14 +175,16 @@ def test_nothing_kept_after_abort():
 
 
 def test_trace_does_not_depend_on_the_cadence():
+    # mini-batch runs keep kernel blocks only, full-batch ones data-side rows too
     problem = make_gmm_problem(seed=7)
     init = random_swarm(problem, rng(8), max_particles=6)
-    config = full_batch_config(init, k_iters=60)
-    fine = run(dataclasses.replace(config, trace_cadence=1), problem).trace
-    coarse = run(dataclasses.replace(config, trace_cadence=10), problem).trace
-    assert len(fine) == len(coarse) == 61
-    for a, b in zip(fine, coarse):
-        assert (a.k, a.tv, a.particles, a.births, a.deaths, a.min_cert, a.cert_norm_sq) == \
-            (b.k, b.tv, b.particles, b.births, b.deaths, b.min_cert, b.cert_norm_sq)
-        if b.loss is not None:
-            assert a.loss == b.loss
+    for full_batch in (True, False):
+        config = full_batch_config(init, k_iters=60, full_batch=full_batch)
+        fine = run(dataclasses.replace(config, trace_cadence=1), problem).trace
+        coarse = run(dataclasses.replace(config, trace_cadence=10), problem).trace
+        assert len(fine) == len(coarse) == 61
+        for a, b in zip(fine, coarse):
+            assert (a.k, a.tv, a.particles, a.births, a.deaths, a.min_cert, a.cert_norm_sq) == \
+                (b.k, b.tv, b.particles, b.births, b.deaths, b.min_cert, b.cert_norm_sq)
+            if b.loss is not None:
+                assert a.loss == b.loss
