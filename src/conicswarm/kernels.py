@@ -49,9 +49,9 @@ differences, so each depends on its two points alone: a row has the same
 bits whatever else shares the call, and ``K(A, B)`` is ``K(B, A)'`` exactly.
 So ``GmmKernel`` averages exact data-side densities over row blocks of
 ``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array, and inside
-``run_scope``, the span of one ``runner.run`` call, it reuses exact
-data-side rows and assembles each support's kernel matrix from the blocks
-of the previous pushed and candidate evaluations.
+``run_scope``, the span of one ``runner.run`` call, it takes each support's
+kernel matrix, and in a full-batch run its data-side rows, from the
+previous iteration's pushed and candidate evaluations.
 """
 
 from __future__ import annotations
@@ -219,8 +219,8 @@ class KernelModel(ABC):
     @contextmanager
     def run_scope(self):
         """The span of one solver run. A model may keep evaluations between
-        calls inside it (``GmmKernel`` keeps exact data-side rows and kernel
-        blocks) and drops them on exit; by default it keeps nothing."""
+        calls inside it (``GmmKernel`` keeps its last two value-only
+        evaluations) and drops them on exit; by default it keeps nothing."""
         yield
 
     def certificate_values(self, t, support, coef, idx=None) -> np.ndarray:
@@ -354,31 +354,24 @@ class GmmKernel(KernelModel):
     so the at most n^2 skipped terms change the sum by a relative 2^-60 or
     less.
 
-    An exact data-side mean whose rows are not kept (``y_inner_many``, and
-    so the loss; ``certificate_values`` outside a run scope, and so
-    ``kkt_residual``) is built and averaged in row blocks of at most
+    Exact data-side means that are not kept (``y_inner_many``, and so the
+    loss; ``certificate_values`` outside a run scope, and so
+    ``kkt_residual``) are built and averaged in row blocks of at most
     ``_ROW_BLOCK_ENTRIES`` densities, so no |T| x n array is held.
 
-    Inside ``run_scope`` the model keeps two kinds of evaluation:
-
-    * the data-side density rows of the two most recent distinct exact
-      certificate evaluations, with their means, keyed by each point's
-      bytes. Every exact certificate call builds rows only for points not
-      found there, so a full-batch iteration's support, the last one's
-      pushed survivors plus accepted candidates, builds none; exact means
-      read them without adding to them; mini-batch calls bypass them;
-    * the kernel blocks ``K(T, S)`` of the two most recent value-only
-      evaluations, mini-batch ones included, as the kernel does not depend
-      on the batch. In the loop these are the pushed ``K(T', T')`` and the
-      candidates' ``K(C, T')``, so ``certificate_field`` at a support that
-      is ``T'`` followed by rows of ``C`` builds no |T| x |T| block: with no
-      births it uses the kept ``K(T', T')`` itself, with births it copies
-      that and the born rows of ``K(C, T')`` with their transpose and builds
-      only ``K(C_born, C_born)``. Any other support, such as one after a
-      death, is built fresh.
-
-    At most two (|T|, n) density arrays and two kernel blocks are kept; each
-    is read-only and is dropped when the scope ends.
+    Inside ``run_scope`` the model keeps one record: its two most recent
+    value-only evaluations, each ``(T bytes, S bytes, K(T, S), rows,
+    means)``, with the data-side density rows and their means only for
+    exact evaluations. In the loop these are the pushed support ``T'``
+    against itself and the birth candidates ``C`` against ``T'``, and the
+    next support is ``T'`` followed by the accepted candidates unless a
+    particle died. So an evaluation at ``t == support`` (``certificate_field``,
+    and ``certificate_values`` too) whose ``t`` is the kept ``T'`` followed
+    by rows of the kept ``C`` takes ``K(T', T')``, the born rows of
+    ``K(C, T')`` and their transpose, and for an exact evaluation the kept
+    rows and means; it builds only ``K(C_born, C_born)``. Every other
+    evaluation builds fresh. The kept arrays are read-only and are dropped
+    when the scope ends.
     """
 
     def __init__(self, data: np.ndarray, tau: float):
@@ -394,11 +387,8 @@ class GmmKernel(KernelModel):
         self._kvar = 2.0 * (1.0 + tau**2)
         self._yvar = 1.0 + 2.0 * tau**2
         self._y_norm_sq = None
-        #: (points' bytes, density rows, their means, each point's bytes) of
-        #: the kept exact evaluations; (rows, means, row) by each point's
-        #: bytes; (points' bytes, support's bytes, K) of the kept kernel
-        #: blocks. None outside a run scope
-        self._kept = self._kept_rows = self._kept_kernels = None
+        #: the kept record of a run scope (see the class docstring); None outside one
+        self._kept = None
 
     @property
     def n_samples(self):
@@ -427,135 +417,97 @@ class GmmKernel(KernelModel):
 
     @contextmanager
     def run_scope(self):
-        self._kept, self._kept_rows, self._kept_kernels = [], {}, []
+        self._kept = []
         try:
             yield
         finally:
-            self._kept = self._kept_rows = self._kept_kernels = None
+            self._kept = None
 
-    def _point_keys(self, points: bytes) -> list[bytes]:
-        """Each point's bytes, from the C-order bytes of a (|T|, d) array."""
-        width = 8 * self.dim
-        return [points[i : i + width] for i in range(0, len(points), width)]
-
-    def _density(self, t, idx, keep=False):
-        """Density rows ``N(t_i; x_j, (1 + 2 tau^2) I)`` over the batch
-        ``idx`` and their means, with the kept rows of a run scope (see the
-        class docstring); ``keep`` makes this evaluation one of the kept
-        ones. A request equal to a kept evaluation gets its arrays
-        themselves, uncopied."""
-        if idx is not None or self._kept is None:
-            rows = gauss_density(t, self._batch(idx), self._yvar, self.dim)
-            return rows, rows.mean(axis=1)
-        points = np.ascontiguousarray(t).tobytes()
-        entry = next((e for e in self._kept if e[0] == points), None)
-        if entry is None:
-            keys = self._point_keys(points)
-            found = [self._kept_rows.get(key) for key in keys]
-            miss = [i for i, hit in enumerate(found) if hit is None]
-            if len(miss) == len(keys):
-                rows = gauss_density(t, self.data, self._yvar, self.dim)
-            else:
-                rows = np.empty((len(keys), self.n_samples))
-                for i, hit in enumerate(found):
-                    if hit is not None:
-                        rows[i] = hit[0][hit[2]]
-                if miss:
-                    rows[miss] = gauss_density(t[miss], self.data, self._yvar, self.dim)
-            entry = (points, rows, rows.mean(axis=1), keys)
-            if not keep:
-                return entry[1:3]
-        if keep:
-            entry[1].flags.writeable = entry[2].flags.writeable = False
-            self._kept = [e for e in self._kept if e is not entry][-1:] + [entry]
-            self._kept_rows = {key: (e[1], e[2], j)
-                               for e in self._kept for j, key in enumerate(e[3])}
-        return entry[1:3]
+    def _density(self, t, x):
+        """Density rows ``N(t_i; x_j, (1 + 2 tau^2) I)`` over the samples
+        ``x`` and their means."""
+        rows = gauss_density(t, x, self._yvar, self.dim)
+        return rows, rows.mean(axis=1)
 
     def _exact_means(self, t):
-        """``<y, phi_t>`` exactly: the kept means of a run scope are read,
-        the other rows are built and averaged in blocks of at most
+        """``<y, phi_t>`` exactly, built and averaged in blocks of at most
         ``_ROW_BLOCK_ENTRIES`` densities (one row of n once n exceeds it)."""
         out = np.empty(len(t))
-        todo = np.arange(len(t))
-        if self._kept_rows:
-            found = [self._kept_rows.get(key)
-                     for key in self._point_keys(np.ascontiguousarray(t).tobytes())]
-            for i, hit in enumerate(found):
-                if hit is not None:
-                    out[i] = hit[1][hit[2]]
-            todo = np.array([i for i, hit in enumerate(found) if hit is None], dtype=int)
         step = max(1, _ROW_BLOCK_ENTRIES // self.n_samples)
-        for lo in range(0, len(todo), step):
-            rows = todo[lo : lo + step]
-            out[rows] = gauss_density(t[rows], self.data, self._yvar, self.dim).mean(axis=1)
+        for lo in range(0, len(t), step):
+            out[lo : lo + step] = self._density(t[lo : lo + step], self.data)[1]
         return out
 
     def y_inner_many(self, t, idx=None):
         t = _rows(t, self.dim)
-        return self._exact_means(t) if idx is None else self._density(t, idx)[1]
+        return self._exact_means(t) if idx is None else self._density(t, self._batch(idx))[1]
 
     def grad_y_inner_many(self, t, idx=None):
         t = _rows(t, self.dim)
         x = self._batch(idx)
-        k, y = self._density(t, idx)
+        k, y = self._density(t, x)
         return (k @ x / x.shape[0] - y[:, None] * t) / self._yvar
 
-    def _keep_kernel(self, t, support, k):
-        """Makes ``k = K(t, support)`` one of the two kept kernel blocks."""
-        if self._kept_kernels is not None:
-            k.flags.writeable = False
-            key = (t.tobytes(), support.tobytes())
-            self._kept_kernels = [e for e in self._kept_kernels if e[:2] != key][-1:] \
-                + [key + (k,)]
-
-    def _support_kernel(self, t, support):
-        """``K(t, support)``, assembled from the kept kernel blocks when ``t``
-        is the support and equals a kept pushed support ``T'`` followed by
-        rows of the kept candidates ``C`` (see the class docstring); built
-        fresh otherwise."""
-        kept = self._kept_kernels or []
-        pushed = next((e for e in kept if e[0] == e[1]), None)
+    def _reuse(self, t, support):
+        """``(K(t, t), rows, means)`` from the kept record when ``t`` is the
+        support and the kept ``T'`` followed by rows of the kept ``C`` (see
+        the class docstring), with ``rows`` and ``means`` None unless both
+        evaluations were exact; None when the record does not apply."""
+        pushed = next((e for e in reversed(self._kept or ()) if e[0] == e[1]), None)
         if pushed is None or not np.array_equal(t, support):
-            return self.kernel_matrix(t, support)
-        points, _, k_pp = pushed
+            return None
+        points, _, k_pp, rows, means = pushed
         p = len(k_pp)
         if t[:p].tobytes() != points:
-            return self.kernel_matrix(t, support)
+            return None
         if len(t) == p:
-            return k_pp
-        cand = next((e for e in kept if e is not pushed and e[1] == points), None)
-        index = {} if cand is None else {key: j for j, key in enumerate(self._point_keys(cand[0]))}
-        born = [index.get(key) for key in self._point_keys(t[p:].tobytes())]
-        if None in born:
-            return self.kernel_matrix(t, support)
-        k_cb = cand[2][born]
+            return k_pp, rows, means
+        cand = next((e for e in self._kept if e is not pushed and e[1] == points), None)
+        if cand is None:
+            return None
+        point = np.dtype((np.void, 8 * self.dim))
+        match = np.frombuffer(t[p:].tobytes(), point)[:, None] == np.frombuffer(cand[0], point)
+        if not match.any(axis=1).all():
+            return None
+        born = match.argmax(axis=1)
         k = np.empty((len(t), len(t)))
         k[:p, :p] = k_pp
-        k[p:, :p] = k_cb
-        k[:p, p:] = k_cb.T
+        k[p:, :p] = cand[2][born]
+        k[:p, p:] = k[p:, :p].T
         k[p:, p:] = self.kernel_matrix(t[p:], t[p:])
-        return k
+        if rows is None or cand[3] is None:
+            return k, None, None
+        return k, np.vstack([rows, cand[3][born]]), np.concatenate([means, cand[4][born]])
+
+    def _inputs(self, t, support, idx, x):
+        """``K(t, support)``, the density rows over the batch ``x`` and their
+        means, from the kept record where it applies."""
+        k, rows, means = self._reuse(t, support) or (self.kernel_matrix(t, support), None, None)
+        if rows is None or idx is not None:
+            rows, means = self._density(t, x)
+        return k, rows, means
 
     def certificate_values(self, t, support, coef, idx=None):
         t = _rows(t, self.dim)
         support = _rows(support, self.dim)
         coef = np.asarray(coef, dtype=float).reshape(-1)
-        k = self.kernel_matrix(t, support)
-        self._keep_kernel(t, support, k)
         if idx is None and self._kept is None:
-            y = self._exact_means(t)
-        else:
-            y = self._density(t, idx, keep=True)[1]
-        return k @ coef - y
+            return self.kernel_matrix(t, support) @ coef - self._exact_means(t)
+        k, rows, means = self._inputs(t, support, idx, self._batch(idx))
+        vals = k @ coef - means
+        if self._kept is not None:
+            for a in (k, rows, means):
+                a.flags.writeable = False
+            data_side = (rows, means) if idx is None else (None, None)
+            self._kept = self._kept[-1:] + [(t.tobytes(), support.tobytes(), k) + data_side]
+        return vals
 
     def certificate_field(self, t, support, coef, idx=None):
         t = _rows(t, self.dim)
         support = _rows(support, self.dim)
         coef = np.asarray(coef, dtype=float).reshape(-1)
         x = self._batch(idx)
-        k_s = self._support_kernel(t, support)
-        k_y, y = self._density(t, idx, keep=True)
+        k_s, k_y, y = self._inputs(t, support, idx, x)
         vals = k_s @ coef - y
         grads = _gauss_grad(k_s, t, support, coef, self._kvar) \
             - (k_y @ x / x.shape[0] - y[:, None] * t) / self._yvar

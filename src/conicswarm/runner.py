@@ -13,11 +13,11 @@ whose temporaries do not grow with n.
 A weight-update overflow raises ``RunAborted``, which names the iteration
 and carries the trace rows recorded so far and the last good swarm.
 
-The loop runs inside ``KernelModel.run_scope``. There a mixture run takes
-each support's kernel matrix from the blocks built for the previous
-iteration's pushed support and candidates (unless a particle died), and a
-full-batch one also their data-side rows; they are dropped when ``run``
-returns or raises.
+The loop runs inside ``KernelModel.run_scope``. Unless a particle died,
+each support is the previous pushed support followed by the accepted
+candidates, so a mixture run takes its kernel matrix (and at beta = 0 the
+pushed one's), and a full-batch run also their data-side rows, from those
+two evaluations; they are dropped when ``run`` returns or raises.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Exact mixture data-side means over row blocks.
 
-``GmmKernel`` averages every exact data-side density whose rows are not
-kept in blocks of at most ``_ROW_BLOCK_ENTRIES`` entries: ``y_inner_many``
-(and so the loss) and ``certificate_values`` outside a run scope (and so
-``kkt_residual`` and ``frechet_gap``). Gaussian entries are pair-local and
-each row is averaged on its own, so the means must equal the one-shot
+``GmmKernel`` averages exact data-side densities in blocks of at most
+``_ROW_BLOCK_ENTRIES`` entries in ``y_inner_many`` (and so the loss),
+inside a run scope or not, and in ``certificate_values`` outside one (and
+so ``kkt_residual`` and ``frechet_gap``). Gaussian entries are pair-local
+and each row is averaged on its own, so the means must equal the one-shot
 ``gauss_density(t, data, ...).mean(axis=1)`` bit for bit on both sides of
-every block edge, inside and outside a run scope, with and without kept
-rows, and the temporaries must not grow with n.
+every block edge, inside and outside a run scope, with and without a kept
+evaluation, and the temporaries must not grow with n.
 """
 
 from __future__ import annotations
