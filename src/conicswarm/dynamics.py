@@ -38,7 +38,9 @@ def weight_push_update(problem: Problem, swarm: ParticleSwarm, certs, grads,
         np.empty((0, swarm.dim))
     if certs.size != len(swarm) or grads.shape[0] != len(swarm):
         raise ValueError("certs and grads must match the swarm length")
-    new_weights = swarm.weights * np.exp(-rates.alpha * certs)
+    # an overflow is reported by the ValueError below, not by a warning
+    with np.errstate(over="ignore"):
+        new_weights = swarm.weights * np.exp(-rates.alpha * certs)
     if not np.isfinite(new_weights).all():
         raise ValueError("weight update overflowed to non-finite weights; lower alpha")
     if rates.beta > 0 and len(swarm):

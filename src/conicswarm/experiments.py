@@ -11,11 +11,11 @@ network, with an 80/20 train/test split.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import read_numeric_csv
 from .domain import Ball, Box
 from .kernels import GmmKernel, ReluKernel
 from .objective import Problem
@@ -94,8 +94,7 @@ def gen_gmm(spec: GmmSpec, rng: np.random.Generator, kappa: float = 1e-4):
 
 def load_gmm_data(path, tau: float, kappa: float = 1e-4):
     """Build the mixture problem from a CSV of samples with header x0,x1."""
-    rows = _read_numeric_csv(path, expected_header=["x0", "x1"])
-    data = np.asarray(rows, dtype=float)
+    data = _read_samples(path, expected_header=["x0", "x1"])
     model = GmmKernel(data, tau)
     return data, Problem(model=model, domain=_margin_box(data), kappa=kappa, signed=False)
 
@@ -118,26 +117,10 @@ class RegressionDataset:
         return self.features.shape[1]
 
 
-def _read_numeric_csv(path, expected_header=None):
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        if expected_header is not None and [h.strip() for h in header] != expected_header:
-            raise ValueError(f"{path}: expected header {expected_header}, got {header}")
-        width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != width:
-                raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
-    if not rows:
+def _read_samples(path, expected_header=None) -> np.ndarray:
+    """The numeric rows of a data CSV; a data set needs at least one."""
+    rows = read_numeric_csv(path, expected_header)[1]
+    if not len(rows):
         raise ValueError(f"{path}: no data rows")
     return rows
 
@@ -176,7 +159,7 @@ def _relu_problem(dataset: RegressionDataset, kappa: float) -> Problem:
 
 def load_regression(path, rng: np.random.Generator, kappa: float = 5e-4):
     """Load a numeric CSV (last column is the target) into a ReLU problem."""
-    rows = np.asarray(_read_numeric_csv(path), dtype=float)
+    rows = _read_samples(path)
     if rows.shape[1] < 2:
         raise ValueError(f"{path}: need at least one feature column and a target")
     dataset = _split_dataset(rows[:, :-1], rows[:, -1], rng)

@@ -51,7 +51,14 @@ So ``GmmKernel`` averages exact data-side densities over row blocks of
 ``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array, and inside
 ``run_scope``, the span of one ``runner.run`` call, it takes each support's
 kernel matrix, and in a full-batch run its data-side rows, from the
-previous iteration's pushed and candidate evaluations.
+previous iteration's pushed and candidate evaluations, and the candidates'
+batch rows from the pushed evaluation's fetch.
+
+``ReluKernel`` keeps, inside ``run_scope``, its last value-only evaluation
+at the support: the batch rows, their targets and the support's network
+output ``u = relu(X_b S) c``. The candidates, scored against the pushed
+support on the same batch, read them and build only their own activation;
+the products see the same operands, so the values keep their bits.
 """
 
 from __future__ import annotations
@@ -216,12 +223,22 @@ class KernelModel(ABC):
     def certificate_field(self, t, support, coef, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """Values ``K(t, S) c - <y, phi_t>`` and their gradients in t."""
 
+    #: evaluations kept between calls: a list inside ``run_scope``, else None
+    _kept = None
+
     @contextmanager
     def run_scope(self):
         """The span of one solver run. A model may keep evaluations between
-        calls inside it (``GmmKernel`` keeps its last two value-only
-        evaluations) and drops them on exit; by default it keeps nothing."""
-        yield
+        calls inside it, in ``_kept``, and they are dropped on exit however it
+        ends: ``GmmKernel`` keeps its last two value-only evaluations (kernel
+        matrices, and data-side rows or the fetched batch), ``ReluKernel`` its
+        last value-only evaluation at the support (the batch, its targets and
+        the support's network output)."""
+        self._kept = []
+        try:
+            yield
+        finally:
+            self._kept = None
 
     def certificate_values(self, t, support, coef, idx=None) -> np.ndarray:
         """Values ``K(t, S) c - <y, phi_t>`` alone, the value twin of
@@ -360,14 +377,16 @@ class GmmKernel(KernelModel):
     ``_ROW_BLOCK_ENTRIES`` densities, so no |T| x n array is held.
 
     Inside ``run_scope`` the model keeps one record: its two most recent
-    value-only evaluations, each ``(T bytes, S bytes, K(T, S), rows,
-    means)``, with the data-side density rows and their means only for
-    exact evaluations. In the loop these are the pushed support ``T'``
-    against itself and the birth candidates ``C`` against ``T'``, and the
-    next support is ``T'`` followed by the accepted candidates unless a
-    particle died. So an evaluation at ``t == support`` (``certificate_field``,
-    and ``certificate_values`` too) whose ``t`` is the kept ``T'`` followed
-    by rows of the kept ``C`` takes ``K(T', T')``, the born rows of
+    value-only evaluations, each ``(T bytes, S bytes, K(T, S), rows, means,
+    batch)``. Exact evaluations keep the data-side density rows and their
+    means; mini-batch ones keep ``batch``, the index bytes and the sample
+    rows fetched, and an evaluation on a kept batch takes those rows. In the
+    loop these are the pushed support ``T'`` against itself and the birth
+    candidates ``C`` against ``T'`` on the same batch, and the next support
+    is ``T'`` followed by the accepted candidates unless a particle died.
+    So an evaluation at ``t == support`` (``certificate_field``, and
+    ``certificate_values`` too) whose ``t`` is the kept ``T'`` followed by
+    rows of the kept ``C`` takes ``K(T', T')``, the born rows of
     ``K(C, T')`` and their transpose, and for an exact evaluation the kept
     rows and means; it builds only ``K(C_born, C_born)``. Every other
     evaluation builds fresh. The kept arrays are read-only and are dropped
@@ -387,8 +406,6 @@ class GmmKernel(KernelModel):
         self._kvar = 2.0 * (1.0 + tau**2)
         self._yvar = 1.0 + 2.0 * tau**2
         self._y_norm_sq = None
-        #: the kept record of a run scope (see the class docstring); None outside one
-        self._kept = None
 
     @property
     def n_samples(self):
@@ -413,15 +430,14 @@ class GmmKernel(KernelModel):
         return _gauss_grad(self.kernel_matrix(a, b), a, b, coef, self._kvar)
 
     def _batch(self, idx):
-        return self.data if idx is None else self.data[np.asarray(idx, dtype=int)]
-
-    @contextmanager
-    def run_scope(self):
-        self._kept = []
-        try:
-            yield
-        finally:
-            self._kept = None
+        """The sample rows of the batch ``idx`` (all of them for None), from
+        the kept record when it holds a fetch of the same indices."""
+        if idx is None:
+            return self.data
+        idx = np.asarray(idx, dtype=int)
+        key = idx.tobytes()
+        kept = next((e[5][1] for e in self._kept or () if e[5] and e[5][0] == key), None)
+        return self.data[idx] if kept is None else kept
 
     def _density(self, t, x):
         """Density rows ``N(t_i; x_j, (1 + 2 tau^2) I)`` over the samples
@@ -456,7 +472,7 @@ class GmmKernel(KernelModel):
         pushed = next((e for e in reversed(self._kept or ()) if e[0] == e[1]), None)
         if pushed is None or not np.array_equal(t, support):
             return None
-        points, _, k_pp, rows, means = pushed
+        points, _, k_pp, rows, means, _ = pushed
         p = len(k_pp)
         if t[:p].tobytes() != points:
             return None
@@ -493,12 +509,14 @@ class GmmKernel(KernelModel):
         coef = np.asarray(coef, dtype=float).reshape(-1)
         if idx is None and self._kept is None:
             return self.kernel_matrix(t, support) @ coef - self._exact_means(t)
-        k, rows, means = self._inputs(t, support, idx, self._batch(idx))
+        x = self._batch(idx)
+        k, rows, means = self._inputs(t, support, idx, x)
         vals = k @ coef - means
         if self._kept is not None:
-            for a in (k, rows, means):
+            for a in (k, rows, means) if idx is None else (k, x):
                 a.flags.writeable = False
-            data_side = (rows, means) if idx is None else (None, None)
+            data_side = (rows, means, None) if idx is None else \
+                (None, None, (np.asarray(idx, dtype=int).tobytes(), x))
             self._kept = self._kept[-1:] + [(t.tobytes(), support.tobytes(), k) + data_side]
         return vals
 
@@ -524,6 +542,16 @@ class ReluKernel(KernelModel):
     Weighted sums of kernel values are formed in feature space,
     ``K(A, B) c = relu(X A)' (relu(X B) c) / m``, so neither the
     certificate nor the loss builds a particle-by-particle matrix.
+
+    Inside ``run_scope`` the model keeps one record: its last value-only
+    evaluation at ``t == support``, as read-only views of the batch rows
+    ``X_b``, their targets and the support's output ``u = relu(X_b S) c``,
+    keyed by the bytes of the support, ``c`` and the batch indices (None for
+    the exact evaluation). In the loop this is the pushed support, and the
+    birth candidates are scored against it on the same batch, so they take
+    ``X_b``, the targets and ``u`` from the record and build only their own
+    activation. Any evaluation against another support, ``c`` or batch is
+    built fresh; the record is dropped when the scope ends.
     """
 
     kernel_depends_on_samples = True
@@ -548,10 +576,12 @@ class ReluKernel(KernelModel):
     def y_norm_sq(self):
         return float(np.mean(self.targets**2))
 
+    def _batch(self, idx):
+        return self._aug if idx is None else self._aug[np.asarray(idx, dtype=int)]
+
     def _acts(self, pos, idx):
-        aug = self._aug if idx is None else self._aug[np.asarray(idx, dtype=int)]
-        pre = aug @ pos.T
-        return aug, pre
+        aug = self._batch(idx)
+        return aug, aug @ pos.T
 
     def _targets(self, idx):
         return self.targets if idx is None else self.targets[np.asarray(idx, dtype=int)]
@@ -594,24 +624,37 @@ class ReluKernel(KernelModel):
         mask = pre > 0.0
         return (mask * self._targets(idx)[:, None]).T @ aug / aug.shape[0]
 
-    def _field(self, t, support, coef, idx):
+    def _field(self, t, support, coef, idx, keep=False):
         """Batch rows, pre-activations of ``t``, the network output ``u`` of
         the support on the batch, targets and values of the certificate
-        field, from one activation of ``t`` (reused for the support when it
-        equals ``t``)."""
+        field, from one activation of ``t``. The batch rows, targets and
+        ``u`` are the kept record's when it was made against the same
+        support, coefficients and batch; else ``u`` reuses the activation of
+        ``t`` when the support equals ``t``, and with ``keep`` inside a run
+        scope such an evaluation becomes the record."""
         t = _rows(t, self.dim)
         support = _rows(support, self.dim)
         coef = np.asarray(coef, dtype=float).reshape(-1)
-        aug, pre = self._acts(t, idx)
-        y = self._targets(idx)
-        m = aug.shape[0]
+        key = None if self._kept is None else (
+            support.tobytes(), coef.tobytes(),
+            None if idx is None else np.asarray(idx, dtype=int).tobytes())
+        kept = next((e[1:] for e in self._kept or () if e[0] == key), None)
+        aug, y, u = kept or (self._batch(idx), self._targets(idx), None)
+        pre = aug @ t.T
         act = np.maximum(pre, 0.0)
-        act_s = act if np.array_equal(support, t) else np.maximum(aug @ support.T, 0.0)
-        u = act_s @ coef
+        if u is None:
+            at_support = np.array_equal(support, t)
+            u = (act if at_support else np.maximum(aug @ support.T, 0.0)) @ coef
+            if keep and at_support and key is not None:
+                views = tuple(a.view() for a in (aug, y, u))
+                for a in views:
+                    a.flags.writeable = False
+                self._kept = [(key,) + views]
+        m = aug.shape[0]
         return aug, pre, u, y, act.T @ u / m - act.T @ y / m
 
     def certificate_values(self, t, support, coef, idx=None):
-        return self._field(t, support, coef, idx)[-1]
+        return self._field(t, support, coef, idx, keep=True)[-1]
 
     def certificate_field(self, t, support, coef, idx=None):
         aug, pre, u, y, vals = self._field(t, support, coef, idx)

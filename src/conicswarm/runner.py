@@ -13,11 +13,15 @@ whose temporaries do not grow with n.
 A weight-update overflow raises ``RunAborted``, which names the iteration
 and carries the trace rows recorded so far and the last good swarm.
 
-The loop runs inside ``KernelModel.run_scope``. Unless a particle died,
-each support is the previous pushed support followed by the accepted
+The loop runs inside ``KernelModel.run_scope``, where a model may keep
+evaluations between calls. The birth candidates are scored against the
+pushed support on the pushed certificate's batch, so a ReLU run takes that
+batch and the support's network output on it from the pushed evaluation,
+and a mixture run the fetched batch rows. Unless a particle died, each
+support is the previous pushed support followed by the accepted
 candidates, so a mixture run takes its kernel matrix (and at beta = 0 the
 pushed one's), and a full-batch run also their data-side rows, from those
-two evaluations; they are dropped when ``run`` returns or raises.
+two evaluations. Everything kept is dropped when ``run`` returns or raises.
 """
 
 from __future__ import annotations

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .csvio import read_numeric_csv
+
 __all__ = ["ParticleSwarm", "lift_signed"]
 
 
@@ -84,24 +86,12 @@ class ParticleSwarm:
 
     @classmethod
     def from_csv(cls, path) -> "ParticleSwarm":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            if header[:2] != ["weight", "sign"]:
-                raise ValueError(f"unexpected swarm CSV header: {header}")
-            dim = len(header) - 2
-            weights, signs, positions = [], [], []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != dim + 2:
-                    raise ValueError(f"swarm CSV row has {len(parts)} fields, expected {dim + 2}")
-                weights.append(float(parts[0]))
-                signs.append(float(parts[1]))
-                positions.append([float(v) for v in parts[2:]])
-        return cls(np.array(weights), np.array(signs),
-                   np.array(positions).reshape(len(weights), dim)).check()
+        """Read a swarm written by ``to_csv``; a header-only file is the empty swarm."""
+        header, rows = read_numeric_csv(path)
+        if header[:2] != ["weight", "sign"]:
+            raise ValueError(f"unexpected swarm CSV header: {header}")
+        # contiguous copies: BLAS products over strided views may round differently
+        return cls(rows[:, 0].copy(), rows[:, 1].copy(), rows[:, 2:].copy()).check()
 
     def __repr__(self):
         return f"ParticleSwarm(p={len(self)}, dim={self.dim}, tv={self.tv_norm():.6g})"

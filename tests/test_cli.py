@@ -169,6 +169,7 @@ iterations = 10
 
 
 class TestRunCommand:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_weight_overflow_exits_1_naming_the_iteration(self, tmp_path, capsys):
         body = TINY_SYNTHETIC.replace("alpha = 0.05", "alpha = 1e6") \
             .replace("init_weight = 0.05", "init_weight = 1e-6")
@@ -176,6 +177,7 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "error: iteration 1: weight update overflowed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_weight_overflow_saves_the_last_good_swarm(self, tmp_path):
         body = TINY_SYNTHETIC.replace("alpha = 0.05", "alpha = 1e6") \
             .replace("init_weight = 0.05", "init_weight = 1e-6")

@@ -79,11 +79,12 @@ class TestWeightPushUpdate:
         out = weight_push_update(problem, sw, certs, grads, StepRates(0.7, 0.0))
         assert out.tv_norm() <= sw.tv_norm() + 1e-15
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exp_overflow_rejected(self):
         problem = make_synthetic_problem()
         sw = ParticleSwarm([0.6, 0.2], [1, 1], [[0.5, 0.5], [0.2, 0.8]])
         certs = np.array([0.0, -1e4])  # exp(-alpha * cert) = exp(1e4) overflows
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite"):
             weight_push_update(problem, sw, certs, np.zeros((2, 2)), StepRates(1.0, 0.0))
 
     def test_length_mismatch_rejected(self):

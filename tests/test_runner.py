@@ -81,6 +81,7 @@ class TestRunBasics:
         res = run(small_config(init, plan=plan, full_batch=False, k_iters=10), problem)
         assert len(res.trace) == 11
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_weight_overflow_names_the_iteration(self):
         # a light particle on a planted atom has a negative certificate, and
         # alpha = 1e6 sends exp(-alpha * cert) past the float range
@@ -89,6 +90,7 @@ class TestRunBasics:
         with pytest.raises(ValueError, match="^iteration 1: weight update overflowed"):
             run(small_config(init, alpha=1e6, plan=FixedPlan(0.02, 256, 0.0)), problem)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_carries_the_trace_and_last_good_swarm(self):
         problem = make_synthetic_problem(signed=False)
         init = ParticleSwarm(np.full(1, 1e-6), np.ones(1), problem.model.atom_positions[:1])

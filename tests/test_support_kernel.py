@@ -5,10 +5,12 @@ evaluations; in the loop these are the pushed support ``T'`` and the birth
 candidates ``C`` scored against it. An evaluation at ``t == support`` whose
 ``t`` is ``T'`` followed by rows of ``C`` takes ``K(T', T')``, the born rows
 of ``K(C, T')``, and for an exact evaluation the kept data-side rows and
-means, and builds only ``K(C_born, C_born)``. Gaussian entries and rows are
-pair-local, so a warm model must give the bits of a fresh one, and whole runs
-the rows of runs that never reuse. Every other evaluation builds fresh, and
-nothing is kept once ``runner.run`` returns or raises.
+means, and builds only ``K(C_born, C_born)``. A mini-batch evaluation keeps
+the sample rows it fetched, so the candidates, scored on the pushed
+support's batch, fetch none. Gaussian entries and rows are pair-local, so a
+warm model must give the bits of a fresh one, and whole runs the rows of runs
+that keep nothing. Every other evaluation builds fresh, and nothing is kept
+once ``runner.run`` returns or raises.
 """
 
 from __future__ import annotations
@@ -112,7 +114,8 @@ def test_warm_model_gives_fresh_bits(seed, data):
     problem = make_gmm_problem(seed=3)
     g = rng(seed)
     warm, fresh = problem.model, GmmKernel(problem.model.data, problem.model.tau)
-    batches = st.sampled_from([None, g.integers(0, problem.model.n_samples, size=32)])
+    batches = st.sampled_from([None] + [g.integers(0, problem.model.n_samples, size=32)
+                                        for _ in range(2)])
     pushed = problem.domain.sample_uniform(g, size=int(g.integers(0, 7)))
     cand = problem.domain.sample_uniform(g, size=4)
     coef = g.uniform(-1.0, 1.0, size=len(pushed))
@@ -155,7 +158,7 @@ def test_warm_model_gives_fresh_bits(seed, data):
 @pytest.mark.parametrize("full_batch", [True, False])
 def test_assembled_kernel_has_fresh_bits(monkeypatch, full_batch):
     # whole runs with deaths and births, beta = 0 and > 0, equal runs that
-    # never reuse, row for row, and every reused input has fresh bits
+    # keep nothing, row for row, and every reused input has fresh bits
     problem = make_gmm_problem(seed=7)
     init = random_swarm(problem, rng(8), max_particles=6)
     real, reused = GmmKernel._reuse, []
@@ -177,7 +180,7 @@ def test_assembled_kernel_has_fresh_bits(monkeypatch, full_batch):
     monkeypatch.setattr(GmmKernel, "_reuse", checked)
     results = [run(config, problem) for config in configs]
     assert len(reused) >= 40
-    monkeypatch.setattr(GmmKernel, "_reuse", lambda self, t, support: None)
+    monkeypatch.setattr(GmmKernel, "run_scope", lambda self: contextlib.nullcontext())
     for config, res in zip(configs, results):
         assert res.total_births > 0 and res.total_deaths > 0
         again = run(config, problem)
@@ -307,6 +310,26 @@ def test_batched_field_fetches_the_batch_once(monkeypatch):
     assert len(fetched) == 1
 
 
+def test_mini_batch_iteration_fetches_two_batches():
+    # the candidates are scored on the pushed support's batch, fetched once
+    problem = make_gmm_problem(seed=7)
+    model = problem.model
+    model.y_norm_sq  # its cell list indexes the data too
+    fetched = []
+
+    class Samples(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, np.ndarray):
+                fetched.append(len(key))
+            return np.asarray(np.ndarray.__getitem__(self, key))
+
+    model.data = model.data.view(Samples)
+    init = random_swarm(problem, rng(8), max_particles=6)
+    res = run(loop_config(init, False), problem)
+    assert res.total_births > 0
+    assert fetched == [32] * (2 * 40)
+
+
 def test_kept_kernels_are_read_only_and_dropped_after_abort(monkeypatch):
     problem = make_gmm_problem(seed=7)
     init = random_swarm(problem, rng(8), max_particles=6)
@@ -339,6 +362,7 @@ def test_nothing_kept_after_run(built):
     assert data_rows(built, problem.model, since) == len(positions)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nothing_kept_after_abort():
     # a light particle on a cluster has a negative certificate, and alpha = 1e6
     # sends the weight update past the float range
