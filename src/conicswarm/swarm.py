@@ -78,11 +78,10 @@ class ParticleSwarm:
     def to_csv(self, path) -> None:
         """Write ``weight,sign,x0,...,x{d-1}`` rows, one particle per line."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            cols = ",".join(f"x{i}" for i in range(self.dim))
-            fh.write(f"weight,sign,{cols}\n" if self.dim else "weight,sign\n")
+            fh.write(",".join(["weight", "sign", *(f"x{i}" for i in range(self.dim))]) + "\n")
             for w, s, p in zip(self.weights, self.signs, self.positions):
-                coords = ",".join(repr(float(c)) for c in p)
-                fh.write(f"{float(w)!r},{int(s)},{coords}\n")
+                cells = [repr(float(w)), str(int(s)), *(repr(float(c)) for c in p)]
+                fh.write(",".join(cells) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "ParticleSwarm":

@@ -107,6 +107,65 @@ class TestSampling:
         dom = Ball([0.0, 0.0], 1.0)
         assert dom.sample_uniform(rng(6)).shape == (2,)
 
+    def test_zero_direction_lands_on_center(self):
+        class ZeroNormals:
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+            def random(self, shape):
+                return np.full(shape, 0.5)
+
+        dom = Ball([0.5, -0.25], 0.7)
+        assert np.array_equal(dom.sample_uniform(ZeroNormals(), size=2), [dom.center] * 2)
+
+
+def off_centre_ball(d):
+    return Ball(0.5 + 0.3 * np.arange(d), 0.7)
+
+
+@pytest.mark.parametrize("d", [1, 2, 9, 25])
+class TestBallSampling:
+    """Uniform draws on an off-centre ball, checked against the exact law."""
+
+    n = 20_000
+
+    def test_every_draw_inside(self, d):
+        dom = off_centre_ball(d)
+        assert dom.contains(dom.sample_uniform(rng(20 + d), size=self.n)).all()
+
+    def test_radial_cdf(self, d):
+        # under the uniform law (|x - c| / r)^d is uniform on [0, 1]
+        dom = off_centre_ball(d)
+        pts = dom.sample_uniform(rng(30 + d), size=self.n)
+        u = (np.linalg.norm(pts - dom.center, axis=1) / dom.radius) ** d
+        assert abs(np.mean(u <= 0.5) - 0.5) <= 4 * math.sqrt(0.25 / self.n)
+
+    def test_coordinate_moments(self, d):
+        # each coordinate of x - c has mean 0 and even moments
+        # E[x^2k] = r^2k * prod_{j<=k} (2j-1)/(d+2j): r^2/(d+2) for k = 1
+        dom = off_centre_ball(d)
+        pts = dom.sample_uniform(rng(40 + d), size=self.n)
+        m = [math.prod((2 * j - 1) * dom.radius**2 / (d + 2 * j) for j in range(1, k + 1))
+             for k in range(5)]
+        off = pts - dom.center
+        assert np.all(np.abs(off.mean(axis=0)) <= 4 * math.sqrt(m[1] / self.n))
+        # the fourth moment tells an isotropic direction from, say, a normalized cube draw
+        for k in (1, 2):
+            sd = math.sqrt((m[2 * k] - m[k] ** 2) / self.n)
+            assert np.all(np.abs((off ** (2 * k)).mean(axis=0) - m[k]) <= 4 * sd)
+
+    def test_shapes(self, d):
+        dom = off_centre_ball(d)
+        assert dom.sample_uniform(rng(1)).shape == (d,)
+        assert dom.sample_uniform(rng(1), size=0).shape == (0, d)
+        assert dom.sample_uniform(rng(1), size=3).shape == (3, d)
+
+    def test_seeded_generator_repeats(self, d):
+        dom = off_centre_ball(d)
+        assert np.array_equal(dom.sample_uniform(rng(50), size=64),
+                              dom.sample_uniform(rng(50), size=64))
+        assert np.array_equal(dom.sample_uniform(rng(51)), dom.sample_uniform(rng(51)))
+
 
 class TestVolume:
     def test_unit_cube(self):

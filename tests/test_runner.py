@@ -1,10 +1,12 @@
 import math
+import signal
 
 import numpy as np
 import pytest
 
 from conicswarm.birth_death import BirthRule, DeathRule
 from conicswarm.domain import grid_points
+from conicswarm.experiments import gen_teacher_regression
 from conicswarm.kernels import audit_assumptions
 from conicswarm.objective import kkt_residual, loss
 from conicswarm.runner import RunAborted, RunConfig, RunResult, run, trace_from_csv, trace_to_csv
@@ -238,3 +240,40 @@ class TestTraceCsv:
         path.write_text("k,loss\n0,1\n")
         with pytest.raises(ValueError):
             trace_from_csv(path)
+
+
+class TestHighDimension:
+    BUDGET_S = 5.0
+
+    def test_teacher_run_in_25_dimensions_finishes(self):
+        # d = 25: one rejection draw from the bounding cube lands in the ball
+        # with probability 2.9e-11, so a rejection sampler never ends the
+        # first birth step; the exact sampler runs these 300 iterations in
+        # well under a second
+        g = rng(25)
+        _, problem, _ = gen_teacher_regression(2000, 24, 5, 0.05, g)
+        assert problem.domain.dim == 25
+        pos = g.standard_normal((40, 25))
+        pos /= np.linalg.norm(pos, axis=1, keepdims=True)
+        init = ParticleSwarm(np.full(40, 0.01), g.choice([-1.0, 1.0], size=40), pos)
+        cfg = RunConfig(init_swarm=init, k_iters=300, alpha=1.0, plan=FixedPlan(0.002, 256, 0.5),
+                        full_batch=False, birth_death=True,
+                        death_rule=DeathRule(kind="ratio", tau_death=1.5),
+                        birth_rule=BirthRule(threshold_coeff=-0.6, candidates_per_iter=4),
+                        seed=1, trace_cadence=1)
+
+        def over_budget(signum, frame):
+            raise TimeoutError(f"25-dimensional run exceeded its {self.BUDGET_S} s budget")
+
+        previous = signal.signal(signal.SIGALRM, over_budget)
+        signal.setitimer(signal.ITIMER_REAL, self.BUDGET_S)
+        try:
+            res = run(cfg, problem)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert res.total_births > 0 and res.total_deaths > 0
+        for prev, cur in zip(res.trace, res.trace[1:]):
+            assert cur.particles == prev.particles - cur.deaths + cur.births
+        assert len(res.final_swarm) == 40 - res.total_deaths + res.total_births
+        assert problem.domain.contains(res.final_swarm.positions).all()

@@ -73,6 +73,17 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.positions, sw.positions)
 
 
+def test_csv_round_trip_dim_zero(tmp_path):
+    sw = ParticleSwarm([0.5, 0.25], [1, -1], np.empty((2, 0)))
+    path = tmp_path / "swarm.csv"
+    sw.to_csv(path)
+    assert path.read_text() == "weight,sign\n0.5,1\n0.25,-1\n"
+    back = ParticleSwarm.from_csv(path)
+    assert np.array_equal(back.weights, sw.weights)
+    assert np.array_equal(back.signs, sw.signs)
+    assert back.positions.shape == (2, 0)
+
+
 def _from_csv_row(tmp_path, weight, sign):
     path = tmp_path / "swarm.csv"
     path.write_text(f"weight,sign,x0\n0.5,1,0.0\n{weight!r},{sign!r},0.0\n")
