@@ -47,7 +47,14 @@ A batch restriction averages per-sample quantities, so
 Gaussian entries are finished in place from sums of squared coordinate
 differences, so each depends on its two points alone: a row has the same
 bits whatever else shares the call, and ``K(A, B)`` is ``K(B, A)'`` exactly.
-So ``GmmKernel`` averages exact data-side densities over row blocks of
+From ``_PRODUCT_ENTRIES`` entries on, each coordinate's differences are one
+BLAS product ``[a, 1] @ [1; -b]``: its terms are products by 1, so exact,
+and their sum is rounded once, so every difference keeps the bits of the
+subtraction, up to the sign of a zero, for any BLAS summation order, FMA
+use or thread split, and every squared distance keeps them all.
+``GmmKernel`` builds a kernel of a point set against itself as the upper
+triangle of row blocks, mirrored, with the bits of the full build. It
+averages exact data-side densities over row blocks of
 ``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array, and inside
 ``run_scope``, the span of one ``runner.run`` call, it takes each support's
 kernel matrix, and in a full-batch run its data-side rows, from the
@@ -90,17 +97,44 @@ def _rows(x, dim):
     return x
 
 
+#: pairwise entries from which ``_sqdist`` forms coordinate differences as a
+#: product. Below it the product's set-up costs more than it saves: in d = 2
+#: on a Xeon core with OpenBLAS 0.3.31 on one thread, 15 us against 10 us at
+#: 8 x 8, about even at 48 x 48, 22 us against 27 us at 64 x 64 and 34 us
+#: against 62 us at 128 x 128
+_PRODUCT_ENTRIES = 4096
+
+
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, shape (|a|, |b|), as sums of
     squared coordinate differences in one buffer: each entry depends on its
     two points alone, whatever else shares the call, and loses no digits far
-    from the origin."""
-    d2 = np.subtract.outer(a[:, 0], b[:, 0])
+    from the origin. Only the squares are returned, never the differences.
+
+    From ``_PRODUCT_ENTRIES`` entries on, each coordinate's differences
+    ``a_i - b_j`` are one small product, ``[a_:,j, 1] @ [1; -b_:,j]``. Its
+    terms are products by 1, so exact, and the sum of two terms is rounded
+    once: every difference is the correctly rounded ``a_i - b_j`` of
+    ``np.subtract.outer`` whatever the BLAS summation order, FMA use or
+    thread split. Only the sign of a zero difference may differ, and the
+    square removes it.
+    """
+    if len(a) * len(b) < _PRODUCT_ENTRIES:
+        def diff(j):
+            return np.subtract.outer(a[:, j], b[:, j])
+    else:
+        left, right = np.ones((len(a), 2)), np.ones((2, len(b)))
+
+        def diff(j):
+            left[:, 0] = a[:, j]
+            np.negative(b[:, j], out=right[1])
+            return left @ right
+    d2 = diff(0)
     d2 *= d2
     for j in range(1, a.shape[1]):
-        diff = np.subtract.outer(a[:, j], b[:, j])
-        diff *= diff
-        d2 += diff
+        dj = diff(j)
+        dj *= dj
+        d2 += dj
     return d2
 
 
@@ -119,28 +153,52 @@ _BLOCK_ENTRIES = 2_000_000
 #: entries per row block of an n-long evaluation: ``ReluKernel.objective_value``'s
 #: activations and ``GmmKernel``'s exact data-side means (1 MiB)
 _ROW_BLOCK_ENTRIES = 2**17
+#: entries per row block of ``_gauss_self`` (256 KiB, so a block and its
+#: temporaries stay in a core's cache)
+_SELF_BLOCK_ENTRIES = 2**15
 #: leading coordinates that index the cell list of ``_close_pair_sum``
 _CELL_DIMS = 3
+
+
+def _upper_blocks(x: np.ndarray, m: int, step: int, pairwise):
+    """``(lo, hi, pairwise(x[lo:hi], x[lo:]))`` over row blocks of ``step``
+    rows of the first ``m`` rows of ``x``: each block meets itself and the
+    rows after it, so every unordered pair with a row among the first ``m``
+    is evaluated once."""
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        yield lo, hi, pairwise(x[lo:hi], x[lo:])
 
 
 def _exp_sum(x: np.ndarray, m: int, scale: float) -> float:
     """``sum_ij w_ij exp(-|x_i - x_j|^2 / scale)`` over ``i < m``, with
     ``w_ij = 1`` for ``j < m`` and 2 otherwise: the first ``m`` rows
-    against themselves once and against the rest twice.
-
-    Each row block, at most ``_BLOCK_ENTRIES`` terms, meets only itself
-    and the columns after it, the latter counted twice, so every unordered
-    pair is evaluated once, its distance by ``_sqdist``.
+    against themselves once and against the rest twice, by
+    ``_upper_blocks`` of at most ``_BLOCK_ENTRIES`` terms.
     """
-    step = max(1, _BLOCK_ENTRIES // len(x))
     total = 0.0
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        d2 = _sqdist(x[lo:hi], x[lo:])
+    for lo, hi, d2 in _upper_blocks(x, m, max(1, _BLOCK_ENTRIES // len(x)), _sqdist):
         d2 *= -1.0 / scale
         terms = np.exp(d2, out=d2)
         total += float(terms[:, : hi - lo].sum()) + 2.0 * float(terms[:, hi - lo :].sum())
     return total
+
+
+def _gauss_self(x: np.ndarray, var: float, dim: int) -> np.ndarray:
+    """``gauss_density(x, x, var, dim)`` from the upper triangle: by
+    ``_upper_blocks`` of at most ``_SELF_BLOCK_ENTRIES`` entries, each
+    mirrored below the diagonal. Entries are pair-local and
+    ``K(a, b) = K(b, a)`` bit for bit, so the result has the bits of the
+    full build."""
+    p = len(x)
+    if p * p <= _SELF_BLOCK_ENTRIES:
+        return gauss_density(x, x, var, dim)
+    k = np.empty((p, p))
+    for lo, hi, block in _upper_blocks(x, p, max(1, _SELF_BLOCK_ENTRIES // p),
+                                       lambda s, t: gauss_density(s, t, var, dim)):
+        k[lo:hi, lo:] = block
+        k[hi:, lo:hi] = block[:, hi - lo :].T
+    return k
 
 
 def _close_pair_sum(x: np.ndarray, scale: float, cutoff: float) -> float:
@@ -421,7 +479,10 @@ class GmmKernel(KernelModel):
         return self._y_norm_sq
 
     def kernel_matrix(self, a, b, idx=None):
-        return gauss_density(_rows(a, self.dim), _rows(b, self.dim), self._kvar, self.dim)
+        a, b = _rows(a, self.dim), _rows(b, self.dim)
+        if a.shape == b.shape and np.array_equal(a, b):
+            return _gauss_self(a, self._kvar, self.dim)
+        return gauss_density(a, b, self._kvar, self.dim)
 
     def weighted_grad1_kernel(self, a, b, coef, idx=None):
         a = _rows(a, self.dim)

@@ -248,12 +248,23 @@ def dyadic_points(g, n, d):
     return np.round(g.uniform(-8.0, 8.0, size=(n, d)) * 2**20) / 2**20
 
 
-@given(p=st.integers(1, 9), q=st.integers(1, 9), d=st.sampled_from([1, 2, 3]),
+def any_points(g, n, d):
+    return g.uniform(-8.0, 8.0, size=(n, d))
+
+
+#: set sizes on both sides of the switch to the product differences: 64 x 64
+#: and larger pairs reach ``_PRODUCT_ENTRIES``, single rows and small subsets
+#: of them do not
+SIZES = st.one_of(st.integers(1, 9), st.sampled_from([64, 70, 130]))
+
+
+@given(p=SIZES, q=SIZES, d=st.sampled_from([1, 2, 3, 9]),
+       points=st.sampled_from([dyadic_points, any_points]),
        offset=st.sampled_from([0.0, 1e6]), seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(max_examples=120, deadline=None)
-def test_gaussian_entries_are_pair_local(p, q, d, offset, seed, data):
+def test_gaussian_entries_are_pair_local(p, q, d, points, offset, seed, data):
     g = rng(seed)
-    a, b, x = dyadic_points(g, p, d), dyadic_points(g, q, d), dyadic_points(g, 40, d)
+    a, b, x = points(g, p, d), points(g, q, d), points(g, 40, d)
     box = Box(np.full(d, -8.0), np.full(d, 8.0))
     kernels = [SyntheticKernel(box, 1.3, [1.0], a[:1]).kernel_matrix,
                GmmKernel(x, 0.3).kernel_matrix,
@@ -263,7 +274,8 @@ def test_gaussian_entries_are_pair_local(p, q, d, offset, seed, data):
     a_off, b_off = a + offset, b + offset
     for kernel in kernels:
         full = kernel(a_off, b_off)
-        assert same_bits(full, kernel(a, b))
+        if points is dyadic_points:  # the offset moves them exactly
+            assert same_bits(full, kernel(a, b))
         assert same_bits(kernel(b_off, a_off).T, full)
         assert same_bits(kernel(a_off[rows], b_off), full[rows])
         assert same_bits(kernel(a_off, b_off[cols]), full[:, cols])

@@ -26,6 +26,7 @@ import conicswarm.kernels as kernels
 import conicswarm.runner as runner
 from conicswarm.birth_death import BirthRule, DeathRule
 from conicswarm.kernels import GmmKernel
+from conicswarm.objective import loss
 from conicswarm.runner import RunAborted, RunConfig, run
 from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm
@@ -278,6 +279,32 @@ def test_other_supports_are_built_fresh(built, case):
             "unscoped": np.vstack([pushed, cand[[0]]]),
         }[case]
         assert support_builds(built, model, support) == (len(support), len(support) ** 2)
+
+
+@pytest.mark.parametrize("idx", [None, np.arange(40)])
+def test_fresh_support_kernel_builds_the_upper_triangle(built, idx):
+    # a pushed evaluation, a support after a death and the loss build K(T, T)
+    # as row blocks of ``block`` rows against themselves and the rows after
+    # them: p (p + 1) / 2 entries and fewer than p * block more, not p^2
+    problem = make_gmm_problem(seed=3)
+    model = problem.model
+    p = 400
+    block = kernels._SELF_BLOCK_ENTRIES // p
+    bound = p * (p + 1) // 2 + p * block
+    pushed = problem.domain.sample_uniform(rng(4), size=p)
+    coef = np.linspace(0.1, 1.0, p)
+    with model.run_scope():
+        since = len(built)
+        vals = model.certificate_values(pushed, pushed, coef, idx)
+        assert kernel_entries(built, model, since) <= bound < p**2
+        since = len(built)
+        model.certificate_field(pushed[1:], pushed[1:], coef[1:], idx)  # after a death
+        assert kernel_entries(built, model, since) <= bound
+    since = len(built)
+    loss(problem, ParticleSwarm(coef, np.ones(p), pushed))
+    assert kernel_entries(built, model, since) <= bound
+    assert same_bits(vals, fresh_kernel(model, pushed, pushed) @ coef
+                     - model.y_inner_many(pushed, idx))
 
 
 def test_mini_batch_unscoped_and_loss_calls_keep_nothing(built):
