@@ -132,9 +132,12 @@ def apply_mass_tweak(swarm: ParticleSwarm, deaths, births: ParticleSwarm) -> Par
 
     Equivalent to zeroing the dead weights and pruning zero-weight atoms;
     survivor order is preserved and the particle count satisfies
-    ``new = old - len(deaths) + len(births)`` exactly.
+    ``new = old - len(deaths) + len(births)`` exactly. With neither, the
+    swarm itself is returned.
     """
     deaths = np.asarray(deaths, dtype=int).reshape(-1)
+    if not deaths.size and not len(births):
+        return swarm
     keep = slice(None)
     if deaths.size:
         if np.unique(deaths).size != deaths.size:

@@ -36,15 +36,15 @@ def weight_push_update(problem: Problem, swarm: ParticleSwarm, certs, grads,
     certs = np.asarray(certs, dtype=float).reshape(-1)
     grads = np.asarray(grads, dtype=float).reshape(len(swarm), -1) if len(swarm) else \
         np.empty((0, swarm.dim))
-    if certs.size != len(swarm) or grads.shape[0] != len(swarm):
-        raise ValueError("certs and grads must match the swarm length")
+    if certs.size != len(swarm) or grads.shape != swarm.positions.shape:
+        raise ValueError("certs and grads must match the swarm length and dimension")
     # an overflow is reported by the ValueError below, not by a warning
     with np.errstate(over="ignore"):
         new_weights = swarm.weights * np.exp(-rates.alpha * certs)
     if not np.isfinite(new_weights).all():
         raise ValueError("weight update overflowed to non-finite weights; lower alpha")
     if rates.beta > 0 and len(swarm):
-        new_positions, _ = problem.domain.prox_step(swarm.positions, grads, rates.beta)
+        new_positions = problem.domain.project(swarm.positions - rates.beta * grads)
     else:
         new_positions = swarm.positions
     return ParticleSwarm(new_weights, swarm.signs, new_positions)

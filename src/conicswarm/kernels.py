@@ -28,10 +28,9 @@ and ``grad_y_inner_many`` bit for bit. Two more evaluators serve the
 solver's value-only calls:
 
 * ``certificate_values(T, S, c, idx)`` -- the values of
-  ``certificate_field`` alone, by default
-  ``weighted_kernel(T, S, c, idx) - y_inner_many(T, idx)``; ReLU builds
-  one activation of T (reused for S when S equals T) with the same
-  expression as its ``certificate_field``, so all three agree bit for bit;
+  ``certificate_field`` alone, from the same inputs and with the same
+  expression, so the two agree bit for bit; ReLU builds one activation of
+  T, reused for S when S equals T;
 * ``objective_value(T, w, s, kappa)`` -- the exact objective of a
   non-empty swarm, by default the expanded
   ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
@@ -60,6 +59,13 @@ averages exact data-side densities over row blocks of
 kernel matrix, and in a full-batch run its data-side rows, from the
 previous iteration's pushed and candidate evaluations, and the candidates'
 batch rows from the pushed evaluation's fetch.
+
+``SyntheticKernel`` builds each certificate evaluation, and each
+``y_inner_many`` and ``grad_y_inner_many``, from one kernel matrix of T
+against the support stacked on the observation's fixed points, its atoms
+and anchors; the products read its column slices. Entries are pair-local,
+so each slice has the bits of its own call. Inside ``run_scope`` it keeps
+the last batch's noise mean.
 
 ``ReluKernel`` keeps, inside ``run_scope``, its last value-only evaluation
 at the support: the batch rows, their targets and the support's network
@@ -288,20 +294,21 @@ class KernelModel(ABC):
     def run_scope(self):
         """The span of one solver run. A model may keep evaluations between
         calls inside it, in ``_kept``, and they are dropped on exit however it
-        ends: ``GmmKernel`` keeps its last two value-only evaluations (kernel
-        matrices, and data-side rows or the fetched batch), ``ReluKernel`` its
-        last value-only evaluation at the support (the batch, its targets and
-        the support's network output)."""
+        ends: ``SyntheticKernel`` keeps the last batch's noise mean,
+        ``GmmKernel`` its last two value-only evaluations (kernel matrices,
+        and data-side rows or the fetched batch), ``ReluKernel`` its last
+        value-only evaluation at the support (the batch, its targets and the
+        support's network output)."""
         self._kept = []
         try:
             yield
         finally:
             self._kept = None
 
+    @abstractmethod
     def certificate_values(self, t, support, coef, idx=None) -> np.ndarray:
         """Values ``K(t, S) c - <y, phi_t>`` alone, the value twin of
         ``certificate_field``."""
-        return self.weighted_kernel(t, support, coef, idx) - self.y_inner_many(t, idx)
 
     def objective_value(self, t, weights, signs, kappa: float) -> float:
         """``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
@@ -320,6 +327,18 @@ class SyntheticKernel(KernelModel):
     observation is the image of a planted atomic measure plus a bounded
     perturbation spread over ``n_samples`` pseudo-samples, giving the
     stochastic oracle a real (but exactly controlled) noise source.
+
+    The atoms and anchors are stacked once, and every certificate
+    evaluation, ``y_inner_many`` and ``grad_y_inner_many`` builds one
+    kernel matrix ``K(t, [S; atoms; anchors])`` (S empty for the last two)
+    whose column slices feed the products. ``|y|^2`` is computed once.
+
+    Inside ``run_scope`` the model keeps one record: the last batch's noise
+    mean ``eta[idx].mean(axis=0)``, read-only and keyed by the index bytes.
+    In the loop the pushed certificate and the birth candidates share a
+    batch, so they gather it once. The exact evaluation reads the mean of
+    all samples, and an evaluation on another batch or outside a scope
+    gathers its own; the record is dropped when the scope ends.
     """
 
     def __init__(self, domain: Box, sigma: float, atom_weights, atom_positions,
@@ -348,6 +367,9 @@ class SyntheticKernel(KernelModel):
         if center_noise:
             self.eta = self.eta - self.eta.mean(axis=0)
         self._eta_mean = self.eta.mean(axis=0)
+        # the fixed points of <y, phi_t>, stacked once: atoms, then anchors
+        self._fixed = np.vstack([self.atom_positions, self.anchors])
+        self._y_norm_sq = None
 
     @property
     def n_samples(self):
@@ -355,9 +377,10 @@ class SyntheticKernel(KernelModel):
 
     @property
     def y_norm_sq(self):
-        coefs = np.concatenate([self.atom_weights, self._eta_mean])
-        pts = np.vstack([self.atom_positions, self.anchors])
-        return float(coefs @ self.kernel_matrix(pts, pts) @ coefs)
+        if self._y_norm_sq is None:
+            coefs = np.concatenate([self.atom_weights, self._eta_mean])
+            self._y_norm_sq = float(coefs @ self.kernel_matrix(self._fixed, self._fixed) @ coefs)
+        return self._y_norm_sq
 
     def noise_sup(self) -> tuple[float, float]:
         """Exact a.s. bounds on the per-sample noise of values and gradients."""
@@ -383,33 +406,61 @@ class SyntheticKernel(KernelModel):
         return _gauss_grad(self.kernel_matrix(a, b), a, b, coef, self.sigma**2)
 
     def _noise_coef(self, idx):
+        """The anchors' noise coefficients of the batch ``idx``; inside
+        ``run_scope`` the last batch's mean is kept, keyed by its index bytes."""
         if idx is None:
             return self._eta_mean
-        return self.eta[np.asarray(idx, dtype=int)].mean(axis=0)
+        idx = np.asarray(idx, dtype=int)
+        if self._kept is None:
+            return self.eta[idx].mean(axis=0)
+        key = idx.tobytes()
+        if not self._kept or self._kept[0][0] != key:
+            mean = self.eta[idx].mean(axis=0)
+            mean.flags.writeable = False
+            self._kept = [(key, mean)]
+        return self._kept[0][1]
+
+    def _blocks(self, t, support):
+        """``K(t, S)``, ``K(t, atoms)`` and ``K(t, anchors)``: the column
+        slices of one kernel matrix ``K(t, [S; atoms; anchors])``."""
+        k = self.kernel_matrix(t, np.vstack([support, self._fixed]))
+        p, q = len(support), len(support) + self.atom_weights.size
+        return k[:, :p], k[:, p:q], k[:, q:]
+
+    def _y_values(self, k_atoms, k_anchors, noise):
+        """``<y, phi_t>`` from the fixed points' slices of ``_blocks``."""
+        return k_atoms @ self.atom_weights + k_anchors @ noise
+
+    def _y_grads(self, t, k_atoms, k_anchors, noise):
+        """The gradient of ``<y, phi_t>`` in t from the same slices."""
+        var = self.sigma**2
+        return _gauss_grad(k_atoms, t, self.atom_positions, self.atom_weights, var) \
+            + _gauss_grad(k_anchors, t, self.anchors, noise, var)
 
     def y_inner_many(self, t, idx=None):
         t = _rows(t, self.dim)
-        core = self.kernel_matrix(t, self.atom_positions) @ self.atom_weights
-        return core + self.kernel_matrix(t, self.anchors) @ self._noise_coef(idx)
+        return self._y_values(*self._blocks(t, t[:0])[1:], self._noise_coef(idx))
 
     def grad_y_inner_many(self, t, idx=None):
         t = _rows(t, self.dim)
-        g = self.weighted_grad1_kernel(t, self.atom_positions, self.atom_weights)
-        return g + self.weighted_grad1_kernel(t, self.anchors, self._noise_coef(idx))
+        return self._y_grads(t, *self._blocks(t, t[:0])[1:], self._noise_coef(idx))
+
+    def certificate_values(self, t, support, coef, idx=None):
+        t = _rows(t, self.dim)
+        support = _rows(support, self.dim)
+        coef = np.asarray(coef, dtype=float).reshape(-1)
+        k_s, k_atoms, k_anchors = self._blocks(t, support)
+        return k_s @ coef - self._y_values(k_atoms, k_anchors, self._noise_coef(idx))
 
     def certificate_field(self, t, support, coef, idx=None):
         t = _rows(t, self.dim)
         support = _rows(support, self.dim)
         coef = np.asarray(coef, dtype=float).reshape(-1)
-        var = self.sigma**2
+        k_s, k_atoms, k_anchors = self._blocks(t, support)
         noise = self._noise_coef(idx)
-        k_s = self.kernel_matrix(t, support)
-        k_atoms = self.kernel_matrix(t, self.atom_positions)
-        k_anchors = self.kernel_matrix(t, self.anchors)
-        vals = k_s @ coef - (k_atoms @ self.atom_weights + k_anchors @ noise)
-        grads = _gauss_grad(k_s, t, support, coef, var) - (
-            _gauss_grad(k_atoms, t, self.atom_positions, self.atom_weights, var)
-            + _gauss_grad(k_anchors, t, self.anchors, noise, var))
+        vals = k_s @ coef - self._y_values(k_atoms, k_anchors, noise)
+        grads = _gauss_grad(k_s, t, support, coef, self.sigma**2) \
+            - self._y_grads(t, k_atoms, k_anchors, noise)
         return vals, grads
 
 

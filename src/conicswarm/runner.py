@@ -17,11 +17,12 @@ The loop runs inside ``KernelModel.run_scope``, where a model may keep
 evaluations between calls. The birth candidates are scored against the
 pushed support on the pushed certificate's batch, so a ReLU run takes that
 batch and the support's network output on it from the pushed evaluation,
-and a mixture run the fetched batch rows. Unless a particle died, each
-support is the previous pushed support followed by the accepted
-candidates, so a mixture run takes its kernel matrix (and at beta = 0 the
-pushed one's), and a full-batch run also their data-side rows, from those
-two evaluations. Everything kept is dropped when ``run`` returns or raises.
+a mixture run the fetched batch rows, and a synthetic run the batch's noise
+mean. Unless a particle died, each support is the previous pushed support
+followed by the accepted candidates, so a mixture run takes its kernel
+matrix (and at beta = 0 the pushed one's), and a full-batch run also their
+data-side rows, from those two evaluations. Everything kept is dropped
+when ``run`` returns or raises.
 """
 
 from __future__ import annotations

@@ -174,6 +174,16 @@ class TestApplyMassTweak:
         out = apply_mass_tweak(sw, [], ParticleSwarm.empty(1))
         assert np.array_equal(out.weights, sw.weights)
         assert np.array_equal(out.positions, sw.positions)
+        # nothing dies and nothing is born: every array comes back as it was
+        g = rng(3)
+        for p in (0, 1, 5):
+            sw = ParticleSwarm(g.uniform(0.0, 1.0, size=p), g.choice([-1.0, 1.0], size=p),
+                               g.uniform(-1.0, 1.0, size=(p, 3)))
+            for deaths in ([], np.empty(0, dtype=int)):
+                out = apply_mass_tweak(sw, deaths, ParticleSwarm.empty(3))
+                for name in ("weights", "signs", "positions"):
+                    got, want = getattr(out, name), getattr(sw, name)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_counts_and_order(self):
         sw = ParticleSwarm([0.1, 0.2, 0.3], [1, -1, 1], np.arange(3.0).reshape(3, 1))

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conicswarm.dynamics import StepRates, descent_check, weight_push_update
 from conicswarm.kernels import audit_assumptions
 from conicswarm.objective import certificate_and_grad
 from conicswarm.schedules import calibrate
 from conicswarm.swarm import ParticleSwarm
-from conicswarm.verify import make_synthetic_problem, random_swarm
+from conicswarm.verify import make_relu_problem, make_synthetic_problem, random_swarm
 
 
 def rng(seed=0):
@@ -86,6 +87,38 @@ class TestWeightPushUpdate:
         certs = np.array([0.0, -1e4])  # exp(-alpha * cert) = exp(1e4) overflows
         with pytest.raises(ValueError, match="non-finite"):
             weight_push_update(problem, sw, certs, np.zeros((2, 2)), StepRates(1.0, 0.0))
+
+    @given(domain=st.sampled_from(["box", "ball"]), seed=st.integers(0, 2**32 - 1),
+           p=st.integers(1, 40), beta=st.floats(1e-6, 3.0), scale=st.sampled_from([0.1, 10.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_positions_are_the_prox_step(self, domain, seed, p, beta, scale):
+        # the projected step keeps prox_step's t_plus bit for bit, also on
+        # rows the projection moves back into the domain
+        problem = make_synthetic_problem() if domain == "box" else make_relu_problem()
+        g = rng(seed)
+        sw = random_swarm(problem, g, max_particles=p)
+        grads = scale * g.standard_normal((len(sw), problem.domain.dim))
+        out = weight_push_update(problem, sw, np.zeros(len(sw)), grads, StepRates(0.1, beta))
+        t_plus, _ = problem.domain.prox_step(sw.positions, grads, beta)
+        assert out.positions.tobytes() == t_plus.tobytes()
+
+    @pytest.mark.parametrize("domain", ["box", "ball"])
+    def test_clipped_rows_are_the_prox_step(self, domain):
+        problem = make_synthetic_problem() if domain == "box" else make_relu_problem()
+        g = rng(7)
+        sw = random_swarm(problem, g, max_particles=12)
+        grads = 100.0 * g.standard_normal((len(sw), problem.domain.dim))
+        out = weight_push_update(problem, sw, np.zeros(len(sw)), grads, StepRates(0.1, 0.5))
+        t_plus, _ = problem.domain.prox_step(sw.positions, grads, 0.5)
+        assert not problem.domain.contains(sw.positions - 0.5 * grads).any()
+        assert out.positions.tobytes() == t_plus.tobytes()
+
+    def test_gradient_dimension_mismatch_rejected(self):
+        problem = make_synthetic_problem()
+        sw = random_swarm(problem, rng(6), max_particles=4)
+        with pytest.raises(ValueError, match="dimension"):
+            weight_push_update(problem, sw, np.zeros(len(sw)),
+                               np.zeros((len(sw), 1)), StepRates(0.1, 0.5))
 
     def test_length_mismatch_rejected(self):
         problem = make_synthetic_problem()

@@ -1,0 +1,250 @@
+"""``SyntheticKernel``'s certificate from one kernel block per evaluation.
+
+Each certificate evaluation, and each of ``y_inner_many`` and
+``grad_y_inner_many``, builds one kernel matrix ``K(t, [S; atoms;
+anchors])`` and reads its three column slices. Gaussian entries are
+pair-local, so every slice must have the bits of its own
+``kernel_matrix`` call, which is how ``Reference`` below builds them: one
+call per point set, a noise mean gathered on every call and ``|y|^2``
+recomputed on every access. CI runs this file again with OpenBLAS on two
+threads.
+
+Inside ``run_scope`` the model keeps the last batch's noise mean, keyed by
+its index bytes: the pushed certificate and the birth candidates share a
+batch and gather it once. It is never read for another batch, for the exact
+evaluation or outside a scope, and is dropped when ``runner.run`` returns
+or raises.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import conicswarm.cli as cli
+import conicswarm.runner as runner
+from conicswarm.birth_death import BirthRule, DeathRule
+from conicswarm.config import load_config
+from conicswarm.domain import Box
+from conicswarm.kernels import SyntheticKernel
+from conicswarm.runner import RunAborted, RunConfig, run, trace_to_csv
+from conicswarm.schedules import AnytimePlan
+from conicswarm.swarm import ParticleSwarm
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def rng(seed=0):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and \
+        np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
+
+
+class Reference(SyntheticKernel):
+    """The certificate composed from the four primitives, each building one
+    kernel matrix per point set; keeps no record."""
+
+    def run_scope(self):
+        return contextlib.nullcontext()
+
+    @property
+    def y_norm_sq(self):
+        coefs = np.concatenate([self.atom_weights, self._eta_mean])
+        pts = np.vstack([self.atom_positions, self.anchors])
+        return float(coefs @ self.kernel_matrix(pts, pts) @ coefs)
+
+    def noise(self, idx):
+        return self._eta_mean if idx is None else self.eta[np.asarray(idx, dtype=int)].mean(axis=0)
+
+    def y_inner_many(self, t, idx=None):
+        core = self.kernel_matrix(t, self.atom_positions) @ self.atom_weights
+        return core + self.kernel_matrix(t, self.anchors) @ self.noise(idx)
+
+    def grad_y_inner_many(self, t, idx=None):
+        g = self.weighted_grad1_kernel(t, self.atom_positions, self.atom_weights)
+        return g + self.weighted_grad1_kernel(t, self.anchors, self.noise(idx))
+
+    def certificate_values(self, t, support, coef, idx=None):
+        return self.weighted_kernel(t, support, coef) - self.y_inner_many(t, idx)
+
+    def certificate_field(self, t, support, coef, idx=None):
+        return (self.certificate_values(t, support, coef, idx),
+                self.weighted_grad1_kernel(t, support, coef) - self.grad_y_inner_many(t, idx))
+
+
+def model_pair(seed, dim, n_atoms, n_anchors, n_samples=64):
+    g = rng(seed)
+    box = Box(np.zeros(dim), np.ones(dim))
+    args = (box, 1.2, g.uniform(-0.5, 0.5, size=n_atoms), box.sample_uniform(g, size=n_atoms))
+    kw = dict(n_samples=n_samples, noise_scale=0.02, n_anchors=n_anchors, seed=seed + 1)
+    return SyntheticKernel(*args, **kw), Reference(*args, **kw)
+
+
+def evaluations(model, t, support, coef, idx):
+    """Every block-built output of the model, in a fixed order."""
+    return [*model.certificate_field(t, support, coef, idx),
+            model.certificate_values(t, support, coef, idx),
+            model.y_inner_many(t, idx), model.grad_y_inner_many(t, idx)]
+
+
+#: small sizes, and run-scale ones past ``_PRODUCT_ENTRIES`` and BLAS blocking
+SUPPORTS = st.one_of(st.integers(0, 12), st.sampled_from([64, 65, 512, 999, 1000]),
+                     st.integers(13, 1000))
+POINTS = st.one_of(st.integers(0, 12), st.sampled_from([64, 65, 640, 700]),
+                   st.integers(13, 700))
+BATCHES = st.one_of(st.none(), st.sampled_from([1, 800]), st.integers(1, 800))
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]),
+       n_atoms=st.integers(1, 5), n_anchors=st.integers(0, 4), p=SUPPORTS, n_points=POINTS,
+       at_support=st.booleans(), batch=BATCHES,
+       scoped=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_block_matches_one_kernel_matrix_per_point_set(seed, dim, n_atoms, n_anchors, p,
+                                                       n_points, at_support, batch, scoped):
+    model, ref = model_pair(seed, dim, n_atoms, n_anchors)
+    g = rng(seed)
+    support = model.domain.sample_uniform(g, size=p)
+    coef = g.uniform(-1.0, 1.0, size=p)
+    t = support if at_support else model.domain.sample_uniform(g, size=n_points)
+    idx = None if batch is None else g.integers(0, model.n_samples, size=batch)
+    want = evaluations(ref, t, support, coef, idx)
+    with model.run_scope() if scoped else contextlib.nullcontext():
+        for _ in range(2):  # the second pass reads a kept noise mean
+            for got, expected in zip(evaluations(model, t, support, coef, idx), want):
+                assert same_bits(got, expected)
+    assert model.y_norm_sq == ref.y_norm_sq
+
+
+def test_each_evaluation_builds_one_kernel_matrix(monkeypatch):
+    model, _ = model_pair(3, 2, 3, 3)
+    g = rng(4)
+    support, t = model.domain.sample_uniform(g, size=6), model.domain.sample_uniform(g, size=4)
+    real, built = SyntheticKernel.kernel_matrix, []
+
+    def counting(self, a, b, idx=None):
+        built.append((len(a), len(b)))
+        return real(self, a, b, idx)
+
+    monkeypatch.setattr(SyntheticKernel, "kernel_matrix", counting)
+    for idx in (None, g.integers(0, 64, size=16)):
+        built.clear()
+        evaluations(model, t, support, np.ones(6), idx)
+        assert built == [(4, 6 + 6)] * 2 + [(4, 6)] * 2
+    built.clear()
+    assert model.y_norm_sq == model.y_norm_sq
+    assert built == [(6, 6)]  # computed once
+
+
+def gathers(model):
+    """Makes the model's noise coefficients log the length of every batch
+    gathered from them; returns the log."""
+    log = []
+
+    class Eta(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, np.ndarray):
+                log.append(len(key))
+            return np.asarray(np.ndarray.__getitem__(self, key))
+
+    model.eta = model.eta.view(Eta)
+    return log
+
+
+def test_noise_mean_is_kept_for_its_batch_only():
+    model, ref = model_pair(5, 2, 3, 3)
+    log = gathers(model)
+    g = rng(6)
+    support, t = model.domain.sample_uniform(g, size=5), model.domain.sample_uniform(g, size=3)
+    coef = g.uniform(-1.0, 1.0, size=5)
+    a = g.integers(0, 64, size=32)
+    calls = [(a, 1), (a.copy(), 0), (None, 0), (a, 0), (a[:-1], 1), (a, 1),
+             (g.integers(0, 64, size=32), 1)]
+    with model.run_scope():
+        for idx, gathered in calls:
+            before = len(log)
+            assert same_bits(model.certificate_values(t, support, coef, idx),
+                             ref.certificate_values(t, support, coef, idx))
+            assert len(log) - before == gathered
+            (key, mean), = model._kept
+            assert not mean.flags.writeable
+    assert model._kept is None
+    before = len(log)
+    for _ in range(2):
+        assert same_bits(model.certificate_values(t, support, coef, a),
+                         ref.certificate_values(t, support, coef, a))
+    assert len(log) - before == 2 and model._kept is None
+
+
+def theory_problem():
+    return cli.build_problem(load_config(CONFIGS / "synthetic_theory.cfg"))[0]
+
+
+def loop_config(problem, k_iters=40):
+    g = rng(2)
+    init = ParticleSwarm(np.full(8, 0.04), np.ones(8), problem.domain.sample_uniform(g, size=8))
+    return RunConfig(init_swarm=init, k_iters=k_iters, alpha=0.5, plan=AnytimePlan(alpha=0.5),
+                     death_rule=DeathRule(), birth_rule=BirthRule(threshold_coeff=0.05),
+                     seed=9, trace_cadence=10)
+
+
+def test_iteration_gathers_two_noise_means():
+    # the support's field gathers its batch; the pushed certificate and the
+    # candidates share the second one
+    problem = theory_problem()
+    log = gathers(problem.model)
+    config = loop_config(problem)
+    run(config, problem)
+    assert log == [m for k in range(1, config.k_iters + 1) for m in [config.plan.at(k)[1]] * 2]
+
+
+def test_record_dropped_after_run_and_after_abort(monkeypatch):
+    problem = theory_problem()
+    run(loop_config(problem, k_iters=5), problem)
+    assert problem.model._kept is None
+    real, seen = runner.weight_push_update, []
+
+    def failing(problem_, swarm, certs, grads, rates):
+        seen.append(len(problem.model._kept))
+        if len(seen) == 3:
+            raise ValueError("stop here")
+        return real(problem_, swarm, certs, grads, rates)
+
+    monkeypatch.setattr(runner, "weight_push_update", failing)
+    with pytest.raises(RunAborted):
+        run(loop_config(problem), problem)
+    assert seen == [1, 1, 1]
+    assert problem.model._kept is None
+
+
+def run_files(tmp_path, name, iterations=200):
+    spec = load_config(CONFIGS / "synthetic_theory.cfg")
+    spec.run["iterations"] = iterations
+    problem, extras = cli.build_problem(spec)
+    config, _ = cli.build_run_config(spec, problem, extras)
+    result = run(config, problem)
+    out = tmp_path / name
+    out.mkdir()
+    trace_to_csv(result.trace, out / "trace.csv")
+    result.final_swarm.to_csv(out / "final_swarm.csv")
+    return problem, result, out
+
+
+def test_theory_run_writes_the_bytes_of_the_reference_path(tmp_path, monkeypatch):
+    problem, result, shipped = run_files(tmp_path, "shipped")
+    assert type(problem.model) is SyntheticKernel
+    assert result.total_births > 0 and result.total_deaths > 0
+    monkeypatch.setattr(cli, "SyntheticKernel", Reference)
+    problem, _, reference = run_files(tmp_path, "reference")
+    assert type(problem.model) is Reference
+    for name in ("trace.csv", "final_swarm.csv"):
+        assert (shipped / name).read_bytes() == (reference / name).read_bytes()
+
