@@ -21,11 +21,13 @@ and one fused evaluator of the unsigned certificate field,
 * ``certificate_field(T, S, c, idx)`` -- ``(K(T, S) c - <y, phi_T>,
   sum_j c_j grad K(T, s_j) - grad <y, phi_T>)``
 
-which builds one kernel matrix and one data-side density (for ReLU, one
-activation array and no kernel matrix) for both values and gradients and
-matches ``weighted_kernel``, ``y_inner_many``, ``weighted_grad1_kernel``
-and ``grad_y_inner_many`` bit for bit. Two more evaluators serve the
-solver's value-only calls:
+which builds one kernel matrix and one data-side density for both values
+and gradients and matches ``weighted_kernel``, ``y_inner_many``,
+``weighted_grad1_kernel`` and ``grad_y_inner_many`` bit for bit. ReLU
+builds one activation array and no kernel matrix, and correlates it with
+the residual ``r = relu(X_b S) c - y``: values ``act' r / m``, gradients
+``((pre > 0) r)' X_b / m``, equal to the primitives' up to summation
+rounding. Two more evaluators serve the solver's value-only calls:
 
 * ``certificate_values(T, S, c, idx)`` -- the values of
   ``certificate_field`` alone, from the same inputs and with the same
@@ -34,7 +36,8 @@ solver's value-only calls:
 * ``objective_value(T, w, s, kappa)`` -- the exact objective of a
   non-empty swarm, by default the expanded
   ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
-  ``c = s w``. ReLU sums the residual
+  ``c = s w``, which ``SyntheticKernel`` reads from one kernel block.
+  ReLU sums the residual
   ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)`` over row blocks of at
   most ``_ROW_BLOCK_ENTRIES`` activations (1 MiB) in one reused buffer,
   so its temporaries stay that size whatever n is (one row of p entries
@@ -60,18 +63,17 @@ kernel matrix, and in a full-batch run its data-side rows, from the
 previous iteration's pushed and candidate evaluations, and the candidates'
 batch rows from the pushed evaluation's fetch.
 
-``SyntheticKernel`` builds each certificate evaluation, and each
-``y_inner_many`` and ``grad_y_inner_many``, from one kernel matrix of T
-against the support stacked on the observation's fixed points, its atoms
-and anchors; the products read its column slices. Entries are pair-local,
-so each slice has the bits of its own call. Inside ``run_scope`` it keeps
-the last batch's noise mean.
+``SyntheticKernel`` builds each certificate evaluation, each
+``y_inner_many`` and ``grad_y_inner_many``, and the loss from one kernel
+matrix of T against the support (T for the loss) stacked on the
+observation's fixed points; the products read its column slices, which
+have the bits of their own calls. Inside ``run_scope`` it keeps the last
+batch's noise mean.
 
 ``ReluKernel`` keeps, inside ``run_scope``, its last value-only evaluation
-at the support: the batch rows, their targets and the support's network
-output ``u = relu(X_b S) c``. The candidates, scored against the pushed
-support on the same batch, read them and build only their own activation;
-the products see the same operands, so the values keep their bits.
+at the support: the batch rows and the residual ``r``. The candidates,
+scored against the pushed support on the same batch, read them and build
+only their own activation, with the bits of a fresh evaluation.
 """
 
 from __future__ import annotations
@@ -287,6 +289,10 @@ class KernelModel(ABC):
     def certificate_field(self, t, support, coef, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """Values ``K(t, S) c - <y, phi_t>`` and their gradients in t."""
 
+    def _operands(self, a, b, coef):
+        """Two point sets as rows of positions and ``coef`` as a flat array."""
+        return _rows(a, self.dim), _rows(b, self.dim), np.asarray(coef, dtype=float).reshape(-1)
+
     #: evaluations kept between calls: a list inside ``run_scope``, else None
     _kept = None
 
@@ -297,8 +303,7 @@ class KernelModel(ABC):
         ends: ``SyntheticKernel`` keeps the last batch's noise mean,
         ``GmmKernel`` its last two value-only evaluations (kernel matrices,
         and data-side rows or the fetched batch), ``ReluKernel`` its last
-        value-only evaluation at the support (the batch, its targets and the
-        support's network output)."""
+        value-only evaluation at the support (the batch and the residual)."""
         self._kept = []
         try:
             yield
@@ -400,9 +405,7 @@ class SyntheticKernel(KernelModel):
         return np.exp(d2, out=d2)
 
     def weighted_grad1_kernel(self, a, b, coef, idx=None):
-        a = _rows(a, self.dim)
-        b = _rows(b, self.dim)
-        coef = np.asarray(coef, dtype=float).reshape(-1)
+        a, b, coef = self._operands(a, b, coef)
         return _gauss_grad(self.kernel_matrix(a, b), a, b, coef, self.sigma**2)
 
     def _noise_coef(self, idx):
@@ -446,22 +449,27 @@ class SyntheticKernel(KernelModel):
         return self._y_grads(t, *self._blocks(t, t[:0])[1:], self._noise_coef(idx))
 
     def certificate_values(self, t, support, coef, idx=None):
-        t = _rows(t, self.dim)
-        support = _rows(support, self.dim)
-        coef = np.asarray(coef, dtype=float).reshape(-1)
+        t, support, coef = self._operands(t, support, coef)
         k_s, k_atoms, k_anchors = self._blocks(t, support)
         return k_s @ coef - self._y_values(k_atoms, k_anchors, self._noise_coef(idx))
 
     def certificate_field(self, t, support, coef, idx=None):
-        t = _rows(t, self.dim)
-        support = _rows(support, self.dim)
-        coef = np.asarray(coef, dtype=float).reshape(-1)
+        t, support, coef = self._operands(t, support, coef)
         k_s, k_atoms, k_anchors = self._blocks(t, support)
         noise = self._noise_coef(idx)
         vals = k_s @ coef - self._y_values(k_atoms, k_anchors, noise)
         grads = _gauss_grad(k_s, t, support, coef, self.sigma**2) \
             - self._y_grads(t, k_atoms, k_anchors, noise)
         return vals, grads
+
+    def objective_value(self, t, weights, signs, kappa):
+        """The base class's expanded objective, with ``<y, phi_T>`` and
+        ``K(T, T) c`` read from one block ``K(T, [T; atoms; anchors])``."""
+        t = _rows(t, self.dim)
+        c = weights * signs
+        k_s, k_atoms, k_anchors = self._blocks(t, t)
+        k_t = signs * self._y_values(k_atoms, k_anchors, self._eta_mean)
+        return float(0.5 * self.y_norm_sq + (kappa - k_t) @ weights + 0.5 * (c @ (k_s @ c)))
 
 
 class GmmKernel(KernelModel):
@@ -536,9 +544,7 @@ class GmmKernel(KernelModel):
         return gauss_density(a, b, self._kvar, self.dim)
 
     def weighted_grad1_kernel(self, a, b, coef, idx=None):
-        a = _rows(a, self.dim)
-        b = _rows(b, self.dim)
-        coef = np.asarray(coef, dtype=float).reshape(-1)
+        a, b, coef = self._operands(a, b, coef)
         return _gauss_grad(self.kernel_matrix(a, b), a, b, coef, self._kvar)
 
     def _batch(self, idx):
@@ -616,9 +622,7 @@ class GmmKernel(KernelModel):
         return k, rows, means
 
     def certificate_values(self, t, support, coef, idx=None):
-        t = _rows(t, self.dim)
-        support = _rows(support, self.dim)
-        coef = np.asarray(coef, dtype=float).reshape(-1)
+        t, support, coef = self._operands(t, support, coef)
         if idx is None and self._kept is None:
             return self.kernel_matrix(t, support) @ coef - self._exact_means(t)
         x = self._batch(idx)
@@ -633,9 +637,7 @@ class GmmKernel(KernelModel):
         return vals
 
     def certificate_field(self, t, support, coef, idx=None):
-        t = _rows(t, self.dim)
-        support = _rows(support, self.dim)
-        coef = np.asarray(coef, dtype=float).reshape(-1)
+        t, support, coef = self._operands(t, support, coef)
         x = self._batch(idx)
         k_s, k_y, y = self._inputs(t, support, idx, x)
         vals = k_s @ coef - y
@@ -653,17 +655,20 @@ class ReluKernel(KernelModel):
 
     Weighted sums of kernel values are formed in feature space,
     ``K(A, B) c = relu(X A)' (relu(X B) c) / m``, so neither the
-    certificate nor the loss builds a particle-by-particle matrix.
+    certificate nor the loss builds a particle-by-particle matrix. The
+    certificate correlates the features of t with the residual
+    ``r = relu(X_b S) c - y``: one product for the values, one for the
+    gradients.
 
     Inside ``run_scope`` the model keeps one record: its last value-only
     evaluation at ``t == support``, as read-only views of the batch rows
-    ``X_b``, their targets and the support's output ``u = relu(X_b S) c``,
-    keyed by the bytes of the support, ``c`` and the batch indices (None for
-    the exact evaluation). In the loop this is the pushed support, and the
-    birth candidates are scored against it on the same batch, so they take
-    ``X_b``, the targets and ``u`` from the record and build only their own
-    activation. Any evaluation against another support, ``c`` or batch is
-    built fresh; the record is dropped when the scope ends.
+    ``X_b`` and the residual ``r``, keyed by the bytes of the support, ``c``
+    and the batch indices (None for the exact evaluation). In the loop this
+    is the pushed support, and the birth candidates are scored against it
+    on the same batch, so they take ``X_b`` and ``r`` from the record and
+    build only their own activation. Any evaluation against another
+    support, ``c`` or batch is built fresh; the record is dropped when the
+    scope ends.
     """
 
     kernel_depends_on_samples = True
@@ -707,18 +712,14 @@ class ReluKernel(KernelModel):
         return act_a.T @ act_b / aug.shape[0]
 
     def weighted_kernel(self, a, b, coef, idx=None):
-        a = _rows(a, self.dim)
-        b = _rows(b, self.dim)
-        coef = np.asarray(coef, dtype=float).reshape(-1)
+        a, b, coef = self._operands(a, b, coef)
         aug, pre_a = self._acts(a, idx)
         act_a = np.maximum(pre_a, 0.0)
         act_b = act_a if np.array_equal(a, b) else np.maximum(aug @ b.T, 0.0)
         return act_a.T @ (act_b @ coef) / aug.shape[0]
 
     def weighted_grad1_kernel(self, a, b, coef, idx=None):
-        a = _rows(a, self.dim)
-        b = _rows(b, self.dim)
-        coef = np.asarray(coef, dtype=float).reshape(-1)
+        a, b, coef = self._operands(a, b, coef)
         aug, pre_a = self._acts(a, idx)
         act_b = np.maximum(aug @ b.T, 0.0)
         u = act_b @ coef
@@ -737,43 +738,38 @@ class ReluKernel(KernelModel):
         return (mask * self._targets(idx)[:, None]).T @ aug / aug.shape[0]
 
     def _field(self, t, support, coef, idx, keep=False):
-        """Batch rows, pre-activations of ``t``, the network output ``u`` of
-        the support on the batch, targets and values of the certificate
-        field, from one activation of ``t``. The batch rows, targets and
-        ``u`` are the kept record's when it was made against the same
+        """Batch rows, pre-activations of ``t``, the residual ``r = u - y`` of
+        the support's network output ``u`` on the batch, and the certificate
+        values ``act' r / m``, from one activation of ``t``. The batch rows
+        and ``r`` are the kept record's when it was made against the same
         support, coefficients and batch; else ``u`` reuses the activation of
         ``t`` when the support equals ``t``, and with ``keep`` inside a run
         scope such an evaluation becomes the record."""
-        t = _rows(t, self.dim)
-        support = _rows(support, self.dim)
-        coef = np.asarray(coef, dtype=float).reshape(-1)
+        t, support, coef = self._operands(t, support, coef)
         key = None if self._kept is None else (
             support.tobytes(), coef.tobytes(),
             None if idx is None else np.asarray(idx, dtype=int).tobytes())
         kept = next((e[1:] for e in self._kept or () if e[0] == key), None)
-        aug, y, u = kept or (self._batch(idx), self._targets(idx), None)
+        aug, r = kept or (self._batch(idx), None)
         pre = aug @ t.T
         act = np.maximum(pre, 0.0)
-        if u is None:
+        if r is None:
             at_support = np.array_equal(support, t)
             u = (act if at_support else np.maximum(aug @ support.T, 0.0)) @ coef
+            r = u - self._targets(idx)
             if keep and at_support and key is not None:
-                views = tuple(a.view() for a in (aug, y, u))
+                views = (aug.view(), r.view())
                 for a in views:
                     a.flags.writeable = False
                 self._kept = [(key,) + views]
-        m = aug.shape[0]
-        return aug, pre, u, y, act.T @ u / m - act.T @ y / m
+        return aug, pre, r, act.T @ r / aug.shape[0]
 
     def certificate_values(self, t, support, coef, idx=None):
         return self._field(t, support, coef, idx, keep=True)[-1]
 
     def certificate_field(self, t, support, coef, idx=None):
-        aug, pre, u, y, vals = self._field(t, support, coef, idx)
-        m = aug.shape[0]
-        mask = pre > 0.0
-        grads = (mask * u[:, None]).T @ aug / m - (mask * y[:, None]).T @ aug / m
-        return vals, grads
+        aug, pre, r, vals = self._field(t, support, coef, idx)
+        return vals, (aug.T @ ((pre > 0.0) * r[:, None])).T / aug.shape[0]
 
     def objective_value(self, t, weights, signs, kappa):
         """The residual ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``,

@@ -16,8 +16,8 @@ and carries the trace rows recorded so far and the last good swarm.
 The loop runs inside ``KernelModel.run_scope``, where a model may keep
 evaluations between calls. The birth candidates are scored against the
 pushed support on the pushed certificate's batch, so a ReLU run takes that
-batch and the support's network output on it from the pushed evaluation,
-a mixture run the fetched batch rows, and a synthetic run the batch's noise
+batch and the support's residual on it from the pushed evaluation, a
+mixture run the fetched batch rows, and a synthetic run the batch's noise
 mean. Unless a particle died, each support is the previous pushed support
 followed by the accepted candidates, so a mixture run takes its kernel
 matrix (and at beta = 0 the pushed one's), and a full-batch run also their

@@ -1,10 +1,17 @@
-"""The fused certificate evaluator against the four reference primitives.
+"""The fused certificate evaluator against its references.
 
 ``certificate_and_grad`` (through ``KernelModel.certificate_field``) and
-``certificate`` must reproduce, bit for bit, the certificate assembled from
-``weighted_kernel``, ``y_inner_many``, ``weighted_grad1_kernel`` and
-``grad_y_inner_many``: exactly and on a batch, on an empty support, at the
-support itself and away from it, for signed and unsigned problems.
+``certificate`` (through ``certificate_values``) are checked exactly and on a
+batch, on an empty support, at the support itself and away from it, for
+signed and unsigned problems:
+
+* the Gaussian models must reproduce, bit for bit, the certificate assembled
+  from the four reference primitives ``weighted_kernel``, ``y_inner_many``,
+  ``weighted_grad1_kernel`` and ``grad_y_inner_many``;
+* ReLU correlates each feature with the residual ``r = relu(X_b S) c - y``.
+  It must reproduce, bit for bit, that residual form written out here, and
+  match the four primitives, which subtract the target's correlation
+  separately, within the summation bound ``relu_residual_bound``.
 """
 
 import numpy as np
@@ -16,7 +23,7 @@ from conicswarm.kernels import ReluKernel
 from conicswarm.objective import Problem, certificate, certificate_and_grad, loss
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
-from test_weighted_kernel import relu_sum_bound
+from test_weighted_kernel import EPS, relu_sum_bound
 
 PROBLEMS = {
     "synthetic-signed": make_synthetic_problem(seed=3, signed=True),
@@ -26,14 +33,74 @@ PROBLEMS = {
 }
 
 
-def reference(problem, swarm, points, signs, idx):
+def primitive_field(model, points, support, coef, idx):
+    """The unsigned field and its gradients from the four primitives."""
+    return (model.weighted_kernel(points, support, coef, idx) - model.y_inner_many(points, idx),
+            model.weighted_grad1_kernel(points, support, coef, idx)
+            - model.grad_y_inner_many(points, idx))
+
+
+def relu_batch(model, idx):
+    """The batch rows ``X_b`` with their bias column, and their targets."""
+    x = model.features if idx is None else model.features[idx]
+    y = model.targets if idx is None else model.targets[idx]
+    return np.hstack([x, np.ones((x.shape[0], 1))]), y
+
+
+def residual_field(model, points, support, coef, idx):
+    """ReLU's unsigned field in residual form: ``act' r / m`` and
+    ``((pre > 0) * r)' X_b / m``, ``r = relu(X_b S) c - y``."""
+    aug, y = relu_batch(model, idx)
+    pre = aug @ points.T
+    r = np.maximum(aug @ support.T, 0.0) @ coef - y
+    m = aug.shape[0]
+    return np.maximum(pre, 0.0).T @ r / m, (aug.T @ ((pre > 0.0) * r[:, None])).T / m
+
+
+def relu_residual_bound(model, points, support, coef, idx):
+    """Elementwise summation error bounds between the residual form and the
+    four primitives, for the values and for the gradients.
+
+    Both sum the same products, ``act[k, i] act_s[k, j] c_j`` and
+    ``act[k, i] y_k`` for the values and those with ``act[k, i]`` replaced
+    by ``[pre[k, i] > 0] X_b[k, l]`` for the gradients, in other groupings:
+    the residual form subtracts ``y_k`` per sample before it sums over k,
+    the primitives after. As in ``relu_sum_bound``, each one's rounding
+    error is at most a multiple of eps times the sum of the products'
+    absolute values, which is this bound without the 64. The measured
+    difference is at most 1.1 eps times that sum at the sizes of these tests
+    and 3.4 at m = 20,000 and p = 400, so 64 leaves a wide margin; a
+    relative tolerance would fail where the network output and the targets
+    cancel."""
+    aug, y = relu_batch(model, idx)
+    act = np.maximum(aug @ points.T, 0.0)
+    size = np.maximum(aug @ support.T, 0.0) @ np.abs(coef) + np.abs(y)
+    m = aug.shape[0]
+    return (64.0 * EPS * (act.T @ size) / m,
+            64.0 * EPS * ((act > 0.0) * size[:, None]).T @ np.abs(aug) / m)
+
+
+def fold(problem, signs, field):
+    """Certificate values and gradients from the unsigned field."""
+    vals, grads = field
+    return signs * vals + problem.kappa, signs[:, None] * grads
+
+
+def check_certificate(problem, swarm, points, signs, idx):
     model = problem.model
     coef = swarm.weights * swarm.signs
-    field = model.weighted_kernel(points, swarm.positions, coef, idx)
-    vals = signs * (field - model.y_inner_many(points, idx)) + problem.kappa
-    grad = model.weighted_grad1_kernel(points, swarm.positions, coef, idx)
-    grads = signs[:, None] * (grad - model.grad_y_inner_many(points, idx))
-    return vals, grads
+    want = primitive_field(model, points, swarm.positions, coef, idx)
+    if isinstance(model, ReluKernel):
+        bounds = relu_residual_bound(model, points, swarm.positions, coef, idx)
+        got = model.certificate_field(points, swarm.positions, coef, idx)
+        for g, w, b in zip(got, want, bounds):
+            assert np.all(np.abs(g - w) <= b)
+        want = residual_field(model, points, swarm.positions, coef, idx)
+    want_vals, want_grads = fold(problem, signs, want)
+    vals, grads = certificate_and_grad(problem, swarm, points, signs, idx)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(grads, want_grads)
+    assert np.array_equal(certificate(problem, swarm, points, signs, idx), want_vals)
 
 
 def draw_signs(problem, g, size):
@@ -56,12 +123,7 @@ def test_fused_certificate_matches_reference_primitives(name, seed, p, n_points,
         points = problem.domain.sample_uniform(g, size=n_points)
         signs = draw_signs(problem, g, n_points)
     idx = None if batch is None else g.integers(0, problem.model.n_samples, size=batch)
-
-    ref_vals, ref_grads = reference(problem, swarm, points, signs, idx)
-    vals, grads = certificate_and_grad(problem, swarm, points, signs, idx)
-    assert np.array_equal(vals, ref_vals)
-    assert np.array_equal(grads, ref_grads)
-    assert np.array_equal(certificate(problem, swarm, points, signs, idx), ref_vals)
+    check_certificate(problem, swarm, points, signs, idx)
 
 
 def relu_run_scale_problem():
@@ -75,16 +137,16 @@ def relu_run_scale_problem():
 
 def test_relu_support_evaluation_matches_at_run_scale():
     # p = 300, where BLAS blocks the sums: the fused evaluation at the
-    # support keeps the reference path's bits, and both stay within the
-    # summation error bound of the kernel matrix product.
+    # support and away from it keeps the residual form's bits and stays
+    # within the summation bound of the four primitives, and the feature-
+    # space weighted kernel within that of the kernel matrix product.
     problem, swarm, g = relu_run_scale_problem()
     model = problem.model
     coef = swarm.weights * swarm.signs
+    points = problem.domain.sample_uniform(g, size=50)
     for idx in (None, g.integers(0, 2000, size=256)):
-        ref_vals, ref_grads = reference(problem, swarm, swarm.positions, swarm.signs, idx)
-        vals, grads = certificate_and_grad(problem, swarm, swarm.positions, swarm.signs, idx)
-        assert np.array_equal(vals, ref_vals)
-        assert np.array_equal(grads, ref_grads)
+        check_certificate(problem, swarm, swarm.positions, swarm.signs, idx)
+        check_certificate(problem, swarm, points, g.choice([-1.0, 1.0], size=50), idx)
         field = model.weighted_kernel(swarm.positions, swarm.positions, coef, idx)
         matrix_field = model.kernel_matrix(swarm.positions, swarm.positions, idx) @ coef
         bound = relu_sum_bound(model, swarm.positions, swarm.positions, coef, idx)

@@ -1,10 +1,10 @@
 """``ReluKernel``'s kept record of the pushed support's evaluation.
 
 Inside ``run_scope`` a value-only evaluation at ``t == support`` keeps the
-batch rows, their targets and the support's network output
+batch rows and the residual ``r = u - y`` of the support's network output
 ``u = relu(X_b S) c``, keyed by the bytes of the support, the coefficients
 and the batch. The loop scores its birth candidates against the pushed
-support on that same batch, so they read ``u`` from the record and build
+support on that same batch, so they read ``r`` from the record and build
 only their own activation. The products see the same operands either way,
 so a warm model gives the bits of a fresh one, and a whole run the rows of
 a run that keeps nothing. Nothing is kept once ``runner.run`` returns or
@@ -44,12 +44,15 @@ def same_bits(x, y):
 def activations(model, fetched=None):
     """Makes the model's sample rows log the point count of every
     activation ``X_b T'`` built from them, and into ``fetched`` the size of
-    every batch fetched from them; returns the first log."""
+    every batch fetched from them; returns the first log. Only products whose
+    inner dimension is the feature width ``model.dim`` are activations: the
+    gradient's ``X_b' ((pre > 0) * r)`` sums over the batch and is not
+    logged."""
     log = []
 
     class Rows(np.ndarray):
         def __matmul__(self, other):
-            if np.ndim(other) == 2 and other.shape[0] == self.shape[-1]:
+            if np.ndim(other) == 2 and other.shape[0] == self.shape[-1] == model.dim:
                 log.append(other.shape[1])
             return np.asarray(np.ndarray.__matmul__(self, other))
 

@@ -6,8 +6,10 @@ anchors])`` and reads its three column slices. Gaussian entries are
 pair-local, so every slice must have the bits of its own
 ``kernel_matrix`` call, which is how ``Reference`` below builds them: one
 call per point set, a noise mean gathered on every call and ``|y|^2``
-recomputed on every access. CI runs this file again with OpenBLAS on two
-threads.
+recomputed on every access. The loss reads ``<y, phi_T>`` and ``K(T, T) c``
+from one block ``K(T, [T; atoms; anchors])`` and must give the bits of the
+base class's expanded form, which builds the two separately. CI runs this
+file again with OpenBLAS on two threads.
 
 Inside ``run_scope`` the model keeps the last batch's noise mean, keyed by
 its index bytes: the pushed certificate and the birth candidates share a
@@ -30,7 +32,7 @@ import conicswarm.runner as runner
 from conicswarm.birth_death import BirthRule, DeathRule
 from conicswarm.config import load_config
 from conicswarm.domain import Box
-from conicswarm.kernels import SyntheticKernel
+from conicswarm.kernels import KernelModel, SyntheticKernel
 from conicswarm.runner import RunAborted, RunConfig, run, trace_to_csv
 from conicswarm.schedules import AnytimePlan
 from conicswarm.swarm import ParticleSwarm
@@ -50,7 +52,10 @@ def same_bits(x, y):
 
 class Reference(SyntheticKernel):
     """The certificate composed from the four primitives, each building one
-    kernel matrix per point set; keeps no record."""
+    kernel matrix per point set, and the base class's expanded objective;
+    keeps no record."""
+
+    objective_value = KernelModel.objective_value
 
     def run_scope(self):
         return contextlib.nullcontext()
@@ -124,6 +129,22 @@ def test_block_matches_one_kernel_matrix_per_point_set(seed, dim, n_atoms, n_anc
     assert model.y_norm_sq == ref.y_norm_sq
 
 
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]),
+       n_atoms=st.integers(1, 5), n_anchors=st.integers(0, 4),
+       p=st.one_of(st.integers(1, 12), st.sampled_from([64, 65, 512, 999, 1000])),
+       kappa=st.sampled_from([1e-3, 0.05, 1.0]), scoped=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_objective_from_one_block_matches_the_expanded_form(seed, dim, n_atoms, n_anchors,
+                                                           p, kappa, scoped):
+    model, ref = model_pair(seed, dim, n_atoms, n_anchors)
+    g = rng(seed)
+    t = model.domain.sample_uniform(g, size=p)
+    weights, signs = g.uniform(0.01, 1.0, size=p), g.choice([-1.0, 1.0], size=p)
+    want = ref.objective_value(t, weights, signs, kappa)
+    with model.run_scope() if scoped else contextlib.nullcontext():
+        assert model.objective_value(t, weights, signs, kappa) == want
+
+
 def test_each_evaluation_builds_one_kernel_matrix(monkeypatch):
     model, _ = model_pair(3, 2, 3, 3)
     g = rng(4)
@@ -142,6 +163,9 @@ def test_each_evaluation_builds_one_kernel_matrix(monkeypatch):
     built.clear()
     assert model.y_norm_sq == model.y_norm_sq
     assert built == [(6, 6)]  # computed once
+    built.clear()  # the loss, after |y|^2
+    model.objective_value(t, np.ones(4), np.ones(4), 0.1)
+    assert built == [(4, 4 + 6)]
 
 
 def gathers(model):
