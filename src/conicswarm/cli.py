@@ -139,6 +139,7 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
         bounds, cal = _audit_and_calibrate(spec, problem, nu0_tv=init_swarm.tv_norm())
 
     if rates_cfg["mode"] == "calibrated":
+        cal.check_rates(bounds)
         alpha = cal.alpha
         beta = cal.chosen_beta if rates_cfg["beta"] is None else rates_cfg["beta"]
     else:
@@ -195,6 +196,7 @@ def cmd_calibrate(args) -> int:
     problem, extras = build_problem(spec)
     init_swarm = build_init_swarm(spec, problem, extras)
     bounds, cal = _audit_and_calibrate(spec, problem, nu0_tv=init_swarm.tv_norm())
+    cal.check_rates(bounds)
     lines = [
         "calibration report",
         f"  kernel_min (positivity)   {bounds.kernel_min:.6g}",

@@ -74,6 +74,17 @@ batch's noise mean.
 at the support: the batch rows and the residual ``r``. The candidates,
 scored against the pushed support on the same batch, read them and build
 only their own activation, with the bits of a fresh evaluation.
+
+``audit_assumptions`` runs no Python loop over samples or pairs. It reads
+the diagonal ``K(t, t)`` from the kernel matrix of its points, takes every
+pair gradient and finite-difference Hessian column from one batched
+``_pair_grad1`` call and the Hessians' eigenvalues from one stacked
+``eigvalsh``, and takes per-sample values (``_sample_y``, and ReLU's
+``_sample_kernel``) over chunks of samples whose arrays hold at most
+``_ROW_BLOCK_ENTRIES`` entries. The Gaussian models' bounds have the bits of
+one call per pair and per sample; ReLU's batched products sum in another
+order, so its bounds may move by rounding, within a relative 1e-9 (see the
+function).
 """
 
 from __future__ import annotations
@@ -146,20 +157,38 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
-def gauss_density(a: np.ndarray, b: np.ndarray, var: float, dim: int) -> np.ndarray:
-    """Isotropic Gaussian density N(a; b, var*I) evaluated pairwise, finished
-    in the distance buffer."""
-    d2 = _sqdist(a, b)
+def _pair_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``|a_i - b_i|^2`` of matched rows, shape (len(a),), by the subtractions,
+    squares and coordinate order of ``_sqdist``: each entry has the bits of
+    ``_sqdist(a[i:i+1], b[i:i+1])``."""
+    d2 = a[:, 0] - b[:, 0]
+    d2 *= d2
+    for j in range(1, a.shape[1]):
+        dj = a[:, j] - b[:, j]
+        dj *= dj
+        d2 += dj
+    return d2
+
+
+def _gauss_finish(d2: np.ndarray, var: float, dim: int) -> np.ndarray:
+    """Gaussian densities ``N(a; b, var*I)`` from ``d2 = |a - b|^2``, in place."""
     d2 /= -2.0 * var
     np.exp(d2, out=d2)
     d2 *= (2.0 * np.pi * var) ** (-dim / 2.0)
     return d2
 
 
+def gauss_density(a: np.ndarray, b: np.ndarray, var: float, dim: int) -> np.ndarray:
+    """Isotropic Gaussian density N(a; b, var*I) evaluated pairwise, finished
+    in the distance buffer."""
+    return _gauss_finish(_sqdist(a, b), var, dim)
+
+
 #: pair terms per temporary block in ``_exp_sum``
 _BLOCK_ENTRIES = 2_000_000
 #: entries per row block of an n-long evaluation: ``ReluKernel.objective_value``'s
-#: activations and ``GmmKernel``'s exact data-side means (1 MiB)
+#: activations, ``GmmKernel``'s exact data-side means and the audit's
+#: per-sample chunks and ReLU pair gradients (1 MiB)
 _ROW_BLOCK_ENTRIES = 2**17
 #: entries per row block of ``_gauss_self`` (256 KiB, so a block and its
 #: temporaries stay in a core's cache)
@@ -247,16 +276,34 @@ def _close_pair_sum(x: np.ndarray, scale: float, cutoff: float) -> float:
 
 def _gauss_grad(k: np.ndarray, a: np.ndarray, b: np.ndarray, coef, var: float) -> np.ndarray:
     """``sum_j coef_j grad_a K(a_i, b_j)`` from the Gaussian kernel matrix ``k``
-    of variance ``var``, using ``grad_a K = K * (b - a) / var``."""
-    k = k * coef[None, :]
-    return (k @ b - k.sum(axis=1)[:, None] * a) / var
+    of variance ``var``, using ``grad_a K = K * (b - a) / var``. A ``coef``
+    of shape (m, 1, |b|) stacks m coefficient vectors: one matmul call, one
+    BLAS call per vector, so each slice has the bits of its own call."""
+    k = k * coef
+    return (k @ b - k.sum(axis=-1)[..., None] * a) / var
+
+
+def _pair_gauss_grad(k: np.ndarray, a: np.ndarray, b: np.ndarray, var: float) -> np.ndarray:
+    """``grad_a K(a_i, b_i)`` of matched rows from their Gaussian kernel values
+    ``k``: the operations ``_gauss_grad`` makes on one pair with a unit
+    coefficient (each product and sum of one term is exact), so the bits of
+    the one-pair call."""
+    k = k[:, None]
+    return (k * b - k * a) / var
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``x``, each from the dot product that
+    ``np.linalg.norm`` of that row alone takes: one BLAS dot per row."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
 class KernelModel(ABC):
     """Abstract evaluator of the kernel and observation inner products."""
 
     dim: int
-    #: whether per-sample kernel values differ from the exact kernel
+    #: whether per-sample kernel values differ from the exact kernel; such a
+    #: model also gives the audit its per-sample kernel, ``_sample_kernel``
     kernel_depends_on_samples: bool = False
 
     @property
@@ -322,6 +369,27 @@ class KernelModel(ABC):
         k_t = signs * self.y_inner_many(t)
         quad = c @ self.weighted_kernel(t, t, c)
         return float(0.5 * self.y_norm_sq + (kappa - k_t) @ weights + 0.5 * quad)
+
+    @abstractmethod
+    def _pair_grad1(self, a, b) -> np.ndarray:
+        """``grad_a K(a_i, b_i)`` of matched rows, exact, shape (len(a), dim)."""
+
+    @abstractmethod
+    def _sample_y(self, t, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Per-sample ``<y_i, phi_t>``, shape (m, |t|), and its gradients in t,
+        shape (m, |t|, dim), for the m samples of the slice ``rows``."""
+
+    def _sample_kernel(self, a, b, g, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Per-sample ``K_i(a_j, b_l)``, shape (m, |a|, |b|), and
+        ``grad_a K_i(a_j, b_j)`` of the first ``g`` pairs, shape (m, g, dim),
+        for the m samples of the slice ``rows``. Required of models that set
+        ``kernel_depends_on_samples``."""
+        raise NotImplementedError(
+            f"{type(self).__name__} sets kernel_depends_on_samples but has no _sample_kernel")
+
+    def _sample_width(self) -> int:
+        """Entries per sample and point of ``_sample_y``'s largest array."""
+        return self.dim
 
 
 class SyntheticKernel(KernelModel):
@@ -396,13 +464,14 @@ class SyntheticKernel(KernelModel):
     def exact_positivity(self) -> float:
         return float(np.exp(-self.domain.diameter**2 / (2.0 * self.sigma**2)))
 
-    def kernel_matrix(self, a, b, idx=None):
-        a = _rows(a, self.dim)
-        b = _rows(b, self.dim)
-        # Data-independent kernel: per-sample value equals the exact value.
-        d2 = _sqdist(a, b)
+    def _finish(self, d2):
+        """Kernel values of squared distances ``d2``, in place."""
         d2 /= -2.0 * self.sigma**2
         return np.exp(d2, out=d2)
+
+    def kernel_matrix(self, a, b, idx=None):
+        # Data-independent kernel: per-sample value equals the exact value.
+        return self._finish(_sqdist(_rows(a, self.dim), _rows(b, self.dim)))
 
     def weighted_grad1_kernel(self, a, b, coef, idx=None):
         a, b, coef = self._operands(a, b, coef)
@@ -470,6 +539,23 @@ class SyntheticKernel(KernelModel):
         k_s, k_atoms, k_anchors = self._blocks(t, t)
         k_t = signs * self._y_values(k_atoms, k_anchors, self._eta_mean)
         return float(0.5 * self.y_norm_sq + (kappa - k_t) @ weights + 0.5 * (c @ (k_s @ c)))
+
+    def _pair_grad1(self, a, b):
+        return _pair_gauss_grad(self._finish(_pair_sqdist(a, b)), a, b, self.sigma**2)
+
+    def _sample_y(self, t, rows):
+        """``y_inner_many`` and ``grad_y_inner_many`` of each sample, stacked:
+        a sample's noise coefficients are ``eta[i]``. The anchors' products
+        are stacked ``matmul`` calls, which make one BLAS call per sample with
+        the operands and strides of the sample's own evaluation, so the bits
+        are the same; the rest is elementwise."""
+        _, k_atoms, k_anchors = self._blocks(t, t[:0])
+        noise = self.eta[rows]
+        vals = k_atoms @ self.atom_weights + np.matmul(k_anchors, noise[:, :, None])[..., 0]
+        return vals, self._y_grads(t, k_atoms, k_anchors, noise[:, None, :])
+
+    def _sample_width(self):
+        return max(self.dim, len(self.anchors))
 
 
 class GmmKernel(KernelModel):
@@ -581,6 +667,19 @@ class GmmKernel(KernelModel):
         x = self._batch(idx)
         k, y = self._density(t, x)
         return (k @ x / x.shape[0] - y[:, None] * t) / self._yvar
+
+    def _pair_grad1(self, a, b):
+        k = _gauss_finish(_pair_sqdist(a, b), self._kvar, self.dim)
+        return _pair_gauss_grad(k, a, b, self._kvar)
+
+    def _sample_y(self, t, rows):
+        """One sample's density row is its mean, and its gradient's products
+        have one term each, so both are elementwise over the pair-local
+        densities ``N(t_j; x_i, (1 + 2 tau^2) I)``."""
+        x = self.data[rows]
+        k = gauss_density(t, x, self._yvar, self.dim).T
+        kk = k[:, :, None]
+        return k, (kk * x[:, None, :] - kk * t) / self._yvar
 
     def _reuse(self, t, support):
         """``(K(t, t), rows, means)`` from the kept record when ``t`` is the
@@ -764,6 +863,30 @@ class ReluKernel(KernelModel):
                 self._kept = [(key,) + views]
         return aug, pre, r, act.T @ r / aug.shape[0]
 
+    def _pair_grad1(self, a, b):
+        """``((X a' > 0) relu(X b')) ' X / n`` summed over row blocks of at most
+        ``_ROW_BLOCK_ENTRIES`` activations."""
+        n = self.n_samples
+        step = max(1, _ROW_BLOCK_ENTRIES // len(a))
+        out = np.zeros((len(a), self.dim))
+        for lo in range(0, n, step):
+            aug = self._aug[lo : lo + step]
+            out += ((aug @ a.T > 0.0) * np.maximum(aug @ b.T, 0.0)).T @ aug
+        return out / n
+
+    def _sample_y(self, t, rows):
+        aug = self._aug[rows]
+        pre = aug @ t.T
+        y = self.targets[rows][:, None]
+        return np.maximum(pre, 0.0) * y, ((pre > 0.0) * y)[:, :, None] * aug[:, None, :]
+
+    def _sample_kernel(self, a, b, g, rows):
+        aug = self._aug[rows]
+        pre_a = aug @ a.T
+        act_b = np.maximum(aug @ b.T, 0.0)
+        k = np.maximum(pre_a, 0.0)[:, :, None] * act_b[:, None, :]
+        return k, ((pre_a[:, :g] > 0.0) * act_b[:, :g])[:, :, None] * aug[:, None, :]
+
     def certificate_values(self, t, support, coef, idx=None):
         return self._field(t, support, coef, idx, keep=True)[-1]
 
@@ -817,25 +940,6 @@ class AssumptionBounds:
             raise ValueError("smooth_max must dominate kernel_min")
 
 
-def _grad1(model: KernelModel, s, t, idx=None) -> np.ndarray:
-    """``grad_s K(s, t)`` for one pair of points, through the vectorized primitive."""
-    return model.weighted_grad1_kernel(s[None, :], t[None, :], np.ones(1), idx)[0]
-
-
-def _fd_hessian_norm(model: KernelModel, s, t, h: float = 1e-4) -> float:
-    """Spectral norm of a central finite-difference Hessian of K in s."""
-    d = model.dim
-    hess = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        gp = _grad1(model, s + e, t)
-        gm = _grad1(model, s - e, t)
-        hess[:, j] = (gp - gm) / (2.0 * h)
-    hess = 0.5 * (hess + hess.T)
-    return float(np.max(np.abs(np.linalg.eigvalsh(hess))))
-
-
 def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
                       rng: np.random.Generator, tv_cap: float = 1.0,
                       noise_safety: float = 1.5) -> AssumptionBounds:
@@ -845,6 +949,25 @@ def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
     radial kernel sits at maximal separation), the rest is uniform. The
     noise bound multiplies the worst observed per-sample deviation by
     ``noise_safety`` and scales kernel deviations by ``tv_cap``.
+
+    Every step is an array evaluation. The diagonal ``K(t, t)`` of the first
+    64 points is read from the kernel matrix of all points. The gradients
+    ``grad_s K(s, t)`` of up to 48 neighbouring pairs and the central
+    differences (step 1e-4) of the Hessians at up to 12 of them, those
+    strictly inside the domain, are one ``_pair_grad1`` call, and the
+    Hessians' eigenvalues one stacked ``eigvalsh``. The per-sample
+    deviations at up to 24 points are taken over chunks of samples whose
+    arrays hold at most ``_ROW_BLOCK_ENTRIES`` entries.
+
+    The Gaussian models' per-pair and per-sample values are pair-local or
+    made by the BLAS calls of the one-sample evaluations, so their bounds
+    have the bits of a loop over pairs and samples. ReLU's pre-activations
+    of many samples and its exact pair gradients are matrix products, whose
+    summation order differs from one sample's or one pair's, so its bounds
+    may move by rounding. The finite-difference Hessian amplifies that most,
+    to about ``n^1.5`` units in the last place; the tests hold every field
+    within a relative 1e-9 of the loop's, on data in general position (a
+    pre-activation within rounding of 0 can flip its mask in one form only).
     """
     if grid_points_n < 2:
         raise ValueError("need at least two audit points")
@@ -856,39 +979,49 @@ def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
     kmat = model.kernel_matrix(pts, pts)
     kernel_min = max(float(kmat.min()), 0.0)
     kernel_abs_max = float(np.abs(kmat).max())
-    diag = np.array([model.kernel_matrix(p[None, :], p[None, :])[0, 0]
-                     for p in pts[: min(64, len(pts))]])
-    diag_gap = float(np.abs(diag - 1.0).max())
+    diag_gap = float(np.abs(np.diagonal(kmat)[:64] - 1.0).max())
 
+    # One gradient per pair, then the finite-difference Hessians: row j of a
+    # stencil block is s + h e_j (or s - h e_j), against the pair's t.
     n_pairs = min(48, len(pts) - 1)
     pair_a = pts[:n_pairs]
     pair_b = pts[1 : n_pairs + 1]
-    grad_norms = [float(np.linalg.norm(_grad1(model, a, b))) for a, b in zip(pair_a, pair_b)]
-    inner_idx = [i for i in range(n_pairs) if _strictly_inside(domain, pair_a[i])][:12]
-    hess_norms = [_fd_hessian_norm(model, pair_a[i], pair_b[i]) for i in inner_idx]
-    smooth_max = max([kernel_abs_max] + grad_norms + hess_norms)
+    inner = np.flatnonzero(_strictly_inside(domain, pair_a))[:12]
+    d, h = model.dim, 1e-4
+    step = np.eye(d) * h
+    s, t = pair_a[inner][:, None, :], np.repeat(pair_b[inner], d, axis=0)
+    grads = model._pair_grad1(np.vstack([pair_a, (s + step).reshape(-1, d),
+                                         (s - step).reshape(-1, d)]),
+                              np.vstack([pair_b, t, t]))
+    g_plus, g_minus = grads[n_pairs:].reshape(2, len(inner), d, d)
+    hess = ((g_plus - g_minus) / (2.0 * h)).swapaxes(1, 2)
+    hess = 0.5 * (hess + hess.swapaxes(1, 2))
+    smooth_max = max(kernel_abs_max, float(_row_norms(grads[:n_pairs]).max()),
+                     float(np.abs(np.linalg.eigvalsh(hess)).max(initial=0.0)))
 
     # Per-sample deviations on a subsample of points and pairs; kernel-side
     # deviations enter scaled by the caller's TV cap since the certificate
     # weighs them by particle mass.
-    n_eval = min(24, len(pts))
-    eval_pts = pts[:n_eval]
+    eval_pts = pts[: min(24, len(pts))]
     y_full = model.y_inner_many(eval_pts)
     gy_full = model.grad_y_inner_many(eval_pts)
-    k_full = model.kernel_matrix(pair_a, pair_b)
     n_gpairs = min(8, n_pairs)
-    gk_full = np.array([_grad1(model, pair_a[j], pair_b[j]) for j in range(n_gpairs)])
+    depends = model.kernel_depends_on_samples
+    if depends:
+        k_full = model.kernel_matrix(pair_a, pair_b)
+        gk_full = grads[:n_gpairs]
+    width = max(len(eval_pts) * model._sample_width(), n_pairs**2 if depends else 0)
+    chunk = max(1, _ROW_BLOCK_ENTRIES // width)
     dev_y = dev_gy = dev_k = dev_gk = 0.0
-    for i in range(model.n_samples):
-        one = np.array([i])
-        dev_y = max(dev_y, float(np.abs(model.y_inner_many(eval_pts, one) - y_full).max()))
-        dev_gy = max(dev_gy, float(
-            np.linalg.norm(model.grad_y_inner_many(eval_pts, one) - gy_full, axis=1).max()))
-        if not model.kernel_depends_on_samples:
-            continue
-        dev_k = max(dev_k, float(np.abs(model.kernel_matrix(pair_a, pair_b, one) - k_full).max()))
-        gk_one = np.array([_grad1(model, pair_a[j], pair_b[j], one) for j in range(n_gpairs)])
-        dev_gk = max(dev_gk, float(np.linalg.norm(gk_one - gk_full, axis=1).max()))
+    for lo in range(0, model.n_samples, chunk):
+        rows = slice(lo, lo + chunk)
+        y_one, gy_one = model._sample_y(eval_pts, rows)
+        dev_y = max(dev_y, float(np.abs(y_one - y_full).max()))
+        dev_gy = max(dev_gy, float(np.linalg.norm(gy_one - gy_full, axis=-1).max()))
+        if depends:
+            k_one, gk_one = model._sample_kernel(pair_a, pair_b, n_gpairs, rows)
+            dev_k = max(dev_k, float(np.abs(k_one - k_full).max()))
+            dev_gk = max(dev_gk, float(np.linalg.norm(gk_one - gk_full, axis=-1).max()))
     noise_val = dev_y + tv_cap * dev_k
     noise_grad = dev_gy + tv_cap * dev_gk
     noise_sup = noise_safety * max(noise_val, noise_grad)
@@ -904,9 +1037,10 @@ def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
     )
 
 
-def _strictly_inside(domain: Domain, p: np.ndarray, margin: float = 1e-3) -> bool:
+def _strictly_inside(domain: Domain, p: np.ndarray, margin: float = 1e-3) -> np.ndarray:
+    """Which rows of ``p`` lie at least ``margin`` inside the domain."""
     if isinstance(domain, Box):
-        return bool(np.all(p > domain.lower + margin) and np.all(p < domain.upper - margin))
+        return np.all(p > domain.lower + margin, axis=1) & np.all(p < domain.upper - margin, axis=1)
     if isinstance(domain, Ball):
-        return bool(np.linalg.norm(p - domain.center) < domain.radius - margin)
-    return True
+        return _row_norms(p - domain.center) < domain.radius - margin
+    return np.ones(len(p), dtype=bool)

@@ -129,14 +129,19 @@ class KktReport:
 
 
 def kkt_residual(problem: Problem, swarm: ParticleSwarm, grid) -> KktReport:
-    """Certificate minimum over grid x sign choices plus support residual."""
+    """Certificate minimum over grid x sign choices plus support residual.
+
+    The unsigned field does not depend on the sign, so it is evaluated once
+    on the grid and each sign folds in ``s * field + kappa``, as
+    ``certificate`` does."""
     grid = np.asarray(grid, dtype=float).reshape(-1, problem.model.dim)
     if grid.shape[0] == 0:
         raise ValueError("kkt_residual requires a nonempty grid")
+    field = problem.model.certificate_values(grid, swarm.positions, swarm.weights * swarm.signs)
     best_val = np.inf
     best_arg = grid[0]
     for sign in problem.sign_choices:
-        vals = certificate(problem, swarm, grid, np.full(grid.shape[0], sign))
+        vals = sign * field + problem.kappa
         j = int(np.argmin(vals))
         if vals[j] < best_val:
             best_val = float(vals[j])

@@ -14,6 +14,7 @@ known budget K by ``horizon_plan``); ``AnytimePlan`` varies them with k.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .kernels import AssumptionBounds
@@ -68,6 +69,21 @@ class Calibration:
         }
         return min(caps, key=caps.get)
 
+    def check_rates(self, bounds: AssumptionBounds) -> None:
+        """Fail closed when alpha or the structural beta bound is zero,
+        subnormal or not finite: a tiny kernel minimum can make the TV bound
+        so large that the descent cap underflows. The error names the
+        binding cap and the audited constants behind it.
+        """
+        for name, rate, cap in (("alpha", self.alpha, f"{self.binding_cap} cap"),
+                                ("beta_max_struct", self.beta_max_struct, "structural bound")):
+            if not (math.isfinite(rate) and rate >= sys.float_info.min):
+                raise CalibrationError(
+                    f"calibrated {name} = {rate:.6g} is not a usable rate (binding: {cap}, "
+                    f"tv_bound = {self.tv_bound:.6g} from audited kernel_min = "
+                    f"{bounds.kernel_min:.6g}, smooth_max = {bounds.smooth_max:.6g}); "
+                    "supply manual rates")
+
 
 def calibrate(bounds: AssumptionBounds, nu0_tv: float, kappa: float, lambda_x: float,
               y_norm: float, stochastic: bool) -> Calibration:
@@ -78,6 +94,8 @@ def calibrate(bounds: AssumptionBounds, nu0_tv: float, kappa: float, lambda_x: f
     ``(offset / slope) e + sqrt(e^3 / slope) + 1`` built from the
     certificate lower bound, and add the Hoeffding cap
     ``sqrt(8 ln 8) / noise_sup``. Fails closed when positivity fails.
+    The rates may still come out unusable (see ``Calibration.check_rates``),
+    which matters only to callers that use them.
     """
     c_min = bounds.kernel_min
     if c_min <= 0.0:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import conicswarm
-from conicswarm.cli import main
+from conicswarm.cli import build_problem, build_run_config, main
 from conicswarm.config import ConfigError, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -375,6 +375,65 @@ class TestReportCommand:
         p = tmp_path / "bad.csv"
         p.write_text("k,loss\n0,1.0\n")
         assert main(["report", str(p)]) == 1
+
+
+def _standin():
+    """``perfbench/standin.py``, the seeded stand-in for the housing CSV."""
+    import importlib.util
+
+    path = CONFIGS.parent / "perfbench" / "standin.py"
+    spec = importlib.util.spec_from_file_location("perfbench_standin", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_calibrate_every_shipped_config_exits_0_or_names_the_cause(name, tmp_path, capsys):
+    # exit 0, or exit 2 with one ``error:`` line naming why calibration is
+    # unavailable; never exit 1 or a traceback
+    cfg = CONFIGS / name
+    if name == "housing_full.cfg":
+        standin = _standin()
+        standin.write_csv(tmp_path / "california.csv", seed=1)
+        cfg = tmp_path / name
+        standin.write_config(CONFIGS / name, cfg, "california.csv")
+    code = main(["calibrate", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert "alpha = min of caps" in out and not err
+    else:
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "positivity" in err or "not a usable rate (binding: " in err
+    if name == "gmm_full.cfg":
+        # kernel_min ~ 2e-158 makes the descent cap underflow to 0
+        assert code == 2 and "alpha = 0 is not a usable rate (binding: descent cap" in err
+
+
+def test_unusable_calibrated_rates_do_not_stop_a_manual_rates_run():
+    # gmm_full.cfg's calibration underflows (see above), but under the theory
+    # profile the audit only supplies the birth threshold's noise bound; the
+    # manual alpha is used as written
+    spec = load_config(CONFIGS / "gmm_full.cfg", profile_override="theory")
+    assert spec.rates["mode"] == "manual" and spec.birth_death["birth_threshold"] is None
+    problem, extras = build_problem(spec)
+    config, cal = build_run_config(spec, problem, extras)
+    assert config.alpha == 2.0
+    assert cal.alpha == 0.0 and config.birth_rule.threshold_coeff > 0
+
+
+def test_calibrated_mode_refuses_unusable_rates(tmp_path):
+    body = (CONFIGS / "gmm_full.cfg").read_text(encoding="utf-8")
+    body = body.replace("mode = manual\nalpha = 2.0\nbeta = 40.0", "mode = calibrated")
+    assert "mode = calibrated" in body
+    cfg = tmp_path / "gmm_full_calibrated.cfg"
+    cfg.write_text(body, encoding="utf-8")
+    spec = load_config(cfg)
+    problem, extras = build_problem(spec)
+    with pytest.raises(conicswarm.CalibrationError, match=r"alpha = 0 .*binding: descent cap"):
+        build_run_config(spec, problem, extras)
 
 
 class TestShippedProfiles:

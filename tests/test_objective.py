@@ -269,6 +269,36 @@ class TestKkt:
             kkt_residual(problem, ParticleSwarm.empty(2), np.empty((0, 2)))
 
 
+def two_call_kkt(problem, swarm, grid):
+    """``kkt_residual`` as one certificate call per sign choice."""
+    best_val, best_arg = np.inf, grid[0]
+    for sign in problem.sign_choices:
+        vals = certificate(problem, swarm, grid, np.full(grid.shape[0], sign))
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_val, best_arg = float(vals[j]), grid[j].copy()
+    support = certificate(problem, swarm, swarm.positions, swarm.signs)
+    return best_val, best_arg, float(np.abs(support).max()) if len(swarm) else 0.0
+
+
+@pytest.mark.parametrize("make", [make_synthetic_problem, make_relu_problem],
+                         ids=["synthetic", "relu"])
+@pytest.mark.parametrize("seed", range(6))
+def test_kkt_one_field_equals_one_call_per_sign(make, seed):
+    # the field is evaluated once and each sign folded in: the bits of the
+    # per-sign certificates
+    problem = make(seed=seed)
+    assert problem.signed
+    g = rng(100 + seed)
+    swarm = random_swarm(problem, g) if seed else ParticleSwarm.empty(problem.model.dim)
+    grid = problem.domain.sample_uniform(g, size=50)
+    report = kkt_residual(problem, swarm, grid)
+    best_val, best_arg, resid = two_call_kkt(problem, swarm, grid)
+    assert report.min_cert_grid.hex() == best_val.hex()
+    assert np.array_equal(report.argmin_grid, best_arg)
+    assert report.max_abs_cert_support.hex() == resid.hex()
+
+
 def test_grad_many_consistent_with_scalar():
     problem = make_synthetic_problem(seed=25)
     g = rng(26)

@@ -66,6 +66,40 @@ class TestCalibrate:
             calibrate(bounds_of(kernel_min=0.0), nu0_tv=0.1, kappa=0.1, lambda_x=1.0,
                       y_norm=0.0, stochastic=False)
 
+    def test_underflowing_descent_cap_fails_closed(self):
+        # a kernel minimum of 2e-158, as gmm_full.cfg's audit finds, puts the
+        # TV bound near 1e156, and the descent cap ~ 1 / (10 tv_bound^2)
+        # underflows to 0; calibrate still reports the caps, and the rate
+        # check refuses them
+        bounds = bounds_of(kernel_min=2e-158, smooth_max=0.08, cert_offset=3e-3)
+        cal = calibrate(bounds, nu0_tv=1.0, kappa=1e-4, lambda_x=1.0, y_norm=0.0,
+                        stochastic=True)
+        assert cal.alpha == 0.0 and cal.binding_cap == "descent"
+        with pytest.raises(CalibrationError, match=r"alpha = 0 .*binding: descent cap"):
+            cal.check_rates(bounds)
+
+    def test_subnormal_alpha_fails_closed(self):
+        # tv_bound = nu0_tv = 4e153 gives a descent cap of 6.25e-309
+        cal = calibrate(bounds_of(), nu0_tv=4e153, kappa=0.1, lambda_x=1.0, y_norm=0.0,
+                        stochastic=False)
+        with pytest.raises(CalibrationError, match=r"alpha = 6.25e-309 .*binding: descent cap"):
+            cal.check_rates(bounds_of())
+
+    def test_zero_structural_beta_fails_closed(self):
+        # smooth_max^2 = 1e400 overflows the denominator; alpha stays normal
+        bounds = bounds_of(smooth_max=1e200)
+        cal = calibrate(bounds, nu0_tv=0.1, kappa=0.1, lambda_x=1.0, y_norm=0.0,
+                        stochastic=False)
+        with pytest.raises(CalibrationError,
+                           match=r"beta_max_struct = 0 .*binding: structural bound"):
+            cal.check_rates(bounds)
+
+    def test_smallest_normal_alpha_passes(self):
+        cal = calibrate(bounds_of(), nu0_tv=1e150, kappa=0.1, lambda_x=1.0, y_norm=0.0,
+                        stochastic=False)
+        cal.check_rates(bounds_of())
+        assert 0.0 < cal.alpha < 1e-300 and cal.binding_cap == "descent"
+
     def test_pure_function(self):
         args = dict(nu0_tv=0.3, kappa=0.05, lambda_x=2.0, y_norm=1.5, stochastic=True)
         a = calibrate(bounds_of(kernel_min=0.7, noise_sup=0.2), **args)
