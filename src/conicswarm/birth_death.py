@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import Problem, certificate
+from .objective import Problem
 from .swarm import ParticleSwarm
 
 __all__ = [
@@ -104,11 +104,11 @@ def select_deaths(swarm: ParticleSwarm, pushed_certs, rule: DeathRule, eps_k: fl
     return np.array([j], dtype=int) if mask[j] else np.empty(0, dtype=int)
 
 
-def evaluate_birth_candidates(problem: Problem, swarm: ParticleSwarm, rule: BirthRule,
-                              eps_k: float, m_k: int, idx: np.ndarray | None,
+def evaluate_birth_candidates(problem: Problem, ev, rule: BirthRule, eps_k: float, m_k: int,
                               rng: np.random.Generator):
-    """Draw candidates, estimate their certificates on the batch ``idx``
-    (``None``: exactly) and apply the threshold.
+    """Draw candidates, estimate their certificates against the pushed
+    evaluation ``ev`` of ``KernelModel.pushed_values`` (its measure, on its
+    batch) and apply the threshold.
 
     Returns ``(born, candidates, cand_signs, cand_certs, threshold)``; the
     ``born`` swarm holds the accepted candidates in draw order.
@@ -119,7 +119,7 @@ def evaluate_birth_candidates(problem: Problem, swarm: ParticleSwarm, rule: Birt
         signs = np.where(rng.integers(0, 2, size=n_cand) == 0, 1.0, -1.0)
     else:
         signs = np.ones(n_cand)
-    certs = certificate(problem, swarm, positions, signs, idx)
+    certs = signs * problem.model.candidate_values(ev, positions) + problem.kappa
     level = rule.threshold(m_k)
     mass = eps_k if rule.birth_mass is None else rule.birth_mass
     accept = certs <= level

@@ -251,7 +251,7 @@ def cmd_run(args) -> int:
     rows = experiments.summarize([(method, result)], mses)
     (out_dir / "summary.csv").write_text(experiments.summary_csv(rows), encoding="utf-8")
     lines = [experiments.summary_text(rows)]
-    if spec.run["kkt_grid"] >= 2:
+    if spec.run["kkt_grid"]:
         grid = grid_points(problem.domain, spec.run["kkt_grid"])
         if len(result.final_swarm):
             grid = np.vstack([grid, result.final_swarm.positions])

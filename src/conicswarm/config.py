@@ -92,7 +92,7 @@ _SCHEMA = {
         "iterations": (int, _REQUIRED),
         "seed": (int, 1),
         "trace_cadence": (int, 10),
-        "kkt_grid": (int, 0),
+        "kkt_grid": (int, 0),               # 0: no KKT report, else points per axis >= 2
         "init": (str, "uniform"),           # uniform | clustered | sphere | csv:PATH
         "init_particles": (int, 20),
         "init_weight": (float, 0.05),
@@ -207,6 +207,8 @@ def _validate(sections, path) -> None:
     run = sections["run"]
     if run["iterations"] < 0:
         raise ConfigError(f"{path}: iterations must be nonnegative")
+    if run["kkt_grid"] < 0 or run["kkt_grid"] == 1:
+        raise ConfigError(f"{path}: [run] kkt_grid must be 0 (no report) or at least 2")
     init = run["init"]
     if init not in ("uniform", "clustered", "sphere") and not init.startswith("csv:"):
         raise ConfigError(f"{path}: unknown init {init!r}")

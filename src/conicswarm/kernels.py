@@ -27,12 +27,12 @@ and gradients and matches ``weighted_kernel``, ``y_inner_many``,
 builds one activation array and no kernel matrix, and correlates it with
 the residual ``r = relu(X_b S) c - y``: values ``act' r / m``, gradients
 ``((pre > 0) r)' X_b / m``, equal to the primitives' up to summation
-rounding. Two more evaluators serve the solver's value-only calls:
+rounding. Two more evaluators serve value-only calls:
 
 * ``certificate_values(T, S, c, idx)`` -- the values of
   ``certificate_field`` alone, from the same inputs and with the same
   expression, so the two agree bit for bit; ReLU builds one activation of
-  T, reused for S when S equals T;
+  T, reused for S when S equals T (exactly, over blocks of both);
 * ``objective_value(T, w, s, kappa)`` -- the exact objective of a
   non-empty swarm, by default the expanded
   ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
@@ -46,6 +46,17 @@ rounding. Two more evaluators serve the solver's value-only calls:
 A batch restriction averages per-sample quantities, so
 ``idx = arange(n)`` reproduces the exact one.
 
+A solver iteration scores one pushed measure ``(T', c)`` on one batch
+twice, and three loop evaluations hand what the two share on as an
+explicit value ``ev`` (each class says what its ``ev`` holds); they have
+the bits of the stateless calls, which are their defaults:
+
+* ``pushed_values(T', c, idx)`` -- ``certificate_values(T', T', c, idx)``
+  for the death step, and ``ev``;
+* ``candidate_values(ev, C)`` -- ``certificate_values(C, T', c, idx)``;
+* ``support_field(T, c, idx, ev, keep, born)`` -- the next iteration's
+  ``certificate_field(T, T, c, idx)`` at ``T = [T'[keep]; C[born]]``.
+
 Gaussian entries are finished in place from sums of squared coordinate
 differences, so each depends on its two points alone: a row has the same
 bits whatever else shares the call, and ``K(A, B)`` is ``K(B, A)'`` exactly.
@@ -55,25 +66,15 @@ and their sum is rounded once, so every difference keeps the bits of the
 subtraction, up to the sign of a zero, for any BLAS summation order, FMA
 use or thread split, and every squared distance keeps them all.
 ``GmmKernel`` builds a kernel of a point set against itself as the upper
-triangle of row blocks, mirrored, with the bits of the full build. It
+triangle of row blocks, mirrored, with the bits of the full build, and
 averages exact data-side densities over row blocks of
-``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array, and inside
-``run_scope``, the span of one ``runner.run`` call, it takes each support's
-kernel matrix, and in a full-batch run its data-side rows, from the
-previous iteration's pushed and candidate evaluations, and the candidates'
-batch rows from the pushed evaluation's fetch.
+``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array.
 
 ``SyntheticKernel`` builds each certificate evaluation, each
 ``y_inner_many`` and ``grad_y_inner_many``, and the loss from one kernel
 matrix of T against the support (T for the loss) stacked on the
 observation's fixed points; the products read its column slices, which
-have the bits of their own calls. Inside ``run_scope`` it keeps the last
-batch's noise mean.
-
-``ReluKernel`` keeps, inside ``run_scope``, its last value-only evaluation
-at the support: the batch rows and the residual ``r``. The candidates,
-scored against the pushed support on the same batch, read them and build
-only their own activation, with the bits of a fresh evaluation.
+have the bits of their own calls.
 
 ``audit_assumptions`` runs no Python loop over samples or pairs. It reads
 the diagonal ``K(t, t)`` from the kernel matrix of its points, takes every
@@ -92,7 +93,6 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -340,27 +340,28 @@ class KernelModel(ABC):
         """Two point sets as rows of positions and ``coef`` as a flat array."""
         return _rows(a, self.dim), _rows(b, self.dim), np.asarray(coef, dtype=float).reshape(-1)
 
-    #: evaluations kept between calls: a list inside ``run_scope``, else None
-    _kept = None
-
-    @contextmanager
-    def run_scope(self):
-        """The span of one solver run. A model may keep evaluations between
-        calls inside it, in ``_kept``, and they are dropped on exit however it
-        ends: ``SyntheticKernel`` keeps the last batch's noise mean,
-        ``GmmKernel`` its last two value-only evaluations (kernel matrices,
-        and data-side rows or the fetched batch), ``ReluKernel`` its last
-        value-only evaluation at the support (the batch and the residual)."""
-        self._kept = []
-        try:
-            yield
-        finally:
-            self._kept = None
-
     @abstractmethod
     def certificate_values(self, t, support, coef, idx=None) -> np.ndarray:
         """Values ``K(t, S) c - <y, phi_t>`` alone, the value twin of
         ``certificate_field``."""
+
+    def pushed_values(self, support, coef, idx=None):
+        """``(certificate_values(S, S, c, idx), ev)`` at the pushed support
+        S, where ``ev`` is what ``candidate_values`` and ``support_field``
+        share of the evaluation; by default the operands."""
+        return self.certificate_values(support, support, coef, idx), (support, coef, idx)
+
+    def candidate_values(self, ev, t) -> np.ndarray:
+        """``certificate_values(t, S, c, idx)`` for the pushed support S, its
+        coefficients c and batch idx of ``ev``."""
+        support, coef, idx = ev
+        return self.certificate_values(t, support, coef, idx)
+
+    def support_field(self, t, coef, idx, ev, keep, born) -> tuple[np.ndarray, np.ndarray]:
+        """``certificate_field(t, t, coef, idx)`` at ``t``, ``ev``'s support
+        where the mask ``keep`` holds, then its candidates where ``born``
+        does; ``ev`` and the masks are None if no pushed evaluation came."""
+        return self.certificate_field(t, t, coef, idx)
 
     def objective_value(self, t, weights, signs, kappa: float) -> float:
         """``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
@@ -406,12 +407,9 @@ class SyntheticKernel(KernelModel):
     kernel matrix ``K(t, [S; atoms; anchors])`` (S empty for the last two)
     whose column slices feed the products. ``|y|^2`` is computed once.
 
-    Inside ``run_scope`` the model keeps one record: the last batch's noise
-    mean ``eta[idx].mean(axis=0)``, read-only and keyed by the index bytes.
-    In the loop the pushed certificate and the birth candidates share a
-    batch, so they gather it once. The exact evaluation reads the mean of
-    all samples, and an evaluation on another batch or outside a scope
-    gathers its own; the record is dropped when the scope ends.
+    The pushed certificate and the birth candidates share a batch, so its
+    noise mean ``eta[idx].mean(axis=0)`` is gathered once: ``ev`` holds it
+    with the support and its coefficients.
     """
 
     def __init__(self, domain: Box, sigma: float, atom_weights, atom_positions,
@@ -478,19 +476,8 @@ class SyntheticKernel(KernelModel):
         return _gauss_grad(self.kernel_matrix(a, b), a, b, coef, self.sigma**2)
 
     def _noise_coef(self, idx):
-        """The anchors' noise coefficients of the batch ``idx``; inside
-        ``run_scope`` the last batch's mean is kept, keyed by its index bytes."""
-        if idx is None:
-            return self._eta_mean
-        idx = np.asarray(idx, dtype=int)
-        if self._kept is None:
-            return self.eta[idx].mean(axis=0)
-        key = idx.tobytes()
-        if not self._kept or self._kept[0][0] != key:
-            mean = self.eta[idx].mean(axis=0)
-            mean.flags.writeable = False
-            self._kept = [(key, mean)]
-        return self._kept[0][1]
+        """The anchors' noise coefficients of the batch ``idx``: its mean."""
+        return self._eta_mean if idx is None else self.eta[np.asarray(idx, dtype=int)].mean(axis=0)
 
     def _blocks(self, t, support):
         """``K(t, S)``, ``K(t, atoms)`` and ``K(t, anchors)``: the column
@@ -517,10 +504,22 @@ class SyntheticKernel(KernelModel):
         t = _rows(t, self.dim)
         return self._y_grads(t, *self._blocks(t, t[:0])[1:], self._noise_coef(idx))
 
+    def _values(self, t, support, coef, noise):
+        """``K(t, S) c - <y, phi_t>`` with the anchors' coefficients ``noise``."""
+        k_s, k_atoms, k_anchors = self._blocks(t, support)
+        return k_s @ coef - self._y_values(k_atoms, k_anchors, noise)
+
     def certificate_values(self, t, support, coef, idx=None):
         t, support, coef = self._operands(t, support, coef)
-        k_s, k_atoms, k_anchors = self._blocks(t, support)
-        return k_s @ coef - self._y_values(k_atoms, k_anchors, self._noise_coef(idx))
+        return self._values(t, support, coef, self._noise_coef(idx))
+
+    def pushed_values(self, support, coef, idx=None):
+        support, _, coef = self._operands(support, support, coef)
+        ev = (support, coef, self._noise_coef(idx))
+        return self._values(support, *ev), ev
+
+    def candidate_values(self, ev, t):
+        return self._values(_rows(t, self.dim), *ev)
 
     def certificate_field(self, t, support, coef, idx=None):
         t, support, coef = self._operands(t, support, coef)
@@ -574,26 +573,18 @@ class GmmKernel(KernelModel):
     so the at most n^2 skipped terms change the sum by a relative 2^-60 or
     less.
 
-    Exact data-side means that are not kept (``y_inner_many``, and so the
-    loss; ``certificate_values`` outside a run scope, and so
-    ``kkt_residual``) are built and averaged in row blocks of at most
-    ``_ROW_BLOCK_ENTRIES`` densities, so no |T| x n array is held.
+    Exact data-side means that feed no gradient (``y_inner_many``, and so
+    the loss; ``certificate_values``, and so ``kkt_residual``) are built and
+    averaged in row blocks of at most ``_ROW_BLOCK_ENTRIES`` densities, so
+    no |T| x n array is held.
 
-    Inside ``run_scope`` the model keeps one record: its two most recent
-    value-only evaluations, each ``(T bytes, S bytes, K(T, S), rows, means,
-    batch)``. Exact evaluations keep the data-side density rows and their
-    means; mini-batch ones keep ``batch``, the index bytes and the sample
-    rows fetched, and an evaluation on a kept batch takes those rows. In the
-    loop these are the pushed support ``T'`` against itself and the birth
-    candidates ``C`` against ``T'`` on the same batch, and the next support
-    is ``T'`` followed by the accepted candidates unless a particle died.
-    So an evaluation at ``t == support`` (``certificate_field``, and
-    ``certificate_values`` too) whose ``t`` is the kept ``T'`` followed by
-    rows of the kept ``C`` takes ``K(T', T')``, the born rows of
-    ``K(C, T')`` and their transpose, and for an exact evaluation the kept
-    rows and means; it builds only ``K(C_born, C_born)``. Every other
-    evaluation builds fresh. The kept arrays are read-only and are dropped
-    when the scope ends.
+    In the loop ``ev`` holds the batch rows, fetched once, ``K(T', T')``,
+    the ``K(C, T')`` that ``candidate_values`` adds and, in an exact run,
+    the data-side rows and means of both. ``support_field`` assembles the
+    next support's kernel from ``K(T', T')[keep][:, keep]`` and
+    ``K(C, T')[born][:, keep]`` (indexing only what died or was born),
+    builds only ``K(C_born, C_born)``, and in an exact run takes its rows
+    from ``ev`` too; all of it is pair-local, so it has fresh bits.
     """
 
     def __init__(self, data: np.ndarray, tau: float):
@@ -634,14 +625,8 @@ class GmmKernel(KernelModel):
         return _gauss_grad(self.kernel_matrix(a, b), a, b, coef, self._kvar)
 
     def _batch(self, idx):
-        """The sample rows of the batch ``idx`` (all of them for None), from
-        the kept record when it holds a fetch of the same indices."""
-        if idx is None:
-            return self.data
-        idx = np.asarray(idx, dtype=int)
-        key = idx.tobytes()
-        kept = next((e[5][1] for e in self._kept or () if e[5] and e[5][0] == key), None)
-        return self.data[idx] if kept is None else kept
+        """The sample rows of the batch ``idx``, all of them for None."""
+        return self.data if idx is None else self.data[np.asarray(idx, dtype=int)]
 
     def _density(self, t, x):
         """Density rows ``N(t_i; x_j, (1 + 2 tau^2) I)`` over the samples
@@ -681,68 +666,64 @@ class GmmKernel(KernelModel):
         kk = k[:, :, None]
         return k, (kk * x[:, None, :] - kk * t) / self._yvar
 
-    def _reuse(self, t, support):
-        """``(K(t, t), rows, means)`` from the kept record when ``t`` is the
-        support and the kept ``T'`` followed by rows of the kept ``C`` (see
-        the class docstring), with ``rows`` and ``means`` None unless both
-        evaluations were exact; None when the record does not apply."""
-        pushed = next((e for e in reversed(self._kept or ()) if e[0] == e[1]), None)
-        if pushed is None or not np.array_equal(t, support):
-            return None
-        points, _, k_pp, rows, means, _ = pushed
-        p = len(k_pp)
-        if t[:p].tobytes() != points:
-            return None
-        if len(t) == p:
-            return k_pp, rows, means
-        cand = next((e for e in self._kept if e is not pushed and e[1] == points), None)
-        if cand is None:
-            return None
-        point = np.dtype((np.void, 8 * self.dim))
-        match = np.frombuffer(t[p:].tobytes(), point)[:, None] == np.frombuffer(cand[0], point)
-        if not match.any(axis=1).all():
-            return None
-        born = match.argmax(axis=1)
-        k = np.empty((len(t), len(t)))
-        k[:p, :p] = k_pp
-        k[p:, :p] = cand[2][born]
-        k[:p, p:] = k[p:, :p].T
-        k[p:, p:] = self.kernel_matrix(t[p:], t[p:])
-        if rows is None or cand[3] is None:
-            return k, None, None
-        return k, np.vstack([rows, cand[3][born]]), np.concatenate([means, cand[4][born]])
-
-    def _inputs(self, t, support, idx, x):
-        """``K(t, support)``, the density rows over the batch ``x`` and their
-        means, from the kept record where it applies."""
-        k, rows, means = self._reuse(t, support) or (self.kernel_matrix(t, support), None, None)
-        if rows is None or idx is not None:
-            rows, means = self._density(t, x)
-        return k, rows, means
-
     def certificate_values(self, t, support, coef, idx=None):
         t, support, coef = self._operands(t, support, coef)
-        if idx is None and self._kept is None:
-            return self.kernel_matrix(t, support) @ coef - self._exact_means(t)
-        x = self._batch(idx)
-        k, rows, means = self._inputs(t, support, idx, x)
-        vals = k @ coef - means
-        if self._kept is not None:
-            for a in (k, rows, means) if idx is None else (k, x):
-                a.flags.writeable = False
-            data_side = (rows, means, None) if idx is None else \
-                (None, None, (np.asarray(idx, dtype=int).tobytes(), x))
-            self._kept = self._kept[-1:] + [(t.tobytes(), support.tobytes(), k) + data_side]
-        return vals
+        return self.kernel_matrix(t, support) @ coef - self.y_inner_many(t, idx)
 
-    def certificate_field(self, t, support, coef, idx=None):
-        t, support, coef = self._operands(t, support, coef)
-        x = self._batch(idx)
-        k_s, k_y, y = self._inputs(t, support, idx, x)
+    def _field(self, t, support, coef, k_s, x, k_y, y):
+        """Values and gradients from ``K(t, support)`` and the density rows
+        ``k_y`` of ``t`` over the samples ``x``, with their means ``y``."""
         vals = k_s @ coef - y
         grads = _gauss_grad(k_s, t, support, coef, self._kvar) \
             - (k_y @ x / x.shape[0] - y[:, None] * t) / self._yvar
         return vals, grads
+
+    def certificate_field(self, t, support, coef, idx=None):
+        t, support, coef = self._operands(t, support, coef)
+        x = self._batch(idx)
+        return self._field(t, support, coef, self.kernel_matrix(t, support), x,
+                           *self._density(t, x))
+
+    def pushed_values(self, support, coef, idx=None):
+        support, _, coef = self._operands(support, support, coef)
+        x = self._batch(idx)
+        k = self.kernel_matrix(support, support)
+        rows, means = self._density(support, x)
+        ev = {"support": support, "coef": coef, "x": x, "k": k,
+              "side": None if idx is not None else (rows, means)}
+        return k @ coef - means, ev
+
+    def candidate_values(self, ev, t):
+        t = _rows(t, self.dim)
+        k = self.kernel_matrix(t, ev["support"])
+        rows, means = self._density(t, ev["x"])
+        ev["cand"] = k, None if ev["side"] is None else (rows, means)
+        return k @ ev["coef"] - means
+
+    def support_field(self, t, coef, idx, ev, keep, born):
+        if ev is None:
+            return self.certificate_field(t, t, coef, idx)
+        t, _, coef = self._operands(t, t, coef)
+        died = not keep.all()
+        k, side = ev["k"], (ev["side"] if idx is None else None)
+        if died:
+            k = k[np.ix_(keep, keep)]
+            if side is not None:
+                side = side[0][keep], side[1][keep]
+        if born.any():
+            k_c, c_side = ev["cand"]
+            p = len(k)
+            full = np.empty((len(t), len(t)))
+            full[:p, :p] = k
+            full[p:, :p] = k_c[np.ix_(born, keep)] if died else k_c[born]
+            full[:p, p:] = full[p:, :p].T
+            full[p:, p:] = self.kernel_matrix(t[p:], t[p:])
+            k = full
+            if side is not None:
+                side = (np.vstack([side[0], c_side[0][born]]),
+                        np.concatenate([side[1], c_side[1][born]]))
+        x = self._batch(idx)
+        return self._field(t, t, coef, k, x, *(self._density(t, x) if side is None else side))
 
 
 class ReluKernel(KernelModel):
@@ -759,15 +740,8 @@ class ReluKernel(KernelModel):
     ``r = relu(X_b S) c - y``: one product for the values, one for the
     gradients.
 
-    Inside ``run_scope`` the model keeps one record: its last value-only
-    evaluation at ``t == support``, as read-only views of the batch rows
-    ``X_b`` and the residual ``r``, keyed by the bytes of the support, ``c``
-    and the batch indices (None for the exact evaluation). In the loop this
-    is the pushed support, and the birth candidates are scored against it
-    on the same batch, so they take ``X_b`` and ``r`` from the record and
-    build only their own activation. Any evaluation against another
-    support, ``c`` or batch is built fresh; the record is dropped when the
-    scope ends.
+    ``ev`` holds the batch rows ``X_b`` and the pushed support's residual
+    ``r`` on them, so the birth candidates build only their own activation.
     """
 
     kernel_depends_on_samples = True
@@ -836,31 +810,17 @@ class ReluKernel(KernelModel):
         mask = pre > 0.0
         return (mask * self._targets(idx)[:, None]).T @ aug / aug.shape[0]
 
-    def _field(self, t, support, coef, idx, keep=False):
+    def _field(self, t, support, coef, idx):
         """Batch rows, pre-activations of ``t``, the residual ``r = u - y`` of
         the support's network output ``u`` on the batch, and the certificate
-        values ``act' r / m``, from one activation of ``t``. The batch rows
-        and ``r`` are the kept record's when it was made against the same
-        support, coefficients and batch; else ``u`` reuses the activation of
-        ``t`` when the support equals ``t``, and with ``keep`` inside a run
-        scope such an evaluation becomes the record."""
+        values ``act' r / m``, from one activation of ``t``, which ``u``
+        reuses when the support equals ``t``."""
         t, support, coef = self._operands(t, support, coef)
-        key = None if self._kept is None else (
-            support.tobytes(), coef.tobytes(),
-            None if idx is None else np.asarray(idx, dtype=int).tobytes())
-        kept = next((e[1:] for e in self._kept or () if e[0] == key), None)
-        aug, r = kept or (self._batch(idx), None)
+        aug = self._batch(idx)
         pre = aug @ t.T
         act = np.maximum(pre, 0.0)
-        if r is None:
-            at_support = np.array_equal(support, t)
-            u = (act if at_support else np.maximum(aug @ support.T, 0.0)) @ coef
-            r = u - self._targets(idx)
-            if keep and at_support and key is not None:
-                views = (aug.view(), r.view())
-                for a in views:
-                    a.flags.writeable = False
-                self._kept = [(key,) + views]
+        u = (act if np.array_equal(support, t) else np.maximum(aug @ support.T, 0.0)) @ coef
+        r = u - self._targets(idx)
         return aug, pre, r, act.T @ r / aug.shape[0]
 
     def _pair_grad1(self, a, b):
@@ -888,7 +848,33 @@ class ReluKernel(KernelModel):
         return k, ((pre_a[:, :g] > 0.0) * act_b[:, :g])[:, :, None] * aug[:, None, :]
 
     def certificate_values(self, t, support, coef, idx=None):
-        return self._field(t, support, coef, idx, keep=True)[-1]
+        """At ``idx=None``, ``r`` over row blocks of at most
+        ``_ROW_BLOCK_ENTRIES`` support activations, then ``act' r / n`` over
+        chunks of a multiple of 8 points with at most that many activations
+        (8 points once n exceeds it), so no n x |S| or n x |t| array is
+        held; the blocks group the sums otherwise than ``_field``'s call."""
+        if idx is not None:
+            return self._field(t, support, coef, idx)[-1]
+        t, support, coef = self._operands(t, support, coef)
+        n = self.n_samples
+        r = np.empty(n)
+        step = max(1, _ROW_BLOCK_ENTRIES // max(1, len(coef)))
+        for lo in range(0, n, step):
+            r[lo : lo + step] = np.maximum(self._aug[lo : lo + step] @ support.T, 0.0) @ coef
+        r -= self.targets
+        vals = np.empty(len(t))
+        step = 8 * max(1, _ROW_BLOCK_ENTRIES // (8 * n))
+        for lo in range(0, len(t), step):
+            vals[lo : lo + step] = np.maximum(self._aug @ t[lo : lo + step].T, 0.0).T @ r
+        return vals / n
+
+    def pushed_values(self, support, coef, idx=None):
+        aug, _, r, vals = self._field(support, support, coef, idx)
+        return vals, (aug, r)
+
+    def candidate_values(self, ev, t):
+        aug, r = ev
+        return np.maximum(aug @ _rows(t, self.dim).T, 0.0).T @ r / aug.shape[0]
 
     def certificate_field(self, t, support, coef, idx=None):
         aug, pre, r, vals = self._field(t, support, coef, idx)

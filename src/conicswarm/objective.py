@@ -17,11 +17,13 @@ The dual certificate at a lifted point ``(t, s)`` is
 ``s * (sum_j w_j s_j K(t_j, t) - <y, phi_t>) + kappa``; its sign field
 drives birth (negative regions) and death (positive regions).
 
-``certificate`` and ``certificate_and_grad`` are the one implementation of
-the certificate, over ``KernelModel.certificate_values`` and
-``certificate_field``, which return the same values bit for bit; they fold
-in the sign and kappa. ``idx=None`` evaluates it exactly, an index array
-from ``oracle.draw_batch`` gives its mini-batch estimate.
+``certificate`` and ``certificate_and_grad`` fold the sign and kappa into
+``KernelModel.certificate_values`` and ``certificate_field``, which return
+the same values bit for bit. ``idx=None`` evaluates it exactly, an index
+array from ``oracle.draw_batch`` gives its mini-batch estimate. The solver
+loop folds them the same way into the model's loop evaluations
+(``pushed_values``, ``candidate_values``, ``support_field``), which have the
+bits of those two.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ Batches are index arrays drawn i.i.d. uniform with replacement; passing one
 as ``idx`` to ``objective.certificate`` or ``objective.certificate_and_grad``
 gives the mini-batch estimate, while ``idx=None`` evaluates the exact
 full-data quantity, which coincides with a batch that enumerates every
-sample index exactly once.
+sample index exactly once. The solver loop passes each iteration's first
+batch to ``KernelModel.support_field`` and its second to
+``pushed_values``, whose ``ev`` carries that batch to ``candidate_values``.
 """
 
 from __future__ import annotations

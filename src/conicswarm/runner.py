@@ -13,16 +13,13 @@ whose temporaries do not grow with n.
 A weight-update overflow raises ``RunAborted``, which names the iteration
 and carries the trace rows recorded so far and the last good swarm.
 
-The loop runs inside ``KernelModel.run_scope``, where a model may keep
-evaluations between calls. The birth candidates are scored against the
-pushed support on the pushed certificate's batch, so a ReLU run takes that
-batch and the support's residual on it from the pushed evaluation, a
-mixture run the fetched batch rows, and a synthetic run the batch's noise
-mean. Unless a particle died, each support is the previous pushed support
-followed by the accepted candidates, so a mixture run takes its kernel
-matrix (and at beta = 0 the pushed one's), and a full-batch run also their
-data-side rows, from those two evaluations. Everything kept is dropped
-when ``run`` returns or raises.
+Each iteration scores the pushed measure on one batch twice, for deaths at
+its support and for births at the candidates, and the next support is the
+survivors followed by the born candidates. The loop hands this on
+explicitly: ``KernelModel.pushed_values`` returns ``ev``, what the two
+scorings share, ``candidate_values`` reads it, and the next iteration's
+``support_field`` takes it with the survivor and birth masks. The models
+keep no state between calls.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import numpy as np
 from .birth_death import BirthRule, DeathRule, apply_mass_tweak, evaluate_birth_candidates, \
     select_deaths
 from .dynamics import StepRates, weight_push_update
-from .objective import Problem, certificate, certificate_and_grad, loss
+from .objective import Problem, loss
 from .oracle import draw_batch
 from .schedules import AnytimePlan, FixedPlan
 from .swarm import ParticleSwarm
@@ -131,16 +128,11 @@ class RunAborted(ValueError):
 
 
 def run(config: RunConfig, problem: Problem) -> RunResult:
-    """Execute the loop and record one trace row per iteration, inside
-    ``problem.model.run_scope()``."""
-    with problem.model.run_scope():
-        return _iterate(config, problem)
-
-
-def _iterate(config: RunConfig, problem: Problem) -> RunResult:
+    """Execute the loop and record one trace row per iteration."""
     rng = np.random.Generator(np.random.Philox(config.seed))
     swarm = config.init_swarm
-    n = problem.model.n_samples
+    model, kappa = problem.model, problem.kappa
+    n = model.n_samples
     t0 = time.perf_counter()
 
     trace: list[IterationRecord] = []
@@ -148,12 +140,15 @@ def _iterate(config: RunConfig, problem: Problem) -> RunResult:
     trace.append(IterationRecord(0, 0.0, last_loss, swarm.tv_norm(), len(swarm),
                                  0, 0, None, None, None))
 
+    ev = keep = born_mask = None  # the last pushed evaluation and its outcome
     for k in range(1, config.k_iters + 1):
         eps_k, m_k, beta_k = config.plan.at(k)
         idx = None if config.full_batch else draw_batch(rng, m_k, n)
         threshold_m = n if config.full_batch else m_k
 
-        certs, grads = certificate_and_grad(problem, swarm, swarm.positions, swarm.signs, idx)
+        vals, grad = model.support_field(swarm.positions, swarm.weights * swarm.signs, idx,
+                                         ev, keep, born_mask)
+        certs, grads = swarm.signs * vals + kappa, swarm.signs[:, None] * grad
         cert_norm_sq = float(swarm.weights @ certs**2) if len(swarm) else 0.0
         # the recorded minimum tracks the pushed certificate; without the
         # birth/death step the pre-update support values stand in for it
@@ -168,10 +163,14 @@ def _iterate(config: RunConfig, problem: Problem) -> RunResult:
         births = deaths = 0
         if config.birth_death:
             idx_plus = None if config.full_batch else draw_batch(rng, m_k, n)
-            pushed = certificate(problem, swarm, swarm.positions, swarm.signs, idx_plus)
+            vals, ev = model.pushed_values(swarm.positions, swarm.weights * swarm.signs, idx_plus)
+            pushed = swarm.signs * vals + kappa
             death_idx = select_deaths(swarm, pushed, config.death_rule, eps_k, rng)
-            born, _, _, cand_certs, _ = evaluate_birth_candidates(
-                problem, swarm, config.birth_rule, eps_k, threshold_m, idx_plus, rng)
+            born, _, _, cand_certs, level = evaluate_birth_candidates(
+                problem, ev, config.birth_rule, eps_k, threshold_m, rng)
+            keep = np.ones(len(swarm), dtype=bool)
+            keep[death_idx] = False
+            born_mask = cand_certs <= level
             if len(swarm):
                 min_cert_vals.append(float(pushed.min()))
             if cand_certs.size:

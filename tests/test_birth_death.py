@@ -20,9 +20,15 @@ def swarm_of(weights, certs_dim=1):
     return ParticleSwarm(weights, np.ones(p), np.zeros((p, certs_dim)))
 
 
+def pushed_ev(problem, swarm, idx):
+    """What the birth step reads of the pushed evaluation of ``swarm`` on ``idx``."""
+    return problem.model.pushed_values(swarm.positions, swarm.weights * swarm.signs, idx)[1]
+
+
 def births(problem, swarm, rule, eps_k, m_k, idx, g):
     """The accepted candidates of one birth step."""
-    return evaluate_birth_candidates(problem, swarm, rule, eps_k, m_k, idx, g)[0]
+    return evaluate_birth_candidates(problem, pushed_ev(problem, swarm, idx), rule, eps_k, m_k,
+                                     g)[0]
 
 
 class TestSelectDeaths:
@@ -163,8 +169,8 @@ class TestProposeBirths:
         problem = make_synthetic_problem()
         sw = ParticleSwarm.empty(2)
         rule = BirthRule(threshold_coeff=math.inf, candidates_per_iter=5)
-        born, cands, _, _, _ = evaluate_birth_candidates(problem, sw, rule, 0.01, 16,
-                                                         None, rng(17))
+        born, cands, _, _, _ = evaluate_birth_candidates(problem, pushed_ev(problem, sw, None),
+                                                         rule, 0.01, 16, rng(17))
         assert np.array_equal(born.positions, cands)
 
 

@@ -1,13 +1,13 @@
 """Exact mixture data-side means over row blocks.
 
 ``GmmKernel`` averages exact data-side densities in blocks of at most
-``_ROW_BLOCK_ENTRIES`` entries in ``y_inner_many`` (and so the loss),
-inside a run scope or not, and in ``certificate_values`` outside one (and
-so ``kkt_residual`` and ``frechet_gap``). Gaussian entries are pair-local
-and each row is averaged on its own, so the means must equal the one-shot
-``gauss_density(t, data, ...).mean(axis=1)`` bit for bit on both sides of
-every block edge, inside and outside a run scope, with and without a kept
-evaluation, and the temporaries must not grow with n.
+``_ROW_BLOCK_ENTRIES`` entries in ``y_inner_many`` (and so the loss) and in
+``certificate_values`` (and so ``kkt_residual`` and ``frechet_gap``).
+Gaussian entries are pair-local and each row is averaged on its own, so the
+means must equal the one-shot ``gauss_density(t, data, ...).mean(axis=1)``
+bit for bit on both sides of every block edge, before and after an exact
+pushed evaluation, whose full rows go to its ``ev`` alone, and the
+temporaries must not grow with n.
 """
 
 from __future__ import annotations
@@ -82,11 +82,12 @@ def test_scoped_means_with_kept_hits_and_misses(n, data, seed):
     pick = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=3 * block_rows(n) + 1)
                      if len(pool) else st.just([]))
     t = pool[pick] if pick else np.empty((0, 2))
-    with model.run_scope():
-        if len(kept):
-            model.certificate_values(kept, kept, np.ones(len(kept)))  # keeps its rows
-        assert same_bits(model.y_inner_many(t), one_shot(model, t))
-        assert same_bits(model.y_inner_many(new), one_shot(model, new))
+    if len(kept):  # the exact pushed evaluation's rows and means go to ``ev`` only
+        _, ev = model.pushed_values(kept, np.ones(len(kept)))
+        assert same_bits(model.candidate_values(ev, t),
+                         model.certificate_values(t, kept, np.ones(len(kept))))
+    assert same_bits(model.y_inner_many(t), one_shot(model, t))
+    assert same_bits(model.y_inner_many(new), one_shot(model, new))
 
 
 def traced_peak(fn):

@@ -11,8 +11,13 @@ signed and unsigned problems:
 * ReLU correlates each feature with the residual ``r = relu(X_b S) c - y``.
   It must reproduce, bit for bit, that residual form written out here, and
   match the four primitives, which subtract the target's correlation
-  separately, within the summation bound ``relu_residual_bound``.
+  separately, within the summation bound ``relu_residual_bound``. Its exact
+  ``certificate_values`` sums ``r`` over row blocks and the values over
+  chunks of points, so it holds no n x |T| array; it sums the same products
+  in other groupings and is held to the residual form within that bound.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from conicswarm.domain import Ball
 from conicswarm.kernels import ReluKernel
-from conicswarm.objective import Problem, certificate, certificate_and_grad, loss
+from conicswarm.objective import Problem, certificate, certificate_and_grad, kkt_residual, loss
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
 from test_weighted_kernel import EPS, relu_sum_bound
@@ -90,6 +95,7 @@ def check_certificate(problem, swarm, points, signs, idx):
     model = problem.model
     coef = swarm.weights * swarm.signs
     want = primitive_field(model, points, swarm.positions, coef, idx)
+    blocked = isinstance(model, ReluKernel) and idx is None
     if isinstance(model, ReluKernel):
         bounds = relu_residual_bound(model, points, swarm.positions, coef, idx)
         got = model.certificate_field(points, swarm.positions, coef, idx)
@@ -100,6 +106,10 @@ def check_certificate(problem, swarm, points, signs, idx):
     vals, grads = certificate_and_grad(problem, swarm, points, signs, idx)
     assert np.array_equal(vals, want_vals)
     assert np.array_equal(grads, want_grads)
+    if blocked:
+        field = model.certificate_values(points, swarm.positions, coef)
+        assert np.all(np.abs(field - want[0]) <= bounds[0])
+        want_vals = fold(problem, signs, (field, want[1]))[0]
     assert np.array_equal(certificate(problem, swarm, points, signs, idx), want_vals)
 
 
@@ -170,3 +180,47 @@ def test_relu_solver_paths_build_no_kernel_matrix(monkeypatch):
         certificate_and_grad(problem, swarm, points, signs, idx)
     with pytest.raises(AssertionError, match="kernel_matrix called"):
         problem.model.kernel_matrix(points, points)
+
+
+@pytest.mark.parametrize("p", [0, 1, 7, 300, 1000])
+def test_relu_exact_values_match_the_one_shot_residual_form(p):
+    # n = 2,000: chunks of 64 points and, from p = 66 on, row blocks of the
+    # support's activations; the values sum the residual form's products in
+    # other groupings, so they are held to it within its summation bound,
+    # on both sides of a chunk edge
+    g = np.random.Generator(np.random.Philox(p))
+    model = ReluKernel(g.standard_normal((2000, 8)), g.standard_normal(2000))
+    ball = Ball(np.zeros(9), 1.0)
+    support = ball.sample_uniform(g, size=p)
+    coef = g.uniform(-1.0, 1.0, size=p)
+    for size in (1, 63, 64, 65, 200):
+        points = ball.sample_uniform(g, size=size)
+        got = model.certificate_values(points, support, coef)
+        want = residual_field(model, points, support, coef, None)[0]
+        assert np.all(np.abs(got - want) <= relu_residual_bound(model, points, support, coef,
+                                                                None)[0])
+
+
+def test_relu_kkt_residual_memory_does_not_grow_with_the_grid():
+    # n = 1,600 samples in d + 1 = 9 (teacher_desk.cfg's sizes) and p = 300:
+    # one-shot exact values would hold two n x |grid| arrays, 205 MB at
+    # 8,000 points; the chunked ones hold about 2 MiB whatever the grid,
+    # plus a few floats per grid point
+    g = np.random.Generator(np.random.Philox(3))
+    model = ReluKernel(g.standard_normal((1600, 8)), g.standard_normal(1600))
+    problem = Problem(model=model, domain=Ball(np.zeros(9), 1.0), kappa=1e-3)
+    swarm = ParticleSwarm(g.uniform(0.01, 1.0, size=300), g.choice([-1.0, 1.0], size=300),
+                          problem.domain.sample_uniform(g, size=300))
+    peaks = []
+    for size in (1000, 8000):
+        grid = problem.domain.sample_uniform(g, size=size)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            kkt_residual(problem, swarm, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 4 * 2**20
+    assert peaks[1] - peaks[0] < 32 * 7000

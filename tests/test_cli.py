@@ -103,6 +103,21 @@ class TestConfigParsing:
             profile_override="theory")
         assert bare.birth_death["candidates"] == 1
 
+    @pytest.mark.parametrize("grid", [1, -1, -30])
+    def test_kkt_grid_below_two_fails_closed(self, tmp_path, capsys, grid):
+        # 0 turns the report off; a grid needs at least two points per axis
+        bad = TINY_SYNTHETIC.replace("init = uniform", f"init = uniform\nkkt_grid = {grid}")
+        with pytest.raises(ConfigError, match=r"\[run\] kkt_grid must be 0"):
+            load_config(write_config(tmp_path, bad))
+        assert main(["run", "--config", str(tmp_path / "run.cfg"),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "kkt_grid" in err
+        assert not (tmp_path / "out").exists()
+        for grid in (0, 2):
+            ok = TINY_SYNTHETIC.replace("init = uniform", f"init = uniform\nkkt_grid = {grid}")
+            assert load_config(write_config(tmp_path, ok)).run["kkt_grid"] == grid
+
     def test_paths_resolve_relative_to_config(self, tmp_path):
         spec = load_config(write_config(tmp_path, TINY_SYNTHETIC))
         assert spec.resolve_path("data.csv") == (tmp_path / "data.csv").resolve()
@@ -392,12 +407,7 @@ def _standin():
 def test_calibrate_every_shipped_config_exits_0_or_names_the_cause(name, tmp_path, capsys):
     # exit 0, or exit 2 with one ``error:`` line naming why calibration is
     # unavailable; never exit 1 or a traceback
-    cfg = CONFIGS / name
-    if name == "housing_full.cfg":
-        standin = _standin()
-        standin.write_csv(tmp_path / "california.csv", seed=1)
-        cfg = tmp_path / name
-        standin.write_config(CONFIGS / name, cfg, "california.csv")
+    cfg = shipped_copy(name, tmp_path) if name == "housing_full.cfg" else CONFIGS / name
     code = main(["calibrate", "--config", str(cfg)])
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
@@ -410,6 +420,44 @@ def test_calibrate_every_shipped_config_exits_0_or_names_the_cause(name, tmp_pat
     if name == "gmm_full.cfg":
         # kernel_min ~ 2e-158 makes the descent cap underflow to 0
         assert code == 2 and "alpha = 0 is not a usable rate (binding: descent cap" in err
+
+
+def shipped_copy(name, tmp_path, iterations=None):
+    """A copy of ``configs/<name>`` in ``tmp_path``, housing pointed at the
+    stand-in, with ``[run] iterations`` set when given."""
+    cfg = tmp_path / name
+    if name == "housing_full.cfg":
+        standin = _standin()
+        standin.write_csv(tmp_path / "california.csv", seed=1)
+        standin.write_config(CONFIGS / name, cfg, "california.csv")
+    else:
+        cfg.write_text((CONFIGS / name).read_text(encoding="utf-8"), encoding="utf-8")
+    if iterations is not None:
+        lines = cfg.read_text(encoding="utf-8").splitlines()
+        lines = [f"iterations = {iterations}" if line.split("=", 1)[0].strip() == "iterations"
+                 else line for line in lines]
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_run_and_report_every_shipped_config(name, tmp_path, capsys):
+    # ``run`` at 60 iterations exits 0, or with one ``error:`` line naming the
+    # cause, never with a traceback, and writes its trace and final swarm;
+    # ``report`` then reads that trace
+    cfg = shipped_copy(name, tmp_path, iterations=60)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    printed, err = capsys.readouterr()
+    assert "Traceback" not in printed + err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert not err
+    assert (out / "trace.csv").is_file() and (out / "final_swarm.csv").is_file()
+    assert main(["report", str(out / "trace.csv")]) == 0
+    printed, err = capsys.readouterr()
+    assert "Traceback" not in printed + err and not err and printed
 
 
 def test_unusable_calibrated_rates_do_not_stop_a_manual_rates_run():

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conicswarm.birth_death import BirthRule, DeathRule, apply_mass_tweak, \
     evaluate_birth_candidates, select_deaths
 from conicswarm.dynamics import StepRates, weight_push_update
-from conicswarm.objective import certificate, certificate_and_grad
+from conicswarm.objective import certificate_and_grad
 from conicswarm.oracle import draw_batch
 from conicswarm.runner import RunConfig, run
 from conicswarm.schedules import FixedPlan
@@ -50,10 +50,10 @@ def test_one_step_outputs_pass_check(name, seed, step, death_rule, birth_rule, e
     certs, grads = certificate_and_grad(problem, swarm, swarm.positions, swarm.signs, idx)
     pushed = weight_push_update(problem, swarm, certs, grads, step).check()
 
-    pushed_certs = certificate(problem, pushed, pushed.positions, pushed.signs, idx)
-    deaths = select_deaths(pushed, pushed_certs, death_rule, eps_k, rng)
-    born = evaluate_birth_candidates(problem, pushed, birth_rule, eps_k,
-                                     n if exact else m_k, idx, rng)[0].check()
+    vals, ev = problem.model.pushed_values(pushed.positions, pushed.weights * pushed.signs, idx)
+    deaths = select_deaths(pushed, pushed.signs * vals + problem.kappa, death_rule, eps_k, rng)
+    born = evaluate_birth_candidates(problem, ev, birth_rule, eps_k,
+                                     n if exact else m_k, rng)[0].check()
     after = apply_mass_tweak(pushed, deaths, born).check()
     assert len(after) == len(pushed) - len(deaths) + len(born)
 

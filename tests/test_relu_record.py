@@ -1,19 +1,17 @@
-"""``ReluKernel``'s kept record of the pushed support's evaluation.
+"""``ReluKernel``'s loop evaluations: the pushed support's residual in ``ev``.
 
-Inside ``run_scope`` a value-only evaluation at ``t == support`` keeps the
-batch rows and the residual ``r = u - y`` of the support's network output
-``u = relu(X_b S) c``, keyed by the bytes of the support, the coefficients
-and the batch. The loop scores its birth candidates against the pushed
-support on that same batch, so they read ``r`` from the record and build
-only their own activation. The products see the same operands either way,
-so a warm model gives the bits of a fresh one, and a whole run the rows of
-a run that keeps nothing. Nothing is kept once ``runner.run`` returns or
-raises.
+``pushed_values`` hands the batch rows and the residual ``r = u - y`` of the
+pushed support's network output ``u = relu(X_b S) c`` on them to
+``candidate_values`` as ``ev``; the loop scores its birth candidates against
+the pushed support on that same batch, so they read ``r`` and build only
+their own activation. The products see the same operands either way, so
+every loop evaluation gives the bits of the stateless one, and a whole run
+the rows of a run patched to the stateless evaluators. Nothing is kept
+between calls: a stateless evaluation after the loop evaluations builds
+fresh, and a run leaves the model's attributes as it found them.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import conicswarm.runner as runner
 from conicswarm.birth_death import BirthRule, DeathRule
-from conicswarm.kernels import ReluKernel
+from conicswarm.kernels import KernelModel, ReluKernel
 from conicswarm.runner import RunAborted, RunConfig, run
 from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm
@@ -80,14 +78,20 @@ def loop_config(init, full_batch, **kw):
     return RunConfig(**base)
 
 
+def attributes(model):
+    """The model's attributes, by identity."""
+    return {name: id(value) for name, value in vars(model).items()}
+
+
 def rows(trace):
     return [(r.k, r.loss, r.tv, r.particles, r.births, r.deaths, r.min_cert, r.delta,
              r.cert_norm_sq) for r in trace]
 
 
-@given(seed=st.integers(0, 2**32 - 1), batched=st.booleans(), n_cand=st.integers(1, 6))
+@given(seed=st.integers(0, 2**32 - 1), batched=st.booleans(), n_cand=st.integers(1, 6),
+       data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_warm_model_gives_fresh_bits(seed, batched, n_cand):
+def test_warm_model_gives_fresh_bits(seed, batched, n_cand, data):
     problem = make_relu_problem(seed=3)
     warm = problem.model
     fresh = ReluKernel(warm.features, warm.targets)
@@ -96,20 +100,28 @@ def test_warm_model_gives_fresh_bits(seed, batched, n_cand):
     cand = problem.domain.sample_uniform(g, size=n_cand)
     coef = g.uniform(-1.0, 1.0, size=len(pushed))
     idx = g.integers(0, warm.n_samples, size=32) if batched else None
-    with warm.run_scope():
-        assert same_bits(warm.certificate_values(pushed, pushed, coef, idx),
-                         fresh.certificate_values(pushed, pushed, coef, idx))
-        assert len(warm._kept) == 1
-        assert same_bits(warm.certificate_values(cand, pushed, coef, idx),
-                         fresh.certificate_values(cand, pushed, coef, idx))
-        for got, want in zip(warm.certificate_field(pushed, pushed, coef, idx),
-                             fresh.certificate_field(pushed, pushed, coef, idx)):
-            assert same_bits(got, want)
+    vals, ev = warm.pushed_values(pushed, coef, idx)
+    assert same_bits(vals, fresh.certificate_values(pushed, pushed, coef, idx))
+    assert same_bits(warm.candidate_values(ev, cand),
+                     fresh.certificate_values(cand, pushed, coef, idx))
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(pushed),
+                                       max_size=len(pushed))), dtype=bool)
+    born = np.array(data.draw(st.lists(st.booleans(), min_size=n_cand, max_size=n_cand)),
+                    dtype=bool)
+    t = np.vstack([pushed[keep], cand[born]])
+    c = g.uniform(-1.0, 1.0, size=len(t))
+    idx = g.integers(0, warm.n_samples, size=32) if batched else None
+    for got, want in zip(warm.support_field(t, c, idx, ev, keep, born),
+                         fresh.certificate_field(t, t, c, idx)):
+        assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("batched", [True, False])
 @pytest.mark.parametrize("case", ["kept", "support", "coef", "batch", "unscoped"])
 def test_only_the_kept_support_coef_and_batch_read_the_record(case, batched):
+    # only ``candidate_values`` reads the pushed evaluation, through its
+    # ``ev``; a stateless evaluation against any support, ``c`` or batch,
+    # the pushed one's included, builds every activation again
     problem = make_relu_problem(seed=3)
     model = problem.model
     fresh = ReluKernel(model.features, model.targets)
@@ -127,35 +139,27 @@ def test_only_the_kept_support_coef_and_batch_read_the_record(case, batched):
         "coef": (pushed, coef[::-1].copy(), idx),
         "batch": (pushed, coef, other if idx is None else None),
     }[case]
-    with contextlib.nullcontext() if case == "unscoped" else model.run_scope():
-        model.certificate_values(pushed, pushed, coef, idx)
+    _, ev = model.pushed_values(pushed, coef, idx)
+    want = fresh.certificate_values(cand, support, c, batch)
+    if case == "kept":
+        got = model.candidate_values(ev, cand)
+    else:
         got = model.certificate_values(cand, support, c, batch)
-    assert same_bits(got, fresh.certificate_values(cand, support, c, batch))
-    assert log == ([5, N_CAND] if case == "kept" else [5, N_CAND, 5])
-
-
-def test_kept_arrays_are_read_only():
-    problem = make_relu_problem(seed=3)
-    model = problem.model
-    pts = problem.domain.sample_uniform(rng(2), size=4)
-    with model.run_scope():
-        for idx in (None, np.arange(10)):
-            model.certificate_values(pts, pts, np.ones(4), idx)
-            (key, *kept), = model._kept
-            assert all(not a.flags.writeable for a in kept)
-    # the record's views leave the model's own arrays writable
-    assert all(a.flags.writeable for a in (model._aug, model.targets, model.features))
+    assert same_bits(got, want)
+    assert sorted(log) == sorted([5, N_CAND] if case == "kept" else [5, N_CAND, 5])
 
 
 def test_record_dropped_after_run_and_after_abort(monkeypatch):
+    # a run, and a run that aborts, leave the model's attributes as they were
     problem = make_relu_problem(seed=3)
     init = init_swarm(problem)
+    before = attributes(problem.model)
     run(loop_config(init, False, k_iters=5), problem)
-    assert problem.model._kept is None
+    assert attributes(problem.model) == before
     real, seen = runner.weight_push_update, []
 
     def failing(problem_, swarm, certs, grads, rates):
-        seen.append(len(problem.model._kept))
+        seen.append(attributes(problem.model) == before)
         if len(seen) == 3:
             raise ValueError("stop here")
         return real(problem_, swarm, certs, grads, rates)
@@ -163,8 +167,8 @@ def test_record_dropped_after_run_and_after_abort(monkeypatch):
     monkeypatch.setattr(runner, "weight_push_update", failing)
     with pytest.raises(RunAborted):
         run(loop_config(init, False), problem)
-    assert seen == [0, 1, 1]
-    assert problem.model._kept is None
+    assert seen == [True] * 3
+    assert attributes(problem.model) == before
 
 
 @pytest.mark.parametrize("full_batch", [True, False])
@@ -173,7 +177,8 @@ def test_trace_equals_a_run_that_keeps_nothing(monkeypatch, full_batch):
     config = loop_config(init_swarm(problem), full_batch, k_iters=60)
     kept = run(config, problem)
     assert kept.total_births > 0 and kept.total_deaths > 0
-    monkeypatch.setattr(ReluKernel, "run_scope", lambda self: contextlib.nullcontext())
+    for name in ("pushed_values", "candidate_values"):
+        monkeypatch.setattr(ReluKernel, name, getattr(KernelModel, name))
     bare = run(config, problem)
     assert rows(kept.trace) == rows(bare.trace)
     for name in ("weights", "signs", "positions"):

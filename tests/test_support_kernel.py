@@ -1,21 +1,21 @@
-"""The support's inputs taken from ``GmmKernel``'s kept record.
+"""``GmmKernel``'s loop evaluations, which take the support's inputs from ``ev``.
 
-Inside ``run_scope`` the model keeps its two most recent value-only
-evaluations; in the loop these are the pushed support ``T'`` and the birth
-candidates ``C`` scored against it. An evaluation at ``t == support`` whose
-``t`` is ``T'`` followed by rows of ``C`` takes ``K(T', T')``, the born rows
-of ``K(C, T')``, and for an exact evaluation the kept data-side rows and
-means, and builds only ``K(C_born, C_born)``. A mini-batch evaluation keeps
-the sample rows it fetched, so the candidates, scored on the pushed
-support's batch, fetch none. Gaussian entries and rows are pair-local, so a
-warm model must give the bits of a fresh one, and whole runs the rows of runs
-that keep nothing. Every other evaluation builds fresh, and nothing is kept
-once ``runner.run`` returns or raises.
+Each iteration scores the pushed support ``T'`` against itself
+(``pushed_values``) and the birth candidates ``C`` against ``T'`` on the
+same batch (``candidate_values``); the next support is ``T'[keep]``
+followed by ``C[born]``. ``ev`` carries the batch rows, ``K(T', T')`` and
+``K(C, T')``, and in an exact run the data-side rows and means of both, so
+``support_field`` builds only ``K(C_born, C_born)``, after deaths too, and
+no data-side rows in an exact run, and the candidates fetch no batch.
+Gaussian entries and rows are pair-local, so every loop evaluation must
+give the bits of the stateless ``certificate_values`` and
+``certificate_field``, and whole runs the rows of runs patched to the
+stateless evaluators. The model keeps nothing between calls: every
+stateless evaluation builds fresh.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 
 import numpy as np
@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 import conicswarm.kernels as kernels
 import conicswarm.runner as runner
 from conicswarm.birth_death import BirthRule, DeathRule
-from conicswarm.kernels import GmmKernel
+from conicswarm.kernels import GmmKernel, KernelModel
 from conicswarm.objective import loss
 from conicswarm.runner import RunAborted, RunConfig, run
 from conicswarm.schedules import FixedPlan
@@ -63,31 +63,54 @@ def built(monkeypatch):
     return log
 
 
-def data_rows(log, model, since=0):
-    """Data-side density rows built since ``log[since]``."""
-    return sum(a for var, a, _ in log[since:] if var == model._yvar)
+def data_rows(log, model, since=0, until=None):
+    """Data-side density rows built in ``log[since:until]``."""
+    return sum(a for var, a, _ in log[since:until] if var == model._yvar)
 
 
-def kernel_entries(log, model, since=0):
-    """Kernel entries built since ``log[since]``."""
-    return sum(a * b for var, a, b in log[since:] if var == model._kvar)
+def kernel_entries(log, model, since=0, until=None):
+    """Kernel entries built in ``log[since:until]``."""
+    return sum(a * b for var, a, b in log[since:until] if var == model._kvar)
+
+
+#: each loop evaluation and the position of its points among its arguments
+LOOP_EVALUATIONS = {"support_field": 0, "pushed_values": 0, "candidate_values": 1}
 
 
 @pytest.fixture
 def evaluations(monkeypatch, built):
-    """Per certificate evaluation: ``(method, |t|, |support|, data-side rows
-    built, kernel entries built)``."""
+    """Per loop evaluation: ``(method, |points|, data-side rows built,
+    kernel entries built)``."""
     out = []
-    for name in ("certificate_field", "certificate_values"):
-        def counted(self, t, support, coef, idx=None, _real=getattr(GmmKernel, name), _name=name):
+    for name, at in LOOP_EVALUATIONS.items():
+        def counted(self, *args, _real=getattr(GmmKernel, name), _name=name, _at=at):
             since = len(built)
-            result = _real(self, t, support, coef, idx)
-            out.append((_name, len(t), len(support), data_rows(built, self, since),
+            result = _real(self, *args)
+            out.append((_name, len(args[_at]), data_rows(built, self, since),
                         kernel_entries(built, self, since)))
             return result
 
         monkeypatch.setattr(GmmKernel, name, counted)
     return out
+
+
+def stateless(monkeypatch):
+    """Patches ``GmmKernel``'s loop evaluations to the stateless defaults."""
+    for name in LOOP_EVALUATIONS:
+        monkeypatch.setattr(GmmKernel, name, getattr(KernelModel, name))
+
+
+def attributes(model):
+    """The model's attributes, by identity: equal before and after a run
+    when the run neither adds nor rebinds one."""
+    return {name: id(value) for name, value in vars(model).items()}
+
+
+def masks(size):
+    """Boolean masks of ``size`` entries: all, none, or any."""
+    return st.one_of(st.just([True] * size), st.just([False] * size),
+                     st.lists(st.booleans(), min_size=size, max_size=size)) \
+        .map(lambda m: np.array(m, dtype=bool))
 
 
 def loop_config(init, full_batch, **kw):
@@ -112,76 +135,56 @@ def rows(trace):
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_warm_model_gives_fresh_bits(seed, data):
+    # the loop evaluations against a fresh model's stateless ones, on exact
+    # and mini-batch runs, for any survivors and births
     problem = make_gmm_problem(seed=3)
     g = rng(seed)
     warm, fresh = problem.model, GmmKernel(problem.model.data, problem.model.tau)
-    batches = st.sampled_from([None] + [g.integers(0, problem.model.n_samples, size=32)
-                                        for _ in range(2)])
-    pushed = problem.domain.sample_uniform(g, size=int(g.integers(0, 7)))
-    cand = problem.domain.sample_uniform(g, size=4)
+    n = warm.n_samples
+    # 70 and 200 points take ``_sqdist``'s product path and ``_gauss_self``'s
+    # blocks, where the subsets a support field assembles take neither
+    size = data.draw(st.one_of(st.integers(0, 7), st.sampled_from([70, 200])))
+    pushed = problem.domain.sample_uniform(g, size=size)
+    cand = problem.domain.sample_uniform(g, size=data.draw(st.integers(1, 5)))
     coef = g.uniform(-1.0, 1.0, size=len(pushed))
-    born = st.lists(st.integers(0, 3), unique=True).map(sorted)
-    with contextlib.nullcontext() if data.draw(st.booleans()) else warm.run_scope():
-        idx = data.draw(batches)
-        warm.certificate_values(pushed, pushed, coef, idx)
-        warm.certificate_values(cand, pushed, coef, idx)
-        for _ in range(3):
-            shape = data.draw(st.sampled_from(["births", "death", "unrelated", "arbitrary"]))
-            if shape == "births":
-                t = np.vstack([pushed, cand[data.draw(born)]])
-            elif shape == "death":
-                alive = data.draw(st.lists(st.booleans(), min_size=len(pushed),
-                                           max_size=len(pushed)))
-                t = np.vstack([pushed[np.array(alive, dtype=bool)], cand[data.draw(born)]])
-            elif shape == "unrelated":
-                t = problem.domain.sample_uniform(g, size=int(g.integers(1, 7)))
-            else:
-                pool = np.vstack([pushed, cand])
-                t = pool[data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
-                                            max_size=10))]
-            c = g.uniform(-1.0, 1.0, size=len(t))
-            idx = data.draw(batches)
-            call = data.draw(st.sampled_from(["field", "values", "candidates", "y"]))
-            if call == "field":
-                for got, want in zip(warm.certificate_field(t, t, c, idx),
-                                     fresh.certificate_field(t, t, c, idx)):
-                    assert same_bits(got, want)
-            elif call == "values":
-                assert same_bits(warm.certificate_values(t, t, c, idx),
-                                 fresh.certificate_values(t, t, c, idx))
-            elif call == "candidates":
-                assert same_bits(warm.certificate_values(t, pushed, coef, idx),
-                                 fresh.certificate_values(t, pushed, coef, idx))
-            else:
-                assert same_bits(warm.y_inner_many(t, idx), fresh.y_inner_many(t, idx))
+    exact = data.draw(st.booleans())
+    idx = None if exact else g.integers(0, n, size=32)
+    vals, ev = warm.pushed_values(pushed, coef, idx)
+    assert same_bits(vals, fresh.certificate_values(pushed, pushed, coef, idx))
+    assert same_bits(warm.candidate_values(ev, cand),
+                     fresh.certificate_values(cand, pushed, coef, idx))
+    keep, born = data.draw(masks(len(pushed))), data.draw(masks(len(cand)))
+    t = np.vstack([pushed[keep], cand[born]])
+    c = g.uniform(-1.0, 1.0, size=len(t))
+    idx = None if exact else g.integers(0, n, size=32)
+    for got, want in zip(warm.support_field(t, c, idx, ev, keep, born),
+                         fresh.certificate_field(t, t, c, idx)):
+        assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("full_batch", [True, False])
 def test_assembled_kernel_has_fresh_bits(monkeypatch, full_batch):
-    # whole runs with deaths and births, beta = 0 and > 0, equal runs that
-    # keep nothing, row for row, and every reused input has fresh bits
+    # whole runs with deaths and births, beta = 0 and > 0, equal runs patched
+    # to the stateless evaluators, row for row, and every assembled support
+    # field has the bits of the stateless one
     problem = make_gmm_problem(seed=7)
     init = random_swarm(problem, rng(8), max_particles=6)
-    real, reused = GmmKernel._reuse, []
+    real, assembled = GmmKernel.support_field, []
 
-    def checked(self, t, support):
-        got = real(self, t, support)
-        if got is not None:
-            k, data_side, means = got
-            assert same_bits(k, fresh_kernel(self, t, t))
-            if data_side is not None:
-                want = REAL_DENSITY(t, self.data, self._yvar, self.dim)
-                assert same_bits(data_side, want) and same_bits(means, want.mean(axis=1))
-            reused.append(len(t))
+    def checked(self, t, coef, idx, ev, keep, born):
+        got = real(self, t, coef, idx, ev, keep, born)
+        for g, w in zip(got, self.certificate_field(t, t, coef, idx)):
+            assert same_bits(g, w)
+        assembled.append(ev is not None)
         return got
 
     configs = [loop_config(init, full_batch, k_iters=60, plan=FixedPlan(0.02, 32, beta),
                            death_rule=DeathRule())
                for beta in (0.0, 0.05)]
-    monkeypatch.setattr(GmmKernel, "_reuse", checked)
+    monkeypatch.setattr(GmmKernel, "support_field", checked)
     results = [run(config, problem) for config in configs]
-    assert len(reused) >= 40
-    monkeypatch.setattr(GmmKernel, "run_scope", lambda self: contextlib.nullcontext())
+    assert sum(assembled) >= 100
+    stateless(monkeypatch)
     for config, res in zip(configs, results):
         assert res.total_births > 0 and res.total_deaths > 0
         again = run(config, problem)
@@ -196,15 +199,40 @@ def test_run_without_deaths_builds_no_support_kernel(evaluations, full_batch):
     init = random_swarm(problem, rng(8), max_particles=6)
     res = run(loop_config(init, full_batch, death_rule=NO_DEATHS), problem)
     assert res.total_deaths == 0 and res.total_births > 0
-    fields = [e for e in evaluations if e[0] == "certificate_field"]
-    sizes = [size for _, _, size, _, _ in fields]
+    fields = [e for e in evaluations if e[0] == "support_field"]
+    sizes = [size for _, size, _, _ in fields]
     assert sizes == [rec.particles for rec in res.trace[:-1]]
-    # the first support has nothing kept; later, only the born candidates
-    # against themselves, and in a full-batch run no data-side rows
+    # the first support has no pushed evaluation before it; later, only the
+    # born candidates against themselves, and in a full-batch run no
+    # data-side rows
     assert [entries for *_, entries in fields] == \
         [sizes[0] ** 2] + [rec.births ** 2 for rec in res.trace[1:-1]]
     assert [built for *_, built, _ in fields] == \
         ([sizes[0]] + [0] * (len(sizes) - 1) if full_batch else sizes)
+
+
+@pytest.mark.parametrize("full_batch", [True, False])
+def test_iteration_after_deaths_builds_only_the_born_block(monkeypatch, built, full_batch):
+    # the support's field is everything built between one iteration's mass
+    # tweak and the next one's weight update (the loss runs only at k = K):
+    # after deaths as after births alone, K(C_born, C_born) and, in a
+    # full-batch run, no data-side rows
+    problem = make_gmm_problem(seed=7)
+    init = random_swarm(problem, rng(8), max_particles=6)
+    marks = []
+    for name in ("weight_push_update", "apply_mass_tweak"):
+        monkeypatch.setattr(runner, name, lambda *args, _real=getattr(runner, name):
+                            marks.append(len(built)) or _real(*args))
+    res = run(loop_config(init, full_batch, k_iters=60, death_rule=DeathRule(),
+                          trace_cadence=1000), problem)
+    model = problem.model
+    steps = res.trace[1:-1]
+    assert sum(rec.deaths > 0 for rec in steps) >= 5 and res.total_births > 0
+    spans = list(zip(marks[1::2], marks[2::2]))
+    assert [kernel_entries(built, model, lo, hi) for lo, hi in spans] == \
+        [rec.births ** 2 for rec in steps]
+    if full_batch:
+        assert all(data_rows(built, model, lo, hi) == 0 for lo, hi in spans)
 
 
 def test_support_evaluation_builds_no_rows(built):
@@ -219,71 +247,64 @@ def test_support_evaluation_builds_no_rows(built):
     assert data_rows(built, problem.model) == 2 * p[0] + sum(pk + 4 for pk in p[:-1]) + p[-1]
 
 
-def test_pushed_evaluation_at_beta_zero_builds_no_rows(evaluations):
-    # at beta = 0 the pushed support is the support, so it too is assembled
-    problem = make_gmm_problem(seed=7)
-    init = random_swarm(problem, rng(8), max_particles=6)
-    res = run(loop_config(init, True, death_rule=NO_DEATHS, plan=FixedPlan(0.02, 32, 0.0)),
-              problem)
-    assert res.total_births > 0
-    # each iteration evaluates its support, its pushed support, then the candidates
-    pushed = [evaluations[i + 1] for i, e in enumerate(evaluations) if e[0] == "certificate_field"]
-    assert len(pushed) == 40
-    assert [(built, entries) for *_, built, entries in pushed[1:]] == \
-        [(0, rec.births ** 2) for rec in res.trace[1:-1]]
-
-
 def scoped_pair(model, domain, idx=None):
-    """Keeps ``T'`` against itself and ``C`` against ``T'`` as the loop does;
-    returns T', C."""
+    """The loop's pushed evaluation of ``T'`` and its candidates ``C`` on
+    the batch ``idx``; returns T', C and ``ev``."""
     pushed = domain.sample_uniform(rng(1), size=5)
     cand = domain.sample_uniform(rng(2), size=4)
-    coef = np.linspace(0.1, 0.5, 5)
-    model.certificate_values(pushed, pushed, coef, idx)
-    model.certificate_values(cand, pushed, coef, idx)
-    return pushed, cand
+    _, ev = model.pushed_values(pushed, np.linspace(0.1, 0.5, 5), idx)
+    model.candidate_values(ev, cand)
+    return pushed, cand, ev
 
 
-def support_builds(built, model, support):
-    """Data-side rows and kernel entries an exact support evaluation builds."""
+def support_builds(built, model, support, ev=None, keep=None, born=None):
+    """Data-side rows and kernel entries an exact support field builds."""
     since = len(built)
-    model.certificate_field(support, support, np.ones(len(support)))
+    model.support_field(support, np.ones(len(support)), None, ev, keep, born)
     return data_rows(built, model, since), kernel_entries(built, model, since)
 
 
 def test_kept_support_with_births_builds_only_the_born_block(built):
     problem = make_gmm_problem(seed=3)
     model = problem.model
-    with model.run_scope():
-        pushed, cand = scoped_pair(model, problem.domain)
-        support = np.vstack([pushed, cand[[3, 1]]])
-        assert support_builds(built, model, support) == (0, 4)
-        assert same_bits(model._reuse(support, support)[0], fresh_kernel(model, support, support))
-        assert support_builds(built, model, pushed) == (0, 0)
-        # kept mini-batch evaluations lend their kernel blocks, not their rows
-        pushed, cand = scoped_pair(model, problem.domain, np.arange(10))
-        assert support_builds(built, model, np.vstack([pushed, cand[[0]]])) == (6, 1)
+    pushed, cand, ev = scoped_pair(model, problem.domain)
+    born, none = np.array([False, True, False, True]), np.zeros(4, dtype=bool)
+    for keep in (np.ones(5, dtype=bool), np.array([True, False, True, True, False]),
+                 np.zeros(5, dtype=bool)):
+        support = np.vstack([pushed[keep], cand[born]])
+        assert support_builds(built, model, support, ev, keep, born) == (0, 4)
+        assert support_builds(built, model, pushed[keep], ev, keep, none) == (0, 0)
+    # mini-batch evaluations lend their kernel blocks, not their rows
+    pushed, cand, ev = scoped_pair(model, problem.domain, np.arange(10))
+    born = np.array([True, False, False, False])
+    assert support_builds(built, model, np.vstack([pushed, cand[born]]), ev,
+                          np.ones(5, dtype=bool), born) == (6, 1)
 
 
 @pytest.mark.parametrize("case", ["death", "unrelated", "stranger", "prefix", "unscoped"])
 def test_other_supports_are_built_fresh(built, case):
+    # with no ``ev`` a support field builds everything, whatever the model
+    # evaluated before: it keeps nothing between calls
     problem = make_gmm_problem(seed=3)
     model = problem.model
-    with contextlib.nullcontext() if case == "unscoped" else model.run_scope():
-        pushed, cand = scoped_pair(model, problem.domain)
-        support = {
-            "death": np.vstack([pushed[1:], cand[[0]]]),
-            "unrelated": problem.domain.sample_uniform(rng(4), size=6),
-            "stranger": np.vstack([pushed, problem.domain.sample_uniform(rng(5), size=1)]),
-            "prefix": pushed[:4],
-            "unscoped": np.vstack([pushed, cand[[0]]]),
-        }[case]
-        assert support_builds(built, model, support) == (len(support), len(support) ** 2)
+    if case == "unscoped":
+        pushed = problem.domain.sample_uniform(rng(1), size=5)
+        cand = problem.domain.sample_uniform(rng(2), size=4)
+    else:
+        pushed, cand, _ = scoped_pair(model, problem.domain)
+    support = {
+        "death": np.vstack([pushed[1:], cand[[0]]]),
+        "unrelated": problem.domain.sample_uniform(rng(4), size=6),
+        "stranger": np.vstack([pushed, problem.domain.sample_uniform(rng(5), size=1)]),
+        "prefix": pushed[:4],
+        "unscoped": np.vstack([pushed, cand[[0]]]),
+    }[case]
+    assert support_builds(built, model, support) == (len(support), len(support) ** 2)
 
 
 @pytest.mark.parametrize("idx", [None, np.arange(40)])
 def test_fresh_support_kernel_builds_the_upper_triangle(built, idx):
-    # a pushed evaluation, a support after a death and the loss build K(T, T)
+    # a pushed evaluation, a stateless support field and the loss build K(T, T)
     # as row blocks of ``block`` rows against themselves and the rows after
     # them: p (p + 1) / 2 entries and fewer than p * block more, not p^2
     problem = make_gmm_problem(seed=3)
@@ -293,13 +314,12 @@ def test_fresh_support_kernel_builds_the_upper_triangle(built, idx):
     bound = p * (p + 1) // 2 + p * block
     pushed = problem.domain.sample_uniform(rng(4), size=p)
     coef = np.linspace(0.1, 1.0, p)
-    with model.run_scope():
-        since = len(built)
-        vals = model.certificate_values(pushed, pushed, coef, idx)
-        assert kernel_entries(built, model, since) <= bound < p**2
-        since = len(built)
-        model.certificate_field(pushed[1:], pushed[1:], coef[1:], idx)  # after a death
-        assert kernel_entries(built, model, since) <= bound
+    since = len(built)
+    vals, _ = model.pushed_values(pushed, coef, idx)
+    assert kernel_entries(built, model, since) <= bound < p**2
+    since = len(built)
+    model.certificate_field(pushed[1:], pushed[1:], coef[1:], idx)  # no ev to read
+    assert kernel_entries(built, model, since) <= bound
     since = len(built)
     loss(problem, ParticleSwarm(coef, np.ones(p), pushed))
     assert kernel_entries(built, model, since) <= bound
@@ -308,23 +328,25 @@ def test_fresh_support_kernel_builds_the_upper_triangle(built, idx):
 
 
 def test_mini_batch_unscoped_and_loss_calls_keep_nothing(built):
+    # stateless evaluations build their rows on every call, before and after
+    # the loop evaluations of the same points
     problem = make_gmm_problem(seed=4)
     model = problem.model
     pts = problem.domain.sample_uniform(rng(6), size=3)
     for _ in range(2):
         model.certificate_values(pts, pts, np.ones(3))
     assert data_rows(built, model) == 6
-    with model.run_scope():
-        for _ in range(2):
-            model.certificate_values(pts, pts, np.ones(3), np.arange(model.n_samples))
-        assert data_rows(built, model) == 12
-        model.certificate_values(pts, pts, np.ones(3))
-        assert data_rows(built, model) == 15
-        for _ in range(2):
-            model.y_inner_many(pts)  # as the loss does: always the blocked means
-        assert data_rows(built, model) == 21
-        model.certificate_values(pts, pts, np.ones(3))  # the kept pushed support
-        assert data_rows(built, model) == 21
+    _, ev = model.pushed_values(pts, np.ones(3))
+    model.candidate_values(ev, pts)
+    assert data_rows(built, model) == 12
+    for _ in range(2):
+        model.certificate_values(pts, pts, np.ones(3), np.arange(model.n_samples))
+    assert data_rows(built, model) == 18
+    model.certificate_field(pts, pts, np.ones(3))
+    assert data_rows(built, model) == 21
+    for _ in range(2):
+        model.y_inner_many(pts)  # as the loss does: always the blocked means
+    assert data_rows(built, model) == 27
 
 
 def test_batched_field_fetches_the_batch_once(monkeypatch):
@@ -357,32 +379,13 @@ def test_mini_batch_iteration_fetches_two_batches():
     assert fetched == [32] * (2 * 40)
 
 
-def test_kept_kernels_are_read_only_and_dropped_after_abort(monkeypatch):
-    problem = make_gmm_problem(seed=7)
-    init = random_swarm(problem, rng(8), max_particles=6)
-    real, seen = runner.weight_push_update, []
-
-    def failing(problem_, swarm, certs, grads, rates):
-        kept = problem.model._kept
-        seen.append(len(kept))
-        assert all(not a.flags.writeable for e in kept for a in e[2:] if a is not None)
-        assert all(e[3] is not None for e in kept)  # full-batch: rows kept too
-        if len(seen) == 3:
-            raise ValueError("stop here")
-        return real(problem_, swarm, certs, grads, rates)
-
-    monkeypatch.setattr(runner, "weight_push_update", failing)
-    with pytest.raises(RunAborted):
-        run(loop_config(init, True), problem)
-    assert seen == [0, 2, 2]
-    assert problem.model._kept is None
-
-
 def test_nothing_kept_after_run(built):
     problem = make_gmm_problem(seed=7)
     init = random_swarm(problem, rng(8), max_particles=6)
+    problem.model.y_norm_sq  # the one cached constant
+    before = attributes(problem.model)
     res = run(loop_config(init, True), problem)
-    assert problem.model._kept is None
+    assert attributes(problem.model) == before
     since = len(built)
     positions = res.final_swarm.positions
     problem.model.certificate_field(positions, positions, np.ones(len(positions)))
@@ -394,10 +397,12 @@ def test_nothing_kept_after_abort():
     # a light particle on a cluster has a negative certificate, and alpha = 1e6
     # sends the weight update past the float range
     problem = make_gmm_problem(seed=7)
+    problem.model.y_norm_sq
+    before = attributes(problem.model)
     init = ParticleSwarm(np.full(1, 1e-6), np.ones(1), np.array([[2.5, 0.0]]))
     with pytest.raises(RunAborted):
         run(loop_config(init, True, alpha=1e6), problem)
-    assert problem.model._kept is None
+    assert attributes(problem.model) == before
 
 
 def test_trace_does_not_depend_on_the_cadence():

@@ -11,16 +11,15 @@ from one block ``K(T, [T; atoms; anchors])`` and must give the bits of the
 base class's expanded form, which builds the two separately. CI runs this
 file again with OpenBLAS on two threads.
 
-Inside ``run_scope`` the model keeps the last batch's noise mean, keyed by
-its index bytes: the pushed certificate and the birth candidates share a
-batch and gather it once. It is never read for another batch, for the exact
-evaluation or outside a scope, and is dropped when ``runner.run`` returns
-or raises.
+The pushed certificate and the birth candidates share a batch, so
+``pushed_values`` gathers its noise mean once and hands it to
+``candidate_values`` in ``ev``; both give the bits of the reference. The
+model keeps nothing between calls: every stateless evaluation gathers its
+own mean, and a run leaves the model's attributes as it found them.
 """
 
 from __future__ import annotations
 
-import contextlib
 from pathlib import Path
 
 import numpy as np
@@ -52,13 +51,12 @@ def same_bits(x, y):
 
 class Reference(SyntheticKernel):
     """The certificate composed from the four primitives, each building one
-    kernel matrix per point set, and the base class's expanded objective;
-    keeps no record."""
+    kernel matrix per point set, the base class's expanded objective, and
+    its stateless loop evaluations."""
 
     objective_value = KernelModel.objective_value
-
-    def run_scope(self):
-        return contextlib.nullcontext()
+    pushed_values = KernelModel.pushed_values
+    candidate_values = KernelModel.candidate_values
 
     @property
     def y_norm_sq(self):
@@ -110,11 +108,10 @@ BATCHES = st.one_of(st.none(), st.sampled_from([1, 800]), st.integers(1, 800))
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]),
        n_atoms=st.integers(1, 5), n_anchors=st.integers(0, 4), p=SUPPORTS, n_points=POINTS,
-       at_support=st.booleans(), batch=BATCHES,
-       scoped=st.booleans())
+       at_support=st.booleans(), batch=BATCHES)
 @settings(max_examples=100, deadline=None)
 def test_block_matches_one_kernel_matrix_per_point_set(seed, dim, n_atoms, n_anchors, p,
-                                                       n_points, at_support, batch, scoped):
+                                                       n_points, at_support, batch):
     model, ref = model_pair(seed, dim, n_atoms, n_anchors)
     g = rng(seed)
     support = model.domain.sample_uniform(g, size=p)
@@ -122,27 +119,27 @@ def test_block_matches_one_kernel_matrix_per_point_set(seed, dim, n_atoms, n_anc
     t = support if at_support else model.domain.sample_uniform(g, size=n_points)
     idx = None if batch is None else g.integers(0, model.n_samples, size=batch)
     want = evaluations(ref, t, support, coef, idx)
-    with model.run_scope() if scoped else contextlib.nullcontext():
-        for _ in range(2):  # the second pass reads a kept noise mean
-            for got, expected in zip(evaluations(model, t, support, coef, idx), want):
-                assert same_bits(got, expected)
+    for got, expected in zip(evaluations(model, t, support, coef, idx), want):
+        assert same_bits(got, expected)
+    vals, ev = model.pushed_values(support, coef, idx)
+    assert same_bits(vals, ref.certificate_values(support, support, coef, idx))
+    assert same_bits(model.candidate_values(ev, t), want[2])
     assert model.y_norm_sq == ref.y_norm_sq
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]),
        n_atoms=st.integers(1, 5), n_anchors=st.integers(0, 4),
        p=st.one_of(st.integers(1, 12), st.sampled_from([64, 65, 512, 999, 1000])),
-       kappa=st.sampled_from([1e-3, 0.05, 1.0]), scoped=st.booleans())
+       kappa=st.sampled_from([1e-3, 0.05, 1.0]))
 @settings(max_examples=60, deadline=None)
 def test_objective_from_one_block_matches_the_expanded_form(seed, dim, n_atoms, n_anchors,
-                                                           p, kappa, scoped):
+                                                           p, kappa):
     model, ref = model_pair(seed, dim, n_atoms, n_anchors)
     g = rng(seed)
     t = model.domain.sample_uniform(g, size=p)
     weights, signs = g.uniform(0.01, 1.0, size=p), g.choice([-1.0, 1.0], size=p)
-    want = ref.objective_value(t, weights, signs, kappa)
-    with model.run_scope() if scoped else contextlib.nullcontext():
-        assert model.objective_value(t, weights, signs, kappa) == want
+    assert model.objective_value(t, weights, signs, kappa) == \
+        ref.objective_value(t, weights, signs, kappa)
 
 
 def test_each_evaluation_builds_one_kernel_matrix(monkeypatch):
@@ -184,28 +181,32 @@ def gathers(model):
 
 
 def test_noise_mean_is_kept_for_its_batch_only():
+    # the pushed evaluation gathers its batch's mean once and the candidates
+    # read it from ``ev``; a stateless evaluation gathers on every call
     model, ref = model_pair(5, 2, 3, 3)
     log = gathers(model)
     g = rng(6)
     support, t = model.domain.sample_uniform(g, size=5), model.domain.sample_uniform(g, size=3)
     coef = g.uniform(-1.0, 1.0, size=5)
-    a = g.integers(0, 64, size=32)
-    calls = [(a, 1), (a.copy(), 0), (None, 0), (a, 0), (a[:-1], 1), (a, 1),
-             (g.integers(0, 64, size=32), 1)]
-    with model.run_scope():
-        for idx, gathered in calls:
-            before = len(log)
-            assert same_bits(model.certificate_values(t, support, coef, idx),
+    for idx, gathered in ((g.integers(0, 64, size=32), 1), (None, 0)):
+        before = len(log)
+        vals, ev = model.pushed_values(support, coef, idx)
+        assert same_bits(vals, ref.certificate_values(support, support, coef, idx))
+        for _ in range(2):
+            assert same_bits(model.candidate_values(ev, t),
                              ref.certificate_values(t, support, coef, idx))
-            assert len(log) - before == gathered
-            (key, mean), = model._kept
-            assert not mean.flags.writeable
-    assert model._kept is None
+        assert len(log) - before == gathered
+    a = g.integers(0, 64, size=32)
     before = len(log)
     for _ in range(2):
         assert same_bits(model.certificate_values(t, support, coef, a),
                          ref.certificate_values(t, support, coef, a))
-    assert len(log) - before == 2 and model._kept is None
+    assert len(log) - before == 2
+
+
+def attributes(model):
+    """The model's attributes, by identity."""
+    return {name: id(value) for name, value in vars(model).items()}
 
 
 def theory_problem():
@@ -231,13 +232,16 @@ def test_iteration_gathers_two_noise_means():
 
 
 def test_record_dropped_after_run_and_after_abort(monkeypatch):
+    # a run, and a run that aborts, leave the model's attributes as they were
     problem = theory_problem()
+    problem.model.y_norm_sq  # the one cached constant
+    before = attributes(problem.model)
     run(loop_config(problem, k_iters=5), problem)
-    assert problem.model._kept is None
+    assert attributes(problem.model) == before
     real, seen = runner.weight_push_update, []
 
     def failing(problem_, swarm, certs, grads, rates):
-        seen.append(len(problem.model._kept))
+        seen.append(attributes(problem.model) == before)
         if len(seen) == 3:
             raise ValueError("stop here")
         return real(problem_, swarm, certs, grads, rates)
@@ -245,8 +249,8 @@ def test_record_dropped_after_run_and_after_abort(monkeypatch):
     monkeypatch.setattr(runner, "weight_push_update", failing)
     with pytest.raises(RunAborted):
         run(loop_config(problem), problem)
-    assert seen == [1, 1, 1]
-    assert problem.model._kept is None
+    assert seen == [True] * 3
+    assert attributes(problem.model) == before
 
 
 def run_files(tmp_path, name, iterations=200):
