@@ -102,7 +102,12 @@ def build_init_swarm(spec: RunSpec, problem: Problem, extras) -> ParticleSwarm:
     p0 = run_cfg["init_particles"]
     w0 = run_cfg["init_weight"]
     if init.startswith("csv:"):
-        return ParticleSwarm.from_csv(spec.resolve_path(init[4:]))
+        path = spec.resolve_path(init[4:])
+        swarm = ParticleSwarm.from_csv(path)
+        if swarm.dim != problem.domain.dim:
+            raise ConfigError(f"init {path}: swarm has dimension {swarm.dim}, "
+                              f"the problem {problem.domain.dim}")
+        return swarm
     if init == "sphere":
         pos = rng.standard_normal((p0, problem.domain.dim))
         pos /= np.linalg.norm(pos, axis=1, keepdims=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .csvio import read_numeric_csv
 from .domain import Ball, Box
-from .kernels import GmmKernel, ReluKernel
+from .kernels import GmmKernel, ReluKernel, relu_outputs
 from .objective import Problem
 from .runner import RunResult
 from .swarm import ParticleSwarm, lift_signed
@@ -188,34 +188,29 @@ def gen_teacher_regression(n_samples: int, n_features: int, n_teacher: int,
     # relu(<v, x> + b) to relu(<v*s, x'> + b + <v, m>); rescaling each unit
     # back into the unit ball moves its norm into the weight (positive
     # homogeneity), and the target shift becomes a constant unit (v=0, b=1).
-    mapped = []
-    weights = []
-    for u, a in zip(units, amps):
-        v, b = u[:-1], u[-1]
-        v2 = v * dataset.feature_std
-        b2 = b + float(v @ dataset.feature_mean)
-        unit = np.concatenate([v2, [b2]])
-        norm = np.linalg.norm(unit)
-        mapped.append(unit / norm)
-        weights.append(a * norm / dataset.target_std)
-    mapped.append(np.concatenate([np.zeros(n_features), [1.0]]))
-    weights.append(-dataset.target_mean / dataset.target_std)
-    teacher = lift_signed(weights, mapped)
+    v = units[:, :-1]
+    mapped = np.column_stack([v * dataset.feature_std, units[:, -1] + v @ dataset.feature_mean])
+    norms = np.linalg.norm(mapped, axis=1)
+    teacher = lift_signed(np.append(amps * norms, -dataset.target_mean) / dataset.target_std,
+                          np.vstack([mapped / norms[:, None], np.eye(n_features + 1)[-1]]))
     return dataset, problem, teacher
 
 
 def relu_predict(swarm: ParticleSwarm, features: np.ndarray) -> np.ndarray:
-    """Network output ``sum_j w_j s_j relu(<v_j, x> + b_j)`` per row."""
+    """Network output ``sum_j w_j s_j relu(<v_j, x> + b_j)`` per row, over the
+    row blocks of ``relu_outputs``: the one-shot form up to summation rounding."""
     aug = np.hstack([features, np.ones((features.shape[0], 1))])
-    acts = np.maximum(aug @ swarm.positions.T, 0.0)
-    return acts @ (swarm.weights * swarm.signs)
+    blocks = relu_outputs(aug, swarm.positions, swarm.weights * swarm.signs)
+    return np.concatenate([np.empty(0), *(u for _, u in blocks)])
 
 
 def heldout_mse(swarm: ParticleSwarm, dataset: RegressionDataset) -> float:
-    """Mean squared residual on the held-out rows only."""
+    """Mean squared residual on the held-out rows only: twice the kappa = 0
+    loss of their model, over the row blocks of ``relu_outputs``, so the
+    one-shot form up to summation rounding, and ``mean(y^2)`` with no swarm."""
     idx = dataset.test_index
-    pred = relu_predict(swarm, dataset.features[idx])
-    return float(np.mean((pred - dataset.targets[idx]) ** 2))
+    model = ReluKernel(dataset.features[idx], dataset.targets[idx])
+    return 2.0 * model.objective_value(swarm.positions, swarm.weights, swarm.signs, 0.0)
 
 
 @dataclass

@@ -37,11 +37,8 @@ rounding. Two more evaluators serve value-only calls:
   non-empty swarm, by default the expanded
   ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
   ``c = s w``, which ``SyntheticKernel`` reads from one kernel block.
-  ReLU sums the residual
-  ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)`` over row blocks of at
-  most ``_ROW_BLOCK_ENTRIES`` activations (1 MiB) in one reused buffer,
-  so its temporaries stay that size whatever n is (one row of p entries
-  once p exceeds the block).
+  ReLU sums the residual ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``
+  over the 1 MiB row blocks of ``relu_outputs``, so its memory does not grow with n.
 
 A batch restriction averages per-sample quantities, so
 ``idx = arange(n)`` reproduces the exact one.
@@ -186,7 +183,7 @@ def gauss_density(a: np.ndarray, b: np.ndarray, var: float, dim: int) -> np.ndar
 
 #: pair terms per temporary block in ``_exp_sum``
 _BLOCK_ENTRIES = 2_000_000
-#: entries per row block of an n-long evaluation: ``ReluKernel.objective_value``'s
+#: entries per row block of an n-long evaluation: ``relu_outputs``'s
 #: activations, ``GmmKernel``'s exact data-side means and the audit's
 #: per-sample chunks and ReLU pair gradients (1 MiB)
 _ROW_BLOCK_ENTRIES = 2**17
@@ -726,6 +723,21 @@ class GmmKernel(KernelModel):
         return self._field(t, t, coef, k, x, *(self._density(t, x) if side is None else side))
 
 
+def relu_outputs(aug: np.ndarray, t: np.ndarray, c: np.ndarray):
+    """``(rows, relu(aug[rows] T') c)`` over row blocks of at most
+    ``_ROW_BLOCK_ENTRIES`` activations, ``max(1, p)`` to a row, in one reused
+    buffer, so no n x p array is held. A block's sums may be grouped otherwise
+    than one n-wide product's: the one-shot outputs up to summation rounding."""
+    n = aug.shape[0]
+    step = max(1, _ROW_BLOCK_ENTRIES // max(1, len(c)))
+    buf = np.empty((min(step, n), len(c)))
+    for lo in range(0, n, step):
+        act = buf[: min(step, n - lo)]
+        np.matmul(aug[lo : lo + step], t.T, out=act)
+        np.maximum(act, 0.0, out=act)
+        yield slice(lo, lo + step), act @ c
+
+
 class ReluKernel(KernelModel):
     """Empirical two-layer ReLU kernel over a regression sample.
 
@@ -747,16 +759,17 @@ class ReluKernel(KernelModel):
     kernel_depends_on_samples = True
 
     def __init__(self, features: np.ndarray, targets: np.ndarray):
-        self.features = np.asarray(features, dtype=float)
+        features = np.asarray(features, dtype=float)
         self.targets = np.asarray(targets, dtype=float).reshape(-1)
-        if self.features.ndim != 2 or self.features.shape[0] != self.targets.size:
+        if features.ndim != 2 or features.shape[0] != self.targets.size:
             raise ValueError("features must be (n, d) matching targets")
-        if self.features.shape[0] == 0:
+        if features.shape[0] == 0:
             raise ValueError("features must hold at least one sample")
-        if not (np.all(np.isfinite(self.features)) and np.all(np.isfinite(self.targets))):
+        if not (np.all(np.isfinite(features)) and np.all(np.isfinite(self.targets))):
             raise ValueError("features and targets must be finite")
-        self.dim = self.features.shape[1] + 1
-        self._aug = np.hstack([self.features, np.ones((self.features.shape[0], 1))])
+        self.dim = features.shape[1] + 1
+        self._aug = np.hstack([features, np.ones((features.shape[0], 1))])
+        self.features = self._aug[:, :-1]  # a view: the samples are held once
 
     @property
     def n_samples(self):
@@ -848,20 +861,16 @@ class ReluKernel(KernelModel):
         return k, ((pre_a[:, :g] > 0.0) * act_b[:, :g])[:, :, None] * aug[:, None, :]
 
     def certificate_values(self, t, support, coef, idx=None):
-        """At ``idx=None``, ``r`` over row blocks of at most
-        ``_ROW_BLOCK_ENTRIES`` support activations, then ``act' r / n`` over
-        chunks of a multiple of 8 points with at most that many activations
-        (8 points once n exceeds it), so no n x |S| or n x |t| array is
-        held; the blocks group the sums otherwise than ``_field``'s call."""
+        """At ``idx=None``, ``r`` from the blocks of ``relu_outputs``, then
+        ``act' r / n`` over chunks of a multiple of 8 points with at most
+        ``_ROW_BLOCK_ENTRIES`` activations (8 points once n exceeds it), so
+        no n x |S| or n x |t| array is held; the blocks group the sums
+        otherwise than ``_field``'s call."""
         if idx is not None:
             return self._field(t, support, coef, idx)[-1]
         t, support, coef = self._operands(t, support, coef)
         n = self.n_samples
-        r = np.empty(n)
-        step = max(1, _ROW_BLOCK_ENTRIES // max(1, len(coef)))
-        for lo in range(0, n, step):
-            r[lo : lo + step] = np.maximum(self._aug[lo : lo + step] @ support.T, 0.0) @ coef
-        r -= self.targets
+        r = np.concatenate([u for _, u in relu_outputs(self._aug, support, coef)]) - self.targets
         vals = np.empty(len(t))
         step = 8 * max(1, _ROW_BLOCK_ENTRIES // (8 * n))
         for lo in range(0, len(t), step):
@@ -882,22 +891,13 @@ class ReluKernel(KernelModel):
 
     def objective_value(self, t, weights, signs, kappa):
         """The residual ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``,
-        ``c = s w``, over row blocks of at most ``_ROW_BLOCK_ENTRIES``
-        activations in one reused buffer, so no n x p array is built."""
-        t = _rows(t, self.dim)
-        c = weights * signs
-        n = self.n_samples
-        step = max(1, _ROW_BLOCK_ENTRIES // len(c))
-        buf = np.empty((min(step, n), len(c)))
+        ``c = s w``, from the blocks of ``relu_outputs``, so no n x p array
+        is built; at kappa = 0 twice this is the mean squared error."""
         total = 0.0
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            act = buf[: hi - lo]
-            np.matmul(self._aug[lo:hi], t.T, out=act)
-            np.maximum(act, 0.0, out=act)
-            resid = act @ c - self.targets[lo:hi]
+        for rows, u in relu_outputs(self._aug, _rows(t, self.dim), weights * signs):
+            resid = u - self.targets[rows]
             total += float(resid @ resid)
-        return 0.5 * total / n + kappa * float(weights.sum())
+        return 0.5 * total / self.n_samples + kappa * float(weights.sum())
 
 
 @dataclass

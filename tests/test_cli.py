@@ -314,6 +314,21 @@ class TestRunCommand:
         final = ParticleSwarm.from_csv(out / "final_swarm.csv")
         assert np.allclose(final.weights, seed_swarm.weights)
 
+    @pytest.mark.parametrize("command", ["run", "calibrate"])
+    def test_csv_swarm_of_another_dimension_fails(self, tmp_path, capsys, command):
+        from conicswarm.swarm import ParticleSwarm
+
+        ParticleSwarm([0.2], [1], [[0.2, 0.2, 0.2]]).to_csv(tmp_path / "init.csv")
+        body = TINY_SYNTHETIC.replace("init = uniform", "init = csv:init.csv")
+        argv = [command, "--config", str(write_config(tmp_path, body))]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: init ") and "init.csv" in err
+        assert "dimension 3, the problem 2" in err
+
 
 class TestVerifyCommand:
     def test_projection_suite_passes(self, capsys):

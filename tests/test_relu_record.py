@@ -39,13 +39,14 @@ def same_bits(x, y):
         np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
 
 
-def activations(model, fetched=None):
+def activations(model, fetched=None, blocked=None):
     """Makes the model's sample rows log the point count of every
-    activation ``X_b T'`` built from them, and into ``fetched`` the size of
-    every batch fetched from them; returns the first log. Only products whose
-    inner dimension is the feature width ``model.dim`` are activations: the
-    gradient's ``X_b' ((pre > 0) * r)`` sums over the batch and is not
-    logged."""
+    activation ``X_b T'`` built from them, into ``blocked`` that of every
+    row block ``relu_outputs`` builds into its buffer (``np.matmul`` with
+    ``out``), and into ``fetched`` the size of every batch fetched from
+    them; returns the first log. Only products whose inner dimension is the
+    feature width ``model.dim`` are activations: the gradient's
+    ``X_b' ((pre > 0) * r)`` sums over the batch and is not logged."""
     log = []
 
     class Rows(np.ndarray):
@@ -53,6 +54,12 @@ def activations(model, fetched=None):
             if np.ndim(other) == 2 and other.shape[0] == self.shape[-1] == model.dim:
                 log.append(other.shape[1])
             return np.asarray(np.ndarray.__matmul__(self, other))
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and "out" in kwargs and blocked is not None:
+                blocked.append(inputs[1].shape[1])
+            inputs = [x.view(np.ndarray) if isinstance(x, Rows) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
 
         def __getitem__(self, key):
             if isinstance(key, np.ndarray) and fetched is not None:
@@ -125,7 +132,8 @@ def test_only_the_kept_support_coef_and_batch_read_the_record(case, batched):
     problem = make_relu_problem(seed=3)
     model = problem.model
     fresh = ReluKernel(model.features, model.targets)
-    log = activations(model)
+    blocked = []
+    log = activations(model, blocked=blocked)
     g = rng(1)
     pushed = problem.domain.sample_uniform(g, size=5)
     cand = problem.domain.sample_uniform(g, size=N_CAND)
@@ -146,7 +154,7 @@ def test_only_the_kept_support_coef_and_batch_read_the_record(case, batched):
     else:
         got = model.certificate_values(cand, support, c, batch)
     assert same_bits(got, want)
-    assert sorted(log) == sorted([5, N_CAND] if case == "kept" else [5, N_CAND, 5])
+    assert sorted(log + blocked) == sorted([5, N_CAND] if case == "kept" else [5, N_CAND, 5])
 
 
 def test_record_dropped_after_run_and_after_abort(monkeypatch):
