@@ -215,6 +215,8 @@ def _validate(sections, path) -> None:
     prob = sections["problem"]
     if prob["model"] == "regression" and not prob["data_path"]:
         raise ConfigError(f"{path}: regression model requires data_path")
+    if prob["model"] == "gmm" and not prob["data_path"] and prob["gmm_samples"] < 2:
+        raise ConfigError(f"{path}: [problem] gmm_samples must be at least 2")
     if prob["model"] == "synthetic" and prob["box_low"] >= prob["box_high"]:
         raise ConfigError(f"{path}: synthetic box must satisfy box_low < box_high")
     if not (0 < prob["kappa"] < math.inf):

@@ -55,8 +55,8 @@ class GmmSpec:
             raise ValueError("one weight per mean required")
         if abs(self.weights.sum() - 1.0) > 1e-9 or np.any(self.weights < 0):
             raise ValueError("weights must lie on the simplex")
-        if self.n_samples < 1 or self.tau <= 0:
-            raise ValueError("need n_samples >= 1 and tau > 0")
+        if self.n_samples < 2 or self.tau <= 0:
+            raise ValueError("need n_samples >= 2 and tau > 0")
 
     @property
     def n_components(self) -> int:
@@ -72,11 +72,11 @@ class GmmSpec:
                    n_samples=n_samples, tau=tau, seed=seed)
 
 
-def _margin_box(data: np.ndarray, margin_frac: float = 0.1) -> Box:
-    lo = data.min(axis=0)
-    hi = data.max(axis=0)
-    pad = margin_frac * (hi - lo)
-    return Box(lo - pad, hi + pad)
+def _gmm_problem(data: np.ndarray, tau: float, kappa: float) -> Problem:
+    """The unsigned mixture problem on the data's bounding box, 10% wider per side."""
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    pad = 0.1 * (hi - lo)
+    return Problem(GmmKernel(data, tau), Box(lo - pad, hi + pad), kappa, signed=False)
 
 
 def gen_gmm(spec: GmmSpec, rng: np.random.Generator, kappa: float = 1e-4):
@@ -87,16 +87,16 @@ def gen_gmm(spec: GmmSpec, rng: np.random.Generator, kappa: float = 1e-4):
     """
     comp = rng.choice(spec.n_components, size=spec.n_samples, p=spec.weights)
     data = spec.means[comp] + rng.standard_normal((spec.n_samples, 2))
-    model = GmmKernel(data, spec.tau)
-    problem = Problem(model=model, domain=_margin_box(data), kappa=kappa, signed=False)
-    return data, problem
+    return data, _gmm_problem(data, spec.tau, kappa)
 
 
 def load_gmm_data(path, tau: float, kappa: float = 1e-4):
     """Build the mixture problem from a CSV of samples with header x0,x1."""
     data = _read_samples(path, expected_header=["x0", "x1"])
-    model = GmmKernel(data, tau)
-    return data, Problem(model=model, domain=_margin_box(data), kappa=kappa, signed=False)
+    flat = [f"x{j}" for j in np.flatnonzero(np.ptp(data, axis=0) == 0)]
+    if flat:
+        raise ValueError(f"{path}: constant column(s) {', '.join(flat)}: the samples span no box")
+    return data, _gmm_problem(data, tau, kappa)
 
 
 @dataclass

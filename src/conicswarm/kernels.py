@@ -181,14 +181,12 @@ def gauss_density(a: np.ndarray, b: np.ndarray, var: float, dim: int) -> np.ndar
     return _gauss_finish(_sqdist(a, b), var, dim)
 
 
-#: pair terms per temporary block in ``_exp_sum``
-_BLOCK_ENTRIES = 2_000_000
 #: entries per row block of an n-long evaluation: ``relu_outputs``'s
 #: activations, ``GmmKernel``'s exact data-side means and the audit's
 #: per-sample chunks and ReLU pair gradients (1 MiB)
 _ROW_BLOCK_ENTRIES = 2**17
-#: entries per row block of ``_gauss_self`` (256 KiB, so a block and its
-#: temporaries stay in a core's cache)
+#: entries per row block of ``_gauss_self`` and ``_exp_sum`` (256 KiB, so a
+#: block and its temporaries stay in a core's cache)
 _SELF_BLOCK_ENTRIES = 2**15
 #: leading coordinates that index the cell list of ``_close_pair_sum``
 _CELL_DIMS = 3
@@ -207,11 +205,11 @@ def _upper_blocks(x: np.ndarray, m: int, step: int, pairwise):
 def _exp_sum(x: np.ndarray, m: int, scale: float) -> float:
     """``sum_ij w_ij exp(-|x_i - x_j|^2 / scale)`` over ``i < m``, with
     ``w_ij = 1`` for ``j < m`` and 2 otherwise: the first ``m`` rows
-    against themselves once and against the rest twice, by
-    ``_upper_blocks`` of at most ``_BLOCK_ENTRIES`` terms.
+    against themselves once and against the rest twice, in cache-sized
+    ``_upper_blocks`` of at most ``_SELF_BLOCK_ENTRIES`` terms.
     """
     total = 0.0
-    for lo, hi, d2 in _upper_blocks(x, m, max(1, _BLOCK_ENTRIES // len(x)), _sqdist):
+    for lo, hi, d2 in _upper_blocks(x, m, max(1, _SELF_BLOCK_ENTRIES // len(x)), _sqdist):
         d2 *= -1.0 / scale
         terms = np.exp(d2, out=d2)
         total += float(terms[:, : hi - lo].sum()) + 2.0 * float(terms[:, hi - lo :].sum())
@@ -242,9 +240,9 @@ def _close_pair_sum(x: np.ndarray, scale: float, cutoff: float) -> float:
     Cells have side ``cutoff / 2`` in the first ``g = min(d, 3)``
     coordinates, so two samples closer than ``cutoff`` sit in cells whose
     indices differ by at most 2 per axis. Only occupied cells are stored,
-    keyed by the bytes of their indices. Each cell is summed once against
-    itself and twice against the occupied cells of the forward half of its
-    ``5^g`` stencil.
+    keyed by the bytes of their indices. ``_exp_sum`` sums each cell once
+    against itself and twice against the occupied cells of the forward half
+    of its ``5^g`` stencil, in tiles of at most ``_SELF_BLOCK_ENTRIES`` terms.
     """
     n, g = len(x), min(x.shape[1], _CELL_DIMS)
 

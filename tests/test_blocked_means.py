@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import functools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicswarm import kernels
+from conicswarm.cli import build_problem
+from conicswarm.config import load_config
 from conicswarm.objective import kkt_residual, loss
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem
@@ -129,3 +132,11 @@ def test_kkt_residual_memory_does_not_scale_with_n(large_problem):
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     assert traced_peak(lambda: kkt_residual(large_problem, swarm, grid)) < 8e6
 
+
+def test_y_norm_sq_memory_stays_in_cache_sized_tiles():
+    # gmm_full.cfg's 24,000 samples: pair-term blocks of up to 2M entries
+    # peaked at 15.4 MiB; tiles of at most _SELF_BLOCK_ENTRIES terms (256 KiB)
+    # leave the sorted samples, their cell keys and the cell table, 1.9 MiB
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "gmm_full.cfg"
+    problem, _ = build_problem(load_config(cfg))
+    assert traced_peak(lambda: problem.model.y_norm_sq) < 3 * 2**20

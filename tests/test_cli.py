@@ -57,6 +57,25 @@ dir = out
 """
 
 
+TINY_GMM = """
+[problem]
+model = gmm
+kappa = 1e-4
+seed = 2
+components = 3
+gmm_samples = 200
+tau = 0.2
+
+[rates]
+mode = manual
+alpha = 1.0
+
+[run]
+variant = stochastic
+iterations = 10
+"""
+
+
 def test_python_dash_m_runs_the_cli():
     # ``python -m conicswarm`` from the package's own source tree, installed or not
     src = str(Path(conicswarm.__file__).resolve().parent.parent)
@@ -278,6 +297,30 @@ class TestRunCommand:
         out = tmp_path / "empty"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "batch size must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", [1, 0, -3])
+    def test_too_few_mixture_samples_exit_2_naming_the_key(self, tmp_path, capsys, samples):
+        # one sample spans no domain box; it used to fail in Box with exit 1
+        cfg = write_config(tmp_path, TINY_GMM.replace("gmm_samples = 200",
+                                                      f"gmm_samples = {samples}"))
+        with pytest.raises(ConfigError, match=r"\[problem\] gmm_samples must be at least 2"):
+            load_config(cfg)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "gmm_samples" in err
+        assert not out.exists()
+
+    def test_constant_mixture_column_exits_1_naming_file_and_column(self, tmp_path, capsys):
+        data = tmp_path / "flat.csv"
+        data.write_text("x0,x1\n1.5,0.0\n1.5,2.0\n1.5,-1.0\n")
+        cfg = write_config(tmp_path, TINY_GMM.replace("gmm_samples = 200",
+                                                      "data_path = flat.csv"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {data.resolve()}: constant column(s) x0: the samples span no box\n"
         assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):

@@ -23,6 +23,11 @@ class TestGmmSpec:
         with pytest.raises(ValueError):
             GmmSpec(means=[[0.0, 0.0]], weights=[0.5], n_samples=10, tau=0.2)
 
+    def test_rejects_fewer_than_two_samples(self):
+        # one sample spans no domain box
+        with pytest.raises(ValueError, match="n_samples >= 2"):
+            GmmSpec.ring(n_samples=1)
+
     def test_generation_reproducible(self):
         spec = GmmSpec.ring(n_samples=500, seed=4)
         a, _ = gen_gmm(spec, rng(spec.seed))
@@ -59,6 +64,19 @@ class TestGmmCsv:
         data, problem = load_gmm_data(path, tau=0.3)
         assert data.shape == (3, 2)
         assert problem.model.n_samples == 3
+
+    @pytest.mark.parametrize("rows, flat", [
+        ("1.5,0.0\n1.5,2.0\n1.5,-1.0\n", "x0"),
+        ("0.0,-0.0\n1.0,0.0\n", "x1"),
+        ("0.5,0.25\n", "x0, x1"),
+    ], ids=["x0", "x1", "one_row"])
+    def test_constant_column_rejected(self, tmp_path, rows, flat):
+        # a constant coordinate leaves the domain box no width
+        path = tmp_path / "samples.csv"
+        path.write_text("x0,x1\n" + rows)
+        with pytest.raises(ValueError) as err:
+            load_gmm_data(path, tau=0.3)
+        assert str(err.value) == f"{path}: constant column(s) {flat}: the samples span no box"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"

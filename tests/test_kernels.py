@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from conicswarm import kernels
 from conicswarm.domain import Ball, Box
 from conicswarm.experiments import GmmSpec, gen_gmm
 from conicswarm.kernels import GmmKernel, ReluKernel, SyntheticKernel, audit_assumptions, \
@@ -299,11 +301,16 @@ def gmm_cutoff(n, tau):
     return math.sqrt(4.0 * tau**2 * (math.log(n) + 60.0 * math.log(2.0)))
 
 
-@given(n=st.integers(1, 400), d=st.sampled_from([1, 2, 3]), tau=st.floats(0.05, 1.0),
+# d = 4 leaves its last coordinate out of the cell index (``_CELL_DIMS`` = 3).
+# ``tile`` is the tile bound ``_SELF_BLOCK_ENTRIES``: None keeps the shipped
+# 2^15, and a few dozen entries split every cell into many tiles, one row per
+# tile once a cell's block has more rows than that.
+@given(n=st.integers(1, 400), d=st.sampled_from([1, 2, 3, 4]), tau=st.floats(0.05, 1.0),
        layout=st.sampled_from(["clustered", "spread", "duplicated"]),
-       offset=st.sampled_from([0.0, -3.7e6]), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=150, deadline=None)
-def test_gmm_y_norm_sq_matches_brute_force(n, d, tau, layout, offset, seed):
+       offset=st.sampled_from([0.0, -3.7e6]), tile=st.sampled_from([None, 1, 24, 48]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_gmm_y_norm_sq_matches_brute_force(n, d, tau, layout, offset, tile, seed):
     g = rng(seed)
     if layout == "clustered":
         centres = g.uniform(-3.0, 3.0, size=(int(g.integers(1, 6)), d))
@@ -315,8 +322,44 @@ def test_gmm_y_norm_sq_matches_brute_force(n, d, tau, layout, offset, seed):
         distinct = g.standard_normal((int(g.integers(1, n + 1)), d))
         data = distinct[g.integers(0, len(distinct), size=n)]
     data = data + offset
-    assert GmmKernel(data, tau).y_norm_sq == pytest.approx(brute_y_norm_sq(data, tau),
-                                                           rel=1e-13, abs=0)
+    with mock.patch.object(kernels, "_SELF_BLOCK_ENTRIES", tile or kernels._SELF_BLOCK_ENTRIES):
+        y_norm_sq = GmmKernel(data, tau).y_norm_sq
+    assert y_norm_sq == pytest.approx(brute_y_norm_sq(data, tau), rel=1e-13, abs=0)
+
+
+def subtraction_exp_sum(x, m, scale):
+    """``kernels._exp_sum``'s tile loop with each tile's squared distances
+    summed from ``np.subtract.outer`` differences, in ``_sqdist``'s
+    coordinate order: no BLAS call."""
+    total = 0.0
+    step = max(1, kernels._SELF_BLOCK_ENTRIES // len(x))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        d2 = np.subtract.outer(x[lo:hi, 0], x[lo:, 0])
+        d2 *= d2
+        for j in range(1, x.shape[1]):
+            dj = np.subtract.outer(x[lo:hi, j], x[lo:, j])
+            dj *= dj
+            d2 += dj
+        d2 *= -1.0 / scale
+        terms = np.exp(d2, out=d2)
+        total += float(terms[:, : hi - lo].sum()) + 2.0 * float(terms[:, hi - lo :].sum())
+    return total
+
+
+@pytest.mark.parametrize("shape", ["desk", "offset_3d"])
+def test_gmm_y_norm_sq_has_the_bits_of_the_subtraction_tiles(shape):
+    # CI runs this with OpenBLAS on two threads too: |y|^2 must not depend on
+    # the BLAS thread count that forms the tiles' product differences
+    if shape == "desk":
+        spec = GmmSpec.ring(5, 5.0, 2000, 0.2)
+        data, tau = gen_gmm(spec, rng(33))[0], spec.tau
+    else:
+        g = rng(34)
+        data, tau = g.standard_normal((3000, 3)) * 0.8 - 3.7e6, 0.3
+    with mock.patch.object(kernels, "_exp_sum", subtraction_exp_sum):
+        reference = GmmKernel(data, tau).y_norm_sq
+    assert GmmKernel(data, tau).y_norm_sq.hex() == reference.hex()
 
 
 def test_gmm_y_norm_sq_single_sample():
