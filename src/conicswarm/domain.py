@@ -73,8 +73,10 @@ class Box(Domain):
         self.upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise ValueError("box bounds must be 1-d arrays of equal length")
-        if not np.all(self.lower < self.upper):
-            raise ValueError("box requires lower < upper in every coordinate")
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(self.upper - self.lower)
+        if not np.all(finite & (self.lower < self.upper)):
+            raise ValueError("box requires lower < upper with a finite width in every coordinate")
         self.dim = self.lower.size
 
     def __repr__(self):
@@ -82,7 +84,7 @@ class Box(Domain):
 
     def project(self, x):
         x = self._check_dim(x)
-        return np.clip(x, self.lower, self.upper)
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
     def contains(self, x, tol=1e-12):
         x = self._check_dim(x)
@@ -91,7 +93,7 @@ class Box(Domain):
 
     def sample_uniform(self, rng, size=None):
         shape = (self.dim,) if size is None else (size, self.dim)
-        return rng.uniform(self.lower, self.upper, size=shape)
+        return self.lower + (self.upper - self.lower) * rng.random(shape)
 
     def volume(self):
         return float(np.prod(self.upper - self.lower))

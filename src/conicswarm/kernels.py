@@ -62,6 +62,7 @@ BLAS product ``[a, 1] @ [1; -b]``: its terms are products by 1, so exact,
 and their sum is rounded once, so every difference keeps the bits of the
 subtraction, up to the sign of a zero, for any BLAS summation order, FMA
 use or thread split, and every squared distance keeps them all.
+Gradients ``sum_j c_j grad_a K(a_i, b_j)`` are one product ``K(A, B) @ [c B, c]``.
 ``GmmKernel`` builds a kernel of a point set against itself as the upper
 triangle of row blocks, mirrored, with the bits of the full build, and
 averages exact data-side densities over row blocks of
@@ -139,7 +140,8 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         def diff(j):
             return np.subtract.outer(a[:, j], b[:, j])
     else:
-        left, right = np.ones((len(a), 2)), np.ones((2, len(b)))
+        left, right = np.empty((len(a), 2)), np.empty((2, len(b)))
+        left[:, 1] = right[0] = 1.0
 
         def diff(j):
             left[:, 0] = a[:, j]
@@ -271,18 +273,19 @@ def _close_pair_sum(x: np.ndarray, scale: float, cutoff: float) -> float:
 
 def _gauss_grad(k: np.ndarray, a: np.ndarray, b: np.ndarray, coef, var: float) -> np.ndarray:
     """``sum_j coef_j grad_a K(a_i, b_j)`` from the Gaussian kernel matrix ``k``
-    of variance ``var``, using ``grad_a K = K * (b - a) / var``. A ``coef``
-    of shape (m, 1, |b|) stacks m coefficient vectors: one matmul call, one
-    BLAS call per vector, so each slice has the bits of its own call."""
-    k = k * coef
-    return (k @ b - k.sum(axis=-1)[..., None] * a) / var
+    of variance ``var``, ``grad_a K = K (b - a) / var``: one product ``s = k @
+    [coef b, coef]`` against a |b| x (d + 1) right-hand side, with no |a| x |b|
+    temporary, gives ``(s[:, :d] - s[:, d:] a) / var``. A ``coef`` of shape
+    (m, |b|) stacks m vectors: one matmul, one BLAS call and its bits per slice."""
+    s = k @ np.concatenate([coef[..., None] * b, coef[..., None]], axis=-1)
+    return (s[..., :-1] - s[..., -1:] * a) / var
 
 
 def _pair_gauss_grad(k: np.ndarray, a: np.ndarray, b: np.ndarray, var: float) -> np.ndarray:
     """``grad_a K(a_i, b_i)`` of matched rows from their Gaussian kernel values
-    ``k``: the operations ``_gauss_grad`` makes on one pair with a unit
-    coefficient (each product and sum of one term is exact), so the bits of
-    the one-pair call."""
+    ``k``: what ``_gauss_grad`` computes for one pair with a unit coefficient,
+    whose right-hand side ``[b, 1]`` is exact and whose sums have one term,
+    rounded once: the one-pair call's bits, up to the sign of a zero."""
     k = k[:, None]
     return (k * b - k * a) / var
 
@@ -546,7 +549,7 @@ class SyntheticKernel(KernelModel):
         _, k_atoms, k_anchors = self._blocks(t, t[:0])
         noise = self.eta[rows]
         vals = k_atoms @ self.atom_weights + np.matmul(k_anchors, noise[:, :, None])[..., 0]
-        return vals, self._y_grads(t, k_atoms, k_anchors, noise[:, None, :])
+        return vals, self._y_grads(t, k_atoms, k_anchors, noise)
 
     def _sample_width(self):
         return max(self.dim, len(self.anchors))

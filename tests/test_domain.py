@@ -167,6 +167,66 @@ class TestBallSampling:
         assert np.array_equal(dom.sample_uniform(rng(51)), dom.sample_uniform(rng(51)))
 
 
+def same_bits(x, y):
+    return x.shape == y.shape and \
+        np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
+
+
+def random_box(g, d):
+    lower = g.standard_normal(d) * 10.0 ** g.uniform(-3.0, 3.0, size=d)
+    return Box(lower, lower + g.uniform(1e-6, 1e3, size=d))
+
+
+class TestBoxArithmetic:
+    """``Box`` samples and projects by plain array arithmetic, with the bits
+    of numpy's ``Generator.uniform`` and ``clip``."""
+
+    @given(d=st.integers(1, 12), size=st.sampled_from([None, 0, 1, 2, 7, 300]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_sample_uniform_has_the_bits_of_generator_uniform(self, d, size, seed):
+        dom = random_box(np.random.default_rng(seed), d)
+        ours, numpys = rng(seed), rng(seed)
+        pts = dom.sample_uniform(ours, size=size)
+        shape = (d,) if size is None else (size, d)
+        assert same_bits(pts, numpys.uniform(dom.lower, dom.upper, size=shape))
+        # and leaves the generator where uniform leaves it
+        assert ours.random() == numpys.random()
+
+    # Coordinates inside, outside and on the bounds, zeros of both signs,
+    # infinities and NaN, against bounds that may be zeros of either sign.
+    # ``project`` has the bits of ``np.clip`` of each point alone, and of
+    # ``np.clip`` of the whole stack in d >= 2. numpy 2.4 clips a d = 1 stack
+    # with scalar bounds by another loop, which on a tie of signed zeros
+    # (x = -0.0 at a bound 0.0) returns the point rather than the bound.
+    @given(d=st.integers(1, 12), n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_project_has_the_bits_of_clip(self, d, n, seed):
+        g = np.random.default_rng(seed)
+        lower = g.choice([-2.5, -1.0, -0.0, 0.0, 0.5], size=d)
+        upper = np.where(g.random(d) < 0.3, np.where(lower < 0.0, g.choice([-0.0, 0.0]), 1.0),
+                         lower + g.choice([0.5, 1.0, 2.5], size=d))
+        dom = Box(lower, upper)
+        coords = np.concatenate([lower, upper, [0.0, -0.0, 0.3, -0.7, 5.0, -5.0, 1e-300,
+                                                np.inf, -np.inf, np.nan]])
+        x = g.choice(coords, size=(n, d))
+        projected = dom.project(x)
+        assert same_bits(projected, np.array([np.clip(p, lower, upper) for p in x]).reshape(n, d))
+        if d > 1:
+            assert same_bits(projected, np.clip(x, lower, upper))
+        for p in x[:4]:
+            assert same_bits(dom.project(p), np.clip(p, lower, upper))
+
+    # the draws are lower + (upper - lower) U, so the width must be finite
+    @pytest.mark.parametrize("lower, upper", [([0.0, -np.inf], [1.0, 1.0]),
+                                              ([0.0, 0.0], [1.0, np.inf]),
+                                              ([-np.inf], [np.inf]), ([-1e308], [1e308]),
+                                              ([np.nan], [1.0]), ([1.0], [1.0])])
+    def test_box_rejects_bounds_without_a_finite_width(self, lower, upper):
+        with pytest.raises(ValueError, match="finite width"):
+            Box(lower, upper)
+
+
 class TestVolume:
     def test_unit_cube(self):
         assert Box([0.0] * 3, [1.0] * 3).volume() == 1.0

@@ -285,6 +285,68 @@ def test_gaussian_entries_are_pair_local(p, q, d, points, offset, seed, data):
             assert same_bits(kernel(a_off[i : i + 1], b_off), full[i : i + 1])
 
 
+# ``_gauss_grad`` sums ``c_j grad_a K(a_i, b_j) = k_ij c_j (b_j - a_i) / var``
+# as one product ``k @ [c * b, c]``. The reference is the earlier form, which
+# scales the kernel first: ``((k * c) @ b - (k * c).sum(-1) a) / var``. The
+# two group the same terms differently. Each side's products and sums of at
+# most q + 2 terms are within gamma(q + 2) of the exact value, gamma(m) =
+# m u / (1 - m u) with u = 2^-53, relative to
+# ``A_il = sum_j |k_ij c_j| (|b_jl| + |a_il|) / var``; the final difference
+# and division add at most 2u of |grad| <= A. So the two sides differ by at
+# most ``2 (gamma(q + 2) + 2u) A_il``, whatever either side's summation order.
+
+def scaled_kernel_grad(k, a, b, c, var):
+    kc = k * c
+    return (kc @ b - kc.sum(axis=-1)[..., None] * a) / var
+
+
+def grad_rounding_bound(k, a, b, c, var):
+    u, m = 2.0**-53, k.shape[-1] + 2
+    gamma = m * u / (1.0 - m * u)
+    abs_sum = (np.abs(k * c) @ np.abs(b) + np.abs(k * c).sum(axis=-1)[:, None] * np.abs(a)) / var
+    return 2.0 * (gamma + 2.0 * u) * abs_sum
+
+
+@given(p=st.integers(1, 400), q=st.integers(1, 400), d=st.sampled_from([1, 2, 3, 5]),
+       signed=st.booleans(), offset=st.sampled_from([0.0, 40.0]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_gauss_grad_within_rounding_of_the_scaled_kernel(p, q, d, signed, offset, seed):
+    g = rng(seed)
+    a = g.uniform(-4.0, 4.0, size=(p, d)) + offset
+    b = g.uniform(-4.0, 4.0, size=(q, d)) + offset
+    var = g.uniform(0.2, 3.0)
+    c = g.uniform(0.0, 1.0, size=q) * (np.where(g.random(q) < 0.5, -1.0, 1.0) if signed else 1.0)
+    k = gauss_density(a, b, var, d)
+    grad = kernels._gauss_grad(k, a, b, c, var)
+    reference = scaled_kernel_grad(k, a, b, c, var)
+    assert grad.shape == (p, d)
+    assert np.all(np.abs(grad - reference) <= grad_rounding_bound(k, a, b, c, var))
+
+
+@given(p=st.integers(1, 70), q=st.integers(1, 70), m=st.integers(1, 6),
+       d=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_gauss_grad_stacked_slices_have_the_bits_of_their_calls(p, q, m, d, seed):
+    # CI runs this with OpenBLAS on two threads too
+    g = rng(seed)
+    a, b = g.uniform(-3.0, 3.0, size=(p, d)), g.uniform(-3.0, 3.0, size=(q, d))
+    k = gauss_density(a, b, 1.3, d)
+    coefs = g.standard_normal((m, q))
+    stacked = kernels._gauss_grad(k, a, b, coefs, 1.3)
+    assert stacked.shape == (m, p, d)
+    for i in range(m):
+        assert same_bits(stacked[i], kernels._gauss_grad(k, a, b, coefs[i], 1.3))
+
+
+@pytest.mark.parametrize("p, q", [(0, 4), (3, 0), (0, 0)])
+def test_gauss_grad_of_empty_point_sets(p, q):
+    a, b = np.ones((p, 2)), np.ones((q, 2))
+    k = gauss_density(a, b, 1.0, 2)
+    grad = kernels._gauss_grad(k, a, b, np.ones(q), 1.0)
+    assert grad.shape == (p, 2) and not grad.any()
+    assert kernels._gauss_grad(k, a, b, np.ones((3, q)), 1.0).shape == (3, p, 2)
+
+
 # ``GmmKernel.y_norm_sq`` skips pairs beyond a cutoff; the reference is the
 # exact double sum over all ordered pairs, from coordinate differences.
 
