@@ -217,6 +217,14 @@ def _validate(sections, path) -> None:
         raise ConfigError(f"{path}: regression model requires data_path")
     if prob["model"] == "gmm" and not prob["data_path"] and prob["gmm_samples"] < 2:
         raise ConfigError(f"{path}: [problem] gmm_samples must be at least 2")
+    if prob["model"] == "gmm" and not prob["data_path"] and prob["components"] < 1:
+        raise ConfigError(f"{path}: [problem] components must be at least 1")
+    if prob["model"] == "gmm" and not prob["tau"] > 0:
+        raise ConfigError(f"{path}: [problem] tau must be positive")
+    if prob["model"] == "teacher" and prob["reg_samples"] < 2:
+        raise ConfigError(f"{path}: [problem] reg_samples must be at least 2")
+    if not init.startswith("csv:") and run["init_particles"] < 0:
+        raise ConfigError(f"{path}: [run] init_particles must be nonnegative")
     if prob["model"] == "synthetic" and prob["box_low"] >= prob["box_high"]:
         raise ConfigError(f"{path}: synthetic box must satisfy box_low < box_high")
     if not (0 < prob["kappa"] < math.inf):

@@ -26,8 +26,9 @@ and gradients and matches ``weighted_kernel``, ``y_inner_many``,
 ``weighted_grad1_kernel`` and ``grad_y_inner_many`` bit for bit. ReLU
 builds one activation array and no kernel matrix, and correlates it with
 the residual ``r = relu(X_b S) c - y``: values ``act' r / m``, gradients
-``((pre > 0) r)' X_b / m``, equal to the primitives' up to summation
-rounding. Two more evaluators serve value-only calls:
+``((X_b * r)' [act > 0])' / m`` with the residual scaling the batch rows,
+equal to the primitives' up to summation rounding. Two more evaluators
+serve value-only calls:
 
 * ``certificate_values(T, S, c, idx)`` -- the values of
   ``certificate_field`` alone, from the same inputs and with the same
@@ -750,8 +751,9 @@ class ReluKernel(KernelModel):
     ``K(A, B) c = relu(X A)' (relu(X B) c) / m``, so neither the
     certificate nor the loss builds a particle-by-particle matrix. The
     certificate correlates the features of t with the residual
-    ``r = relu(X_b S) c - y``: one product for the values, one for the
-    gradients.
+    ``r = relu(X_b S) c - y``: one product for the values, and one of the
+    residual-scaled batch rows with the activation mask for the gradients,
+    with one m x |t| float array for both.
 
     ``ev`` holds the batch rows ``X_b`` and the pushed support's residual
     ``r`` on them, so the birth candidates build only their own activation.
@@ -825,17 +827,18 @@ class ReluKernel(KernelModel):
         return (mask * self._targets(idx)[:, None]).T @ aug / aug.shape[0]
 
     def _field(self, t, support, coef, idx):
-        """Batch rows, pre-activations of ``t``, the residual ``r = u - y`` of
-        the support's network output ``u`` on the batch, and the certificate
-        values ``act' r / m``, from one activation of ``t``, which ``u``
-        reuses when the support equals ``t``."""
+        """Batch rows, activations ``act = relu(X_b t')`` of ``t``, the residual
+        ``r = u - y`` of the support's network output ``u`` on the batch, and
+        the certificate values ``act' r / m``. The pre-activations are
+        rectified in place, so the call holds one m x |t| float array, which
+        ``u`` reuses when the support equals ``t``."""
         t, support, coef = self._operands(t, support, coef)
         aug = self._batch(idx)
-        pre = aug @ t.T
-        act = np.maximum(pre, 0.0)
+        act = aug @ t.T
+        np.maximum(act, 0.0, out=act)
         u = (act if np.array_equal(support, t) else np.maximum(aug @ support.T, 0.0)) @ coef
         r = u - self._targets(idx)
-        return aug, pre, r, act.T @ r / aug.shape[0]
+        return aug, act, r, act.T @ r / aug.shape[0]
 
     def _pair_grad1(self, a, b):
         """``((X a' > 0) relu(X b')) ' X / n`` summed over row blocks of at most
@@ -887,8 +890,11 @@ class ReluKernel(KernelModel):
         return np.maximum(aug @ _rows(t, self.dim).T, 0.0).T @ r / aug.shape[0]
 
     def certificate_field(self, t, support, coef, idx=None):
-        aug, pre, r, vals = self._field(t, support, coef, idx)
-        return vals, (aug.T @ ((pre > 0.0) * r[:, None])).T / aug.shape[0]
+        """Gradients ``((X_b * r)' [act > 0])' / m``: the residual scales the
+        m x (d + 1) batch rows, and the mask overwrites the activations."""
+        aug, act, r, vals = self._field(t, support, coef, idx)
+        mask = np.greater(act, 0.0, out=act)
+        return vals, ((aug * r[:, None]).T @ mask).T / aug.shape[0]
 
     def objective_value(self, t, weights, signs, kappa):
         """The residual ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``,

@@ -8,10 +8,14 @@ signed and unsigned problems:
 * the Gaussian models must reproduce, bit for bit, the certificate assembled
   from the four reference primitives ``weighted_kernel``, ``y_inner_many``,
   ``weighted_grad1_kernel`` and ``grad_y_inner_many``;
-* ReLU correlates each feature with the residual ``r = relu(X_b S) c - y``.
-  It must reproduce, bit for bit, that residual form written out here, and
-  match the four primitives, which subtract the target's correlation
-  separately, within the summation bound ``relu_residual_bound``. Its exact
+* ReLU correlates each feature with the residual ``r = relu(X_b S) c - y``:
+  values ``act' r / m`` and gradients ``((X_b * r)' [act > 0])' / m``, the
+  residual scaling the batch rows. It must reproduce, bit for bit, that
+  residual form written out here, and match the four primitives, which
+  subtract the target's correlation separately, within the summation bound
+  ``relu_residual_bound``. Its gradients are also held to the masked
+  residual product ``(X_b' ([pre > 0] * r))' / m``, which scales the mask
+  instead, within the rounding bound ``scaled_rows_bound``. Its exact
   ``certificate_values`` sums ``r`` over row blocks and the values over
   chunks of points, so it holds no n x |T| array; it sums the same products
   in other groupings and is held to the residual form within that bound.
@@ -54,12 +58,42 @@ def relu_batch(model, idx):
 
 def residual_field(model, points, support, coef, idx):
     """ReLU's unsigned field in residual form: ``act' r / m`` and
-    ``((pre > 0) * r)' X_b / m``, ``r = relu(X_b S) c - y``."""
+    ``((X_b * r)' [act > 0])' / m``, ``r = relu(X_b S) c - y``."""
+    aug, y = relu_batch(model, idx)
+    act = np.maximum(aug @ points.T, 0.0)
+    r = np.maximum(aug @ support.T, 0.0) @ coef - y
+    m = aug.shape[0]
+    return act.T @ r / m, ((aug * r[:, None]).T @ (act > 0.0).astype(float)).T / m
+
+
+def masked_residual_grads(model, points, support, coef, idx):
+    """The gradients with the residual scaling the mask instead of the batch
+    rows: ``(X_b' ([pre > 0] * r))' / m``, whose products ``X_b[i, l] r_i``
+    the matrix product forms itself."""
     aug, y = relu_batch(model, idx)
     pre = aug @ points.T
     r = np.maximum(aug @ support.T, 0.0) @ coef - y
-    m = aug.shape[0]
-    return np.maximum(pre, 0.0).T @ r / m, (aug.T @ ((pre > 0.0) * r[:, None])).T / m
+    return (aug.T @ ((pre > 0.0) * r[:, None])).T / aug.shape[0]
+
+
+def scaled_rows_bound(model, points, support, coef, idx):
+    """Elementwise rounding bound ``16 eps sum_i |X_b[i, l] r_i| [pre_ij > 0] / m``
+    between the gradients and ``masked_residual_grads``.
+
+    Both sum the same terms ``X_b[i, l] r_i [pre_ij > 0]`` over the batch,
+    in matrix products of the same shape and layout. The residual form
+    rounds each ``X_b[i, l] r_i`` before its product adds it, the masked
+    form inside the product: at most eps / 2 times each term. Each sum's own
+    rounding error is at most a multiple of eps times the sum of the terms'
+    absolute values, as in ``relu_sum_bound``. The measured difference is at
+    most 2.6 eps times that sum over 3,000 draws at the sizes of the
+    property test and 2.2 at p = 300 with m = 256 or m = 2,000, on one or
+    two BLAS threads, so 16 leaves a wide margin; a relative tolerance
+    would fail where positive and negative residuals cancel."""
+    aug, y = relu_batch(model, idx)
+    mask = (aug @ points.T > 0.0).astype(float)
+    r = np.maximum(aug @ support.T, 0.0) @ coef - y
+    return 16.0 * EPS * (mask.T @ np.abs(aug * r[:, None])) / aug.shape[0]
 
 
 def relu_residual_bound(model, points, support, coef, idx):
@@ -101,6 +135,9 @@ def check_certificate(problem, swarm, points, signs, idx):
         got = model.certificate_field(points, swarm.positions, coef, idx)
         for g, w, b in zip(got, want, bounds):
             assert np.all(np.abs(g - w) <= b)
+        masked = masked_residual_grads(model, points, swarm.positions, coef, idx)
+        assert np.all(np.abs(got[1] - masked)
+                      <= scaled_rows_bound(model, points, swarm.positions, coef, idx))
         want = residual_field(model, points, swarm.positions, coef, idx)
     want_vals, want_grads = fold(problem, signs, want)
     vals, grads = certificate_and_grad(problem, swarm, points, signs, idx)
@@ -146,10 +183,12 @@ def relu_run_scale_problem():
 
 
 def test_relu_support_evaluation_matches_at_run_scale():
-    # p = 300, where BLAS blocks the sums: the fused evaluation at the
-    # support and away from it keeps the residual form's bits and stays
-    # within the summation bound of the four primitives, and the feature-
-    # space weighted kernel within that of the kernel matrix product.
+    # p = 300, where BLAS blocks the sums, on a batch of m = 256 and exactly
+    # over m = 2,000: the fused evaluation at the support and away from it
+    # keeps the residual form's bits and stays within the summation bound of
+    # the four primitives and the rounding bound of the masked residual
+    # product, and the feature-space weighted kernel within the summation
+    # bound of the kernel matrix product.
     problem, swarm, g = relu_run_scale_problem()
     model = problem.model
     coef = swarm.weights * swarm.signs
@@ -201,6 +240,18 @@ def test_relu_exact_values_match_the_one_shot_residual_form(p):
                                                                 None)[0])
 
 
+def traced_peak(call):
+    """Peak bytes that ``call()`` allocates above what was held before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_relu_kkt_residual_memory_does_not_grow_with_the_grid():
     # n = 1,600 samples in d + 1 = 9 (teacher_desk.cfg's sizes) and p = 300:
     # one-shot exact values would hold two n x |grid| arrays, 205 MB at
@@ -214,13 +265,26 @@ def test_relu_kkt_residual_memory_does_not_grow_with_the_grid():
     peaks = []
     for size in (1000, 8000):
         grid = problem.domain.sample_uniform(g, size=size)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            kkt_residual(problem, swarm, grid)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(lambda: kkt_residual(problem, swarm, grid)))
     assert peaks[1] < 4 * 2**20
     assert peaks[1] - peaks[0] < 32 * 7000
+
+
+def test_relu_support_evaluations_hold_one_activation_array():
+    # p = 400 on a batch of m = 256 (housing_full.cfg's batch): the field
+    # and the pushed evaluation hold one m x p float array, 8 m p bytes:
+    # the activations, rectified in place, which the field overwrites with
+    # its mask. The rest (the batch rows and their scaled copy, r, u and the
+    # 400 x 9 gradients with their scaled copy) comes to about 80 KB, within
+    # the 2^17 bytes of slack; a separate pre-activation array or mask adds
+    # 8 m p = 819 KB
+    g = np.random.Generator(np.random.Philox(4))
+    model = ReluKernel(g.standard_normal((2000, 8)), g.standard_normal(2000))
+    m, p = 256, 400
+    support = Ball(np.zeros(9), 1.0).sample_uniform(g, size=p)
+    coef = g.uniform(-1.0, 1.0, size=p)
+    idx = g.integers(0, 2000, size=m)
+    slack = 2**17
+    for call in (lambda: model.certificate_field(support, support, coef, idx),
+                 lambda: model.pushed_values(support, coef, idx)):
+        assert traced_peak(call) <= 8 * m * p + slack

@@ -75,6 +75,24 @@ variant = stochastic
 iterations = 10
 """
 
+TINY_TEACHER = """
+[problem]
+model = teacher
+kappa = 5e-3
+seed = 2
+features = 3
+reg_samples = 60
+teacher_neurons = 2
+
+[rates]
+mode = manual
+alpha = 0.5
+
+[run]
+variant = stochastic
+iterations = 10
+"""
+
 
 def test_python_dash_m_runs_the_cli():
     # ``python -m conicswarm`` from the package's own source tree, installed or not
@@ -310,6 +328,34 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "gmm_samples" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, old, new, key", [
+        pytest.param(TINY_GMM, "components = 3", "components = 0", "components",
+                     id="no-components"),
+        pytest.param(TINY_GMM, "components = 3", "components = -2", "components",
+                     id="negative-components"),
+        pytest.param(TINY_GMM, "tau = 0.2", "tau = 0", "tau", id="zero-tau"),
+        pytest.param(TINY_GMM, "tau = 0.2", "tau = nan", "tau", id="nan-tau"),
+        pytest.param(TINY_TEACHER, "reg_samples = 60", "reg_samples = 0", "reg_samples",
+                     id="no-teacher-samples"),
+        pytest.param(TINY_TEACHER, "reg_samples = 60", "reg_samples = 1", "reg_samples",
+                     id="one-teacher-sample"),
+        pytest.param(TINY_GMM, "iterations = 10", "iterations = 10\ninit_particles = -3",
+                     "init_particles", id="negative-init-particles"),
+    ])
+    def test_bad_problem_or_swarm_size_exits_2_naming_the_key(self, tmp_path, capsys, body, old,
+                                                              new, key):
+        # these used to fail while the problem or the swarm was built, with
+        # exit 1 and a message naming no key ("float division by zero",
+        # "negative dimensions are not allowed", ...)
+        cfg = write_config(tmp_path, body.replace(old, new))
+        with pytest.raises(ConfigError, match=rf"\] {key} must be"):
+            load_config(cfg)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
         assert not out.exists()
 
     def test_constant_mixture_column_exits_1_naming_file_and_column(self, tmp_path, capsys):

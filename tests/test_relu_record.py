@@ -46,7 +46,7 @@ def activations(model, fetched=None, blocked=None):
     ``out``), and into ``fetched`` the size of every batch fetched from
     them; returns the first log. Only products whose inner dimension is the
     feature width ``model.dim`` are activations: the gradient's
-    ``X_b' ((pre > 0) * r)`` sums over the batch and is not logged."""
+    ``(X_b * r)' [act > 0]`` sums over the batch and is not logged."""
     log = []
 
     class Rows(np.ndarray):
