@@ -64,7 +64,7 @@ def build_problem(spec: RunSpec):
         else:
             gspec = experiments.GmmSpec.ring(
                 n_components=prob["components"], radius=prob["ring_radius"],
-                n_samples=prob["gmm_samples"], tau=prob["tau"], seed=prob["seed"])
+                n_samples=prob["gmm_samples"], tau=prob["tau"])
             data, problem = experiments.gen_gmm(gspec, rng, kappa=prob["kappa"])
             extras["gmm_spec"] = gspec
         extras["data"] = data
@@ -84,15 +84,17 @@ def build_problem(spec: RunSpec):
     return problem, extras
 
 
-def _audit_and_calibrate(spec: RunSpec, problem: Problem, nu0_tv: float):
+def _audit(spec: RunSpec, problem: Problem):
     rng = np.random.Generator(np.random.Philox(spec.problem["seed"] + 7))
-    bounds = audit_assumptions(problem.model, problem.domain, spec.rates["audit_points"],
-                               rng, tv_cap=spec.rates["audit_tv_cap"])
-    stochastic = spec.run["variant"] == "stochastic"
-    cal = calibrate(bounds, nu0_tv=nu0_tv, kappa=problem.kappa,
-                    lambda_x=problem.domain.volume(),
-                    y_norm=math.sqrt(problem.model.y_norm_sq), stochastic=stochastic)
-    return bounds, cal
+    return audit_assumptions(problem.model, problem.domain, spec.rates["audit_points"],
+                             rng, tv_cap=spec.rates["audit_tv_cap"])
+
+
+def _calibrate(spec: RunSpec, problem: Problem, bounds, nu0_tv: float):
+    return calibrate(bounds, nu0_tv=nu0_tv, kappa=problem.kappa,
+                     lambda_x=problem.domain.volume(),
+                     y_norm=math.sqrt(problem.model.y_norm_sq),
+                     stochastic=spec.run["variant"] == "stochastic")
 
 
 def build_init_swarm(spec: RunSpec, problem: Problem, extras) -> ParticleSwarm:
@@ -129,21 +131,22 @@ def build_init_swarm(spec: RunSpec, problem: Problem, extras) -> ParticleSwarm:
 def build_run_config(spec: RunSpec, problem: Problem, extras):
     """Assemble the runner configuration; returns ``(config, calibration)``.
 
-    Calibration is performed when the rates mode asks for it or when the
-    guarded profile needs the noise-derived birth threshold.
+    The problem is audited for calibrated rates, which are then calibrated,
+    and for the theory profile's noise-derived birth threshold. Manual rates
+    are never calibrated, and the calibration is then None.
     """
     init_swarm = build_init_swarm(spec, problem, extras)
     bd = spec.birth_death
     rates_cfg = spec.rates
     theory = bd["profile"] == "theory"
-    need_cal = rates_cfg["mode"] == "calibrated" or spec.schedule["variant"] in ("horizon", "anytime")
-    need_audit = need_cal or (bd["enabled"] and bd["birth_threshold"] is None and theory)
+    calibrated = rates_cfg["mode"] == "calibrated"
 
     bounds = cal = None
-    if need_audit:
-        bounds, cal = _audit_and_calibrate(spec, problem, nu0_tv=init_swarm.tv_norm())
+    if calibrated or (bd["enabled"] and bd["birth_threshold"] is None and theory):
+        bounds = _audit(spec, problem)
 
-    if rates_cfg["mode"] == "calibrated":
+    if calibrated:
+        cal = _calibrate(spec, problem, bounds, init_swarm.tv_norm())
         cal.check_rates(bounds)
         alpha = cal.alpha
         beta = cal.chosen_beta if rates_cfg["beta"] is None else rates_cfg["beta"]
@@ -157,8 +160,7 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
     elif not beta >= 0:  # the plans set beta_k themselves, but a bad beta is still refused
         raise ValueError("rates must be nonnegative")
     elif variant == "horizon":
-        beta_cap = cal.beta_max_struct if rates_cfg["mode"] == "calibrated" else \
-            (beta if beta > 0 else math.inf)
+        beta_cap = cal.beta_max_struct if calibrated else (beta if beta > 0 else math.inf)
         plan = horizon_plan(spec.run["iterations"], alpha, beta_cap, problem.domain.dim)
     else:
         plan = AnytimePlan(alpha=alpha)
@@ -200,7 +202,8 @@ def cmd_calibrate(args) -> int:
     spec = load_config(args.config, profile_override=args.profile)
     problem, extras = build_problem(spec)
     init_swarm = build_init_swarm(spec, problem, extras)
-    bounds, cal = _audit_and_calibrate(spec, problem, nu0_tv=init_swarm.tv_norm())
+    bounds = _audit(spec, problem)
+    cal = _calibrate(spec, problem, bounds, init_swarm.tv_norm())
     cal.check_rates(bounds)
     lines = [
         "calibration report",
@@ -309,9 +312,7 @@ def cmd_report(args) -> int:
     table = [header] + [[r["name"], str(r["k"]), f"{r['final_loss']:.6g}",
                          f"{r['min_loss']:.6g}", f"{r['tv']:.4f}", str(r["p_final"]),
                          str(r["deaths"]), str(r["births"])] for r in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    for row in table:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    print(experiments.aligned(table))
 
     ks = sorted({r["k"] for r in rows})
     if len(ks) >= 2:

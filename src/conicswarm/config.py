@@ -219,8 +219,9 @@ def _validate(sections, path) -> None:
         raise ConfigError(f"{path}: [problem] gmm_samples must be at least 2")
     if prob["model"] == "gmm" and not prob["data_path"] and prob["components"] < 1:
         raise ConfigError(f"{path}: [problem] components must be at least 1")
-    if prob["model"] == "gmm" and not prob["tau"] > 0:
-        raise ConfigError(f"{path}: [problem] tau must be positive")
+    tau = prob["tau"]
+    if prob["model"] == "gmm" and not (tau > 0 and math.isfinite(tau * tau)):
+        raise ConfigError(f"{path}: [problem] tau must be positive with a finite square")
     if prob["model"] == "teacher" and prob["reg_samples"] < 2:
         raise ConfigError(f"{path}: [problem] reg_samples must be at least 2")
     if not init.startswith("csv:") and run["init_particles"] < 0:

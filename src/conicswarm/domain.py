@@ -32,7 +32,8 @@ class Domain(ABC):
 
     @abstractmethod
     def contains(self, x: np.ndarray, tol: float = 1e-12):
-        """Membership test, broadcast over a stack of points."""
+        """Membership test, broadcast over a stack of points; a negative
+        ``tol`` asks for points at least ``-tol`` inside."""
 
     @abstractmethod
     def sample_uniform(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -164,15 +165,13 @@ def grid_points(domain: Domain, resolution: int, rng: np.random.Generator | None
             rng = np.random.Generator(np.random.Philox(0))
         return domain.sample_uniform(rng, size=max_points)
     if isinstance(domain, Box):
-        axes = [np.linspace(domain.lower[i], domain.upper[i], resolution) for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-    if isinstance(domain, Ball):
-        lo = domain.center - domain.radius
-        hi = domain.center + domain.radius
-        axes = [np.linspace(lo[i], hi[i], resolution) for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        pts = pts[domain.contains(pts)]
-        return np.vstack([pts, domain.center[None, :]])
-    raise TypeError(f"unsupported domain type {type(domain)!r}")
+        lo, hi = domain.lower, domain.upper
+    elif isinstance(domain, Ball):
+        lo, hi = domain.center - domain.radius, domain.center + domain.radius
+    else:
+        raise TypeError(f"unsupported domain type {type(domain)!r}")
+    axes = [np.linspace(lo[i], hi[i], resolution) for i in range(d)]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    if isinstance(domain, Box):
+        return pts
+    return np.vstack([pts[domain.contains(pts)], domain.center[None, :]])

@@ -33,6 +33,7 @@ __all__ = [
     "heldout_mse",
     "SummaryRow",
     "summarize",
+    "aligned",
     "summary_text",
     "summary_csv",
 ]
@@ -46,7 +47,6 @@ class GmmSpec:
     weights: np.ndarray
     n_samples: int
     tau: float
-    seed: int = 0
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=float).reshape(-1, 2)
@@ -64,12 +64,12 @@ class GmmSpec:
 
     @classmethod
     def ring(cls, n_components: int = 5, radius: float = 4.0, n_samples: int = 2000,
-             tau: float = 0.2, seed: int = 0) -> "GmmSpec":
+             tau: float = 0.2) -> "GmmSpec":
         """Equal-weight components on a circle, well separated at unit spread."""
         angles = 2.0 * np.pi * np.arange(n_components) / n_components
         means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         return cls(means=means, weights=np.full(n_components, 1.0 / n_components),
-                   n_samples=n_samples, tau=tau, seed=seed)
+                   n_samples=n_samples, tau=tau)
 
 
 def _gmm_problem(data: np.ndarray, tau: float, kappa: float) -> Problem:
@@ -261,12 +261,15 @@ def _format_cells(rows: list[SummaryRow]):
     return table
 
 
-def summary_text(rows: list[SummaryRow]) -> str:
-    table = _format_cells(rows)
+def aligned(table: list[list[str]]) -> str:
+    """Rows of text cells as lines, each column padded to its widest cell."""
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-             for row in table]
-    return "\n".join(lines)
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                     for row in table)
+
+
+def summary_text(rows: list[SummaryRow]) -> str:
+    return aligned(_format_cells(rows))
 
 
 def summary_csv(rows: list[SummaryRow]) -> str:

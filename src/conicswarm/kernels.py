@@ -37,9 +37,9 @@ serve value-only calls:
 * ``objective_value(T, w, s, kappa)`` -- the exact objective of a
   non-empty swarm, by default the expanded
   ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
-  ``c = s w``, which ``SyntheticKernel`` reads from one kernel block.
-  ReLU sums the residual ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``
-  over the 1 MiB row blocks of ``relu_outputs``, so its memory does not grow with n.
+  ``c = s w``, which both Gaussian models use. ReLU sums the residual
+  ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)`` over the 1 MiB row
+  blocks of ``relu_outputs``, so its memory does not grow with n.
 
 A batch restriction averages per-sample quantities, so
 ``idx = arange(n)`` reproduces the exact one.
@@ -70,10 +70,10 @@ averages exact data-side densities over row blocks of
 ``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array.
 
 ``SyntheticKernel`` builds each certificate evaluation, each
-``y_inner_many`` and ``grad_y_inner_many``, and the loss from one kernel
-matrix of T against the support (T for the loss) stacked on the
-observation's fixed points; the products read its column slices, which
-have the bits of their own calls.
+``y_inner_many`` and ``grad_y_inner_many`` from one kernel matrix of T
+against the support (empty for the last two) stacked on the observation's
+fixed points; the products read its column slices, which have the bits of
+their own calls.
 
 ``audit_assumptions`` runs no Python loop over samples or pairs. It reads
 the diagonal ``K(t, t)`` from the kernel matrix of its points, takes every
@@ -96,7 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Ball, Box, Domain, grid_points
+from .domain import Box, Domain, grid_points
 
 __all__ = [
     "KernelModel",
@@ -529,15 +529,6 @@ class SyntheticKernel(KernelModel):
             - self._y_grads(t, k_atoms, k_anchors, noise)
         return vals, grads
 
-    def objective_value(self, t, weights, signs, kappa):
-        """The base class's expanded objective, with ``<y, phi_T>`` and
-        ``K(T, T) c`` read from one block ``K(T, [T; atoms; anchors])``."""
-        t = _rows(t, self.dim)
-        c = weights * signs
-        k_s, k_atoms, k_anchors = self._blocks(t, t)
-        k_t = signs * self._y_values(k_atoms, k_anchors, self._eta_mean)
-        return float(0.5 * self.y_norm_sq + (kappa - k_t) @ weights + 0.5 * (c @ (k_s @ c)))
-
     def _pair_grad1(self, a, b):
         return _pair_gauss_grad(self._finish(_pair_sqdist(a, b)), a, b, self.sigma**2)
 
@@ -592,8 +583,8 @@ class GmmKernel(KernelModel):
             raise ValueError("data must be a non-empty (n, d) array")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("data must be finite")
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (tau > 0 and math.isfinite(tau * tau)):
+            raise ValueError("tau must be positive with a finite square")
         self.tau = float(tau)
         self.dim = self.data.shape[1]
         self._kvar = 2.0 * (1.0 + tau**2)
@@ -947,7 +938,7 @@ def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
     64 points is read from the kernel matrix of all points. The gradients
     ``grad_s K(s, t)`` of up to 48 neighbouring pairs and the central
     differences (step 1e-4) of the Hessians at up to 12 of them, those
-    strictly inside the domain, are one ``_pair_grad1`` call, and the
+    at least 1e-3 inside the domain, are one ``_pair_grad1`` call, and the
     Hessians' eigenvalues one stacked ``eigvalsh``. The per-sample
     deviations at up to 24 points are taken over chunks of samples whose
     arrays hold at most ``_ROW_BLOCK_ENTRIES`` entries.
@@ -979,7 +970,7 @@ def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
     n_pairs = min(48, len(pts) - 1)
     pair_a = pts[:n_pairs]
     pair_b = pts[1 : n_pairs + 1]
-    inner = np.flatnonzero(_strictly_inside(domain, pair_a))[:12]
+    inner = np.flatnonzero(domain.contains(pair_a, tol=-1e-3))[:12]
     d, h = model.dim, 1e-4
     step = np.eye(d) * h
     s, t = pair_a[inner][:, None, :], np.repeat(pair_b[inner], d, axis=0)
@@ -1028,12 +1019,3 @@ def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
         cert_offset=cert_offset,
         diag_gap=diag_gap,
     )
-
-
-def _strictly_inside(domain: Domain, p: np.ndarray, margin: float = 1e-3) -> np.ndarray:
-    """Which rows of ``p`` lie at least ``margin`` inside the domain."""
-    if isinstance(domain, Box):
-        return np.all(p > domain.lower + margin, axis=1) & np.all(p < domain.upper - margin, axis=1)
-    if isinstance(domain, Ball):
-        return _row_norms(p - domain.center) < domain.radius - margin
-    return np.ones(len(p), dtype=bool)

@@ -7,9 +7,8 @@ For a lifted swarm with weights W, signs s and positions T the objective is
 with the signed Gram matrix ``K_T[i, j] = s_i s_j K(t_i, t_j)`` and
 ``k_T[j] = s_j <y, phi_{t_j}>``. ``loss`` hands a non-empty swarm to
 ``KernelModel.objective_value``: the Gaussian models evaluate this
-expanded form with the quadratic term ``c'(K c)``, ``c = s * W`` (the
-mixture through ``weighted_kernel``, the synthetic model from one kernel
-block); ReLU sums the equal network residual
+expanded form with the quadratic term ``c'(K c)``, ``c = s * W``, through
+``weighted_kernel``; ReLU sums the equal network residual
 ``0.5 mean((relu(X T) c - y)^2) + kappa * sum(W)`` over fixed row blocks,
 so it builds neither K_T nor an n x p activation array.
 

@@ -25,7 +25,7 @@ keep no state between calls.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,16 +40,14 @@ from .swarm import ParticleSwarm
 __all__ = ["RunConfig", "IterationRecord", "RunResult", "RunAborted", "run",
            "trace_to_csv", "trace_from_csv", "TRACE_COLUMNS"]
 
-TRACE_COLUMNS = ["k", "time_s", "loss", "tv", "particles", "births", "deaths",
-                 "min_cert", "delta", "cert_norm_sq"]
-
 
 @dataclass
 class IterationRecord:
-    """Per-step diagnostics; loss fields are None off cadence."""
+    """Per-step diagnostics; loss fields are None off cadence, and the wall
+    time is None when read back from a trace file."""
 
     k: int
-    time_s: float
+    time_s: float | None
     loss: float | None
     tv: float
     particles: int
@@ -58,6 +56,11 @@ class IterationRecord:
     min_cert: float | None
     delta: float | None
     cert_norm_sq: float | None
+
+
+#: the trace file's columns, in field order; the count columns are ints
+TRACE_COLUMNS = [f.name for f in fields(IterationRecord)]
+_COUNT_COLUMNS = {f.name for f in fields(IterationRecord) if f.type == "int"}
 
 
 @dataclass
@@ -150,10 +153,10 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
                                          ev, keep, born_mask)
         certs, grads = swarm.signs * vals + kappa, swarm.signs[:, None] * grad
         cert_norm_sq = float(swarm.weights @ certs**2) if len(swarm) else 0.0
-        # the recorded minimum tracks the pushed certificate; without the
-        # birth/death step the pre-update support values stand in for it
-        min_cert_vals = [] if config.birth_death else \
-            ([float(certs.min())] if len(swarm) else [])
+        # the recorded minimum tracks the pushed certificate and the
+        # candidates'; without the birth/death step the pre-update support
+        # values stand in for them
+        seen = certs
         try:
             swarm = weight_push_update(problem, swarm, certs, grads,
                                        StepRates(config.alpha, beta_k))
@@ -171,10 +174,7 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
             keep = np.ones(len(swarm), dtype=bool)
             keep[death_idx] = False
             born_mask = cand_certs <= level
-            if len(swarm):
-                min_cert_vals.append(float(pushed.min()))
-            if cand_certs.size:
-                min_cert_vals.append(float(cand_certs.min()))
+            seen = np.concatenate([pushed, cand_certs])
             swarm = apply_mass_tweak(swarm, death_idx, born)
             births, deaths = len(born), len(death_idx)
 
@@ -183,9 +183,7 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
         delta = None if cur_loss is None else last_loss - cur_loss
         if cur_loss is not None:
             last_loss = cur_loss
-        min_cert = min(min_cert_vals) if min_cert_vals else None
-        if min_cert is not None:
-            min_cert = min(min_cert, 0.0)
+        min_cert = min(float(seen.min()), 0.0) if seen.size else None
         trace.append(IterationRecord(k, time.perf_counter() - t0, cur_loss, swarm.tv_norm(),
                                      len(swarm), births, deaths, min_cert, delta,
                                      cert_norm_sq))
@@ -212,25 +210,13 @@ def trace_to_csv(trace: list[IterationRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for rec in trace:
-            row = [
-                _cell(rec.k),
-                "",
-                _cell(rec.loss),
-                _cell(rec.tv),
-                _cell(rec.particles),
-                _cell(rec.births),
-                _cell(rec.deaths),
-                _cell(rec.min_cert),
-                _cell(rec.delta),
-                _cell(rec.cert_norm_sq),
-            ]
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join("" if name == "time_s" else _cell(getattr(rec, name))
+                              for name in TRACE_COLUMNS) + "\n")
 
 
 def trace_from_csv(path) -> list[IterationRecord]:
-    def parse(txt: str):
-        return None if txt == "" else float(txt)
-
+    """Read a trace file: counts as ints, every other cell as a float, or
+    None where it is empty."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -240,16 +226,7 @@ def trace_from_csv(path) -> list[IterationRecord]:
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(TRACE_COLUMNS):
                 raise ValueError(f"malformed trace row in {path}")
-            records.append(IterationRecord(
-                k=int(parts[0]),
-                time_s=parse(parts[1]) or 0.0,
-                loss=parse(parts[2]),
-                tv=parse(parts[3]) or 0.0,
-                particles=int(parts[4]),
-                births=int(parts[5]),
-                deaths=int(parts[6]),
-                min_cert=parse(parts[7]),
-                delta=parse(parts[8]),
-                cert_norm_sq=parse(parts[9]),
-            ))
+            records.append(IterationRecord(*(
+                int(txt) if name in _COUNT_COLUMNS else (float(txt) if txt else None)
+                for name, txt in zip(TRACE_COLUMNS, parts))))
     return records

@@ -49,7 +49,7 @@ def run_timed(suite_fn, **kw):
 def gmm_runs():
     """Clustered-init mixture recovery, with and without the exploration
     process, on the desk-scale problem."""
-    spec = GmmSpec.ring(n_components=5, radius=5.0, n_samples=2000, tau=0.2, seed=11)
+    spec = GmmSpec.ring(n_components=5, radius=5.0, n_samples=2000, tau=0.2)
     rng = np.random.Generator(np.random.Philox(11))
     _, problem = gen_gmm(spec, rng, kappa=1e-4)
     irng = np.random.Generator(np.random.Philox(1001))

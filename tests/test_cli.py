@@ -337,6 +337,8 @@ class TestRunCommand:
                      id="negative-components"),
         pytest.param(TINY_GMM, "tau = 0.2", "tau = 0", "tau", id="zero-tau"),
         pytest.param(TINY_GMM, "tau = 0.2", "tau = nan", "tau", id="nan-tau"),
+        pytest.param(TINY_GMM, "tau = 0.2", "tau = inf", "tau", id="inf-tau"),
+        pytest.param(TINY_GMM, "tau = 0.2", "tau = 1e200", "tau", id="overflowing-tau"),
         pytest.param(TINY_TEACHER, "reg_samples = 60", "reg_samples = 0", "reg_samples",
                      id="no-teacher-samples"),
         pytest.param(TINY_TEACHER, "reg_samples = 60", "reg_samples = 1", "reg_samples",
@@ -348,7 +350,8 @@ class TestRunCommand:
                                                               new, key):
         # these used to fail while the problem or the swarm was built, with
         # exit 1 and a message naming no key ("float division by zero",
-        # "negative dimensions are not allowed", ...)
+        # "negative dimensions are not allowed", "Numerical result out of
+        # range", ...), or, for tau = inf, to run with every kernel value at 0
         cfg = write_config(tmp_path, body.replace(old, new))
         with pytest.raises(ConfigError, match=rf"\] {key} must be"):
             load_config(cfg)
@@ -573,7 +576,45 @@ def test_unusable_calibrated_rates_do_not_stop_a_manual_rates_run():
     problem, extras = build_problem(spec)
     config, cal = build_run_config(spec, problem, extras)
     assert config.alpha == 2.0
-    assert cal.alpha == 0.0 and config.birth_rule.threshold_coeff > 0
+    assert cal is None and config.birth_rule.threshold_coeff > 0
+
+
+@pytest.mark.parametrize("name, edits", [
+    pytest.param("teacher_desk.cfg", [("variant = fixed", "variant = anytime")],
+                 id="teacher-anytime"),
+    pytest.param("teacher_desk.cfg", [("variant = fixed", "variant = horizon")],
+                 id="teacher-horizon"),
+    pytest.param("teacher_desk.cfg", [("profile = experiments", "profile = theory"),
+                                      ("birth_threshold = -0.6\n", "")], id="teacher-theory"),
+    pytest.param("gmm_desk.cfg", [("variant = fixed", "variant = anytime")], id="gmm-anytime"),
+])
+def test_manual_rates_runs_never_calibrate(name, edits, tmp_path, capsys):
+    # ReLU's audited kernel minimum is 0, so its calibration is unavailable,
+    # and gmm_desk's calibrated alpha is 2.6e-133; neither may stop or be
+    # reported by a run whose rates are manual
+    cfg = shipped_copy(name, tmp_path, iterations=20)
+    body = cfg.read_text(encoding="utf-8")
+    for old, new in edits:
+        assert old in body
+        body = body.replace(old, new)
+    cfg.write_text(body, encoding="utf-8")
+    spec = load_config(cfg)
+    problem, extras = build_problem(spec)
+    config, cal = build_run_config(spec, problem, extras)
+    assert spec.rates["mode"] == "manual" and cal is None
+    assert config.alpha == spec.rates["alpha"]
+    if spec.birth_death["profile"] == "theory":
+        assert config.birth_rule.threshold_coeff > 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    assert "calibrated:" not in (out / "summary.txt").read_text(encoding="utf-8")
+
+
+def test_calibrated_rates_are_reported_in_the_summary(tmp_path):
+    cfg = shipped_copy("synthetic_theory.cfg", tmp_path, iterations=20)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "\ncalibrated: alpha=" in (out / "summary.txt").read_text(encoding="utf-8")
 
 
 def test_calibrated_mode_refuses_unusable_rates(tmp_path):

@@ -89,6 +89,12 @@ class TestGram:
         t = np.array([[0.3, 0.7]])
         assert problem.model.kernel_matrix(t, t)[0, 0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("tau", [0.0, -0.2, math.nan, math.inf, 1e200])
+    def test_gmm_refuses_a_tau_without_a_finite_positive_square(self, tau):
+        # 1e200 is finite, but its square overflows the kernel's variances
+        with pytest.raises(ValueError, match="tau must be positive with a finite square"):
+            GmmKernel(np.zeros((4, 2)), tau)
+
     def test_gmm_diagonal_closed_form_and_quadrature(self):
         tau = 0.3
         model = GmmKernel(np.zeros((4, 2)), tau)

@@ -1,5 +1,6 @@
 import math
 import signal
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from conicswarm.domain import grid_points
 from conicswarm.experiments import gen_teacher_regression
 from conicswarm.kernels import audit_assumptions
 from conicswarm.objective import kkt_residual, loss
-from conicswarm.runner import RunAborted, RunConfig, RunResult, run, trace_from_csv, trace_to_csv
+from conicswarm.runner import IterationRecord, RunAborted, RunConfig, RunResult, run, \
+    trace_from_csv, trace_to_csv
 from conicswarm.schedules import AnytimePlan, FixedPlan, calibrate
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_synthetic_problem, random_swarm
@@ -223,6 +225,25 @@ class TestTraceCsv:
                 assert b.loss is None
             else:
                 assert b.loss == pytest.approx(a.loss)
+
+    def test_every_field_reads_back_exactly(self, tmp_path):
+        # wall time is never written, so it reads back as None; every other
+        # nullable column holds None on one row and a value on another, and
+        # floats are written with repr, so they read back to the bit
+        records = [
+            IterationRecord(0, None, 0.125, 1.0, 3, 0, 0, None, None, None),
+            IterationRecord(1, None, None, 0.1 + 0.2, 4, 2, 1, -1e-300, None, 5e-324),
+            IterationRecord(2, None, 2.0 / 3.0, 0.0, 2, 0, 2, 0.0, -0.1, 7.5),
+        ]
+        path = tmp_path / "trace.csv"
+        trace_to_csv(records, path)
+        assert path.read_text().splitlines()[0].split(",") == \
+            [f.name for f in fields(IterationRecord)]
+        back = trace_from_csv(path)
+        assert back == records
+        for a, b in zip(records, back):
+            for f in fields(IterationRecord):
+                assert type(getattr(b, f.name)) is type(getattr(a, f.name))
 
     def test_off_cadence_rows_have_empty_loss(self, tmp_path):
         problem = make_synthetic_problem()

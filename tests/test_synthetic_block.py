@@ -6,10 +6,10 @@ anchors])`` and reads its three column slices. Gaussian entries are
 pair-local, so every slice must have the bits of its own
 ``kernel_matrix`` call, which is how ``Reference`` below builds them: one
 call per point set, a noise mean gathered on every call and ``|y|^2``
-recomputed on every access. The loss reads ``<y, phi_T>`` and ``K(T, T) c``
-from one block ``K(T, [T; atoms; anchors])`` and must give the bits of the
-base class's expanded form, which builds the two separately. CI runs this
-file again with OpenBLAS on two threads.
+recomputed on every access. The loss is the base class's expanded form,
+which reads ``<y, phi_T>`` from the model's one-block ``y_inner_many`` and
+builds ``K(T, T)`` on its own; it must give the bits of the reference's.
+CI runs this file again with OpenBLAS on two threads.
 
 The pushed certificate and the birth candidates share a batch, so
 ``pushed_values`` gathers its noise mean once and hands it to
@@ -51,10 +51,8 @@ def same_bits(x, y):
 
 class Reference(SyntheticKernel):
     """The certificate composed from the four primitives, each building one
-    kernel matrix per point set, the base class's expanded objective, and
-    its stateless loop evaluations."""
+    kernel matrix per point set, and its stateless loop evaluations."""
 
-    objective_value = KernelModel.objective_value
     pushed_values = KernelModel.pushed_values
     candidate_values = KernelModel.candidate_values
 
@@ -160,9 +158,9 @@ def test_each_evaluation_builds_one_kernel_matrix(monkeypatch):
     built.clear()
     assert model.y_norm_sq == model.y_norm_sq
     assert built == [(6, 6)]  # computed once
-    built.clear()  # the loss, after |y|^2
+    built.clear()  # the loss, after |y|^2: <y, phi_T>, then K(T, T)
     model.objective_value(t, np.ones(4), np.ones(4), 0.1)
-    assert built == [(4, 4 + 6)]
+    assert built == [(4, 6), (4, 4)]
 
 
 def gathers(model):
