@@ -16,7 +16,7 @@ import numpy as np
 
 from . import experiments
 from .birth_death import BirthRule, DeathRule
-from .config import ConfigError, RunSpec, load_config
+from .config import ConfigError, RunSpec, load_config, parse_value
 from .domain import Box, grid_points
 from .kernels import SyntheticKernel, audit_assumptions
 from .objective import Problem, kkt_residual
@@ -157,8 +157,6 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
     variant = spec.schedule["variant"]
     if variant == "fixed":
         plan = FixedPlan(spec.schedule["eps"], spec.schedule["batch"], beta)
-    elif not beta >= 0:  # the plans set beta_k themselves, but a bad beta is still refused
-        raise ValueError("rates must be nonnegative")
     elif variant == "horizon":
         beta_cap = cal.beta_max_struct if calibrated else (beta if beta > 0 else math.inf)
         plan = horizon_plan(spec.run["iterations"], alpha, beta_cap, problem.domain.dim)
@@ -235,7 +233,7 @@ def cmd_calibrate(args) -> int:
 def cmd_run(args) -> int:
     spec = load_config(args.config, profile_override=args.profile)
     if args.seed is not None:
-        spec.run["seed"] = args.seed
+        spec.run["seed"] = parse_value("run", "seed", args.seed, "--seed")
     problem, extras = build_problem(spec)
     config, cal = build_run_config(spec, problem, extras)
     out_dir = Path(args.out) if args.out else spec.resolve_path(spec.output["dir"])
@@ -345,7 +343,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a configured run")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", default=None)  # parsed as [run] seed
     p_run.add_argument("--profile", choices=["theory", "experiments"], default=None)
     p_run.set_defaults(fn=cmd_run)
 

@@ -2,116 +2,143 @@
 
 Parsing is fail-closed: unknown sections or keys raise, so a schedule typo
 cannot silently fall back to a default and invalidate a calibrated run.
-All paths are interpreted relative to the configuration file's directory.
+``_SCHEMA`` is the one place a key's domain is declared: its parser converts
+and checks each value, so one outside the domain raises ``ConfigError``
+naming the key. All paths are relative to the configuration file's directory.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = ["ConfigError", "RunSpec", "load_config"]
+__all__ = ["ConfigError", "RunSpec", "load_config", "parse_value"]
 
 
 class ConfigError(Exception):
     """Configuration or assumption failure (CLI exit code 2)."""
 
 
+def _key(domain: str, parse, accept=lambda value: True):
+    """A parser of values in ``domain``: ``parse`` converts, ``accept`` checks."""
+    def parser(text: str):
+        value = parse(text)
+        if not accept(value):
+            raise ValueError(f"not {domain}")
+        return value
+
+    parser.domain = domain
+    return parser
+
+
+def _choice(*names: str):
+    return _key(f"one of {', '.join(names)}", str, lambda value: value in names)
+
+
+def _at_least(low: int):
+    return _key(f"at least {low}", int, lambda value: value >= low)
+
+
+def _maybe(inner):
+    """``inner``'s domain, or None for an empty value, ``none`` or ``auto``."""
+    return _key(f"{inner.domain}, or auto",
+                lambda text: None if text.strip().lower() in ("", "none", "auto") else inner(text))
+
+
+_TRUTH = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+_BOOL = _key("true or false", lambda text: _TRUTH.get(text.strip().lower()),
+             lambda value: value is not None)
+_POSITIVE = _key("positive and finite", float, lambda value: 0 < value < math.inf)
+_NONNEGATIVE = _key("nonnegative and finite", float, lambda value: 0 <= value < math.inf)
+_FINITE = _key("finite", float, math.isfinite)
+
 # section -> key -> (parser, default); REQUIRED means no default
 _REQUIRED = object()
 
-
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _maybe_float(text: str):
-    low = text.strip().lower()
-    return None if low in ("", "none", "auto") else float(text)
-
-
 _SCHEMA = {
     "problem": {
-        "model": (str, _REQUIRED),          # synthetic | gmm | teacher | regression
-        "kappa": (float, _REQUIRED),
-        "seed": (int, 0),                   # data-generation seed
+        "model": (_choice("synthetic", "gmm", "teacher", "regression"), _REQUIRED),
+        "kappa": (_POSITIVE, _REQUIRED),
+        "seed": (_at_least(0), 0),          # data-generation seed
         # synthetic
-        "dim": (int, 2),
-        "sigma": (float, 1.2),
-        "n_samples": (int, 64),
-        "noise_scale": (float, 0.02),
-        "atoms": (int, 3),
-        "atom_mass": (float, 0.35),
-        "box_low": (float, 0.0),
-        "box_high": (float, 1.0),
-        "signed": (_bool, None),            # default depends on the model
-        # gmm
-        "components": (int, 5),
-        "gmm_samples": (int, 2000),
-        "tau": (float, 0.2),
-        "ring_radius": (float, 4.0),
+        "dim": (_at_least(1), 2),
+        "sigma": (_POSITIVE, 1.2),
+        "n_samples": (_at_least(1), 64),
+        "noise_scale": (_FINITE, 0.02),
+        "atoms": (_at_least(0), 3),
+        "atom_mass": (_FINITE, 0.35),
+        "box_low": (_FINITE, 0.0),
+        "box_high": (_FINITE, 1.0),
+        "signed": (_BOOL, None),            # default depends on the model
+        # gmm; the kernel's constants divide by tau^2, so it must not underflow
+        "components": (_at_least(1), 5),
+        "gmm_samples": (_at_least(2), 2000),
+        "tau": (_key("positive with a finite square that is a normal float", float,
+                     lambda tau: tau > 0 and sys.float_info.min <= tau * tau < math.inf), 0.2),
+        "ring_radius": (_FINITE, 4.0),
         "data_path": (str, None),
-        # teacher / regression
-        "features": (int, 8),
-        "reg_samples": (int, 2000),
-        "teacher_neurons": (int, 5),
-        "label_noise": (float, 0.05),
+        # teacher / regression; one sample cannot be standardized
+        "features": (_at_least(0), 8),
+        "reg_samples": (_at_least(2), 2000),
+        "teacher_neurons": (_at_least(0), 5),
+        "label_noise": (_FINITE, 0.05),
     },
     "rates": {
-        "mode": (str, "manual"),            # manual | calibrated
-        "alpha": (_maybe_float, None),
-        "beta": (_maybe_float, None),
-        "audit_points": (int, 160),
-        "audit_tv_cap": (float, 1.0),
+        "mode": (_choice("manual", "calibrated"), "manual"),
+        "alpha": (_maybe(_NONNEGATIVE), None),
+        "beta": (_maybe(_NONNEGATIVE), None),
+        "audit_points": (_at_least(2), 160),
+        "audit_tv_cap": (_FINITE, 1.0),
     },
     "schedule": {
-        "variant": (str, "fixed"),          # fixed | horizon | anytime
-        "eps": (float, 0.02),
-        "batch": (int, 256),
+        "variant": (_choice("fixed", "horizon", "anytime"), "fixed"),
+        "eps": (_POSITIVE, 0.02),
+        "batch": (_at_least(1), 256),
     },
     "birth_death": {
-        "enabled": (_bool, True),
-        "profile": (str, "experiments"),    # experiments | theory
-        "death": (str, None),               # guarded | ratio (default by profile)
-        "tau_death": (float, 5.0),
-        "scan": (str, "all"),               # all | single
-        "birth_threshold": (_maybe_float, None),  # None: by profile (theory: noise cap)
-        "candidates": (int, None),          # default by profile
-        "tail_exponent": (_maybe_float, None),    # None: d / (2 (2 + d))
-        "birth_mass": (_maybe_float, None),       # None: eps_k
+        "enabled": (_BOOL, True),
+        "profile": (_choice("experiments", "theory"), "experiments"),
+        "death": (_choice("guarded", "ratio"), None),   # default by profile
+        "tau_death": (_POSITIVE, 5.0),
+        "scan": (_choice("all", "single"), "all"),
+        # None: by profile (theory: noise cap); +inf accepts every candidate, -inf none
+        "birth_threshold": (_maybe(_key("a number other than NaN", float,
+                                        lambda value: not math.isnan(value))), None),
+        "candidates": (_at_least(1), None),             # default by profile
+        "tail_exponent": (_maybe(_POSITIVE), None),     # None: d / (2 (2 + d))
+        "birth_mass": (_maybe(_NONNEGATIVE), None),     # None: eps_k
     },
     "run": {
-        "variant": (str, "stochastic"),     # full | stochastic
-        "iterations": (int, _REQUIRED),
-        "seed": (int, 1),
-        "trace_cadence": (int, 10),
-        "kkt_grid": (int, 0),               # 0: no KKT report, else points per axis >= 2
-        "init": (str, "uniform"),           # uniform | clustered | sphere | csv:PATH
-        "init_particles": (int, 20),
-        "init_weight": (float, 0.05),
-        "jref": (_maybe_float, None),
+        "variant": (_choice("full", "stochastic"), "stochastic"),
+        "iterations": (_at_least(0), _REQUIRED),
+        "seed": (_at_least(0), 1),
+        "trace_cadence": (_at_least(1), 10),
+        "kkt_grid": (_key("0 (no KKT report) or at least 2", int,   # points per axis
+                          lambda value: value == 0 or value >= 2), 0),
+        "init": (_key("one of uniform, clustered, sphere, csv:PATH", str,
+                      lambda value: value in ("uniform", "clustered", "sphere")
+                      or value.startswith("csv:")), "uniform"),
+        "init_particles": (_at_least(0), 20),
+        "init_weight": (_NONNEGATIVE, 0.05),
+        "jref": (_maybe(_FINITE), None),
     },
     "output": {
         "dir": (str, "."),
     },
 }
 
-_ALLOWED_VALUES = {
-    ("problem", "model"): {"synthetic", "gmm", "teacher", "regression"},
-    ("rates", "mode"): {"manual", "calibrated"},
-    ("schedule", "variant"): {"fixed", "horizon", "anytime"},
-    ("birth_death", "profile"): {"experiments", "theory"},
-    ("birth_death", "death"): {"guarded", "ratio"},
-    ("birth_death", "scan"): {"all", "single"},
-    ("run", "variant"): {"full", "stochastic"},
-}
+
+def parse_value(section: str, key: str, text: str, name: str):
+    """Parse ``text`` as a value of ``[section] key``; ``name`` labels it in the error."""
+    parser = _SCHEMA[section][key][0]
+    try:
+        return parser(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be {parser.domain}, got {text!r}") from None
 
 
 @dataclass
@@ -155,11 +182,7 @@ def load_config(path, profile_override: str | None = None) -> RunSpec:
         for key, raw in parser.items(section):
             if key not in schema:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            parse_fn, _ = schema[key]
-            try:
-                values[key] = parse_fn(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: bad value for [{section}] {key}: {exc}") from exc
+            values[key] = parse_value(section, key, raw, f"{path}: [{section}] {key}")
         sections[section] = values
 
     # fill defaults, enforce required keys
@@ -172,14 +195,8 @@ def load_config(path, profile_override: str | None = None) -> RunSpec:
                 values[key] = default
 
     if profile_override is not None:
-        if profile_override not in ("experiments", "theory"):
-            raise ConfigError(f"unknown profile {profile_override!r}")
-        sections["birth_death"]["profile"] = profile_override
-
-    for (section, key), allowed in _ALLOWED_VALUES.items():
-        val = sections[section][key]
-        if val is not None and val not in allowed:
-            raise ConfigError(f"{path}: [{section}] {key} must be one of {sorted(allowed)}")
+        sections["birth_death"]["profile"] = parse_value(
+            "birth_death", "profile", profile_override, "profile override")
 
     _apply_profile_defaults(sections)
     _validate(sections, path)
@@ -201,32 +218,11 @@ def _apply_profile_defaults(sections) -> None:
 
 
 def _validate(sections, path) -> None:
-    rates = sections["rates"]
+    """The rules that involve more than one key."""
+    rates, prob = sections["rates"], sections["problem"]
     if rates["mode"] == "manual" and rates["alpha"] is None:
         raise ConfigError(f"{path}: manual rates need an explicit alpha")
-    run = sections["run"]
-    if run["iterations"] < 0:
-        raise ConfigError(f"{path}: iterations must be nonnegative")
-    if run["kkt_grid"] < 0 or run["kkt_grid"] == 1:
-        raise ConfigError(f"{path}: [run] kkt_grid must be 0 (no report) or at least 2")
-    init = run["init"]
-    if init not in ("uniform", "clustered", "sphere") and not init.startswith("csv:"):
-        raise ConfigError(f"{path}: unknown init {init!r}")
-    prob = sections["problem"]
     if prob["model"] == "regression" and not prob["data_path"]:
         raise ConfigError(f"{path}: regression model requires data_path")
-    if prob["model"] == "gmm" and not prob["data_path"] and prob["gmm_samples"] < 2:
-        raise ConfigError(f"{path}: [problem] gmm_samples must be at least 2")
-    if prob["model"] == "gmm" and not prob["data_path"] and prob["components"] < 1:
-        raise ConfigError(f"{path}: [problem] components must be at least 1")
-    tau = prob["tau"]
-    if prob["model"] == "gmm" and not (tau > 0 and math.isfinite(tau * tau)):
-        raise ConfigError(f"{path}: [problem] tau must be positive with a finite square")
-    if prob["model"] == "teacher" and prob["reg_samples"] < 2:
-        raise ConfigError(f"{path}: [problem] reg_samples must be at least 2")
-    if not init.startswith("csv:") and run["init_particles"] < 0:
-        raise ConfigError(f"{path}: [run] init_particles must be nonnegative")
     if prob["model"] == "synthetic" and prob["box_low"] >= prob["box_high"]:
         raise ConfigError(f"{path}: synthetic box must satisfy box_low < box_high")
-    if not (0 < prob["kappa"] < math.inf):
-        raise ConfigError(f"{path}: kappa must be positive and finite")

@@ -583,8 +583,8 @@ class GmmKernel(KernelModel):
             raise ValueError("data must be a non-empty (n, d) array")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("data must be finite")
-        if not (tau > 0 and math.isfinite(tau * tau)):
-            raise ValueError("tau must be positive with a finite square")
+        if not (tau > 0 and np.finfo(float).tiny <= tau * tau < math.inf):
+            raise ValueError("tau must be positive with a finite square that is a normal float")
         self.tau = float(tau)
         self.dim = self.data.shape[1]
         self._kvar = 2.0 * (1.0 + tau**2)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -168,11 +169,11 @@ class TestCalibrateCommand:
         assert "alpha = min of caps" in out
         assert "binding:" in out
 
-    def test_negative_init_weight_exits_1(self, tmp_path, capsys):
+    def test_negative_init_weight_exits_2_naming_the_key(self, tmp_path, capsys):
         body = TINY_SYNTHETIC.replace("init_weight = 0.05", "init_weight = -0.05")
         cfg = write_config(tmp_path, body)
-        assert main(["calibrate", "--config", str(cfg)]) == 1
-        assert "nonnegative" in capsys.readouterr().err
+        assert main(["calibrate", "--config", str(cfg)]) == 2
+        assert "[run] init_weight must be nonnegative" in capsys.readouterr().err
 
     def test_gmm_normalization_warning(self, tmp_path, capsys):
         body = """
@@ -273,16 +274,17 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out2), "--seed", "10"]) == 0
         assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
 
-    @pytest.mark.parametrize("old, new, message", [
-        ("candidates = 2", "candidates = 2\nbirth_mass = -0.01", "birth mass"),
-        ("eps = 0.01", "eps = -0.01", "eps"),
+    @pytest.mark.parametrize("old, new, key", [
+        pytest.param("candidates = 2", "candidates = 2\nbirth_mass = -0.01",
+                     "[birth_death] birth_mass", id="negative-birth-mass"),
+        pytest.param("eps = 0.01", "eps = -0.01", "[schedule] eps", id="negative-eps"),
     ])
-    def test_bad_birth_weight_exits_1(self, tmp_path, capsys, old, new, message):
+    def test_bad_birth_weight_exits_2_naming_the_key(self, tmp_path, capsys, old, new, key):
         cfg = write_config(tmp_path, TINY_SYNTHETIC.replace(old, new))
         out = tmp_path / "bad"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-        assert message in capsys.readouterr().err
-        assert not (out / "final_swarm.csv").exists()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("variant, old, new", [
         pytest.param("fixed", "beta = 0.01", "beta = -0.01", id="fixed-negative-beta"),
@@ -294,17 +296,19 @@ class TestRunCommand:
         pytest.param("fixed", "alpha = 0.05", "alpha = -0.05", id="fixed-negative-alpha"),
         pytest.param("fixed", "alpha = 0.05", "alpha = nan", id="fixed-nan-alpha"),
     ])
-    def test_bad_rate_exits_1(self, tmp_path, capsys, variant, old, new):
+    def test_bad_rate_exits_2_naming_the_key(self, tmp_path, capsys, variant, old, new):
         # every schedule variant refuses the rate before the run, though the
         # horizon and anytime plans never read [rates] beta as the step
         body = TINY_SYNTHETIC.replace("variant = fixed", f"variant = {variant}")
         cfg = write_config(tmp_path, body.replace(old, new))
         out = tmp_path / "bad"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "rates must be nonnegative" in capsys.readouterr().err
-        assert not (out / "final_swarm.csv").exists()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        key = new.split("\n")[-1].split(" =")[0]
+        assert err.count("\n") == 1 and f"[rates] {key} must be nonnegative" in err
+        assert not out.exists()
 
-    def test_empty_batch_exits_1_before_the_loop(self, tmp_path, capsys, monkeypatch):
+    def test_empty_batch_exits_2_before_the_loop(self, tmp_path, capsys, monkeypatch):
         import conicswarm.cli
 
         def loop_started(*_args):
@@ -313,8 +317,8 @@ class TestRunCommand:
         monkeypatch.setattr(conicswarm.cli, "run", loop_started)
         cfg = write_config(tmp_path, TINY_SYNTHETIC.replace("batch = 16", "batch = 0"))
         out = tmp_path / "empty"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "batch size must be at least 1" in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "[schedule] batch must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("samples", [1, 0, -3])
@@ -331,35 +335,109 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("body, old, new, key", [
-        pytest.param(TINY_GMM, "components = 3", "components = 0", "components",
+        pytest.param(TINY_GMM, "components = 3", "components = 0", "[problem] components",
                      id="no-components"),
-        pytest.param(TINY_GMM, "components = 3", "components = -2", "components",
+        pytest.param(TINY_GMM, "components = 3", "components = -2", "[problem] components",
                      id="negative-components"),
-        pytest.param(TINY_GMM, "tau = 0.2", "tau = 0", "tau", id="zero-tau"),
-        pytest.param(TINY_GMM, "tau = 0.2", "tau = nan", "tau", id="nan-tau"),
-        pytest.param(TINY_GMM, "tau = 0.2", "tau = inf", "tau", id="inf-tau"),
-        pytest.param(TINY_GMM, "tau = 0.2", "tau = 1e200", "tau", id="overflowing-tau"),
-        pytest.param(TINY_TEACHER, "reg_samples = 60", "reg_samples = 0", "reg_samples",
-                     id="no-teacher-samples"),
-        pytest.param(TINY_TEACHER, "reg_samples = 60", "reg_samples = 1", "reg_samples",
-                     id="one-teacher-sample"),
+        pytest.param(TINY_GMM, "tau = 0.2", "tau = 0", "[problem] tau", id="zero-tau"),
+        pytest.param(TINY_GMM, "tau = 0.2", "tau = nan", "[problem] tau", id="nan-tau"),
+        pytest.param(TINY_GMM, "tau = 0.2", "tau = inf", "[problem] tau", id="inf-tau"),
+        pytest.param(TINY_GMM, "tau = 0.2", "tau = 1e200", "[problem] tau",
+                     id="overflowing-tau"),
+        pytest.param(TINY_TEACHER, "reg_samples = 60", "reg_samples = 0",
+                     "[problem] reg_samples", id="no-teacher-samples"),
+        pytest.param(TINY_TEACHER, "reg_samples = 60", "reg_samples = 1",
+                     "[problem] reg_samples", id="one-teacher-sample"),
         pytest.param(TINY_GMM, "iterations = 10", "iterations = 10\ninit_particles = -3",
-                     "init_particles", id="negative-init-particles"),
+                     "[run] init_particles", id="negative-init-particles"),
+        pytest.param(TINY_SYNTHETIC, "eps = 0.01", "eps = 0", "[schedule] eps", id="zero-eps"),
+        pytest.param(TINY_SYNTHETIC, "batch = 16", "batch = 0", "[schedule] batch",
+                     id="empty-batch"),
+        pytest.param(TINY_SYNTHETIC, "alpha = 0.05", "alpha = -1", "[rates] alpha",
+                     id="negative-alpha"),
+        pytest.param(TINY_SYNTHETIC, "alpha = 0.05", "alpha = nan", "[rates] alpha",
+                     id="nan-alpha"),
+        pytest.param(TINY_SYNTHETIC, "beta = 0.01", "beta = -1", "[rates] beta",
+                     id="negative-beta"),
+        pytest.param(TINY_SYNTHETIC, "candidates = 2", "candidates = 2\ntau_death = 0",
+                     "[birth_death] tau_death", id="zero-ratio-tau-death"),
+        pytest.param(TINY_SYNTHETIC, "candidates = 2", "candidates = 0",
+                     "[birth_death] candidates", id="no-candidates"),
+        pytest.param(TINY_SYNTHETIC, "candidates = 2", "candidates = 2\nbirth_mass = -1",
+                     "[birth_death] birth_mass", id="negative-birth-mass"),
+        # the theory profile reads the exponent when it sets the birth threshold
+        pytest.param(TINY_SYNTHETIC.replace("birth_threshold = 0.0", "tail_exponent = -1"),
+                     "profile = experiments", "profile = theory",
+                     "[birth_death] tail_exponent", id="negative-tail-exponent"),
+        pytest.param(TINY_SYNTHETIC, "trace_cadence = 5", "trace_cadence = 0",
+                     "[run] trace_cadence", id="zero-trace-cadence"),
+        pytest.param(TINY_SYNTHETIC, "init_weight = 0.05", "init_weight = nan",
+                     "[run] init_weight", id="nan-init-weight"),
+        pytest.param(TINY_SYNTHETIC, "seed = 3", "seed = -1", "[run] seed",
+                     id="negative-run-seed"),
+        pytest.param(TINY_SYNTHETIC, "seed = 7", "seed = -1", "[problem] seed",
+                     id="negative-problem-seed"),
+        pytest.param(TINY_SYNTHETIC, "atom_mass = 0.1", "atom_mass = 0.1\nsigma = 0",
+                     "[problem] sigma", id="zero-sigma"),
+        pytest.param(TINY_SYNTHETIC, "atom_mass = 0.1", "atom_mass = 0.1\nn_samples = 0",
+                     "[problem] n_samples", id="no-synthetic-samples"),
+        pytest.param(TINY_SYNTHETIC, "atom_mass = 0.1", "atom_mass = 0.1\natoms = -1",
+                     "[problem] atoms", id="negative-atoms"),
+        pytest.param(TINY_SYNTHETIC, "atom_mass = 0.1", "atom_mass = 0.1\ndim = 0",
+                     "[problem] dim", id="zero-dim"),
+        pytest.param(TINY_GMM, "tau = 0.2", "tau = 0.2\nring_radius = nan",
+                     "[problem] ring_radius", id="nan-ring-radius"),
+        pytest.param(TINY_TEACHER, "teacher_neurons = 2", "teacher_neurons = 2\nlabel_noise = nan",
+                     "[problem] label_noise", id="nan-label-noise"),
+        pytest.param(TINY_GMM, "tau = 0.2", "tau = 1e-200", "[problem] tau",
+                     id="underflowing-tau"),
+        pytest.param(TINY_GMM, "tau = 0.2", "tau = 1e-160", "[problem] tau",
+                     id="subnormal-tau-square"),
     ])
     def test_bad_problem_or_swarm_size_exits_2_naming_the_key(self, tmp_path, capsys, body, old,
                                                               new, key):
-        # these used to fail while the problem or the swarm was built, with
-        # exit 1 and a message naming no key ("float division by zero",
-        # "negative dimensions are not allowed", "Numerical result out of
-        # range", ...), or, for tau = inf, to run with every kernel value at 0
+        # these used to fail while the problem, the swarm or the run was
+        # built, with exit 1 and a message naming no key ("float division by
+        # zero", "negative dimensions are not allowed", "Numerical result out
+        # of range", "rates must be nonnegative", ...), or, for tau = inf, to
+        # run with every kernel value at 0
         cfg = write_config(tmp_path, body.replace(old, new))
-        with pytest.raises(ConfigError, match=rf"\] {key} must be"):
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be")):
             load_config(cfg)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and key in err
         assert not out.exists()
+
+    def test_negative_seed_flag_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_SYNTHETIC)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be at least 0, got '-1'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, old, new", [
+        pytest.param(TINY_TEACHER, "features = 3", "features = 0", id="no-features"),
+        pytest.param(TINY_SYNTHETIC, "atom_mass = 0.1", "atom_mass = 0.1\natoms = 0",
+                     id="no-atoms"),
+        pytest.param(TINY_SYNTHETIC, "init_particles = 6", "init_particles = 0",
+                     id="empty-initial-swarm"),
+        pytest.param(TINY_SYNTHETIC, "iterations = 40", "iterations = 0", id="no-iterations"),
+        pytest.param(TINY_SYNTHETIC, "alpha = 0.05", "alpha = 0", id="fixed-plan-zero-alpha"),
+        pytest.param(TINY_SYNTHETIC, "init = uniform", "init = uniform\nkkt_grid = 2",
+                     id="two-point-kkt-grid"),
+        pytest.param(TINY_SYNTHETIC, "birth_threshold = 0.0", "birth_threshold = -inf",
+                     id="no-births"),
+        pytest.param(TINY_SYNTHETIC, "birth_threshold = 0.0", "birth_threshold = inf",
+                     id="every-candidate-born"),
+    ])
+    def test_values_on_a_domain_edge_still_run(self, tmp_path, body, old, new):
+        cfg = write_config(tmp_path, body.replace(old, new).replace("iterations = 40",
+                                                                    "iterations = 10"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "trace.csv").exists() and (out / "summary.txt").exists()
 
     def test_constant_mixture_column_exits_1_naming_file_and_column(self, tmp_path, capsys):
         data = tmp_path / "flat.csv"

@@ -89,9 +89,11 @@ class TestGram:
         t = np.array([[0.3, 0.7]])
         assert problem.model.kernel_matrix(t, t)[0, 0] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("tau", [0.0, -0.2, math.nan, math.inf, 1e200])
+    @pytest.mark.parametrize("tau", [0.0, -0.2, math.nan, math.inf, 1e200, 1e-160, 1e-200])
     def test_gmm_refuses_a_tau_without_a_finite_positive_square(self, tau):
-        # 1e200 is finite, but its square overflows the kernel's variances
+        # 1e200 is finite, but its square overflows the kernel's variances;
+        # the squares of 1e-160 and 1e-200 are subnormal or 0, and |y|^2's
+        # scale (4 pi tau^2)^(-d/2) overflows or divides by 0
         with pytest.raises(ValueError, match="tau must be positive with a finite square"):
             GmmKernel(np.zeros((4, 2)), tau)
 
