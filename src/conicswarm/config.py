@@ -55,6 +55,9 @@ _BOOL = _key("true or false", lambda text: _TRUTH.get(text.strip().lower()),
 _POSITIVE = _key("positive and finite", float, lambda value: 0 < value < math.inf)
 _NONNEGATIVE = _key("nonnegative and finite", float, lambda value: 0 <= value < math.inf)
 _FINITE = _key("finite", float, math.isfinite)
+# a Gaussian kernel width, whose square the kernels divide by
+_WIDTH = _key("positive with a finite square that is a normal float", float,
+              lambda value: value > 0 and sys.float_info.min <= value * value < math.inf)
 
 # section -> key -> (parser, default); REQUIRED means no default
 _REQUIRED = object()
@@ -66,7 +69,7 @@ _SCHEMA = {
         "seed": (_at_least(0), 0),          # data-generation seed
         # synthetic
         "dim": (_at_least(1), 2),
-        "sigma": (_POSITIVE, 1.2),
+        "sigma": (_WIDTH, 1.2),
         "n_samples": (_at_least(1), 64),
         "noise_scale": (_FINITE, 0.02),
         "atoms": (_at_least(0), 3),
@@ -74,11 +77,10 @@ _SCHEMA = {
         "box_low": (_FINITE, 0.0),
         "box_high": (_FINITE, 1.0),
         "signed": (_BOOL, None),            # default depends on the model
-        # gmm; the kernel's constants divide by tau^2, so it must not underflow
+        # gmm
         "components": (_at_least(1), 5),
         "gmm_samples": (_at_least(2), 2000),
-        "tau": (_key("positive with a finite square that is a normal float", float,
-                     lambda tau: tau > 0 and sys.float_info.min <= tau * tau < math.inf), 0.2),
+        "tau": (_WIDTH, 0.2),
         "ring_radius": (_FINITE, 4.0),
         "data_path": (str, None),
         # teacher / regression; one sample cannot be standardized

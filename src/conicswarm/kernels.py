@@ -22,8 +22,9 @@ and one fused evaluator of the unsigned certificate field,
   sum_j c_j grad K(T, s_j) - grad <y, phi_T>)``
 
 which builds one kernel matrix and one data-side density for both values
-and gradients and matches ``weighted_kernel``, ``y_inner_many``,
-``weighted_grad1_kernel`` and ``grad_y_inner_many`` bit for bit. ReLU
+and gradients. The mixture matches ``weighted_kernel``, ``y_inner_many``,
+``weighted_grad1_kernel`` and ``grad_y_inner_many`` bit for bit, the
+synthetic model up to summation rounding (see below). ReLU
 builds one activation array and no kernel matrix, and correlates it with
 the residual ``r = relu(X_b S) c - y``: values ``act' r / m``, gradients
 ``((X_b * r)' [act > 0])' / m`` with the residual scaling the batch rows,
@@ -69,11 +70,11 @@ triangle of row blocks, mirrored, with the bits of the full build, and
 averages exact data-side densities over row blocks of
 ``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array.
 
-``SyntheticKernel`` builds each certificate evaluation, each
-``y_inner_many`` and ``grad_y_inner_many`` from one kernel matrix of T
-against the support (empty for the last two) stacked on the observation's
-fixed points; the products read its column slices, which have the bits of
-their own calls.
+``SyntheticKernel``'s observation is a signed point measure, so a
+certificate is the weighted kernel of ``P = [S; atoms; anchors]`` with
+coefficients ``q = [c; -w; -eta_b]``: values ``K(t, P) q`` and gradients
+from one kernel matrix, and ``ev = (P, q)``. A batch's noise mean ``eta_b``
+is ``bincount(idx) @ eta / |idx|``, with no |idx| x r gather.
 
 ``audit_assumptions`` runs no Python loop over samples or pairs. It reads
 the diagonal ``K(t, t)`` from the kernel matrix of its points, takes every
@@ -401,14 +402,14 @@ class SyntheticKernel(KernelModel):
     perturbation spread over ``n_samples`` pseudo-samples, giving the
     stochastic oracle a real (but exactly controlled) noise source.
 
-    The atoms and anchors are stacked once, and every certificate
-    evaluation, ``y_inner_many`` and ``grad_y_inner_many`` builds one
-    kernel matrix ``K(t, [S; atoms; anchors])`` (S empty for the last two)
-    whose column slices feed the products. ``|y|^2`` is computed once.
-
-    The pushed certificate and the birth candidates share a batch, so its
-    noise mean ``eta[idx].mean(axis=0)`` is gathered once: ``ev`` holds it
-    with the support and its coefficients.
+    A certificate evaluation builds one kernel matrix ``K(t, P)`` of the
+    signed point set ``P = [S; atoms; anchors]``; with the coefficients
+    ``q = [c; -w; -eta_b]`` it gives the values ``K(t, P) q`` and, by one
+    ``_gauss_grad`` product, their gradients. The batch's noise mean
+    ``eta_b`` comes from its sample counts, and ``ev = (P, q)`` hands it to
+    the candidates. ``y_inner_many`` and ``grad_y_inner_many`` read the
+    slices of one kernel matrix ``K(t, [atoms; anchors])``; ``|y|^2`` is
+    computed once.
     """
 
     def __init__(self, domain: Box, sigma: float, atom_weights, atom_positions,
@@ -416,8 +417,8 @@ class SyntheticKernel(KernelModel):
                  seed: int = 0, center_noise: bool = False):
         if not isinstance(domain, Box):
             raise TypeError("SyntheticKernel expects a Box domain")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (sigma > 0 and np.finfo(float).tiny <= sigma * sigma < math.inf):
+            raise ValueError("sigma must be positive with a finite square that is a normal float")
         self.domain = domain
         self.sigma = float(sigma)
         self.dim = domain.dim
@@ -475,59 +476,53 @@ class SyntheticKernel(KernelModel):
         return _gauss_grad(self.kernel_matrix(a, b), a, b, coef, self.sigma**2)
 
     def _noise_coef(self, idx):
-        """The anchors' noise coefficients of the batch ``idx``: its mean."""
-        return self._eta_mean if idx is None else self.eta[np.asarray(idx, dtype=int)].mean(axis=0)
+        """The batch ``idx``'s mean noise coefficients, from its sample counts."""
+        return self._eta_mean if idx is None else \
+            np.bincount(idx, minlength=self._n) @ self.eta / len(idx)
 
-    def _blocks(self, t, support):
-        """``K(t, S)``, ``K(t, atoms)`` and ``K(t, anchors)``: the column
-        slices of one kernel matrix ``K(t, [S; atoms; anchors])``."""
-        k = self.kernel_matrix(t, np.vstack([support, self._fixed]))
-        p, q = len(support), len(support) + self.atom_weights.size
-        return k[:, :p], k[:, p:q], k[:, q:]
-
-    def _y_values(self, k_atoms, k_anchors, noise):
-        """``<y, phi_t>`` from the fixed points' slices of ``_blocks``."""
-        return k_atoms @ self.atom_weights + k_anchors @ noise
+    def _blocks(self, t):
+        """``K(t, atoms)`` and ``K(t, anchors)``: the column slices of one
+        kernel matrix ``K(t, [atoms; anchors])``."""
+        k = self.kernel_matrix(t, self._fixed)
+        return k[:, : self.atom_weights.size], k[:, self.atom_weights.size :]
 
     def _y_grads(self, t, k_atoms, k_anchors, noise):
-        """The gradient of ``<y, phi_t>`` in t from the same slices."""
+        """The gradient of ``<y, phi_t>`` in t from the slices of ``_blocks``."""
         var = self.sigma**2
         return _gauss_grad(k_atoms, t, self.atom_positions, self.atom_weights, var) \
             + _gauss_grad(k_anchors, t, self.anchors, noise, var)
 
     def y_inner_many(self, t, idx=None):
-        t = _rows(t, self.dim)
-        return self._y_values(*self._blocks(t, t[:0])[1:], self._noise_coef(idx))
+        k_atoms, k_anchors = self._blocks(t)
+        return k_atoms @ self.atom_weights + k_anchors @ self._noise_coef(idx)
 
     def grad_y_inner_many(self, t, idx=None):
         t = _rows(t, self.dim)
-        return self._y_grads(t, *self._blocks(t, t[:0])[1:], self._noise_coef(idx))
+        return self._y_grads(t, *self._blocks(t), self._noise_coef(idx))
 
-    def _values(self, t, support, coef, noise):
-        """``K(t, S) c - <y, phi_t>`` with the anchors' coefficients ``noise``."""
-        k_s, k_atoms, k_anchors = self._blocks(t, support)
-        return k_s @ coef - self._y_values(k_atoms, k_anchors, noise)
+    def _signed(self, support, coef, idx):
+        """``ev``: the certificate's signed point set ``P = [S; atoms;
+        anchors]`` and its coefficients ``q = [c; -w; -eta_b]``."""
+        return (np.vstack([support, self._fixed]),
+                np.concatenate([coef, -self.atom_weights, -self._noise_coef(idx)]))
 
     def certificate_values(self, t, support, coef, idx=None):
         t, support, coef = self._operands(t, support, coef)
-        return self._values(t, support, coef, self._noise_coef(idx))
+        return self.candidate_values(self._signed(support, coef, idx), t)
 
     def pushed_values(self, support, coef, idx=None):
         support, _, coef = self._operands(support, support, coef)
-        ev = (support, coef, self._noise_coef(idx))
-        return self._values(support, *ev), ev
+        ev = self._signed(support, coef, idx)
+        return self.candidate_values(ev, support), ev
 
     def candidate_values(self, ev, t):
-        return self._values(_rows(t, self.dim), *ev)
+        return self.kernel_matrix(t, ev[0]) @ ev[1]
 
     def certificate_field(self, t, support, coef, idx=None):
         t, support, coef = self._operands(t, support, coef)
-        k_s, k_atoms, k_anchors = self._blocks(t, support)
-        noise = self._noise_coef(idx)
-        vals = k_s @ coef - self._y_values(k_atoms, k_anchors, noise)
-        grads = _gauss_grad(k_s, t, support, coef, self.sigma**2) \
-            - self._y_grads(t, k_atoms, k_anchors, noise)
-        return vals, grads
+        points, q = self._signed(support, coef, idx)
+        k = self.kernel_matrix(t, points)
+        return k @ q, _gauss_grad(k, t, points, q, self.sigma**2)
 
     def _pair_grad1(self, a, b):
         return _pair_gauss_grad(self._finish(_pair_sqdist(a, b)), a, b, self.sigma**2)
@@ -538,7 +533,7 @@ class SyntheticKernel(KernelModel):
         are stacked ``matmul`` calls, which make one BLAS call per sample with
         the operands and strides of the sample's own evaluation, so the bits
         are the same; the rest is elementwise."""
-        _, k_atoms, k_anchors = self._blocks(t, t[:0])
+        k_atoms, k_anchors = self._blocks(t)
         noise = self.eta[rows]
         vals = k_atoms @ self.atom_weights + np.matmul(k_anchors, noise[:, :, None])[..., 0]
         return vals, self._y_grads(t, k_atoms, k_anchors, noise)

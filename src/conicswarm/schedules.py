@@ -182,9 +182,10 @@ def horizon_plan(k_total: int, alpha: float, beta_cap: float, d: int) -> FixedPl
     """
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
-    k_min = math.ceil(1.0 / alpha**2)
-    if k_total < k_min:
-        raise ValueError(f"horizon K={k_total} below the minimum {k_min} for alpha={alpha}")
+    k_min = 1.0 / alpha**2 if alpha**2 > 0 else math.inf   # may overflow to inf
+    if not k_total >= k_min:   # for an integer K, the same as K >= ceil(k_min)
+        shown = math.ceil(k_min) if k_min < 2.0**53 else f"{k_min:.6g}"
+        raise ValueError(f"horizon K={k_total} below the minimum {shown} for alpha={alpha}")
     eps = 1.0 / math.sqrt(k_total)
     beta = min(beta_cap, 1.0 / (alpha ** (d / 4.0) * math.sqrt(k_total)))
     return FixedPlan(eps=eps, m=k_total, beta=beta)

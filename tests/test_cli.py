@@ -379,6 +379,10 @@ class TestRunCommand:
                      id="negative-problem-seed"),
         pytest.param(TINY_SYNTHETIC, "atom_mass = 0.1", "atom_mass = 0.1\nsigma = 0",
                      "[problem] sigma", id="zero-sigma"),
+        pytest.param(TINY_SYNTHETIC, "atom_mass = 0.1", "atom_mass = 0.1\nsigma = 1e-300",
+                     "[problem] sigma", id="underflowing-sigma"),
+        pytest.param(TINY_SYNTHETIC, "atom_mass = 0.1", "atom_mass = 0.1\nsigma = 1e-160",
+                     "[problem] sigma", id="subnormal-sigma-square"),
         pytest.param(TINY_SYNTHETIC, "atom_mass = 0.1", "atom_mass = 0.1\nn_samples = 0",
                      "[problem] n_samples", id="no-synthetic-samples"),
         pytest.param(TINY_SYNTHETIC, "atom_mass = 0.1", "atom_mass = 0.1\natoms = -1",

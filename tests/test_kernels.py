@@ -97,6 +97,14 @@ class TestGram:
         with pytest.raises(ValueError, match="tau must be positive with a finite square"):
             GmmKernel(np.zeros((4, 2)), tau)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.2, math.nan, math.inf, 1e200, 1e-160, 1e-300])
+    def test_synthetic_refuses_a_sigma_without_a_finite_positive_square(self, sigma):
+        # the kernel and its gradients divide by sigma^2, which overflows at
+        # 1e200 and is subnormal or 0 at 1e-160 and 1e-300
+        box = Box(np.zeros(2), np.ones(2))
+        with pytest.raises(ValueError, match="sigma must be positive with a finite square"):
+            SyntheticKernel(box, sigma, [1.0], [[0.5, 0.5]])
+
     def test_gmm_diagonal_closed_form_and_quadrature(self):
         tau = 0.3
         model = GmmKernel(np.zeros((4, 2)), tau)

@@ -190,3 +190,10 @@ class TestPlanValidation:
     def test_horizon_rejects_nonpositive_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha must be > 0"):
             horizon_plan(100, alpha, 0.05, d=1)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-160])
+    def test_horizon_names_alpha_and_the_minimum_for_a_tiny_alpha(self, alpha):
+        # alpha^2 is 0 or subnormal, so 1 / alpha^2 divided by zero or
+        # overflowed to inf, which math.ceil refused
+        with pytest.raises(ValueError, match=f"below the minimum inf for alpha={alpha}$"):
+            horizon_plan(10**6, alpha, 0.05, d=1)
