@@ -102,9 +102,6 @@ class Reference(SyntheticKernel):
         g = self.weighted_grad1_kernel(t, self.atom_positions, self.atom_weights)
         return g + self.weighted_grad1_kernel(t, self.anchors, counted_mean(self, idx))
 
-    def certificate_values(self, t, support, coef, idx=None):
-        return self.weighted_kernel(t, support, coef) - self.y_inner_many(t, idx)
-
     def certificate_field(self, t, support, coef, idx=None):
         return (self.weighted_kernel(t, support, coef) - self.y_inner_many(t, idx),
                 self.weighted_grad1_kernel(t, support, coef) - self.grad_y_inner_many(t, idx))
