@@ -10,9 +10,10 @@ full-data quantity):
 * ``grad_y_inner_many(T, idx)``       -- gradient of the above
 
 the value-side twin of ``weighted_grad1_kernel``, whose default is
-``kernel_matrix(A, B, idx) @ c`` and which ReLU forms in feature space,
-``relu(X A)' (relu(X B) c) / m``, in O(m (|A| + |B|) d) without the
-|A| x |B| matrix,
+``kernel_matrix(A, B, idx) @ c``, which the mixture forms from its
+unnormalized entries with the constant applied to the product, and which
+ReLU forms in feature space, ``relu(X A)' (relu(X B) c) / m``, in
+O(m (|A| + |B|) d) without the |A| x |B| matrix,
 
 * ``weighted_kernel(A, B, c, idx)``   -- sum_j c_j K(a_i, b_j)
 
@@ -59,6 +60,10 @@ the bits of the stateless calls, which are their defaults:
 Gaussian entries are finished in place from sums of squared coordinate
 differences, so each depends on its two points alone: a row has the same
 bits whatever else shares the call, and ``K(A, B)`` is ``K(B, A)'`` exactly.
+``GmmKernel`` finishes each by one multiply and one exp,
+``exp(d2 * (-0.5 / var))``, and multiplies the densities' constants
+``(2 pi var)^(-d/2)`` into the sums it reduces the entries to, not into
+each entry; only its public ``kernel_matrix`` carries them entry by entry.
 From ``_PRODUCT_ENTRIES`` entries on, each coordinate's differences are one
 BLAS product ``[a, 1] @ [1; -b]``: its terms are products by 1, so exact,
 and their sum is rounded once, so every difference keeps the bits of the
@@ -171,18 +176,25 @@ def _pair_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _gauss_finish(d2: np.ndarray, var: float, dim: int) -> np.ndarray:
-    """Gaussian densities ``N(a; b, var*I)`` from ``d2 = |a - b|^2``, in place."""
-    d2 /= -2.0 * var
-    np.exp(d2, out=d2)
-    d2 *= (2.0 * np.pi * var) ** (-dim / 2.0)
-    return d2
+def _gauss_finish(d2: np.ndarray, var: float) -> np.ndarray:
+    """``exp(-d2 / (2 var))`` from ``d2 = |a - b|^2``, in place, by one
+    multiply and one exp: the Gaussian density ``N(a; b, var*I)`` without
+    its constant ``_gauss_norm(var, d)``, which callers apply to the sums
+    they reduce the entries to."""
+    d2 *= -0.5 / var
+    return np.exp(d2, out=d2)
 
 
-def gauss_density(a: np.ndarray, b: np.ndarray, var: float, dim: int) -> np.ndarray:
-    """Isotropic Gaussian density N(a; b, var*I) evaluated pairwise, finished
-    in the distance buffer."""
-    return _gauss_finish(_sqdist(a, b), var, dim)
+def _gauss_norm(var: float, dim: int) -> float:
+    """The constant ``(2 pi var)^(-d/2)`` of the density ``N(.; b, var*I)``."""
+    return (2.0 * np.pi * var) ** (-dim / 2.0)
+
+
+def gauss_density(a: np.ndarray, b: np.ndarray, var: float) -> np.ndarray:
+    """Isotropic Gaussian density N(a; b, var*I) evaluated pairwise, without
+    its constant ``_gauss_norm(var, d)``: ``exp(-|a_i - b_j|^2 / (2 var))``,
+    finished in the distance buffer."""
+    return _gauss_finish(_sqdist(a, b), var)
 
 
 #: entries per row block of an n-long evaluation: ``relu_outputs``'s
@@ -220,18 +232,18 @@ def _exp_sum(x: np.ndarray, m: int, scale: float) -> float:
     return total
 
 
-def _gauss_self(x: np.ndarray, var: float, dim: int) -> np.ndarray:
-    """``gauss_density(x, x, var, dim)`` from the upper triangle: by
+def _gauss_self(x: np.ndarray, var: float) -> np.ndarray:
+    """``gauss_density(x, x, var)`` from the upper triangle: by
     ``_upper_blocks`` of at most ``_SELF_BLOCK_ENTRIES`` entries, each
     mirrored below the diagonal. Entries are pair-local and
     ``K(a, b) = K(b, a)`` bit for bit, so the result has the bits of the
     full build."""
     p = len(x)
     if p * p <= _SELF_BLOCK_ENTRIES:
-        return gauss_density(x, x, var, dim)
+        return gauss_density(x, x, var)
     k = np.empty((p, p))
     for lo, hi, block in _upper_blocks(x, p, max(1, _SELF_BLOCK_ENTRIES // p),
-                                       lambda s, t: gauss_density(s, t, var, dim)):
+                                       lambda s, t: gauss_density(s, t, var)):
         k[lo:hi, lo:] = block
         k[hi:, lo:hi] = block[:, hi - lo :].T
     return k
@@ -551,6 +563,13 @@ class GmmKernel(KernelModel):
     data. The kernel itself carries no data dependence; only the
     observation side is estimated per sample.
 
+    Entries are built without their constants (``gauss_density``): one
+    multiply and one exp each. The constants ``(2 pi kvar)^(-d/2)`` and
+    ``(2 pi yvar)^(-d/2)`` multiply what the entries are reduced to: the
+    products ``K c`` and ``_gauss_grad``'s, the data-side row means and
+    ``k_y @ x``. Only ``kernel_matrix`` multiplies every entry, so it
+    returns the normalized kernel.
+
     ``|y|^2 = n^-2 sum_ij N(X_i; X_j, 2 tau^2 I)`` skips the pairs farther
     apart than r, ``r^2 = 4 tau^2 (ln n + 60 ln 2)``. Each skipped term is at
     most ``c exp(-r^2 / (4 tau^2)) = c 2^-60 / n`` with
@@ -563,13 +582,14 @@ class GmmKernel(KernelModel):
     averaged in row blocks of at most ``_ROW_BLOCK_ENTRIES`` densities, so
     no |T| x n array is held.
 
-    In the loop ``ev`` holds the batch rows, fetched once, ``K(T', T')``,
-    the ``K(C, T')`` that ``candidate_values`` adds and, in an exact run,
-    the data-side rows and means of both. ``support_field`` assembles the
-    next support's kernel from ``K(T', T')[keep][:, keep]`` and
-    ``K(C, T')[born][:, keep]`` (indexing only what died or was born),
-    builds only ``K(C_born, C_born)``, and in an exact run takes its rows
-    from ``ev`` too; all of it is pair-local, so it has fresh bits.
+    In the loop ``ev`` holds the batch rows, fetched once, the unnormalized
+    ``K(T', T')``, the unnormalized ``K(C, T')`` that ``candidate_values``
+    adds and, in an exact run, the data-side rows (unnormalized) and means
+    of both. ``support_field`` assembles the next support's kernel from
+    ``K(T', T')[keep][:, keep]`` and ``K(C, T')[born][:, keep]`` (indexing
+    only what died or was born), builds only ``K(C_born, C_born)``, and in
+    an exact run takes its rows from ``ev`` too; all of it is pair-local,
+    so it has fresh bits.
     """
 
     def __init__(self, data: np.ndarray, tau: float):
@@ -584,6 +604,8 @@ class GmmKernel(KernelModel):
         self.dim = self.data.shape[1]
         self._kvar = 2.0 * (1.0 + tau**2)
         self._yvar = 1.0 + 2.0 * tau**2
+        self._knorm = _gauss_norm(self._kvar, self.dim)
+        self._ynorm = _gauss_norm(self._yvar, self.dim)
         self._y_norm_sq = None
 
     @property
@@ -592,32 +614,69 @@ class GmmKernel(KernelModel):
 
     @property
     def y_norm_sq(self):
+        """The mean pair term times ``(4 pi tau^2)^(-d/2)``, split in two
+        square-root factors so that the product overflows only where the
+        value does; a value that is not a finite float is refused."""
         if self._y_norm_sq is None:
             n, scale = self.n_samples, 4.0 * self.tau**2
             cutoff = math.sqrt(scale * (math.log(n) + 60.0 * math.log(2.0)))
-            norm = (math.pi * scale) ** (-self.dim / 2.0)
-            self._y_norm_sq = norm * _close_pair_sum(self.data, scale, cutoff) / n**2
+            # far pairs' exponents may overflow to -inf, whose exp is exactly 0
+            with np.errstate(over="ignore"):
+                mean = _close_pair_sum(self.data, scale, cutoff) / n**2
+            try:
+                half = (math.pi * scale) ** (-self.dim / 4.0)
+                value = mean * half * half
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ValueError(f"tau = {self.tau!r} is too small in d = {self.dim}: "
+                                 "|y|^2 is not a finite float")
+            self._y_norm_sq = value
         return self._y_norm_sq
 
-    def kernel_matrix(self, a, b, idx=None):
-        a, b = _rows(a, self.dim), _rows(b, self.dim)
+    def _kernel(self, a, b):
+        """``K(a, b)`` without its constant ``_knorm``; a set against itself
+        by the symmetric build."""
         if a.shape == b.shape and np.array_equal(a, b):
-            return _gauss_self(a, self._kvar, self.dim)
-        return gauss_density(a, b, self._kvar, self.dim)
+            return _gauss_self(a, self._kvar)
+        return gauss_density(a, b, self._kvar)
+
+    def kernel_matrix(self, a, b, idx=None):
+        k = self._kernel(_rows(a, self.dim), _rows(b, self.dim))
+        k *= self._knorm
+        return k
+
+    def _values(self, k, coef):
+        """``K c`` from the unnormalized kernel ``k``."""
+        return (k @ coef) * self._knorm
+
+    def _grads(self, k, a, b, coef):
+        """``sum_j c_j grad_a K(a_i, b_j)`` from the unnormalized kernel ``k``."""
+        return _gauss_grad(k, a, b, coef, self._kvar) * self._knorm
+
+    def weighted_kernel(self, a, b, coef, idx=None):
+        a, b, coef = self._operands(a, b, coef)
+        return self._values(self._kernel(a, b), coef)
 
     def weighted_grad1_kernel(self, a, b, coef, idx=None):
         a, b, coef = self._operands(a, b, coef)
-        return _gauss_grad(self.kernel_matrix(a, b), a, b, coef, self._kvar)
+        return self._grads(self._kernel(a, b), a, b, coef)
 
     def _batch(self, idx):
         """The sample rows of the batch ``idx``, all of them for None."""
-        return self.data if idx is None else self.data[np.asarray(idx, dtype=int)]
+        return self.data if idx is None else self.data.take(idx, axis=0)
 
     def _density(self, t, x):
         """Density rows ``N(t_i; x_j, (1 + 2 tau^2) I)`` over the samples
-        ``x`` and their means."""
-        rows = gauss_density(t, x, self._yvar, self.dim)
-        return rows, rows.mean(axis=1)
+        ``x``, without their constant, and their means, with it."""
+        rows = gauss_density(t, x, self._yvar)
+        means = rows.mean(axis=1)
+        means *= self._ynorm
+        return rows, means
+
+    def _y_grads(self, t, x, rows, means):
+        """The gradients of ``<y, phi_t>`` from ``_density(t, x)``."""
+        return ((rows @ x) * (self._ynorm / x.shape[0]) - means[:, None] * t) / self._yvar
 
     def _exact_means(self, t):
         """``<y, phi_t>`` exactly, built and averaged in blocks of at most
@@ -635,55 +694,56 @@ class GmmKernel(KernelModel):
     def grad_y_inner_many(self, t, idx=None):
         t = _rows(t, self.dim)
         x = self._batch(idx)
-        k, y = self._density(t, x)
-        return (k @ x / x.shape[0] - y[:, None] * t) / self._yvar
+        return self._y_grads(t, x, *self._density(t, x))
 
     def _pair_grad1(self, a, b):
-        k = _gauss_finish(_pair_sqdist(a, b), self._kvar, self.dim)
-        return _pair_gauss_grad(k, a, b, self._kvar)
+        k = _gauss_finish(_pair_sqdist(a, b), self._kvar)
+        return _pair_gauss_grad(k, a, b, self._kvar) * self._knorm
 
     def _sample_y(self, t, rows):
         """One sample's density row is its mean, and its gradient's products
         have one term each, so both are elementwise over the pair-local
-        densities ``N(t_j; x_i, (1 + 2 tau^2) I)``."""
+        densities ``N(t_j; x_i, (1 + 2 tau^2) I)``, with the constant
+        applied as ``_density`` and ``_y_grads`` apply it for one sample."""
         x = self.data[rows]
-        k = gauss_density(t, x, self._yvar, self.dim).T
-        kk = k[:, :, None]
-        return k, (kk * x[:, None, :] - kk * t) / self._yvar
+        k = gauss_density(t, x, self._yvar).T
+        vals = k * self._ynorm
+        return vals, (k[:, :, None] * x[:, None, :] * self._ynorm
+                      - vals[:, :, None] * t) / self._yvar
 
     def certificate_values(self, t, support, coef, idx=None):
         t, support, coef = self._operands(t, support, coef)
-        return self.kernel_matrix(t, support) @ coef - self.y_inner_many(t, idx)
+        return self._values(self._kernel(t, support), coef) - self.y_inner_many(t, idx)
 
     def _field(self, t, support, coef, k_s, x, k_y, y):
-        """Values and gradients from ``K(t, support)`` and the density rows
-        ``k_y`` of ``t`` over the samples ``x``, with their means ``y``."""
-        vals = k_s @ coef - y
-        grads = _gauss_grad(k_s, t, support, coef, self._kvar) \
-            - (k_y @ x / x.shape[0] - y[:, None] * t) / self._yvar
+        """Values and gradients from the unnormalized ``K(t, support)`` and
+        density rows ``k_y`` of ``t`` over the samples ``x``, with their
+        means ``y``."""
+        vals = self._values(k_s, coef) - y
+        grads = self._grads(k_s, t, support, coef) - self._y_grads(t, x, k_y, y)
         return vals, grads
 
     def certificate_field(self, t, support, coef, idx=None):
         t, support, coef = self._operands(t, support, coef)
         x = self._batch(idx)
-        return self._field(t, support, coef, self.kernel_matrix(t, support), x,
+        return self._field(t, support, coef, self._kernel(t, support), x,
                            *self._density(t, x))
 
     def pushed_values(self, support, coef, idx=None):
         support, _, coef = self._operands(support, support, coef)
         x = self._batch(idx)
-        k = self.kernel_matrix(support, support)
+        k = self._kernel(support, support)
         rows, means = self._density(support, x)
         ev = {"support": support, "coef": coef, "x": x, "k": k,
               "side": None if idx is not None else (rows, means)}
-        return k @ coef - means, ev
+        return self._values(k, coef) - means, ev
 
     def candidate_values(self, ev, t):
         t = _rows(t, self.dim)
-        k = self.kernel_matrix(t, ev["support"])
+        k = self._kernel(t, ev["support"])
         rows, means = self._density(t, ev["x"])
         ev["cand"] = k, None if ev["side"] is None else (rows, means)
-        return k @ ev["coef"] - means
+        return self._values(k, ev["coef"]) - means
 
     def support_field(self, t, coef, idx, ev, keep, born):
         if ev is None:
@@ -702,7 +762,7 @@ class GmmKernel(KernelModel):
             full[:p, :p] = k
             full[p:, :p] = k_c[np.ix_(born, keep)] if died else k_c[born]
             full[:p, p:] = full[p:, :p].T
-            full[p:, p:] = self.kernel_matrix(t[p:], t[p:])
+            full[p:, p:] = self._kernel(t[p:], t[p:])
             k = full
             if side is not None:
                 side = (np.vstack([side[0], c_side[0][born]]),
@@ -769,14 +829,14 @@ class ReluKernel(KernelModel):
         return float(np.mean(self.targets**2))
 
     def _batch(self, idx):
-        return self._aug if idx is None else self._aug[np.asarray(idx, dtype=int)]
+        return self._aug if idx is None else self._aug.take(idx, axis=0)
 
     def _acts(self, pos, idx):
         aug = self._batch(idx)
         return aug, aug @ pos.T
 
     def _targets(self, idx):
-        return self.targets if idx is None else self.targets[np.asarray(idx, dtype=int)]
+        return self.targets if idx is None else self.targets.take(idx)
 
     def kernel_matrix(self, a, b, idx=None):
         a = _rows(a, self.dim)

@@ -5,9 +5,9 @@
 ``certificate_values`` (and so ``kkt_residual`` and ``frechet_gap``).
 Gaussian entries are pair-local and each row is averaged on its own, so the
 means must equal the one-shot ``gauss_density(t, data, ...).mean(axis=1)``
-bit for bit on both sides of every block edge, before and after an exact
-pushed evaluation, whose full rows go to its ``ev`` alone, and the
-temporaries must not grow with n.
+times the density's constant, bit for bit on both sides of every block
+edge, before and after an exact pushed evaluation, whose full rows go to
+its ``ev`` alone, and the temporaries must not grow with n.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def problem_with(n):
 
 
 def one_shot(model, t):
-    return kernels.gauss_density(t, model.data, model._yvar, model.dim).mean(axis=1)
+    return kernels.gauss_density(t, model.data, model._yvar).mean(axis=1) * model._ynorm
 
 
 def block_rows(n):
@@ -70,7 +70,8 @@ def test_blocked_means_match_one_shot(n, data, seed):
     want = one_shot(model, t)
     assert same_bits(model.y_inner_many(t), want)
     assert same_bits(model.certificate_values(t, support, coef),
-                     model.kernel_matrix(t, support) @ coef - want)
+                     (kernels.gauss_density(t, support, model._kvar) @ coef) * model._knorm
+                     - want)
 
 
 @given(n=st.sampled_from(SAMPLE_COUNTS), data=st.data(), seed=st.integers(0, 2**32 - 1))

@@ -286,7 +286,7 @@ def test_gaussian_entries_are_pair_local(p, q, d, points, offset, seed, data):
     box = Box(np.full(d, -8.0), np.full(d, 8.0))
     kernels = [SyntheticKernel(box, 1.3, [1.0], a[:1]).kernel_matrix,
                GmmKernel(x, 0.3).kernel_matrix,
-               lambda s, t: gauss_density(s, t, 1.18, d)]
+               lambda s, t: gauss_density(s, t, 1.18)]
     rows = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2 * p))
     cols = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=2 * q))
     a_off, b_off = a + offset, b + offset
@@ -332,7 +332,7 @@ def test_gauss_grad_within_rounding_of_the_scaled_kernel(p, q, d, signed, offset
     b = g.uniform(-4.0, 4.0, size=(q, d)) + offset
     var = g.uniform(0.2, 3.0)
     c = g.uniform(0.0, 1.0, size=q) * (np.where(g.random(q) < 0.5, -1.0, 1.0) if signed else 1.0)
-    k = gauss_density(a, b, var, d)
+    k = gauss_density(a, b, var)
     grad = kernels._gauss_grad(k, a, b, c, var)
     reference = scaled_kernel_grad(k, a, b, c, var)
     assert grad.shape == (p, d)
@@ -346,7 +346,7 @@ def test_gauss_grad_stacked_slices_have_the_bits_of_their_calls(p, q, m, d, seed
     # CI runs this with OpenBLAS on two threads too
     g = rng(seed)
     a, b = g.uniform(-3.0, 3.0, size=(p, d)), g.uniform(-3.0, 3.0, size=(q, d))
-    k = gauss_density(a, b, 1.3, d)
+    k = gauss_density(a, b, 1.3)
     coefs = g.standard_normal((m, q))
     stacked = kernels._gauss_grad(k, a, b, coefs, 1.3)
     assert stacked.shape == (m, p, d)
@@ -357,7 +357,7 @@ def test_gauss_grad_stacked_slices_have_the_bits_of_their_calls(p, q, m, d, seed
 @pytest.mark.parametrize("p, q", [(0, 4), (3, 0), (0, 0)])
 def test_gauss_grad_of_empty_point_sets(p, q):
     a, b = np.ones((p, 2)), np.ones((q, 2))
-    k = gauss_density(a, b, 1.0, 2)
+    k = gauss_density(a, b, 1.0)
     grad = kernels._gauss_grad(k, a, b, np.ones(q), 1.0)
     assert grad.shape == (p, 2) and not grad.any()
     assert kernels._gauss_grad(k, a, b, np.ones((3, q)), 1.0).shape == (3, p, 2)
@@ -457,6 +457,78 @@ def test_gmm_y_norm_sq_desk_shaped_data():
     data, problem = gen_gmm(spec, rng(32))
     assert problem.model.y_norm_sq == pytest.approx(brute_y_norm_sq(data, spec.tau),
                                                     rel=1e-13, abs=0)
+
+
+def lattice_with_repeats(n_distinct, repeats, d):
+    """Points 0.5 apart on a lattice, the first ``len(repeats)`` of them
+    repeated ``repeats[k]`` more times, and the sum ``sum_k n_k^2`` of the
+    squared multiplicities: at a tiny tau the pair sum of ``|y|^2`` is that
+    sum exactly, since every other pair's exp is exactly 0."""
+    distinct = 0.5 * np.arange(n_distinct * d, dtype=float).reshape(n_distinct, d)
+    data = np.vstack([distinct] + [np.repeat(distinct[k : k + 1], r, axis=0)
+                                   for k, r in enumerate(repeats)])
+    counts = np.ones(n_distinct, dtype=int)
+    counts[: len(repeats)] += np.array(repeats, dtype=int)
+    return data, int(counts @ counts)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tau", [1.4917e-154, 2e-154, 2.5e-154, 3.2e-154, 1e-150])
+@pytest.mark.parametrize("d", [1, 2])
+def test_gmm_y_norm_sq_at_tiny_tau(tau, d):
+    # the value n^-2 sum_k n_k^2 (4 pi tau^2)^(-d/2) is finite, up to about
+    # 3e304 here, though n^2 times it is not; far pairs' exponents overflow
+    # to -inf, silently
+    data, pair_sum = lattice_with_repeats(170, [12, 9, 5, 4], d)
+    n = len(data)
+    closed = pair_sum / n**2 * (4.0 * math.pi * tau**2) ** (-d / 2.0)
+    assert GmmKernel(data, tau).y_norm_sq == pytest.approx(closed, rel=1e-13, abs=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gmm_y_norm_sq_where_only_the_constant_overflows():
+    # d = 3 at tau = 2e-104: (4 pi tau^2)^(-3/2) is about 2.8e309, past the
+    # float range, but |y|^2 is about 1/n of it; the reference is formed in
+    # logs, which round its exponent of about 708 to about 1e-13
+    data, pair_sum = lattice_with_repeats(200, [], 3)
+    n, tau = len(data), 2e-104
+    closed = math.exp(math.log(pair_sum / n**2) - 1.5 * math.log(4.0 * math.pi * tau**2))
+    assert GmmKernel(data, tau).y_norm_sq == pytest.approx(closed, rel=1e-12, abs=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d, tau", [(3, 1.4917e-154), (3, 1e-150), (5, 1.4917e-154)])
+def test_gmm_y_norm_sq_refuses_a_value_past_the_float_range(d, tau):
+    data, _ = lattice_with_repeats(50, [3], d)
+    with pytest.raises(ValueError, match=f"tau = {tau!r} is too small in d = {d}"):
+        GmmKernel(data, tau).y_norm_sq
+
+
+#: batch indices: repeated, unsorted, both edges, and negative
+BATCHES = [[3, 3, 3], [7, 0, 5, 0, 2], [0], [-1, 0, -8], list(range(7, -1, -1)) * 3]
+
+
+@pytest.mark.parametrize("idx", BATCHES)
+def test_batch_gathers_have_the_bits_of_fancy_indexing(idx):
+    g = rng(11)
+    gmm = GmmKernel(g.standard_normal((8, 2)), 0.3)
+    relu = ReluKernel(g.standard_normal((8, 3)), g.standard_normal(8))
+    for as_array in (False, True):
+        batch = np.array(idx) if as_array else idx
+        assert gmm._batch(batch).tobytes() == gmm.data[np.array(idx)].tobytes()
+        assert relu._batch(batch).tobytes() == relu._aug[np.array(idx)].tobytes()
+        assert relu._targets(batch).tobytes() == relu.targets[np.array(idx)].tobytes()
+        assert gmm._batch(batch).shape == (len(idx), 2)
+
+
+@pytest.mark.parametrize("idx", [[8], [0, 9], [-9]])
+def test_batch_gathers_refuse_an_index_out_of_range(idx):
+    g = rng(12)
+    gmm = GmmKernel(g.standard_normal((8, 2)), 0.3)
+    relu = ReluKernel(g.standard_normal((8, 3)), g.standard_normal(8))
+    for gather in (gmm._batch, relu._batch, relu._targets):
+        with pytest.raises(IndexError):
+            gather(np.array(idx))
 
 
 @pytest.mark.parametrize("data", [np.empty((0, 2)), np.empty((3, 0))])

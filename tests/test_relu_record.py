@@ -44,9 +44,10 @@ def activations(model, fetched=None, blocked=None):
     activation ``X_b T'`` built from them, into ``blocked`` that of every
     row block ``relu_outputs`` builds into its buffer (``np.matmul`` with
     ``out``), and into ``fetched`` the size of every batch fetched from
-    them; returns the first log. Only products whose inner dimension is the
-    feature width ``model.dim`` are activations: the gradient's
-    ``(X_b * r)' [act > 0]`` sums over the batch and is not logged."""
+    them, by ``np.take`` or by fancy indexing; returns the first log. Only
+    products whose inner dimension is the feature width ``model.dim`` are
+    activations: the gradient's ``(X_b * r)' [act > 0]`` sums over the
+    batch and is not logged."""
     log = []
 
     class Rows(np.ndarray):
@@ -65,6 +66,11 @@ def activations(model, fetched=None, blocked=None):
             if isinstance(key, np.ndarray) and fetched is not None:
                 fetched.append(len(key))
             return np.ndarray.__getitem__(self, key)
+
+        def take(self, indices, *args, **kwargs):
+            if fetched is not None:
+                fetched.append(len(indices))
+            return np.ndarray.take(self, indices, *args, **kwargs)
 
     model._aug = model._aug.view(Rows)
     return log

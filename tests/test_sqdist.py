@@ -102,7 +102,7 @@ SELF_SIZES = [0, 1, 2, 181, 182, 255, 256, 257, 313, 600]
 @pytest.mark.parametrize("d", [1, 2, 9])
 def test_gauss_self_has_the_bits_of_the_full_build(p, d):
     x = rng(p).normal(size=(p, d)) * 3.0 + 1e3
-    assert same_bits(kernels._gauss_self(x, 2.08, d), gauss_density(x, x, 2.08, d))
+    assert same_bits(kernels._gauss_self(x, 2.08), gauss_density(x, x, 2.08))
 
 
 @given(p=st.integers(0, 40), entries=st.sampled_from([1, 4, 9, 64]),
@@ -111,11 +111,11 @@ def test_gauss_self_has_the_bits_of_the_full_build(p, d):
 def test_gauss_self_small_blocks(p, entries, d, seed):
     # small blocks give many blocks at small p: rows of 1, 2, ... rows each
     x = np.round(rng(seed).uniform(-8.0, 8.0, size=(p, d)) * 2**20) / 2**20
-    full = gauss_density(x, x, 1.18, d)
+    full = gauss_density(x, x, 1.18)
     saved = kernels._SELF_BLOCK_ENTRIES
     kernels._SELF_BLOCK_ENTRIES = entries
     try:
-        assert same_bits(kernels._gauss_self(x, 1.18, d), full)
+        assert same_bits(kernels._gauss_self(x, 1.18), full)
     finally:
         kernels._SELF_BLOCK_ENTRIES = saved
 
@@ -127,7 +127,8 @@ def test_gmm_kernel_matrix_of_equal_sets_has_full_build_bits():
     t[::7, 0] = 0.0
     twin = t.copy()
     twin[::7, 0] = -0.0  # equal by value, so it takes the symmetric build too
-    full = gauss_density(t, twin, model._kvar, 2)
+    # the entries, then the constant: what ``kernel_matrix`` returns
+    full = gauss_density(t, twin, model._kvar) * model._knorm
     assert same_bits(model.kernel_matrix(t, t), full)
     assert same_bits(model.kernel_matrix(t, twin), full)
     assert same_bits(model.kernel_matrix(t, t), model.kernel_matrix(t, t).T)

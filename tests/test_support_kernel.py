@@ -46,8 +46,10 @@ def same_bits(x, y):
 REAL_DENSITY = kernels.gauss_density
 
 
-def fresh_kernel(model, a, b):
-    return REAL_DENSITY(a, b, model._kvar, model.dim)
+def fresh_values(model, a, b, coef):
+    """``K(a, b) coef`` from freshly built entries, with the kernel's constant
+    applied to the product."""
+    return (REAL_DENSITY(a, b, model._kvar) @ coef) * model._knorm
 
 
 @pytest.fixture
@@ -55,9 +57,9 @@ def built(monkeypatch):
     """Every ``gauss_density`` call as ``(var, |a|, |b|)``."""
     log = []
 
-    def counting(a, b, var, dim):
+    def counting(a, b, var):
         log.append((var, a.shape[0], b.shape[0]))
-        return REAL_DENSITY(a, b, var, dim)
+        return REAL_DENSITY(a, b, var)
 
     monkeypatch.setattr(kernels, "gauss_density", counting)
     return log
@@ -323,7 +325,7 @@ def test_fresh_support_kernel_builds_the_upper_triangle(built, idx):
     since = len(built)
     loss(problem, ParticleSwarm(coef, np.ones(p), pushed))
     assert kernel_entries(built, model, since) <= bound
-    assert same_bits(vals, fresh_kernel(model, pushed, pushed) @ coef
+    assert same_bits(vals, fresh_values(model, pushed, pushed, coef)
                      - model.y_inner_many(pushed, idx))
 
 
@@ -367,10 +369,17 @@ def test_mini_batch_iteration_fetches_two_batches():
     fetched = []
 
     class Samples(np.ndarray):
+        """Counts the gathers of rows by an index array, by ``np.take`` or
+        by fancy indexing."""
+
         def __getitem__(self, key):
             if isinstance(key, np.ndarray):
                 fetched.append(len(key))
             return np.asarray(np.ndarray.__getitem__(self, key))
+
+        def take(self, indices, *args, **kwargs):
+            fetched.append(len(indices))
+            return np.asarray(np.ndarray.take(self, indices, *args, **kwargs))
 
     model.data = model.data.view(Samples)
     init = random_swarm(problem, rng(8), max_particles=6)

@@ -1,7 +1,11 @@
 """``KernelModel.weighted_kernel`` against ``kernel_matrix @ coef``.
 
-The Gaussian models inherit the default, so they must agree bit for bit.
-ReLU sums in feature space, ``relu(X A)' (relu(X B) c) / m``, in another
+The synthetic model inherits the default, so the two must agree bit for
+bit. The mixture builds its entries without the density's constant and
+multiplies the constant into the product, so its values must have the bits
+of ``(gauss_density(A, B, var) @ coef) * constant``; they are within
+rounding of ``kernel_matrix @ coef``, whose entries carry the constant
+(tests/test_gmm_constants.py bounds the difference). ReLU sums in feature space, ``relu(X A)' (relu(X B) c) / m``, in another
 order than ``(relu(X A)' relu(X B) / m) c``, so its values agree with the
 matrix product only up to rounding; ``relu_sum_bound`` gives the tolerance.
 """
@@ -9,6 +13,7 @@ matrix product only up to rounding; ``relu_sum_bound`` gives the tolerance.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conicswarm.kernels import gauss_density
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
 
 EPS = np.finfo(float).eps
@@ -45,6 +50,8 @@ def assert_matches_matrix_product(name, model, a, b, coef, idx):
     assert got.shape == (a.shape[0],)
     if name == "relu":
         assert np.all(np.abs(got - want) <= relu_sum_bound(model, a, b, coef, idx))
+    elif name == "gmm":
+        assert np.array_equal(got, (gauss_density(a, b, model._kvar) @ coef) * model._knorm)
     else:
         assert np.array_equal(got, want)
 
