@@ -10,8 +10,8 @@ full-data quantity):
 * ``grad_y_inner_many(T, idx)``       -- gradient of the above
 
 the value-side twin of ``weighted_grad1_kernel``, whose default is
-``kernel_matrix(A, B, idx) @ c``, which the mixture forms from its
-unnormalized entries with the constant applied to the product, and which
+``kernel_matrix(A, B, idx) @ c``, which both Gaussian models form from
+their unnormalized entries with the constant applied to the product, and which
 ReLU forms in feature space, ``relu(X A)' (relu(X B) c) / m``, in
 O(m (|A| + |B|) d) without the |A| x |B| matrix,
 
@@ -57,29 +57,27 @@ the bits of the stateless calls, which are their defaults:
 * ``support_field(T, c, idx, ev, keep, born)`` -- the next iteration's
   ``certificate_field(T, T, c, idx)`` at ``T = [T'[keep]; C[born]]``.
 
-Gaussian entries are finished in place from sums of squared coordinate
-differences, so each depends on its two points alone: a row has the same
-bits whatever else shares the call, and ``K(A, B)`` is ``K(B, A)'`` exactly.
-``GmmKernel`` finishes each by one multiply and one exp,
-``exp(d2 * (-0.5 / var))``, and multiplies the densities' constants
-``(2 pi var)^(-d/2)`` into the sums it reduces the entries to, not into
-each entry; only its public ``kernel_matrix`` carries them entry by entry.
-From ``_PRODUCT_ENTRIES`` entries on, each coordinate's differences are one
-BLAS product ``[a, 1] @ [1; -b]``: its terms are products by 1, so exact,
-and their sum is rounded once, so every difference keeps the bits of the
-subtraction, up to the sign of a zero, for any BLAS summation order, FMA
-use or thread split, and every squared distance keeps them all.
-Gradients ``sum_j c_j grad_a K(a_i, b_j)`` are one product ``K(A, B) @ [c B, c]``.
-``GmmKernel`` builds a kernel of a point set against itself as the upper
-triangle of row blocks, mirrored, with the bits of the full build, and
-averages exact data-side densities over row blocks of
-``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array.
-
-``SyntheticKernel``'s observation is a signed point measure, so a
-certificate is the weighted kernel of ``P = [S; atoms; anchors]`` with
-coefficients ``q = [c; -w; -eta_b]``: values ``K(t, P) q`` and gradients
-from one kernel matrix, and ``ev = (P, q)``. A batch's noise mean ``eta_b``
-is ``bincount(idx) @ eta / |idx|``, with no |idx| x r gather.
+``GaussianKernel`` is the kernel side of both Gaussian models,
+``K(a, b) = knorm exp(-|a - b|^2 / (2 kvar))``: ``SyntheticKernel`` has
+``kvar = sigma^2`` and ``knorm = 1``, ``GmmKernel`` the variance and
+density constant of ``N(.; b, kvar I)``. ``_gauss_finish`` finishes every
+entry in place by one multiply and one exp from ``_sqdist``'s sums of
+squared coordinate differences, so each depends on its two points alone: a
+row has the same bits whatever else shares the call, and ``K(A, B)`` is
+``K(B, A)'`` exactly. From ``_PRODUCT_ENTRIES`` entries on, each
+coordinate's differences are one BLAS product ``[a, 1] @ [1; -b]``, exact
+up to the sign of a zero for any BLAS summation order, FMA use or thread
+split. ``knorm`` multiplies the sums the entries are reduced to, ``K c``
+and the gradients ``sum_j c_j grad_a K(a_i, b_j)`` (one product
+``K(A, B) @ [c B, c]``); only ``kernel_matrix`` carries it entry by entry.
+A set against itself is the upper triangle of row blocks, mirrored, with
+the bits of the full build. The synthetic observation is the point set
+``[atoms; anchors]`` weighted by ``[w; eta_b]``, read by one product, and a
+certificate the weighted kernel of ``P = [S; atoms; anchors]`` with
+``q = [c; -w; -eta_b]``, ``ev = (P, q)``; a batch's noise mean ``eta_b`` is
+``bincount(idx) @ eta / |idx|``, with no |idx| x r gather. The mixture
+keeps its own data side: densities of a second variance, averaged over row
+blocks of ``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array.
 
 ``audit_assumptions`` runs no Python loop over samples or pairs. It reads
 the diagonal ``K(t, t)`` from the kernel matrix of its points, takes every
@@ -106,6 +104,7 @@ from .domain import Box, Domain, grid_points
 
 __all__ = [
     "KernelModel",
+    "GaussianKernel",
     "SyntheticKernel",
     "GmmKernel",
     "ReluKernel",
@@ -226,8 +225,7 @@ def _exp_sum(x: np.ndarray, m: int, scale: float) -> float:
     """
     total = 0.0
     for lo, hi, d2 in _upper_blocks(x, m, max(1, _SELF_BLOCK_ENTRIES // len(x)), _sqdist):
-        d2 *= -1.0 / scale
-        terms = np.exp(d2, out=d2)
+        terms = _gauss_finish(d2, 0.5 * scale)  # -0.5 / (0.5 scale) is -1 / scale exactly
         total += float(terms[:, : hi - lo].sum()) + 2.0 * float(terms[:, hi - lo :].sum())
     return total
 
@@ -405,7 +403,53 @@ class KernelModel(ABC):
         return self.dim
 
 
-class SyntheticKernel(KernelModel):
+class GaussianKernel(KernelModel):
+    """The kernel side of a Gaussian model, ``K(a, b) = _knorm exp(-|a - b|^2
+    / (2 _kvar))``, which carries no data dependence.
+
+    Entries are built without ``_knorm`` (``_kernel``), one multiply and one
+    exp each, and ``_knorm`` multiplies what they are reduced to: the
+    products ``K c`` (``_values``) and ``_gauss_grad``'s (``_grads``). Only
+    ``kernel_matrix`` multiplies every entry, so it returns the kernel.
+    """
+
+    _kvar: float
+    _knorm: float
+
+    def _kernel(self, a, b):
+        """``K(a, b)`` without its constant ``_knorm``; a set against itself
+        by the symmetric build."""
+        if a.shape == b.shape and np.array_equal(a, b):
+            return _gauss_self(a, self._kvar)
+        return gauss_density(a, b, self._kvar)
+
+    def kernel_matrix(self, a, b, idx=None):
+        k = self._kernel(_rows(a, self.dim), _rows(b, self.dim))
+        k *= self._knorm
+        return k
+
+    def _values(self, k, coef):
+        """``K c`` from the unnormalized kernel ``k``."""
+        return (k @ coef) * self._knorm
+
+    def _grads(self, k, a, b, coef):
+        """``sum_j c_j grad_a K(a_i, b_j)`` from the unnormalized kernel ``k``."""
+        return _gauss_grad(k, a, b, coef, self._kvar) * self._knorm
+
+    def weighted_kernel(self, a, b, coef, idx=None):
+        a, b, coef = self._operands(a, b, coef)
+        return self._values(self._kernel(a, b), coef)
+
+    def weighted_grad1_kernel(self, a, b, coef, idx=None):
+        a, b, coef = self._operands(a, b, coef)
+        return self._grads(self._kernel(a, b), a, b, coef)
+
+    def _pair_grad1(self, a, b):
+        k = _gauss_finish(_pair_sqdist(a, b), self._kvar)
+        return _pair_gauss_grad(k, a, b, self._kvar) * self._knorm
+
+
+class SyntheticKernel(GaussianKernel):
     """Gaussian kernel on a box with a planted sparse observation.
 
     ``K(s, t) = exp(-|s - t|^2 / (2 sigma^2))`` so ``K(t, t) = 1`` and the
@@ -414,14 +458,16 @@ class SyntheticKernel(KernelModel):
     perturbation spread over ``n_samples`` pseudo-samples, giving the
     stochastic oracle a real (but exactly controlled) noise source.
 
-    A certificate evaluation builds one kernel matrix ``K(t, P)`` of the
-    signed point set ``P = [S; atoms; anchors]``; with the coefficients
-    ``q = [c; -w; -eta_b]`` it gives the values ``K(t, P) q`` and, by one
-    ``_gauss_grad`` product, their gradients. The batch's noise mean
-    ``eta_b`` comes from its sample counts, and ``ev = (P, q)`` hands it to
-    the candidates. ``y_inner_many`` and ``grad_y_inner_many`` read the
-    slices of one kernel matrix ``K(t, [atoms; anchors])``; ``|y|^2`` is
-    computed once.
+    The observation is the point set ``_fixed = [atoms; anchors]`` with the
+    coefficients ``_y_coef(idx) = [w; eta_b]``, where the batch's noise mean
+    ``eta_b`` comes from its sample counts: ``y_inner_many`` and
+    ``grad_y_inner_many`` read one kernel matrix ``K(t, _fixed)`` by one
+    product each. A certificate evaluation builds one kernel matrix
+    ``K(t, P)`` of the signed point set ``P = [S; atoms; anchors]``; with the
+    coefficients ``q = [c; -w; -eta_b]`` it gives the values ``K(t, P) q``
+    and, by one ``_gauss_grad`` product, their gradients, and
+    ``ev = (P, q)`` hands ``eta_b`` to the candidates. ``|y|^2`` is computed
+    once.
     """
 
     def __init__(self, domain: Box, sigma: float, atom_weights, atom_positions,
@@ -433,6 +479,7 @@ class SyntheticKernel(KernelModel):
             raise ValueError("sigma must be positive with a finite square that is a normal float")
         self.domain = domain
         self.sigma = float(sigma)
+        self._kvar, self._knorm = self.sigma**2, 1.0
         self.dim = domain.dim
         self.atom_weights = np.asarray(atom_weights, dtype=float).reshape(-1)
         self.atom_positions = _rows(atom_positions, self.dim)
@@ -461,7 +508,7 @@ class SyntheticKernel(KernelModel):
     @property
     def y_norm_sq(self):
         if self._y_norm_sq is None:
-            coefs = np.concatenate([self.atom_weights, self._eta_mean])
+            coefs = self._y_coef(None)
             self._y_norm_sq = float(coefs @ self.kernel_matrix(self._fixed, self._fixed) @ coefs)
         return self._y_norm_sq
 
@@ -474,49 +521,24 @@ class SyntheticKernel(KernelModel):
     def exact_positivity(self) -> float:
         return float(np.exp(-self.domain.diameter**2 / (2.0 * self.sigma**2)))
 
-    def _finish(self, d2):
-        """Kernel values of squared distances ``d2``, in place."""
-        d2 /= -2.0 * self.sigma**2
-        return np.exp(d2, out=d2)
-
-    def kernel_matrix(self, a, b, idx=None):
-        # Data-independent kernel: per-sample value equals the exact value.
-        return self._finish(_sqdist(_rows(a, self.dim), _rows(b, self.dim)))
-
-    def weighted_grad1_kernel(self, a, b, coef, idx=None):
-        a, b, coef = self._operands(a, b, coef)
-        return _gauss_grad(self.kernel_matrix(a, b), a, b, coef, self.sigma**2)
-
-    def _noise_coef(self, idx):
-        """The batch ``idx``'s mean noise coefficients, from its sample counts."""
-        return self._eta_mean if idx is None else \
+    def _y_coef(self, idx):
+        """``[w; eta_b]``: the observation's coefficients on ``_fixed``, with
+        the batch ``idx``'s mean noise from its sample counts."""
+        eta = self._eta_mean if idx is None else \
             np.bincount(idx, minlength=self._n) @ self.eta / len(idx)
-
-    def _blocks(self, t):
-        """``K(t, atoms)`` and ``K(t, anchors)``: the column slices of one
-        kernel matrix ``K(t, [atoms; anchors])``."""
-        k = self.kernel_matrix(t, self._fixed)
-        return k[:, : self.atom_weights.size], k[:, self.atom_weights.size :]
-
-    def _y_grads(self, t, k_atoms, k_anchors, noise):
-        """The gradient of ``<y, phi_t>`` in t from the slices of ``_blocks``."""
-        var = self.sigma**2
-        return _gauss_grad(k_atoms, t, self.atom_positions, self.atom_weights, var) \
-            + _gauss_grad(k_anchors, t, self.anchors, noise, var)
+        return np.concatenate([self.atom_weights, eta])
 
     def y_inner_many(self, t, idx=None):
-        k_atoms, k_anchors = self._blocks(t)
-        return k_atoms @ self.atom_weights + k_anchors @ self._noise_coef(idx)
+        return self._values(self._kernel(_rows(t, self.dim), self._fixed), self._y_coef(idx))
 
     def grad_y_inner_many(self, t, idx=None):
         t = _rows(t, self.dim)
-        return self._y_grads(t, *self._blocks(t), self._noise_coef(idx))
+        return self._grads(self._kernel(t, self._fixed), t, self._fixed, self._y_coef(idx))
 
     def _signed(self, support, coef, idx):
         """``ev``: the certificate's signed point set ``P = [S; atoms;
         anchors]`` and its coefficients ``q = [c; -w; -eta_b]``."""
-        return (np.vstack([support, self._fixed]),
-                np.concatenate([coef, -self.atom_weights, -self._noise_coef(idx)]))
+        return np.vstack([support, self._fixed]), np.concatenate([coef, -self._y_coef(idx)])
 
     def certificate_values(self, t, support, coef, idx=None):
         t, support, coef = self._operands(t, support, coef)
@@ -528,33 +550,31 @@ class SyntheticKernel(KernelModel):
         return self.candidate_values(ev, support), ev
 
     def candidate_values(self, ev, t):
-        return self.kernel_matrix(t, ev[0]) @ ev[1]
+        return self._values(self._kernel(_rows(t, self.dim), ev[0]), ev[1])
 
     def certificate_field(self, t, support, coef, idx=None):
         t, support, coef = self._operands(t, support, coef)
         points, q = self._signed(support, coef, idx)
-        k = self.kernel_matrix(t, points)
-        return k @ q, _gauss_grad(k, t, points, q, self.sigma**2)
-
-    def _pair_grad1(self, a, b):
-        return _pair_gauss_grad(self._finish(_pair_sqdist(a, b)), a, b, self.sigma**2)
+        k = self._kernel(t, points)
+        return self._values(k, q), self._grads(k, t, points, q)
 
     def _sample_y(self, t, rows):
-        """``y_inner_many`` and ``grad_y_inner_many`` of each sample, stacked:
-        a sample's noise coefficients are ``eta[i]``. The anchors' products
-        are stacked ``matmul`` calls, which make one BLAS call per sample with
-        the operands and strides of the sample's own evaluation, so the bits
-        are the same; the rest is elementwise."""
-        k_atoms, k_anchors = self._blocks(t)
-        noise = self.eta[rows]
-        vals = k_atoms @ self.atom_weights + np.matmul(k_anchors, noise[:, :, None])[..., 0]
-        return vals, self._y_grads(t, k_atoms, k_anchors, noise)
+        """``y_inner_many`` and ``grad_y_inner_many`` of each sample, whose
+        coefficients are ``[w; eta[i]]``, stacked. Both products are stacked
+        ``matmul`` calls, which make one BLAS call per sample with the
+        operands and strides of the sample's own evaluation, so the bits are
+        the same; the rest is elementwise."""
+        eta = self.eta[rows]
+        q = np.hstack([np.broadcast_to(self.atom_weights, (len(eta), self.atom_weights.size)),
+                       eta])
+        k = self._kernel(t, self._fixed)
+        return np.matmul(k, q[:, :, None])[..., 0] * self._knorm, self._grads(k, t, self._fixed, q)
 
     def _sample_width(self):
-        return max(self.dim, len(self.anchors))
+        return max(self.dim, len(self._fixed))
 
 
-class GmmKernel(KernelModel):
+class GmmKernel(GaussianKernel):
     """Smoothed-density kernel for mixture deconvolution in the plane.
 
     The feature of a location t is the Gaussian density N(.; t, (1+tau^2) I)
@@ -563,12 +583,13 @@ class GmmKernel(KernelModel):
     data. The kernel itself carries no data dependence; only the
     observation side is estimated per sample.
 
-    Entries are built without their constants (``gauss_density``): one
-    multiply and one exp each. The constants ``(2 pi kvar)^(-d/2)`` and
-    ``(2 pi yvar)^(-d/2)`` multiply what the entries are reduced to: the
-    products ``K c`` and ``_gauss_grad``'s, the data-side row means and
-    ``k_y @ x``. Only ``kernel_matrix`` multiplies every entry, so it
-    returns the normalized kernel.
+    Both variances' entries are built without their constants: the kernel's
+    by ``GaussianKernel``, the data side's by ``gauss_density``, one multiply
+    and one exp each. ``_ynorm = (2 pi yvar)^(-d/2)`` multiplies what the
+    densities are reduced to, the row means and ``k_y @ x``, as ``_knorm``
+    does the kernel's. Every kernel entry is at most ``_knorm`` and every
+    density at most ``_ynorm``, so a tau that leaves either below the
+    smallest normal float is refused: every value would vanish.
 
     ``|y|^2 = n^-2 sum_ij N(X_i; X_j, 2 tau^2 I)`` skips the pairs farther
     apart than r, ``r^2 = 4 tau^2 (ln n + 60 ln 2)``. Each skipped term is at
@@ -606,6 +627,9 @@ class GmmKernel(KernelModel):
         self._yvar = 1.0 + 2.0 * tau**2
         self._knorm = _gauss_norm(self._kvar, self.dim)
         self._ynorm = _gauss_norm(self._yvar, self.dim)
+        if min(self._knorm, self._ynorm) < np.finfo(float).tiny:
+            raise ValueError(f"tau = {self.tau!r} is too large in d = {self.dim}: the Gaussian "
+                             "constants (2 pi var)^(-d/2) are below the smallest normal float")
         self._y_norm_sq = None
 
     @property
@@ -633,34 +657,6 @@ class GmmKernel(KernelModel):
                                  "|y|^2 is not a finite float")
             self._y_norm_sq = value
         return self._y_norm_sq
-
-    def _kernel(self, a, b):
-        """``K(a, b)`` without its constant ``_knorm``; a set against itself
-        by the symmetric build."""
-        if a.shape == b.shape and np.array_equal(a, b):
-            return _gauss_self(a, self._kvar)
-        return gauss_density(a, b, self._kvar)
-
-    def kernel_matrix(self, a, b, idx=None):
-        k = self._kernel(_rows(a, self.dim), _rows(b, self.dim))
-        k *= self._knorm
-        return k
-
-    def _values(self, k, coef):
-        """``K c`` from the unnormalized kernel ``k``."""
-        return (k @ coef) * self._knorm
-
-    def _grads(self, k, a, b, coef):
-        """``sum_j c_j grad_a K(a_i, b_j)`` from the unnormalized kernel ``k``."""
-        return _gauss_grad(k, a, b, coef, self._kvar) * self._knorm
-
-    def weighted_kernel(self, a, b, coef, idx=None):
-        a, b, coef = self._operands(a, b, coef)
-        return self._values(self._kernel(a, b), coef)
-
-    def weighted_grad1_kernel(self, a, b, coef, idx=None):
-        a, b, coef = self._operands(a, b, coef)
-        return self._grads(self._kernel(a, b), a, b, coef)
 
     def _batch(self, idx):
         """The sample rows of the batch ``idx``, all of them for None."""
@@ -695,10 +691,6 @@ class GmmKernel(KernelModel):
         t = _rows(t, self.dim)
         x = self._batch(idx)
         return self._y_grads(t, x, *self._density(t, x))
-
-    def _pair_grad1(self, a, b):
-        k = _gauss_finish(_pair_sqdist(a, b), self._kvar)
-        return _pair_gauss_grad(k, a, b, self._kvar) * self._knorm
 
     def _sample_y(self, t, rows):
         """One sample's density row is its mean, and its gradient's products

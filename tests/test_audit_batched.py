@@ -41,15 +41,12 @@ from conicswarm.domain import Ball, Box, Domain, grid_points
 from conicswarm.experiments import gen_teacher_regression, load_regression
 from conicswarm.kernels import (AssumptionBounds, GmmKernel, KernelModel, SyntheticKernel,
                                 audit_assumptions)
+from helpers import rng
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 #: relative bound between ReLU's batched and per-sample audit (module docstring)
 RELU_REL = 1e-9
-
-
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
 
 
 # --- the per-sample loop the batched audit replaced, verbatim --------------

@@ -9,10 +9,7 @@ from conicswarm.objective import certificate, loss
 from conicswarm.oracle import OracleConfig, draw_batch
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_synthetic_problem, random_swarm
-
-
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
+from helpers import rng
 
 
 def swarm_of(weights, certs_dim=1):

@@ -13,7 +13,6 @@ its ``ev`` alone, and the temporaries must not grow with n.
 from __future__ import annotations
 
 import functools
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +25,11 @@ from conicswarm.config import load_config
 from conicswarm.objective import kkt_residual, loss
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem
+from helpers import same_bits, traced_peak
 
 ENTRIES = kernels._ROW_BLOCK_ENTRIES
 #: sample counts: a block of 43 rows, one of 4 rows, and one row per block
 SAMPLE_COUNTS = (3_000, 2**15, ENTRIES + 3)
-
-
-def same_bits(x, y):
-    x, y = np.asarray(x), np.asarray(y)
-    return x.shape == y.shape and \
-        np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,17 +86,6 @@ def test_scoped_means_with_kept_hits_and_misses(n, data, seed):
                          model.certificate_values(t, kept, np.ones(len(kept))))
     assert same_bits(model.y_inner_many(t), one_shot(model, t))
     assert same_bits(model.y_inner_many(new), one_shot(model, new))
-
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")

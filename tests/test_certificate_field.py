@@ -27,8 +27,6 @@ signed and unsigned problems:
   in other groupings and is held to the residual form within that bound.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +36,7 @@ from conicswarm.kernels import ReluKernel, SyntheticKernel
 from conicswarm.objective import Problem, certificate, certificate_and_grad, kkt_residual, loss
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
+from helpers import traced_peak
 from test_weighted_kernel import EPS, relu_sum_bound
 
 PROBLEMS = {
@@ -303,18 +302,6 @@ def test_relu_exact_values_match_the_one_shot_residual_form(p):
         want = residual_field(model, points, support, coef, None)[0]
         assert np.all(np.abs(got - want) <= relu_residual_bound(model, points, support, coef,
                                                                 None)[0])
-
-
-def traced_peak(call):
-    """Peak bytes that ``call()`` allocates above what was held before it."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 def test_relu_kkt_residual_memory_does_not_grow_with_the_grid():

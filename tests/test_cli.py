@@ -10,6 +10,7 @@ import pytest
 import conicswarm
 from conicswarm.cli import build_problem, build_run_config, main
 from conicswarm.config import ConfigError, load_config
+from test_audit_batched import SYNTHETIC_THEORY_REPORT
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -95,15 +96,27 @@ iterations = 10
 """
 
 
-def test_python_dash_m_runs_the_cli():
-    # ``python -m conicswarm`` from the package's own source tree, installed or not
+def run_module(*args):
+    """``python -m conicswarm *args`` from the package's own source tree,
+    installed or not."""
     src = str(Path(conicswarm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "conicswarm", "--help"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "conicswarm", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_module("--help")
     assert done.returncode == 0, done.stderr
     assert "verify" in done.stdout
+
+
+def test_calibrate_prints_the_committed_synthetic_theory_report():
+    # the command in its own process: exit 0, nothing on stderr, and stdout
+    # byte for byte the report that test_audit_batched pins in-process
+    done = run_module("calibrate", "--config", str(CONFIGS / "synthetic_theory.cfg"))
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", SYNTHETIC_THEORY_REPORT)
 
 
 class TestConfigParsing:
@@ -453,6 +466,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == f"error: {data.resolve()}: constant column(s) x0: the samples span no box\n"
         assert not out.exists()
+
+    def test_mixture_whose_constants_vanish_exits_1_naming_tau(self, tmp_path, capsys):
+        # at tau = 1e154 every kernel value, density and |y|^2 would be 0, so
+        # the loss would be kappa TV whatever the swarm
+        body = (CONFIGS / "gmm_desk.cfg").read_text(encoding="utf-8")
+        cfg = write_config(tmp_path, body.replace("tau = 0.2", "tau = 1e154"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tau = 1e+154 is too large in d = 2") and err.count("\n") == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from conicswarm.csvio import read_numeric_csv
 from conicswarm.experiments import load_gmm_data, load_regression
 from conicswarm.swarm import ParticleSwarm
+from helpers import same_bits
 
 FORMATS = {"repr": repr, "17g": "%.17g".__mod__, "6g": "%.6g".__mod__}
 
@@ -26,11 +27,6 @@ def write(tmp_path, text, name="table.csv"):
     path = tmp_path / name
     path.write_bytes(text.encode("utf-8"))
     return path
-
-
-def same_bits(x, y):
-    x, y = np.asarray(x), np.asarray(y)
-    return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 @given(table=st.integers(1, 5).flatmap(lambda width: st.lists(

@@ -5,10 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicswarm.domain import Ball, Box, grid_points
-
-
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
+from helpers import rng, same_bits
 
 
 class TestProject:
@@ -165,11 +162,6 @@ class TestBallSampling:
         assert np.array_equal(dom.sample_uniform(rng(50), size=64),
                               dom.sample_uniform(rng(50), size=64))
         assert np.array_equal(dom.sample_uniform(rng(51)), dom.sample_uniform(rng(51)))
-
-
-def same_bits(x, y):
-    return x.shape == y.shape and \
-        np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
 
 
 def random_box(g, d):

@@ -10,10 +10,7 @@ from conicswarm.objective import certificate_and_grad
 from conicswarm.schedules import calibrate
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_relu_problem, make_synthetic_problem, random_swarm
-
-
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
+from helpers import rng
 
 
 def exact_certs_and_pis(problem, swarm, beta):

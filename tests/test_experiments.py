@@ -7,10 +7,7 @@ from conicswarm.experiments import GmmSpec, gen_gmm, gen_teacher_regression, \
 from conicswarm.objective import loss
 from conicswarm.runner import RunConfig, run
 from conicswarm.swarm import ParticleSwarm
-
-
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
+from helpers import rng
 
 
 class TestGmmSpec:

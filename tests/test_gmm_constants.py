@@ -40,6 +40,7 @@ from hypothesis import given, settings, strategies as st
 
 from conicswarm import kernels
 from conicswarm.kernels import GmmKernel
+from helpers import rng
 
 U = 2.0**-53
 #: absolute slack of one subnormal entry: its exp and its constant's product
@@ -47,10 +48,6 @@ ETA = 8.0 * 2.0**-1074
 #: absolute slack of the subnormal roundings of one reduction, ``(q + 6) q
 #: 2^-1075`` for q up to 400 samples or points
 FLOOR = 2.0**-1056
-
-
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
 
 
 def divided(a, b, var, dim):

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -12,10 +13,7 @@ from conicswarm.experiments import GmmSpec, gen_gmm
 from conicswarm.kernels import GmmKernel, ReluKernel, SyntheticKernel, audit_assumptions, \
     gauss_density
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
-
-
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
+from helpers import rng, same_bits
 
 
 # One-pair views of the vectorized primitives; ``i`` restricts to one sample.
@@ -96,6 +94,18 @@ class TestGram:
         # scale (4 pi tau^2)^(-d/2) overflows or divides by 0
         with pytest.raises(ValueError, match="tau must be positive with a finite square"):
             GmmKernel(np.zeros((4, 2)), tau)
+
+    @pytest.mark.parametrize("tau, d", [(1e154, 2), (2e153, 2), (1e153, 3), (1e60, 12)])
+    def test_gmm_refuses_a_tau_whose_gaussian_constants_vanish(self, tau, d):
+        # every kernel entry is at most _knorm and every density at most
+        # _ynorm; at 1e154 the variances overflow and both are 0, at 2e153
+        # in d = 2 both are 1.99e-308, subnormal
+        with pytest.raises(ValueError, match=re.escape(f"tau = {tau!r} is too large in d = {d}")):
+            GmmKernel(np.zeros((4, d)), tau)
+
+    def test_gmm_keeps_a_tau_whose_gaussian_constants_are_normal(self):
+        model = GmmKernel(np.zeros((4, 2)), 1e153)  # both constants 7.96e-308
+        assert np.finfo(float).tiny <= min(model._knorm, model._ynorm) < 8e-308
 
     @pytest.mark.parametrize("sigma", [0.0, -1.2, math.nan, math.inf, 1e200, 1e-160, 1e-300])
     def test_synthetic_refuses_a_sigma_without_a_finite_positive_square(self, sigma):
@@ -256,11 +266,6 @@ def test_vectorized_matches_scalar_loops():
 # permuted or single), a subset of columns and the transposed call all give
 # the bits of the full call. Points on a 2^-20 grid stay exact when shifted
 # by 1e6, so there the entries must equal those of the unshifted points.
-
-def same_bits(x, y):
-    return x.shape == y.shape and \
-        np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
-
 
 def dyadic_points(g, n, d):
     return np.round(g.uniform(-8.0, 8.0, size=(n, d)) * 2**20) / 2**20

@@ -10,10 +10,7 @@ from conicswarm.objective import Problem, certificate, certificate_and_grad, fre
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem, \
     random_swarm
-
-
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
+from helpers import rng
 
 
 # One-point views of the vectorized evaluators.

@@ -8,10 +8,7 @@ from conicswarm.objective import certificate, certificate_and_grad
 from conicswarm.oracle import HOEFFDING_CAP_CONST, OracleConfig, check_hoeffding_cap, draw_batch
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem, \
     random_swarm
-
-
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
+from helpers import rng
 
 
 class TestDrawBatch:

@@ -27,6 +27,7 @@ from conicswarm.experiments import RegressionDataset, heldout_mse, relu_predict
 from conicswarm.kernels import KernelModel, ReluKernel
 from conicswarm.objective import Problem, loss
 from conicswarm.swarm import ParticleSwarm
+from helpers import same_bits
 
 EPS = np.finfo(float).eps
 ENTRIES = kernels._ROW_BLOCK_ENTRIES
@@ -157,11 +158,6 @@ def exact_values_loop(model, t, support, coef):
     for lo in range(0, len(t), step):
         vals[lo : lo + step] = np.maximum(model._aug @ t[lo : lo + step].T, 0.0).T @ r
     return vals / n
-
-
-def same_bits(x, y):
-    x, y = np.asarray(x), np.asarray(y)
-    return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 #: block sizes: 64 activations, so a few hundred rows span several blocks,

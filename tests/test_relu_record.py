@@ -24,19 +24,10 @@ from conicswarm.runner import RunAborted, RunConfig, run
 from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_relu_problem
+from helpers import rng, same_bits
 
 #: birth candidates per iteration
 N_CAND = 3
-
-
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
-
-
-def same_bits(x, y):
-    x, y = np.asarray(x), np.asarray(y)
-    return x.shape == y.shape and \
-        np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
 
 
 def activations(model, fetched=None, blocked=None):

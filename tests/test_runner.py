@@ -15,10 +15,7 @@ from conicswarm.runner import IterationRecord, RunAborted, RunConfig, RunResult,
 from conicswarm.schedules import AnytimePlan, FixedPlan, calibrate
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_synthetic_problem, random_swarm
-
-
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
+from helpers import rng
 
 
 def small_config(init, **kw):

@@ -20,16 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import conicswarm.kernels as kernels
 from conicswarm.kernels import GmmKernel, gauss_density
-
-
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
-
-
-def same_bits(x, y):
-    x, y = np.asarray(x), np.asarray(y)
-    return x.shape == y.shape and \
-        np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
+from helpers import rng, same_bits
 
 
 def reference_sqdist(a, b):

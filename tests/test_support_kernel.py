@@ -31,16 +31,7 @@ from conicswarm.runner import RunAborted, RunConfig, run
 from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, random_swarm
-
-
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
-
-
-def same_bits(x, y):
-    x, y = np.asarray(x), np.asarray(y)
-    return x.shape == y.shape and \
-        np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
+from helpers import rng, same_bits
 
 
 REAL_DENSITY = kernels.gauss_density

@@ -8,14 +8,16 @@ The observation is a signed point measure, so the certificate
 kernel matrix ``K(t, P)``; its values and gradients must have the bits of
 ``weighted_kernel(t, P, q)`` and ``weighted_grad1_kernel(t, P, q)``, which is
 how ``Signed`` below builds them. ``Reference`` composes the certificate from
-the four primitives, one kernel matrix per point set; it sums the same
-products in three groups, so the two agree within the summation bound
-``signed_sum_bound`` of ``test_certificate_field.py``. ``y_inner_many`` and
-``grad_y_inner_many`` build one kernel matrix ``K(t, [atoms; anchors])``
-whose column slices must have the bits of ``Reference``'s own calls. The
-loss is the base class's expanded form, which reads ``<y, phi_T>`` from the
-model's ``y_inner_many`` and builds ``K(T, T)`` on its own; it must give the
-bits of the reference's.
+the four primitives; it sums the same products in two groups, so the two
+agree within the summation bound ``signed_sum_bound`` of
+``test_certificate_field.py``. The observation alone is the point set
+``[atoms; anchors]`` weighted by ``[w; eta_b]`` (``observation``):
+``y_inner_many`` and ``grad_y_inner_many`` must have the bits of one product
+each against it, and stay within the same summation bound of the two
+products against the atoms and the anchors apart. The loss is the base
+class's expanded form, which reads ``<y, phi_T>`` from the model's
+``y_inner_many`` and builds ``K(T, T)`` on its own; it must give the bits of
+the reference's.
 
 A batch's noise mean is counted, ``bincount(idx, minlength=n) @ eta / m``,
 with no m x r gather, so an evaluation's memory does not grow with m; it
@@ -37,6 +39,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conicswarm.cli as cli
+import conicswarm.kernels as kernels
 import conicswarm.runner as runner
 from conicswarm.birth_death import BirthRule, DeathRule
 from conicswarm.config import load_config
@@ -45,20 +48,11 @@ from conicswarm.kernels import KernelModel, SyntheticKernel
 from conicswarm.runner import RunAborted, RunConfig, run, trace_to_csv
 from conicswarm.schedules import AnytimePlan
 from conicswarm.swarm import ParticleSwarm
-from test_certificate_field import counted_mean, signed_field, signed_sum_bound, traced_peak
+from helpers import rng, same_bits, traced_peak
+from test_certificate_field import counted_mean, signed_field, signed_sum_bound
 from test_weighted_kernel import EPS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
-
-
-def same_bits(x, y):
-    x, y = np.asarray(x), np.asarray(y)
-    return x.shape == y.shape and \
-        np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
 
 
 def counted_mean_bound(model, idx):
@@ -80,6 +74,13 @@ def counted_mean_bound(model, idx):
     return 1.01 * (n + m + 1) * (EPS / 2) * total / m
 
 
+def observation(model, idx):
+    """The observation as one weighted point set: ``[atoms; anchors]`` and
+    ``[w; eta_b]``, with the counted noise mean."""
+    return (np.vstack([model.atom_positions, model.anchors]),
+            np.concatenate([model.atom_weights, counted_mean(model, idx)]))
+
+
 class Reference(SyntheticKernel):
     """The certificate composed from the four primitives, each building one
     kernel matrix per point set, with the counted noise mean, and its
@@ -90,17 +91,14 @@ class Reference(SyntheticKernel):
 
     @property
     def y_norm_sq(self):
-        coefs = np.concatenate([self.atom_weights, self._eta_mean])
-        pts = np.vstack([self.atom_positions, self.anchors])
+        pts, coefs = observation(self, None)
         return float(coefs @ self.kernel_matrix(pts, pts) @ coefs)
 
     def y_inner_many(self, t, idx=None):
-        core = self.kernel_matrix(t, self.atom_positions) @ self.atom_weights
-        return core + self.kernel_matrix(t, self.anchors) @ counted_mean(self, idx)
+        return self.weighted_kernel(t, *observation(self, idx))
 
     def grad_y_inner_many(self, t, idx=None):
-        g = self.weighted_grad1_kernel(t, self.atom_positions, self.atom_weights)
-        return g + self.weighted_grad1_kernel(t, self.anchors, counted_mean(self, idx))
+        return self.weighted_grad1_kernel(t, *observation(self, idx))
 
     def certificate_field(self, t, support, coef, idx=None):
         return (self.weighted_kernel(t, support, coef) - self.y_inner_many(t, idx),
@@ -166,6 +164,29 @@ def test_certificate_has_the_bits_of_one_signed_measure(seed, dim, n_atoms, n_an
         assert np.all(np.abs(got - expected) <= bound)
 
 
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]),
+       n_atoms=st.integers(1, 5), n_anchors=st.integers(0, 4), n_points=POINTS, batch=BATCHES)
+@settings(max_examples=100, deadline=None)
+def test_observation_has_the_bits_of_one_product_against_atoms_and_anchors(
+        seed, dim, n_atoms, n_anchors, n_points, batch):
+    model, _ = model_pair(seed, dim, n_atoms, n_anchors)
+    g = rng(seed)
+    t = model.domain.sample_uniform(g, size=n_points)
+    idx = None if batch is None else g.integers(0, model.n_samples, size=batch)
+    points, q = observation(model, idx)
+    k = model.kernel_matrix(t, points)
+    vals, grads = model.y_inner_many(t, idx), model.grad_y_inner_many(t, idx)
+    assert same_bits(vals, k @ q)
+    assert same_bits(grads, kernels._gauss_grad(k, t, points, q, model.sigma**2))
+    # the atoms and the anchors apart sum the same terms in two groups
+    apart = [(model.atom_positions, q[:n_atoms]), (model.anchors, q[n_atoms:])]
+    split_vals = sum(model.kernel_matrix(t, pts) @ c for pts, c in apart)
+    split_grads = sum(model.weighted_grad1_kernel(t, pts, c) for pts, c in apart)
+    value_bound, grad_bound = signed_sum_bound(model, t, np.empty((0, dim)), np.empty(0), idx)
+    assert np.all(np.abs(vals - split_vals) <= value_bound)
+    assert np.all(np.abs(grads - split_grads) <= grad_bound)
+
+
 @given(seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 300),
        n_anchors=st.integers(0, 4), m=st.one_of(st.sampled_from([1, 2, 4096, 10**6]),
                                                 st.integers(1, 5000)))
@@ -174,7 +195,7 @@ def test_counted_noise_mean_within_rounding_of_the_gathered_mean(seed, n_samples
                                                                  m):
     model, _ = model_pair(seed, 2, 3, n_anchors, n_samples=n_samples)
     idx = rng(seed).integers(0, n_samples, size=m)
-    got = model._noise_coef(idx)
+    got = model._y_coef(idx)[model.atom_weights.size :]
     assert same_bits(got, counted_mean(model, idx))
     assert np.all(np.abs(got - model.eta[idx].mean(axis=0)) <= counted_mean_bound(model, idx))
 
@@ -213,13 +234,13 @@ def test_each_evaluation_builds_one_kernel_matrix(monkeypatch):
     model, _ = model_pair(3, 2, 3, 3)
     g = rng(4)
     support, t = model.domain.sample_uniform(g, size=6), model.domain.sample_uniform(g, size=4)
-    real, built = SyntheticKernel.kernel_matrix, []
+    real, built = SyntheticKernel._kernel, []
 
-    def counting(self, a, b, idx=None):
+    def counting(self, a, b):
         built.append((len(a), len(b)))
-        return real(self, a, b, idx)
+        return real(self, a, b)
 
-    monkeypatch.setattr(SyntheticKernel, "kernel_matrix", counting)
+    monkeypatch.setattr(SyntheticKernel, "_kernel", counting)
     for idx in (None, g.integers(0, 64, size=16)):
         built.clear()
         evaluations(model, t, support, np.ones(6), idx)
@@ -235,13 +256,13 @@ def test_each_evaluation_builds_one_kernel_matrix(monkeypatch):
 def noise_means(model):
     """Makes the model log the batch size of every noise mean it computes,
     None for the exact mean; returns the log."""
-    log, real = [], model._noise_coef
+    log, real = [], model._y_coef
 
     def counting(idx):
         log.append(None if idx is None else len(idx))
         return real(idx)
 
-    model._noise_coef = counting
+    model._y_coef = counting
     return log
 
 
