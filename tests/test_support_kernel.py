@@ -1,4 +1,4 @@
-"""``GmmKernel``'s loop evaluations, which take the support's inputs from ``ev``.
+"""What ``GmmKernel``'s loop evaluations build.
 
 Each iteration scores the pushed support ``T'`` against itself
 (``pushed_values``) and the birth candidates ``C`` against ``T'`` on the
@@ -7,16 +7,12 @@ followed by ``C[born]``. ``ev`` carries the batch rows, ``K(T', T')`` and
 ``K(C, T')``, and in an exact run the data-side rows and means of both, so
 ``support_field`` builds only ``K(C_born, C_born)``, after deaths too, and
 no data-side rows in an exact run, and the candidates fetch no batch.
-Gaussian entries and rows are pair-local, so every loop evaluation must
-give the bits of the stateless ``certificate_values`` and
-``certificate_field``, and whole runs the rows of runs patched to the
-stateless evaluators. The model keeps nothing between calls: every
-stateless evaluation builds fresh.
+Every stateless evaluation builds fresh. That the loop evaluations have
+the bits of the stateless ones and keep nothing in the model is checked
+for every model in ``test_loop_evaluations.py``.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -24,14 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 import conicswarm.kernels as kernels
 import conicswarm.runner as runner
-from conicswarm.birth_death import BirthRule, DeathRule
-from conicswarm.kernels import GmmKernel, KernelModel
+from conicswarm.birth_death import DeathRule
+from conicswarm.kernels import GmmKernel
 from conicswarm.objective import loss
-from conicswarm.runner import RunAborted, RunConfig, run
-from conicswarm.schedules import FixedPlan
+from conicswarm.runner import run
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, random_swarm
-from helpers import rng, same_bits
+from helpers import loop_config, rng, same_bits
 
 
 REAL_DENSITY = kernels.gauss_density
@@ -87,103 +82,8 @@ def evaluations(monkeypatch, built):
     return out
 
 
-def stateless(monkeypatch):
-    """Patches ``GmmKernel``'s loop evaluations to the stateless defaults."""
-    for name in LOOP_EVALUATIONS:
-        monkeypatch.setattr(GmmKernel, name, getattr(KernelModel, name))
-
-
-def attributes(model):
-    """The model's attributes, by identity: equal before and after a run
-    when the run neither adds nor rebinds one."""
-    return {name: id(value) for name, value in vars(model).items()}
-
-
-def masks(size):
-    """Boolean masks of ``size`` entries: all, none, or any."""
-    return st.one_of(st.just([True] * size), st.just([False] * size),
-                     st.lists(st.booleans(), min_size=size, max_size=size)) \
-        .map(lambda m: np.array(m, dtype=bool))
-
-
-def loop_config(init, full_batch, **kw):
-    base = dict(init_swarm=init, k_iters=40, alpha=0.5, plan=FixedPlan(0.02, 32, 0.05),
-                full_batch=full_batch, birth_death=True,
-                death_rule=DeathRule(kind="ratio", tau_death=5.0),
-                birth_rule=BirthRule(threshold_coeff=0.0, candidates_per_iter=4),
-                seed=9, trace_cadence=10)
-    base.update(kw)
-    return RunConfig(**base)
-
-
 #: a death rule that never fires
 NO_DEATHS = DeathRule(kind="ratio", tau_death=1e300)
-
-
-def rows(trace):
-    return [(r.k, r.loss, r.tv, r.particles, r.births, r.deaths, r.min_cert, r.delta,
-             r.cert_norm_sq) for r in trace]
-
-
-@given(seed=st.integers(0, 2**32 - 1), data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_warm_model_gives_fresh_bits(seed, data):
-    # the loop evaluations against a fresh model's stateless ones, on exact
-    # and mini-batch runs, for any survivors and births
-    problem = make_gmm_problem(seed=3)
-    g = rng(seed)
-    warm, fresh = problem.model, GmmKernel(problem.model.data, problem.model.tau)
-    n = warm.n_samples
-    # 70 and 200 points take ``_sqdist``'s product path and ``_gauss_self``'s
-    # blocks, where the subsets a support field assembles take neither
-    size = data.draw(st.one_of(st.integers(0, 7), st.sampled_from([70, 200])))
-    pushed = problem.domain.sample_uniform(g, size=size)
-    cand = problem.domain.sample_uniform(g, size=data.draw(st.integers(1, 5)))
-    coef = g.uniform(-1.0, 1.0, size=len(pushed))
-    exact = data.draw(st.booleans())
-    idx = None if exact else g.integers(0, n, size=32)
-    vals, ev = warm.pushed_values(pushed, coef, idx)
-    assert same_bits(vals, fresh.certificate_values(pushed, pushed, coef, idx))
-    assert same_bits(warm.candidate_values(ev, cand),
-                     fresh.certificate_values(cand, pushed, coef, idx))
-    keep, born = data.draw(masks(len(pushed))), data.draw(masks(len(cand)))
-    t = np.vstack([pushed[keep], cand[born]])
-    c = g.uniform(-1.0, 1.0, size=len(t))
-    idx = None if exact else g.integers(0, n, size=32)
-    for got, want in zip(warm.support_field(t, c, idx, ev, keep, born),
-                         fresh.certificate_field(t, t, c, idx)):
-        assert same_bits(got, want)
-
-
-@pytest.mark.parametrize("full_batch", [True, False])
-def test_assembled_kernel_has_fresh_bits(monkeypatch, full_batch):
-    # whole runs with deaths and births, beta = 0 and > 0, equal runs patched
-    # to the stateless evaluators, row for row, and every assembled support
-    # field has the bits of the stateless one
-    problem = make_gmm_problem(seed=7)
-    init = random_swarm(problem, rng(8), max_particles=6)
-    real, assembled = GmmKernel.support_field, []
-
-    def checked(self, t, coef, idx, ev, keep, born):
-        got = real(self, t, coef, idx, ev, keep, born)
-        for g, w in zip(got, self.certificate_field(t, t, coef, idx)):
-            assert same_bits(g, w)
-        assembled.append(ev is not None)
-        return got
-
-    configs = [loop_config(init, full_batch, k_iters=60, plan=FixedPlan(0.02, 32, beta),
-                           death_rule=DeathRule())
-               for beta in (0.0, 0.05)]
-    monkeypatch.setattr(GmmKernel, "support_field", checked)
-    results = [run(config, problem) for config in configs]
-    assert sum(assembled) >= 100
-    stateless(monkeypatch)
-    for config, res in zip(configs, results):
-        assert res.total_births > 0 and res.total_deaths > 0
-        again = run(config, problem)
-        assert rows(res.trace) == rows(again.trace)
-        for name in ("weights", "signs", "positions"):
-            assert same_bits(getattr(res.final_swarm, name), getattr(again.final_swarm, name))
 
 
 @pytest.mark.parametrize("full_batch", [True, False])
@@ -216,8 +116,7 @@ def test_iteration_after_deaths_builds_only_the_born_block(monkeypatch, built, f
     for name in ("weight_push_update", "apply_mass_tweak"):
         monkeypatch.setattr(runner, name, lambda *args, _real=getattr(runner, name):
                             marks.append(len(built)) or _real(*args))
-    res = run(loop_config(init, full_batch, k_iters=60, death_rule=DeathRule(),
-                          trace_cadence=1000), problem)
+    res = run(loop_config(init, full_batch, k_iters=60, trace_cadence=1000), problem)
     model = problem.model
     steps = res.trace[1:-1]
     assert sum(rec.deaths > 0 for rec in steps) >= 5 and res.total_births > 0
@@ -255,6 +154,20 @@ def support_builds(built, model, support, ev=None, keep=None, born=None):
     since = len(built)
     model.support_field(support, np.ones(len(support)), None, ev, keep, born)
     return data_rows(built, model, since), kernel_entries(built, model, since)
+
+
+@given(p=st.sampled_from([0, 1, 2, 65, 300]), seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_kept_kernel_has_the_bits_of_np_ix(p, seed, data):
+    # no, all, a few (block copies), many (np.ix_) and any dead indices
+    index = st.integers(0, max(p - 1, 0))
+    dead = data.draw(st.one_of(
+        st.just([]), st.just(list(range(p))), st.lists(index, min_size=min(p, 1), max_size=min(p, 3)),
+        st.lists(index, min_size=min(p, 20), max_size=p), st.lists(index, max_size=p)))
+    keep = np.ones(p, dtype=bool)
+    keep[dead] = False
+    k = rng(seed).standard_normal((p, p))
+    assert same_bits(kernels._kept(k, keep), k[np.ix_(keep, keep)])
 
 
 def test_kept_support_with_births_builds_only_the_born_block(built):
@@ -380,41 +293,11 @@ def test_mini_batch_iteration_fetches_two_batches():
 
 
 def test_nothing_kept_after_run(built):
+    # a stateless field after a run builds every data-side row again
     problem = make_gmm_problem(seed=7)
     init = random_swarm(problem, rng(8), max_particles=6)
-    problem.model.y_norm_sq  # the one cached constant
-    before = attributes(problem.model)
     res = run(loop_config(init, True), problem)
-    assert attributes(problem.model) == before
     since = len(built)
     positions = res.final_swarm.positions
     problem.model.certificate_field(positions, positions, np.ones(len(positions)))
     assert data_rows(built, problem.model, since) == len(positions)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_nothing_kept_after_abort():
-    # a light particle on a cluster has a negative certificate, and alpha = 1e6
-    # sends the weight update past the float range
-    problem = make_gmm_problem(seed=7)
-    problem.model.y_norm_sq
-    before = attributes(problem.model)
-    init = ParticleSwarm(np.full(1, 1e-6), np.ones(1), np.array([[2.5, 0.0]]))
-    with pytest.raises(RunAborted):
-        run(loop_config(init, True, alpha=1e6), problem)
-    assert attributes(problem.model) == before
-
-
-def test_trace_does_not_depend_on_the_cadence():
-    problem = make_gmm_problem(seed=7)
-    init = random_swarm(problem, rng(8), max_particles=6)
-    for full_batch in (True, False):
-        config = loop_config(init, full_batch, k_iters=60)
-        fine = run(dataclasses.replace(config, trace_cadence=1), problem).trace
-        coarse = run(dataclasses.replace(config, trace_cadence=10), problem).trace
-        assert len(fine) == len(coarse) == 61
-        for a, b in zip(fine, coarse):
-            assert (a.k, a.tv, a.particles, a.births, a.deaths, a.min_cert, a.cert_norm_sq) == \
-                (b.k, b.tv, b.particles, b.births, b.deaths, b.min_cert, b.cert_norm_sq)
-            if b.loss is not None:
-                assert a.loss == b.loss

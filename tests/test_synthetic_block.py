@@ -24,10 +24,11 @@ with no m x r gather, so an evaluation's memory does not grow with m; it
 stays within the summation bound ``counted_mean_bound`` of the gathered
 ``eta[idx].mean(axis=0)``. The pushed certificate and the birth candidates
 share a batch, so ``pushed_values`` computes its mean once and hands
-``(P, q)`` to ``candidate_values`` in ``ev``. The model keeps nothing
-between calls: every stateless evaluation computes its own mean, and a run
-leaves the model's attributes as it found them. CI runs the bit and bound
-tests again with OpenBLAS on two threads.
+``(P, q)`` to ``candidate_values`` in ``ev``; every stateless evaluation
+computes its own mean. That the loop evaluations have the bits of the
+stateless ones and keep nothing in the model is checked for every model in
+``test_loop_evaluations.py``. CI runs the bit and bound tests again with
+OpenBLAS on two threads.
 """
 
 from __future__ import annotations
@@ -35,20 +36,18 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import conicswarm.cli as cli
 import conicswarm.kernels as kernels
-import conicswarm.runner as runner
-from conicswarm.birth_death import BirthRule, DeathRule
+from conicswarm.birth_death import BirthRule
 from conicswarm.config import load_config
 from conicswarm.domain import Box
 from conicswarm.kernels import KernelModel, SyntheticKernel
-from conicswarm.runner import RunAborted, RunConfig, run, trace_to_csv
+from conicswarm.runner import run, trace_to_csv
 from conicswarm.schedules import AnytimePlan
-from conicswarm.swarm import ParticleSwarm
-from helpers import rng, same_bits, traced_peak
+from conicswarm.verify import random_swarm
+from helpers import loop_config, rng, same_bits, traced_peak
 from test_certificate_field import counted_mean, signed_field, signed_sum_bound
 from test_weighted_kernel import EPS
 
@@ -291,21 +290,8 @@ def test_noise_mean_is_kept_for_its_batch_only():
     assert log[before:] == [32, 32]
 
 
-def attributes(model):
-    """The model's attributes, by identity."""
-    return {name: id(value) for name, value in vars(model).items()}
-
-
 def theory_problem():
     return cli.build_problem(load_config(CONFIGS / "synthetic_theory.cfg"))[0]
-
-
-def loop_config(problem, k_iters=40):
-    g = rng(2)
-    init = ParticleSwarm(np.full(8, 0.04), np.ones(8), problem.domain.sample_uniform(g, size=8))
-    return RunConfig(init_swarm=init, k_iters=k_iters, alpha=0.5, plan=AnytimePlan(alpha=0.5),
-                     death_rule=DeathRule(), birth_rule=BirthRule(threshold_coeff=0.05),
-                     seed=9, trace_cadence=10)
 
 
 def test_iteration_computes_two_noise_means():
@@ -313,32 +299,11 @@ def test_iteration_computes_two_noise_means():
     # and the candidates share the second one. The loss reads the exact mean.
     problem = theory_problem()
     log = noise_means(problem.model)
-    config = loop_config(problem)
+    config = loop_config(random_swarm(problem, rng(2)), plan=AnytimePlan(alpha=0.5),
+                         birth_rule=BirthRule(threshold_coeff=0.05))
     run(config, problem)
     assert [m for m in log if m is not None] == \
         [m for k in range(1, config.k_iters + 1) for m in [config.plan.at(k)[1]] * 2]
-
-
-def test_record_dropped_after_run_and_after_abort(monkeypatch):
-    # a run, and a run that aborts, leave the model's attributes as they were
-    problem = theory_problem()
-    problem.model.y_norm_sq  # the one cached constant
-    before = attributes(problem.model)
-    run(loop_config(problem, k_iters=5), problem)
-    assert attributes(problem.model) == before
-    real, seen = runner.weight_push_update, []
-
-    def failing(problem_, swarm, certs, grads, rates):
-        seen.append(attributes(problem.model) == before)
-        if len(seen) == 3:
-            raise ValueError("stop here")
-        return real(problem_, swarm, certs, grads, rates)
-
-    monkeypatch.setattr(runner, "weight_push_update", failing)
-    with pytest.raises(RunAborted):
-        run(loop_config(problem), problem)
-    assert seen == [True] * 3
-    assert attributes(problem.model) == before
 
 
 def run_files(tmp_path, name, iterations=200):
