@@ -8,7 +8,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import math
 import sys
 from pathlib import Path
@@ -231,24 +230,7 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _raise_malloc_thresholds() -> bool:
-    """Set glibc's mmap threshold to 256 MiB and then its trim threshold to
-    512 MiB for this process, so that the loop's large temporaries reuse
-    heap pages instead of faulting fresh ones in on every iteration. Both or
-    neither: either one alone switches off glibc's dynamic threshold and
-    faults more than neither. Returns whether both were set; does nothing
-    without glibc's ``mallopt``."""
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    # M_MMAP_THRESHOLD (-3), then M_TRIM_THRESHOLD (-1) only if that was set
-    return mallopt(-3, 256 << 20) == 1 and mallopt(-1, 512 << 20) == 1
-
-
 def cmd_run(args) -> int:
-    _raise_malloc_thresholds()
     spec = load_config(args.config, profile_override=args.profile)
     if args.seed is not None:
         spec.run["seed"] = parse_value("run", "seed", args.seed, "--seed")

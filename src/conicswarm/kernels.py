@@ -247,33 +247,6 @@ def _gauss_self(x: np.ndarray, var: float) -> np.ndarray:
     return k
 
 
-#: most dropped indices for which ``_kept`` copies blocks instead of ``np.ix_``
-_KEPT_BLOCK_DEATHS = 3
-
-
-def _kept(k: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``k[np.ix_(keep, keep)]`` of a square ``k``. After at most
-    ``_KEPT_BLOCK_DEATHS`` dropped indices, as after most iterations'
-    deaths, the kept indices form a few runs, and each pair of runs is one
-    block copy: about a fifth of ``np.ix_``'s time at p = 280 and a quarter
-    at 650. After more, ``np.ix_``. Both copy every entry, so the bits are
-    the same."""
-    kept = np.flatnonzero(keep)
-    if len(keep) - len(kept) > _KEPT_BLOCK_DEATHS:
-        return k[np.ix_(kept, kept)]
-    cuts = [-1, *np.flatnonzero(~keep).tolist(), len(keep)]
-    runs = [(a + 1, b) for a, b in zip(cuts, cuts[1:]) if b > a + 1]
-    out = np.empty((len(kept), len(kept)), dtype=k.dtype)
-    i = 0
-    for a, b in runs:
-        j = 0
-        for c, d in runs:
-            out[i : i + b - a, j : j + d - c] = k[a:b, c:d]
-            j += d - c
-        i += b - a
-    return out
-
-
 def _close_pair_sum(x: np.ndarray, scale: float, cutoff: float) -> float:
     """``sum_ij exp(-|x_i - x_j|^2 / scale)`` over every ordered pair closer
     than ``cutoff`` (and some farther ones), by a cell list.
@@ -634,7 +607,7 @@ class GmmKernel(GaussianKernel):
     ``K(T', T')``, the unnormalized ``K(C, T')`` that ``candidate_values``
     adds and, in an exact run, the data-side rows (unnormalized) and means
     of both. ``support_field`` assembles the next support's kernel from
-    ``_kept(K(T', T'), keep)`` and ``K(C, T')[born][:, keep]`` (indexing
+    ``K(T', T')[keep][:, keep]`` and ``K(C, T')[born][:, keep]`` (indexing
     only what died or was born), builds only ``K(C_born, C_born)``, and in
     an exact run takes its rows from ``ev`` too; all of it is pair-local,
     so it has fresh bits.
@@ -771,7 +744,7 @@ class GmmKernel(GaussianKernel):
         died = not keep.all()
         k, side = ev["k"], (ev["side"] if idx is None else None)
         if died:
-            k = _kept(k, keep)
+            k = k[np.ix_(keep, keep)]
             if side is not None:
                 side = side[0][keep], side[1][keep]
         if born.any():

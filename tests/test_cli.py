@@ -96,17 +96,18 @@ iterations = 10
 """
 
 
-def run_python(*args):
-    """``python *args`` with the package's own source tree, installed or not."""
+def run_module(*args):
+    """``python -m conicswarm *args`` from the package's own source tree,
+    installed or not."""
     src = str(Path(conicswarm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, "-m", "conicswarm", *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
 def test_python_dash_m_runs_the_cli():
-    done = run_python("-m", "conicswarm", "--help")
+    done = run_module("--help")
     assert done.returncode == 0, done.stderr
     assert "verify" in done.stdout
 
@@ -114,35 +115,8 @@ def test_python_dash_m_runs_the_cli():
 def test_calibrate_prints_the_committed_synthetic_theory_report():
     # the command in its own process: exit 0, nothing on stderr, and stdout
     # byte for byte the report that test_audit_batched pins in-process
-    done = run_python("-m", "conicswarm", "calibrate", "--config",
-                      str(CONFIGS / "synthetic_theory.cfg"))
+    done = run_module("calibrate", "--config", str(CONFIGS / "synthetic_theory.cfg"))
     assert (done.returncode, done.stderr, done.stdout) == (0, "", SYNTHETIC_THEORY_REPORT)
-
-
-#: a warm 300-iteration ``gmm_desk.cfg`` loop after ``_raise_malloc_thresholds``;
-#: prints its minor page faults per iteration, or exits 3 without glibc
-WARM_LOOP_FAULTS = f"""
-import resource, sys
-from conicswarm import cli
-if not cli._raise_malloc_thresholds():
-    sys.exit(3)
-spec = cli.load_config({str(CONFIGS / "gmm_desk.cfg")!r})
-spec.run["iterations"] = 300
-problem, extras = cli.build_problem(spec)
-config = cli.build_run_config(spec, problem, extras)[0]
-cli.run(config, problem)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-cli.run(config, problem)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 300)
-"""
-
-
-def test_run_command_loop_maps_no_fresh_pages():
-    done = run_python("-c", WARM_LOOP_FAULTS)
-    if done.returncode == 3:
-        pytest.skip("glibc's mallopt is not available")
-    assert done.returncode == 0, done.stderr
-    assert float(done.stdout) <= 5
 
 
 class TestConfigParsing:

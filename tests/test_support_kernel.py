@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import conicswarm.kernels as kernels
 import conicswarm.runner as runner
@@ -154,20 +153,6 @@ def support_builds(built, model, support, ev=None, keep=None, born=None):
     since = len(built)
     model.support_field(support, np.ones(len(support)), None, ev, keep, born)
     return data_rows(built, model, since), kernel_entries(built, model, since)
-
-
-@given(p=st.sampled_from([0, 1, 2, 65, 300]), seed=st.integers(0, 2**32 - 1), data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_kept_kernel_has_the_bits_of_np_ix(p, seed, data):
-    # no, all, a few (block copies), many (np.ix_) and any dead indices
-    index = st.integers(0, max(p - 1, 0))
-    dead = data.draw(st.one_of(
-        st.just([]), st.just(list(range(p))), st.lists(index, min_size=min(p, 1), max_size=min(p, 3)),
-        st.lists(index, min_size=min(p, 20), max_size=p), st.lists(index, max_size=p)))
-    keep = np.ones(p, dtype=bool)
-    keep[dead] = False
-    k = rng(seed).standard_normal((p, p))
-    assert same_bits(kernels._kept(k, keep), k[np.ix_(keep, keep)])
 
 
 def test_kept_support_with_births_builds_only_the_born_block(built):
