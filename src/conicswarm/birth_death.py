@@ -110,8 +110,9 @@ def evaluate_birth_candidates(problem: Problem, ev, rule: BirthRule, eps_k: floa
     evaluation ``ev`` of ``KernelModel.pushed_values`` (its measure, on its
     batch) and apply the threshold.
 
-    Returns ``(born, candidates, cand_signs, cand_certs, threshold)``; the
-    ``born`` swarm holds the accepted candidates in draw order.
+    Returns ``(born, candidates, accept, cand_certs, threshold)``: the
+    ``born`` swarm holds the candidates where the mask ``accept`` holds, in
+    draw order.
     """
     n_cand = rule.candidates_per_iter
     positions = problem.domain.sample_uniform(rng, size=n_cand)
@@ -124,7 +125,7 @@ def evaluate_birth_candidates(problem: Problem, ev, rule: BirthRule, eps_k: floa
     mass = eps_k if rule.birth_mass is None else rule.birth_mass
     accept = certs <= level
     born = ParticleSwarm(np.full(int(accept.sum()), mass), signs[accept], positions[accept])
-    return born, positions, signs, certs, level
+    return born, positions, accept, certs, level
 
 
 def apply_mass_tweak(swarm: ParticleSwarm, deaths, births: ParticleSwarm) -> ParticleSwarm:

@@ -107,8 +107,15 @@ def build_init_swarm(spec: RunSpec, problem: Problem, extras) -> ParticleSwarm:
         path = spec.resolve_path(init[4:])
         swarm = ParticleSwarm.from_csv(path)
         if swarm.dim != problem.domain.dim:
-            raise ConfigError(f"init {path}: swarm has dimension {swarm.dim}, "
+            raise ConfigError(f"[run] init {path}: swarm has dimension {swarm.dim}, "
                               f"the problem {problem.domain.dim}")
+        outside = np.flatnonzero(~problem.domain.contains(swarm.positions))
+        if outside.size:
+            raise ConfigError(f"[run] init {path}: particle {outside[0]} at "
+                              f"{swarm.positions[outside[0]].tolist()} lies outside the domain")
+        if not problem.signed and np.any(swarm.signs < 0):
+            raise ConfigError(f"[run] init {path}: the problem is unsigned, "
+                              "but the swarm has negative signs")
         return swarm
     if init == "sphere":
         pos = rng.standard_normal((p0, problem.domain.dim))

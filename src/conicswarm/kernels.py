@@ -9,37 +9,30 @@ full-data quantity):
 * ``y_inner_many(T, idx)``            -- <y, phi_t> per row of T
 * ``grad_y_inner_many(T, idx)``       -- gradient of the above
 
-the value-side twin of ``weighted_grad1_kernel``, ``kernel_matrix(A, B,
-idx) @ c`` in value, which both Gaussian models form from their
-unnormalized entries with the constant applied to the product, and which
-ReLU forms in feature space, ``relu(X A)' (relu(X B) c) / m``, in
-O(m (|A| + |B|) d) without the |A| x |B| matrix,
-
-* ``weighted_kernel(A, B, c, idx)``   -- sum_j c_j K(a_i, b_j)
-
 and one fused evaluator of the unsigned certificate field,
 
 * ``certificate_field(T, S, c, idx)`` -- ``(K(T, S) c - <y, phi_T>,
   sum_j c_j grad K(T, s_j) - grad <y, phi_T>)``
 
 which builds one kernel matrix and one data-side density for both values
-and gradients. The mixture matches ``weighted_kernel``, ``y_inner_many``,
-``weighted_grad1_kernel`` and ``grad_y_inner_many`` bit for bit, the
-synthetic model up to summation rounding (see below). ReLU
-builds one activation array and no kernel matrix, and correlates it with
-the residual ``r = relu(X_b S) c - y``: values ``act' r / m``, gradients
-``((X_b * r)' [act > 0])' / m`` with the residual scaling the batch rows,
-equal to the primitives' up to summation rounding. Two more evaluators
-serve value-only calls:
+and gradients. The mixture matches ``GaussianKernel.weighted_kernel``
+(``K c`` from the unnormalized entries, the constant applied to the
+product), ``y_inner_many``, ``weighted_grad1_kernel`` and
+``grad_y_inner_many`` bit for bit, the synthetic model up to summation
+rounding (see below). ReLU builds one activation array and no kernel
+matrix, and correlates it with the residual ``r = relu(X_b S) c - y``:
+values ``act' r / m``, gradients ``((X_b * r)' [act > 0])' / m`` with the
+residual scaling the batch rows, equal to ``K c`` and the primitives up to
+summation rounding. Two more evaluators serve value-only calls:
 
 * ``certificate_values(T, S, c, idx)`` -- the values of
   ``certificate_field`` alone, from the same inputs and with the same
   expression, so the two agree bit for bit; ReLU builds one activation of
   T, reused for S when S equals T (exactly, over blocks of both);
 * ``objective_value(T, w, s, kappa)`` -- the exact objective of a
-  non-empty swarm, by default the expanded
+  non-empty swarm. Both Gaussian models take the expanded
   ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
-  ``c = s w``, which both Gaussian models use. ReLU sums the residual
+  ``c = s w``, the last term from ``weighted_kernel``. ReLU sums the residual
   ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)`` over the 1 MiB row
   blocks of ``relu_outputs``, so its memory does not grow with n.
 
@@ -330,10 +323,6 @@ class KernelModel(ABC):
     def kernel_matrix(self, a, b, idx=None) -> np.ndarray: ...
 
     @abstractmethod
-    def weighted_kernel(self, a, b, coef, idx=None) -> np.ndarray:
-        """``sum_j coef_j K(a_i, b_j)``, shape (|a|,)."""
-
-    @abstractmethod
     def weighted_grad1_kernel(self, a, b, coef, idx=None) -> np.ndarray: ...
 
     @abstractmethod
@@ -373,13 +362,10 @@ class KernelModel(ABC):
         does; ``ev`` and the masks are None if no pushed evaluation came."""
         return self.certificate_field(t, t, coef, idx)
 
+    @abstractmethod
     def objective_value(self, t, weights, signs, kappa: float) -> float:
-        """``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
-        ``c = s w``: the exact objective of a non-empty swarm."""
-        c = weights * signs
-        k_t = signs * self.y_inner_many(t)
-        quad = c @ self.weighted_kernel(t, t, c)
-        return float(0.5 * self.y_norm_sq + (kappa - k_t) @ weights + 0.5 * quad)
+        """The exact objective of a non-empty swarm at positions t, weights w
+        and signs s."""
 
     @abstractmethod
     def _pair_grad1(self, a, b) -> np.ndarray:
@@ -437,6 +423,7 @@ class GaussianKernel(KernelModel):
         return _gauss_grad(k, a, b, coef, self._kvar) * self._knorm
 
     def weighted_kernel(self, a, b, coef, idx=None):
+        """``sum_j coef_j K(a_i, b_j)``, shape (|a|,)."""
         a, b, coef = self._operands(a, b, coef)
         return self._values(self._kernel(a, b), coef)
 
@@ -447,6 +434,14 @@ class GaussianKernel(KernelModel):
     def _pair_grad1(self, a, b):
         k = _gauss_finish(_pair_sqdist(a, b), self._kvar)
         return _pair_gauss_grad(k, a, b, self._kvar) * self._knorm
+
+    def objective_value(self, t, weights, signs, kappa):
+        """``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
+        ``c = s w``."""
+        c = weights * signs
+        k_t = signs * self.y_inner_many(t)
+        quad = c @ self.weighted_kernel(t, t, c)
+        return float(0.5 * self.y_norm_sq + (kappa - k_t) @ weights + 0.5 * quad)
 
 
 class SyntheticKernel(GaussianKernel):
@@ -785,13 +780,12 @@ class ReluKernel(KernelModel):
     evaluates ``relu(<v, x_k> + b)`` across the data, with the empirical
     L2(P_n) inner product. The subgradient of relu at 0 is taken as 0.
 
-    Weighted sums of kernel values are formed in feature space,
-    ``K(A, B) c = relu(X A)' (relu(X B) c) / m``, so neither the
-    certificate nor the loss builds a particle-by-particle matrix. The
-    certificate correlates the features of t with the residual
-    ``r = relu(X_b S) c - y``: one product for the values, and one of the
-    residual-scaled batch rows with the activation mask for the gradients,
-    with one m x |t| float array for both.
+    The certificate and the loss read ``K(T, S) c`` in feature space,
+    through the network output ``relu(X S) c``, so neither builds a
+    particle-by-particle matrix. The certificate correlates the features of
+    t with the residual ``r = relu(X_b S) c - y``: one product for the
+    values, and one of the residual-scaled batch rows with the activation
+    mask for the gradients, with one m x |t| float array for both.
 
     ``ev`` holds the batch rows ``X_b`` and the pushed support's residual
     ``r`` on them, so the birth candidates build only their own activation.
@@ -837,13 +831,6 @@ class ReluKernel(KernelModel):
         act_a = np.maximum(pre_a, 0.0)
         act_b = np.maximum(aug @ b.T, 0.0)
         return act_a.T @ act_b / aug.shape[0]
-
-    def weighted_kernel(self, a, b, coef, idx=None):
-        a, b, coef = self._operands(a, b, coef)
-        aug, pre_a = self._acts(a, idx)
-        act_a = np.maximum(pre_a, 0.0)
-        act_b = act_a if np.array_equal(a, b) else np.maximum(aug @ b.T, 0.0)
-        return act_a.T @ (act_b @ coef) / aug.shape[0]
 
     def weighted_grad1_kernel(self, a, b, coef, idx=None):
         a, b, coef = self._operands(a, b, coef)

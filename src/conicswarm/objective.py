@@ -8,7 +8,7 @@ with the signed Gram matrix ``K_T[i, j] = s_i s_j K(t_i, t_j)`` and
 ``k_T[j] = s_j <y, phi_{t_j}>``. ``loss`` hands a non-empty swarm to
 ``KernelModel.objective_value``: the Gaussian models evaluate this
 expanded form with the quadratic term ``c'(K c)``, ``c = s * W``, through
-``weighted_kernel``; ReLU sums the equal network residual
+``GaussianKernel.weighted_kernel``; ReLU sums the equal network residual
 ``0.5 mean((relu(X T) c - y)^2) + kappa * sum(W)`` over fixed row blocks,
 so it builds neither K_T nor an n x p activation array.
 
@@ -111,7 +111,7 @@ def frechet_gap(problem: Problem, nu: ParticleSwarm, sigma: ParticleSwarm) -> fl
     certs = certificate(problem, nu, sigma.positions, sigma.signs)
     linear = float(certs @ sigma.weights)
     c = sigma.weights * sigma.signs
-    quad = 0.5 * float(c @ problem.model.weighted_kernel(sigma.positions, sigma.positions, c))
+    quad = 0.5 * float(c @ problem.model.kernel_matrix(sigma.positions, sigma.positions) @ c)
     return abs(j_plus - j_nu - linear - quad)
 
 

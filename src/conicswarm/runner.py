@@ -169,11 +169,10 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
             vals, ev = model.pushed_values(swarm.positions, swarm.weights * swarm.signs, idx_plus)
             pushed = swarm.signs * vals + kappa
             death_idx = select_deaths(swarm, pushed, config.death_rule, eps_k, rng)
-            born, _, _, cand_certs, level = evaluate_birth_candidates(
+            born, _, born_mask, cand_certs, _ = evaluate_birth_candidates(
                 problem, ev, config.birth_rule, eps_k, threshold_m, rng)
             keep = np.ones(len(swarm), dtype=bool)
             keep[death_idx] = False
-            born_mask = cand_certs <= level
             seen = np.concatenate([pushed, cand_certs])
             swarm = apply_mass_tweak(swarm, death_idx, born)
             births, deaths = len(born), len(death_idx)

@@ -4,10 +4,10 @@
 ``_ROW_BLOCK_ENTRIES`` entries in ``y_inner_many`` (and so the loss) and in
 ``certificate_values`` (and so ``kkt_residual`` and ``frechet_gap``).
 Gaussian entries are pair-local and each row is averaged on its own, so the
-means must equal the one-shot ``gauss_density(t, data, ...).mean(axis=1)``
-times the density's constant, bit for bit on both sides of every block
-edge, before and after an exact pushed evaluation, whose full rows go to
-its ``ev`` alone, and the temporaries must not grow with n.
+means must equal the reference's one-shot ``mixture_means`` bit for bit on
+both sides of every block edge, before and after an exact pushed
+evaluation, whose full rows go to its ``ev`` alone, and the temporaries
+must not grow with n.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from conicswarm.objective import kkt_residual, loss
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem
 from helpers import same_bits, traced_peak
+from reference import kernel_sum, mixture_means
 
 ENTRIES = kernels._ROW_BLOCK_ENTRIES
 #: sample counts: a block of 43 rows, one of 4 rows, and one row per block
@@ -35,10 +36,6 @@ SAMPLE_COUNTS = (3_000, 2**15, ENTRIES + 3)
 @functools.lru_cache(maxsize=None)
 def problem_with(n):
     return make_gmm_problem(seed=5, n=n)
-
-
-def one_shot(model, t):
-    return kernels.gauss_density(t, model.data, model._yvar).mean(axis=1) * model._ynorm
 
 
 def block_rows(n):
@@ -61,11 +58,10 @@ def test_blocked_means_match_one_shot(n, data, seed):
     t = problem.domain.sample_uniform(g, size=p) if p else np.empty((0, 2))
     support = problem.domain.sample_uniform(g, size=3)
     coef = g.uniform(-1.0, 1.0, size=3)
-    want = one_shot(model, t)
+    want = mixture_means(model, t)
     assert same_bits(model.y_inner_many(t), want)
     assert same_bits(model.certificate_values(t, support, coef),
-                     (kernels.gauss_density(t, support, model._kvar) @ coef) * model._knorm
-                     - want)
+                     kernel_sum(model, t, support, coef) - want)
 
 
 @given(n=st.sampled_from(SAMPLE_COUNTS), data=st.data(), seed=st.integers(0, 2**32 - 1))
@@ -84,8 +80,8 @@ def test_scoped_means_with_kept_hits_and_misses(n, data, seed):
         _, ev = model.pushed_values(kept, np.ones(len(kept)))
         assert same_bits(model.candidate_values(ev, t),
                          model.certificate_values(t, kept, np.ones(len(kept))))
-    assert same_bits(model.y_inner_many(t), one_shot(model, t))
-    assert same_bits(model.y_inner_many(new), one_shot(model, new))
+    assert same_bits(model.y_inner_many(t), mixture_means(model, t))
+    assert same_bits(model.y_inner_many(new), mixture_means(model, new))
 
 
 @pytest.fixture(scope="module")

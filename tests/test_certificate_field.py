@@ -6,8 +6,8 @@ batch, on an empty support, at the support itself and away from it, for
 signed and unsigned problems:
 
 * the mixture model must reproduce, bit for bit, the certificate assembled
-  from the four reference primitives ``weighted_kernel``, ``y_inner_many``,
-  ``weighted_grad1_kernel`` and ``grad_y_inner_many``;
+  from the reference's ``K c`` and the primitives ``y_inner_many``,
+  ``weighted_grad1_kernel`` and ``grad_y_inner_many`` (``primitive_field``);
 * the synthetic observation is a signed point measure, so its certificate
   is the weighted kernel of ``P = [S; atoms; anchors]`` with coefficients
   ``q = [c; -w; -eta_b]`` (``signed_measure``). It must reproduce, bit for
@@ -17,7 +17,7 @@ signed and unsigned problems:
 * ReLU correlates each feature with the residual ``r = relu(X_b S) c - y``:
   values ``act' r / m`` and gradients ``((X_b * r)' [act > 0])' / m``, the
   residual scaling the batch rows. It must reproduce, bit for bit, that
-  residual form written out here, and match the four primitives, which
+  residual form (``residual_field``), and match the four primitives, which
   subtract the target's correlation separately, within the summation bound
   ``relu_residual_bound``. Its gradients are also held to the masked
   residual product ``(X_b' ([pre > 0] * r))' / m``, which scales the mask
@@ -25,6 +25,8 @@ signed and unsigned problems:
   ``certificate_values`` sums ``r`` over row blocks and the values over
   chunks of points, so it holds no n x |T| array; it sums the same products
   in other groupings and is held to the residual form within that bound.
+
+The forms and their bounds are in ``reference.py``.
 """
 
 import numpy as np
@@ -37,7 +39,8 @@ from conicswarm.objective import Problem, certificate, certificate_and_grad, kkt
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
 from helpers import traced_peak
-from test_weighted_kernel import EPS, relu_sum_bound
+from reference import masked_residual_grads, primitive_field, relu_residual_bound, \
+    residual_field, scaled_rows_bound, signed_field, signed_sum_bound
 
 PROBLEMS = {
     "synthetic-signed": make_synthetic_problem(seed=3, signed=True),
@@ -45,137 +48,6 @@ PROBLEMS = {
     "gmm-unsigned": make_gmm_problem(seed=3),
     "relu-signed": make_relu_problem(seed=3),
 }
-
-
-def primitive_field(model, points, support, coef, idx):
-    """The unsigned field and its gradients from the four primitives."""
-    return (model.weighted_kernel(points, support, coef, idx) - model.y_inner_many(points, idx),
-            model.weighted_grad1_kernel(points, support, coef, idx)
-            - model.grad_y_inner_many(points, idx))
-
-
-def counted_mean(model, idx):
-    """The noise mean of the batch ``idx`` from its sample counts; the exact
-    mean for ``idx = None``."""
-    if idx is None:
-        return model._eta_mean
-    return np.bincount(idx, minlength=model.n_samples) @ model.eta / len(idx)
-
-
-def signed_measure(model, support, coef, idx):
-    """The certificate's signed point set ``P = [S; atoms; anchors]`` and
-    its coefficients ``q = [c; -w; -eta_b]``."""
-    return (np.vstack([np.reshape(support, (-1, model.dim)), model.atom_positions,
-                       model.anchors]),
-            np.concatenate([coef, -model.atom_weights, -counted_mean(model, idx)]))
-
-
-def signed_field(model, t, support, coef, idx):
-    """The synthetic certificate's values and gradients as the weighted
-    kernel of ``signed_measure``, one primitive call each."""
-    measure = signed_measure(model, support, coef, idx)
-    return model.weighted_kernel(t, *measure), model.weighted_grad1_kernel(t, *measure)
-
-
-def signed_sum_bound(model, t, support, coef, idx):
-    """Elementwise bounds between the certificate of ``signed_measure`` and
-    the four primitives' with the same noise mean, for the values and for
-    the gradients: ``1.01 (N + 2) eps sum_j |k_ij q_j|`` and
-    ``1.01 (N + 5) eps sum_j |k_ij q_j| (|P_jl| + |t_il|) / var``, where
-    ``k = K(t, P)`` and N is the number of points in P.
-
-    Both sum the same terms over the N points with the same kernel
-    entries, which are pair-local. A term that meets k roundings is off by
-    at most ``gamma_k = k u / (1 - k u)`` of its size (``u = eps / 2``),
-    whatever the summation order, FMA use or thread split. The values: one
-    product ``k @ q`` rounds each term at most N times; the primitives take
-    three products and add and subtract their results, at most N + 2.
-    The gradients ``(s[:, :d] - s[:, d:] t) / var`` from ``s = k @ [q P, q]``:
-    the right-hand side, the product, the scaling by t, the subtraction and
-    the division round each term ``k_ij q_j P_jl / var`` or
-    ``k_ij q_j t_il / var`` at most N + 3 times, and the primitives, which
-    do this per point set and then add and subtract, at most N + 5. The
-    differences are at most ``gamma_N + gamma_{N+2} <= (N + 2) eps`` and
-    ``(N + 5) eps`` times those sums; 1.01 covers the denominators and the
-    rounding of the bounds' own sums. Over 400 draws at the sizes of the
-    property tests the measured difference reached 0.2 of either bound."""
-    t = np.reshape(t, (-1, model.dim))
-    points, q = signed_measure(model, support, coef, idx)
-    k, size = model.kernel_matrix(t, points), np.abs(q)
-    values = k @ size
-    grads = (k * size) @ np.abs(points) + values[:, None] * np.abs(t)
-    n = len(q)
-    return (1.01 * (n + 2) * EPS * values, 1.01 * (n + 5) * EPS * grads / model.sigma**2)
-
-
-def relu_batch(model, idx):
-    """The batch rows ``X_b`` with their bias column, and their targets."""
-    x = model.features if idx is None else model.features[idx]
-    y = model.targets if idx is None else model.targets[idx]
-    return np.hstack([x, np.ones((x.shape[0], 1))]), y
-
-
-def residual_field(model, points, support, coef, idx):
-    """ReLU's unsigned field in residual form: ``act' r / m`` and
-    ``((X_b * r)' [act > 0])' / m``, ``r = relu(X_b S) c - y``."""
-    aug, y = relu_batch(model, idx)
-    act = np.maximum(aug @ points.T, 0.0)
-    r = np.maximum(aug @ support.T, 0.0) @ coef - y
-    m = aug.shape[0]
-    return act.T @ r / m, ((aug * r[:, None]).T @ (act > 0.0).astype(float)).T / m
-
-
-def masked_residual_grads(model, points, support, coef, idx):
-    """The gradients with the residual scaling the mask instead of the batch
-    rows: ``(X_b' ([pre > 0] * r))' / m``, whose products ``X_b[i, l] r_i``
-    the matrix product forms itself."""
-    aug, y = relu_batch(model, idx)
-    pre = aug @ points.T
-    r = np.maximum(aug @ support.T, 0.0) @ coef - y
-    return (aug.T @ ((pre > 0.0) * r[:, None])).T / aug.shape[0]
-
-
-def scaled_rows_bound(model, points, support, coef, idx):
-    """Elementwise rounding bound ``16 eps sum_i |X_b[i, l] r_i| [pre_ij > 0] / m``
-    between the gradients and ``masked_residual_grads``.
-
-    Both sum the same terms ``X_b[i, l] r_i [pre_ij > 0]`` over the batch,
-    in matrix products of the same shape and layout. The residual form
-    rounds each ``X_b[i, l] r_i`` before its product adds it, the masked
-    form inside the product: at most eps / 2 times each term. Each sum's own
-    rounding error is at most a multiple of eps times the sum of the terms'
-    absolute values, as in ``relu_sum_bound``. The measured difference is at
-    most 2.6 eps times that sum over 3,000 draws at the sizes of the
-    property test and 2.2 at p = 300 with m = 256 or m = 2,000, on one or
-    two BLAS threads, so 16 leaves a wide margin; a relative tolerance
-    would fail where positive and negative residuals cancel."""
-    aug, y = relu_batch(model, idx)
-    mask = (aug @ points.T > 0.0).astype(float)
-    r = np.maximum(aug @ support.T, 0.0) @ coef - y
-    return 16.0 * EPS * (mask.T @ np.abs(aug * r[:, None])) / aug.shape[0]
-
-
-def relu_residual_bound(model, points, support, coef, idx):
-    """Elementwise summation error bounds between the residual form and the
-    four primitives, for the values and for the gradients.
-
-    Both sum the same products, ``act[k, i] act_s[k, j] c_j`` and
-    ``act[k, i] y_k`` for the values and those with ``act[k, i]`` replaced
-    by ``[pre[k, i] > 0] X_b[k, l]`` for the gradients, in other groupings:
-    the residual form subtracts ``y_k`` per sample before it sums over k,
-    the primitives after. As in ``relu_sum_bound``, each one's rounding
-    error is at most a multiple of eps times the sum of the products'
-    absolute values, which is this bound without the 64. The measured
-    difference is at most 1.1 eps times that sum at the sizes of these tests
-    and 3.4 at m = 20,000 and p = 400, so 64 leaves a wide margin; a
-    relative tolerance would fail where the network output and the targets
-    cancel."""
-    aug, y = relu_batch(model, idx)
-    act = np.maximum(aug @ points.T, 0.0)
-    size = np.maximum(aug @ support.T, 0.0) @ np.abs(coef) + np.abs(y)
-    m = aug.shape[0]
-    return (64.0 * EPS * (act.T @ size) / m,
-            64.0 * EPS * ((act > 0.0) * size[:, None]).T @ np.abs(aug) / m)
 
 
 def fold(problem, signs, field):
@@ -237,9 +109,10 @@ def test_fused_certificate_matches_reference_primitives(name, seed, p, n_points,
     check_certificate(problem, swarm, points, signs, idx)
 
 
-def relu_run_scale_problem():
-    g = np.random.Generator(np.random.Philox(1))
-    model = ReluKernel(g.standard_normal((2000, 8)), g.standard_normal(2000))
+def relu_run_scale_problem(n=2000, seed=1):
+    """n samples in d + 1 = 9 and a swarm of p = 300."""
+    g = np.random.Generator(np.random.Philox(seed))
+    model = ReluKernel(g.standard_normal((n, 8)), g.standard_normal(n))
     problem = Problem(model=model, domain=Ball(np.zeros(9), 1.0), kappa=1e-3)
     swarm = ParticleSwarm(g.uniform(0.01, 1.0, size=300), g.choice([-1.0, 1.0], size=300),
                           problem.domain.sample_uniform(g, size=300))
@@ -251,19 +124,12 @@ def test_relu_support_evaluation_matches_at_run_scale():
     # over m = 2,000: the fused evaluation at the support and away from it
     # keeps the residual form's bits and stays within the summation bound of
     # the four primitives and the rounding bound of the masked residual
-    # product, and the feature-space weighted kernel within the summation
-    # bound of the kernel matrix product.
+    # product.
     problem, swarm, g = relu_run_scale_problem()
-    model = problem.model
-    coef = swarm.weights * swarm.signs
     points = problem.domain.sample_uniform(g, size=50)
     for idx in (None, g.integers(0, 2000, size=256)):
         check_certificate(problem, swarm, swarm.positions, swarm.signs, idx)
         check_certificate(problem, swarm, points, g.choice([-1.0, 1.0], size=50), idx)
-        field = model.weighted_kernel(swarm.positions, swarm.positions, coef, idx)
-        matrix_field = model.kernel_matrix(swarm.positions, swarm.positions, idx) @ coef
-        bound = relu_sum_bound(model, swarm.positions, swarm.positions, coef, idx)
-        assert np.all(np.abs(field - matrix_field) <= bound)
 
 
 def test_relu_solver_paths_build_no_kernel_matrix(monkeypatch):
@@ -309,11 +175,7 @@ def test_relu_kkt_residual_memory_does_not_grow_with_the_grid():
     # one-shot exact values would hold two n x |grid| arrays, 205 MB at
     # 8,000 points; the chunked ones hold about 2 MiB whatever the grid,
     # plus a few floats per grid point
-    g = np.random.Generator(np.random.Philox(3))
-    model = ReluKernel(g.standard_normal((1600, 8)), g.standard_normal(1600))
-    problem = Problem(model=model, domain=Ball(np.zeros(9), 1.0), kappa=1e-3)
-    swarm = ParticleSwarm(g.uniform(0.01, 1.0, size=300), g.choice([-1.0, 1.0], size=300),
-                          problem.domain.sample_uniform(g, size=300))
+    problem, swarm, g = relu_run_scale_problem(n=1600, seed=3)
     peaks = []
     for size in (1000, 8000):
         grid = problem.domain.sample_uniform(g, size=size)

@@ -10,7 +10,9 @@ import pytest
 import conicswarm
 from conicswarm.cli import build_problem, build_run_config, main
 from conicswarm.config import ConfigError, load_config
-from test_audit_batched import SYNTHETIC_THEORY_REPORT
+from conicswarm.runner import trace_from_csv
+from conicswarm.swarm import ParticleSwarm
+from reference import SYNTHETIC_THEORY_REPORT
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -114,7 +116,7 @@ def test_python_dash_m_runs_the_cli():
 
 def test_calibrate_prints_the_committed_synthetic_theory_report():
     # the command in its own process: exit 0, nothing on stderr, and stdout
-    # byte for byte the report that test_audit_batched pins in-process
+    # byte for byte the report that test_audit_batched checks in-process
     done = run_module("calibrate", "--config", str(CONFIGS / "synthetic_theory.cfg"))
     assert (done.returncode, done.stderr, done.stdout) == (0, "", SYNTHETIC_THEORY_REPORT)
 
@@ -250,8 +252,6 @@ class TestRunCommand:
         cfg = write_config(tmp_path, body)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-        from conicswarm.runner import trace_from_csv
-        from conicswarm.swarm import ParticleSwarm
         swarm = ParticleSwarm.from_csv(out / "final_swarm.csv")
         # iteration 1 overflowed, so the initial swarm is the last good one
         assert len(swarm) == 6
@@ -498,9 +498,6 @@ class TestRunCommand:
         assert "below the minimum" in capsys.readouterr().err
 
     def test_csv_swarm_init(self, tmp_path):
-        import numpy as np
-        from conicswarm.swarm import ParticleSwarm
-
         seed_swarm = ParticleSwarm([0.2, 0.3], [1, 1], [[0.2, 0.2], [0.7, 0.7]])
         seed_swarm.to_csv(tmp_path / "init.csv")
         body = TINY_SYNTHETIC.replace("init = uniform", "init = csv:init.csv")
@@ -513,8 +510,6 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("command", ["run", "calibrate"])
     def test_csv_swarm_of_another_dimension_fails(self, tmp_path, capsys, command):
-        from conicswarm.swarm import ParticleSwarm
-
         ParticleSwarm([0.2], [1], [[0.2, 0.2, 0.2]]).to_csv(tmp_path / "init.csv")
         body = TINY_SYNTHETIC.replace("init = uniform", "init = csv:init.csv")
         argv = [command, "--config", str(write_config(tmp_path, body))]
@@ -523,8 +518,22 @@ class TestRunCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.startswith("error: init ") and "init.csv" in err
+        assert err.startswith("error: [run] init ") and "init.csv" in err
         assert "dimension 3, the problem 2" in err
+
+    @pytest.mark.parametrize("positions, signs, reason", [
+        ([[0.2, 0.2], [5.0, -3.0]], [1, 1], "particle 1 at [5.0, -3.0] lies outside the domain"),
+        ([[0.2, 0.2], [0.7, 0.7]], [1, -1], "the problem is unsigned"),
+    ], ids=["outside-the-box", "negative-sign"])
+    def test_csv_swarm_the_problem_cannot_hold_fails(self, tmp_path, capsys, positions, signs,
+                                                     reason):
+        ParticleSwarm([0.2, 0.3], signs, positions).to_csv(tmp_path / "init.csv")
+        body = TINY_SYNTHETIC.replace("init = uniform", "init = csv:init.csv")
+        cfg, out = write_config(tmp_path, body), tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [run] init ") and "init.csv" in err and reason in err
+        assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -14,21 +14,8 @@ from conicswarm.kernels import GmmKernel, ReluKernel, SyntheticKernel, audit_ass
     gauss_density
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
 from helpers import rng, same_bits
-
-
-# One-pair views of the vectorized primitives; ``i`` restricts to one sample.
-
-def k_at(model, s, t, i=None):
-    return model.kernel_matrix(s[None, :], t[None, :], None if i is None else [i])[0, 0]
-
-
-def grad_k_at(model, s, t, i=None):
-    return model.weighted_grad1_kernel(s[None, :], t[None, :], np.ones(1),
-                                       None if i is None else [i])[0]
-
-
-def y_at(model, t, i=None):
-    return model.y_inner_many(t[None, :], None if i is None else [i])[0]
+from reference import brute_y_norm_sq, grad_k_at, grad_rounding_bound, k_at, kernel_sum, \
+    plane_density, relu_sum_bound, scaled_kernel_grad, smoothed_sample, subtraction_exp_sum, y_at
 
 
 ALL_BUILDERS = [make_synthetic_problem, make_gmm_problem, make_relu_problem]
@@ -124,9 +111,7 @@ class TestGram:
         assert diag == pytest.approx(closed, rel=1e-12)
 
         # independent oracle: integrate the squared feature over the plane
-        var = 1.0 + tau**2
-        feat = lambda x0, x1: math.exp(-((x0 - 0.1) ** 2 + (x1 + 0.2) ** 2) / (2 * var)) \
-            / (2 * math.pi * var)
+        feat = plane_density(t[0], 1.0 + tau**2)
         val, _ = integrate.dblquad(lambda x1, x0: feat(x0, x1) ** 2, -12, 12, -12, 12,
                                    epsabs=1e-10)
         assert diag == pytest.approx(val, rel=1e-6)
@@ -143,18 +128,8 @@ class TestYInner:
         data = np.array([[0.5, -0.3], [-0.8, 0.6], [0.0, 0.1]])
         model = GmmKernel(data, tau)
         t = np.array([0.2, 0.2])
-
-        def smoothed_data(x0, x1):
-            tot = 0.0
-            for xi in data:
-                tot += math.exp(-((x0 - xi[0]) ** 2 + (x1 - xi[1]) ** 2) / (2 * tau**2)) \
-                    / (2 * math.pi * tau**2)
-            return tot / len(data)
-
-        var = 1.0 + tau**2
-        feat = lambda x0, x1: math.exp(-((x0 - t[0]) ** 2 + (x1 - t[1]) ** 2) / (2 * var)) \
-            / (2 * math.pi * var)
-        val, _ = integrate.dblquad(lambda x1, x0: smoothed_data(x0, x1) * feat(x0, x1),
+        smoothed, feat = smoothed_sample(data, tau), plane_density(t, 1.0 + tau**2)
+        val, _ = integrate.dblquad(lambda x1, x0: smoothed(x0, x1) * feat(x0, x1),
                                    -10, 10, -10, 10, epsabs=1e-9)
         assert y_at(model, t) == pytest.approx(val, rel=1e-6)
 
@@ -163,14 +138,7 @@ class TestYInner:
         tau = 0.35
         data = np.array([[0.4, 0.0], [-0.5, 0.3]])
         model = GmmKernel(data, tau)
-
-        def smoothed(x0, x1):
-            tot = 0.0
-            for xi in data:
-                tot += math.exp(-((x0 - xi[0]) ** 2 + (x1 - xi[1]) ** 2) / (2 * tau**2)) \
-                    / (2 * math.pi * tau**2)
-            return tot / len(data)
-
+        smoothed = smoothed_sample(data, tau)
         val, _ = integrate.dblquad(lambda x1, x0: smoothed(x0, x1) ** 2, -10, 10, -10, 10,
                                    epsabs=1e-10)
         assert model.y_norm_sq == pytest.approx(val, rel=1e-8)
@@ -231,16 +199,6 @@ class TestAudit:
         assert bounds.cert_offset >= observed * 0.8
 
 
-def test_synthetic_y_norm_consistent_with_inner_products():
-    # |y|^2 equals <y, y> expanded through the planted atoms and anchors
-    problem = make_synthetic_problem(seed=21, noise_scale=0.03)
-    model = problem.model
-    coefs = np.concatenate([model.atom_weights, model.eta.mean(axis=0)])
-    pts = np.vstack([model.atom_positions, model.anchors])
-    manual = float(coefs @ model.kernel_matrix(pts, pts) @ coefs)
-    assert model.y_norm_sq == pytest.approx(manual, rel=1e-12)
-
-
 def test_vectorized_matches_scalar_loops():
     problem = make_relu_problem(seed=22)
     model = problem.model
@@ -259,6 +217,48 @@ def test_vectorized_matches_scalar_loops():
         manual = sum(coef[j] * np.mean([grad_k_at(model, a[i], b[j], s) for s in idx], axis=0)
                      for j in range(4))
         assert np.allclose(wg[i], manual, atol=1e-14)
+
+
+# ``K c``: the Gaussian models' ``weighted_kernel`` has the bits of the
+# reference's ``kernel_sum``, and with the synthetic constant 1 those of
+# ``kernel_matrix @ coef``. ReLU has no ``weighted_kernel``; its reference
+# sums in feature space, within ``relu_sum_bound`` of ``kernel_matrix @ coef``.
+
+WEIGHTED_PROBLEMS = {
+    "synthetic": make_synthetic_problem(seed=5),
+    "gmm": make_gmm_problem(seed=5),
+    "relu": make_relu_problem(seed=5),
+}
+
+
+@given(name=st.sampled_from(sorted(WEIGHTED_PROBLEMS)), seed=st.integers(0, 2**32 - 1),
+       n_a=st.integers(0, 9), n_b=st.integers(0, 9),
+       pairing=st.sampled_from(["apart", "same object", "equal copy"]),
+       batch=st.one_of(st.none(), st.integers(1, 40)))
+@settings(max_examples=200, deadline=None)
+def test_weighted_kernel_matches_kernel_matrix(name, seed, n_a, n_b, pairing, batch):
+    problem = WEIGHTED_PROBLEMS[name]
+    model = problem.model
+    g = rng(seed)
+    a = problem.domain.sample_uniform(g, size=n_a)
+    if pairing == "same object":
+        b = a
+    elif pairing == "equal copy":
+        b = a.copy()
+    else:
+        b = problem.domain.sample_uniform(g, size=n_b)
+    coef = g.uniform(0.01, 1.0, size=b.shape[0]) * g.choice([-1.0, 1.0], size=b.shape[0])
+    idx = None if batch is None else g.integers(0, model.n_samples, size=batch)
+    want = model.kernel_matrix(a, b, idx) @ coef
+    if name == "relu":
+        got = kernel_sum(model, a, b, coef, idx)
+        assert np.all(np.abs(got - want) <= relu_sum_bound(model, a, b, coef, idx))
+        return
+    got = model.weighted_kernel(a, b, coef, idx)
+    assert got.shape == (a.shape[0],)
+    assert np.array_equal(got, kernel_sum(model, a, b, coef))
+    if name == "synthetic":
+        assert np.array_equal(got, want)
 
 
 # Gaussian entries are finished from sums of squared coordinate differences,
@@ -306,27 +306,9 @@ def test_gaussian_entries_are_pair_local(p, q, d, points, offset, seed, data):
             assert same_bits(kernel(a_off[i : i + 1], b_off), full[i : i + 1])
 
 
-# ``_gauss_grad`` sums ``c_j grad_a K(a_i, b_j) = k_ij c_j (b_j - a_i) / var``
-# as one product ``k @ [c * b, c]``. The reference is the earlier form, which
-# scales the kernel first: ``((k * c) @ b - (k * c).sum(-1) a) / var``. The
-# two group the same terms differently. Each side's products and sums of at
-# most q + 2 terms are within gamma(q + 2) of the exact value, gamma(m) =
-# m u / (1 - m u) with u = 2^-53, relative to
-# ``A_il = sum_j |k_ij c_j| (|b_jl| + |a_il|) / var``; the final difference
-# and division add at most 2u of |grad| <= A. So the two sides differ by at
-# most ``2 (gamma(q + 2) + 2u) A_il``, whatever either side's summation order.
-
-def scaled_kernel_grad(k, a, b, c, var):
-    kc = k * c
-    return (kc @ b - kc.sum(axis=-1)[..., None] * a) / var
-
-
-def grad_rounding_bound(k, a, b, c, var):
-    u, m = 2.0**-53, k.shape[-1] + 2
-    gamma = m * u / (1.0 - m * u)
-    abs_sum = (np.abs(k * c) @ np.abs(b) + np.abs(k * c).sum(axis=-1)[:, None] * np.abs(a)) / var
-    return 2.0 * (gamma + 2.0 * u) * abs_sum
-
+# ``_gauss_grad`` sums ``c_j grad_a K(a_i, b_j)`` as one product; the
+# reference scales the kernel first, and ``grad_rounding_bound`` derives how
+# far the two groupings of the same terms may differ.
 
 @given(p=st.integers(1, 400), q=st.integers(1, 400), d=st.sampled_from([1, 2, 3, 5]),
        signed=st.booleans(), offset=st.sampled_from([0.0, 40.0]), seed=st.integers(0, 2**32 - 1))
@@ -371,15 +353,6 @@ def test_gauss_grad_of_empty_point_sets(p, q):
 # ``GmmKernel.y_norm_sq`` skips pairs beyond a cutoff; the reference is the
 # exact double sum over all ordered pairs, from coordinate differences.
 
-def brute_y_norm_sq(data, tau):
-    n, d = data.shape
-    total = 0.0
-    for lo in range(0, n, 256):
-        diff = data[lo : lo + 256, None, :] - data[None, :, :]
-        total += np.exp(-np.sum(diff * diff, axis=-1) / (4.0 * tau**2)).sum()
-    return (4.0 * math.pi * tau**2) ** (-d / 2.0) * total / n**2
-
-
 def gmm_cutoff(n, tau):
     return math.sqrt(4.0 * tau**2 * (math.log(n) + 60.0 * math.log(2.0)))
 
@@ -408,26 +381,6 @@ def test_gmm_y_norm_sq_matches_brute_force(n, d, tau, layout, offset, tile, seed
     with mock.patch.object(kernels, "_SELF_BLOCK_ENTRIES", tile or kernels._SELF_BLOCK_ENTRIES):
         y_norm_sq = GmmKernel(data, tau).y_norm_sq
     assert y_norm_sq == pytest.approx(brute_y_norm_sq(data, tau), rel=1e-13, abs=0)
-
-
-def subtraction_exp_sum(x, m, scale):
-    """``kernels._exp_sum``'s tile loop with each tile's squared distances
-    summed from ``np.subtract.outer`` differences, in ``_sqdist``'s
-    coordinate order: no BLAS call."""
-    total = 0.0
-    step = max(1, kernels._SELF_BLOCK_ENTRIES // len(x))
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        d2 = np.subtract.outer(x[lo:hi, 0], x[lo:, 0])
-        d2 *= d2
-        for j in range(1, x.shape[1]):
-            dj = np.subtract.outer(x[lo:hi, j], x[lo:, j])
-            dj *= dj
-            d2 += dj
-        d2 *= -1.0 / scale
-        terms = np.exp(d2, out=d2)
-        total += float(terms[:, : hi - lo].sum()) + 2.0 * float(terms[:, hi - lo :].sum())
-    return total
 
 
 @pytest.mark.parametrize("shape", ["desk", "offset_3d"])

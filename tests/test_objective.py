@@ -11,6 +11,7 @@ from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem, \
     random_swarm
 from helpers import rng
+from reference import k_at, relu_objective, y_at
 
 
 # One-point views of the vectorized evaluators.
@@ -21,14 +22,6 @@ def cert_at(problem, swarm, t, sign):
 
 def grad_at(problem, swarm, t, sign):
     return certificate_and_grad(problem, swarm, t[None, :], [sign])[1][0]
-
-
-def k_at(model, s, t):
-    return model.kernel_matrix(s[None, :], t[None, :])[0, 0]
-
-
-def y_at(model, t):
-    return model.y_inner_many(t[None, :])[0]
 
 
 def planted_stationary_instance(kappa=5e-3, sigma=0.15, seed=0):
@@ -89,9 +82,8 @@ class TestLoss:
         g = rng(13)
         swarm = ParticleSwarm(g.uniform(0.01, 1.0, size=40), g.choice([-1.0, 1.0], size=40),
                               problem.domain.sample_uniform(g, size=40))
-        aug = np.hstack([model.features, np.ones((model.n_samples, 1))])
-        out = np.maximum(aug @ swarm.positions.T, 0.0) @ (swarm.weights * swarm.signs)
-        closed = 0.5 * np.mean((out - model.targets) ** 2) + problem.kappa * swarm.tv_norm()
+        closed = relu_objective(model, swarm.positions, swarm.weights, swarm.signs,
+                                problem.kappa)
         assert loss(problem, swarm) == pytest.approx(closed, rel=1e-10, abs=0)
 
     def test_permutation_invariance(self):

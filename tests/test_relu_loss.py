@@ -6,16 +6,15 @@ it: ``ReluKernel.objective_value`` sums the residual
 ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``, ``certificate_values`` at
 ``idx=None`` takes ``r`` from it, and ``experiments.heldout_mse`` is twice
 the kappa = 0 objective of the held-out rows. The loss must agree with the
-expanded objective of the base class, ``0.5 |y|^2 + <kappa - s <y, phi_T>,
-w> + 0.5 c' K c``, and with the residual evaluated in one piece, and the
-held-out error and ``relu_predict`` with their one-shot forms, on both sides
-of every block edge and for an empty swarm. The loss and the exact values
-keep the bits of the block loops they had before ``relu_outputs``, copied
-here, and the loss's and the held-out error's temporaries must not grow
-with the sample count.
+expanded objective ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K c``
+and with the residual evaluated in one piece, and the held-out error and
+``relu_predict`` with their one-shot forms, on both sides of every block
+edge and for an empty swarm. The loss and the exact values keep the bits of
+the block loops they had before ``relu_outputs``, and the loss's and the
+held-out error's temporaries must not grow with the sample count. The
+one-piece forms, the block loops and the bounds are in ``reference.py``.
 """
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,54 +23,14 @@ from hypothesis import given, settings, strategies as st
 from conicswarm import kernels
 from conicswarm.domain import Ball
 from conicswarm.experiments import RegressionDataset, heldout_mse, relu_predict
-from conicswarm.kernels import KernelModel, ReluKernel
+from conicswarm.kernels import ReluKernel
 from conicswarm.objective import Problem, loss
 from conicswarm.swarm import ParticleSwarm
-from helpers import same_bits
+from helpers import same_bits, traced_peak
+from reference import expanded_objective, relu_objective, relu_objective_bound, \
+    relu_objective_loop, relu_output, relu_output_bound, relu_values_loop
 
-EPS = np.finfo(float).eps
 ENTRIES = kernels._ROW_BLOCK_ENTRIES
-
-
-def augmented(model):
-    return np.hstack([model.features, np.ones((model.n_samples, 1))])
-
-
-def closed_form(model, t, w, s, kappa):
-    out = np.maximum(augmented(model) @ t.T, 0.0) @ (w * s)
-    return 0.5 * np.mean((out - model.targets) ** 2) + kappa * w.sum()
-
-
-def error_bound(model, t, w, s, kappa):
-    """``4 (n + p + d + 4) eps`` times a scale that bounds every term of
-    both forms in absolute value.
-
-    Each form is a chain of at most ``N = n + p + d + 4`` rounded sums
-    (pre-activations over d + 1 coordinates, network outputs over p
-    particles, means over n samples, the final combination), and a computed
-    sum of N terms is off by at most ``N eps`` times the sum of their
-    absolute values. Those absolute sums are at most the scale
-    ``0.5 mean((F + |y|)^2) + kappa sum(w)`` with
-    ``F = (|X| |T|') |c|``, which also covers rounding in the
-    pre-activations; the factor 4 covers the three terms of the expanded
-    form and their difference from the residual. The measured differences
-    stay below 5e-6 of the bound at n up to 131,073; dropping one sample
-    of the last block already exceeds it."""
-    aug = augmented(model)
-    f = (np.abs(aug) @ np.abs(t).T) @ np.abs(w * s)
-    scale = 0.5 * np.mean((f + np.abs(model.targets)) ** 2) + kappa * w.sum()
-    n, d1 = aug.shape
-    return 4.0 * (n + len(w) + d1 + 4) * EPS * scale
-
-
-def output_bound(model, t, c):
-    """``2 (p + d + 1) eps F`` with ``F = (|X| |T|') |c|``, per row.
-
-    Each form rounds a pre-activation, a sum of d + 1 products, and the
-    output, a sum of p terms; with relu 1-Lipschitz both errors are at most
-    ``(p + d + 1) eps F``, which the factor 2 counts once per form."""
-    aug = augmented(model)
-    return 2.0 * (len(c) + aug.shape[1]) * EPS * ((np.abs(aug) @ np.abs(t).T) @ np.abs(c))
 
 
 def draw_case(seed, d, p_kind, n_kind, blocks, data, entries=ENTRIES):
@@ -106,58 +65,23 @@ def test_relu_loss_matches_expanded_and_closed_forms(seed, d, p_kind, n_kind, bl
     kappa = 1e-3
 
     got = model.objective_value(t, w, s, kappa)
-    bound = error_bound(model, t, w, s, kappa)
-    assert abs(got - KernelModel.objective_value(model, t, w, s, kappa)) <= bound
-    assert abs(got - closed_form(model, t, w, s, kappa)) <= bound
+    bound = relu_objective_bound(model, t, w, s, kappa)
+    assert abs(got - expanded_objective(model, t, w, s, kappa)) <= bound
+    assert abs(got - relu_objective(model, t, w, s, kappa)) <= bound
 
     # the held-out error of these rows: twice the kappa = 0 objective, so
     # within twice its bound of the one-shot mean; mean(y^2) with no swarm
     swarm = ParticleSwarm(w, s, t)
     dataset = RegressionDataset(model.features.copy(), model.targets.copy(),
                                 np.empty(0, dtype=int), np.arange(model.n_samples))
-    one_shot = np.maximum(augmented(model) @ t.T, 0.0) @ (w * s)
+    one_shot = relu_output(model, t, w * s)[2]
     mse = heldout_mse(swarm, dataset)
-    assert abs(mse - np.mean((one_shot - model.targets) ** 2)) <= \
-        2.0 * error_bound(model, t, w, s, 0.0)
+    bound = 2.0 * relu_objective_bound(model, t, w, s, 0.0)
+    assert abs(mse - np.mean((one_shot - model.targets) ** 2)) <= bound
     if not len(swarm):
-        assert abs(mse - np.mean(model.targets**2)) <= 2.0 * error_bound(model, t, w, s, 0.0)
+        assert abs(mse - np.mean(model.targets**2)) <= bound
     pred = relu_predict(swarm, model.features)
-    assert np.all(np.abs(pred - one_shot) <= output_bound(model, t, w * s))
-
-
-def objective_loop(model, t, weights, signs, kappa):
-    """``ReluKernel.objective_value`` as its own block loop, before
-    ``relu_outputs``."""
-    c = weights * signs
-    n = model.n_samples
-    step = max(1, kernels._ROW_BLOCK_ENTRIES // len(c))
-    buf = np.empty((min(step, n), len(c)))
-    total = 0.0
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        act = buf[: hi - lo]
-        np.matmul(model._aug[lo:hi], t.T, out=act)
-        np.maximum(act, 0.0, out=act)
-        resid = act @ c - model.targets[lo:hi]
-        total += float(resid @ resid)
-    return 0.5 * total / n + kappa * float(weights.sum())
-
-
-def exact_values_loop(model, t, support, coef):
-    """``ReluKernel.certificate_values(idx=None)`` as its own block loops,
-    before ``relu_outputs``."""
-    entries = kernels._ROW_BLOCK_ENTRIES
-    n = model.n_samples
-    r = np.empty(n)
-    step = max(1, entries // max(1, len(coef)))
-    for lo in range(0, n, step):
-        r[lo : lo + step] = np.maximum(model._aug[lo : lo + step] @ support.T, 0.0) @ coef
-    r -= model.targets
-    vals = np.empty(len(t))
-    step = 8 * max(1, entries // (8 * n))
-    for lo in range(0, len(t), step):
-        vals[lo : lo + step] = np.maximum(model._aug @ t[lo : lo + step].T, 0.0).T @ r
-    return vals / n
+    assert np.all(np.abs(pred - one_shot) <= relu_output_bound(model, t, w * s))
 
 
 #: block sizes: 64 activations, so a few hundred rows span several blocks,
@@ -172,7 +96,7 @@ def test_relu_loss_has_the_bits_of_the_block_loop(entries, seed, d, p_kind, n_ki
     model, t, w, s = draw_case(seed, d, p_kind, n_kind, blocks, data, entries)
     with mock.patch.object(kernels, "_ROW_BLOCK_ENTRIES", entries):
         assert same_bits(model.objective_value(t, w, s, 1e-3),
-                         objective_loop(model, t, w, s, 1e-3))
+                         relu_objective_loop(model, t, w, s, 1e-3))
 
 
 @given(entries=BLOCK_ENTRIES, p_kind=st.sampled_from(["none", "one", "few", "single row"]),
@@ -185,7 +109,7 @@ def test_exact_relu_values_have_the_bits_of_the_block_loops(entries, n_points, s
                                                        size=n_points)
     with mock.patch.object(kernels, "_ROW_BLOCK_ENTRIES", entries):
         assert same_bits(model.certificate_values(points, t, w * s),
-                         exact_values_loop(model, points, t, w * s))
+                         relu_values_loop(model, points, t, w * s))
 
 
 def test_relu_loss_temporaries_do_not_scale_with_n():
@@ -197,15 +121,7 @@ def test_relu_loss_temporaries_do_not_scale_with_n():
     problem = Problem(model=model, domain=Ball(np.zeros(9), 1.0), kappa=1e-3)
     swarm = ParticleSwarm(g.uniform(0.01, 1.0, size=400), g.choice([-1.0, 1.0], size=400),
                           problem.domain.sample_uniform(g, size=400))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        loss(problem, swarm)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 2**20
+    assert traced_peak(lambda: loss(problem, swarm)) < 3 * 2**20
 
 
 def test_heldout_mse_temporaries_do_not_scale_with_n():
@@ -219,12 +135,4 @@ def test_heldout_mse_temporaries_do_not_scale_with_n():
                                 np.empty(0, dtype=int), np.arange(n))
     swarm = ParticleSwarm(g.uniform(0.01, 1.0, size=400), g.choice([-1.0, 1.0], size=400),
                           Ball(np.zeros(9), 1.0).sample_uniform(g, size=400))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        heldout_mse(swarm, dataset)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 2**20
+    assert traced_peak(lambda: heldout_mse(swarm, dataset)) < 3 * 2**20

@@ -21,15 +21,7 @@ from hypothesis import given, settings, strategies as st
 import conicswarm.kernels as kernels
 from conicswarm.kernels import GmmKernel, gauss_density
 from helpers import rng, same_bits
-
-
-def reference_sqdist(a, b):
-    """Sums of squared coordinate differences, each by ``np.subtract.outer``."""
-    d2 = np.zeros((len(a), len(b)))
-    for j in range(a.shape[1]):
-        diff = np.subtract.outer(a[:, j], b[:, j])
-        d2 += diff * diff
-    return d2
+from reference import reference_sqdist
 
 
 #: coordinates that stress the differences: signed zeros, subnormal and

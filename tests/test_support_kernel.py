@@ -26,15 +26,10 @@ from conicswarm.runner import run
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, random_swarm
 from helpers import loop_config, rng, same_bits
+from reference import kernel_sum
 
 
 REAL_DENSITY = kernels.gauss_density
-
-
-def fresh_values(model, a, b, coef):
-    """``K(a, b) coef`` from freshly built entries, with the kernel's constant
-    applied to the product."""
-    return (REAL_DENSITY(a, b, model._kvar) @ coef) * model._knorm
 
 
 @pytest.fixture
@@ -214,7 +209,7 @@ def test_fresh_support_kernel_builds_the_upper_triangle(built, idx):
     since = len(built)
     loss(problem, ParticleSwarm(coef, np.ones(p), pushed))
     assert kernel_entries(built, model, since) <= bound
-    assert same_bits(vals, fresh_values(model, pushed, pushed, coef)
+    assert same_bits(vals, kernel_sum(model, pushed, pushed, coef)
                      - model.y_inner_many(pushed, idx))
 
 

@@ -7,15 +7,15 @@ The observation is a signed point measure, so the certificate
 ``eta_b`` is the batch's noise mean. Each certificate evaluation builds one
 kernel matrix ``K(t, P)``; its values and gradients must have the bits of
 ``weighted_kernel(t, P, q)`` and ``weighted_grad1_kernel(t, P, q)``, which is
-how ``Signed`` below builds them. ``Reference`` composes the certificate from
-the four primitives; it sums the same products in two groups, so the two
-agree within the summation bound ``signed_sum_bound`` of
-``test_certificate_field.py``. The observation alone is the point set
+how the reference's ``Signed`` builds them. ``Reference`` composes the
+certificate from the four primitives; it sums the same products in two
+groups, so the two agree within the summation bound ``signed_sum_bound``.
+Both, and the bounds, are in ``reference.py``. The observation alone is the point set
 ``[atoms; anchors]`` weighted by ``[w; eta_b]`` (``observation``):
 ``y_inner_many`` and ``grad_y_inner_many`` must have the bits of one product
 each against it, and stay within the same summation bound of the two
-products against the atoms and the anchors apart. The loss is the base
-class's expanded form, which reads ``<y, phi_T>`` from the model's
+products against the atoms and the anchors apart. The loss is
+``GaussianKernel``'s expanded form, which reads ``<y, phi_T>`` from the model's
 ``y_inner_many`` and builds ``K(T, T)`` on its own; it must give the bits of
 the reference's.
 
@@ -43,76 +43,15 @@ import conicswarm.kernels as kernels
 from conicswarm.birth_death import BirthRule
 from conicswarm.config import load_config
 from conicswarm.domain import Box
-from conicswarm.kernels import KernelModel, SyntheticKernel
+from conicswarm.kernels import SyntheticKernel
 from conicswarm.runner import run, trace_to_csv
 from conicswarm.schedules import AnytimePlan
 from conicswarm.verify import random_swarm
 from helpers import loop_config, rng, same_bits, traced_peak
-from test_certificate_field import counted_mean, signed_field, signed_sum_bound
-from test_weighted_kernel import EPS
+from reference import Reference, Signed, counted_mean, counted_mean_bound, observation, \
+    signed_sum_bound
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-
-def counted_mean_bound(model, idx):
-    """Bound on ``|counted_mean - eta[idx].mean(axis=0)|``, per anchor:
-    ``1.01 (n + m + 1) u A / m`` with ``u = eps / 2``, ``m = len(idx)``
-    and ``A = sum_i |eta[idx_i]|`` over the batch.
-
-    Both means divide a sum of the same m terms by m. The counted one sums
-    the n products ``count_j eta_j`` (each count is an exact float) in one
-    product, in any order: each term meets at most n + 1 roundings, with
-    the division. The gathered one sums the m rows and divides: at most m
-    roundings. A term that meets k roundings is off by at most
-    ``gamma_k = k u / (1 - k u)`` of its size, so the two differ by at most
-    ``(gamma_{n+1} + gamma_m) A / m``; 1.01 covers the denominators and the
-    rounding of the bound's own sum. Over 400 draws with n up to 300 and m
-    up to 5,000 the measured difference reached 0.12 of the bound."""
-    n, m = model.n_samples, len(idx)
-    total = np.bincount(idx, minlength=n) @ np.abs(model.eta)
-    return 1.01 * (n + m + 1) * (EPS / 2) * total / m
-
-
-def observation(model, idx):
-    """The observation as one weighted point set: ``[atoms; anchors]`` and
-    ``[w; eta_b]``, with the counted noise mean."""
-    return (np.vstack([model.atom_positions, model.anchors]),
-            np.concatenate([model.atom_weights, counted_mean(model, idx)]))
-
-
-class Reference(SyntheticKernel):
-    """The certificate composed from the four primitives, each building one
-    kernel matrix per point set, with the counted noise mean, and its
-    stateless loop evaluations."""
-
-    pushed_values = KernelModel.pushed_values
-    candidate_values = KernelModel.candidate_values
-
-    @property
-    def y_norm_sq(self):
-        pts, coefs = observation(self, None)
-        return float(coefs @ self.kernel_matrix(pts, pts) @ coefs)
-
-    def y_inner_many(self, t, idx=None):
-        return self.weighted_kernel(t, *observation(self, idx))
-
-    def grad_y_inner_many(self, t, idx=None):
-        return self.weighted_grad1_kernel(t, *observation(self, idx))
-
-    def certificate_field(self, t, support, coef, idx=None):
-        return (self.weighted_kernel(t, support, coef) - self.y_inner_many(t, idx),
-                self.weighted_grad1_kernel(t, support, coef) - self.grad_y_inner_many(t, idx))
-
-
-class Signed(Reference):
-    """``Reference`` with the certificate as the weighted kernel of the
-    signed measure: one kernel matrix per evaluation and primitive."""
-
-    def certificate_values(self, t, support, coef, idx=None):
-        return signed_field(self, t, support, coef, idx)[0]
-
-    def certificate_field(self, t, support, coef, idx=None):
-        return signed_field(self, t, support, coef, idx)
 
 
 def model_pair(seed, dim, n_atoms, n_anchors, n_samples=64):
