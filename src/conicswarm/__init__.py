@@ -15,7 +15,7 @@ from .kernels import AssumptionBounds, GmmKernel, KernelModel, ReluKernel, Synth
     audit_assumptions
 from .objective import KktReport, Problem, certificate, certificate_and_grad, frechet_gap, \
     kkt_residual, loss
-from .oracle import OracleConfig, check_hoeffding_cap, draw_batch
+from .oracle import OracleConfig, draw_batch
 from .runner import IterationRecord, RunAborted, RunConfig, RunResult, run, trace_from_csv, \
     trace_to_csv
 from .schedules import AnytimePlan, Calibration, CalibrationError, FixedPlan, calibrate, \

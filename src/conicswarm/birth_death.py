@@ -110,9 +110,8 @@ def evaluate_birth_candidates(problem: Problem, ev, rule: BirthRule, eps_k: floa
     evaluation ``ev`` of ``KernelModel.pushed_values`` (its measure, on its
     batch) and apply the threshold.
 
-    Returns ``(born, candidates, accept, cand_certs, threshold)``: the
-    ``born`` swarm holds the candidates where the mask ``accept`` holds, in
-    draw order.
+    Returns ``(born, candidates, cand_certs)``: the ``born`` swarm holds the
+    candidates whose certificate is at most the threshold, in draw order.
     """
     n_cand = rule.candidates_per_iter
     positions = problem.domain.sample_uniform(rng, size=n_cand)
@@ -121,32 +120,28 @@ def evaluate_birth_candidates(problem: Problem, ev, rule: BirthRule, eps_k: floa
     else:
         signs = np.ones(n_cand)
     certs = signs * problem.model.candidate_values(ev, positions) + problem.kappa
-    level = rule.threshold(m_k)
     mass = eps_k if rule.birth_mass is None else rule.birth_mass
-    accept = certs <= level
+    accept = certs <= rule.threshold(m_k)
     born = ParticleSwarm(np.full(int(accept.sum()), mass), signs[accept], positions[accept])
-    return born, positions, accept, certs, level
+    return born, positions, certs
 
 
-def apply_mass_tweak(swarm: ParticleSwarm, deaths, births: ParticleSwarm) -> ParticleSwarm:
-    """Remove the death indices, then append births in draw order.
+def apply_mass_tweak(swarm: ParticleSwarm, keep, births: ParticleSwarm) -> ParticleSwarm:
+    """Keep the particles where the boolean mask ``keep`` holds, then append
+    births in draw order.
 
     Equivalent to zeroing the dead weights and pruning zero-weight atoms;
-    survivor order is preserved and the particle count satisfies
-    ``new = old - len(deaths) + len(births)`` exactly. With neither, the
-    swarm itself is returned.
+    survivor order is preserved and the particle count is
+    ``keep.sum() + len(births)``. With every particle kept and none born,
+    the swarm itself is returned. A ``keep`` that is not a boolean array of
+    shape ``(len(swarm),)`` is refused.
     """
-    deaths = np.asarray(deaths, dtype=int).reshape(-1)
-    if not deaths.size and not len(births):
+    keep = np.asarray(keep)
+    if keep.shape != (len(swarm),) or keep.dtype != bool:
+        raise ValueError(f"keep must be a boolean mask of shape ({len(swarm)},), "
+                         f"got {keep.dtype} of shape {keep.shape}")
+    if keep.all() and not len(births):
         return swarm
-    keep = slice(None)
-    if deaths.size:
-        if np.unique(deaths).size != deaths.size:
-            raise ValueError("duplicate death indices")
-        if deaths.min() < 0 or deaths.max() >= len(swarm):
-            raise ValueError("death index out of range")
-        keep = np.ones(len(swarm), dtype=bool)
-        keep[deaths] = False
     return ParticleSwarm(np.concatenate([swarm.weights[keep], births.weights]),
                          np.concatenate([swarm.signs[keep], births.signs]),
                          np.vstack([swarm.positions[keep], births.positions]))

@@ -41,14 +41,16 @@ A batch restriction averages per-sample quantities, so
 
 A solver iteration scores one pushed measure ``(T', c)`` on one batch
 twice, and three loop evaluations hand what the two share on as an
-explicit value ``ev`` (each class says what its ``ev`` holds); they have
-the bits of the stateless calls, which are their defaults:
+explicit value ``ev`` (each class says what its ``ev`` holds), which no
+call writes after ``pushed_values`` returns it; they have the bits of the
+stateless calls, which are their defaults:
 
 * ``pushed_values(T', c, idx)`` -- ``certificate_values(T', T', c, idx)``
   for the death step, and ``ev``;
 * ``candidate_values(ev, C)`` -- ``certificate_values(C, T', c, idx)``;
-* ``support_field(T, c, idx, ev, keep, born)`` -- the next iteration's
-  ``certificate_field(T, T, c, idx)`` at ``T = [T'[keep]; C[born]]``.
+* ``support_field(T, c, idx, ev, keep)`` -- the next iteration's
+  ``certificate_field(T, T, c, idx)`` at ``T = [T'[keep]; born]``, the
+  survivors under the boolean mask ``keep``, then the born candidates.
 
 ``GaussianKernel`` is the kernel side of both Gaussian models,
 ``K(a, b) = knorm exp(-|a - b|^2 / (2 kvar))``: ``SyntheticKernel`` has
@@ -356,10 +358,10 @@ class KernelModel(ABC):
         support, coef, idx = ev
         return self.certificate_values(t, support, coef, idx)
 
-    def support_field(self, t, coef, idx, ev, keep, born) -> tuple[np.ndarray, np.ndarray]:
+    def support_field(self, t, coef, idx, ev, keep) -> tuple[np.ndarray, np.ndarray]:
         """``certificate_field(t, t, coef, idx)`` at ``t``, ``ev``'s support
-        where the mask ``keep`` holds, then its candidates where ``born``
-        does; ``ev`` and the masks are None if no pushed evaluation came."""
+        where the mask ``keep`` holds, then the born candidates; ``ev`` and
+        ``keep`` are None if no pushed evaluation came."""
         return self.certificate_field(t, t, coef, idx)
 
     @abstractmethod
@@ -599,13 +601,12 @@ class GmmKernel(GaussianKernel):
     no |T| x n array is held.
 
     In the loop ``ev`` holds the batch rows, fetched once, the unnormalized
-    ``K(T', T')``, the unnormalized ``K(C, T')`` that ``candidate_values``
-    adds and, in an exact run, the data-side rows (unnormalized) and means
-    of both. ``support_field`` assembles the next support's kernel from
-    ``K(T', T')[keep][:, keep]`` and ``K(C, T')[born][:, keep]`` (indexing
-    only what died or was born), builds only ``K(C_born, C_born)``, and in
-    an exact run takes its rows from ``ev`` too; all of it is pair-local,
-    so it has fresh bits.
+    ``K(T', T')`` and, in an exact run, the pushed support's data-side rows
+    (unnormalized) and means. ``support_field`` takes the survivors' block
+    ``K(T', T')[keep][:, keep]`` and, in an exact run, their rows from
+    ``ev`` (indexing only when something died), and builds the born rows
+    ``K(T[p:], T)``, ``p = keep.sum()``, and in an exact run their
+    data-side rows; all of it is pair-local, so it has fresh bits.
     """
 
     def __init__(self, data: np.ndarray, tau: float):
@@ -727,34 +728,29 @@ class GmmKernel(GaussianKernel):
 
     def candidate_values(self, ev, t):
         t = _rows(t, self.dim)
-        k = self._kernel(t, ev["support"])
-        rows, means = self._density(t, ev["x"])
-        ev["cand"] = k, None if ev["side"] is None else (rows, means)
-        return self._values(k, ev["coef"]) - means
+        return self._values(self._kernel(t, ev["support"]), ev["coef"]) \
+            - self._density(t, ev["x"])[1]
 
-    def support_field(self, t, coef, idx, ev, keep, born):
+    def support_field(self, t, coef, idx, ev, keep):
         if ev is None:
             return self.certificate_field(t, t, coef, idx)
         t, _, coef = self._operands(t, t, coef)
-        died = not keep.all()
+        x = self._batch(idx)
+        p = int(keep.sum())
         k, side = ev["k"], (ev["side"] if idx is None else None)
-        if died:
+        if p < len(keep):
             k = k[np.ix_(keep, keep)]
             if side is not None:
                 side = side[0][keep], side[1][keep]
-        if born.any():
-            k_c, c_side = ev["cand"]
-            p = len(k)
+        if p < len(t):
             full = np.empty((len(t), len(t)))
             full[:p, :p] = k
-            full[p:, :p] = k_c[born][:, keep] if died else k_c[born]
+            full[p:] = self._kernel(t[p:], t)
             full[:p, p:] = full[p:, :p].T
-            full[p:, p:] = self._kernel(t[p:], t[p:])
             k = full
             if side is not None:
-                side = (np.vstack([side[0], c_side[0][born]]),
-                        np.concatenate([side[1], c_side[1][born]]))
-        x = self._batch(idx)
+                rows, means = self._density(t[p:], x)
+                side = np.vstack([side[0], rows]), np.concatenate([side[1], means])
         return self._field(t, t, coef, k, x, *(self._density(t, x) if side is None else side))
 
 
@@ -958,15 +954,18 @@ class AssumptionBounds:
             raise ValueError("smooth_max must dominate kernel_min")
 
 
+#: factor on the worst observed per-sample deviation in the audit's noise bound
+_NOISE_SAFETY = 1.5
+
+
 def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
-                      rng: np.random.Generator, tv_cap: float = 1.0,
-                      noise_safety: float = 1.5) -> AssumptionBounds:
+                      rng: np.random.Generator, tv_cap: float = 1.0) -> AssumptionBounds:
     """Estimate the assumption constants by sampling the domain.
 
     Boxes contribute their corners to the sample (the kernel minimum of a
     radial kernel sits at maximal separation), the rest is uniform. The
     noise bound multiplies the worst observed per-sample deviation by
-    ``noise_safety`` and scales kernel deviations by ``tv_cap``.
+    ``_NOISE_SAFETY`` and scales kernel deviations by ``tv_cap``.
 
     Every step is an array evaluation. The diagonal ``K(t, t)`` of the first
     64 points is read from the kernel matrix of all points. The gradients
@@ -1042,7 +1041,7 @@ def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
             dev_gk = max(dev_gk, float(np.linalg.norm(gk_one - gk_full, axis=-1).max()))
     noise_val = dev_y + tv_cap * dev_k
     noise_grad = dev_gy + tv_cap * dev_gk
-    noise_sup = noise_safety * max(noise_val, noise_grad)
+    noise_sup = _NOISE_SAFETY * max(noise_val, noise_grad)
 
     cert_offset = float(np.abs(model.y_inner_many(pts)).max())
     return AssumptionBounds(

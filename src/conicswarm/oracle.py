@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "OracleConfig",
     "draw_batch",
-    "check_hoeffding_cap",
     "HOEFFDING_CAP_CONST",
 ]
 
@@ -58,14 +57,3 @@ def draw_batch(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need at least one data sample")
     return rng.integers(0, n, size=m)
-
-
-def check_hoeffding_cap(alpha: float, noise_sup: float) -> bool:
-    """Whether the weight rate satisfies ``alpha * noise_sup <= sqrt(8 ln 8)``.
-
-    The boundary is inclusive; a few ulps of slack absorb the rounding of
-    ``alpha = cap / noise_sup``.
-    """
-    if noise_sup <= 0:
-        raise ValueError("noise bound must be positive")
-    return alpha * noise_sup <= HOEFFDING_CAP_CONST * (1.0 + 1e-12)

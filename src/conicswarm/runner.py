@@ -17,9 +17,10 @@ Each iteration scores the pushed measure on one batch twice, for deaths at
 its support and for births at the candidates, and the next support is the
 survivors followed by the born candidates. The loop hands this on
 explicitly: ``KernelModel.pushed_values`` returns ``ev``, what the two
-scorings share, ``candidate_values`` reads it, and the next iteration's
-``support_field`` takes it with the survivor and birth masks. The models
-keep no state between calls.
+scorings share, which ``candidate_values`` and the next iteration's
+``support_field`` read and no call writes. The survivors are decided once,
+as the boolean mask ``keep``, which both ``apply_mass_tweak`` and
+``support_field`` take. The models keep no state between calls.
 """
 
 from __future__ import annotations
@@ -143,14 +144,14 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
     trace.append(IterationRecord(0, 0.0, last_loss, swarm.tv_norm(), len(swarm),
                                  0, 0, None, None, None))
 
-    ev = keep = born_mask = None  # the last pushed evaluation and its outcome
+    ev = keep = None  # the last pushed evaluation and its survivors
     for k in range(1, config.k_iters + 1):
         eps_k, m_k, beta_k = config.plan.at(k)
         idx = None if config.full_batch else draw_batch(rng, m_k, n)
         threshold_m = n if config.full_batch else m_k
 
         vals, grad = model.support_field(swarm.positions, swarm.weights * swarm.signs, idx,
-                                         ev, keep, born_mask)
+                                         ev, keep)
         certs, grads = swarm.signs * vals + kappa, swarm.signs[:, None] * grad
         cert_norm_sq = float(swarm.weights @ certs**2) if len(swarm) else 0.0
         # the recorded minimum tracks the pushed certificate and the
@@ -169,12 +170,12 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
             vals, ev = model.pushed_values(swarm.positions, swarm.weights * swarm.signs, idx_plus)
             pushed = swarm.signs * vals + kappa
             death_idx = select_deaths(swarm, pushed, config.death_rule, eps_k, rng)
-            born, _, born_mask, cand_certs, _ = evaluate_birth_candidates(
-                problem, ev, config.birth_rule, eps_k, threshold_m, rng)
+            born, _, cand_certs = evaluate_birth_candidates(problem, ev, config.birth_rule,
+                                                            eps_k, threshold_m, rng)
             keep = np.ones(len(swarm), dtype=bool)
             keep[death_idx] = False
             seen = np.concatenate([pushed, cand_certs])
-            swarm = apply_mass_tweak(swarm, death_idx, born)
+            swarm = apply_mass_tweak(swarm, keep, born)
             births, deaths = len(born), len(death_idx)
 
         at_cadence = (k % config.trace_cadence == 0) or (k == config.k_iters)

@@ -20,6 +20,14 @@ def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def survivors(swarm, deaths):
+    """The boolean mask of the particles of ``swarm`` that the death indices
+    ``deaths`` spare, as the loop builds it."""
+    keep = np.ones(len(swarm), dtype=bool)
+    keep[deaths] = False
+    return keep
+
+
 def traced_peak(call):
     """Peak bytes that ``call()`` allocates above what was held before it."""
     tracemalloc.start()

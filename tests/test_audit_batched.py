@@ -44,6 +44,8 @@ from conicswarm.kernels import AssumptionBounds, GmmKernel, SyntheticKernel, aud
 from helpers import rng
 from reference import SYNTHETIC_THEORY_REPORT, reference_audit
 
+pytestmark = pytest.mark.exactness
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 #: relative bound between ReLU's batched and per-sample audit (module docstring)

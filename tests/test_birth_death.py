@@ -9,7 +9,7 @@ from conicswarm.objective import certificate, loss
 from conicswarm.oracle import OracleConfig, draw_batch
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_synthetic_problem, random_swarm
-from helpers import rng
+from helpers import rng, survivors
 
 
 def swarm_of(weights, certs_dim=1):
@@ -166,15 +166,15 @@ class TestProposeBirths:
         problem = make_synthetic_problem()
         sw = ParticleSwarm.empty(2)
         rule = BirthRule(threshold_coeff=math.inf, candidates_per_iter=5)
-        born, cands, _, _, _ = evaluate_birth_candidates(problem, pushed_ev(problem, sw, None),
-                                                         rule, 0.01, 16, rng(17))
+        born, cands, _ = evaluate_birth_candidates(problem, pushed_ev(problem, sw, None), rule,
+                                                   0.01, 16, rng(17))
         assert np.array_equal(born.positions, cands)
 
 
 class TestApplyMassTweak:
     def test_noop(self):
         sw = swarm_of([0.1, 0.2])
-        out = apply_mass_tweak(sw, [], ParticleSwarm.empty(1))
+        out = apply_mass_tweak(sw, [True, True], ParticleSwarm.empty(1))
         assert np.array_equal(out.weights, sw.weights)
         assert np.array_equal(out.positions, sw.positions)
         # nothing dies and nothing is born: every array comes back as it was
@@ -182,29 +182,31 @@ class TestApplyMassTweak:
         for p in (0, 1, 5):
             sw = ParticleSwarm(g.uniform(0.0, 1.0, size=p), g.choice([-1.0, 1.0], size=p),
                                g.uniform(-1.0, 1.0, size=(p, 3)))
-            for deaths in ([], np.empty(0, dtype=int)):
-                out = apply_mass_tweak(sw, deaths, ParticleSwarm.empty(3))
-                for name in ("weights", "signs", "positions"):
-                    got, want = getattr(out, name), getattr(sw, name)
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            out = apply_mass_tweak(sw, np.ones(p, dtype=bool), ParticleSwarm.empty(3))
+            for name in ("weights", "signs", "positions"):
+                got, want = getattr(out, name), getattr(sw, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_counts_and_order(self):
         sw = ParticleSwarm([0.1, 0.2, 0.3], [1, -1, 1], np.arange(3.0).reshape(3, 1))
         born = ParticleSwarm([0.05], [1], [[9.0]])
-        out = apply_mass_tweak(sw, [1], born)
+        out = apply_mass_tweak(sw, [True, False, True], born)
         assert len(out) == 3 - 1 + 1
         assert np.allclose(out.positions.ravel(), [0.0, 2.0, 9.0])
         assert out.weights[-1] == 0.05
 
-    def test_duplicate_death_indices_rejected(self):
+    @pytest.mark.parametrize("keep", [
+        np.array([0, 1]),  # indices, not a mask
+        np.array([1.0, 0.0]),
+        np.array([True]),
+        np.array([True, True, False]),
+        np.array([[True, True]]),
+        np.empty(0),
+    ], ids=["indices", "floats", "short", "long", "2-d", "empty-floats"])
+    def test_keep_must_be_a_flat_boolean_mask_of_the_swarm(self, keep):
         sw = swarm_of([0.1, 0.2])
-        with pytest.raises(ValueError):
-            apply_mass_tweak(sw, [0, 0], ParticleSwarm.empty(1))
-
-    def test_out_of_range_rejected(self):
-        sw = swarm_of([0.1])
-        with pytest.raises(ValueError):
-            apply_mass_tweak(sw, [3], ParticleSwarm.empty(1))
+        with pytest.raises(ValueError, match=r"boolean mask of shape \(2,\)"):
+            apply_mass_tweak(sw, keep, ParticleSwarm.empty(1))
 
     @pytest.mark.parametrize("p0,total_deaths,total_births,p_final", [
         (20, 78, 97, 39),    # reported mixture end state
@@ -222,7 +224,7 @@ class TestApplyMassTweak:
             idx = g.choice(len(sw), size=d, replace=False) if d else []
             born = ParticleSwarm(np.full(b, 0.01), np.ones(b), np.zeros((b, 2)))
             expected = len(sw) - d + b
-            sw = apply_mass_tweak(sw, idx, born)
+            sw = apply_mass_tweak(sw, survivors(sw, idx), born)
             assert len(sw) == expected
             deaths_left -= d
             births_left -= b
@@ -247,7 +249,7 @@ class TestTweakEffects:
         if deaths.size == 0:
             pytest.skip("fixture produced no qualifying deaths")
         before = loss(problem, sw)
-        after_sw = apply_mass_tweak(sw, deaths, ParticleSwarm.empty(2))
+        after_sw = apply_mass_tweak(sw, survivors(sw, deaths), ParticleSwarm.empty(2))
         k_max = 1.0  # unit-normalized kernel
         budget = 0.5 * k_max * float(np.sum(sw.weights[deaths] ** 2))
         assert loss(problem, after_sw) - before <= budget + 1e-12
@@ -266,7 +268,7 @@ class TestTweakEffects:
         certs = certificate(problem, sw, sw.positions, sw.signs)
         deaths = select_deaths(sw, certs, DeathRule(kind="guarded", scan="single"), eps, g)
         born = ParticleSwarm([eps], [1], problem.domain.sample_uniform(g)[None, :])
-        after = apply_mass_tweak(sw, deaths, born)
+        after = apply_mass_tweak(sw, survivors(sw, deaths), born)
         grid = problem.domain.sample_uniform(g, size=400)
         ones = np.ones(len(grid))
         before_vals = certificate(problem, sw, grid, ones)

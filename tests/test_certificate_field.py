@@ -42,6 +42,8 @@ from helpers import traced_peak
 from reference import masked_residual_grads, primitive_field, relu_residual_bound, \
     residual_field, scaled_rows_bound, signed_field, signed_sum_bound
 
+pytestmark = pytest.mark.exactness
+
 PROBLEMS = {
     "synthetic-signed": make_synthetic_problem(seed=3, signed=True),
     "synthetic-unsigned": make_synthetic_problem(seed=3, signed=False),

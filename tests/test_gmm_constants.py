@@ -12,11 +12,14 @@ that ``mixture_field`` derives.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicswarm.kernels import GmmKernel
 from helpers import rng
 from reference import divided, entry_size, mixture_field
+
+pytestmark = pytest.mark.exactness
 
 
 def within(got, want, bound):

@@ -281,6 +281,7 @@ def any_points(g, n, d):
 SIZES = st.one_of(st.integers(1, 9), st.sampled_from([64, 70, 130]))
 
 
+@pytest.mark.exactness
 @given(p=SIZES, q=SIZES, d=st.sampled_from([1, 2, 3, 9]),
        points=st.sampled_from([dyadic_points, any_points]),
        offset=st.sampled_from([0.0, 1e6]), seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -310,6 +311,7 @@ def test_gaussian_entries_are_pair_local(p, q, d, points, offset, seed, data):
 # reference scales the kernel first, and ``grad_rounding_bound`` derives how
 # far the two groupings of the same terms may differ.
 
+@pytest.mark.exactness
 @given(p=st.integers(1, 400), q=st.integers(1, 400), d=st.sampled_from([1, 2, 3, 5]),
        signed=st.booleans(), offset=st.sampled_from([0.0, 40.0]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
@@ -326,6 +328,7 @@ def test_gauss_grad_within_rounding_of_the_scaled_kernel(p, q, d, signed, offset
     assert np.all(np.abs(grad - reference) <= grad_rounding_bound(k, a, b, c, var))
 
 
+@pytest.mark.exactness
 @given(p=st.integers(1, 70), q=st.integers(1, 70), m=st.integers(1, 6),
        d=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
@@ -383,6 +386,7 @@ def test_gmm_y_norm_sq_matches_brute_force(n, d, tau, layout, offset, tile, seed
     assert y_norm_sq == pytest.approx(brute_y_norm_sq(data, tau), rel=1e-13, abs=0)
 
 
+@pytest.mark.exactness
 @pytest.mark.parametrize("shape", ["desk", "offset_3d"])
 def test_gmm_y_norm_sq_has_the_bits_of_the_subtraction_tiles(shape):
     # CI runs this with OpenBLAS on two threads too: |y|^2 must not depend on
@@ -430,6 +434,7 @@ def lattice_with_repeats(n_distinct, repeats, d):
     return data, int(counts @ counts)
 
 
+@pytest.mark.exactness
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("tau", [1.4917e-154, 2e-154, 2.5e-154, 3.2e-154, 1e-150])
 @pytest.mark.parametrize("d", [1, 2])
@@ -443,6 +448,7 @@ def test_gmm_y_norm_sq_at_tiny_tau(tau, d):
     assert GmmKernel(data, tau).y_norm_sq == pytest.approx(closed, rel=1e-13, abs=0)
 
 
+@pytest.mark.exactness
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gmm_y_norm_sq_where_only_the_constant_overflows():
     # d = 3 at tau = 2e-104: (4 pi tau^2)^(-3/2) is about 2.8e309, past the
@@ -454,6 +460,7 @@ def test_gmm_y_norm_sq_where_only_the_constant_overflows():
     assert GmmKernel(data, tau).y_norm_sq == pytest.approx(closed, rel=1e-12, abs=0)
 
 
+@pytest.mark.exactness
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d, tau", [(3, 1.4917e-154), (3, 1e-150), (5, 1.4917e-154)])
 def test_gmm_y_norm_sq_refuses_a_value_past_the_float_range(d, tau):

@@ -3,15 +3,16 @@
 Each iteration scores the pushed measure ``(T', c)`` twice on one batch,
 ``pushed_values`` at ``T'`` and ``candidate_values`` at the birth
 candidates ``C`` through ``ev``, and the next ``support_field`` takes ``ev``
-with the masks of ``T = [T'[keep]; C[born]]``. For the synthetic model
-(signed and unsigned), the mixture and the ReLU network, exact and
-mini-batch: (a) each call has the bits of a fresh model's stateless
-``certificate_values`` or ``certificate_field``; (b) so does every loop
-evaluation of runs with births and deaths at beta = 0 and > 0, whose rows
-and final swarms are those of ``KernelModel``'s stateless evaluations;
-(c) the model's attributes are the same objects after a run, during and
-after an aborted one and after a weight overflow; (d) the trace does not
-depend on the cadence. CI runs this again with OpenBLAS on two threads.
+with the survivor mask ``keep`` of ``T = [T'[keep]; C[born]]``. For the
+synthetic model (signed and unsigned), the mixture and the ReLU network,
+exact and mini-batch: (a) each call has the bits of a fresh model's
+stateless ``certificate_values`` or ``certificate_field``; (b) so does
+every loop evaluation of runs with births and deaths at beta = 0 and > 0,
+whose rows and final swarms are those of ``KernelModel``'s stateless
+evaluations; (c) the model's attributes are the same objects after a run,
+during and after an aborted one and after a weight overflow; (d) the trace
+does not depend on the cadence; (e) no call after ``pushed_values`` writes
+its ``ev``. CI runs this again with OpenBLAS on two threads.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from conicswarm.runner import RunAborted, run
 from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm
 from helpers import attributes, loop_config, rng, rows, same_bits
+
+pytestmark = pytest.mark.exactness
 
 BUILDERS = {
     "synthetic-signed": functools.partial(verify.make_synthetic_problem, seed=4),
@@ -71,7 +74,7 @@ def test_warm_model_gives_fresh_bits(name, seed, data):
     t = np.vstack([pushed[keep], cand[born]])
     c = g.uniform(-1.0, 1.0, size=len(t))
     idx = None if exact else g.integers(0, warm.n_samples, size=32)
-    for got, want in zip(warm.support_field(t, c, idx, ev, keep, born),
+    for got, want in zip(warm.support_field(t, c, idx, ev, keep),
                          fresh.certificate_field(t, t, c, idx)):
         assert same_bits(got, want)
 
@@ -109,8 +112,8 @@ class Checked(Stateless):
         assert same_bits(vals, self.fresh.certificate_values(t, *self.last))
         return vals
 
-    def support_field(self, t, coef, idx, ev, keep, born):
-        got = self.model.support_field(t, coef, idx, ev, keep, born)
+    def support_field(self, t, coef, idx, ev, keep):
+        got = self.model.support_field(t, coef, idx, ev, keep)
         for g, w in zip(got, self.fresh.certificate_field(t, t, coef, idx)):
             assert same_bits(g, w)
         self.assembled += ev is not None
@@ -187,3 +190,41 @@ def test_trace_does_not_depend_on_the_cadence(name, full_batch):
     assert len(fine) == len(coarse) == 61
     assert rows(fine, "loss", "delta") == rows(coarse, "loss", "delta")
     assert all(a.loss == b.loss for a, b in zip(fine, coarse) if b.loss is not None)
+
+
+def contents(ev):
+    """``ev``'s keys and nesting, with each array's dtype, shape and bytes."""
+    if isinstance(ev, dict):
+        return {key: contents(value) for key, value in ev.items()}
+    if isinstance(ev, tuple):
+        return tuple(contents(value) for value in ev)
+    if ev is None:
+        return None
+    ev = np.asarray(ev)
+    return ev.dtype.str, ev.shape, ev.tobytes()
+
+
+@each_model
+@each_batching
+def test_no_loop_evaluation_writes_ev(name, full_batch):
+    # the birth step and the next support field read the pushed evaluation;
+    # neither adds to it or overwrites it, whatever died or was born
+    problem = WARM[name]
+    model, g = problem.model, rng(5)
+    pushed = problem.domain.sample_uniform(g, size=6)
+    cand = problem.domain.sample_uniform(g, size=4)
+
+    def batch():
+        return None if full_batch else g.integers(0, model.n_samples, size=32)
+
+    _, ev = model.pushed_values(pushed, g.uniform(-1.0, 1.0, size=6), batch())
+    before = contents(ev)
+    model.candidate_values(ev, cand)
+    assert contents(ev) == before
+    for keep, born in [(np.ones(6, dtype=bool), cand[:0]),
+                       (np.ones(6, dtype=bool), cand[1:3]),
+                       (np.array([True, False, True, True, False, True]), cand[:2]),
+                       (np.zeros(6, dtype=bool), cand)]:
+        t = np.vstack([pushed[keep], born])
+        model.support_field(t, g.uniform(-1.0, 1.0, size=len(t)), batch(), ev, keep)
+        assert contents(ev) == before

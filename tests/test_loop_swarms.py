@@ -19,6 +19,7 @@ from conicswarm.runner import RunConfig, run
 from conicswarm.schedules import FixedPlan
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem, \
     random_swarm
+from helpers import survivors
 
 PROBLEMS = {
     "synthetic": make_synthetic_problem(seed=4),
@@ -54,7 +55,7 @@ def test_one_step_outputs_pass_check(name, seed, step, death_rule, birth_rule, e
     deaths = select_deaths(pushed, pushed.signs * vals + problem.kappa, death_rule, eps_k, rng)
     born = evaluate_birth_candidates(problem, ev, birth_rule, eps_k,
                                      n if exact else m_k, rng)[0].check()
-    after = apply_mass_tweak(pushed, deaths, born).check()
+    after = apply_mass_tweak(pushed, survivors(pushed, deaths), born).check()
     assert len(after) == len(pushed) - len(deaths) + len(born)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from conicswarm.kernels import audit_assumptions
 from conicswarm.objective import certificate, certificate_and_grad
-from conicswarm.oracle import HOEFFDING_CAP_CONST, OracleConfig, check_hoeffding_cap, draw_batch
+from conicswarm.oracle import HOEFFDING_CAP_CONST, OracleConfig, draw_batch
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem, \
     random_swarm
 from helpers import rng
@@ -95,22 +95,9 @@ def test_gradient_unbiased_and_bounded_by_audit():
 
 
 class TestHoeffdingCap:
-    def test_boundary_inclusive(self):
-        e_inf = 0.37
-        alpha = HOEFFDING_CAP_CONST / e_inf
-        assert check_hoeffding_cap(alpha, e_inf)
-
-    def test_twice_cap_fails(self):
-        e_inf = 0.37
-        assert not check_hoeffding_cap(2 * HOEFFDING_CAP_CONST / e_inf, e_inf)
-
     def test_numeric_value(self):
         assert HOEFFDING_CAP_CONST == pytest.approx(math.sqrt(8 * math.log(8)))
         assert HOEFFDING_CAP_CONST == pytest.approx(4.0787, abs=2e-4)
-
-    def test_rejects_nonpositive_noise(self):
-        with pytest.raises(ValueError):
-            check_hoeffding_cap(0.1, 0.0)
 
 
 class TestOracleConfig:

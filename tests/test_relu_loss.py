@@ -18,6 +18,7 @@ one-piece forms, the block loops and the bounds are in ``reference.py``.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicswarm import kernels
@@ -89,6 +90,7 @@ def test_relu_loss_matches_expanded_and_closed_forms(seed, d, p_kind, n_kind, bl
 BLOCK_ENTRIES = st.sampled_from([64, ENTRIES])
 
 
+@pytest.mark.exactness
 @given(entries=BLOCK_ENTRIES, p_kind=st.sampled_from(["one", "few", "single row"]), **CASES)
 @settings(max_examples=60, deadline=None)
 def test_relu_loss_has_the_bits_of_the_block_loop(entries, seed, d, p_kind, n_kind, blocks,
@@ -99,6 +101,7 @@ def test_relu_loss_has_the_bits_of_the_block_loop(entries, seed, d, p_kind, n_ki
                          relu_objective_loop(model, t, w, s, 1e-3))
 
 
+@pytest.mark.exactness
 @given(entries=BLOCK_ENTRIES, p_kind=st.sampled_from(["none", "one", "few", "single row"]),
        n_points=st.integers(1, 20), **CASES)
 @settings(max_examples=60, deadline=None)

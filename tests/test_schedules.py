@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicswarm.kernels import AssumptionBounds
+from conicswarm.oracle import HOEFFDING_CAP_CONST
 from conicswarm.schedules import AnytimePlan, CalibrationError, FixedPlan, calibrate, \
     horizon_plan
 
@@ -47,6 +48,8 @@ class TestCalibrate:
         assert cal.alpha == pytest.approx(min(cal.alpha_cap_mass, cal.alpha_cap_descent,
                                               cal.hoeffding_cap))
         assert cal.binding_cap == "hoeffding"
+        # the binding cap is alpha * noise_sup = sqrt(8 ln 8), to rounding
+        assert cal.alpha * 1e5 == pytest.approx(HOEFFDING_CAP_CONST, rel=1e-15)
 
     def test_hoeffding_cap_infinite_for_deterministic(self):
         cal = calibrate(bounds_of(), nu0_tv=0.1, kappa=0.1, lambda_x=1.0, y_norm=0.0,

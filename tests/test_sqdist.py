@@ -23,6 +23,8 @@ from conicswarm.kernels import GmmKernel, gauss_density
 from helpers import rng, same_bits
 from reference import reference_sqdist
 
+pytestmark = pytest.mark.exactness
+
 
 #: coordinates that stress the differences: signed zeros, subnormal and
 #: near-subnormal gaps, large magnitudes with gaps of one ulp, and 1e150

@@ -2,14 +2,15 @@
 
 Each iteration scores the pushed support ``T'`` against itself
 (``pushed_values``) and the birth candidates ``C`` against ``T'`` on the
-same batch (``candidate_values``); the next support is ``T'[keep]``
-followed by ``C[born]``. ``ev`` carries the batch rows, ``K(T', T')`` and
-``K(C, T')``, and in an exact run the data-side rows and means of both, so
-``support_field`` builds only ``K(C_born, C_born)``, after deaths too, and
-no data-side rows in an exact run, and the candidates fetch no batch.
-Every stateless evaluation builds fresh. That the loop evaluations have
-the bits of the stateless ones and keep nothing in the model is checked
-for every model in ``test_loop_evaluations.py``.
+same batch (``candidate_values``); the next support ``T`` is ``T'[keep]``
+followed by the born candidates. ``ev`` carries the batch rows and
+``K(T', T')``, and in an exact run the pushed support's data-side rows and
+means, so ``support_field`` builds only the born rows ``K(T_born, T)``,
+after deaths too, and in an exact run one data-side row per birth, and the
+candidates fetch no batch. Every stateless evaluation builds fresh. That
+the loop evaluations have the bits of the stateless ones, write nothing
+into ``ev`` and keep nothing in the model is checked for every model in
+``test_loop_evaluations.py``.
 """
 
 from __future__ import annotations
@@ -90,20 +91,20 @@ def test_run_without_deaths_builds_no_support_kernel(evaluations, full_batch):
     sizes = [size for _, size, _, _ in fields]
     assert sizes == [rec.particles for rec in res.trace[:-1]]
     # the first support has no pushed evaluation before it; later, only the
-    # born candidates against themselves, and in a full-batch run no
+    # born rows against the whole support, and in a full-batch run their
     # data-side rows
     assert [entries for *_, entries in fields] == \
-        [sizes[0] ** 2] + [rec.births ** 2 for rec in res.trace[1:-1]]
+        [sizes[0] ** 2] + [rec.births * rec.particles for rec in res.trace[1:-1]]
     assert [built for *_, built, _ in fields] == \
-        ([sizes[0]] + [0] * (len(sizes) - 1) if full_batch else sizes)
+        ([sizes[0]] + [rec.births for rec in res.trace[1:-1]] if full_batch else sizes)
 
 
 @pytest.mark.parametrize("full_batch", [True, False])
 def test_iteration_after_deaths_builds_only_the_born_block(monkeypatch, built, full_batch):
     # the support's field is everything built between one iteration's mass
     # tweak and the next one's weight update (the loss runs only at k = K):
-    # after deaths as after births alone, K(C_born, C_born) and, in a
-    # full-batch run, no data-side rows
+    # after deaths as after births alone, K(T_born, T) and, in a full-batch
+    # run, the births' data-side rows
     problem = make_gmm_problem(seed=7)
     init = random_swarm(problem, rng(8), max_particles=6)
     marks = []
@@ -116,21 +117,24 @@ def test_iteration_after_deaths_builds_only_the_born_block(monkeypatch, built, f
     assert sum(rec.deaths > 0 for rec in steps) >= 5 and res.total_births > 0
     spans = list(zip(marks[1::2], marks[2::2]))
     assert [kernel_entries(built, model, lo, hi) for lo, hi in spans] == \
-        [rec.births ** 2 for rec in steps]
+        [rec.births * rec.particles for rec in steps]
     if full_batch:
-        assert all(data_rows(built, model, lo, hi) == 0 for lo, hi in spans)
+        assert [data_rows(built, model, lo, hi) for lo, hi in spans] == \
+            [rec.births for rec in steps]
 
 
 def test_support_evaluation_builds_no_rows(built):
     # the losses at k = 0 and k = K and the first support build p_0, p_K and
-    # p_0 rows; then each iteration builds only its pushed support's p_k rows
-    # and the q = 4 candidates'
+    # p_0 rows; then each iteration builds only its pushed support's p_k rows,
+    # the q = 4 candidates' and the rows of the births the next support adds
     problem = make_gmm_problem(seed=7, n=400)
     init = random_swarm(problem, rng(8), max_particles=6)
     res = run(loop_config(init, True, death_rule=NO_DEATHS, trace_cadence=1000), problem)
     p = [rec.particles for rec in res.trace]
     assert res.total_deaths == 0 and res.total_births > 0
-    assert data_rows(built, problem.model) == 2 * p[0] + sum(pk + 4 for pk in p[:-1]) + p[-1]
+    born = sum(rec.births for rec in res.trace[1:-1])
+    assert data_rows(built, problem.model) == \
+        2 * p[0] + sum(pk + 4 for pk in p[:-1]) + born + p[-1]
 
 
 def scoped_pair(model, domain, idx=None):
@@ -143,28 +147,30 @@ def scoped_pair(model, domain, idx=None):
     return pushed, cand, ev
 
 
-def support_builds(built, model, support, ev=None, keep=None, born=None):
+def support_builds(built, model, support, ev=None, keep=None):
     """Data-side rows and kernel entries an exact support field builds."""
     since = len(built)
-    model.support_field(support, np.ones(len(support)), None, ev, keep, born)
+    model.support_field(support, np.ones(len(support)), None, ev, keep)
     return data_rows(built, model, since), kernel_entries(built, model, since)
 
 
 def test_kept_support_with_births_builds_only_the_born_block(built):
+    # the two born rows against the p survivors and themselves, and their
+    # two data-side rows; nothing without births
     problem = make_gmm_problem(seed=3)
     model = problem.model
     pushed, cand, ev = scoped_pair(model, problem.domain)
-    born, none = np.array([False, True, False, True]), np.zeros(4, dtype=bool)
+    born = cand[[1, 3]]
     for keep in (np.ones(5, dtype=bool), np.array([True, False, True, True, False]),
                  np.zeros(5, dtype=bool)):
-        support = np.vstack([pushed[keep], cand[born]])
-        assert support_builds(built, model, support, ev, keep, born) == (0, 4)
-        assert support_builds(built, model, pushed[keep], ev, keep, none) == (0, 0)
+        p = int(keep.sum())
+        support = np.vstack([pushed[keep], born])
+        assert support_builds(built, model, support, ev, keep) == (2, 2 * (p + 2))
+        assert support_builds(built, model, pushed[keep], ev, keep) == (0, 0)
     # mini-batch evaluations lend their kernel blocks, not their rows
     pushed, cand, ev = scoped_pair(model, problem.domain, np.arange(10))
-    born = np.array([True, False, False, False])
-    assert support_builds(built, model, np.vstack([pushed, cand[born]]), ev,
-                          np.ones(5, dtype=bool), born) == (6, 1)
+    assert support_builds(built, model, np.vstack([pushed, cand[[0]]]), ev,
+                          np.ones(5, dtype=bool)) == (6, 6)
 
 
 @pytest.mark.parametrize("case", ["death", "unrelated", "stranger", "prefix", "unscoped"])

@@ -36,6 +36,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import conicswarm.cli as cli
@@ -77,6 +78,7 @@ POINTS = st.one_of(st.integers(0, 12), st.sampled_from([64, 65, 640, 700]),
 BATCHES = st.one_of(st.none(), st.sampled_from([1, 800]), st.integers(1, 800))
 
 
+@pytest.mark.exactness
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]),
        n_atoms=st.integers(1, 5), n_anchors=st.integers(0, 4), p=SUPPORTS, n_points=POINTS,
        at_support=st.booleans(), batch=BATCHES)
@@ -102,6 +104,7 @@ def test_certificate_has_the_bits_of_one_signed_measure(seed, dim, n_atoms, n_an
         assert np.all(np.abs(got - expected) <= bound)
 
 
+@pytest.mark.exactness
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]),
        n_atoms=st.integers(1, 5), n_anchors=st.integers(0, 4), n_points=POINTS, batch=BATCHES)
 @settings(max_examples=100, deadline=None)
@@ -125,6 +128,7 @@ def test_observation_has_the_bits_of_one_product_against_atoms_and_anchors(
     assert np.all(np.abs(grads - split_grads) <= grad_bound)
 
 
+@pytest.mark.exactness
 @given(seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 300),
        n_anchors=st.integers(0, 4), m=st.one_of(st.sampled_from([1, 2, 4096, 10**6]),
                                                 st.integers(1, 5000)))
@@ -258,6 +262,7 @@ def run_files(tmp_path, name, iterations=200):
     return problem, result, out
 
 
+@pytest.mark.exactness
 def test_theory_run_writes_the_bytes_of_the_signed_measure_path(tmp_path, monkeypatch):
     problem, result, shipped = run_files(tmp_path, "shipped")
     assert type(problem.model) is SyntheticKernel
