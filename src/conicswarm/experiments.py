@@ -17,7 +17,7 @@ import numpy as np
 
 from .csvio import read_numeric_csv
 from .domain import Ball, Box
-from .kernels import GmmKernel, ReluKernel, relu_outputs
+from .kernels import GmmKernel, ReluKernel
 from .objective import Problem
 from .runner import RunResult
 from .swarm import ParticleSwarm, lift_signed
@@ -29,7 +29,6 @@ __all__ = [
     "load_gmm_data",
     "load_regression",
     "gen_teacher_regression",
-    "relu_predict",
     "heldout_mse",
     "SummaryRow",
     "summarize",
@@ -194,14 +193,6 @@ def gen_teacher_regression(n_samples: int, n_features: int, n_teacher: int,
     teacher = lift_signed(np.append(amps * norms, -dataset.target_mean) / dataset.target_std,
                           np.vstack([mapped / norms[:, None], np.eye(n_features + 1)[-1]]))
     return dataset, problem, teacher
-
-
-def relu_predict(swarm: ParticleSwarm, features: np.ndarray) -> np.ndarray:
-    """Network output ``sum_j w_j s_j relu(<v_j, x> + b_j)`` per row, over the
-    row blocks of ``relu_outputs``: the one-shot form up to summation rounding."""
-    aug = np.hstack([features, np.ones((features.shape[0], 1))])
-    blocks = relu_outputs(aug, swarm.positions, swarm.weights * swarm.signs)
-    return np.concatenate([np.empty(0), *(u for _, u in blocks)])
 
 
 def heldout_mse(swarm: ParticleSwarm, dataset: RegressionDataset) -> float:

@@ -52,6 +52,11 @@ stateless calls, which are their defaults:
   ``certificate_field(T, T, c, idx)`` at ``T = [T'[keep]; born]``, the
   survivors under the boolean mask ``keep``, then the born candidates.
 
+The mixture's ``ev`` also holds the product ``K(T', T') c``, and its
+``support_field`` reads it in place of its own when every particle survived,
+none was born and its ``c`` has the bytes of ``ev``'s (any coefficients are
+accepted, so the bytes are compared), as in most iterations.
+
 ``GaussianKernel`` is the kernel side of both Gaussian models,
 ``K(a, b) = knorm exp(-|a - b|^2 / (2 kvar))``: ``SyntheticKernel`` has
 ``kvar = sigma^2`` and ``knorm = 1``, ``GmmKernel`` the variance and
@@ -407,7 +412,7 @@ class GaussianKernel(KernelModel):
     def _kernel(self, a, b):
         """``K(a, b)`` without its constant ``_knorm``; a set against itself
         by the symmetric build."""
-        if a.shape == b.shape and np.array_equal(a, b):
+        if a is b or (a.shape == b.shape and np.array_equal(a, b)):
             return _gauss_self(a, self._kvar)
         return gauss_density(a, b, self._kvar)
 
@@ -515,9 +520,6 @@ class SyntheticKernel(GaussianKernel):
         grad_max = np.exp(-0.5) / self.sigma  # max |grad K| for the Gaussian kernel
         return float(dev), float(dev * grad_max)
 
-    def exact_positivity(self) -> float:
-        return float(np.exp(-self.domain.diameter**2 / (2.0 * self.sigma**2)))
-
     def _y_coef(self, idx):
         """``[w; eta_b]``: the observation's coefficients on ``_fixed``, with
         the batch ``idx``'s mean noise from its sample counts."""
@@ -601,12 +603,19 @@ class GmmKernel(GaussianKernel):
     no |T| x n array is held.
 
     In the loop ``ev`` holds the batch rows, fetched once, the unnormalized
-    ``K(T', T')`` and, in an exact run, the pushed support's data-side rows
+    ``K(T', T')`` and its product ``K(T', T') c`` with the pushed
+    coefficients and, in an exact run, the pushed support's data-side rows
     (unnormalized) and means. ``support_field`` takes the survivors' block
-    ``K(T', T')[keep][:, keep]`` and, in an exact run, their rows from
-    ``ev`` (indexing only when something died), and builds the born rows
+    of ``K(T', T')`` by row-order gathers of rows, then columns, which leave
+    it C-ordered like a fresh build, and, in an exact run, their rows from
+    ``ev`` (gathering only when something died), and builds the born rows
     ``K(T[p:], T)``, ``p = keep.sum()``, and in an exact run their
-    data-side rows; all of it is pair-local, so it has fresh bits.
+    data-side rows; all of it is pair-local, so it has fresh bits. When
+    every particle survived, none was born and the coefficients have the
+    bytes of ``ev``'s, it takes ``ev``'s product, the one it would form
+    from the same operands. Both ``pushed_values`` and ``support_field``
+    finish the data side, and a batch's rows go, before the kernel is built
+    and multiplied, so fewer arrays share the cache.
     """
 
     def __init__(self, data: np.ndarray, tau: float):
@@ -660,9 +669,11 @@ class GmmKernel(GaussianKernel):
 
     def _density(self, t, x):
         """Density rows ``N(t_i; x_j, (1 + 2 tau^2) I)`` over the samples
-        ``x``, without their constant, and their means, with it."""
+        ``x``, without their constant, and their means, with it. The means
+        are ``np.mean``'s own sum and division, without its wrapper."""
         rows = gauss_density(t, x, self._yvar)
-        means = rows.mean(axis=1)
+        means = np.add.reduce(rows, axis=1)
+        means /= x.shape[0]
         means *= self._ynorm
         return rows, means
 
@@ -703,28 +714,35 @@ class GmmKernel(GaussianKernel):
         t, support, coef = self._operands(t, support, coef)
         return self._values(self._kernel(t, support), coef) - self.y_inner_many(t, idx)
 
-    def _field(self, t, support, coef, k_s, x, k_y, y):
-        """Values and gradients from the unnormalized ``K(t, support)`` and
-        density rows ``k_y`` of ``t`` over the samples ``x``, with their
-        means ``y``."""
-        vals = self._values(k_s, coef) - y
-        grads = self._grads(k_s, t, support, coef) - self._y_grads(t, x, k_y, y)
-        return vals, grads
+    def _data_side(self, t, x, side=None):
+        """``<y, phi_t>`` over the samples ``x`` and its gradients, from the
+        density rows and means ``side`` or fresh ones; the rows go when it
+        returns, before the caller builds its kernel."""
+        rows, means = self._density(t, x) if side is None else side
+        return means, self._y_grads(t, x, rows, means)
+
+    def _field(self, t, support, coef, k_s, y, y_grads, kc=None):
+        """Values and gradients from the unnormalized ``K(t, support)``, its
+        product ``kc = K(t, support) @ coef`` if already taken, and the data
+        side ``(y, y_grads)`` of ``_data_side``."""
+        kc = k_s @ coef if kc is None else kc
+        return kc * self._knorm - y, self._grads(k_s, t, support, coef) - y_grads
 
     def certificate_field(self, t, support, coef, idx=None):
         t, support, coef = self._operands(t, support, coef)
-        x = self._batch(idx)
-        return self._field(t, support, coef, self._kernel(t, support), x,
-                           *self._density(t, x))
+        y, y_grads = self._data_side(t, self._batch(idx))
+        return self._field(t, support, coef, self._kernel(t, support), y, y_grads)
 
     def pushed_values(self, support, coef, idx=None):
         support, _, coef = self._operands(support, support, coef)
         x = self._batch(idx)
-        k = self._kernel(support, support)
         rows, means = self._density(support, x)
-        ev = {"support": support, "coef": coef, "x": x, "k": k,
-              "side": None if idx is not None else (rows, means)}
-        return self._values(k, coef) - means, ev
+        side = (rows, means) if idx is None else None
+        del rows  # a batch's rows go before K(T', T') is built
+        k = self._kernel(support, support)
+        kc = k @ coef
+        ev = {"support": support, "coef": coef, "x": x, "k": k, "kc": kc, "side": side}
+        return kc * self._knorm - means, ev
 
     def candidate_values(self, ev, t):
         t = _rows(t, self.dim)
@@ -737,21 +755,34 @@ class GmmKernel(GaussianKernel):
         t, _, coef = self._operands(t, t, coef)
         x = self._batch(idx)
         p = int(keep.sum())
-        k, side = ev["k"], (ev["side"] if idx is None else None)
+        y, y_grads = self._data_side(t, x, None if idx is not None else
+                                     self._kept_side(ev["side"], keep, p, t[p:], x))
+        k, kc = ev["k"], None
         if p < len(keep):
-            k = k[np.ix_(keep, keep)]
-            if side is not None:
-                side = side[0][keep], side[1][keep]
+            # row-order gathers keep the block C-ordered, as a fresh build is
+            k = k.compress(keep, axis=0).compress(keep, axis=1)
+        elif p == len(t) and coef.tobytes() == ev["coef"].tobytes():
+            kc = ev["kc"]
         if p < len(t):
             full = np.empty((len(t), len(t)))
             full[:p, :p] = k
             full[p:] = self._kernel(t[p:], t)
             full[:p, p:] = full[p:, :p].T
             k = full
-            if side is not None:
-                rows, means = self._density(t[p:], x)
-                side = np.vstack([side[0], rows]), np.concatenate([side[1], means])
-        return self._field(t, t, coef, k, x, *(self._density(t, x) if side is None else side))
+        return self._field(t, t, coef, k, y, y_grads, kc)
+
+    def _kept_side(self, side, keep, p, born, x):
+        """The exact density rows and means of ``[T'[keep]; born]``: ``ev``'s
+        rows of the survivors, gathered only if something died, then fresh
+        rows of the born; None from a batched ``ev``, which holds no rows."""
+        if side is None:
+            return None
+        if p < len(keep):
+            side = side[0].compress(keep, axis=0), side[1][keep]
+        if len(born):
+            rows, means = self._density(born, x)
+            side = np.vstack([side[0], rows]), np.concatenate([side[1], means])
+        return side
 
 
 def relu_outputs(aug: np.ndarray, t: np.ndarray, c: np.ndarray):

@@ -48,6 +48,8 @@ class Calibration:
     hoeffding_cap  -- noise cap (inf for deterministic oracles)
     beta_max_struct -- structural bound on the position rate
     chosen_beta    -- position rate actually proposed (<= beta_max_struct)
+    cert_bound     -- bound on every certificate's size,
+                      smooth_max * tv_bound + cert_offset + kappa
     """
 
     tv_radius: float
@@ -58,6 +60,7 @@ class Calibration:
     hoeffding_cap: float
     beta_max_struct: float
     chosen_beta: float
+    cert_bound: float
     stochastic: bool = False
 
     @property
@@ -72,17 +75,31 @@ class Calibration:
     def check_rates(self, bounds: AssumptionBounds) -> None:
         """Fail closed when alpha or the structural beta bound is zero,
         subnormal or not finite: a tiny kernel minimum can make the TV bound
-        so large that the descent cap underflows. The error names the
-        binding cap and the audited constants behind it.
+        so large that the descent cap underflows. Fail closed too when
+        alpha is normal but cannot move a weight: no certificate exceeds
+        ``cert_bound`` in size, so with ``alpha * cert_bound < 2**-54``, half
+        the spacing of the floats just below 1, every factor
+        ``exp(-alpha cert)`` of the weight update rounds to exactly 1.0 (an
+        exp within one unit in the last place returns 1.0 or a float next to
+        it). The error names the binding cap and the audited constants
+        behind it.
         """
-        for name, rate, cap in (("alpha", self.alpha, f"{self.binding_cap} cap"),
+        alpha_cap = f"{self.binding_cap} cap"
+        for name, rate, cap in (("alpha", self.alpha, alpha_cap),
                                 ("beta_max_struct", self.beta_max_struct, "structural bound")):
             if not (math.isfinite(rate) and rate >= sys.float_info.min):
-                raise CalibrationError(
-                    f"calibrated {name} = {rate:.6g} is not a usable rate (binding: {cap}, "
-                    f"tv_bound = {self.tv_bound:.6g} from audited kernel_min = "
-                    f"{bounds.kernel_min:.6g}, smooth_max = {bounds.smooth_max:.6g}); "
-                    "supply manual rates")
+                self._refuse(name, rate, cap, bounds)
+        if self.alpha * self.cert_bound < 2.0**-54:
+            self._refuse("alpha", self.alpha, f"{alpha_cap}, alpha * cert_bound = "
+                         f"{self.alpha * self.cert_bound:.6g} < 2^-54, so exp(-alpha * cert) "
+                         "rounds to 1 for every certificate", bounds)
+
+    def _refuse(self, name: str, rate: float, cap: str, bounds: AssumptionBounds):
+        raise CalibrationError(
+            f"calibrated {name} = {rate:.6g} is not a usable rate (binding: {cap}, "
+            f"tv_bound = {self.tv_bound:.6g} from audited kernel_min = "
+            f"{bounds.kernel_min:.6g}, smooth_max = {bounds.smooth_max:.6g}); "
+            "supply manual rates")
 
 
 def calibrate(bounds: AssumptionBounds, nu0_tv: float, kappa: float, lambda_x: float,
@@ -128,6 +145,7 @@ def calibrate(bounds: AssumptionBounds, nu0_tv: float, kappa: float, lambda_x: f
         hoeffding_cap=cap_hoeffding,
         beta_max_struct=beta_struct,
         chosen_beta=beta_struct,
+        cert_bound=c_max * tv_bound + bounds.cert_offset + kappa,
         stochastic=stochastic,
     )
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 
 from conicswarm.birth_death import BirthRule, DeathRule
+from conicswarm.kernels import relu_outputs
 from conicswarm.runner import RunConfig
 from conicswarm.schedules import FixedPlan
 
@@ -26,6 +27,14 @@ def survivors(swarm, deaths):
     keep = np.ones(len(swarm), dtype=bool)
     keep[deaths] = False
     return keep
+
+
+def network_outputs(swarm, features):
+    """The network output ``sum_j w_j s_j relu(<v_j, x> + b_j)`` per row of
+    ``features``, from the row blocks of ``kernels.relu_outputs``."""
+    aug = np.hstack([features, np.ones((len(features), 1))])
+    blocks = relu_outputs(aug, swarm.positions, swarm.weights * swarm.signs)
+    return np.concatenate([np.empty(0), *(u for _, u in blocks)])
 
 
 def traced_peak(call):

@@ -191,6 +191,8 @@ class TestCalibrateCommand:
         assert "[run] init_weight must be nonnegative" in capsys.readouterr().err
 
     def test_gmm_normalization_warning(self, tmp_path, capsys):
+        # a ring of radius 0.5 keeps alpha * cert_bound near 1e-13, a rate
+        # that can move weights; at the default radius 5 it is 5e-42
         body = """
 [problem]
 model = gmm
@@ -199,6 +201,7 @@ seed = 2
 components = 3
 gmm_samples = 200
 tau = 0.2
+ring_radius = 0.5
 
 [rates]
 mode = calibrated
@@ -641,6 +644,13 @@ def test_calibrate_every_shipped_config_exits_0_or_names_the_cause(name, tmp_pat
     if name == "gmm_full.cfg":
         # kernel_min ~ 2e-158 makes the descent cap underflow to 0
         assert code == 2 and "alpha = 0 is not a usable rate (binding: descent cap" in err
+    if name == "gmm_desk.cfg":
+        # kernel_min ~ 1e-66 leaves alpha ~ 2.6e-133 normal but too small to
+        # move a weight
+        assert code == 2 and "alpha = 2.55329e-133 is not a usable rate (binding: descent " \
+            "cap, alpha * cert_bound = 1.22266e-68 < 2^-54" in err
+    if name in ("housing_full.cfg", "synthetic_theory.cfg"):
+        assert code == 0
 
 
 def shipped_copy(name, tmp_path, iterations=None):

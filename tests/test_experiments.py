@@ -3,11 +3,11 @@ import pytest
 
 from conicswarm.domain import Ball, Box
 from conicswarm.experiments import GmmSpec, gen_gmm, gen_teacher_regression, \
-    load_gmm_data, load_regression, relu_predict, summarize, summary_csv, summary_text, heldout_mse
+    load_gmm_data, load_regression, summarize, summary_csv, summary_text, heldout_mse
 from conicswarm.objective import loss
 from conicswarm.runner import RunConfig, run
 from conicswarm.swarm import ParticleSwarm
-from helpers import rng
+from helpers import network_outputs, rng
 
 
 class TestGmmSpec:
@@ -121,7 +121,7 @@ class TestRegressionCsv:
 class TestTeacher:
     def test_teacher_swarm_reproduces_targets_up_to_noise(self):
         dataset, problem, teacher = gen_teacher_regression(400, 5, 4, 0.0, rng(14))
-        pred = relu_predict(teacher, dataset.features)
+        pred = network_outputs(teacher, dataset.features)
         assert np.abs(pred - dataset.targets).max() < 1e-9
 
     def test_teacher_loss_is_reachable_reference(self):
@@ -174,8 +174,8 @@ class TestSummary:
             summarize([])
 
 
-def test_relu_predict_matches_manual():
+def test_relu_outputs_match_manual():
     sw = ParticleSwarm([0.5, 0.3], [1, -1], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.2]])
     x = np.array([[2.0, -1.0], [0.5, 3.0]])
     manual = 0.5 * np.maximum(x[:, 0], 0) - 0.3 * np.maximum(x[:, 1] + 0.2, 0)
-    assert np.allclose(relu_predict(sw, x), manual)
+    assert np.allclose(network_outputs(sw, x), manual)

@@ -148,7 +148,8 @@ class TestAudit:
     def test_synthetic_positivity_matches_closed_form(self):
         problem = make_synthetic_problem(sigma=2.0)
         bounds = audit_assumptions(problem.model, problem.domain, 200, rng(10))
-        exact = problem.model.exact_positivity()
+        # the Gaussian kernel's smallest value, at the domain's diameter
+        exact = np.exp(-problem.domain.diameter**2 / (2.0 * problem.model.sigma**2))
         assert bounds.kernel_min == pytest.approx(exact, rel=0.01)
 
     def test_synthetic_smooth_max_at_least_one(self):

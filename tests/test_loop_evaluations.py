@@ -12,7 +12,10 @@ whose rows and final swarms are those of ``KernelModel``'s stateless
 evaluations; (c) the model's attributes are the same objects after a run,
 during and after an aborted one and after a weight overflow; (d) the trace
 does not depend on the cadence; (e) no call after ``pushed_values`` writes
-its ``ev``. CI runs this again with OpenBLAS on two threads.
+its ``ev``; (f) (a) holds for the two cases that random masks and fresh
+coefficients rarely or never draw: an unchanged swarm with ``ev``'s own
+coefficients, and deaths among 200 points. CI runs this again with OpenBLAS
+on two threads.
 """
 
 from __future__ import annotations
@@ -228,3 +231,47 @@ def test_no_loop_evaluation_writes_ev(name, full_batch):
         t = np.vstack([pushed[keep], born])
         model.support_field(t, g.uniform(-1.0, 1.0, size=len(t)), batch(), ev, keep)
         assert contents(ev) == before
+
+
+@each_model
+@each_batching
+@pytest.mark.parametrize("size", [6, 200])
+def test_support_field_of_an_unchanged_swarm_has_fresh_bits(name, full_batch, size):
+    # nothing died, nothing was born and the coefficients are ``ev``'s own,
+    # as in most iterations: the mixture then reads ``ev``'s product
+    # ``K(T', T') c`` in place of its own; a fresh ``c`` is formed afresh
+    problem = WARM[name]
+    model, fresh, g = problem.model, BUILDERS[name]().model, rng(11)
+    pushed = problem.domain.sample_uniform(g, size=size)
+    coef = g.uniform(-1.0, 1.0, size=size)
+    idx = None if full_batch else g.integers(0, model.n_samples, size=32)
+    _, ev = model.pushed_values(pushed, coef, idx)
+    keep = np.ones(size, dtype=bool)
+    for c in (coef, coef.copy(), g.uniform(-1.0, 1.0, size=size)):
+        idx = None if full_batch else g.integers(0, model.n_samples, size=32)
+        for got, want in zip(model.support_field(pushed, c, idx, ev, keep),
+                             fresh.certificate_field(pushed, pushed, c, idx)):
+            assert same_bits(got, want)
+
+
+@each_model
+@each_batching
+@pytest.mark.parametrize("born", [0, 2])
+def test_support_field_after_deaths_at_200_points_has_fresh_bits(name, full_batch, born):
+    # 200 pushed points take ``_sqdist``'s product path and ``_gauss_self``'s
+    # blocks; the mixture gathers the survivors' block of ``K(T', T')``,
+    # which must stay C-ordered for its products to sum as a fresh build's
+    problem = WARM[name]
+    model, fresh, g = problem.model, BUILDERS[name]().model, rng(12)
+    pushed = problem.domain.sample_uniform(g, size=200)
+    cand = problem.domain.sample_uniform(g, size=2)
+    idx = None if full_batch else g.integers(0, model.n_samples, size=32)
+    _, ev = model.pushed_values(pushed, g.uniform(-1.0, 1.0, size=200), idx)
+    keep = np.ones(200, dtype=bool)
+    keep[[0, 57, 58, 131, 199]] = False
+    t = np.vstack([pushed[keep], cand[:born]])
+    c = g.uniform(-1.0, 1.0, size=len(t))
+    idx = None if full_batch else g.integers(0, model.n_samples, size=32)
+    for got, want in zip(model.support_field(t, c, idx, ev, keep),
+                         fresh.certificate_field(t, t, c, idx)):
+        assert same_bits(got, want)

@@ -8,8 +8,8 @@ it: ``ReluKernel.objective_value`` sums the residual
 the kappa = 0 objective of the held-out rows. The loss must agree with the
 expanded objective ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K c``
 and with the residual evaluated in one piece, and the held-out error and
-``relu_predict`` with their one-shot forms, on both sides of every block
-edge and for an empty swarm. The loss and the exact values keep the bits of
+the blocks' network outputs with their one-shot forms, on both sides of
+every block edge and for an empty swarm. The loss and the exact values keep the bits of
 the block loops they had before ``relu_outputs``, and the loss's and the
 held-out error's temporaries must not grow with the sample count. The
 one-piece forms, the block loops and the bounds are in ``reference.py``.
@@ -23,11 +23,11 @@ from hypothesis import given, settings, strategies as st
 
 from conicswarm import kernels
 from conicswarm.domain import Ball
-from conicswarm.experiments import RegressionDataset, heldout_mse, relu_predict
+from conicswarm.experiments import RegressionDataset, heldout_mse
 from conicswarm.kernels import ReluKernel
 from conicswarm.objective import Problem, loss
 from conicswarm.swarm import ParticleSwarm
-from helpers import same_bits, traced_peak
+from helpers import network_outputs, same_bits, traced_peak
 from reference import expanded_objective, relu_objective, relu_objective_bound, \
     relu_objective_loop, relu_output, relu_output_bound, relu_values_loop
 
@@ -81,7 +81,7 @@ def test_relu_loss_matches_expanded_and_closed_forms(seed, d, p_kind, n_kind, bl
     assert abs(mse - np.mean((one_shot - model.targets) ** 2)) <= bound
     if not len(swarm):
         assert abs(mse - np.mean(model.targets**2)) <= bound
-    pred = relu_predict(swarm, model.features)
+    pred = network_outputs(swarm, model.features)
     assert np.all(np.abs(pred - one_shot) <= relu_output_bound(model, t, w * s))
 
 

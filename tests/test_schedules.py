@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,10 +101,41 @@ class TestCalibrate:
             cal.check_rates(bounds)
 
     def test_smallest_normal_alpha_passes(self):
+        # a normal alpha near the smallest normal float passes the float
+        # check; with the TV bound 1e150 behind it, it cannot move a weight,
+        # and with a certificate bound of 1 / alpha it could
         cal = calibrate(bounds_of(), nu0_tv=1e150, kappa=0.1, lambda_x=1.0, y_norm=0.0,
                         stochastic=False)
-        cal.check_rates(bounds_of())
         assert 0.0 < cal.alpha < 1e-300 and cal.binding_cap == "descent"
+        with pytest.raises(CalibrationError, match="rounds to 1 for every certificate"):
+            cal.check_rates(bounds_of())
+        dataclasses.replace(cal, cert_bound=1.0 / cal.alpha).check_rates(bounds_of())
+
+    def test_alpha_that_cannot_move_a_weight_fails_closed(self):
+        # a correctly rounded exp(-x) is exactly 1 for |x| < 2^-54, half the
+        # spacing of the floats below 1; numpy's is 1 or the float below it
+        below = math.nextafter(2.0**-54, 0.0)
+        assert math.exp(-below) == math.exp(below) == 1.0
+        assert np.exp(below) == 1.0 and np.exp(-below) >= math.nextafter(1.0, 0.0)
+        # kernel_min = 1e-40 puts the TV bound near 9e20 and alpha near 1e-43,
+        # a normal float, yet alpha times the certificate bound
+        # smooth_max * tv_bound + cert_offset + kappa is near 1e-22
+        bounds = bounds_of(kernel_min=1e-40)
+        cal = calibrate(bounds, nu0_tv=0.1, kappa=0.1, lambda_x=1.0, y_norm=0.0,
+                        stochastic=False)
+        assert cal.alpha >= sys.float_info.min and cal.binding_cap == "descent"
+        assert cal.cert_bound == cal.tv_bound + 1.0 + 0.1
+        assert math.exp(-cal.alpha * cal.cert_bound) == 1.0
+        with pytest.raises(CalibrationError,
+                           match=r"alpha = 1\.\d+e-43 is not a usable rate \(binding: descent "
+                                 r"cap, alpha \* cert_bound = 1\.\d+e-22 < 2\^-54, so "
+                                 r"exp\(-alpha \* cert\) rounds to 1 for every certificate, "
+                                 r"tv_bound = 8\.96\d+e\+20"):
+            cal.check_rates(bounds)
+        # the threshold itself: 2^-54 passes, the float below it does not
+        dataclasses.replace(cal, alpha=2.0**-54, cert_bound=1.0).check_rates(bounds)
+        with pytest.raises(CalibrationError, match="rounds to 1 for every certificate"):
+            dataclasses.replace(cal, alpha=below, cert_bound=1.0).check_rates(bounds)
 
     def test_pure_function(self):
         args = dict(nu0_tv=0.3, kappa=0.05, lambda_x=2.0, y_norm=1.5, stochastic=True)

@@ -3,11 +3,11 @@
 Each iteration scores the pushed support ``T'`` against itself
 (``pushed_values``) and the birth candidates ``C`` against ``T'`` on the
 same batch (``candidate_values``); the next support ``T`` is ``T'[keep]``
-followed by the born candidates. ``ev`` carries the batch rows and
-``K(T', T')``, and in an exact run the pushed support's data-side rows and
-means, so ``support_field`` builds only the born rows ``K(T_born, T)``,
-after deaths too, and in an exact run one data-side row per birth, and the
-candidates fetch no batch. Every stateless evaluation builds fresh. That
+followed by the born candidates. ``ev`` carries the batch rows,
+``K(T', T')`` and its product with the pushed coefficients, and in an exact
+run the pushed support's data-side rows and means, so ``support_field``
+builds only the born rows ``K(T_born, T)``, after deaths too, and in an
+exact run one data-side row per birth, and the candidates fetch no batch. Every stateless evaluation builds fresh. That
 the loop evaluations have the bits of the stateless ones, write nothing
 into ``ev`` and keep nothing in the model is checked for every model in
 ``test_loop_evaluations.py``.
@@ -194,6 +194,7 @@ def test_other_supports_are_built_fresh(built, case):
     assert support_builds(built, model, support) == (len(support), len(support) ** 2)
 
 
+@pytest.mark.exactness
 @pytest.mark.parametrize("idx", [None, np.arange(40)])
 def test_fresh_support_kernel_builds_the_upper_triangle(built, idx):
     # a pushed evaluation, a stateless support field and the loss build K(T, T)
