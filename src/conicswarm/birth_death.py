@@ -110,8 +110,9 @@ def evaluate_birth_candidates(problem: Problem, ev, rule: BirthRule, eps_k: floa
     evaluation ``ev`` of ``KernelModel.pushed_values`` (its measure, on its
     batch) and apply the threshold.
 
-    Returns ``(born, candidates, cand_certs)``: the ``born`` swarm holds the
-    candidates whose certificate is at most the threshold, in draw order.
+    Returns ``(born, cand_certs)``: the ``born`` swarm holds the candidates
+    whose certificate is at most the threshold, in draw order, and
+    ``cand_certs`` every candidate's certificate.
     """
     n_cand = rule.candidates_per_iter
     positions = problem.domain.sample_uniform(rng, size=n_cand)
@@ -123,7 +124,7 @@ def evaluate_birth_candidates(problem: Problem, ev, rule: BirthRule, eps_k: floa
     mass = eps_k if rule.birth_mass is None else rule.birth_mass
     accept = certs <= rule.threshold(m_k)
     born = ParticleSwarm(np.full(int(accept.sum()), mass), signs[accept], positions[accept])
-    return born, positions, certs
+    return born, certs
 
 
 def apply_mass_tweak(swarm: ParticleSwarm, keep, births: ParticleSwarm) -> ParticleSwarm:

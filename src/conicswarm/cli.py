@@ -91,10 +91,13 @@ def _audit(spec: RunSpec, problem: Problem):
 
 
 def _calibrate(spec: RunSpec, problem: Problem, bounds, nu0_tv: float):
-    return calibrate(bounds, nu0_tv=nu0_tv, kappa=problem.kappa,
-                     lambda_x=problem.domain.volume(),
-                     y_norm=math.sqrt(problem.model.y_norm_sq),
-                     stochastic=spec.run["variant"] == "stochastic")
+    """Calibrated rates, refused when unusable (``Calibration.check_rates``)."""
+    cal = calibrate(bounds, nu0_tv=nu0_tv, kappa=problem.kappa,
+                    lambda_x=problem.domain.volume(),
+                    y_norm=math.sqrt(problem.model.y_norm_sq),
+                    stochastic=spec.run["variant"] == "stochastic")
+    cal.check_rates(bounds)
+    return cal
 
 
 def build_init_swarm(spec: RunSpec, problem: Problem, extras) -> ParticleSwarm:
@@ -154,7 +157,6 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
 
     if calibrated:
         cal = _calibrate(spec, problem, bounds, init_swarm.tv_norm())
-        cal.check_rates(bounds)
         alpha = cal.alpha
         beta = cal.chosen_beta if rates_cfg["beta"] is None else rates_cfg["beta"]
     else:
@@ -163,9 +165,9 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
 
     variant = spec.schedule["variant"]
     if variant == "fixed":
-        plan = FixedPlan(spec.schedule["eps"], spec.schedule["batch"], beta)
+        plan = FixedPlan(alpha, spec.schedule["eps"], spec.schedule["batch"], beta)
     elif variant == "horizon":
-        beta_cap = cal.beta_max_struct if calibrated else (beta if beta > 0 else math.inf)
+        beta_cap = cal.chosen_beta if calibrated else (beta if beta > 0 else math.inf)
         plan = horizon_plan(spec.run["iterations"], alpha, beta_cap, problem.domain.dim)
     else:
         plan = AnytimePlan(alpha=alpha)
@@ -190,7 +192,6 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
     config = RunConfig(
         init_swarm=init_swarm,
         k_iters=spec.run["iterations"],
-        alpha=alpha,
         full_batch=spec.run["variant"] == "full",
         birth_death=bd["enabled"],
         plan=plan,
@@ -209,13 +210,12 @@ def cmd_calibrate(args) -> int:
     init_swarm = build_init_swarm(spec, problem, extras)
     bounds = _audit(spec, problem)
     cal = _calibrate(spec, problem, bounds, init_swarm.tv_norm())
-    cal.check_rates(bounds)
     lines = [
         "calibration report",
         f"  kernel_min (positivity)   {bounds.kernel_min:.6g}",
         f"  smooth_max                {bounds.smooth_max:.6g}",
         f"  noise_sup                 {bounds.noise_sup:.6g}",
-        f"  cert_slope / cert_offset  {bounds.cert_slope:.6g} / {bounds.cert_offset:.6g}",
+        f"  cert_slope / cert_offset  {bounds.kernel_min:.6g} / {bounds.cert_offset:.6g}",
         f"  tv_radius ({'stochastic' if cal.stochastic else 'deterministic'})  "
         f"{cal.tv_radius:.6g}",
         f"  tv_bound                  {cal.tv_bound:.6g}",
@@ -223,7 +223,7 @@ def cmd_calibrate(args) -> int:
         f"  alpha cap (descent)       {cal.alpha_cap_descent:.6g}",
         f"  alpha cap (hoeffding)     {cal.hoeffding_cap:.6g}",
         f"  alpha = min of caps       {cal.alpha:.6g}   [binding: {cal.binding_cap}]",
-        f"  beta structural bound     {cal.beta_max_struct:.6g}",
+        f"  beta structural bound     {cal.chosen_beta:.6g}",
         f"  chosen beta               {cal.chosen_beta:.6g}",
     ]
     if bounds.diag_gap > 1e-9:

@@ -197,7 +197,7 @@ def gauss_density(a: np.ndarray, b: np.ndarray, var: float) -> np.ndarray:
 
 
 #: entries per row block of an n-long evaluation: ``relu_outputs``'s
-#: activations, ``GmmKernel``'s exact data-side means and the audit's
+#: activations, ``GmmKernel``'s data-side means and the audit's
 #: per-sample chunks and ReLU pair gradients (1 MiB)
 _ROW_BLOCK_ENTRIES = 2**17
 #: entries per row block of ``_gauss_self`` and ``_exp_sum`` (256 KiB, so a
@@ -597,10 +597,11 @@ class GmmKernel(GaussianKernel):
     so the at most n^2 skipped terms change the sum by a relative 2^-60 or
     less.
 
-    Exact data-side means that feed no gradient (``y_inner_many``, and so
-    the loss; ``certificate_values``, and so ``kkt_residual``) are built and
-    averaged in row blocks of at most ``_ROW_BLOCK_ENTRIES`` densities, so
-    no |T| x n array is held.
+    Data-side means that feed no gradient (``y_inner_many``, and so the
+    loss; ``certificate_values``, and so ``kkt_residual``; and
+    ``candidate_values``), exact or batched, are built and averaged in row
+    blocks of at most ``_ROW_BLOCK_ENTRIES`` densities, so no |T| x n array
+    is held.
 
     In the loop ``ev`` holds the batch rows, fetched once, the unnormalized
     ``K(T', T')`` and its product ``K(T', T') c`` with the pushed
@@ -681,18 +682,18 @@ class GmmKernel(GaussianKernel):
         """The gradients of ``<y, phi_t>`` from ``_density(t, x)``."""
         return ((rows @ x) * (self._ynorm / x.shape[0]) - means[:, None] * t) / self._yvar
 
-    def _exact_means(self, t):
-        """``<y, phi_t>`` exactly, built and averaged in blocks of at most
-        ``_ROW_BLOCK_ENTRIES`` densities (one row of n once n exceeds it)."""
+    def _means(self, t, x):
+        """``<y, phi_t>`` over the samples ``x``, built and averaged in blocks
+        of at most ``_ROW_BLOCK_ENTRIES`` densities (one row once ``len(x)``
+        exceeds it)."""
         out = np.empty(len(t))
-        step = max(1, _ROW_BLOCK_ENTRIES // self.n_samples)
+        step = max(1, _ROW_BLOCK_ENTRIES // len(x))
         for lo in range(0, len(t), step):
-            out[lo : lo + step] = self._density(t[lo : lo + step], self.data)[1]
+            out[lo : lo + step] = self._density(t[lo : lo + step], x)[1]
         return out
 
     def y_inner_many(self, t, idx=None):
-        t = _rows(t, self.dim)
-        return self._exact_means(t) if idx is None else self._density(t, self._batch(idx))[1]
+        return self._means(_rows(t, self.dim), self._batch(idx))
 
     def grad_y_inner_many(self, t, idx=None):
         t = _rows(t, self.dim)
@@ -747,7 +748,7 @@ class GmmKernel(GaussianKernel):
     def candidate_values(self, ev, t):
         t = _rows(t, self.dim)
         return self._values(self._kernel(t, ev["support"]), ev["coef"]) \
-            - self._density(t, ev["x"])[1]
+            - self._means(t, ev["x"])
 
     def support_field(self, t, coef, idx, ev, keep):
         if ev is None:
@@ -966,15 +967,14 @@ class AssumptionBounds:
     kernel_min    -- smallest sampled kernel value (0 flags failed positivity)
     smooth_max    -- bound on |K|, |grad K| and a finite-difference Hessian norm
     noise_sup     -- a.s. bound estimate on per-sample estimator deviations
-    cert_slope    -- slope of the certificate lower bound in the TV norm
-    cert_offset   -- offset of that lower bound (max |<y, phi_t>| on the grid)
+    cert_offset   -- offset of the certificate lower bound kernel_min * tv - cert_offset
+                     (max |<y, phi_t>| on the grid)
     diag_gap      -- max |K(t, t) - 1|, reported for normalization warnings
     """
 
     kernel_min: float
     smooth_max: float
     noise_sup: float
-    cert_slope: float
     cert_offset: float
     diag_gap: float = 0.0
 
@@ -1079,7 +1079,6 @@ def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
         kernel_min=kernel_min,
         smooth_max=smooth_max,
         noise_sup=noise_sup,
-        cert_slope=kernel_min,
         cert_offset=cert_offset,
         diag_gap=diag_gap,
     )

@@ -68,18 +68,18 @@ _COUNT_COLUMNS = {f.name for f in fields(IterationRecord) if f.type == "int"}
 class RunConfig:
     """Everything a run needs besides the problem itself.
 
-    ``alpha`` is the weight rate; the exploration mass, batch size and
-    position rate of iteration k are ``plan.at(k)`` (an ``AnytimePlan``
-    should carry the same alpha). ``full_batch`` switches the oracle to
-    exact evaluation; the birth threshold then uses the dataset size.
+    The plan owns the rates: the weight rate is ``plan.alpha``, and the
+    exploration mass, batch size and position rate of iteration k are
+    ``plan.at(k)``. ``full_batch`` switches the oracle to exact evaluation;
+    the birth threshold then uses the dataset size. ``j_ref`` is the
+    reference loss that ``RunResult.rho_hat`` subtracts.
     """
 
     init_swarm: ParticleSwarm
     k_iters: int
-    alpha: float
+    plan: FixedPlan | AnytimePlan
     full_batch: bool = False
     birth_death: bool = True
-    plan: FixedPlan | AnytimePlan = field(default_factory=lambda: FixedPlan(0.05, 256, 0.0))
     death_rule: DeathRule = field(default_factory=DeathRule)
     birth_rule: BirthRule = field(default_factory=lambda: BirthRule(threshold_coeff=0.0))
     seed: int = 0
@@ -91,8 +91,6 @@ class RunConfig:
             raise ValueError("iteration count must be nonnegative")
         if self.trace_cadence < 1:
             raise ValueError("trace cadence must be >= 1")
-        if not self.alpha >= 0:
-            raise ValueError("rates must be nonnegative")
         self.init_swarm.check()
 
 
@@ -102,7 +100,6 @@ class RunResult:
     final_swarm: ParticleSwarm
     rho_hat: float
     best_index: int
-    j_ref: float | None
     total_time_s: float
 
     @property
@@ -160,7 +157,7 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
         seen = certs
         try:
             swarm = weight_push_update(problem, swarm, certs, grads,
-                                       StepRates(config.alpha, beta_k))
+                                       StepRates(config.plan.alpha, beta_k))
         except ValueError as exc:
             raise RunAborted(f"iteration {k}: {exc}", trace, swarm) from exc
 
@@ -170,8 +167,8 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
             vals, ev = model.pushed_values(swarm.positions, swarm.weights * swarm.signs, idx_plus)
             pushed = swarm.signs * vals + kappa
             death_idx = select_deaths(swarm, pushed, config.death_rule, eps_k, rng)
-            born, _, cand_certs = evaluate_birth_candidates(problem, ev, config.birth_rule,
-                                                            eps_k, threshold_m, rng)
+            born, cand_certs = evaluate_birth_candidates(problem, ev, config.birth_rule,
+                                                         eps_k, threshold_m, rng)
             keep = np.ones(len(swarm), dtype=bool)
             keep[death_idx] = False
             seen = np.concatenate([pushed, cand_certs])
@@ -192,8 +189,7 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
     best_index, best_loss = min(losses, key=lambda item: item[1])
     rho_hat = best_loss - config.j_ref if config.j_ref is not None else best_loss
     return RunResult(trace=trace, final_swarm=swarm, rho_hat=rho_hat,
-                     best_index=trace[best_index].k, j_ref=config.j_ref,
-                     total_time_s=time.perf_counter() - t0)
+                     best_index=trace[best_index].k, total_time_s=time.perf_counter() - t0)
 
 
 def _cell(value) -> str:

@@ -6,9 +6,10 @@ cap ``C = max(tv(nu_0), 2 R)`` turns the descent condition into a numeric
 cap, and (for stochastic runs) a Hoeffding condition adds a third cap.
 Every other parameter is derived downstream of alpha.
 
-A run follows a plan whose ``at(k)`` gives ``(eps_k, m_k, beta_k)``:
-``FixedPlan`` holds them constant (a hand-set schedule, or one tuned to a
-known budget K by ``horizon_plan``); ``AnytimePlan`` varies them with k.
+A run follows a plan, the one owner of its weight rate ``alpha``, whose
+``at(k)`` gives ``(eps_k, m_k, beta_k)``: ``FixedPlan`` holds them constant
+(a hand-set schedule, or one tuned to a known budget K by ``horizon_plan``);
+``AnytimePlan`` varies them with k.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ class Calibration:
     alpha_cap_mass -- 1 / (1 + tv_radius)
     alpha_cap_descent -- descent-condition cap
     hoeffding_cap  -- noise cap (inf for deterministic oracles)
-    beta_max_struct -- structural bound on the position rate
-    chosen_beta    -- position rate actually proposed (<= beta_max_struct)
+    chosen_beta    -- proposed position rate, the structural bound
+                      1 / (2 smooth_max (smooth_max + 3 tv_bound) e^0.2);
+                      it also caps a horizon plan's beta
     cert_bound     -- bound on every certificate's size,
                       smooth_max * tv_bound + cert_offset + kappa
     """
@@ -58,7 +60,6 @@ class Calibration:
     alpha_cap_mass: float
     alpha_cap_descent: float
     hoeffding_cap: float
-    beta_max_struct: float
     chosen_beta: float
     cert_bound: float
     stochastic: bool = False
@@ -73,7 +74,7 @@ class Calibration:
         return min(caps, key=caps.get)
 
     def check_rates(self, bounds: AssumptionBounds) -> None:
-        """Fail closed when alpha or the structural beta bound is zero,
+        """Fail closed when alpha or the chosen beta is zero,
         subnormal or not finite: a tiny kernel minimum can make the TV bound
         so large that the descent cap underflows. Fail closed too when
         alpha is normal but cannot move a weight: no certificate exceeds
@@ -86,7 +87,7 @@ class Calibration:
         """
         alpha_cap = f"{self.binding_cap} cap"
         for name, rate, cap in (("alpha", self.alpha, alpha_cap),
-                                ("beta_max_struct", self.beta_max_struct, "structural bound")):
+                                ("chosen_beta", self.chosen_beta, "structural bound")):
             if not (math.isfinite(rate) and rate >= sys.float_info.min):
                 self._refuse(name, rate, cap, bounds)
         if self.alpha * self.cert_bound < 2.0**-54:
@@ -108,8 +109,8 @@ def calibrate(bounds: AssumptionBounds, nu0_tv: float, kappa: float, lambda_x: f
 
     Deterministic runs use ``R = (|y| / c) e + sqrt(e^3 vol(X) / c) + vol(X)``
     with c the kernel minimum; stochastic runs replace R by
-    ``(offset / slope) e + sqrt(e^3 / slope) + 1`` built from the
-    certificate lower bound, and add the Hoeffding cap
+    ``(offset / c) e + sqrt(e^3 / c) + 1`` from the certificate lower
+    bound ``c tv - offset``, and add the Hoeffding cap
     ``sqrt(8 ln 8) / noise_sup``. Fails closed when positivity fails.
     The rates may still come out unusable (see ``Calibration.check_rates``),
     which matters only to callers that use them.
@@ -120,10 +121,7 @@ def calibrate(bounds: AssumptionBounds, nu0_tv: float, kappa: float, lambda_x: f
             "kernel positivity failed (audited minimum is 0); calibration is "
             "unavailable, supply manual rates")
     if stochastic:
-        if bounds.cert_slope <= 0.0:
-            raise CalibrationError("certificate slope is 0; stochastic calibration unavailable")
-        radius = (bounds.cert_offset / bounds.cert_slope) * _E \
-            + math.sqrt(_E**3 / bounds.cert_slope) + 1.0
+        radius = (bounds.cert_offset / c_min) * _E + math.sqrt(_E**3 / c_min) + 1.0
     else:
         radius = (y_norm / c_min) * _E + math.sqrt(_E**3 * lambda_x / c_min) + lambda_x
     tv_bound = max(nu0_tv, 2.0 * radius)
@@ -135,7 +133,6 @@ def calibrate(bounds: AssumptionBounds, nu0_tv: float, kappa: float, lambda_x: f
     else:
         cap_hoeffding = math.inf
     alpha = min(cap_mass, cap_descent, cap_hoeffding)
-    beta_struct = 1.0 / (2.0 * c_max * (c_max + 3.0 * tv_bound) * math.exp(0.2))
     return Calibration(
         tv_radius=radius,
         tv_bound=tv_bound,
@@ -143,8 +140,7 @@ def calibrate(bounds: AssumptionBounds, nu0_tv: float, kappa: float, lambda_x: f
         alpha_cap_mass=cap_mass,
         alpha_cap_descent=cap_descent,
         hoeffding_cap=cap_hoeffding,
-        beta_max_struct=beta_struct,
-        chosen_beta=beta_struct,
+        chosen_beta=1.0 / (2.0 * c_max * (c_max + 3.0 * tv_bound) * math.exp(0.2)),
         cert_bound=c_max * tv_bound + bounds.cert_offset + kappa,
         stochastic=stochastic,
     )
@@ -152,8 +148,9 @@ def calibrate(bounds: AssumptionBounds, nu0_tv: float, kappa: float, lambda_x: f
 
 @dataclass
 class FixedPlan:
-    """Constant schedule: the same exploration mass, batch and step at every k."""
+    """Constant schedule: weight rate alpha, and the same eps, batch and step at every k."""
 
+    alpha: float
     eps: float
     m: int
     beta: float
@@ -164,7 +161,7 @@ class FixedPlan:
             raise ValueError("exploration mass eps must be finite and > 0")
         if not self.m >= 1:
             raise ValueError("batch size must be at least 1")
-        if not self.beta >= 0:
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ValueError("rates must be nonnegative")
 
     def at(self, k: int):
@@ -173,7 +170,7 @@ class FixedPlan:
 
 @dataclass
 class AnytimePlan:
-    """Horizon-free schedule: per-iteration exploration, batch and step."""
+    """Horizon-free schedule: weight rate alpha, per-iteration eps, batch and step."""
 
     alpha: float
     beta_cap: float = math.inf
@@ -193,7 +190,7 @@ class AnytimePlan:
 
 
 def horizon_plan(k_total: int, alpha: float, beta_cap: float, d: int) -> FixedPlan:
-    """Budget-aware plan: eps = 1/sqrt(K), m = K, beta capped by ``beta_cap``.
+    """Budget-aware plan at rate alpha: eps = 1/sqrt(K), m = K, beta capped by ``beta_cap``.
 
     Requires ``K >= 1 / alpha^2`` so that the constant exploration mass
     stays below alpha.
@@ -206,5 +203,5 @@ def horizon_plan(k_total: int, alpha: float, beta_cap: float, d: int) -> FixedPl
         raise ValueError(f"horizon K={k_total} below the minimum {shown} for alpha={alpha}")
     eps = 1.0 / math.sqrt(k_total)
     beta = min(beta_cap, 1.0 / (alpha ** (d / 4.0) * math.sqrt(k_total)))
-    return FixedPlan(eps=eps, m=k_total, beta=beta)
+    return FixedPlan(alpha=alpha, eps=eps, m=k_total, beta=beta)
 

@@ -62,7 +62,7 @@ def rows(trace, *blank):
 
 def loop_config(init, full_batch=False, **kw):
     """40 iterations with births and deaths: 4 candidates, batches of 32."""
-    base = dict(init_swarm=init, k_iters=40, alpha=0.5, plan=FixedPlan(0.02, 32, 0.05),
+    base = dict(init_swarm=init, k_iters=40, plan=FixedPlan(0.5, 0.02, 32, 0.05),
                 full_batch=full_batch, birth_death=True, death_rule=DeathRule(),
                 birth_rule=BirthRule(threshold_coeff=0.0, candidates_per_iter=4),
                 seed=9, trace_cadence=10)

@@ -593,7 +593,6 @@ def reference_audit(model: KernelModel, domain: Domain, grid_points_n: int,
         kernel_min=kernel_min,
         smooth_max=smooth_max,
         noise_sup=noise_sup,
-        cert_slope=kernel_min,
         cert_offset=cert_offset,
         diag_gap=diag_gap,
     )

@@ -58,8 +58,8 @@ def gmm_runs():
     out = {}
     t0 = time.perf_counter()
     for bd in (False, True):
-        cfg = RunConfig(init_swarm=init, k_iters=5000, alpha=10.0,
-                        plan=FixedPlan(2e-3, 256, 40.0), full_batch=True, birth_death=bd,
+        cfg = RunConfig(init_swarm=init, k_iters=5000,
+                        plan=FixedPlan(10.0, 2e-3, 256, 40.0), full_batch=True, birth_death=bd,
                         death_rule=DeathRule(kind="ratio", tau_death=5.0),
                         birth_rule=BirthRule(threshold_coeff=-0.15, candidates_per_iter=4),
                         seed=1, trace_cadence=100)
@@ -83,8 +83,8 @@ def teacher_runs():
     out = {"dataset": dataset, "teacher": teacher, "problem": problem, "p0": 100}
     t0 = time.perf_counter()
     for bd in (False, True):
-        cfg = RunConfig(init_swarm=init, k_iters=20000, alpha=1.0,
-                        plan=FixedPlan(0.002, 256, 0.5), full_batch=False, birth_death=bd,
+        cfg = RunConfig(init_swarm=init, k_iters=20000,
+                        plan=FixedPlan(1.0, 0.002, 256, 0.5), full_batch=False, birth_death=bd,
                         death_rule=DeathRule(kind="ratio", tau_death=1.5),
                         birth_rule=BirthRule(threshold_coeff=-0.6, candidates_per_iter=4),
                         seed=1, trace_cadence=500)
@@ -136,7 +136,7 @@ def horizon_sweep():
     t0 = time.perf_counter()
     for k_iter in (250, 500, 1000, 2000):
         plan = horizon_plan(k_iter, alpha, beta_cap, d=1)
-        cfg = RunConfig(init_swarm=init, k_iters=k_iter, alpha=alpha, plan=plan,
+        cfg = RunConfig(init_swarm=init, k_iters=k_iter, plan=plan,
                         full_batch=False, birth_death=True,
                         death_rule=DeathRule(kind="guarded", scan="all"),
                         birth_rule=BirthRule(threshold_coeff=oc.threshold_scale,

@@ -166,8 +166,9 @@ class TestProposeBirths:
         problem = make_synthetic_problem()
         sw = ParticleSwarm.empty(2)
         rule = BirthRule(threshold_coeff=math.inf, candidates_per_iter=5)
-        born, cands, _ = evaluate_birth_candidates(problem, pushed_ev(problem, sw, None), rule,
-                                                   0.01, 16, rng(17))
+        born, _ = evaluate_birth_candidates(problem, pushed_ev(problem, sw, None), rule,
+                                            0.01, 16, rng(17))
+        cands = problem.domain.sample_uniform(rng(17), size=5)  # the step's first draw
         assert np.array_equal(born.positions, cands)
 
 

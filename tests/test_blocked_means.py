@@ -1,13 +1,13 @@
-"""Exact mixture data-side means over row blocks.
+"""Mixture data-side means over row blocks.
 
-``GmmKernel`` averages exact data-side densities in blocks of at most
-``_ROW_BLOCK_ENTRIES`` entries in ``y_inner_many`` (and so the loss) and in
-``certificate_values`` (and so ``kkt_residual`` and ``frechet_gap``).
-Gaussian entries are pair-local and each row is averaged on its own, so the
-means must equal the reference's one-shot ``mixture_means`` bit for bit on
-both sides of every block edge, before and after an exact pushed
-evaluation, whose full rows go to its ``ev`` alone, and the temporaries
-must not grow with n.
+``GmmKernel`` averages data-side densities, exact or batched, in blocks of
+at most ``_ROW_BLOCK_ENTRIES`` entries in ``y_inner_many`` (and so the
+loss), in ``certificate_values`` (and so ``kkt_residual`` and
+``frechet_gap``) and in ``candidate_values``. Gaussian entries are
+pair-local and each row is averaged on its own, so the means must equal the
+reference's one-shot ``mixture_means`` bit for bit on both sides of every
+block edge, before and after an exact pushed evaluation, whose full rows go
+to its ``ev`` alone, and the temporaries must not grow with n.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from conicswarm.config import load_config
 from conicswarm.objective import kkt_residual, loss
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem
-from helpers import same_bits, traced_peak
+from helpers import rng, same_bits, traced_peak
 from reference import kernel_sum, mixture_means
 
 ENTRIES = kernels._ROW_BLOCK_ENTRIES
@@ -48,6 +48,7 @@ def row_counts(n):
     return sorted({0, 1, max(b - 1, 0), b, b + 1, 2 * b, 3 * b})
 
 
+@pytest.mark.exactness
 @given(n=st.sampled_from(SAMPLE_COUNTS), data=st.data(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_blocked_means_match_one_shot(n, data, seed):
@@ -64,6 +65,7 @@ def test_blocked_means_match_one_shot(n, data, seed):
                      kernel_sum(model, t, support, coef) - want)
 
 
+@pytest.mark.exactness
 @given(n=st.sampled_from(SAMPLE_COUNTS), data=st.data(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_scoped_means_with_kept_hits_and_misses(n, data, seed):
@@ -82,6 +84,25 @@ def test_scoped_means_with_kept_hits_and_misses(n, data, seed):
                          model.certificate_values(t, kept, np.ones(len(kept))))
     assert same_bits(model.y_inner_many(t), mixture_means(model, t))
     assert same_bits(model.y_inner_many(new), mixture_means(model, new))
+
+
+@pytest.mark.exactness
+@pytest.mark.parametrize("p", [511, 512, 513, 1025])
+def test_batched_means_match_one_shot_across_the_block_edge(p):
+    # a batch of m = 256 samples makes blocks of 512 rows; the batch's means
+    # are the exact means of a model built on the batch's rows
+    problem = problem_with(3_000)
+    model = problem.model
+    assert block_rows(256) == 512
+    g = rng(p)
+    idx = g.integers(0, model.n_samples, size=256)
+    t = problem.domain.sample_uniform(g, size=p)
+    want = mixture_means(kernels.GmmKernel(model.data[idx], model.tau), t)
+    assert same_bits(model.y_inner_many(t, idx), want)
+    support = problem.domain.sample_uniform(g, size=3)
+    coef = g.uniform(-1.0, 1.0, size=3)
+    _, ev = model.pushed_values(support, coef, idx)
+    assert same_bits(model.candidate_values(ev, t), kernel_sum(model, t, support, coef) - want)
 
 
 @pytest.fixture(scope="module")

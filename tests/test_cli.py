@@ -699,7 +699,7 @@ def test_unusable_calibrated_rates_do_not_stop_a_manual_rates_run():
     assert spec.rates["mode"] == "manual" and spec.birth_death["birth_threshold"] is None
     problem, extras = build_problem(spec)
     config, cal = build_run_config(spec, problem, extras)
-    assert config.alpha == 2.0
+    assert config.plan.alpha == 2.0
     assert cal is None and config.birth_rule.threshold_coeff > 0
 
 
@@ -726,7 +726,7 @@ def test_manual_rates_runs_never_calibrate(name, edits, tmp_path, capsys):
     problem, extras = build_problem(spec)
     config, cal = build_run_config(spec, problem, extras)
     assert spec.rates["mode"] == "manual" and cal is None
-    assert config.alpha == spec.rates["alpha"]
+    assert config.plan.alpha == spec.rates["alpha"]
     if spec.birth_death["profile"] == "theory":
         assert config.birth_rule.threshold_coeff > 0
     out = tmp_path / "out"

@@ -6,6 +6,7 @@ from conicswarm.experiments import GmmSpec, gen_gmm, gen_teacher_regression, \
     load_gmm_data, load_regression, summarize, summary_csv, summary_text, heldout_mse
 from conicswarm.objective import loss
 from conicswarm.runner import RunConfig, run
+from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm
 from helpers import network_outputs, rng
 
@@ -150,7 +151,7 @@ class TestSummary:
 
         problem = make_synthetic_problem(signed=False)
         init = random_swarm(problem, rng(seed), max_particles=4)
-        cfg = RunConfig(init_swarm=init, k_iters=5, alpha=0.1,
+        cfg = RunConfig(init_swarm=init, k_iters=5, plan=FixedPlan(0.1, 0.05, 256, 0.0),
                         full_batch=True, birth_death=False, seed=seed, trace_cadence=1)
         return run(cfg, problem)
 

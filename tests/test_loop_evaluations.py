@@ -133,7 +133,7 @@ def start(name):
 @pytest.mark.parametrize("beta", [0.0, 0.05])
 def test_run_has_the_bits_of_stateless_evaluations(name, full_batch, beta):
     problem, init = start(name)
-    config = loop_config(init, full_batch, k_iters=60, plan=FixedPlan(0.02, 32, beta))
+    config = loop_config(init, full_batch, k_iters=60, plan=FixedPlan(0.5, 0.02, 32, beta))
     checked = Checked(problem.model, BUILDERS[name]().model)
     res = run(config, dataclasses.replace(problem, model=checked))
     assert res.total_births > 0 and res.total_deaths > 0
@@ -166,7 +166,7 @@ def test_nothing_kept_after_run_abort_and_overflow(monkeypatch, name, full_batch
     run(loop_config(init, full_batch), problem)
     assert attributes(model) == before
     with pytest.raises(RunAborted, match="overflowed"):
-        run(loop_config(light, full_batch, alpha=1e6), problem)
+        run(loop_config(light, full_batch, plan=FixedPlan(1e6, 0.02, 32, 0.05)), problem)
     assert attributes(model) == before
     real, seen = runner.weight_push_update, []
 

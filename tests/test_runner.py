@@ -19,7 +19,7 @@ from helpers import rng
 
 
 def small_config(init, **kw):
-    base = dict(init_swarm=init, k_iters=30, alpha=0.2, plan=FixedPlan(0.02, 256, 0.01),
+    base = dict(init_swarm=init, k_iters=30, plan=FixedPlan(0.2, 0.02, 256, 0.01),
                 full_batch=True, birth_death=True,
                 death_rule=DeathRule(kind="ratio", tau_death=5.0),
                 birth_rule=BirthRule(threshold_coeff=0.0, candidates_per_iter=4),
@@ -89,14 +89,14 @@ class TestRunBasics:
         problem = make_synthetic_problem(signed=False)
         init = ParticleSwarm(np.full(1, 1e-6), np.ones(1), problem.model.atom_positions[:1])
         with pytest.raises(ValueError, match="^iteration 1: weight update overflowed"):
-            run(small_config(init, alpha=1e6, plan=FixedPlan(0.02, 256, 0.0)), problem)
+            run(small_config(init, plan=FixedPlan(1e6, 0.02, 256, 0.0)), problem)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_carries_the_trace_and_last_good_swarm(self):
         problem = make_synthetic_problem(signed=False)
         init = ParticleSwarm(np.full(1, 1e-6), np.ones(1), problem.model.atom_positions[:1])
         with pytest.raises(RunAborted) as info:
-            run(small_config(init, alpha=1e6, plan=FixedPlan(0.02, 256, 0.0)), problem)
+            run(small_config(init, plan=FixedPlan(1e6, 0.02, 256, 0.0)), problem)
         assert [rec.k for rec in info.value.trace] == [0]
         assert info.value.swarm is init
 
@@ -104,19 +104,19 @@ class TestRunBasics:
     def test_bad_eps_rejected(self, eps):
         # Fixed-schedule births carry eps unchecked inside the loop.
         with pytest.raises(ValueError, match="eps"):
-            FixedPlan(eps, 256, 0.0)
+            FixedPlan(0.5, eps, 256, 0.0)
 
-    @pytest.mark.parametrize("alpha", [-0.01, math.nan])
-    def test_bad_alpha_rejected(self, alpha):
-        init = random_swarm(make_synthetic_problem(), rng(6))
-        with pytest.raises(ValueError, match="rates must be nonnegative"):
-            small_config(init, alpha=alpha)
-        small_config(init, alpha=0.0)  # the trivial rate is legal
-
-    def test_default_plan_is_a_fixed_schedule(self):
-        init = random_swarm(make_synthetic_problem(), rng(6))
-        config = RunConfig(init_swarm=init, k_iters=1, alpha=0.1)
-        assert [config.plan.at(k) for k in (1, 7)] == [(0.05, 256, 0.0)] * 2
+    def test_anytime_run_steps_weights_at_the_plan_alpha(self):
+        # the plan is the one owner of alpha: the first step multiplies each
+        # weight by exp(-plan.alpha * cert) at the initial support
+        problem = make_synthetic_problem(signed=False)
+        init = random_swarm(problem, rng(6))
+        plan = AnytimePlan(alpha=0.3)
+        res = run(small_config(init, plan=plan, k_iters=1, birth_death=False), problem)
+        vals, _ = problem.model.certificate_field(init.positions, init.positions,
+                                                  init.weights * init.signs)
+        certs = init.signs * vals + problem.kappa
+        assert np.array_equal(res.final_swarm.weights, init.weights * np.exp(-0.3 * certs))
 
 
 class TestMonotoneDescent:
@@ -127,8 +127,8 @@ class TestMonotoneDescent:
                         lambda_x=problem.domain.volume(),
                         y_norm=math.sqrt(problem.model.y_norm_sq), stochastic=False)
         init = random_swarm(problem, rng(8), max_particles=6, tv=0.8)
-        cfg = RunConfig(init_swarm=init, k_iters=200, alpha=cal.alpha,
-                        plan=FixedPlan(0.05, 256, cal.chosen_beta),
+        cfg = RunConfig(init_swarm=init, k_iters=200,
+                        plan=FixedPlan(cal.alpha, 0.05, 256, cal.chosen_beta),
                         full_batch=True, birth_death=False, seed=1, trace_cadence=1)
         res = run(cfg, problem)
         losses = [r.loss for r in res.trace]
@@ -162,8 +162,8 @@ class TestEscapeFixture:
         init = ParticleSwarm(np.full(10, 0.08), np.ones(10), pos)
         results = {}
         for bd in (False, True):
-            cfg = RunConfig(init_swarm=init, k_iters=2000, alpha=1.0,
-                            plan=FixedPlan(5e-3, 256, 0.005), full_batch=True, birth_death=bd,
+            cfg = RunConfig(init_swarm=init, k_iters=2000,
+                            plan=FixedPlan(1.0, 5e-3, 256, 0.005), full_batch=True, birth_death=bd,
                             death_rule=DeathRule(kind="ratio", tau_death=5.0),
                             birth_rule=BirthRule(threshold_coeff=0.0,
                                                  candidates_per_iter=8),
@@ -195,7 +195,7 @@ class TestTrackExcess:
 
     def test_empty_trace_rejected(self):
         empty = RunResult(trace=[], final_swarm=ParticleSwarm.empty(2), rho_hat=0.0,
-                          best_index=0, j_ref=None, total_time_s=0.0)
+                          best_index=0, total_time_s=0.0)
         with pytest.raises(ValueError):
             empty.final_loss
 
@@ -274,7 +274,7 @@ class TestHighDimension:
         pos = g.standard_normal((40, 25))
         pos /= np.linalg.norm(pos, axis=1, keepdims=True)
         init = ParticleSwarm(np.full(40, 0.01), g.choice([-1.0, 1.0], size=40), pos)
-        cfg = RunConfig(init_swarm=init, k_iters=300, alpha=1.0, plan=FixedPlan(0.002, 256, 0.5),
+        cfg = RunConfig(init_swarm=init, k_iters=300, plan=FixedPlan(1.0, 0.002, 256, 0.5),
                         full_batch=False, birth_death=True,
                         death_rule=DeathRule(kind="ratio", tau_death=1.5),
                         birth_rule=BirthRule(threshold_coeff=-0.6, candidates_per_iter=4),

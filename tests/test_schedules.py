@@ -14,13 +14,9 @@ from conicswarm.schedules import AnytimePlan, CalibrationError, FixedPlan, calib
 E = math.e
 
 
-def bounds_of(kernel_min=1.0, smooth_max=1.0, noise_sup=0.1, cert_slope=None,
-              cert_offset=1.0):
-    return AssumptionBounds(
-        kernel_min=kernel_min, smooth_max=smooth_max, noise_sup=noise_sup,
-        cert_slope=kernel_min if cert_slope is None else cert_slope,
-        cert_offset=cert_offset,
-    )
+def bounds_of(kernel_min=1.0, smooth_max=1.0, noise_sup=0.1, cert_offset=1.0):
+    return AssumptionBounds(kernel_min=kernel_min, smooth_max=smooth_max,
+                            noise_sup=noise_sup, cert_offset=cert_offset)
 
 
 class TestCalibrate:
@@ -41,7 +37,7 @@ class TestCalibrate:
         assert cal.tv_bound == pytest.approx(2 * radius)
 
     def test_stochastic_radius_unit_slope_offset(self):
-        cal = calibrate(bounds_of(cert_slope=1.0, cert_offset=1.0), nu0_tv=0.1,
+        cal = calibrate(bounds_of(kernel_min=1.0, cert_offset=1.0), nu0_tv=0.1,
                         kappa=0.1, lambda_x=7.0, y_norm=9.0, stochastic=True)
         assert cal.tv_radius == pytest.approx(E + E**1.5 + 1.0)
 
@@ -64,13 +60,18 @@ class TestCalibrate:
                         stochastic=False)
         c = 1.0
         expected = 1.0 / (2 * c * (c + 3 * cal.tv_bound) * math.exp(0.2))
-        assert cal.beta_max_struct == pytest.approx(expected)
-        assert cal.chosen_beta <= cal.beta_max_struct
+        assert cal.chosen_beta == pytest.approx(expected)
 
     def test_failed_positivity_raises(self):
         with pytest.raises(CalibrationError):
             calibrate(bounds_of(kernel_min=0.0), nu0_tv=0.1, kappa=0.1, lambda_x=1.0,
                       y_norm=0.0, stochastic=False)
+
+    def test_failed_positivity_refuses_stochastic_calibration(self):
+        # the kernel minimum is also the slope of the stochastic radius
+        with pytest.raises(CalibrationError, match="kernel positivity failed"):
+            calibrate(bounds_of(kernel_min=0.0), nu0_tv=0.1, kappa=0.1, lambda_x=1.0,
+                      y_norm=0.0, stochastic=True)
 
     def test_underflowing_descent_cap_fails_closed(self):
         # a kernel minimum of 2e-158, as gmm_full.cfg's audit finds, puts the
@@ -97,7 +98,7 @@ class TestCalibrate:
         cal = calibrate(bounds, nu0_tv=0.1, kappa=0.1, lambda_x=1.0, y_norm=0.0,
                         stochastic=False)
         with pytest.raises(CalibrationError,
-                           match=r"beta_max_struct = 0 .*binding: structural bound"):
+                           match=r"chosen_beta = 0 .*binding: structural bound"):
             cal.check_rates(bounds)
 
     def test_smallest_normal_alpha_passes(self):
@@ -149,6 +150,7 @@ class TestHorizonPlan:
         plan = horizon_plan(4, 1.0, 0.05, d=1)
         assert plan.eps == pytest.approx(0.5)
         assert plan.m == 4
+        assert plan.alpha == 1.0
 
     def test_minimum_horizon_enforced(self):
         horizon_plan(100, 0.1, 0.05, d=1)
@@ -211,17 +213,23 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="beta_cap"):
             AnytimePlan(alpha=0.5, beta_cap=beta_cap)
 
+    @pytest.mark.parametrize("alpha", [-0.01, math.nan])
+    def test_fixed_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="rates must be nonnegative"):
+            FixedPlan(alpha, 0.05, 256, 0.0)
+        assert FixedPlan(0.0, 0.05, 256, 0.0).alpha == 0.0  # the trivial rate is legal
+
     @pytest.mark.parametrize("beta", [-0.01, math.nan])
     def test_fixed_rejects_bad_beta(self, beta):
         with pytest.raises(ValueError, match="rates must be nonnegative"):
-            FixedPlan(0.05, 256, beta)
-        assert FixedPlan(0.05, 256, 0.0).at(3) == (0.05, 256, 0.0)
+            FixedPlan(0.5, 0.05, 256, beta)
+        assert FixedPlan(0.5, 0.05, 256, 0.0).at(3) == (0.05, 256, 0.0)
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_fixed_rejects_empty_batch(self, m):
         with pytest.raises(ValueError, match="batch size must be at least 1"):
-            FixedPlan(0.05, m, 0.0)
-        assert FixedPlan(0.05, 1, 0.0).at(1) == (0.05, 1, 0.0)
+            FixedPlan(0.5, 0.05, m, 0.0)
+        assert FixedPlan(0.5, 0.05, 1, 0.0).at(1) == (0.05, 1, 0.0)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan])
     def test_horizon_rejects_nonpositive_alpha(self, alpha):

@@ -3,6 +3,7 @@ import pytest
 
 from conicswarm.objective import loss
 from conicswarm.runner import RunConfig
+from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm, lift_signed
 from conicswarm.verify import make_synthetic_problem
 
@@ -94,7 +95,8 @@ ENTRY_POINTS = {
     "check": lambda tmp_path, w, s: ParticleSwarm([0.5, w], [1, s], [[0.0], [0.0]]).check(),
     "from_csv": _from_csv_row,
     "run_config": lambda tmp_path, w, s: RunConfig(
-        init_swarm=ParticleSwarm([0.5, w], [1, s], [[0.0], [0.0]]), k_iters=1, alpha=0.1),
+        init_swarm=ParticleSwarm([0.5, w], [1, s], [[0.0], [0.0]]), k_iters=1,
+        plan=FixedPlan(0.1, 0.05, 256, 0.0)),
 }
 
 
