@@ -215,7 +215,7 @@ def cmd_calibrate(args) -> int:
         f"  kernel_min (positivity)   {bounds.kernel_min:.6g}",
         f"  smooth_max                {bounds.smooth_max:.6g}",
         f"  noise_sup                 {bounds.noise_sup:.6g}",
-        f"  cert_slope / cert_offset  {bounds.kernel_min:.6g} / {bounds.cert_offset:.6g}",
+        f"  cert_offset               {bounds.cert_offset:.6g}",
         f"  tv_radius ({'stochastic' if cal.stochastic else 'deterministic'})  "
         f"{cal.tv_radius:.6g}",
         f"  tv_bound                  {cal.tv_bound:.6g}",
@@ -223,7 +223,6 @@ def cmd_calibrate(args) -> int:
         f"  alpha cap (descent)       {cal.alpha_cap_descent:.6g}",
         f"  alpha cap (hoeffding)     {cal.hoeffding_cap:.6g}",
         f"  alpha = min of caps       {cal.alpha:.6g}   [binding: {cal.binding_cap}]",
-        f"  beta structural bound     {cal.chosen_beta:.6g}",
         f"  chosen beta               {cal.chosen_beta:.6g}",
     ]
     if bounds.diag_gap > 1e-9:

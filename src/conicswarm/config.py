@@ -224,6 +224,11 @@ def _validate(sections, path) -> None:
     rates, prob = sections["rates"], sections["problem"]
     if rates["mode"] == "manual" and rates["alpha"] is None:
         raise ConfigError(f"{path}: manual rates need an explicit alpha")
+    variant = sections["schedule"]["variant"]
+    # the horizon and anytime plans tie the exploration mass to alpha
+    if rates["mode"] == "manual" and rates["alpha"] == 0 and variant != "fixed":
+        raise ConfigError(f"{path}: [rates] alpha must be > 0 under [schedule] variant = "
+                          f"{variant}, got {rates['alpha']!r}")
     if prob["model"] == "regression" and not prob["data_path"]:
         raise ConfigError(f"{path}: regression model requires data_path")
     if prob["model"] == "synthetic" and prob["box_low"] >= prob["box_high"]:

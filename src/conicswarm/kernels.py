@@ -23,12 +23,14 @@ rounding (see below). ReLU builds one activation array and no kernel
 matrix, and correlates it with the residual ``r = relu(X_b S) c - y``:
 values ``act' r / m``, gradients ``((X_b * r)' [act > 0])' / m`` with the
 residual scaling the batch rows, equal to ``K c`` and the primitives up to
-summation rounding. Two more evaluators serve value-only calls:
+summation rounding. Value-only calls go through two more:
 
 * ``certificate_values(T, S, c, idx)`` -- the values of
-  ``certificate_field`` alone, from the same inputs and with the same
-  expression, so the two agree bit for bit; ReLU builds one activation of
-  T, reused for S when S equals T (exactly, over blocks of both);
+  ``certificate_field`` alone, ``candidate_values(_evaluation(S, c, idx),
+  T)`` for every model. The Gaussian models' agree with the field bit for
+  bit; ReLU forms the residual over the row blocks of ``relu_outputs`` and
+  the values over chunks of points, so it holds no m x |T| array and has
+  the field's bits within one block and one chunk;
 * ``objective_value(T, w, s, kappa)`` -- the exact objective of a
   non-empty swarm. Both Gaussian models take the expanded
   ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
@@ -43,19 +45,21 @@ A solver iteration scores one pushed measure ``(T', c)`` on one batch
 twice, and three loop evaluations hand what the two share on as an
 explicit value ``ev`` (each class says what its ``ev`` holds), which no
 call writes after ``pushed_values`` returns it; they have the bits of the
-stateless calls, which are their defaults:
+stateless calls (ReLU's within one block and one chunk):
 
 * ``pushed_values(T', c, idx)`` -- ``certificate_values(T', T', c, idx)``
-  for the death step, and ``ev``;
+  for the death step, and ``ev``, by default ``_evaluation(T', c, idx)``;
 * ``candidate_values(ev, C)`` -- ``certificate_values(C, T', c, idx)``;
 * ``support_field(T, c, idx, ev, keep)`` -- the next iteration's
   ``certificate_field(T, T, c, idx)`` at ``T = [T'[keep]; born]``, the
   survivors under the boolean mask ``keep``, then the born candidates.
 
-The mixture's ``ev`` also holds the product ``K(T', T') c``, and its
-``support_field`` reads it in place of its own when every particle survived,
-none was born and its ``c`` has the bytes of ``ev``'s (any coefficients are
-accepted, so the bytes are compared), as in most iterations.
+ReLU's ``pushed_values`` takes ``r`` and the values from the field's one
+activation. The mixture's ``ev`` also holds the product ``K(T', T') c``,
+and its ``support_field`` reads it in place of its own when every particle
+survived, none was born and its ``c`` has the bytes of ``ev``'s (any
+coefficients are accepted, so the bytes are compared), as in most
+iterations.
 
 ``GaussianKernel`` is the kernel side of both Gaussian models,
 ``K(a, b) = knorm exp(-|a - b|^2 / (2 kvar))``: ``SyntheticKernel`` has
@@ -85,10 +89,11 @@ pair gradient and finite-difference Hessian column from one batched
 ``_pair_grad1`` call and the Hessians' eigenvalues from one stacked
 ``eigvalsh``, and takes per-sample values (``_sample_y``, and ReLU's
 ``_sample_kernel``) over chunks of samples whose arrays hold at most
-``_ROW_BLOCK_ENTRIES`` entries. The Gaussian models' bounds have the bits of
-one call per pair and per sample; ReLU's batched products sum in another
-order, so its bounds may move by rounding, within a relative 1e-9 (see the
-function).
+``_ROW_BLOCK_ENTRIES`` entries. The Gaussian pair gradients are ``_grads``
+of the diagonal of ``_kernel(A, B)``, one pair per stacked slice, so these
+models' bounds have the bits of one call per pair and per sample; ReLU's
+batched products sum in another order, so its bounds may move by rounding,
+within a relative 1e-9 (see the function).
 """
 
 from __future__ import annotations
@@ -157,19 +162,6 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d2 *= d2
     for j in range(1, a.shape[1]):
         dj = diff(j)
-        dj *= dj
-        d2 += dj
-    return d2
-
-
-def _pair_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``|a_i - b_i|^2`` of matched rows, shape (len(a),), by the subtractions,
-    squares and coordinate order of ``_sqdist``: each entry has the bits of
-    ``_sqdist(a[i:i+1], b[i:i+1])``."""
-    d2 = a[:, 0] - b[:, 0]
-    d2 *= d2
-    for j in range(1, a.shape[1]):
-        dj = a[:, j] - b[:, j]
         dj *= dj
         d2 += dj
     return d2
@@ -293,15 +285,6 @@ def _gauss_grad(k: np.ndarray, a: np.ndarray, b: np.ndarray, coef, var: float) -
     return (s[..., :-1] - s[..., -1:] * a) / var
 
 
-def _pair_gauss_grad(k: np.ndarray, a: np.ndarray, b: np.ndarray, var: float) -> np.ndarray:
-    """``grad_a K(a_i, b_i)`` of matched rows from their Gaussian kernel values
-    ``k``: what ``_gauss_grad`` computes for one pair with a unit coefficient,
-    whose right-hand side ``[b, 1]`` is exact and whose sums have one term,
-    rounded once: the one-pair call's bits, up to the sign of a zero."""
-    k = k[:, None]
-    return (k * b - k * a) / var
-
-
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of ``x``, each from the dot product that
     ``np.linalg.norm`` of that row alone takes: one BLAS dot per row."""
@@ -347,21 +330,24 @@ class KernelModel(ABC):
         return _rows(a, self.dim), _rows(b, self.dim), np.asarray(coef, dtype=float).reshape(-1)
 
     @abstractmethod
+    def _evaluation(self, support, coef, idx):
+        """``ev``: what ``candidate_values`` reads of the measure ``(S, c)``
+        on the batch ``idx``."""
+
+    @abstractmethod
+    def candidate_values(self, ev, t) -> np.ndarray:
+        """Values ``K(t, S) c - <y, phi_t>`` of the measure and batch of ``ev``."""
+
     def certificate_values(self, t, support, coef, idx=None) -> np.ndarray:
-        """Values ``K(t, S) c - <y, phi_t>`` alone, the value twin of
-        ``certificate_field``."""
+        """Values ``K(t, S) c - <y, phi_t>`` alone."""
+        return self.candidate_values(self._evaluation(support, coef, idx), t)
 
     def pushed_values(self, support, coef, idx=None):
         """``(certificate_values(S, S, c, idx), ev)`` at the pushed support
         S, where ``ev`` is what ``candidate_values`` and ``support_field``
-        share of the evaluation; by default the operands."""
-        return self.certificate_values(support, support, coef, idx), (support, coef, idx)
-
-    def candidate_values(self, ev, t) -> np.ndarray:
-        """``certificate_values(t, S, c, idx)`` for the pushed support S, its
-        coefficients c and batch idx of ``ev``."""
-        support, coef, idx = ev
-        return self.certificate_values(t, support, coef, idx)
+        share of the evaluation; by default ``_evaluation``'s."""
+        ev = self._evaluation(support, coef, idx)
+        return self.candidate_values(ev, support), ev
 
     def support_field(self, t, coef, idx, ev, keep) -> tuple[np.ndarray, np.ndarray]:
         """``certificate_field(t, t, coef, idx)`` at ``t``, ``ev``'s support
@@ -439,8 +425,9 @@ class GaussianKernel(KernelModel):
         return self._grads(self._kernel(a, b), a, b, coef)
 
     def _pair_grad1(self, a, b):
-        k = _gauss_finish(_pair_sqdist(a, b), self._kvar)
-        return _pair_gauss_grad(k, a, b, self._kvar) * self._knorm
+        """Pair-local entries, and one pair per slice of a stacked ``_grads``."""
+        k = np.diagonal(self._kernel(a, b))[:, None, None]
+        return self._grads(k, a[:, None], b[:, None], np.ones((len(a), 1)))[:, 0]
 
     def objective_value(self, t, weights, signs, kappa):
         """``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
@@ -534,26 +521,18 @@ class SyntheticKernel(GaussianKernel):
         t = _rows(t, self.dim)
         return self._grads(self._kernel(t, self._fixed), t, self._fixed, self._y_coef(idx))
 
-    def _signed(self, support, coef, idx):
-        """``ev``: the certificate's signed point set ``P = [S; atoms;
-        anchors]`` and its coefficients ``q = [c; -w; -eta_b]``."""
-        return np.vstack([support, self._fixed]), np.concatenate([coef, -self._y_coef(idx)])
-
-    def certificate_values(self, t, support, coef, idx=None):
-        t, support, coef = self._operands(t, support, coef)
-        return self.candidate_values(self._signed(support, coef, idx), t)
-
-    def pushed_values(self, support, coef, idx=None):
+    def _evaluation(self, support, coef, idx):
+        """The certificate's signed point set ``P = [S; atoms; anchors]`` and
+        its coefficients ``q = [c; -w; -eta_b]``."""
         support, _, coef = self._operands(support, support, coef)
-        ev = self._signed(support, coef, idx)
-        return self.candidate_values(ev, support), ev
+        return np.vstack([support, self._fixed]), np.concatenate([coef, -self._y_coef(idx)])
 
     def candidate_values(self, ev, t):
         return self._values(self._kernel(_rows(t, self.dim), ev[0]), ev[1])
 
     def certificate_field(self, t, support, coef, idx=None):
-        t, support, coef = self._operands(t, support, coef)
-        points, q = self._signed(support, coef, idx)
+        t = _rows(t, self.dim)
+        points, q = self._evaluation(support, coef, idx)
         k = self._kernel(t, points)
         return self._values(k, q), self._grads(k, t, points, q)
 
@@ -598,8 +577,8 @@ class GmmKernel(GaussianKernel):
     less.
 
     Data-side means that feed no gradient (``y_inner_many``, and so the
-    loss; ``certificate_values``, and so ``kkt_residual``; and
-    ``candidate_values``), exact or batched, are built and averaged in row
+    loss; ``candidate_values``, and so ``certificate_values`` and
+    ``kkt_residual``), exact or batched, are built and averaged in row
     blocks of at most ``_ROW_BLOCK_ENTRIES`` densities, so no |T| x n array
     is held.
 
@@ -711,10 +690,6 @@ class GmmKernel(GaussianKernel):
         return vals, (k[:, :, None] * x[:, None, :] * self._ynorm
                       - vals[:, :, None] * t) / self._yvar
 
-    def certificate_values(self, t, support, coef, idx=None):
-        t, support, coef = self._operands(t, support, coef)
-        return self._values(self._kernel(t, support), coef) - self.y_inner_many(t, idx)
-
     def _data_side(self, t, x, side=None):
         """``<y, phi_t>`` over the samples ``x`` and its gradients, from the
         density rows and means ``side`` or fresh ones; the rows go when it
@@ -734,16 +709,20 @@ class GmmKernel(GaussianKernel):
         y, y_grads = self._data_side(t, self._batch(idx))
         return self._field(t, support, coef, self._kernel(t, support), y, y_grads)
 
-    def pushed_values(self, support, coef, idx=None):
+    def _evaluation(self, support, coef, idx):
+        """The support, its coefficients and the batch rows."""
         support, _, coef = self._operands(support, support, coef)
-        x = self._batch(idx)
-        rows, means = self._density(support, x)
+        return {"support": support, "coef": coef, "x": self._batch(idx)}
+
+    def pushed_values(self, support, coef, idx=None):
+        ev = self._evaluation(support, coef, idx)
+        support, coef = ev["support"], ev["coef"]
+        rows, means = self._density(support, ev["x"])
         side = (rows, means) if idx is None else None
         del rows  # a batch's rows go before K(T', T') is built
         k = self._kernel(support, support)
-        kc = k @ coef
-        ev = {"support": support, "coef": coef, "x": x, "k": k, "kc": kc, "side": side}
-        return kc * self._knorm - means, ev
+        ev.update(k=k, kc=k @ coef, side=side)
+        return ev["kc"] * self._knorm - means, ev
 
     def candidate_values(self, ev, t):
         t = _rows(t, self.dim)
@@ -917,30 +896,30 @@ class ReluKernel(KernelModel):
         k = np.maximum(pre_a, 0.0)[:, :, None] * act_b[:, None, :]
         return k, ((pre_a[:, :g] > 0.0) * act_b[:, :g])[:, :, None] * aug[:, None, :]
 
-    def certificate_values(self, t, support, coef, idx=None):
-        """At ``idx=None``, ``r`` from the blocks of ``relu_outputs``, then
-        ``act' r / n`` over chunks of a multiple of 8 points with at most
-        ``_ROW_BLOCK_ENTRIES`` activations (8 points once n exceeds it), so
-        no n x |S| or n x |t| array is held; the blocks group the sums
-        otherwise than ``_field``'s call."""
-        if idx is not None:
-            return self._field(t, support, coef, idx)[-1]
-        t, support, coef = self._operands(t, support, coef)
-        n = self.n_samples
-        r = np.concatenate([u for _, u in relu_outputs(self._aug, support, coef)]) - self.targets
-        vals = np.empty(len(t))
-        step = 8 * max(1, _ROW_BLOCK_ENTRIES // (8 * n))
-        for lo in range(0, len(t), step):
-            vals[lo : lo + step] = np.maximum(self._aug @ t[lo : lo + step].T, 0.0).T @ r
-        return vals / n
+    def _evaluation(self, support, coef, idx):
+        """The batch rows and the residual ``r``, its network output from the
+        blocks of ``relu_outputs``, so no m x |S| array is held."""
+        support, _, coef = self._operands(support, support, coef)
+        aug = self._batch(idx)
+        return aug, np.concatenate([u for _, u in relu_outputs(aug, support, coef)]) \
+            - self._targets(idx)
 
     def pushed_values(self, support, coef, idx=None):
         aug, _, r, vals = self._field(support, support, coef, idx)
         return vals, (aug, r)
 
     def candidate_values(self, ev, t):
+        """``act' r / m`` over chunks of a multiple of 8 points with at most
+        ``_ROW_BLOCK_ENTRIES`` activations (8 points once m exceeds it), so
+        no m x |t| array is held. One chunk, up to ``8 max(1, 2^14 // m)``
+        points, takes ``_field``'s products; more may sum in another order."""
         aug, r = ev
-        return np.maximum(aug @ _rows(t, self.dim).T, 0.0).T @ r / aug.shape[0]
+        t = _rows(t, self.dim)
+        vals = np.empty(len(t))
+        step = 8 * max(1, _ROW_BLOCK_ENTRIES // (8 * len(aug)))
+        for lo in range(0, len(t), step):
+            vals[lo : lo + step] = np.maximum(aug @ t[lo : lo + step].T, 0.0).T @ r
+        return vals / len(aug)
 
     def certificate_field(self, t, support, coef, idx=None):
         """Gradients ``((X_b * r)' [act > 0])' / m``: the residual scales the

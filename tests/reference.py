@@ -212,10 +212,16 @@ def signed_sum_bound(model, t, support, coef, idx):
 class Reference(SyntheticKernel):
     """The certificate composed from the four primitives, each building one
     kernel matrix per point set, with the counted noise mean, and its
-    stateless loop evaluations."""
+    stateless loop evaluations, whose ``ev`` is the operands."""
 
-    pushed_values = KernelModel.pushed_values
-    candidate_values = KernelModel.candidate_values
+    def certificate_values(self, t, support, coef, idx=None):
+        return self.weighted_kernel(t, support, coef) - self.y_inner_many(t, idx)
+
+    def pushed_values(self, support, coef, idx=None):
+        return self.certificate_values(support, support, coef, idx), (support, coef, idx)
+
+    def candidate_values(self, ev, t):
+        return self.certificate_values(t, *ev)
 
     @property
     def y_norm_sq(self):
@@ -598,21 +604,20 @@ def reference_audit(model: KernelModel, domain: Domain, grid_points_n: int,
     )
 
 
-#: ``conicswarm calibrate --config configs/synthetic_theory.cfg`` before the
-#: audit was batched
+#: ``conicswarm calibrate --config configs/synthetic_theory.cfg`` with the
+#: numbers of the audit before it was batched
 SYNTHETIC_THEORY_REPORT = """\
 calibration report
   kernel_min (positivity)   0.499352
   smooth_max                1
   noise_sup                 0.0638395
-  cert_slope / cert_offset  0.499352 / 0.29319
+  cert_offset               0.29319
   tv_radius (stochastic)  8.93819
   tv_bound                  17.8764
   alpha cap (mass)          0.100622
   alpha cap (descent)       0.000281424
   alpha cap (hoeffding)     63.8894
   alpha = min of caps       0.000281424   [binding: descent]
-  beta structural bound     0.00749353
   chosen beta               0.00749353
   schedule preview (horizon-free): k=1: eps=0.0002814 m=1 beta=1, k=10: eps=0.0002814 m=10 beta=0.1, k=100: eps=0.0002814 m=100 beta=0.01
 """

@@ -21,10 +21,12 @@ signed and unsigned problems:
   subtract the target's correlation separately, within the summation bound
   ``relu_residual_bound``. Its gradients are also held to the masked
   residual product ``(X_b' ([pre > 0] * r))' / m``, which scales the mask
-  instead, within the rounding bound ``scaled_rows_bound``. Its exact
-  ``certificate_values`` sums ``r`` over row blocks and the values over
-  chunks of points, so it holds no n x |T| array; it sums the same products
-  in other groupings and is held to the residual form within that bound.
+  instead, within the rounding bound ``scaled_rows_bound``. Its
+  ``certificate_values``, exact or batched, sums ``r`` over row blocks and
+  the values over chunks of points, so it holds no m x |T| array; within
+  one block and one chunk it has the field's bits, past them it sums the
+  same products in other groupings and is held to the residual form within
+  that bound.
 
 The forms and their bounds are in ``reference.py``.
 """
@@ -38,7 +40,7 @@ from conicswarm.kernels import ReluKernel, SyntheticKernel
 from conicswarm.objective import Problem, certificate, certificate_and_grad, kkt_residual, loss
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
-from helpers import traced_peak
+from helpers import same_bits, traced_peak
 from reference import masked_residual_grads, primitive_field, relu_residual_bound, \
     residual_field, scaled_rows_bound, signed_field, signed_sum_bound
 
@@ -170,6 +172,24 @@ def test_relu_exact_values_match_the_one_shot_residual_form(p):
         want = residual_field(model, points, support, coef, None)[0]
         assert np.all(np.abs(got - want) <= relu_residual_bound(model, points, support, coef,
                                                                 None)[0])
+
+
+@pytest.mark.parametrize("size", [1, 300, 512, 513, 1024])
+def test_relu_batch_values_have_the_field_bits_within_one_chunk(size):
+    # a batch of m = 256 and p = 300, one row block of the residual: chunks
+    # of 512 points, so up to 512 the values take the field's products and
+    # past it they sum the residual form's products in other groupings
+    problem, swarm, g = relu_run_scale_problem()
+    model, coef = problem.model, swarm.weights * swarm.signs
+    idx = g.integers(0, 2000, size=256)
+    points = problem.domain.sample_uniform(g, size=size)
+    got = model.certificate_values(points, swarm.positions, coef, idx)
+    want = model.certificate_field(points, swarm.positions, coef, idx)[0]
+    if size <= 512:
+        assert same_bits(got, want)
+    else:
+        bound = relu_residual_bound(model, points, swarm.positions, coef, idx)[0]
+        assert np.all(np.abs(got - want) <= bound)
 
 
 def test_relu_kkt_residual_memory_does_not_grow_with_the_grid():

@@ -324,6 +324,19 @@ class TestRunCommand:
         assert err.count("\n") == 1 and f"[rates] {key} must be nonnegative" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("variant", ["horizon", "anytime"])
+    def test_zero_alpha_exits_2_naming_the_key_and_variant(self, tmp_path, capsys, variant):
+        # both plans tie the exploration mass to alpha; the fixed plan runs
+        # at alpha = 0 (test_values_on_a_domain_edge_still_run)
+        body = TINY_SYNTHETIC.replace("variant = fixed", f"variant = {variant}")
+        cfg = write_config(tmp_path, body.replace("alpha = 0.05", "alpha = 0"))
+        out = tmp_path / "bad"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"[rates] alpha must be > 0 under [schedule] variant = {variant}, got 0.0" in err
+        assert not out.exists()
+
     def test_empty_batch_exits_2_before_the_loop(self, tmp_path, capsys, monkeypatch):
         import conicswarm.cli
 

@@ -83,10 +83,10 @@ def test_warm_model_gives_fresh_bits(name, seed, data):
 
 
 class Stateless:
-    """The model with ``KernelModel``'s loop evaluations, the stateless calls."""
+    """The model with stateless loop evaluations: ``ev`` is the operands, the
+    values come from ``certificate_values`` and the support field is
+    ``KernelModel``'s."""
 
-    pushed_values = KernelModel.pushed_values
-    candidate_values = KernelModel.candidate_values
     support_field = KernelModel.support_field
 
     def __init__(self, model):
@@ -94,6 +94,12 @@ class Stateless:
 
     def __getattr__(self, name):
         return getattr(self.model, name)
+
+    def pushed_values(self, support, coef, idx=None):
+        return self.model.certificate_values(support, support, coef, idx), (support, coef, idx)
+
+    def candidate_values(self, ev, t):
+        return self.model.certificate_values(t, *ev)
 
 
 class Checked(Stateless):

@@ -3,8 +3,8 @@
 ``relu_outputs`` computes the network output ``relu(X T) c`` over row blocks
 of at most ``_ROW_BLOCK_ENTRIES`` activations, and three evaluations read
 it: ``ReluKernel.objective_value`` sums the residual
-``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``, ``certificate_values`` at
-``idx=None`` takes ``r`` from it, and ``experiments.heldout_mse`` is twice
+``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``, ``certificate_values``
+takes ``r`` from it, exact or batched, and ``experiments.heldout_mse`` is twice
 the kappa = 0 objective of the held-out rows. The loss must agree with the
 expanded objective ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K c``
 and with the residual evaluated in one piece, and the held-out error and
