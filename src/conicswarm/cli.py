@@ -107,35 +107,36 @@ def build_init_swarm(spec: RunSpec, problem: Problem, extras) -> ParticleSwarm:
     p0 = run_cfg["init_particles"]
     w0 = run_cfg["init_weight"]
     if init.startswith("csv:"):
-        path = spec.resolve_path(init[4:])
-        swarm = ParticleSwarm.from_csv(path)
+        where = spec.resolve_path(init[4:])
+        swarm = ParticleSwarm.from_csv(where)
         if swarm.dim != problem.domain.dim:
-            raise ConfigError(f"[run] init {path}: swarm has dimension {swarm.dim}, "
+            raise ConfigError(f"[run] init {where}: swarm has dimension {swarm.dim}, "
                               f"the problem {problem.domain.dim}")
-        outside = np.flatnonzero(~problem.domain.contains(swarm.positions))
-        if outside.size:
-            raise ConfigError(f"[run] init {path}: particle {outside[0]} at "
-                              f"{swarm.positions[outside[0]].tolist()} lies outside the domain")
-        if not problem.signed and np.any(swarm.signs < 0):
-            raise ConfigError(f"[run] init {path}: the problem is unsigned, "
-                              "but the swarm has negative signs")
-        return swarm
-    if init == "sphere":
-        pos = rng.standard_normal((p0, problem.domain.dim))
-        pos /= np.linalg.norm(pos, axis=1, keepdims=True)
-    elif init == "clustered":
-        if "data" in extras:
-            anchor = np.asarray(extras["data"][0], dtype=float)
-        elif isinstance(problem.model, SyntheticKernel):
-            anchor = problem.model.atom_positions[0]
-        else:
-            anchor = problem.domain.sample_uniform(rng)
-        jitter = 0.05 * rng.standard_normal((p0, problem.domain.dim))
-        pos = problem.domain.project(anchor[None, :] + jitter)
     else:
-        pos = problem.domain.sample_uniform(rng, size=p0)
-    signs = rng.choice([-1.0, 1.0], size=p0) if problem.signed else np.ones(p0)
-    return ParticleSwarm(np.full(p0, w0), signs, pos).check()
+        if init == "sphere":
+            pos = rng.standard_normal((p0, problem.domain.dim))
+            pos /= np.linalg.norm(pos, axis=1, keepdims=True)
+        elif init == "clustered":
+            if "data" in extras:
+                anchor = np.asarray(extras["data"][0], dtype=float)
+            elif isinstance(problem.model, SyntheticKernel):
+                anchor = problem.model.atom_positions[0]
+            else:
+                anchor = problem.domain.sample_uniform(rng)
+            jitter = 0.05 * rng.standard_normal((p0, problem.domain.dim))
+            pos = problem.domain.project(anchor[None, :] + jitter)
+        else:
+            pos = problem.domain.sample_uniform(rng, size=p0)
+        signs = rng.choice([-1.0, 1.0], size=p0) if problem.signed else np.ones(p0)
+        where, swarm = init, ParticleSwarm(np.full(p0, w0), signs, pos).check()
+    outside = np.flatnonzero(~problem.domain.contains(swarm.positions))
+    if outside.size:
+        raise ConfigError(f"[run] init {where}: particle {outside[0]} at "
+                          f"{swarm.positions[outside[0]].tolist()} lies outside the domain")
+    if not problem.signed and np.any(swarm.signs < 0):
+        raise ConfigError(f"[run] init {where}: the problem is unsigned, "
+                          "but the swarm has negative signs")
+    return swarm
 
 
 def build_run_config(spec: RunSpec, problem: Problem, extras):

@@ -19,24 +19,21 @@ and gradients. The mixture matches ``GaussianKernel.weighted_kernel``
 (``K c`` from the unnormalized entries, the constant applied to the
 product), ``y_inner_many``, ``weighted_grad1_kernel`` and
 ``grad_y_inner_many`` bit for bit, the synthetic model up to summation
-rounding (see below). ReLU builds one activation array and no kernel
-matrix, and correlates it with the residual ``r = relu(X_b S) c - y``:
-values ``act' r / m``, gradients ``((X_b * r)' [act > 0])' / m`` with the
-residual scaling the batch rows, equal to ``K c`` and the primitives up to
+rounding (see below). ReLU builds no kernel matrix: over row blocks of
+the batch it correlates the activations ``act = relu(X_b T')`` with the
+residual ``r = relu(X_b S) c - y``, values ``act' r / m`` and gradients
+``((X_b * r)' [act > 0])' / m``, equal to ``K c`` and the primitives up to
 summation rounding. Value-only calls go through two more:
 
 * ``certificate_values(T, S, c, idx)`` -- the values of
-  ``certificate_field`` alone, ``candidate_values(_evaluation(S, c, idx),
-  T)`` for every model. The Gaussian models' agree with the field bit for
-  bit; ReLU forms the residual over the row blocks of ``relu_outputs`` and
-  the values over chunks of points, so it holds no m x |T| array and has
-  the field's bits within one block and one chunk;
+  ``certificate_field`` alone, with its bits: ``candidate_values(
+  _evaluation(S, c, idx), T)`` for every model;
 * ``objective_value(T, w, s, kappa)`` -- the exact objective of a
   non-empty swarm. Both Gaussian models take the expanded
   ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
   ``c = s w``, the last term from ``weighted_kernel``. ReLU sums the residual
-  ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)`` over the 1 MiB row
-  blocks of ``relu_outputs``, so its memory does not grow with n.
+  ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)`` over its 1 MiB row
+  blocks, so its memory does not grow with n.
 
 A batch restriction averages per-sample quantities, so
 ``idx = arange(n)`` reproduces the exact one.
@@ -45,7 +42,7 @@ A solver iteration scores one pushed measure ``(T', c)`` on one batch
 twice, and three loop evaluations hand what the two share on as an
 explicit value ``ev`` (each class says what its ``ev`` holds), which no
 call writes after ``pushed_values`` returns it; they have the bits of the
-stateless calls (ReLU's within one block and one chunk):
+stateless calls:
 
 * ``pushed_values(T', c, idx)`` -- ``certificate_values(T', T', c, idx)``
   for the death step, and ``ev``, by default ``_evaluation(T', c, idx)``;
@@ -54,9 +51,9 @@ stateless calls (ReLU's within one block and one chunk):
   ``certificate_field(T, T, c, idx)`` at ``T = [T'[keep]; born]``, the
   survivors under the boolean mask ``keep``, then the born candidates.
 
-ReLU's ``pushed_values`` takes ``r`` and the values from the field's one
-activation. The mixture's ``ev`` also holds the product ``K(T', T') c``,
-and its ``support_field`` reads it in place of its own when every particle
+ReLU's ``pushed_values`` takes ``r`` and the values from one activation.
+The mixture's ``ev`` also holds the product ``K(T', T') c``, and its
+``support_field`` reads it in place of its own when every particle
 survived, none was born and its ``c`` has the bytes of ``ev``'s (any
 coefficients are accepted, so the bytes are compared), as in most
 iterations.
@@ -188,9 +185,8 @@ def gauss_density(a: np.ndarray, b: np.ndarray, var: float) -> np.ndarray:
     return _gauss_finish(_sqdist(a, b), var)
 
 
-#: entries per row block of an n-long evaluation: ``relu_outputs``'s
-#: activations, ``GmmKernel``'s data-side means and the audit's
-#: per-sample chunks and ReLU pair gradients (1 MiB)
+#: entries per row block of an n-long evaluation: ``relu_blocks``'
+#: activations, ``GmmKernel``'s data-side means and the audit's chunks (1 MiB)
 _ROW_BLOCK_ENTRIES = 2**17
 #: entries per row block of ``_gauss_self`` and ``_exp_sum`` (256 KiB, so a
 #: block and its temporaries stay in a core's cache)
@@ -765,19 +761,36 @@ class GmmKernel(GaussianKernel):
         return side
 
 
-def relu_outputs(aug: np.ndarray, t: np.ndarray, c: np.ndarray):
-    """``(rows, relu(aug[rows] T') c)`` over row blocks of at most
-    ``_ROW_BLOCK_ENTRIES`` activations, ``max(1, p)`` to a row, in one reused
-    buffer, so no n x p array is held. A block's sums may be grouped otherwise
-    than one n-wide product's: the one-shot outputs up to summation rounding."""
+def relu_blocks(aug: np.ndarray, t: np.ndarray):
+    """``(rows, relu(aug[rows] T'))`` over row blocks of at most
+    ``_ROW_BLOCK_ENTRIES`` activations, ``max(1, |T|)`` to a row, each
+    overwriting the one before in one buffer: the one loop over a batch's
+    rows of every ReLU evaluation."""
     n = aug.shape[0]
-    step = max(1, _ROW_BLOCK_ENTRIES // max(1, len(c)))
-    buf = np.empty((min(step, n), len(c)))
+    step = max(1, _ROW_BLOCK_ENTRIES // max(1, len(t)))
+    buf = np.empty((min(step, n), len(t)))
     for lo in range(0, n, step):
         act = buf[: min(step, n - lo)]
         np.matmul(aug[lo : lo + step], t.T, out=act)
         np.maximum(act, 0.0, out=act)
-        yield slice(lo, lo + step), act @ c
+        yield slice(lo, lo + step), act
+
+
+def relu_outputs(aug: np.ndarray, t: np.ndarray, c: np.ndarray):
+    """``(rows, relu(aug[rows] T') c)`` over the blocks of ``relu_blocks``:
+    the one-shot outputs up to summation rounding."""
+    for rows, act in relu_blocks(aug, t):
+        yield rows, act @ c
+
+
+def _relu_sum(aug: np.ndarray, t: np.ndarray, part):
+    """``sum part(rows, act) / m`` over the blocks of ``relu_blocks(aug, t)``,
+    ``m = len(aug)``: the one sum over samples of every ReLU evaluation, the
+    parts added in order to the first block's, which one block returns."""
+    total = None
+    for rows, act in relu_blocks(aug, t):
+        total = part(rows, act) if total is None else total + part(rows, act)
+    return total / len(aug)
 
 
 class ReluKernel(KernelModel):
@@ -787,15 +800,16 @@ class ReluKernel(KernelModel):
     evaluates ``relu(<v, x_k> + b)`` across the data, with the empirical
     L2(P_n) inner product. The subgradient of relu at 0 is taken as 0.
 
-    The certificate and the loss read ``K(T, S) c`` in feature space,
-    through the network output ``relu(X S) c``, so neither builds a
-    particle-by-particle matrix. The certificate correlates the features of
-    t with the residual ``r = relu(X_b S) c - y``: one product for the
-    values, and one of the residual-scaled batch rows with the activation
-    mask for the gradients, with one m x |t| float array for both.
-
-    ``ev`` holds the batch rows ``X_b`` and the pushed support's residual
-    ``r`` on them, so the birth candidates build only their own activation.
+    Every sum over the batch rows ``X_b`` of the activations
+    ``act = relu(X_b t')`` is taken by the one pass ``_relu_sum`` over the
+    row blocks of ``relu_blocks``, so none holds more than one block. ``_sums``
+    correlates them with a per-sample weight w, values ``act' w / m`` and
+    gradients ``((X_b * w)' [act > 0])' / m``: the observation's with
+    ``w = y``, the certificate's with the residual ``r = relu(X_b S) c - y``,
+    so no particle-by-particle matrix is built. At the support each block
+    forms its rows of r from its own activation, so the field and the pushed
+    values build one activation each. ``ev`` holds the batch rows and the
+    pushed support's ``r``, so the birth candidates build only their own.
     """
 
     kernel_depends_on_samples = True
@@ -824,64 +838,53 @@ class ReluKernel(KernelModel):
     def _batch(self, idx):
         return self._aug if idx is None else self._aug.take(idx, axis=0)
 
-    def _acts(self, pos, idx):
-        aug = self._batch(idx)
-        return aug, aug @ pos.T
-
     def _targets(self, idx):
         return self.targets if idx is None else self.targets.take(idx)
 
+    @staticmethod
+    def _sums(aug, t, weight, grads=False):
+        """``(act' w / m, ((X_b * w)' [act > 0])' / m)`` of the points t over
+        the batch rows ``aug``, the gradients None unless ``grads``. ``weight``
+        is w, or gives a block's rows of w from its rows and activation."""
+        def part(rows, act):
+            w = weight(rows, act) if callable(weight) else weight[rows]
+            vals = act.T @ w
+            if not grads:
+                return vals
+            return np.vstack([vals, (aug[rows] * w[:, None]).T @ np.greater(act, 0.0, out=act)])
+        total = _relu_sum(aug, t, part)
+        return (total[0], total[1:].T) if grads else (total, None)
+
+    @staticmethod
+    def _residual(r, y, coef):
+        """The weight of ``_sums`` at the support: a block's rows of the
+        residual ``act @ c - y`` of its own activation, written into r."""
+        def weight(rows, act):
+            r[rows] = act @ coef - y[rows]
+            return r[rows]
+        return weight
+
     def kernel_matrix(self, a, b, idx=None):
-        a = _rows(a, self.dim)
-        b = _rows(b, self.dim)
-        aug, pre_a = self._acts(a, idx)
-        act_a = np.maximum(pre_a, 0.0)
-        act_b = np.maximum(aug @ b.T, 0.0)
-        return act_a.T @ act_b / aug.shape[0]
+        a, b = _rows(a, self.dim), _rows(b, self.dim)
+        return _relu_sum(self._batch(idx), np.vstack([a, b]),
+                         lambda rows, act: act[:, : len(a)].T @ act[:, len(a) :])
 
     def weighted_grad1_kernel(self, a, b, coef, idx=None):
         a, b, coef = self._operands(a, b, coef)
-        aug, pre_a = self._acts(a, idx)
-        act_b = np.maximum(aug @ b.T, 0.0)
-        u = act_b @ coef
-        mask = pre_a > 0.0
-        return (mask * u[:, None]).T @ aug / aug.shape[0]
+        aug = self._batch(idx)
+        u = np.concatenate([u for _, u in relu_outputs(aug, b, coef)])
+        return self._sums(aug, a, u, grads=True)[1]
 
     def y_inner_many(self, t, idx=None):
-        t = _rows(t, self.dim)
-        aug, pre = self._acts(t, idx)
-        return np.maximum(pre, 0.0).T @ self._targets(idx) / aug.shape[0]
+        return self._sums(self._batch(idx), _rows(t, self.dim), self._targets(idx))[0]
 
     def grad_y_inner_many(self, t, idx=None):
-        t = _rows(t, self.dim)
-        aug, pre = self._acts(t, idx)
-        mask = pre > 0.0
-        return (mask * self._targets(idx)[:, None]).T @ aug / aug.shape[0]
-
-    def _field(self, t, support, coef, idx):
-        """Batch rows, activations ``act = relu(X_b t')`` of ``t``, the residual
-        ``r = u - y`` of the support's network output ``u`` on the batch, and
-        the certificate values ``act' r / m``. The pre-activations are
-        rectified in place, so the call holds one m x |t| float array, which
-        ``u`` reuses when the support equals ``t``."""
-        t, support, coef = self._operands(t, support, coef)
-        aug = self._batch(idx)
-        act = aug @ t.T
-        np.maximum(act, 0.0, out=act)
-        u = (act if np.array_equal(support, t) else np.maximum(aug @ support.T, 0.0)) @ coef
-        r = u - self._targets(idx)
-        return aug, act, r, act.T @ r / aug.shape[0]
+        return self._sums(self._batch(idx), _rows(t, self.dim), self._targets(idx), grads=True)[1]
 
     def _pair_grad1(self, a, b):
-        """``((X a' > 0) relu(X b')) ' X / n`` summed over row blocks of at most
-        ``_ROW_BLOCK_ENTRIES`` activations."""
-        n = self.n_samples
-        step = max(1, _ROW_BLOCK_ENTRIES // len(a))
-        out = np.zeros((len(a), self.dim))
-        for lo in range(0, n, step):
-            aug = self._aug[lo : lo + step]
-            out += ((aug @ a.T > 0.0) * np.maximum(aug @ b.T, 0.0)).T @ aug
-        return out / n
+        """``((X a' > 0) relu(X b'))' X / n`` over the blocks of ``[a; b]``."""
+        return _relu_sum(self._aug, np.vstack([a, b]), lambda rows, act: (
+            (act[:, : len(a)] > 0.0) * act[:, len(a) :]).T @ self._aug[rows])
 
     def _sample_y(self, t, rows):
         aug = self._aug[rows]
@@ -897,46 +900,43 @@ class ReluKernel(KernelModel):
         return k, ((pre_a[:, :g] > 0.0) * act_b[:, :g])[:, :, None] * aug[:, None, :]
 
     def _evaluation(self, support, coef, idx):
-        """The batch rows and the residual ``r``, its network output from the
-        blocks of ``relu_outputs``, so no m x |S| array is held."""
+        """The batch rows and the residual ``r`` on them."""
         support, _, coef = self._operands(support, support, coef)
         aug = self._batch(idx)
-        return aug, np.concatenate([u for _, u in relu_outputs(aug, support, coef)]) \
-            - self._targets(idx)
+        u = np.concatenate([u for _, u in relu_outputs(aug, support, coef)])
+        return aug, u - self._targets(idx)
 
     def pushed_values(self, support, coef, idx=None):
-        aug, _, r, vals = self._field(support, support, coef, idx)
+        support, _, coef = self._operands(support, support, coef)
+        aug = self._batch(idx)
+        r = np.empty(len(aug))
+        vals = self._sums(aug, support, self._residual(r, self._targets(idx), coef))[0]
         return vals, (aug, r)
 
     def candidate_values(self, ev, t):
-        """``act' r / m`` over chunks of a multiple of 8 points with at most
-        ``_ROW_BLOCK_ENTRIES`` activations (8 points once m exceeds it), so
-        no m x |t| array is held. One chunk, up to ``8 max(1, 2^14 // m)``
-        points, takes ``_field``'s products; more may sum in another order."""
         aug, r = ev
-        t = _rows(t, self.dim)
-        vals = np.empty(len(t))
-        step = 8 * max(1, _ROW_BLOCK_ENTRIES // (8 * len(aug)))
-        for lo in range(0, len(t), step):
-            vals[lo : lo + step] = np.maximum(aug @ t[lo : lo + step].T, 0.0).T @ r
-        return vals / len(aug)
+        return self._sums(aug, _rows(t, self.dim), r)[0]
 
     def certificate_field(self, t, support, coef, idx=None):
-        """Gradients ``((X_b * r)' [act > 0])' / m``: the residual scales the
-        m x (d + 1) batch rows, and the mask overwrites the activations."""
-        aug, act, r, vals = self._field(t, support, coef, idx)
-        mask = np.greater(act, 0.0, out=act)
-        return vals, ((aug * r[:, None]).T @ mask).T / aug.shape[0]
+        t, support, coef = self._operands(t, support, coef)
+        if np.array_equal(support, t):
+            aug = self._batch(idx)
+            weight = self._residual(np.empty(len(aug)), self._targets(idx), coef)
+        else:
+            aug, weight = self._evaluation(support, coef, idx)
+        return self._sums(aug, t, weight, grads=True)
 
     def objective_value(self, t, weights, signs, kappa):
         """The residual ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``,
-        ``c = s w``, from the blocks of ``relu_outputs``, so no n x p array
-        is built; at kappa = 0 twice this is the mean squared error."""
-        total = 0.0
-        for rows, u in relu_outputs(self._aug, _rows(t, self.dim), weights * signs):
-            resid = u - self.targets[rows]
-            total += float(resid @ resid)
-        return 0.5 * total / self.n_samples + kappa * float(weights.sum())
+        ``c = s w``, summed block by block, so no n x p array is built; at
+        kappa = 0 twice this is the mean squared error."""
+        c = weights * signs
+
+        def part(rows, act):
+            resid = act @ c - self.targets[rows]
+            return resid @ resid
+        return float(0.5 * _relu_sum(self._aug, _rows(t, self.dim), part)) \
+            + kappa * float(weights.sum())
 
 
 @dataclass

@@ -17,14 +17,11 @@ The dual certificate at a lifted point ``(t, s)`` is
 drives birth (negative regions) and death (positive regions).
 
 ``certificate`` and ``certificate_and_grad`` fold the sign and kappa into
-``KernelModel.certificate_values`` and ``certificate_field``. Their values
-agree bit for bit for the Gaussian models; ReLU's agree so within one row
-block of the residual and one chunk of points (see
-``ReluKernel.candidate_values``), and past them up to summation rounding.
-``idx=None`` evaluates it exactly, an index array from ``oracle.draw_batch``
-gives its mini-batch estimate. The solver loop folds them the same way into
-the model's loop evaluations (``pushed_values``, ``candidate_values``,
-``support_field``), which have the bits of those two where they agree.
+``KernelModel.certificate_values`` and ``certificate_field``, whose values
+agree bit for bit. ``idx=None`` evaluates it exactly, an index array from
+``oracle.draw_batch`` gives its mini-batch estimate. The solver loop folds
+them the same way into the model's loop evaluations (``pushed_values``,
+``candidate_values``, ``support_field``), which have the bits of those two.
 """
 
 from __future__ import annotations

@@ -507,21 +507,24 @@ def relu_objective_loop(model, t, weights, signs, kappa):
     return 0.5 * total / n + kappa * float(weights.sum())
 
 
-def relu_values_loop(model, t, support, coef):
-    """``ReluKernel.certificate_values(idx=None)`` as its own block loops,
-    before ``kernels.relu_outputs``."""
-    entries = kernels._ROW_BLOCK_ENTRIES
-    n = model.n_samples
-    r = np.empty(n)
-    step = max(1, entries // max(1, len(coef)))
-    for lo in range(0, n, step):
-        r[lo : lo + step] = np.maximum(model._aug[lo : lo + step] @ support.T, 0.0) @ coef
-    r -= model.targets
-    vals = np.empty(len(t))
-    step = 8 * max(1, entries // (8 * n))
-    for lo in range(0, len(t), step):
-        vals[lo : lo + step] = np.maximum(model._aug @ t[lo : lo + step].T, 0.0).T @ r
-    return vals / n
+def relu_block_field(model, points, support, coef, idx):
+    """``residual_field`` as a plain loop over row blocks of at most
+    ``kernels._ROW_BLOCK_ENTRIES`` activations: r from the blocks of the
+    support's, then each block of the points' adds its products, in order,
+    to the first block's."""
+    aug, y = relu_batch(model, idx)
+    m, entries = len(aug), kernels._ROW_BLOCK_ENTRIES
+    step = max(1, entries // max(1, len(support)))
+    r = np.concatenate([np.maximum(aug[lo : lo + step] @ support.T, 0.0) @ coef
+                        for lo in range(0, m, step)]) - y
+    step = max(1, entries // max(1, len(points)))
+    for lo in range(0, m, step):
+        act = np.maximum(aug[lo : lo + step] @ points.T, 0.0)
+        w = r[lo : lo + step]
+        vals_b = act.T @ w
+        grads_b = (aug[lo : lo + step] * w[:, None]).T @ (act > 0.0).astype(float)
+        vals, grads = (vals_b, grads_b) if lo == 0 else (vals + vals_b, grads + grads_b)
+    return vals / m, grads.T / m
 
 
 # --- the assumption audit --------------------------------------------------------

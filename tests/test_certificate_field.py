@@ -16,17 +16,16 @@ signed and unsigned problems:
   groups, within the summation bound ``signed_sum_bound``;
 * ReLU correlates each feature with the residual ``r = relu(X_b S) c - y``:
   values ``act' r / m`` and gradients ``((X_b * r)' [act > 0])' / m``, the
-  residual scaling the batch rows. It must reproduce, bit for bit, that
-  residual form (``residual_field``), and match the four primitives, which
-  subtract the target's correlation separately, within the summation bound
+  residual scaling the batch rows, summed over row blocks of the batch. It
+  must reproduce, bit for bit, that residual form as a plain block loop
+  (``relu_block_field``), and match the one-shot residual form
+  (``residual_field``) and the four primitives, which subtract the target's
+  correlation separately, within the summation bound
   ``relu_residual_bound``. Its gradients are also held to the masked
   residual product ``(X_b' ([pre > 0] * r))' / m``, which scales the mask
   instead, within the rounding bound ``scaled_rows_bound``. Its
-  ``certificate_values``, exact or batched, sums ``r`` over row blocks and
-  the values over chunks of points, so it holds no m x |T| array; within
-  one block and one chunk it has the field's bits, past them it sums the
-  same products in other groupings and is held to the residual form within
-  that bound.
+  ``certificate_values``, exact or batched, has the field's bits at every
+  size.
 
 The forms and their bounds are in ``reference.py``.
 """
@@ -41,8 +40,8 @@ from conicswarm.objective import Problem, certificate, certificate_and_grad, kkt
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
 from helpers import same_bits, traced_peak
-from reference import masked_residual_grads, primitive_field, relu_residual_bound, \
-    residual_field, scaled_rows_bound, signed_field, signed_sum_bound
+from reference import masked_residual_grads, primitive_field, relu_block_field, \
+    relu_residual_bound, residual_field, scaled_rows_bound, signed_field, signed_sum_bound
 
 pytestmark = pytest.mark.exactness
 
@@ -64,7 +63,6 @@ def check_certificate(problem, swarm, points, signs, idx):
     model = problem.model
     coef = swarm.weights * swarm.signs
     want = primitive_field(model, points, swarm.positions, coef, idx)
-    blocked = isinstance(model, ReluKernel) and idx is None
     if isinstance(model, SyntheticKernel):
         for w, s, b in zip(want, signed_field(model, points, swarm.positions, coef, idx),
                            signed_sum_bound(model, points, swarm.positions, coef, idx)):
@@ -73,20 +71,18 @@ def check_certificate(problem, swarm, points, signs, idx):
     if isinstance(model, ReluKernel):
         bounds = relu_residual_bound(model, points, swarm.positions, coef, idx)
         got = model.certificate_field(points, swarm.positions, coef, idx)
-        for g, w, b in zip(got, want, bounds):
+        one_shot = residual_field(model, points, swarm.positions, coef, idx)
+        for g, w, o, b in zip(got, want, one_shot, bounds):
             assert np.all(np.abs(g - w) <= b)
+            assert np.all(np.abs(g - o) <= b)
         masked = masked_residual_grads(model, points, swarm.positions, coef, idx)
         assert np.all(np.abs(got[1] - masked)
                       <= scaled_rows_bound(model, points, swarm.positions, coef, idx))
-        want = residual_field(model, points, swarm.positions, coef, idx)
+        want = relu_block_field(model, points, swarm.positions, coef, idx)
     want_vals, want_grads = fold(problem, signs, want)
     vals, grads = certificate_and_grad(problem, swarm, points, signs, idx)
     assert np.array_equal(vals, want_vals)
     assert np.array_equal(grads, want_grads)
-    if blocked:
-        field = model.certificate_values(points, swarm.positions, coef)
-        assert np.all(np.abs(field - want[0]) <= bounds[0])
-        want_vals = fold(problem, signs, (field, want[1]))[0]
     assert np.array_equal(certificate(problem, swarm, points, signs, idx), want_vals)
 
 
@@ -124,11 +120,11 @@ def relu_run_scale_problem(n=2000, seed=1):
 
 
 def test_relu_support_evaluation_matches_at_run_scale():
-    # p = 300, where BLAS blocks the sums, on a batch of m = 256 and exactly
-    # over m = 2,000: the fused evaluation at the support and away from it
-    # keeps the residual form's bits and stays within the summation bound of
-    # the four primitives and the rounding bound of the masked residual
-    # product.
+    # p = 300, where BLAS blocks the sums, on a batch of m = 256 (one row
+    # block) and exactly over m = 2,000 (five): the fused evaluation at the
+    # support and away from it keeps the block loop's bits and stays within
+    # the summation bound of the one-shot residual form and the four
+    # primitives and the rounding bound of the masked residual product.
     problem, swarm, g = relu_run_scale_problem()
     points = problem.domain.sample_uniform(g, size=50)
     for idx in (None, g.integers(0, 2000, size=256)):
@@ -157,16 +153,16 @@ def test_relu_solver_paths_build_no_kernel_matrix(monkeypatch):
 
 @pytest.mark.parametrize("p", [0, 1, 7, 300, 1000])
 def test_relu_exact_values_match_the_one_shot_residual_form(p):
-    # n = 2,000: chunks of 64 points and, from p = 66 on, row blocks of the
-    # support's activations; the values sum the residual form's products in
+    # n = 2,000: from 66 points or particles on, their activations take more
+    # than one row block; the values sum the residual form's products in
     # other groupings, so they are held to it within its summation bound,
-    # on both sides of a chunk edge
+    # on both sides of a block edge
     g = np.random.Generator(np.random.Philox(p))
     model = ReluKernel(g.standard_normal((2000, 8)), g.standard_normal(2000))
     ball = Ball(np.zeros(9), 1.0)
     support = ball.sample_uniform(g, size=p)
     coef = g.uniform(-1.0, 1.0, size=p)
-    for size in (1, 63, 64, 65, 200):
+    for size in (1, 65, 66, 200):
         points = ball.sample_uniform(g, size=size)
         got = model.certificate_values(points, support, coef)
         want = residual_field(model, points, support, coef, None)[0]
@@ -176,27 +172,22 @@ def test_relu_exact_values_match_the_one_shot_residual_form(p):
 
 @pytest.mark.parametrize("size", [1, 300, 512, 513, 1024])
 def test_relu_batch_values_have_the_field_bits_within_one_chunk(size):
-    # a batch of m = 256 and p = 300, one row block of the residual: chunks
-    # of 512 points, so up to 512 the values take the field's products and
-    # past it they sum the residual form's products in other groupings
+    # a batch of m = 256 and p = 300, one row block of the residual; up to
+    # 512 points one row block of the points' activations, past it two or
+    # more: the values and the field read the same blocks at every size
     problem, swarm, g = relu_run_scale_problem()
     model, coef = problem.model, swarm.weights * swarm.signs
     idx = g.integers(0, 2000, size=256)
     points = problem.domain.sample_uniform(g, size=size)
-    got = model.certificate_values(points, swarm.positions, coef, idx)
-    want = model.certificate_field(points, swarm.positions, coef, idx)[0]
-    if size <= 512:
-        assert same_bits(got, want)
-    else:
-        bound = relu_residual_bound(model, points, swarm.positions, coef, idx)[0]
-        assert np.all(np.abs(got - want) <= bound)
+    assert same_bits(model.certificate_values(points, swarm.positions, coef, idx),
+                     model.certificate_field(points, swarm.positions, coef, idx)[0])
 
 
 def test_relu_kkt_residual_memory_does_not_grow_with_the_grid():
     # n = 1,600 samples in d + 1 = 9 (teacher_desk.cfg's sizes) and p = 300:
     # one-shot exact values would hold two n x |grid| arrays, 205 MB at
-    # 8,000 points; the chunked ones hold about 2 MiB whatever the grid,
-    # plus a few floats per grid point
+    # 8,000 points; the blocked ones hold one 1 MiB block whatever the
+    # grid, plus a few floats per grid point
     problem, swarm, g = relu_run_scale_problem(n=1600, seed=3)
     peaks = []
     for size in (1000, 8000):

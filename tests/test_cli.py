@@ -551,6 +551,21 @@ class TestRunCommand:
         assert err.startswith("error: [run] init ") and "init.csv" in err and reason in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "calibrate"])
+    def test_generated_swarm_outside_the_domain_fails(self, tmp_path, capsys, command):
+        # the unit sphere leaves synthetic_theory.cfg's unit box (6 of its 8
+        # particles): a generated swarm is held to the domain as a csv one is
+        body = (CONFIGS / "synthetic_theory.cfg").read_text()
+        body = body.replace("init = uniform", "init = sphere")
+        argv, out = [command, "--config", str(write_config(tmp_path, body))], tmp_path / "out"
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [run] init sphere: particle ")
+        assert "lies outside the domain" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_projection_suite_passes(self, capsys):

@@ -14,7 +14,8 @@ during and after an aborted one and after a weight overflow; (d) the trace
 does not depend on the cadence; (e) no call after ``pushed_values`` writes
 its ``ev``; (f) (a) holds for the two cases that random masks and fresh
 coefficients rarely or never draw: an unchanged swarm with ``ev``'s own
-coefficients, and deaths among 200 points. CI runs this again with OpenBLAS
+coefficients, and deaths among 200 points; (g) (a) holds for ReLU where
+every evaluation spans several row blocks. CI runs this again with OpenBLAS
 on two threads.
 """
 
@@ -29,7 +30,8 @@ from hypothesis import given, settings, strategies as st
 
 import conicswarm.runner as runner
 from conicswarm import verify
-from conicswarm.kernels import KernelModel
+from conicswarm.domain import Ball
+from conicswarm.kernels import KernelModel, ReluKernel
 from conicswarm.runner import RunAborted, run
 from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm
@@ -278,6 +280,31 @@ def test_support_field_after_deaths_at_200_points_has_fresh_bits(name, full_batc
     t = np.vstack([pushed[keep], cand[:born]])
     c = g.uniform(-1.0, 1.0, size=len(t))
     idx = None if full_batch else g.integers(0, model.n_samples, size=32)
+    for got, want in zip(model.support_field(t, c, idx, ev, keep),
+                         fresh.certificate_field(t, t, c, idx)):
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("m, p", [(None, 300), (256, 600)], ids=["exact", "batch"])
+def test_relu_loop_evaluations_past_one_row_block_have_fresh_bits(m, p):
+    # n = 2,000 exactly at p = 300 (row blocks of 436 samples) and a 256-row
+    # batch at p = 600 (blocks of 218): the pushed values, the candidates'
+    # and the support field each sum several blocks
+    g = rng(13)
+    x, y = g.standard_normal((2000, 8)), g.standard_normal(2000)
+    model, fresh = ReluKernel(x, y), ReluKernel(x, y)
+    ball = Ball(np.zeros(9), 1.0)
+    pushed, cand = ball.sample_uniform(g, size=p), ball.sample_uniform(g, size=p)
+    coef = g.uniform(-1.0, 1.0, size=p)
+    idx = None if m is None else g.integers(0, 2000, size=m)
+    vals, ev = model.pushed_values(pushed, coef, idx)
+    assert same_bits(vals, fresh.certificate_values(pushed, pushed, coef, idx))
+    assert same_bits(model.candidate_values(ev, cand),
+                     fresh.certificate_values(cand, pushed, coef, idx))
+    keep = g.random(p) < 0.9
+    t = np.vstack([pushed[keep], cand[:3]])
+    c = g.uniform(-1.0, 1.0, size=len(t))
+    idx = None if m is None else g.integers(0, 2000, size=m)
     for got, want in zip(model.support_field(t, c, idx, ev, keep),
                          fresh.certificate_field(t, t, c, idx)):
         assert same_bits(got, want)

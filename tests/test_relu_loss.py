@@ -1,17 +1,18 @@
 """The blocked ReLU loss and held-out error against their one-piece forms.
 
-``relu_outputs`` computes the network output ``relu(X T) c`` over row blocks
-of at most ``_ROW_BLOCK_ENTRIES`` activations, and three evaluations read
-it: ``ReluKernel.objective_value`` sums the residual
-``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``, ``certificate_values``
-takes ``r`` from it, exact or batched, and ``experiments.heldout_mse`` is twice
-the kappa = 0 objective of the held-out rows. The loss must agree with the
-expanded objective ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K c``
-and with the residual evaluated in one piece, and the held-out error and
-the blocks' network outputs with their one-shot forms, on both sides of
-every block edge and for an empty swarm. The loss and the exact values keep the bits of
-the block loops they had before ``relu_outputs``, and the loss's and the
-held-out error's temporaries must not grow with the sample count. The
+``relu_blocks`` builds the activations ``relu(X T')`` over row blocks of at
+most ``_ROW_BLOCK_ENTRIES`` entries, and every ReLU sum over samples reads
+them: ``ReluKernel.objective_value`` sums the residual
+``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``, the certificate takes
+``r`` from ``relu_outputs``' network outputs, exact or batched, and
+``experiments.heldout_mse`` is twice the kappa = 0 objective of the held-out
+rows. The loss must agree with the expanded objective
+``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K c`` and with the residual
+evaluated in one piece, and the held-out error and the blocks' network
+outputs with their one-shot forms, on both sides of every block edge and
+for an empty swarm. The loss and the exact values keep the bits of plain
+block loops, and the temporaries of the loss, the held-out error and the
+exact support evaluations must not grow with the sample count. The
 one-piece forms, the block loops and the bounds are in ``reference.py``.
 """
 
@@ -29,7 +30,7 @@ from conicswarm.objective import Problem, loss
 from conicswarm.swarm import ParticleSwarm
 from helpers import network_outputs, same_bits, traced_peak
 from reference import expanded_objective, relu_objective, relu_objective_bound, \
-    relu_objective_loop, relu_output, relu_output_bound, relu_values_loop
+    relu_block_field, relu_objective_loop, relu_output, relu_output_bound
 
 ENTRIES = kernels._ROW_BLOCK_ENTRIES
 
@@ -112,19 +113,23 @@ def test_exact_relu_values_have_the_bits_of_the_block_loops(entries, n_points, s
                                                        size=n_points)
     with mock.patch.object(kernels, "_ROW_BLOCK_ENTRIES", entries):
         assert same_bits(model.certificate_values(points, t, w * s),
-                         relu_values_loop(model, points, t, w * s))
+                         relu_block_field(model, points, t, w * s, None)[0])
 
 
 def test_relu_loss_temporaries_do_not_scale_with_n():
     # n = 16,512 samples (the housing training split) and p = 400 particles:
-    # the one-piece residual would hold n x p activations, 53 MB; the blocked
-    # loss holds one block of at most _ROW_BLOCK_ENTRIES, 1 MiB.
+    # the one-piece residual, or an exact run's support field or pushed
+    # values in one piece, would hold n x p activations, 53 MB; the blocked
+    # ones hold one block of at most _ROW_BLOCK_ENTRIES, 1 MiB, and r
     g = np.random.Generator(np.random.Philox(4))
     model = ReluKernel(g.standard_normal((16_512, 8)), g.standard_normal(16_512))
     problem = Problem(model=model, domain=Ball(np.zeros(9), 1.0), kappa=1e-3)
     swarm = ParticleSwarm(g.uniform(0.01, 1.0, size=400), g.choice([-1.0, 1.0], size=400),
                           problem.domain.sample_uniform(g, size=400))
-    assert traced_peak(lambda: loss(problem, swarm)) < 3 * 2**20
+    s, c = swarm.positions, swarm.weights * swarm.signs
+    for call in (lambda: loss(problem, swarm), lambda: model.certificate_field(s, s, c),
+                 lambda: model.pushed_values(s, c)):
+        assert traced_peak(call) < 3 * 2**20
 
 
 def test_heldout_mse_temporaries_do_not_scale_with_n():

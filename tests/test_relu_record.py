@@ -28,12 +28,12 @@ N_CAND = 4
 def activations(model, fetched=None, blocked=None):
     """Makes the model's sample rows log the point count of every
     activation ``X_b T'`` built from them, into ``blocked`` that of every
-    row block ``relu_outputs`` builds into its buffer (``np.matmul`` with
+    row block ``relu_blocks`` builds into its buffer (``np.matmul`` with
     ``out``), and into ``fetched`` the size of every batch fetched from
-    them, by ``np.take`` or by fancy indexing; returns the first log. Only
-    products whose inner dimension is the feature width ``model.dim`` are
-    activations: the gradient's ``(X_b * r)' [act > 0]`` sums over the
-    batch and is not logged."""
+    them, by ``np.take`` or by fancy indexing; returns the first log, of
+    activations built any other way. Only products whose inner dimension
+    is the feature width ``model.dim`` are activations: the gradient's
+    ``(X_b * r)' [act > 0]`` sums over the batch and is not logged."""
     log = []
 
     class Rows(np.ndarray):
@@ -93,18 +93,27 @@ def test_only_the_kept_support_coef_and_batch_read_the_record(case, batched):
     else:
         got = model.certificate_values(cand, support, c, batch)
     assert same_bits(got, want)
-    assert sorted(log + blocked) == sorted([5, N_CAND] if case == "kept" else [5, N_CAND, 5])
+    assert log == []
+    assert sorted(blocked) == sorted([5, N_CAND] if case == "kept" else [5, N_CAND, 5])
 
 
 @pytest.mark.parametrize("full_batch", [True, False])
 def test_iteration_builds_two_support_activations(full_batch):
     # the support's field and the pushed support's values each build one and
-    # fetch their batch; the candidates build only their own and fetch none
+    # fetch their batch; the candidates build only their own and fetch none;
+    # the loss at the cadence builds the swarm's. Each is one row block of
+    # the 64 samples or the 32-row batch, and none is built outside
+    # ``relu_blocks``
     problem = make_relu_problem(seed=3)
-    fetched = []
-    log = activations(problem.model, fetched)
+    fetched, blocked = [], []
+    log = activations(problem.model, fetched, blocked)
     res = run(loop_config(random_swarm(problem, rng(8), max_particles=6), full_batch, k_iters=20),
               problem)
     assert res.total_births > 0
-    assert log == [n for rec in res.trace[:-1] for n in (rec.particles, rec.particles, N_CAND)]
+    want = [res.trace[0].particles]
+    for before, rec in zip(res.trace, res.trace[1:]):
+        want += [before.particles, before.particles, N_CAND]
+        want += [rec.particles] if rec.loss is not None else []
+    assert blocked == want
+    assert log == []
     assert fetched == ([] if full_batch else [32] * (2 * 20))
