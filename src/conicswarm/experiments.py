@@ -197,8 +197,9 @@ def gen_teacher_regression(n_samples: int, n_features: int, n_teacher: int,
 
 def heldout_mse(swarm: ParticleSwarm, dataset: RegressionDataset) -> float:
     """Mean squared residual on the held-out rows only: twice the kappa = 0
-    loss of their model, over the row blocks of ``relu_outputs``, so the
-    one-shot form up to summation rounding, and ``mean(y^2)`` with no swarm."""
+    loss of their model, over the row blocks of ``objective_value``'s
+    ``relu_blocks`` pass, so the one-shot form up to summation rounding, and
+    ``mean(y^2)`` with no swarm."""
     idx = dataset.test_index
     model = ReluKernel(dataset.features[idx], dataset.targets[idx])
     return 2.0 * model.objective_value(swarm.positions, swarm.weights, swarm.signs, 0.0)

@@ -1,39 +1,51 @@
 """Problem kernels: model kernel K, observation inner products and audits.
 
-Every concrete model implements four vectorized primitives, each with an
-optional mini-batch restriction ``idx`` (``None`` means the exact,
-full-data quantity):
+A model implements ten members, each evaluation with an optional
+mini-batch restriction ``idx`` (``None`` means the exact, full-data
+quantity): ``n_samples``, ``y_norm_sq``, the kernel primitives
 
 * ``kernel_matrix(A, B, idx)``        -- K(a_i, b_j), shape (|A|, |B|)
 * ``weighted_grad1_kernel(A, B, c, idx)`` -- sum_j c_j * grad_a K(a_i, b_j)
-* ``y_inner_many(T, idx)``            -- <y, phi_t> per row of T
-* ``grad_y_inner_many(T, idx)``       -- gradient of the above
 
-and one fused evaluator of the unsigned certificate field,
+one fused evaluator of the unsigned certificate field,
 
 * ``certificate_field(T, S, c, idx)`` -- ``(K(T, S) c - <y, phi_T>,
   sum_j c_j grad K(T, s_j) - grad <y, phi_T>)``
 
 which builds one kernel matrix and one data-side density for both values
-and gradients. The mixture matches ``GaussianKernel.weighted_kernel``
-(``K c`` from the unnormalized entries, the constant applied to the
-product), ``y_inner_many``, ``weighted_grad1_kernel`` and
-``grad_y_inner_many`` bit for bit, the synthetic model up to summation
-rounding (see below). ReLU builds no kernel matrix: over row blocks of
-the batch it correlates the activations ``act = relu(X_b T')`` with the
-residual ``r = relu(X_b S) c - y``, values ``act' r / m`` and gradients
-``((X_b * r)' [act > 0])' / m``, equal to ``K c`` and the primitives up to
-summation rounding. Value-only calls go through two more:
+and gradients, the value form ``_evaluation`` and ``candidate_values``
+below, ``objective_value``, and the audit's ``_pair_grad1`` and
+``_sample_y``. ``KernelModel`` derives the rest from them:
 
 * ``certificate_values(T, S, c, idx)`` -- the values of
   ``certificate_field`` alone, with its bits: ``candidate_values(
-  _evaluation(S, c, idx), T)`` for every model;
-* ``objective_value(T, w, s, kappa)`` -- the exact objective of a
-  non-empty swarm. Both Gaussian models take the expanded
-  ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
-  ``c = s w``, the last term from ``weighted_kernel``. ReLU sums the residual
-  ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)`` over its 1 MiB row
-  blocks, so its memory does not grow with n.
+  _evaluation(S, c, idx), T)``;
+* ``y_inner_many(T, idx)`` and ``grad_y_inner_many(T, idx)`` -- ``<y,
+  phi_t>`` per row of T and its gradients, ``0.0 - v`` of the values and
+  gradients v of the zero measure's certificate (an empty support), which
+  is ``-<y, phi_t>``. Negation is exact, and ``0.0 - v`` returns a zero
+  as +0.0;
+* the loop evaluations ``pushed_values`` and ``support_field`` below, by
+  default.
+
+Point sets are (k, d) float arrays and coefficients 1-D float arrays, as
+the program's entry points make them (``ParticleSwarm``, ``objective``'s
+lifted points and grids, ``Domain.sample_uniform``); the models convert
+no operand.
+
+The mixture's field is ``GaussianKernel.weighted_kernel`` (``K c`` from the
+unnormalized entries, the constant applied to the product) and
+``weighted_grad1_kernel`` less its data side, bit for bit; the synthetic
+model sums the same products in one group (see below). ReLU builds no
+kernel matrix: over row blocks of the batch it correlates the activations
+``act = relu(X_b T')`` with the residual ``r = relu(X_b S) c - y``, values
+``act' r / m`` and gradients ``((X_b * r)' [act > 0])' / m``, equal to
+``K c`` less the data side up to summation rounding. ``objective_value(T,
+w, s, kappa)`` is the exact objective of a non-empty swarm. Both Gaussian
+models take the expanded ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c'
+K(T, T) c`` with ``c = s w``, the last term from ``weighted_kernel``. ReLU
+sums the residual ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)`` over its
+1 MiB row blocks, so its memory does not grow with n.
 
 A batch restriction averages per-sample quantities, so
 ``idx = arange(n)`` reproduces the exact one.
@@ -73,9 +85,9 @@ and the gradients ``sum_j c_j grad_a K(a_i, b_j)`` (one product
 ``K(A, B) @ [c B, c]``); only ``kernel_matrix`` carries it entry by entry.
 A set against itself is the upper triangle of row blocks, mirrored, with
 the bits of the full build. The synthetic observation is the point set
-``[atoms; anchors]`` weighted by ``[w; eta_b]``, read by one product, and a
-certificate the weighted kernel of ``P = [S; atoms; anchors]`` with
-``q = [c; -w; -eta_b]``, ``ev = (P, q)``; a batch's noise mean ``eta_b`` is
+``[atoms; anchors]`` weighted by ``[w; eta_b]``, so a certificate is the
+weighted kernel of ``P = [S; atoms; anchors]`` with ``q = [c; -w; -eta_b]``,
+one product, and ``ev = (P, q)``; a batch's noise mean ``eta_b`` is
 ``bincount(idx) @ eta / |idx|``, with no |idx| x r gather. The mixture
 keeps its own data side: densities of a second variance, averaged over row
 blocks of ``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array.
@@ -113,13 +125,6 @@ __all__ = [
     "AssumptionBounds",
     "audit_assumptions",
 ]
-
-
-def _rows(x, dim):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, dim) if x.size else x.reshape(0, dim)
-    return x
 
 
 #: pairwise entries from which ``_sqdist`` forms coordinate differences as a
@@ -312,18 +317,8 @@ class KernelModel(ABC):
     def weighted_grad1_kernel(self, a, b, coef, idx=None) -> np.ndarray: ...
 
     @abstractmethod
-    def y_inner_many(self, t, idx=None) -> np.ndarray: ...
-
-    @abstractmethod
-    def grad_y_inner_many(self, t, idx=None) -> np.ndarray: ...
-
-    @abstractmethod
     def certificate_field(self, t, support, coef, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """Values ``K(t, S) c - <y, phi_t>`` and their gradients in t."""
-
-    def _operands(self, a, b, coef):
-        """Two point sets as rows of positions and ``coef`` as a flat array."""
-        return _rows(a, self.dim), _rows(b, self.dim), np.asarray(coef, dtype=float).reshape(-1)
 
     @abstractmethod
     def _evaluation(self, support, coef, idx):
@@ -337,6 +332,14 @@ class KernelModel(ABC):
     def certificate_values(self, t, support, coef, idx=None) -> np.ndarray:
         """Values ``K(t, S) c - <y, phi_t>`` alone."""
         return self.candidate_values(self._evaluation(support, coef, idx), t)
+
+    def y_inner_many(self, t, idx=None) -> np.ndarray:
+        """``<y, phi_t>`` per row of t: minus the zero measure's certificate."""
+        return 0.0 - self.certificate_values(t, np.empty((0, self.dim)), np.empty(0), idx)
+
+    def grad_y_inner_many(self, t, idx=None) -> np.ndarray:
+        """The gradients of ``<y, phi_t>`` in t: minus the zero measure's."""
+        return 0.0 - self.certificate_field(t, np.empty((0, self.dim)), np.empty(0), idx)[1]
 
     def pushed_values(self, support, coef, idx=None):
         """``(certificate_values(S, S, c, idx), ev)`` at the pushed support
@@ -365,14 +368,6 @@ class KernelModel(ABC):
         """Per-sample ``<y_i, phi_t>``, shape (m, |t|), and its gradients in t,
         shape (m, |t|, dim), for the m samples of the slice ``rows``."""
 
-    def _sample_kernel(self, a, b, g, rows) -> tuple[np.ndarray, np.ndarray]:
-        """Per-sample ``K_i(a_j, b_l)``, shape (m, |a|, |b|), and
-        ``grad_a K_i(a_j, b_j)`` of the first ``g`` pairs, shape (m, g, dim),
-        for the m samples of the slice ``rows``. Required of models that set
-        ``kernel_depends_on_samples``."""
-        raise NotImplementedError(
-            f"{type(self).__name__} sets kernel_depends_on_samples but has no _sample_kernel")
-
     def _sample_width(self) -> int:
         """Entries per sample and point of ``_sample_y``'s largest array."""
         return self.dim
@@ -399,7 +394,7 @@ class GaussianKernel(KernelModel):
         return gauss_density(a, b, self._kvar)
 
     def kernel_matrix(self, a, b, idx=None):
-        k = self._kernel(_rows(a, self.dim), _rows(b, self.dim))
+        k = self._kernel(a, b)
         k *= self._knorm
         return k
 
@@ -413,11 +408,9 @@ class GaussianKernel(KernelModel):
 
     def weighted_kernel(self, a, b, coef, idx=None):
         """``sum_j coef_j K(a_i, b_j)``, shape (|a|,)."""
-        a, b, coef = self._operands(a, b, coef)
         return self._values(self._kernel(a, b), coef)
 
     def weighted_grad1_kernel(self, a, b, coef, idx=None):
-        a, b, coef = self._operands(a, b, coef)
         return self._grads(self._kernel(a, b), a, b, coef)
 
     def _pair_grad1(self, a, b):
@@ -445,14 +438,12 @@ class SyntheticKernel(GaussianKernel):
 
     The observation is the point set ``_fixed = [atoms; anchors]`` with the
     coefficients ``_y_coef(idx) = [w; eta_b]``, where the batch's noise mean
-    ``eta_b`` comes from its sample counts: ``y_inner_many`` and
-    ``grad_y_inner_many`` read one kernel matrix ``K(t, _fixed)`` by one
-    product each. A certificate evaluation builds one kernel matrix
-    ``K(t, P)`` of the signed point set ``P = [S; atoms; anchors]``; with the
-    coefficients ``q = [c; -w; -eta_b]`` it gives the values ``K(t, P) q``
-    and, by one ``_gauss_grad`` product, their gradients, and
-    ``ev = (P, q)`` hands ``eta_b`` to the candidates. ``|y|^2`` is computed
-    once.
+    ``eta_b`` comes from its sample counts. A certificate evaluation builds
+    one kernel matrix ``K(t, P)`` of the signed point set
+    ``P = [S; atoms; anchors]``; with the coefficients ``q = [c; -w; -eta_b]``
+    it gives the values ``K(t, P) q`` and, by one ``_gauss_grad`` product,
+    their gradients, and ``ev = (P, q)`` hands ``eta_b`` to the candidates.
+    ``|y|^2`` is computed once.
     """
 
     def __init__(self, domain: Box, sigma: float, atom_weights, atom_positions,
@@ -467,7 +458,9 @@ class SyntheticKernel(GaussianKernel):
         self._kvar, self._knorm = self.sigma**2, 1.0
         self.dim = domain.dim
         self.atom_weights = np.asarray(atom_weights, dtype=float).reshape(-1)
-        self.atom_positions = _rows(atom_positions, self.dim)
+        self.atom_positions = np.asarray(atom_positions, dtype=float)
+        if self.atom_positions.ndim == 1:
+            self.atom_positions = self.atom_positions.reshape(-1, self.dim)
         if self.atom_positions.shape[0] != self.atom_weights.size:
             raise ValueError("atom weights and positions must agree in length")
         self._n = int(n_samples)
@@ -510,24 +503,15 @@ class SyntheticKernel(GaussianKernel):
             np.bincount(idx, minlength=self._n) @ self.eta / len(idx)
         return np.concatenate([self.atom_weights, eta])
 
-    def y_inner_many(self, t, idx=None):
-        return self._values(self._kernel(_rows(t, self.dim), self._fixed), self._y_coef(idx))
-
-    def grad_y_inner_many(self, t, idx=None):
-        t = _rows(t, self.dim)
-        return self._grads(self._kernel(t, self._fixed), t, self._fixed, self._y_coef(idx))
-
     def _evaluation(self, support, coef, idx):
         """The certificate's signed point set ``P = [S; atoms; anchors]`` and
         its coefficients ``q = [c; -w; -eta_b]``."""
-        support, _, coef = self._operands(support, support, coef)
         return np.vstack([support, self._fixed]), np.concatenate([coef, -self._y_coef(idx)])
 
     def candidate_values(self, ev, t):
-        return self._values(self._kernel(_rows(t, self.dim), ev[0]), ev[1])
+        return self._values(self._kernel(t, ev[0]), ev[1])
 
     def certificate_field(self, t, support, coef, idx=None):
-        t = _rows(t, self.dim)
         points, q = self._evaluation(support, coef, idx)
         k = self._kernel(t, points)
         return self._values(k, q), self._grads(k, t, points, q)
@@ -572,8 +556,8 @@ class GmmKernel(GaussianKernel):
     so the at most n^2 skipped terms change the sum by a relative 2^-60 or
     less.
 
-    Data-side means that feed no gradient (``y_inner_many``, and so the
-    loss; ``candidate_values``, and so ``certificate_values`` and
+    Data-side means that feed no gradient (``candidate_values``, and so
+    ``certificate_values``, ``y_inner_many``, the loss and
     ``kkt_residual``), exact or batched, are built and averaged in row
     blocks of at most ``_ROW_BLOCK_ENTRIES`` densities, so no |T| x n array
     is held.
@@ -667,14 +651,6 @@ class GmmKernel(GaussianKernel):
             out[lo : lo + step] = self._density(t[lo : lo + step], x)[1]
         return out
 
-    def y_inner_many(self, t, idx=None):
-        return self._means(_rows(t, self.dim), self._batch(idx))
-
-    def grad_y_inner_many(self, t, idx=None):
-        t = _rows(t, self.dim)
-        x = self._batch(idx)
-        return self._y_grads(t, x, *self._density(t, x))
-
     def _sample_y(self, t, rows):
         """One sample's density row is its mean, and its gradient's products
         have one term each, so both are elementwise over the pair-local
@@ -701,13 +677,11 @@ class GmmKernel(GaussianKernel):
         return kc * self._knorm - y, self._grads(k_s, t, support, coef) - y_grads
 
     def certificate_field(self, t, support, coef, idx=None):
-        t, support, coef = self._operands(t, support, coef)
         y, y_grads = self._data_side(t, self._batch(idx))
         return self._field(t, support, coef, self._kernel(t, support), y, y_grads)
 
     def _evaluation(self, support, coef, idx):
         """The support, its coefficients and the batch rows."""
-        support, _, coef = self._operands(support, support, coef)
         return {"support": support, "coef": coef, "x": self._batch(idx)}
 
     def pushed_values(self, support, coef, idx=None):
@@ -721,14 +695,12 @@ class GmmKernel(GaussianKernel):
         return ev["kc"] * self._knorm - means, ev
 
     def candidate_values(self, ev, t):
-        t = _rows(t, self.dim)
         return self._values(self._kernel(t, ev["support"]), ev["coef"]) \
             - self._means(t, ev["x"])
 
     def support_field(self, t, coef, idx, ev, keep):
         if ev is None:
             return self.certificate_field(t, t, coef, idx)
-        t, _, coef = self._operands(t, t, coef)
         x = self._batch(idx)
         p = int(keep.sum())
         y, y_grads = self._data_side(t, x, None if idx is not None else
@@ -804,9 +776,9 @@ class ReluKernel(KernelModel):
     ``act = relu(X_b t')`` is taken by the one pass ``_relu_sum`` over the
     row blocks of ``relu_blocks``, so none holds more than one block. ``_sums``
     correlates them with a per-sample weight w, values ``act' w / m`` and
-    gradients ``((X_b * w)' [act > 0])' / m``: the observation's with
-    ``w = y``, the certificate's with the residual ``r = relu(X_b S) c - y``,
-    so no particle-by-particle matrix is built. At the support each block
+    gradients ``((X_b * w)' [act > 0])' / m``, with the certificate's
+    residual ``r = relu(X_b S) c - y`` (``-y`` on an empty support), so no
+    particle-by-particle matrix is built. At the support each block
     forms its rows of r from its own activation, so the field and the pushed
     values build one activation each. ``ev`` holds the batch rows and the
     pushed support's ``r``, so the birth candidates build only their own.
@@ -865,21 +837,13 @@ class ReluKernel(KernelModel):
         return weight
 
     def kernel_matrix(self, a, b, idx=None):
-        a, b = _rows(a, self.dim), _rows(b, self.dim)
         return _relu_sum(self._batch(idx), np.vstack([a, b]),
                          lambda rows, act: act[:, : len(a)].T @ act[:, len(a) :])
 
     def weighted_grad1_kernel(self, a, b, coef, idx=None):
-        a, b, coef = self._operands(a, b, coef)
         aug = self._batch(idx)
         u = np.concatenate([u for _, u in relu_outputs(aug, b, coef)])
         return self._sums(aug, a, u, grads=True)[1]
-
-    def y_inner_many(self, t, idx=None):
-        return self._sums(self._batch(idx), _rows(t, self.dim), self._targets(idx))[0]
-
-    def grad_y_inner_many(self, t, idx=None):
-        return self._sums(self._batch(idx), _rows(t, self.dim), self._targets(idx), grads=True)[1]
 
     def _pair_grad1(self, a, b):
         """``((X a' > 0) relu(X b'))' X / n`` over the blocks of ``[a; b]``."""
@@ -901,13 +865,11 @@ class ReluKernel(KernelModel):
 
     def _evaluation(self, support, coef, idx):
         """The batch rows and the residual ``r`` on them."""
-        support, _, coef = self._operands(support, support, coef)
         aug = self._batch(idx)
         u = np.concatenate([u for _, u in relu_outputs(aug, support, coef)])
         return aug, u - self._targets(idx)
 
     def pushed_values(self, support, coef, idx=None):
-        support, _, coef = self._operands(support, support, coef)
         aug = self._batch(idx)
         r = np.empty(len(aug))
         vals = self._sums(aug, support, self._residual(r, self._targets(idx), coef))[0]
@@ -915,10 +877,9 @@ class ReluKernel(KernelModel):
 
     def candidate_values(self, ev, t):
         aug, r = ev
-        return self._sums(aug, _rows(t, self.dim), r)[0]
+        return self._sums(aug, t, r)[0]
 
     def certificate_field(self, t, support, coef, idx=None):
-        t, support, coef = self._operands(t, support, coef)
         if np.array_equal(support, t):
             aug = self._batch(idx)
             weight = self._residual(np.empty(len(aug)), self._targets(idx), coef)
@@ -935,8 +896,7 @@ class ReluKernel(KernelModel):
         def part(rows, act):
             resid = act @ c - self.targets[rows]
             return resid @ resid
-        return float(0.5 * _relu_sum(self._aug, _rows(t, self.dim), part)) \
-            + kappa * float(weights.sum())
+        return float(0.5 * _relu_sum(self._aug, t, part)) + kappa * float(weights.sum())
 
 
 @dataclass

@@ -64,19 +64,38 @@ def kernel_sum(model, a, b, coef, idx=None):
     return (gauss_density(a, b, model._kvar) @ coef) * model._knorm
 
 
+def observation_terms(model, t, idx=None):
+    """``<y, phi_t>`` and its gradients in t, each in one plain form that
+    takes no certificate: the synthetic observation's product against the
+    point set of ``observation``, the mixture's ``mixture_means`` and
+    ``mixture_grads`` over the batch rows, and ReLU's one-shot activations
+    of ``relu_batch``'s rows correlated with its targets."""
+    if isinstance(model, SyntheticKernel):
+        points, q = observation(model, idx)
+        return kernel_sum(model, t, points, q), model.weighted_grad1_kernel(t, points, q)
+    if isinstance(model, ReluKernel):
+        aug, y = relu_batch(model, idx)
+        act = np.maximum(aug @ t.T, 0.0)
+        return (act.T @ y / len(aug),
+                ((aug * y[:, None]).T @ (act > 0.0).astype(float)).T / len(aug))
+    x = model.data if idx is None else model.data[idx]
+    return mixture_means(model, t, x), mixture_grads(model, t, x)
+
+
 def primitive_field(model, points, support, coef, idx):
-    """The unsigned field and its gradients from ``kernel_sum`` and the
-    three data-side and gradient primitives."""
-    return (kernel_sum(model, points, support, coef, idx) - model.y_inner_many(points, idx),
-            model.weighted_grad1_kernel(points, support, coef, idx)
-            - model.grad_y_inner_many(points, idx))
+    """The unsigned field and its gradients from ``kernel_sum``,
+    ``weighted_grad1_kernel`` and ``observation_terms``."""
+    y, y_grads = observation_terms(model, points, idx)
+    return (kernel_sum(model, points, support, coef, idx) - y,
+            model.weighted_grad1_kernel(points, support, coef, idx) - y_grads)
 
 
 def expanded_objective(model, t, weights, signs, kappa):
     """``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
-    ``c = s w``, the quadratic term from ``kernel_sum``."""
+    ``c = s w``, the quadratic term from ``kernel_sum`` and ``<y, phi_T>``
+    from ``observation_terms``."""
     c = weights * signs
-    k_t = signs * model.y_inner_many(t)
+    k_t = signs * observation_terms(model, t)[0]
     quad = c @ kernel_sum(model, t, t, c)
     return float(0.5 * model.y_norm_sq + (kappa - k_t) @ weights + 0.5 * quad)
 
@@ -274,10 +293,21 @@ def smoothed_sample(data, tau):
     return lambda x0, x1: sum(f(x0, x1) for f in densities) / len(data)
 
 
-def mixture_means(model, t):
-    """The exact data-side means ``<y, phi_t>``: one n-wide density row per
-    point, its mean times the density's constant."""
-    return gauss_density(t, model.data, model._yvar).mean(axis=1) * model._ynorm
+def mixture_means(model, t, x=None):
+    """The data-side means ``<y, phi_t>`` over the samples ``x``, all of
+    them by default: one density row per point, its mean times the
+    density's constant."""
+    x = model.data if x is None else x
+    return gauss_density(t, x, model._yvar).mean(axis=1) * model._ynorm
+
+
+def mixture_grads(model, t, x):
+    """The gradients of ``<y, phi_t>`` over the samples ``x``, ``mean_i
+    N(t; x_i) (x_i - t) / yvar``: the density rows' product with the samples
+    and their means, each times the density's constant."""
+    rows = gauss_density(t, x, model._yvar)
+    means = rows.mean(axis=1) * model._ynorm
+    return ((rows @ x) * (model._ynorm / len(x)) - means[:, None] * t) / model._yvar
 
 
 def brute_y_norm_sq(data, tau):

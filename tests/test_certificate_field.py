@@ -6,26 +6,32 @@ batch, on an empty support, at the support itself and away from it, for
 signed and unsigned problems:
 
 * the mixture model must reproduce, bit for bit, the certificate assembled
-  from the reference's ``K c`` and the primitives ``y_inner_many``,
-  ``weighted_grad1_kernel`` and ``grad_y_inner_many`` (``primitive_field``);
+  from the reference's ``K c``, ``weighted_grad1_kernel`` and the plain
+  data-side forms of ``observation_terms`` (``primitive_field``);
 * the synthetic observation is a signed point measure, so its certificate
   is the weighted kernel of ``P = [S; atoms; anchors]`` with coefficients
   ``q = [c; -w; -eta_b]`` (``signed_measure``). It must reproduce, bit for
   bit, ``weighted_kernel(t, P, q)`` and ``weighted_grad1_kernel(t, P, q)``,
-  and match the four primitives, which sum the same products in three
+  and match ``primitive_field``, which sums the same products in three
   groups, within the summation bound ``signed_sum_bound``;
 * ReLU correlates each feature with the residual ``r = relu(X_b S) c - y``:
   values ``act' r / m`` and gradients ``((X_b * r)' [act > 0])' / m``, the
   residual scaling the batch rows, summed over row blocks of the batch. It
   must reproduce, bit for bit, that residual form as a plain block loop
   (``relu_block_field``), and match the one-shot residual form
-  (``residual_field``) and the four primitives, which subtract the target's
-  correlation separately, within the summation bound
+  (``residual_field``) and ``primitive_field``, which subtracts the
+  target's correlation separately, within the summation bound
   ``relu_residual_bound``. Its gradients are also held to the masked
   residual product ``(X_b' ([pre > 0] * r))' / m``, which scales the mask
   instead, within the rounding bound ``scaled_rows_bound``. Its
   ``certificate_values``, exact or batched, has the field's bits at every
   size.
+
+``KernelModel`` derives ``y_inner_many`` and ``grad_y_inner_many`` from
+each model's certificate of the zero measure. Each call above also holds
+that pair, exact and batched, to ``observation_terms``: the Gaussian
+models bit for bit, since both take the same operations, and ReLU, which
+sums over row blocks, within ``relu_residual_bound`` of an empty support.
 
 The forms and their bounds are in ``reference.py``.
 """
@@ -40,8 +46,9 @@ from conicswarm.objective import Problem, certificate, certificate_and_grad, kkt
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
 from helpers import same_bits, traced_peak
-from reference import masked_residual_grads, primitive_field, relu_block_field, \
-    relu_residual_bound, residual_field, scaled_rows_bound, signed_field, signed_sum_bound
+from reference import masked_residual_grads, observation_terms, primitive_field, \
+    relu_block_field, relu_residual_bound, residual_field, scaled_rows_bound, signed_field, \
+    signed_sum_bound
 
 pytestmark = pytest.mark.exactness
 
@@ -59,9 +66,22 @@ def fold(problem, signs, field):
     return signs * vals + problem.kappa, signs[:, None] * grads
 
 
+def check_observation_terms(model, points, idx):
+    got = model.y_inner_many(points, idx), model.grad_y_inner_many(points, idx)
+    want = observation_terms(model, points, idx)
+    if isinstance(model, ReluKernel):
+        bounds = relu_residual_bound(model, points, np.empty((0, model.dim)), np.empty(0), idx)
+        for g, w, b in zip(got, want, bounds):
+            assert np.all(np.abs(g - w) <= b)
+    else:
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+
+
 def check_certificate(problem, swarm, points, signs, idx):
     model = problem.model
     coef = swarm.weights * swarm.signs
+    check_observation_terms(model, points, idx)
     want = primitive_field(model, points, swarm.positions, coef, idx)
     if isinstance(model, SyntheticKernel):
         for w, s, b in zip(want, signed_field(model, points, swarm.positions, coef, idx),

@@ -10,7 +10,7 @@ from conicswarm.objective import Problem, certificate, certificate_and_grad, fre
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem, \
     random_swarm
-from helpers import rng
+from helpers import rng, same_bits
 from reference import k_at, relu_objective, y_at
 
 
@@ -298,3 +298,36 @@ def test_grad_many_consistent_with_scalar():
     for i in range(5):
         assert np.allclose(vals[i], cert_at(problem, sw, pts[i], signs[i]))
         assert np.allclose(grads[i], grad_at(problem, sw, pts[i], signs[i]))
+
+
+#: a point set in another form, and the (k, d) float array of the same points
+POINT_FORMS = {
+    "one flat point": lambda pts: (pts[0], pts[:1]),
+    "nested list": lambda pts: (pts.tolist(), pts),
+    "integer array": lambda pts: (pts.astype(np.int64), pts),
+}
+
+
+@pytest.mark.exactness
+@pytest.mark.parametrize("make", [make_synthetic_problem, make_gmm_problem, make_relu_problem],
+                         ids=["synthetic", "gmm", "relu"])
+@pytest.mark.parametrize("form", sorted(POINT_FORMS))
+def test_entry_points_convert_points_for_the_models(make, form):
+    # the models convert no operand: objective's entry points make every
+    # point set a (k, d) float array, so any form of the same points gives
+    # the bits of the array
+    problem = make(seed=27)
+    g = rng(28)
+    swarm = random_swarm(problem, g)
+    pts = g.integers(-1, 2, size=(3, problem.model.dim)).astype(float)
+    given, want = POINT_FORMS[form](pts)
+    signs = g.choice(problem.sign_choices, size=len(want))
+    assert same_bits(certificate(problem, swarm, given, signs),
+                     certificate(problem, swarm, want, signs))
+    for got, expected in zip(certificate_and_grad(problem, swarm, given, signs),
+                             certificate_and_grad(problem, swarm, want, signs)):
+        assert same_bits(got, expected)
+    got, expected = kkt_residual(problem, swarm, given), kkt_residual(problem, swarm, want)
+    assert got.min_cert_grid.hex() == expected.min_cert_grid.hex()
+    assert same_bits(got.argmin_grid, expected.argmin_grid)
+    assert got.max_abs_cert_support.hex() == expected.max_abs_cert_support.hex()
