@@ -105,10 +105,10 @@ def select_deaths(swarm: ParticleSwarm, pushed_certs, rule: DeathRule, eps_k: fl
 
 
 def evaluate_birth_candidates(problem: Problem, ev, rule: BirthRule, eps_k: float, m_k: int,
-                              rng: np.random.Generator):
+                              rng: np.random.Generator, ws=None):
     """Draw candidates, estimate their certificates against the pushed
     evaluation ``ev`` of ``KernelModel.pushed_values`` (its measure, on its
-    batch) and apply the threshold.
+    batch, with the loop's workspace ``ws``) and apply the threshold.
 
     Returns ``(born, cand_certs)``: the ``born`` swarm holds the candidates
     whose certificate is at most the threshold, in draw order, and
@@ -120,7 +120,7 @@ def evaluate_birth_candidates(problem: Problem, ev, rule: BirthRule, eps_k: floa
         signs = np.where(rng.integers(0, 2, size=n_cand) == 0, 1.0, -1.0)
     else:
         signs = np.ones(n_cand)
-    certs = signs * problem.model.candidate_values(ev, positions) + problem.kappa
+    certs = signs * problem.model.candidate_values(ev, positions, ws=ws) + problem.kappa
     mass = eps_k if rule.birth_mass is None else rule.birth_mass
     accept = certs <= rule.threshold(m_k)
     born = ParticleSwarm(np.full(int(accept.sum()), mass), signs[accept], positions[accept])

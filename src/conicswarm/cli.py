@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import resource
 import sys
 from pathlib import Path
 
@@ -250,11 +251,13 @@ def cmd_run(args) -> int:
         trace_to_csv(trace, out_dir / "trace.csv")
         swarm.to_csv(out_dir / "final_swarm.csv")
 
+    before = resource.getrusage(resource.RUSAGE_SELF)
     try:
         result = run(config, problem)
     except RunAborted as exc:
         save(exc.trace, exc.swarm)  # the last good swarm and the rows so far
         raise
+    after = resource.getrusage(resource.RUSAGE_SELF)
     save(result.trace, result.final_swarm)
 
     method = f"{spec.run['variant']}{'+bd' if spec.birth_death['enabled'] else ''}"
@@ -275,6 +278,10 @@ def cmd_run(args) -> int:
         lines.append(f"calibrated: alpha={cal.alpha:.6g} beta={cal.chosen_beta:.6g} "
                      f"tv_bound={cal.tv_bound:.6g}")
     lines.append(f"rho_hat={result.rho_hat:.6g} best_k={result.best_index}")
+    # Linux reports ru_maxrss in KiB
+    faults = (after.ru_minflt - before.ru_minflt) / max(1, config.k_iters)
+    lines.append(f"resources: minor_faults_per_iter={faults:.3g} "
+                 f"peak_rss_mb={after.ru_maxrss / 1024:.1f}")
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     return EXIT_OK

@@ -70,6 +70,23 @@ survived, none was born and its ``c`` has the bytes of ``ev``'s (any
 coefficients are accepted, so the bytes are compared), as in most
 iterations.
 
+Every loop evaluation, and the objective at the loop's cadence, also takes
+an optional ``Workspace`` ``ws``, which ``runner.run`` creates once per run
+and hands on next to ``ev``; the models keep it nowhere. Its slots are
+64-byte aligned, C-ordered float64 buffers, reused from call to call, and
+the large temporaries are written into them through ``out=`` by the same
+ufuncs and BLAS calls, so no result changes by a bit: ``_sqdist``'s
+products, the Gaussian entries, the mixture's data-side rows and mean
+blocks, ``ev``'s ``K(T', T')`` and exact rows, the assembled support kernel
+and its survivor gathers, and ReLU's activation blocks. ``ev``'s own arrays
+live until the next ``pushed_values`` rewrites them, after the next
+``support_field`` has read them; every other slot holds what one call uses
+up. Arrays below ``_PRODUCT_ENTRIES`` entries skip the workspace and are
+allocated as without one, since at p of about 8 any bookkeeping per call
+costs more than it saves. Every caller outside the loop (the objective
+and certificates, the audit, ``verify``) passes no workspace and allocates
+as before.
+
 ``GaussianKernel`` is the kernel side of both Gaussian models,
 ``K(a, b) = knorm exp(-|a - b|^2 / (2 kvar))``: ``SyntheticKernel`` has
 ``kvar = sigma^2`` and ``knorm = 1``, ``GmmKernel`` the variance and
@@ -135,11 +152,79 @@ __all__ = [
 _PRODUCT_ENTRIES = 4096
 
 
-def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+#: byte alignment of every workspace slot: a cache line, and the widest SIMD
+#: load
+_ALIGN = 64
+
+
+class Workspace:
+    """Reused buffers for the large temporaries of one run's loop
+    evaluations, in named slots.
+
+    ``runner.run`` creates one per run and hands it, next to ``ev``, to
+    ``pushed_values``, ``candidate_values``, ``support_field`` and the
+    cadence ``loss``; the models keep it nowhere. Every other caller passes
+    None, and numpy allocates as it would without one.
+
+    ``take(slot, rows, cols)`` returns a C-ordered float64 array of that
+    shape at the start of the slot, whose data start ``offset`` bytes past a
+    64-byte boundary (0 in the loop; the tests try 16, 32 and 48 to show
+    that no bits depend on it). Below ``_PRODUCT_ENTRIES`` entries it
+    returns None and the caller allocates, as a fresh small array costs less
+    than the bookkeeping. A slot asked for more than it holds is replaced by
+    one half as large again as the size asked, so it is replaced a number of
+    times logarithmic in its largest size, and its old buffer is freed
+    before the new one is allocated, so malloc may hand that memory on. What
+    a slot holds is overwritten by the next call that takes it:
+
+    * ``"ev.kernel"`` and ``"ev.rows"``: the mixture ``ev``'s ``K(T', T')``
+      and, in an exact run, its data-side rows. ``pushed_values`` writes them
+      and the next iteration's ``support_field`` reads them, before the next
+      ``pushed_values`` writes its own.
+    * ``"work"``: the largest array of one evaluation step, used up within
+      the call: data-side rows (a batch's, the candidates' and the loss's
+      mean blocks, the exact support's assembled rows), then the kernel
+      built after them (the candidates' ``K(C, T')``, the assembled support
+      kernel, the loss's ``K(T, T)``), or a ReLU activation block.
+    * ``"diff"``: ``_sqdist``'s coordinate differences, and the survivors'
+      rows of ``K(T', T')`` while their columns are gathered.
+    * ``"block"``: ``_gauss_self``'s row blocks.
+    """
+
+    def __init__(self, offset: int = 0):
+        self.offset = offset
+        self._slots = {}
+
+    def take(self, slot: str, rows: int, cols: int):
+        """The slot's first ``rows * cols`` entries as a (rows, cols) array,
+        or None below ``_PRODUCT_ENTRIES`` entries."""
+        size = rows * cols
+        if size < _PRODUCT_ENTRIES:
+            return None
+        if len(self._slots.get(slot, ())) < size:
+            self._slots[slot] = ()  # free the old buffer first: malloc may reuse its memory
+            raw = np.empty(size + size // 2 + _ALIGN // 8)
+            self._slots[slot] = raw[(self.offset - raw.ctypes.data) % _ALIGN // 8 :]
+        return self._slots[slot][:size].reshape(rows, cols)
+
+
+def _out(ws, slot, rows, cols):
+    """``ws.take(slot, rows, cols)``, or None without a workspace."""
+    return None if ws is None else ws.take(slot, rows, cols)
+
+
+def _buffer(ws, slot, rows, cols):
+    """``_out(ws, slot, rows, cols)``, or a fresh array where that is None."""
+    buf = _out(ws, slot, rows, cols)
+    return np.empty((rows, cols)) if buf is None else buf
+
+
+def _sqdist(a: np.ndarray, b: np.ndarray, ws=None, out=None) -> np.ndarray:
     """Pairwise squared Euclidean distances, shape (|a|, |b|), as sums of
-    squared coordinate differences in one buffer: each entry depends on its
-    two points alone, whatever else shares the call, and loses no digits far
-    from the origin. Only the squares are returned, never the differences.
+    squared coordinate differences in one buffer, ``out`` if given: each
+    entry depends on its two points alone, whatever else shares the call,
+    and loses no digits far from the origin. Only the squares are returned,
+    never the differences.
 
     From ``_PRODUCT_ENTRIES`` entries on, each coordinate's differences
     ``a_i - b_j`` are one small product, ``[a_:,j, 1] @ [1; -b_:,j]``. Its
@@ -147,25 +232,37 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     once: every difference is the correctly rounded ``a_i - b_j`` of
     ``np.subtract.outer`` whatever the BLAS summation order, FMA use or
     thread split. Only the sign of a zero difference may differ, and the
-    square removes it.
+    square removes it. The first coordinate's squares are formed in the
+    result; with a workspace, each further one's in row blocks of at most
+    ``_SELF_BLOCK_ENTRIES`` entries (its slot ``"diff"``), which stay in
+    cache until they are added.
     """
     if len(a) * len(b) < _PRODUCT_ENTRIES:
-        def diff(j):
-            return np.subtract.outer(a[:, j], b[:, j])
-    else:
-        left, right = np.empty((len(a), 2)), np.empty((2, len(b)))
-        left[:, 1] = right[0] = 1.0
-
-        def diff(j):
-            left[:, 0] = a[:, j]
-            np.negative(b[:, j], out=right[1])
-            return left @ right
-    d2 = diff(0)
+        d2 = np.subtract.outer(a[:, 0], b[:, 0])
+        d2 *= d2
+        for j in range(1, a.shape[1]):
+            dj = np.subtract.outer(a[:, j], b[:, j])
+            dj *= dj
+            d2 += dj
+        if out is None:
+            return d2
+        out[...] = d2
+        return out
+    left, right = np.empty((len(a), 2)), np.empty((2, len(b)))
+    left[:, 1] = right[0] = 1.0
+    left[:, 0] = a[:, 0]
+    np.negative(b[:, 0], out=right[1])
+    d2 = np.matmul(left, right, out=out)
     d2 *= d2
+    step = len(a) if ws is None else max(1, _SELF_BLOCK_ENTRIES // len(b))
     for j in range(1, a.shape[1]):
-        dj = diff(j)
-        dj *= dj
-        d2 += dj
+        left[:, 0] = a[:, j]
+        np.negative(b[:, j], out=right[1])
+        for lo in range(0, len(a), step):
+            rows = d2[lo : lo + step]
+            dj = np.matmul(left[lo : lo + step], right, out=_out(ws, "diff", len(rows), len(b)))
+            dj *= dj
+            rows += dj
     return d2
 
 
@@ -183,11 +280,12 @@ def _gauss_norm(var: float, dim: int) -> float:
     return (2.0 * np.pi * var) ** (-dim / 2.0)
 
 
-def gauss_density(a: np.ndarray, b: np.ndarray, var: float) -> np.ndarray:
+def gauss_density(a: np.ndarray, b: np.ndarray, var: float, ws=None, out=None) -> np.ndarray:
     """Isotropic Gaussian density N(a; b, var*I) evaluated pairwise, without
     its constant ``_gauss_norm(var, d)``: ``exp(-|a_i - b_j|^2 / (2 var))``,
-    finished in the distance buffer."""
-    return _gauss_finish(_sqdist(a, b), var)
+    finished in the distance buffer (``_sqdist``'s, with its ``ws`` and
+    ``out``)."""
+    return _gauss_finish(_sqdist(a, b, ws, out), var)
 
 
 #: entries per row block of an n-long evaluation: ``relu_blocks``'
@@ -200,41 +298,37 @@ _SELF_BLOCK_ENTRIES = 2**15
 _CELL_DIMS = 3
 
 
-def _upper_blocks(x: np.ndarray, m: int, step: int, pairwise):
-    """``(lo, hi, pairwise(x[lo:hi], x[lo:]))`` over row blocks of ``step``
-    rows of the first ``m`` rows of ``x``: each block meets itself and the
-    rows after it, so every unordered pair with a row among the first ``m``
-    is evaluated once."""
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        yield lo, hi, pairwise(x[lo:hi], x[lo:])
-
-
 def _exp_sum(x: np.ndarray, m: int, scale: float) -> float:
     """``sum_ij w_ij exp(-|x_i - x_j|^2 / scale)`` over ``i < m``, with
     ``w_ij = 1`` for ``j < m`` and 2 otherwise: the first ``m`` rows
-    against themselves once and against the rest twice, in cache-sized
-    ``_upper_blocks`` of at most ``_SELF_BLOCK_ENTRIES`` terms.
+    against themselves once and against the rest twice, in cache-sized row
+    blocks of at most ``_SELF_BLOCK_ENTRIES`` terms, each block against
+    itself and the rows after it.
     """
-    total = 0.0
-    for lo, hi, d2 in _upper_blocks(x, m, max(1, _SELF_BLOCK_ENTRIES // len(x)), _sqdist):
-        terms = _gauss_finish(d2, 0.5 * scale)  # -0.5 / (0.5 scale) is -1 / scale exactly
+    total, step = 0.0, max(1, _SELF_BLOCK_ENTRIES // len(x))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        # -0.5 / (0.5 scale) is -1 / scale exactly
+        terms = _gauss_finish(_sqdist(x[lo:hi], x[lo:]), 0.5 * scale)
         total += float(terms[:, : hi - lo].sum()) + 2.0 * float(terms[:, hi - lo :].sum())
     return total
 
 
-def _gauss_self(x: np.ndarray, var: float) -> np.ndarray:
-    """``gauss_density(x, x, var)`` from the upper triangle: by
-    ``_upper_blocks`` of at most ``_SELF_BLOCK_ENTRIES`` entries, each
-    mirrored below the diagonal. Entries are pair-local and
-    ``K(a, b) = K(b, a)`` bit for bit, so the result has the bits of the
-    full build."""
+def _gauss_self(x: np.ndarray, var: float, ws=None, out=None) -> np.ndarray:
+    """``gauss_density(x, x, var)``, in ``out`` if given, from the upper
+    triangle: row blocks of at most ``_SELF_BLOCK_ENTRIES`` entries against
+    themselves and the rows after them, each built in ``ws``'s slot
+    ``"block"``, copied in and mirrored below the diagonal. Entries are
+    pair-local and ``K(a, b) = K(b, a)`` bit for bit, so the result has the
+    bits of the full build."""
     p = len(x)
     if p * p <= _SELF_BLOCK_ENTRIES:
-        return gauss_density(x, x, var)
-    k = np.empty((p, p))
-    for lo, hi, block in _upper_blocks(x, p, max(1, _SELF_BLOCK_ENTRIES // p),
-                                       lambda s, t: gauss_density(s, t, var)):
+        return gauss_density(x, x, var, ws, out)
+    k = np.empty((p, p)) if out is None else out
+    step = max(1, _SELF_BLOCK_ENTRIES // p)
+    for lo in range(0, p, step):
+        hi = min(lo + step, p)
+        block = gauss_density(x[lo:hi], x[lo:], var, ws, _out(ws, "block", hi - lo, p - lo))
         k[lo:hi, lo:] = block
         k[hi:, lo:hi] = block[:, hi - lo :].T
     return k
@@ -317,7 +411,8 @@ class KernelModel(ABC):
     def weighted_grad1_kernel(self, a, b, coef, idx=None) -> np.ndarray: ...
 
     @abstractmethod
-    def certificate_field(self, t, support, coef, idx=None) -> tuple[np.ndarray, np.ndarray]:
+    def certificate_field(self, t, support, coef, idx=None,
+                          ws=None) -> tuple[np.ndarray, np.ndarray]:
         """Values ``K(t, S) c - <y, phi_t>`` and their gradients in t."""
 
     @abstractmethod
@@ -326,36 +421,36 @@ class KernelModel(ABC):
         on the batch ``idx``."""
 
     @abstractmethod
-    def candidate_values(self, ev, t) -> np.ndarray:
+    def candidate_values(self, ev, t, ws=None) -> np.ndarray:
         """Values ``K(t, S) c - <y, phi_t>`` of the measure and batch of ``ev``."""
 
-    def certificate_values(self, t, support, coef, idx=None) -> np.ndarray:
+    def certificate_values(self, t, support, coef, idx=None, ws=None) -> np.ndarray:
         """Values ``K(t, S) c - <y, phi_t>`` alone."""
-        return self.candidate_values(self._evaluation(support, coef, idx), t)
+        return self.candidate_values(self._evaluation(support, coef, idx), t, ws)
 
-    def y_inner_many(self, t, idx=None) -> np.ndarray:
+    def y_inner_many(self, t, idx=None, ws=None) -> np.ndarray:
         """``<y, phi_t>`` per row of t: minus the zero measure's certificate."""
-        return 0.0 - self.certificate_values(t, np.empty((0, self.dim)), np.empty(0), idx)
+        return 0.0 - self.certificate_values(t, np.empty((0, self.dim)), np.empty(0), idx, ws)
 
     def grad_y_inner_many(self, t, idx=None) -> np.ndarray:
         """The gradients of ``<y, phi_t>`` in t: minus the zero measure's."""
         return 0.0 - self.certificate_field(t, np.empty((0, self.dim)), np.empty(0), idx)[1]
 
-    def pushed_values(self, support, coef, idx=None):
+    def pushed_values(self, support, coef, idx=None, ws=None):
         """``(certificate_values(S, S, c, idx), ev)`` at the pushed support
         S, where ``ev`` is what ``candidate_values`` and ``support_field``
         share of the evaluation; by default ``_evaluation``'s."""
         ev = self._evaluation(support, coef, idx)
-        return self.candidate_values(ev, support), ev
+        return self.candidate_values(ev, support, ws), ev
 
-    def support_field(self, t, coef, idx, ev, keep) -> tuple[np.ndarray, np.ndarray]:
+    def support_field(self, t, coef, idx, ev, keep, ws=None) -> tuple[np.ndarray, np.ndarray]:
         """``certificate_field(t, t, coef, idx)`` at ``t``, ``ev``'s support
         where the mask ``keep`` holds, then the born candidates; ``ev`` and
         ``keep`` are None if no pushed evaluation came."""
-        return self.certificate_field(t, t, coef, idx)
+        return self.certificate_field(t, t, coef, idx, ws)
 
     @abstractmethod
-    def objective_value(self, t, weights, signs, kappa: float) -> float:
+    def objective_value(self, t, weights, signs, kappa: float, ws=None) -> float:
         """The exact objective of a non-empty swarm at positions t, weights w
         and signs s."""
 
@@ -386,12 +481,14 @@ class GaussianKernel(KernelModel):
     _kvar: float
     _knorm: float
 
-    def _kernel(self, a, b):
-        """``K(a, b)`` without its constant ``_knorm``; a set against itself
-        by the symmetric build."""
+    def _kernel(self, a, b, ws=None, out=None):
+        """``K(a, b)`` without its constant ``_knorm``, in ``out`` or else in
+        ``ws``'s ``"work"``; a set against itself by the symmetric build."""
+        if out is None:
+            out = _out(ws, "work", len(a), len(b))
         if a is b or (a.shape == b.shape and np.array_equal(a, b)):
-            return _gauss_self(a, self._kvar)
-        return gauss_density(a, b, self._kvar)
+            return _gauss_self(a, self._kvar, ws, out)
+        return gauss_density(a, b, self._kvar, ws, out)
 
     def kernel_matrix(self, a, b, idx=None):
         k = self._kernel(a, b)
@@ -406,9 +503,9 @@ class GaussianKernel(KernelModel):
         """``sum_j c_j grad_a K(a_i, b_j)`` from the unnormalized kernel ``k``."""
         return _gauss_grad(k, a, b, coef, self._kvar) * self._knorm
 
-    def weighted_kernel(self, a, b, coef, idx=None):
+    def weighted_kernel(self, a, b, coef, idx=None, ws=None):
         """``sum_j coef_j K(a_i, b_j)``, shape (|a|,)."""
-        return self._values(self._kernel(a, b), coef)
+        return self._values(self._kernel(a, b, ws), coef)
 
     def weighted_grad1_kernel(self, a, b, coef, idx=None):
         return self._grads(self._kernel(a, b), a, b, coef)
@@ -418,12 +515,12 @@ class GaussianKernel(KernelModel):
         k = np.diagonal(self._kernel(a, b))[:, None, None]
         return self._grads(k, a[:, None], b[:, None], np.ones((len(a), 1)))[:, 0]
 
-    def objective_value(self, t, weights, signs, kappa):
+    def objective_value(self, t, weights, signs, kappa, ws=None):
         """``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K(T, T) c`` with
         ``c = s w``."""
         c = weights * signs
-        k_t = signs * self.y_inner_many(t)
-        quad = c @ self.weighted_kernel(t, t, c)
+        k_t = signs * self.y_inner_many(t, None, ws)
+        quad = c @ self.weighted_kernel(t, t, c, None, ws)
         return float(0.5 * self.y_norm_sq + (kappa - k_t) @ weights + 0.5 * quad)
 
 
@@ -508,12 +605,12 @@ class SyntheticKernel(GaussianKernel):
         its coefficients ``q = [c; -w; -eta_b]``."""
         return np.vstack([support, self._fixed]), np.concatenate([coef, -self._y_coef(idx)])
 
-    def candidate_values(self, ev, t):
-        return self._values(self._kernel(t, ev[0]), ev[1])
+    def candidate_values(self, ev, t, ws=None):
+        return self._values(self._kernel(t, ev[0], ws), ev[1])
 
-    def certificate_field(self, t, support, coef, idx=None):
+    def certificate_field(self, t, support, coef, idx=None, ws=None):
         points, q = self._evaluation(support, coef, idx)
-        k = self._kernel(t, points)
+        k = self._kernel(t, points, ws)
         return self._values(k, q), self._grads(k, t, points, q)
 
     def _sample_y(self, t, rows):
@@ -627,11 +724,14 @@ class GmmKernel(GaussianKernel):
         """The sample rows of the batch ``idx``, all of them for None."""
         return self.data if idx is None else self.data.take(idx, axis=0)
 
-    def _density(self, t, x):
+    def _density(self, t, x, ws=None, out=None):
         """Density rows ``N(t_i; x_j, (1 + 2 tau^2) I)`` over the samples
-        ``x``, without their constant, and their means, with it. The means
-        are ``np.mean``'s own sum and division, without its wrapper."""
-        rows = gauss_density(t, x, self._yvar)
+        ``x``, without their constant, in ``out`` or else in ``ws``'s
+        ``"work"``, and their means, with it. The means are ``np.mean``'s own
+        sum and division, without its wrapper."""
+        if out is None:
+            out = _out(ws, "work", len(t), len(x))
+        rows = gauss_density(t, x, self._yvar, ws, out)
         means = np.add.reduce(rows, axis=1)
         means /= x.shape[0]
         means *= self._ynorm
@@ -641,14 +741,14 @@ class GmmKernel(GaussianKernel):
         """The gradients of ``<y, phi_t>`` from ``_density(t, x)``."""
         return ((rows @ x) * (self._ynorm / x.shape[0]) - means[:, None] * t) / self._yvar
 
-    def _means(self, t, x):
+    def _means(self, t, x, ws=None):
         """``<y, phi_t>`` over the samples ``x``, built and averaged in blocks
         of at most ``_ROW_BLOCK_ENTRIES`` densities (one row once ``len(x)``
         exceeds it)."""
         out = np.empty(len(t))
         step = max(1, _ROW_BLOCK_ENTRIES // len(x))
         for lo in range(0, len(t), step):
-            out[lo : lo + step] = self._density(t[lo : lo + step], x)[1]
+            out[lo : lo + step] = self._density(t[lo : lo + step], x, ws)[1]
         return out
 
     def _sample_y(self, t, rows):
@@ -662,11 +762,11 @@ class GmmKernel(GaussianKernel):
         return vals, (k[:, :, None] * x[:, None, :] * self._ynorm
                       - vals[:, :, None] * t) / self._yvar
 
-    def _data_side(self, t, x, side=None):
+    def _data_side(self, t, x, side=None, ws=None):
         """``<y, phi_t>`` over the samples ``x`` and its gradients, from the
         density rows and means ``side`` or fresh ones; the rows go when it
         returns, before the caller builds its kernel."""
-        rows, means = self._density(t, x) if side is None else side
+        rows, means = self._density(t, x, ws) if side is None else side
         return means, self._y_grads(t, x, rows, means)
 
     def _field(self, t, support, coef, k_s, y, y_grads, kc=None):
@@ -676,71 +776,88 @@ class GmmKernel(GaussianKernel):
         kc = k_s @ coef if kc is None else kc
         return kc * self._knorm - y, self._grads(k_s, t, support, coef) - y_grads
 
-    def certificate_field(self, t, support, coef, idx=None):
-        y, y_grads = self._data_side(t, self._batch(idx))
-        return self._field(t, support, coef, self._kernel(t, support), y, y_grads)
+    def certificate_field(self, t, support, coef, idx=None, ws=None):
+        y, y_grads = self._data_side(t, self._batch(idx), ws=ws)
+        return self._field(t, support, coef, self._kernel(t, support, ws), y, y_grads)
 
     def _evaluation(self, support, coef, idx):
         """The support, its coefficients and the batch rows."""
         return {"support": support, "coef": coef, "x": self._batch(idx)}
 
-    def pushed_values(self, support, coef, idx=None):
+    def pushed_values(self, support, coef, idx=None, ws=None):
         ev = self._evaluation(support, coef, idx)
-        support, coef = ev["support"], ev["coef"]
-        rows, means = self._density(support, ev["x"])
+        support, coef, x = ev["support"], ev["coef"], ev["x"]
+        out = None if idx is not None else _out(ws, "ev.rows", len(support), len(x))
+        rows, means = self._density(support, x, ws, out)
         side = (rows, means) if idx is None else None
         del rows  # a batch's rows go before K(T', T') is built
-        k = self._kernel(support, support)
+        k = self._kernel(support, support, ws, _out(ws, "ev.kernel", len(support), len(support)))
         ev.update(k=k, kc=k @ coef, side=side)
         return ev["kc"] * self._knorm - means, ev
 
-    def candidate_values(self, ev, t):
-        return self._values(self._kernel(t, ev["support"]), ev["coef"]) \
-            - self._means(t, ev["x"])
+    def candidate_values(self, ev, t, ws=None):
+        vals = self._values(self._kernel(t, ev["support"], ws), ev["coef"])
+        return vals - self._means(t, ev["x"], ws)
 
-    def support_field(self, t, coef, idx, ev, keep):
+    def support_field(self, t, coef, idx, ev, keep, ws=None):
         if ev is None:
-            return self.certificate_field(t, t, coef, idx)
+            return self.certificate_field(t, t, coef, idx, ws)
         x = self._batch(idx)
         p = int(keep.sum())
-        y, y_grads = self._data_side(t, x, None if idx is not None else
-                                     self._kept_side(ev["side"], keep, p, t[p:], x))
+        side = None if idx is not None else self._kept_side(ev["side"], keep, p, t[p:], x, ws)
+        y, y_grads = self._data_side(t, x, side, ws)
         k, kc = ev["k"], None
-        if p < len(keep):
-            # row-order gathers keep the block C-ordered, as a fresh build is
-            k = k.compress(keep, axis=0).compress(keep, axis=1)
-        elif p == len(t) and coef.tobytes() == ev["coef"].tobytes():
+        if p < len(t) or p < len(keep):
+            k = self._support_kernel(t, k, keep, p, ws)
+        elif coef.tobytes() == ev["coef"].tobytes():
             kc = ev["kc"]
-        if p < len(t):
-            full = np.empty((len(t), len(t)))
-            full[:p, :p] = k
-            full[p:] = self._kernel(t[p:], t)
-            full[:p, p:] = full[p:, :p].T
-            k = full
         return self._field(t, t, coef, k, y, y_grads, kc)
 
-    def _kept_side(self, side, keep, p, born, x):
-        """The exact density rows and means of ``[T'[keep]; born]``: ``ev``'s
-        rows of the survivors, gathered only if something died, then fresh
-        rows of the born; None from a batched ``ev``, which holds no rows."""
-        if side is None:
-            return None
+    def _support_kernel(self, t, k, keep, p, ws):
+        """The unnormalized ``K(T, T)`` of ``T = [T'[keep]; born]`` in
+        ``ws``'s ``"work"``, from ``k = K(T', T')``: the survivors' block by
+        row-order gathers of rows, then columns, in row blocks of at most
+        ``_SELF_BLOCK_ENTRIES`` (so each block's rows stay in cache), which
+        leave it C-ordered like a fresh build; then the born rows
+        ``K(T[p:], T)``, mirrored into the born columns."""
+        full = _buffer(ws, "work", len(t), len(t))
         if p < len(keep):
-            side = side[0].compress(keep, axis=0), side[1][keep]
-        if len(born):
-            rows, means = self._density(born, x)
-            side = np.vstack([side[0], rows]), np.concatenate([side[1], means])
-        return side
+            # "clip" (the indices are in range) writes a C-ordered ``out`` in
+            # place, where "raise" copies through a temporary of its size
+            live = np.flatnonzero(keep)
+            step = max(1, _SELF_BLOCK_ENTRIES // len(keep))
+            for lo in range(0, p, step):
+                sub = live[lo : lo + step]
+                rows = np.take(k, sub, axis=0, out=_out(ws, "diff", len(sub), len(keep)),
+                               mode="clip")
+                np.take(rows, live, axis=1, out=full[lo : lo + len(sub), :p], mode="clip")
+        else:
+            full[:p, :p] = k
+        if p < len(t):
+            self._kernel(t[p:], t, ws, full[p:])
+            full[:p, p:] = full[p:, :p].T
+        return full
+
+    def _kept_side(self, side, keep, p, born, x, ws):
+        """The exact density rows and means of ``[T'[keep]; born]``: ``ev``'s
+        rows of the survivors, then fresh rows of the born, in ``ws``'s
+        ``"work"``; ``ev``'s own if nothing died or was born, and None from a
+        batched ``ev``, which holds no rows."""
+        if side is None or (p == len(keep) and not len(born)):
+            return side
+        rows = _buffer(ws, "work", p + len(born), len(x))
+        np.take(side[0], np.flatnonzero(keep), axis=0, out=rows[:p], mode="clip")
+        return rows, np.concatenate([side[1][keep], self._density(born, x, ws, rows[p:])[1]])
 
 
-def relu_blocks(aug: np.ndarray, t: np.ndarray):
+def relu_blocks(aug: np.ndarray, t: np.ndarray, ws=None):
     """``(rows, relu(aug[rows] T'))`` over row blocks of at most
     ``_ROW_BLOCK_ENTRIES`` activations, ``max(1, |T|)`` to a row, each
-    overwriting the one before in one buffer: the one loop over a batch's
-    rows of every ReLU evaluation."""
+    overwriting the one before in one buffer, ``ws``'s ``"work"`` if given:
+    the one loop over a batch's rows of every ReLU evaluation."""
     n = aug.shape[0]
     step = max(1, _ROW_BLOCK_ENTRIES // max(1, len(t)))
-    buf = np.empty((min(step, n), len(t)))
+    buf = _buffer(ws, "work", min(step, n), len(t))
     for lo in range(0, n, step):
         act = buf[: min(step, n - lo)]
         np.matmul(aug[lo : lo + step], t.T, out=act)
@@ -755,12 +872,13 @@ def relu_outputs(aug: np.ndarray, t: np.ndarray, c: np.ndarray):
         yield rows, act @ c
 
 
-def _relu_sum(aug: np.ndarray, t: np.ndarray, part):
-    """``sum part(rows, act) / m`` over the blocks of ``relu_blocks(aug, t)``,
-    ``m = len(aug)``: the one sum over samples of every ReLU evaluation, the
-    parts added in order to the first block's, which one block returns."""
+def _relu_sum(aug: np.ndarray, t: np.ndarray, part, ws=None):
+    """``sum part(rows, act) / m`` over the blocks of ``relu_blocks(aug, t,
+    ws)``, ``m = len(aug)``: the one sum over samples of every ReLU
+    evaluation, the parts added in order to the first block's, which one
+    block returns."""
     total = None
-    for rows, act in relu_blocks(aug, t):
+    for rows, act in relu_blocks(aug, t, ws):
         total = part(rows, act) if total is None else total + part(rows, act)
     return total / len(aug)
 
@@ -814,7 +932,7 @@ class ReluKernel(KernelModel):
         return self.targets if idx is None else self.targets.take(idx)
 
     @staticmethod
-    def _sums(aug, t, weight, grads=False):
+    def _sums(aug, t, weight, grads=False, ws=None):
         """``(act' w / m, ((X_b * w)' [act > 0])' / m)`` of the points t over
         the batch rows ``aug``, the gradients None unless ``grads``. ``weight``
         is w, or gives a block's rows of w from its rows and activation."""
@@ -824,7 +942,7 @@ class ReluKernel(KernelModel):
             if not grads:
                 return vals
             return np.vstack([vals, (aug[rows] * w[:, None]).T @ np.greater(act, 0.0, out=act)])
-        total = _relu_sum(aug, t, part)
+        total = _relu_sum(aug, t, part, ws)
         return (total[0], total[1:].T) if grads else (total, None)
 
     @staticmethod
@@ -869,25 +987,25 @@ class ReluKernel(KernelModel):
         u = np.concatenate([u for _, u in relu_outputs(aug, support, coef)])
         return aug, u - self._targets(idx)
 
-    def pushed_values(self, support, coef, idx=None):
+    def pushed_values(self, support, coef, idx=None, ws=None):
         aug = self._batch(idx)
         r = np.empty(len(aug))
-        vals = self._sums(aug, support, self._residual(r, self._targets(idx), coef))[0]
+        vals = self._sums(aug, support, self._residual(r, self._targets(idx), coef), ws=ws)[0]
         return vals, (aug, r)
 
-    def candidate_values(self, ev, t):
+    def candidate_values(self, ev, t, ws=None):
         aug, r = ev
-        return self._sums(aug, t, r)[0]
+        return self._sums(aug, t, r, ws=ws)[0]
 
-    def certificate_field(self, t, support, coef, idx=None):
+    def certificate_field(self, t, support, coef, idx=None, ws=None):
         if np.array_equal(support, t):
             aug = self._batch(idx)
             weight = self._residual(np.empty(len(aug)), self._targets(idx), coef)
         else:
             aug, weight = self._evaluation(support, coef, idx)
-        return self._sums(aug, t, weight, grads=True)
+        return self._sums(aug, t, weight, grads=True, ws=ws)
 
-    def objective_value(self, t, weights, signs, kappa):
+    def objective_value(self, t, weights, signs, kappa, ws=None):
         """The residual ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``,
         ``c = s w``, summed block by block, so no n x p array is built; at
         kappa = 0 twice this is the mean squared error."""
@@ -896,7 +1014,7 @@ class ReluKernel(KernelModel):
         def part(rows, act):
             resid = act @ c - self.targets[rows]
             return resid @ resid
-        return float(0.5 * _relu_sum(self._aug, t, part)) + kappa * float(weights.sum())
+        return float(0.5 * _relu_sum(self._aug, t, part, ws)) + kappa * float(weights.sum())
 
 
 @dataclass

@@ -65,12 +65,13 @@ class Problem:
         return (1.0, -1.0) if self.signed else (1.0,)
 
 
-def loss(problem: Problem, swarm: ParticleSwarm) -> float:
-    """Exact objective value of a swarm (empty swarm gives 0.5 |y|^2)."""
+def loss(problem: Problem, swarm: ParticleSwarm, ws=None) -> float:
+    """Exact objective value of a swarm (empty swarm gives 0.5 |y|^2); the
+    solver loop hands its ``kernels.Workspace`` as ``ws``."""
     if len(swarm) == 0:
         return 0.5 * problem.model.y_norm_sq
     return problem.model.objective_value(swarm.positions, swarm.weights, swarm.signs,
-                                         problem.kappa)
+                                         problem.kappa, ws)
 
 
 def _lifted(problem: Problem, points, signs):

@@ -21,6 +21,16 @@ scorings share, which ``candidate_values`` and the next iteration's
 ``support_field`` read and no call writes. The survivors are decided once,
 as the boolean mask ``keep``, which both ``apply_mass_tweak`` and
 ``support_field`` take. The models keep no state between calls.
+
+The run owns one ``kernels.Workspace``, created when it starts and dropped
+when it returns, and hands it to the three loop evaluations and the cadence
+loss next to ``ev``: their large temporaries land in its reused, 64-byte
+aligned slots, so a long run neither maps fresh pages every iteration nor
+runs at a speed set by where malloc places its arrays. ``ev``'s own arrays
+sit in its slots until the next ``pushed_values`` rewrites them, so the
+loop drops ``ev`` as soon as ``support_field`` has read it: a slot that
+grows then frees its old buffer at once. Arrays too small to gain from it,
+and every call outside the loop, allocate as without one.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ import numpy as np
 from .birth_death import BirthRule, DeathRule, apply_mass_tweak, evaluate_birth_candidates, \
     select_deaths
 from .dynamics import StepRates, weight_push_update
+from .kernels import Workspace
 from .objective import Problem, loss
 from .oracle import draw_batch
 from .schedules import AnytimePlan, FixedPlan
@@ -134,10 +145,11 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
     swarm = config.init_swarm
     model, kappa = problem.model, problem.kappa
     n = model.n_samples
+    ws = Workspace()
     t0 = time.perf_counter()
 
     trace: list[IterationRecord] = []
-    last_loss = loss(problem, swarm)
+    last_loss = loss(problem, swarm, ws)
     trace.append(IterationRecord(0, 0.0, last_loss, swarm.tv_norm(), len(swarm),
                                  0, 0, None, None, None))
 
@@ -148,7 +160,8 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
         threshold_m = n if config.full_batch else m_k
 
         vals, grad = model.support_field(swarm.positions, swarm.weights * swarm.signs, idx,
-                                         ev, keep)
+                                         ev, keep, ws=ws)
+        ev = keep = None  # read for the last time: a growing slot frees its buffer
         certs, grads = swarm.signs * vals + kappa, swarm.signs[:, None] * grad
         cert_norm_sq = float(swarm.weights @ certs**2) if len(swarm) else 0.0
         # the recorded minimum tracks the pushed certificate and the
@@ -164,11 +177,12 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
         births = deaths = 0
         if config.birth_death:
             idx_plus = None if config.full_batch else draw_batch(rng, m_k, n)
-            vals, ev = model.pushed_values(swarm.positions, swarm.weights * swarm.signs, idx_plus)
+            vals, ev = model.pushed_values(swarm.positions, swarm.weights * swarm.signs, idx_plus,
+                                           ws=ws)
             pushed = swarm.signs * vals + kappa
             death_idx = select_deaths(swarm, pushed, config.death_rule, eps_k, rng)
             born, cand_certs = evaluate_birth_candidates(problem, ev, config.birth_rule,
-                                                         eps_k, threshold_m, rng)
+                                                         eps_k, threshold_m, rng, ws)
             keep = np.ones(len(swarm), dtype=bool)
             keep[death_idx] = False
             seen = np.concatenate([pushed, cand_certs])
@@ -176,7 +190,7 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
             births, deaths = len(born), len(death_idx)
 
         at_cadence = (k % config.trace_cadence == 0) or (k == config.k_iters)
-        cur_loss = loss(problem, swarm) if at_cadence else None
+        cur_loss = loss(problem, swarm, ws) if at_cadence else None
         delta = None if cur_loss is None else last_loss - cur_loss
         if cur_loss is not None:
             last_loss = cur_loss

@@ -231,15 +231,16 @@ def signed_sum_bound(model, t, support, coef, idx):
 class Reference(SyntheticKernel):
     """The certificate composed from the four primitives, each building one
     kernel matrix per point set, with the counted noise mean, and its
-    stateless loop evaluations, whose ``ev`` is the operands."""
+    stateless loop evaluations, whose ``ev`` is the operands. Every array is
+    fresh: the loop's workspace ``ws`` is accepted and not used."""
 
-    def certificate_values(self, t, support, coef, idx=None):
+    def certificate_values(self, t, support, coef, idx=None, ws=None):
         return self.weighted_kernel(t, support, coef) - self.y_inner_many(t, idx)
 
-    def pushed_values(self, support, coef, idx=None):
+    def pushed_values(self, support, coef, idx=None, ws=None):
         return self.certificate_values(support, support, coef, idx), (support, coef, idx)
 
-    def candidate_values(self, ev, t):
+    def candidate_values(self, ev, t, ws=None):
         return self.certificate_values(t, *ev)
 
     @property
@@ -247,13 +248,13 @@ class Reference(SyntheticKernel):
         pts, coefs = observation(self, None)
         return float(coefs @ self.kernel_matrix(pts, pts) @ coefs)
 
-    def y_inner_many(self, t, idx=None):
+    def y_inner_many(self, t, idx=None, ws=None):
         return self.weighted_kernel(t, *observation(self, idx))
 
     def grad_y_inner_many(self, t, idx=None):
         return self.weighted_grad1_kernel(t, *observation(self, idx))
 
-    def certificate_field(self, t, support, coef, idx=None):
+    def certificate_field(self, t, support, coef, idx=None, ws=None):
         return (self.weighted_kernel(t, support, coef) - self.y_inner_many(t, idx),
                 self.weighted_grad1_kernel(t, support, coef) - self.grad_y_inner_many(t, idx))
 
@@ -262,10 +263,10 @@ class Signed(Reference):
     """``Reference`` with the certificate as the weighted kernel of the
     signed measure: one kernel matrix per evaluation and primitive."""
 
-    def certificate_values(self, t, support, coef, idx=None):
+    def certificate_values(self, t, support, coef, idx=None, ws=None):
         return signed_field(self, t, support, coef, idx)[0]
 
-    def certificate_field(self, t, support, coef, idx=None):
+    def certificate_field(self, t, support, coef, idx=None, ws=None):
         return signed_field(self, t, support, coef, idx)
 
 

@@ -283,6 +283,16 @@ class TestRunCommand:
         assert (out1 / "final_swarm.csv").read_bytes() == \
             (out2 / "final_swarm.csv").read_bytes()
 
+    def test_summary_reports_the_loop_resources(self, tmp_path):
+        # page faults and peak memory go to summary.txt alone, never to the
+        # trace, whose bytes two runs of one configuration share
+        cfg = write_config(tmp_path, TINY_SYNTHETIC)
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        last = (out / "summary.txt").read_text().splitlines()[-1]
+        assert re.fullmatch(r"resources: minor_faults_per_iter=\S+ peak_rss_mb=\d+\.\d", last)
+        assert "resources" not in (out / "trace.csv").read_text()
+
     def test_seed_flag_changes_trace(self, tmp_path):
         cfg = write_config(tmp_path, TINY_SYNTHETIC)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -97,34 +97,35 @@ class Stateless:
     def __getattr__(self, name):
         return getattr(self.model, name)
 
-    def pushed_values(self, support, coef, idx=None):
+    def pushed_values(self, support, coef, idx=None, ws=None):
         return self.model.certificate_values(support, support, coef, idx), (support, coef, idx)
 
-    def candidate_values(self, ev, t):
+    def candidate_values(self, ev, t, ws=None):
         return self.model.certificate_values(t, *ev)
 
 
 class Checked(Stateless):
-    """The model's own loop evaluations, each checked against ``fresh``'s
-    stateless call, counting the support fields that read an ``ev``."""
+    """The model's own loop evaluations, with the run's workspace, each
+    checked against ``fresh``'s stateless call, counting the support fields
+    that read an ``ev``."""
 
     def __init__(self, model, fresh):
         super().__init__(model)
         self.fresh, self.assembled, self.last = fresh, 0, None
 
-    def pushed_values(self, support, coef, idx=None):
-        vals, ev = self.model.pushed_values(support, coef, idx)
+    def pushed_values(self, support, coef, idx=None, ws=None):
+        vals, ev = self.model.pushed_values(support, coef, idx, ws)
         assert same_bits(vals, self.fresh.certificate_values(support, support, coef, idx))
         self.last = support, coef, idx
         return vals, ev
 
-    def candidate_values(self, ev, t):
-        vals = self.model.candidate_values(ev, t)
+    def candidate_values(self, ev, t, ws=None):
+        vals = self.model.candidate_values(ev, t, ws)
         assert same_bits(vals, self.fresh.certificate_values(t, *self.last))
         return vals
 
-    def support_field(self, t, coef, idx, ev, keep):
-        got = self.model.support_field(t, coef, idx, ev, keep)
+    def support_field(self, t, coef, idx, ev, keep, ws=None):
+        got = self.model.support_field(t, coef, idx, ev, keep, ws)
         for g, w in zip(got, self.fresh.certificate_field(t, t, coef, idx)):
             assert same_bits(g, w)
         self.assembled += ev is not None

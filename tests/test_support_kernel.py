@@ -38,9 +38,9 @@ def built(monkeypatch):
     """Every ``gauss_density`` call as ``(var, |a|, |b|)``."""
     log = []
 
-    def counting(a, b, var):
+    def counting(a, b, var, *args, **kwargs):
         log.append((var, a.shape[0], b.shape[0]))
-        return REAL_DENSITY(a, b, var)
+        return REAL_DENSITY(a, b, var, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "gauss_density", counting)
     return log
@@ -66,9 +66,9 @@ def evaluations(monkeypatch, built):
     kernel entries built)``."""
     out = []
     for name, at in LOOP_EVALUATIONS.items():
-        def counted(self, *args, _real=getattr(GmmKernel, name), _name=name, _at=at):
+        def counted(self, *args, _real=getattr(GmmKernel, name), _name=name, _at=at, **kwargs):
             since = len(built)
-            result = _real(self, *args)
+            result = _real(self, *args, **kwargs)
             out.append((_name, len(args[_at]), data_rows(built, self, since),
                         kernel_entries(built, self, since)))
             return result

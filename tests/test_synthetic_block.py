@@ -178,9 +178,9 @@ def test_each_evaluation_builds_one_kernel_matrix(monkeypatch):
     support, t = model.domain.sample_uniform(g, size=6), model.domain.sample_uniform(g, size=4)
     real, built = SyntheticKernel._kernel, []
 
-    def counting(self, a, b):
+    def counting(self, a, b, *args, **kwargs):
         built.append((len(a), len(b)))
-        return real(self, a, b)
+        return real(self, a, b, *args, **kwargs)
 
     monkeypatch.setattr(SyntheticKernel, "_kernel", counting)
     for idx in (None, g.integers(0, 64, size=16)):

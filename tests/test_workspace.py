@@ -1,0 +1,164 @@
+"""The loop's ``Workspace``: where its slots land changes no bit.
+
+``runner.run`` hands one workspace to every loop evaluation and the cadence
+loss, which build their large temporaries in its slots. Its slots start on
+a 64-byte boundary, where the loop's BLAS calls and ufuncs run fastest;
+BLAS may pick its kernel by alignment, so each test here also forces the
+slots to the offsets 16, 32 and 48 past the boundary. For every model,
+exact and batched: (a) the three loop evaluations, at a 200-point support
+(``_sqdist``'s product path and ``_gauss_self``'s blocks) with deaths and
+births, the mixture's survivor gathers among them, have the bits of the
+reference forms of ``reference.py``, and the loss the bits of the call
+without a workspace; (b) a run with deaths and births writes the trace and
+final swarm of a run without a workspace. (c) A plain process on
+``gmm_desk.cfg`` takes at most ``FAULT_BUDGET`` minor page faults per
+iteration of the loop.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import conicswarm
+import conicswarm.runner as runner
+from conicswarm import verify
+from conicswarm.kernels import ReluKernel, SyntheticKernel, Workspace, _PRODUCT_ENTRIES
+from conicswarm.objective import loss
+from conicswarm.runner import trace_to_csv
+from conicswarm.swarm import ParticleSwarm
+from helpers import loop_config, rng, same_bits
+from reference import primitive_field, relu_block_field, signed_field
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+#: byte offsets of the slots past a 64-byte boundary
+OFFSETS = [0, 16, 32, 48]
+
+BUILDERS = {
+    "synthetic": functools.partial(verify.make_synthetic_problem, seed=4),
+    "gmm": functools.partial(verify.make_gmm_problem, seed=7, n=400),
+    "relu": functools.partial(verify.make_relu_problem, seed=3, n=400),
+}
+
+each_model = pytest.mark.parametrize("name", BUILDERS)
+each_batching = pytest.mark.parametrize("full_batch", [True, False])
+each_offset = pytest.mark.parametrize("offset", OFFSETS)
+
+
+def reference_field(model, t, support, coef, idx):
+    """The field of ``reference.py`` that has the model's bits."""
+    if isinstance(model, SyntheticKernel):
+        return signed_field(model, t, support, coef, idx)
+    if isinstance(model, ReluKernel):
+        return relu_block_field(model, t, support, coef, idx)
+    return primitive_field(model, t, support, coef, idx)
+
+
+@pytest.mark.exactness
+@each_offset
+def test_slots_start_at_the_offset_in_c_order(offset):
+    ws = Workspace(offset)
+    assert ws.take("work", 1, _PRODUCT_ENTRIES - 1) is None
+    for rows, cols in [(64, 64), (3, 4096), (200, 200), (65, 64)]:
+        buf = ws.take("work", rows, cols)
+        assert buf.shape == (rows, cols) and buf.flags.c_contiguous
+        assert buf.ctypes.data % 64 == offset
+
+
+@pytest.mark.exactness
+@each_model
+@each_batching
+@each_offset
+def test_loop_evaluations_have_reference_bits_at_every_offset(name, full_batch, offset):
+    problem = BUILDERS[name]()
+    model, g = problem.model, rng(11)
+    ws = Workspace(offset)
+
+    def batch():
+        return None if full_batch else g.integers(0, model.n_samples, size=64)
+
+    pushed = problem.domain.sample_uniform(g, size=200)
+    cand = problem.domain.sample_uniform(g, size=40)
+    coef = g.uniform(-1.0, 1.0, size=200)
+    idx = batch()
+    vals, ev = model.pushed_values(pushed, coef, idx, ws)
+    assert same_bits(vals, reference_field(model, pushed, pushed, coef, idx)[0])
+    assert same_bits(model.candidate_values(ev, cand, ws),
+                     reference_field(model, cand, pushed, coef, idx)[0])
+    died = g.random(200) < 0.2
+    for keep, born in [(np.ones(200, dtype=bool), cand[:0]),
+                       (np.ones(200, dtype=bool), cand[::3]),
+                       (~died, cand[:0]),
+                       (~died, cand[::3]),
+                       (np.zeros(200, dtype=bool), cand)]:
+        t = np.vstack([pushed[keep], born])
+        c = g.uniform(-1.0, 1.0, size=len(t))
+        idx = batch()
+        for got, want in zip(model.support_field(t, c, idx, ev, keep, ws),
+                             reference_field(model, t, t, c, idx)):
+            assert same_bits(got, want)
+        swarm = ParticleSwarm(np.abs(c), np.sign(c), t)
+        assert same_bits(loss(problem, swarm, ws), loss(problem, swarm))
+
+
+@pytest.mark.exactness
+@each_model
+@each_batching
+def test_run_writes_the_bytes_of_a_run_without_workspace(monkeypatch, tmp_path, name,
+                                                          full_batch):
+    problem = BUILDERS[name]()
+    g = rng(8)
+    positions = problem.domain.sample_uniform(g, size=80)
+    signs = g.choice([-1.0, 1.0], size=80) if problem.signed else np.ones(80)
+    init = ParticleSwarm(g.uniform(0.001, 0.02, size=80), signs, positions)
+    config = loop_config(init, full_batch, k_iters=60)
+    outputs = []
+    for make in (Workspace, lambda: None, lambda: Workspace(48)):
+        monkeypatch.setattr(runner, "Workspace", make)
+        res = runner.run(config, problem)
+        out = tmp_path / f"run{len(outputs)}"
+        out.mkdir()
+        trace_to_csv(res.trace, out / "trace.csv")
+        res.final_swarm.to_csv(out / "final_swarm.csv")
+        outputs.append([(out / f).read_bytes() for f in ("trace.csv", "final_swarm.csv")])
+    assert res.total_deaths > 0 and res.total_births > 0
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+#: minor page faults per iteration that a plain process may take in the loop
+FAULT_BUDGET = 5
+
+FAULT_SCRIPT = textwrap.dedent("""
+    import resource, sys
+    from conicswarm import cli, runner
+    from conicswarm.config import load_config
+    spec = load_config(sys.argv[1])
+    spec.run["iterations"] = int(sys.argv[2])
+    problem, extras = cli.build_problem(spec)
+    config, _ = cli.build_run_config(spec, problem, extras)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    runner.run(config, problem)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / config.k_iters)
+""")
+
+
+def test_plain_process_loop_stays_within_the_fault_budget():
+    # a fresh process has glibc's allocation thresholds at their defaults, as
+    # a ``conicswarm run`` does: a loop that maps fresh pages for its large
+    # temporaries on every iteration takes about 100 faults per iteration
+    pytest.importorskip("resource")
+    src = str(Path(conicswarm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FAULT_SCRIPT, str(CONFIGS / "gmm_desk.cfg"),
+                           "300"], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= FAULT_BUDGET
