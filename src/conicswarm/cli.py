@@ -144,8 +144,9 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
     """Assemble the runner configuration; returns ``(config, calibration)``.
 
     The problem is audited for calibrated rates, which are then calibrated,
-    and for the theory profile's noise-derived birth threshold. Manual rates
-    are never calibrated, and the calibration is then None.
+    and for the theory profile's noise-derived birth threshold, which is
+    resolved only when births are on or the rates are calibrated. Manual
+    rates are never calibrated, and the calibration is then None.
     """
     init_swarm = build_init_swarm(spec, problem, extras)
     bd = spec.birth_death
@@ -177,8 +178,9 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
     death = DeathRule(kind=bd["death"], tau_death=bd["tau_death"], scan=bd["scan"])
     threshold = bd["birth_threshold"]
     if threshold is None:
-        if theory:
-            noise = bounds.noise_sup if bounds is not None else 0.0
+        # the audit ran exactly where births are on or the rates calibrated
+        if theory and bounds is not None:
+            noise = bounds.noise_sup
             if noise <= 0:
                 raise ConfigError("guarded birth threshold needs a positive audited "
                                   "noise bound; set birth_threshold explicitly")
@@ -278,9 +280,11 @@ def cmd_run(args) -> int:
         lines.append(f"calibrated: alpha={cal.alpha:.6g} beta={cal.chosen_beta:.6g} "
                      f"tv_bound={cal.tv_bound:.6g}")
     lines.append(f"rho_hat={result.rho_hat:.6g} best_k={result.best_index}")
+    # no iteration ran at k_iters = 0: the faults are the set-up loss's
+    faults = "n/a" if not config.k_iters else \
+        f"{(after.ru_minflt - before.ru_minflt) / config.k_iters:.3g}"
     # Linux reports ru_maxrss in KiB
-    faults = (after.ru_minflt - before.ru_minflt) / max(1, config.k_iters)
-    lines.append(f"resources: minor_faults_per_iter={faults:.3g} "
+    lines.append(f"resources: minor_faults_per_iter={faults} "
                  f"peak_rss_mb={after.ru_maxrss / 1024:.1f}")
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))

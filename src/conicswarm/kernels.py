@@ -63,12 +63,8 @@ stateless calls:
   ``certificate_field(T, T, c, idx)`` at ``T = [T'[keep]; born]``, the
   survivors under the boolean mask ``keep``, then the born candidates.
 
-ReLU's ``pushed_values`` takes ``r`` and the values from one activation.
-The mixture's ``ev`` also holds the product ``K(T', T') c``, and its
-``support_field`` reads it in place of its own when every particle
-survived, none was born and its ``c`` has the bytes of ``ev``'s (any
-coefficients are accepted, so the bytes are compared), as in most
-iterations.
+ReLU's ``pushed_values`` and ``support_field`` take ``r`` and the values
+from one activation.
 
 Every loop evaluation, and the objective at the loop's cadence, also takes
 an optional ``Workspace`` ``ws``, which ``runner.run`` creates once per run
@@ -100,11 +96,11 @@ up to the sign of a zero for any BLAS summation order, FMA use or thread
 split. ``knorm`` multiplies the sums the entries are reduced to, ``K c``
 and the gradients ``sum_j c_j grad_a K(a_i, b_j)`` (one product
 ``K(A, B) @ [c B, c]``); only ``kernel_matrix`` carries it entry by entry.
-A set against itself is the upper triangle of row blocks, mirrored, with
-the bits of the full build. The synthetic observation is the point set
-``[atoms; anchors]`` weighted by ``[w; eta_b]``, so a certificate is the
-weighted kernel of ``P = [S; atoms; anchors]`` with ``q = [c; -w; -eta_b]``,
-one product, and ``ev = (P, q)``; a batch's noise mean ``eta_b`` is
+One array against itself (``a is b``) is the upper triangle of row blocks,
+mirrored, with the bits of the full build. The synthetic observation is the
+point set ``[atoms; anchors]`` weighted by ``[w; eta_b]``, so a certificate
+is the weighted kernel of ``P = [S; atoms; anchors]`` with ``q = [c; -w;
+-eta_b]``, one product, and ``ev = (P, q)``; a batch's noise mean ``eta_b`` is
 ``bincount(idx) @ eta / |idx|``, with no |idx| x r gather. The mixture
 keeps its own data side: densities of a second variance, averaged over row
 blocks of ``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array.
@@ -233,28 +229,25 @@ def _sqdist(a: np.ndarray, b: np.ndarray, ws=None, out=None) -> np.ndarray:
     ``np.subtract.outer`` whatever the BLAS summation order, FMA use or
     thread split. Only the sign of a zero difference may differ, and the
     square removes it. The first coordinate's squares are formed in the
-    result; with a workspace, each further one's in row blocks of at most
-    ``_SELF_BLOCK_ENTRIES`` entries (its slot ``"diff"``), which stay in
-    cache until they are added.
+    result, each further one's in row blocks of at most
+    ``_SELF_BLOCK_ENTRIES`` entries (``ws``'s slot ``"diff"``), which stay
+    in cache until they are added.
     """
     if len(a) * len(b) < _PRODUCT_ENTRIES:
-        d2 = np.subtract.outer(a[:, 0], b[:, 0])
+        d2 = np.subtract.outer(a[:, 0], b[:, 0], out=out)
         d2 *= d2
         for j in range(1, a.shape[1]):
             dj = np.subtract.outer(a[:, j], b[:, j])
             dj *= dj
             d2 += dj
-        if out is None:
-            return d2
-        out[...] = d2
-        return out
+        return d2
     left, right = np.empty((len(a), 2)), np.empty((2, len(b)))
     left[:, 1] = right[0] = 1.0
     left[:, 0] = a[:, 0]
     np.negative(b[:, 0], out=right[1])
     d2 = np.matmul(left, right, out=out)
     d2 *= d2
-    step = len(a) if ws is None else max(1, _SELF_BLOCK_ENTRIES // len(b))
+    step = max(1, _SELF_BLOCK_ENTRIES // len(b))
     for j in range(1, a.shape[1]):
         left[:, 0] = a[:, j]
         np.negative(b[:, j], out=right[1])
@@ -483,10 +476,11 @@ class GaussianKernel(KernelModel):
 
     def _kernel(self, a, b, ws=None, out=None):
         """``K(a, b)`` without its constant ``_knorm``, in ``out`` or else in
-        ``ws``'s ``"work"``; a set against itself by the symmetric build."""
+        ``ws``'s ``"work"``; one array against itself (``a is b``) by the
+        symmetric build."""
         if out is None:
             out = _out(ws, "work", len(a), len(b))
-        if a is b or (a.shape == b.shape and np.array_equal(a, b)):
+        if a is b:
             return _gauss_self(a, self._kvar, ws, out)
         return gauss_density(a, b, self._kvar, ws, out)
 
@@ -660,19 +654,16 @@ class GmmKernel(GaussianKernel):
     is held.
 
     In the loop ``ev`` holds the batch rows, fetched once, the unnormalized
-    ``K(T', T')`` and its product ``K(T', T') c`` with the pushed
-    coefficients and, in an exact run, the pushed support's data-side rows
+    ``K(T', T')`` and, in an exact run, the pushed support's data-side rows
     (unnormalized) and means. ``support_field`` takes the survivors' block
     of ``K(T', T')`` by row-order gathers of rows, then columns, which leave
     it C-ordered like a fresh build, and, in an exact run, their rows from
     ``ev`` (gathering only when something died), and builds the born rows
     ``K(T[p:], T)``, ``p = keep.sum()``, and in an exact run their
-    data-side rows; all of it is pair-local, so it has fresh bits. When
-    every particle survived, none was born and the coefficients have the
-    bytes of ``ev``'s, it takes ``ev``'s product, the one it would form
-    from the same operands. Both ``pushed_values`` and ``support_field``
-    finish the data side, and a batch's rows go, before the kernel is built
-    and multiplied, so fewer arrays share the cache.
+    data-side rows; all of it is pair-local, so it has fresh bits. Both
+    ``pushed_values`` and ``support_field`` finish the data side, and a
+    batch's rows go, before the kernel is built and multiplied, so fewer
+    arrays share the cache.
     """
 
     def __init__(self, data: np.ndarray, tau: float):
@@ -769,12 +760,10 @@ class GmmKernel(GaussianKernel):
         rows, means = self._density(t, x, ws) if side is None else side
         return means, self._y_grads(t, x, rows, means)
 
-    def _field(self, t, support, coef, k_s, y, y_grads, kc=None):
-        """Values and gradients from the unnormalized ``K(t, support)``, its
-        product ``kc = K(t, support) @ coef`` if already taken, and the data
-        side ``(y, y_grads)`` of ``_data_side``."""
-        kc = k_s @ coef if kc is None else kc
-        return kc * self._knorm - y, self._grads(k_s, t, support, coef) - y_grads
+    def _field(self, t, support, coef, k_s, y, y_grads):
+        """Values and gradients from the unnormalized ``K(t, support)`` and the
+        data side ``(y, y_grads)`` of ``_data_side``."""
+        return self._values(k_s, coef) - y, self._grads(k_s, t, support, coef) - y_grads
 
     def certificate_field(self, t, support, coef, idx=None, ws=None):
         y, y_grads = self._data_side(t, self._batch(idx), ws=ws)
@@ -792,8 +781,8 @@ class GmmKernel(GaussianKernel):
         side = (rows, means) if idx is None else None
         del rows  # a batch's rows go before K(T', T') is built
         k = self._kernel(support, support, ws, _out(ws, "ev.kernel", len(support), len(support)))
-        ev.update(k=k, kc=k @ coef, side=side)
-        return ev["kc"] * self._knorm - means, ev
+        ev.update(k=k, side=side)
+        return self._values(k, coef) - means, ev
 
     def candidate_values(self, ev, t, ws=None):
         vals = self._values(self._kernel(t, ev["support"], ws), ev["coef"])
@@ -806,12 +795,10 @@ class GmmKernel(GaussianKernel):
         p = int(keep.sum())
         side = None if idx is not None else self._kept_side(ev["side"], keep, p, t[p:], x, ws)
         y, y_grads = self._data_side(t, x, side, ws)
-        k, kc = ev["k"], None
+        k = ev["k"]
         if p < len(t) or p < len(keep):
             k = self._support_kernel(t, k, keep, p, ws)
-        elif coef.tobytes() == ev["coef"].tobytes():
-            kc = ev["kc"]
-        return self._field(t, t, coef, k, y, y_grads, kc)
+        return self._field(t, t, coef, k, y, y_grads)
 
     def _support_kernel(self, t, k, keep, p, ws):
         """The unnormalized ``K(T, T)`` of ``T = [T'[keep]; born]`` in
@@ -896,9 +883,10 @@ class ReluKernel(KernelModel):
     correlates them with a per-sample weight w, values ``act' w / m`` and
     gradients ``((X_b * w)' [act > 0])' / m``, with the certificate's
     residual ``r = relu(X_b S) c - y`` (``-y`` on an empty support), so no
-    particle-by-particle matrix is built. At the support each block
-    forms its rows of r from its own activation, so the field and the pushed
-    values build one activation each. ``ev`` holds the batch rows and the
+    particle-by-particle matrix is built. At the support (``support_field``
+    and ``pushed_values``) each block forms its rows of r from its own
+    activation, so each builds one activation; ``certificate_field`` builds
+    r first, then the activations of t. ``ev`` holds the batch rows and the
     pushed support's ``r``, so the birth candidates build only their own.
     """
 
@@ -998,11 +986,15 @@ class ReluKernel(KernelModel):
         return self._sums(aug, t, r, ws=ws)[0]
 
     def certificate_field(self, t, support, coef, idx=None, ws=None):
-        if np.array_equal(support, t):
-            aug = self._batch(idx)
-            weight = self._residual(np.empty(len(aug)), self._targets(idx), coef)
-        else:
-            aug, weight = self._evaluation(support, coef, idx)
+        aug, r = self._evaluation(support, coef, idx)
+        return self._sums(aug, t, r, grads=True, ws=ws)
+
+    def support_field(self, t, coef, idx, ev, keep, ws=None):
+        """``certificate_field(t, t, coef, idx)`` from one activation per
+        block: each block's rows of the residual come from its own
+        activation, so nothing of ``ev`` is read."""
+        aug = self._batch(idx)
+        weight = self._residual(np.empty(len(aug)), self._targets(idx), coef)
         return self._sums(aug, t, weight, grads=True, ws=ws)
 
     def objective_value(self, t, weights, signs, kappa, ws=None):

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import conicswarm
-from conicswarm.cli import build_problem, build_run_config, main
+import conicswarm.cli as cli
+from conicswarm.cli import build_init_swarm, build_problem, build_run_config, main
 from conicswarm.config import ConfigError, load_config
 from conicswarm.runner import trace_from_csv
 from conicswarm.swarm import ParticleSwarm
+from helpers import same_bits
 from reference import SYNTHETIC_THEORY_REPORT
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -292,6 +294,16 @@ class TestRunCommand:
         last = (out / "summary.txt").read_text().splitlines()[-1]
         assert re.fullmatch(r"resources: minor_faults_per_iter=\S+ peak_rss_mb=\d+\.\d", last)
         assert "resources" not in (out / "trace.csv").read_text()
+
+    def test_zero_iterations_report_no_fault_rate(self, tmp_path, capsys):
+        # no iteration ran, so there is no rate per iteration to report
+        body = TINY_SYNTHETIC.replace("iterations = 40", "iterations = 0")
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "zero"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        last = (out / "summary.txt").read_text().splitlines()[-1]
+        assert re.fullmatch(r"resources: minor_faults_per_iter=n/a peak_rss_mb=\d+\.\d", last)
+        assert capsys.readouterr().out.splitlines()[-1] == last
 
     def test_seed_flag_changes_trace(self, tmp_path):
         cfg = write_config(tmp_path, TINY_SYNTHETIC)
@@ -789,6 +801,102 @@ def test_calibrated_mode_refuses_unusable_rates(tmp_path):
     problem, extras = build_problem(spec)
     with pytest.raises(conicswarm.CalibrationError, match=r"alpha = 0 .*binding: descent cap"):
         build_run_config(spec, problem, extras)
+
+
+def theory_run_without_births(tmp_path, rates):
+    """``synthetic_theory.cfg`` at 20 iterations with births off and the
+    ``[rates]`` body ``rates``."""
+    cfg = shipped_copy("synthetic_theory.cfg", tmp_path, iterations=20)
+    body = cfg.read_text(encoding="utf-8")
+    for old, new in (("mode = calibrated\n", rates), ("enabled = true", "enabled = false")):
+        assert old in body
+        body = body.replace(old, new)
+    cfg.write_text(body, encoding="utf-8")
+    return cfg
+
+
+def test_theory_profile_without_births_neither_audits_nor_sets_a_level(
+        tmp_path, capsys, monkeypatch):
+    # no birth can happen and the rates are manual: nothing reads the
+    # noise-derived birth level, so neither it nor its audit is taken
+    cfg = theory_run_without_births(tmp_path, "mode = manual\nalpha = 0.5\n")
+    spec = load_config(cfg)
+    assert spec.birth_death["profile"] == "theory"
+    assert spec.birth_death["birth_threshold"] is None
+
+    def no_audit(*args):
+        raise AssertionError("audited a run that neither births nor calibrates")
+
+    monkeypatch.setattr(cli, "_audit", no_audit)
+    problem, extras = build_problem(spec)
+    config, cal = build_run_config(spec, problem, extras)
+    assert cal is None and not config.birth_death and config.plan.alpha == 0.5
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    assert len(trace_from_csv(out / "trace.csv")) > 1
+
+
+def test_calibrated_theory_run_without_births_keeps_its_audited_level(tmp_path):
+    # calibrated rates audit the problem anyway, and the level follows
+    spec = load_config(theory_run_without_births(tmp_path, "mode = calibrated\n"))
+    problem, extras = build_problem(spec)
+    config, cal = build_run_config(spec, problem, extras)
+    assert cal is not None and not config.birth_death
+    assert config.birth_rule.threshold_coeff > 0
+
+
+CLUSTERED_RUNS = {
+    "synthetic": TINY_SYNTHETIC.replace("init = uniform", "init = clustered"),
+    "teacher": TINY_TEACHER.replace("iterations = 10", "iterations = 10\ninit = clustered\n"
+                                    "init_particles = 7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLUSTERED_RUNS))
+def test_clustered_init_jitters_round_the_model_anchor(name, tmp_path):
+    # the synthetic model gathers at its first planted atom; the teacher has
+    # no data cloud or atoms, so it gathers at the init stream's first draw
+    spec = load_config(write_config(tmp_path, CLUSTERED_RUNS[name]))
+    problem, extras = build_problem(spec)
+    swarm = build_init_swarm(spec, problem, extras)
+    g = np.random.Generator(np.random.Philox(spec.run["seed"] + 1000))
+    if name == "synthetic":
+        anchor = problem.model.atom_positions[0]
+    else:
+        assert "data" not in extras
+        anchor = problem.domain.sample_uniform(g)
+    p0, dim = spec.run["init_particles"], problem.domain.dim
+    assert len(swarm) == p0 and p0 > 1
+    jitter = 0.05 * g.standard_normal((p0, dim))
+    assert same_bits(swarm.positions, problem.domain.project(anchor[None, :] + jitter))
+    assert problem.domain.contains(swarm.positions).all()
+    assert np.linalg.norm(swarm.positions - anchor, axis=1).max() < 0.5
+    assert np.all(swarm.weights == spec.run["init_weight"])
+
+
+def test_kkt_grid_past_max_points_falls_back_to_uniform_draws(tmp_path, monkeypatch):
+    # 30 points per axis in d = 9 is 30^9 lattice points, past the 50,000 of
+    # ``max_points``: the KKT report reads 50,000 draws of a fixed stream
+    grids, real = [], cli.grid_points
+
+    def spy(*args, **kwargs):
+        grids.append(real(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(cli, "grid_points", spy)
+    body = TINY_TEACHER.replace("features = 3", "features = 8") \
+        .replace("iterations = 10", "iterations = 10\nkkt_grid = 30")
+    cfg = write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    problem, _ = build_problem(load_config(cfg))
+    assert problem.domain.dim == 9 and 30**9 > 50_000
+    (grid,) = grids
+    assert grid.shape == (50_000, 9)
+    assert problem.domain.contains(grid).all()
+    assert same_bits(grid, problem.domain.sample_uniform(
+        np.random.Generator(np.random.Philox(0)), size=50_000))
+    assert "\nkkt: min_cert_grid=" in (out / "summary.txt").read_text(encoding="utf-8")
 
 
 class TestShippedProfiles:

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 import conicswarm.runner as runner
 from conicswarm import verify
 from conicswarm.domain import Ball
-from conicswarm.kernels import KernelModel, ReluKernel
+from conicswarm.kernels import KernelModel, ReluKernel, Workspace
 from conicswarm.runner import RunAborted, run
 from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm
@@ -247,8 +247,8 @@ def test_no_loop_evaluation_writes_ev(name, full_batch):
 @pytest.mark.parametrize("size", [6, 200])
 def test_support_field_of_an_unchanged_swarm_has_fresh_bits(name, full_batch, size):
     # nothing died, nothing was born and the coefficients are ``ev``'s own,
-    # as in most iterations: the mixture then reads ``ev``'s product
-    # ``K(T', T') c`` in place of its own; a fresh ``c`` is formed afresh
+    # as in most iterations: the mixture then reads ``ev``'s ``K(T', T')``
+    # whole, with ``ev``'s coefficients or a fresh ``c``
     problem = WARM[name]
     model, fresh, g = problem.model, BUILDERS[name]().model, rng(11)
     pushed = problem.domain.sample_uniform(g, size=size)
@@ -309,3 +309,23 @@ def test_relu_loop_evaluations_past_one_row_block_have_fresh_bits(m, p):
     for got, want in zip(model.support_field(t, c, idx, ev, keep),
                          fresh.certificate_field(t, t, c, idx)):
         assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("p", [300, 600])
+@pytest.mark.parametrize("m", [None, 256], ids=["exact", "batch"])
+def test_relu_two_pass_field_at_the_support_has_the_one_pass_bits(m, p):
+    # ``certificate_field(t, t, ...)`` forms the residual r over every row
+    # first, then the activations of t; ``support_field`` forms each block's
+    # rows of r from that block's own activation of t. Over n = 2,000 rows
+    # the exact calls span 5 (p = 300) or 10 (p = 600) row blocks, the batch
+    # 1 or 2
+    g = rng(14)
+    x, y = g.standard_normal((2000, 8)), g.standard_normal(2000)
+    model = ReluKernel(x, y)
+    t = Ball(np.zeros(9), 1.0).sample_uniform(g, size=p)
+    c = g.uniform(-1.0, 1.0, size=p)
+    idx = None if m is None else g.integers(0, 2000, size=m)
+    want = model.certificate_field(t, t, c, idx)
+    for ws in (None, Workspace(), Workspace(16)):
+        for got, ref in zip(model.support_field(t, c, idx, None, None, ws), want):
+            assert same_bits(got, ref)

@@ -4,7 +4,7 @@ Each iteration scores the pushed support ``T'`` against itself
 (``pushed_values``) and the birth candidates ``C`` against ``T'`` on the
 same batch (``candidate_values``); the next support ``T`` is ``T'[keep]``
 followed by the born candidates. ``ev`` carries the batch rows,
-``K(T', T')`` and its product with the pushed coefficients, and in an exact
+``K(T', T')`` and, in an exact
 run the pushed support's data-side rows and means, so ``support_field``
 builds only the born rows ``K(T_born, T)``, after deaths too, and in an
 exact run one data-side row per birth, and the candidates fetch no batch. Every stateless evaluation builds fresh. That
@@ -211,7 +211,8 @@ def test_fresh_support_kernel_builds_the_upper_triangle(built, idx):
     vals, _ = model.pushed_values(pushed, coef, idx)
     assert kernel_entries(built, model, since) <= bound < p**2
     since = len(built)
-    model.certificate_field(pushed[1:], pushed[1:], coef[1:], idx)  # no ev to read
+    rest = pushed[1:]
+    model.certificate_field(rest, rest, coef[1:], idx)  # no ev to read
     assert kernel_entries(built, model, since) <= bound
     since = len(built)
     loss(problem, ParticleSwarm(coef, np.ones(p), pushed))
