@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import resource
 import sys
 from pathlib import Path
 
@@ -208,6 +207,16 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
     return config, cal
 
 
+def _usage():
+    """This process's ``getrusage``, or None where there is no ``resource``
+    module (it exists on Unix only)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF)
+
+
 def cmd_calibrate(args) -> int:
     spec = load_config(args.config, profile_override=args.profile)
     problem, extras = build_problem(spec)
@@ -253,13 +262,13 @@ def cmd_run(args) -> int:
         trace_to_csv(trace, out_dir / "trace.csv")
         swarm.to_csv(out_dir / "final_swarm.csv")
 
-    before = resource.getrusage(resource.RUSAGE_SELF)
+    before = _usage()
     try:
         result = run(config, problem)
     except RunAborted as exc:
         save(exc.trace, exc.swarm)  # the last good swarm and the rows so far
         raise
-    after = resource.getrusage(resource.RUSAGE_SELF)
+    after = _usage()
     save(result.trace, result.final_swarm)
 
     method = f"{spec.run['variant']}{'+bd' if spec.birth_death['enabled'] else ''}"
@@ -280,12 +289,14 @@ def cmd_run(args) -> int:
         lines.append(f"calibrated: alpha={cal.alpha:.6g} beta={cal.chosen_beta:.6g} "
                      f"tv_bound={cal.tv_bound:.6g}")
     lines.append(f"rho_hat={result.rho_hat:.6g} best_k={result.best_index}")
-    # no iteration ran at k_iters = 0: the faults are the set-up loss's
-    faults = "n/a" if not config.k_iters else \
-        f"{(after.ru_minflt - before.ru_minflt) / config.k_iters:.3g}"
-    # Linux reports ru_maxrss in KiB
-    lines.append(f"resources: minor_faults_per_iter={faults} "
-                 f"peak_rss_mb={after.ru_maxrss / 1024:.1f}")
+    faults = peak = "n/a"
+    if after is not None:
+        # no iteration ran at k_iters = 0: the faults are the set-up loss's
+        if config.k_iters:
+            faults = f"{(after.ru_minflt - before.ru_minflt) / config.k_iters:.3g}"
+        # ru_maxrss is in bytes on macOS and in KiB on Linux
+        peak = f"{after.ru_maxrss / (2**20 if sys.platform == 'darwin' else 2**10):.1f}"
+    lines.append(f"resources: minor_faults_per_iter={faults} peak_rss_mb={peak}")
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     return EXIT_OK

@@ -1,7 +1,8 @@
 """Run configuration files: INI-style sections of ``key = value`` lines.
 
 Parsing is fail-closed: unknown sections or keys raise, so a schedule typo
-cannot silently fall back to a default and invalidate a calibrated run.
+cannot silently fall back to a default and invalidate a calibrated run, and
+so does a ``[problem]`` key that the configured model does not read.
 ``_SCHEMA`` is the one place a key's domain is declared: its parser converts
 and checks each value, so one outside the domain raises ``ConfigError``
 naming the key. All paths are relative to the configuration file's directory.
@@ -83,7 +84,7 @@ _SCHEMA = {
         "tau": (_WIDTH, 0.2),
         "ring_radius": (_FINITE, 4.0),
         "data_path": (str, None),
-        # teacher / regression; one sample cannot be standardized
+        # teacher; one sample cannot be standardized
         "features": (_at_least(0), 8),
         "reg_samples": (_at_least(2), 2000),
         "teacher_neurons": (_at_least(0), 5),
@@ -131,6 +132,17 @@ _SCHEMA = {
     "output": {
         "dir": (str, "."),
     },
+}
+
+
+# the [problem] keys that each model reads besides model, kappa and seed
+# (``cli.build_problem``); a file that sets another model's key is refused
+_MODEL_KEYS = {
+    "synthetic": {"dim", "sigma", "n_samples", "noise_scale", "atoms", "atom_mass",
+                  "box_low", "box_high", "signed"},
+    "gmm": {"components", "gmm_samples", "tau", "ring_radius", "data_path"},
+    "teacher": {"features", "reg_samples", "teacher_neurons", "label_noise"},
+    "regression": {"data_path"},
 }
 
 
@@ -187,6 +199,7 @@ def load_config(path, profile_override: str | None = None) -> RunSpec:
             values[key] = parse_value(section, key, raw, f"{path}: [{section}] {key}")
         sections[section] = values
 
+    given = set(sections.get("problem", ()))
     # fill defaults, enforce required keys
     for section, schema in _SCHEMA.items():
         values = sections.setdefault(section, {})
@@ -201,7 +214,7 @@ def load_config(path, profile_override: str | None = None) -> RunSpec:
             "birth_death", "profile", profile_override, "profile override")
 
     _apply_profile_defaults(sections)
-    _validate(sections, path)
+    _validate(sections, path, given)
     return RunSpec(problem=sections["problem"], rates=sections["rates"],
                    schedule=sections["schedule"], birth_death=sections["birth_death"],
                    run=sections["run"], output=sections["output"],
@@ -219,9 +232,14 @@ def _apply_profile_defaults(sections) -> None:
         sections["rates"]["mode"] = "calibrated"
 
 
-def _validate(sections, path) -> None:
-    """The rules that involve more than one key."""
+def _validate(sections, path, given) -> None:
+    """The rules that involve more than one key; ``given`` holds the
+    ``[problem]`` keys that the file sets."""
     rates, prob = sections["rates"], sections["problem"]
+    model = prob["model"]
+    foreign = sorted(given - {"model", "kappa", "seed"} - _MODEL_KEYS[model])
+    if foreign:
+        raise ConfigError(f"{path}: [problem] {foreign[0]} is not read by model = {model}")
     if rates["mode"] == "manual" and rates["alpha"] is None:
         raise ConfigError(f"{path}: manual rates need an explicit alpha")
     variant = sections["schedule"]["variant"]

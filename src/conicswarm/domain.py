@@ -17,6 +17,8 @@ import numpy as np
 
 __all__ = ["Domain", "Box", "Ball", "grid_points"]
 
+_MAX_GRID_POINTS = 50_000  # past this, grids are uniform draws, not lattices
+
 
 class Domain(ABC):
     """Compact convex subset of R^d with projection and uniform sampling."""
@@ -148,22 +150,20 @@ class Ball(Domain):
         return 2.0 * self.radius
 
 
-def grid_points(domain: Domain, resolution: int, rng: np.random.Generator | None = None,
-                max_points: int = 50_000) -> np.ndarray:
+def grid_points(domain: Domain, resolution: int) -> np.ndarray:
     """Evaluation grid inside the domain.
 
     Boxes get a regular lattice of ``resolution`` points per axis (corners
     included); balls get the lattice of their bounding box filtered to the
-    ball plus its center. When the lattice would exceed ``max_points`` the
-    grid falls back to uniform samples, using ``rng`` (or a fixed stream).
+    ball plus its center. When the lattice would exceed ``_MAX_GRID_POINTS``
+    the grid falls back to that many uniform draws of a fixed stream.
     """
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2")
     d = domain.dim
-    if resolution**d > max_points:
-        if rng is None:
-            rng = np.random.Generator(np.random.Philox(0))
-        return domain.sample_uniform(rng, size=max_points)
+    if resolution**d > _MAX_GRID_POINTS:
+        return domain.sample_uniform(np.random.Generator(np.random.Philox(0)),
+                                     size=_MAX_GRID_POINTS)
     if isinstance(domain, Box):
         lo, hi = domain.lower, domain.upper
     elif isinstance(domain, Ball):

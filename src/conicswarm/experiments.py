@@ -133,14 +133,14 @@ def _standardize(matrix: np.ndarray, what: str):
     return (matrix - mean) / std, mean, std
 
 
-def _split_dataset(features, targets, rng, test_frac=0.2):
+def _split_dataset(features, targets, rng):
     feats, f_mean, f_std = _standardize(features, "feature")
     targ = targets.reshape(-1, 1)
     targ, t_mean, t_std = _standardize(targ, "target")
     targ = targ.ravel()
     n = feats.shape[0]
     perm = rng.permutation(n)
-    n_test = max(1, int(round(test_frac * n)))
+    n_test = max(1, int(round(0.2 * n)))  # a fifth of the rows is held out
     return RegressionDataset(
         features=feats, targets=targ,
         train_index=np.sort(perm[n_test:]), test_index=np.sort(perm[:n_test]),

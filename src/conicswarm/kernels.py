@@ -852,13 +852,6 @@ def relu_blocks(aug: np.ndarray, t: np.ndarray, ws=None):
         yield slice(lo, lo + step), act
 
 
-def relu_outputs(aug: np.ndarray, t: np.ndarray, c: np.ndarray):
-    """``(rows, relu(aug[rows] T') c)`` over the blocks of ``relu_blocks``:
-    the one-shot outputs up to summation rounding."""
-    for rows, act in relu_blocks(aug, t):
-        yield rows, act @ c
-
-
 def _relu_sum(aug: np.ndarray, t: np.ndarray, part, ws=None):
     """``sum part(rows, act) / m`` over the blocks of ``relu_blocks(aug, t,
     ws)``, ``m = len(aug)``: the one sum over samples of every ReLU
@@ -948,7 +941,7 @@ class ReluKernel(KernelModel):
 
     def weighted_grad1_kernel(self, a, b, coef, idx=None):
         aug = self._batch(idx)
-        u = np.concatenate([u for _, u in relu_outputs(aug, b, coef)])
+        u = np.concatenate([act @ coef for _, act in relu_blocks(aug, b)])
         return self._sums(aug, a, u, grads=True)[1]
 
     def _pair_grad1(self, a, b):
@@ -972,7 +965,7 @@ class ReluKernel(KernelModel):
     def _evaluation(self, support, coef, idx):
         """The batch rows and the residual ``r`` on them."""
         aug = self._batch(idx)
-        u = np.concatenate([u for _, u in relu_outputs(aug, support, coef)])
+        u = np.concatenate([act @ coef for _, act in relu_blocks(aug, support)])
         return aug, u - self._targets(idx)
 
     def pushed_values(self, support, coef, idx=None, ws=None):

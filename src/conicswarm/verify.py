@@ -165,7 +165,15 @@ def suite_projection(seed=0, n_draws=10_000, tol=1e-12):
     return results
 
 
-def suite_oracle(seed=0, n_batches=100_000, m_mean=64, slope_batches=10_000):
+def _batch_certificates(problem, swarm, point, rng, m, count):
+    """``count`` estimates of the certificate at ``point``, each on a fresh
+    batch of ``m`` samples drawn from ``rng``."""
+    sign, n = np.ones(1), problem.model.n_samples
+    return np.array([certificate(problem, swarm, point, sign, draw_batch(rng, m, n))[0]
+                     for _ in range(count)])
+
+
+def suite_oracle(seed=0, n_batches=100_000):
     """Unbiasedness of the mini-batch certificate and 1/sqrt(m) noise decay."""
     results = []
     for name, build in [("relu", make_relu_problem), ("gmm", make_gmm_problem)]:
@@ -173,33 +181,23 @@ def suite_oracle(seed=0, n_batches=100_000, m_mean=64, slope_batches=10_000):
         rng = _rng(seed + 23)
         swarm = random_swarm(problem, rng, max_particles=5)
         point = problem.domain.sample_uniform(rng)[None, :]
-        sign = np.ones(1)
-        exact = float(certificate(problem, swarm, point, sign)[0])
-        n = problem.model.n_samples
+        exact = float(certificate(problem, swarm, point, np.ones(1))[0])
         count = n_batches if name == "relu" else n_batches // 5
-        vals = np.empty(count)
-        for b in range(count):
-            vals[b] = certificate(problem, swarm, point, sign, draw_batch(rng, m_mean, n))[0]
+        vals = _batch_certificates(problem, swarm, point, rng, 64, count)
         sigma_mc = vals.std(ddof=1) / math.sqrt(count)
         dev = abs(vals.mean() - exact)
         results.append(CheckResult(
             f"oracle/unbiased/{name}", dev <= 4.0 * sigma_mc,
             f"|mean - exact| = {dev:.3e} vs 4 sigma = {4.0 * sigma_mc:.3e} "
-            f"({count} batches of size {m_mean})"))
+            f"({count} batches of size 64)"))
 
     problem = make_relu_problem(seed=seed)
     rng = _rng(seed + 29)
     swarm = random_swarm(problem, rng, max_particles=5)
     point = problem.domain.sample_uniform(rng)[None, :]
-    sign = np.ones(1)
-    n = problem.model.n_samples
     sizes = [16, 64, 256]
-    stds = []
-    for m in sizes:
-        vals = np.empty(slope_batches)
-        for b in range(slope_batches):
-            vals[b] = certificate(problem, swarm, point, sign, draw_batch(rng, m, n))[0]
-        stds.append(vals.std(ddof=1))
+    stds = [_batch_certificates(problem, swarm, point, rng, m, 10_000).std(ddof=1)
+            for m in sizes]
     slope = float(np.polyfit(np.log(sizes), np.log(stds), 1)[0])
     results.append(CheckResult(
         "oracle/sqrt-m-decay", abs(slope + 0.5) <= 0.05,
@@ -221,17 +219,11 @@ def suite_hoeffding(seed=0, n_batches=10_000, sizes=(64, 256, 1024)):
     point = cands[int(np.argmax(certs))][None, :]
     exact = float(certificate(problem, swarm, point, np.ones(1))[0])
     assert exact >= 0.0, "fixture must provide a nonnegative-certificate point"
-    n = problem.model.n_samples
     results = []
     for m in sizes:
         level = config.threshold_scale * math.sqrt(math.log(m) / m)
-        hits = 0
-        spread = np.empty(n_batches)
-        for b in range(n_batches):
-            est = float(certificate(problem, swarm, point, np.ones(1), draw_batch(rng, m, n))[0])
-            spread[b] = est - exact
-            hits += est - exact <= -level
-        rate = hits / n_batches
+        spread = _batch_certificates(problem, swarm, point, rng, m, n_batches) - exact
+        rate = np.count_nonzero(spread <= -level) / n_batches
         bound = m ** (-config.tail_exponent)
         sigma = math.sqrt(bound * (1.0 - bound) / n_batches)
         noisy = float(spread.std()) > 0.0  # guard against a vacuous pass

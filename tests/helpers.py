@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 
 from conicswarm.birth_death import BirthRule, DeathRule
-from conicswarm.kernels import relu_outputs
+from conicswarm.kernels import relu_blocks
 from conicswarm.runner import RunConfig
 from conicswarm.schedules import FixedPlan
 
@@ -31,10 +31,11 @@ def survivors(swarm, deaths):
 
 def network_outputs(swarm, features):
     """The network output ``sum_j w_j s_j relu(<v_j, x> + b_j)`` per row of
-    ``features``, from the row blocks of ``kernels.relu_outputs``."""
+    ``features``, from the row blocks of ``kernels.relu_blocks``."""
     aug = np.hstack([features, np.ones((len(features), 1))])
-    blocks = relu_outputs(aug, swarm.positions, swarm.weights * swarm.signs)
-    return np.concatenate([np.empty(0), *(u for _, u in blocks)])
+    c = swarm.weights * swarm.signs
+    blocks = relu_blocks(aug, swarm.positions)
+    return np.concatenate([np.empty(0), *(act @ c for _, act in blocks)])
 
 
 def traced_peak(call):

@@ -521,8 +521,8 @@ def relu_output_bound(model, t, c):
 
 
 def relu_objective_loop(model, t, weights, signs, kappa):
-    """``ReluKernel.objective_value`` as its own block loop, before
-    ``kernels.relu_outputs``."""
+    """``ReluKernel.objective_value`` as its own block loop, without
+    ``kernels.relu_blocks``."""
     c = weights * signs
     n = model.n_samples
     step = max(1, kernels._ROW_BLOCK_ENTRIES // len(c))

@@ -1,7 +1,9 @@
+import math
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -100,14 +102,19 @@ iterations = 10
 """
 
 
-def run_module(*args):
-    """``python -m conicswarm *args`` from the package's own source tree,
+def run_python(*args):
+    """``python *args`` with the package's own source tree on the path,
     installed or not."""
     src = str(Path(conicswarm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "conicswarm", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def run_module(*args):
+    """``python -m conicswarm *args`` from the package's own source tree."""
+    return run_python("-m", "conicswarm", *args)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -875,8 +882,8 @@ def test_clustered_init_jitters_round_the_model_anchor(name, tmp_path):
 
 
 def test_kkt_grid_past_max_points_falls_back_to_uniform_draws(tmp_path, monkeypatch):
-    # 30 points per axis in d = 9 is 30^9 lattice points, past the 50,000 of
-    # ``max_points``: the KKT report reads 50,000 draws of a fixed stream
+    # 30 points per axis in d = 9 is 30^9 lattice points, past the grid's
+    # 50,000-point cap: the KKT report reads 50,000 draws of a fixed stream
     grids, real = [], cli.grid_points
 
     def spy(*args, **kwargs):
@@ -921,3 +928,166 @@ class TestShippedProfiles:
         assert spec.run["init_particles"] == 300
         assert spec.schedule["batch"] == 256
         assert spec.birth_death["tau_death"] == pytest.approx(5.0)
+
+
+def with_problem_keys(body, lines):
+    """``body`` with ``lines`` added at the top of its ``[problem]``."""
+    assert "[problem]\n" in body
+    return body.replace("[problem]\n", f"[problem]\n{lines}\n", 1)
+
+
+def tiny_regression(tmp_path):
+    """A regression config on a 40-row CSV of two features and a target."""
+    g = np.random.Generator(np.random.Philox(5))
+    x = g.standard_normal((40, 2))
+    rows = np.hstack([x, (np.maximum(x @ [1.0, -0.5], 0.0) + 0.1 * g.standard_normal(40))[:, None]])
+    np.savetxt(tmp_path / "data.csv", rows, delimiter=",", header="x0,x1,y", comments="")
+    return TINY_TEACHER.replace("model = teacher", "model = regression") \
+        .replace("features = 3\nreg_samples = 60\nteacher_neurons = 2\n", "data_path = data.csv\n")
+
+
+@pytest.mark.parametrize("model, lines, key", [
+    pytest.param("synthetic", "tau = 7.0", "tau", id="synthetic"),
+    pytest.param("gmm", "signed = false", "signed", id="gmm"),
+    # the first key named is the first in sorted order
+    pytest.param("teacher", "tau = 7.0\nsigned = false", "signed", id="teacher"),
+    pytest.param("regression", "features = 3", "features", id="regression"),
+])
+def test_problem_key_the_model_does_not_read_exits_2_naming_it(model, lines, key, tmp_path,
+                                                              capsys):
+    # a key of another model used to be ignored: teacher_desk.cfg with
+    # ``signed = false`` ran to exit 0 with particles of sign -1
+    body = {"synthetic": TINY_SYNTHETIC, "gmm": TINY_GMM,
+            "teacher": (CONFIGS / "teacher_desk.cfg").read_text(encoding="utf-8")
+            .replace("iterations = 20000", "iterations = 20"),
+            "regression": tiny_regression(tmp_path)}[model]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == 0
+    cfg = write_config(tmp_path, with_problem_keys(body, lines), name="foreign.cfg")
+    out = tmp_path / "foreign"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: [problem] {key} is not read by model = {model}\n"
+    assert not out.exists()
+
+
+def test_run_without_a_resource_module_reports_its_resources_as_na(tmp_path):
+    # ``resource`` exists on Unix only: elsewhere ``conicswarm`` still
+    # imports and runs, and says what it could not measure
+    cfg = write_config(tmp_path, TINY_SYNTHETIC)
+    out = tmp_path / "out"
+    done = run_python("-c", "import sys; sys.modules['resource'] = None; "
+                      "from conicswarm.cli import main; sys.exit(main(sys.argv[1:]))",
+                      "run", "--config", str(cfg), "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    last = "resources: minor_faults_per_iter=n/a peak_rss_mb=n/a"
+    assert (out / "summary.txt").read_text().splitlines()[-1] == last
+    assert done.stdout.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("platform, peak", [("darwin", "3072.0"), ("linux", "3145728.0")])
+def test_peak_rss_reads_bytes_on_macos_and_kib_elsewhere(platform, peak, tmp_path,
+                                                         monkeypatch):
+    usage = types.SimpleNamespace(ru_minflt=0, ru_maxrss=3 * 2**30)
+    monkeypatch.setitem(sys.modules, "resource", types.SimpleNamespace(
+        RUSAGE_SELF=0, getrusage=lambda who: usage))
+    monkeypatch.setattr(sys, "platform", platform)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, TINY_SYNTHETIC)),
+                 "--out", str(out)]) == 0
+    last = (out / "summary.txt").read_text().splitlines()[-1]
+    assert last == f"resources: minor_faults_per_iter=0 peak_rss_mb={peak}"
+
+
+def test_signed_synthetic_problem_plants_atoms_of_both_signs(tmp_path, capsys):
+    # ``signed`` defaults to true: the atoms take the magnitudes of the
+    # unsigned build times random signs (two of three negative at seed 8),
+    # and the run keeps both signs
+    body = TINY_SYNTHETIC.replace("seed = 7", "seed = 8")
+    unsigned, _ = build_problem(load_config(write_config(tmp_path, body)))
+    cfg = write_config(tmp_path, body.replace("signed = false\n", ""), name="s.cfg")
+    problem, _ = build_problem(load_config(cfg))
+    assert problem.signed and not unsigned.signed
+    weights = problem.model.atom_weights
+    assert same_bits(np.abs(weights), unsigned.model.atom_weights)
+    assert np.any(weights < 0) and np.any(weights > 0)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    signs = ParticleSwarm.from_csv(out / "final_swarm.csv").signs
+    assert np.any(signs < 0) and np.any(signs > 0)
+
+
+def test_tail_exponent_sets_the_theory_birth_level(tmp_path):
+    # the level is noise_sup sqrt(2 a), with a = d / (2 (2 + d)) = 1/4 at
+    # d = 2 unless [birth_death] tail_exponent sets it
+    levels = {}
+    for exponent in (None, 0.4):
+        body = (CONFIGS / "synthetic_theory.cfg").read_text(encoding="utf-8")
+        if exponent is not None:
+            body = body.replace("profile = theory", f"profile = theory\ntail_exponent = {exponent}")
+        spec = load_config(write_config(tmp_path, body))
+        assert spec.birth_death["tail_exponent"] == exponent
+        problem, extras = build_problem(spec)
+        noise = cli._audit(spec, problem).noise_sup
+        levels[exponent] = build_run_config(spec, problem, extras)[0].birth_rule.threshold_coeff
+    assert levels[None] == noise * math.sqrt(2.0 * 0.25)
+    assert levels[0.4] == noise * math.sqrt(2.0 * 0.4) != levels[None]
+
+
+def test_theory_level_without_observation_noise_exits_2(tmp_path, capsys):
+    # with noise_scale = 0 the audited noise bound is 0, so the noise-derived
+    # birth level would be 0: the run is refused until the level is set
+    cfg = shipped_copy("synthetic_theory.cfg", tmp_path, iterations=20)
+    body = cfg.read_text(encoding="utf-8")
+    assert "noise_scale = 0.02\n" in body
+    cfg.write_text(body.replace("noise_scale = 0.02\n", "noise_scale = 0\n"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: guarded birth threshold needs a positive audited "
+                                       "noise bound; set birth_threshold explicitly\n")
+    assert not out.exists()
+
+
+def test_theory_profile_calibrates_manual_rates_without_alpha(tmp_path, capsys):
+    # manual rates need alpha, except under the theory profile, which then
+    # calibrates them
+    cfg = write_config(tmp_path, TINY_SYNTHETIC.replace("alpha = 0.05\n", ""))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: manual rates need an explicit alpha\n"
+    assert not out.exists()
+    spec = load_config(cfg, profile_override="theory")
+    assert spec.rates["mode"] == "calibrated" and spec.rates["alpha"] is None
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--profile", "theory"]) == 0
+    assert "\ncalibrated: alpha=" in (out / "summary.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("body, message", [
+    pytest.param(TINY_TEACHER.replace("model = teacher", "model = regression")
+                 .replace("features = 3\nreg_samples = 60\nteacher_neurons = 2\n", ""),
+                 "regression model requires data_path", id="regression-without-data"),
+    pytest.param(with_problem_keys(TINY_SYNTHETIC, "box_low = 1.0\nbox_high = 1.0"),
+                 "synthetic box must satisfy box_low < box_high", id="empty-box"),
+    pytest.param(with_problem_keys(TINY_SYNTHETIC, "box_low = 2.0"),
+                 "synthetic box must satisfy box_low < box_high", id="inverted-box"),
+])
+def test_cross_key_refusals_exit_2(body, message, tmp_path, capsys):
+    cfg = write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
+def test_report_without_two_positive_excess_values_fits_no_slope(tmp_path, capsys):
+    # j_ref defaults to the smallest loss of the traces, whose own excess is
+    # then 0: two horizons leave one positive excess, too few for a slope
+    header = "k,time_s,loss,tv,particles,births,deaths,min_cert,delta,cert_norm_sq\n"
+    paths = []
+    for k, loss in ((100, 0.5), (400, 0.25)):
+        paths.append(tmp_path / f"k{k}.csv")
+        paths[-1].write_text(f"{header}0,,1.0,1.0,4,0,0,,,\n{k},,{loss},1.0,4,0,0,,,0.0\n")
+    assert main(["report", *map(str, paths)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "excess-loss slope: not enough strictly positive excess values to fit"
+    assert not any("slope vs K" in line for line in out)

@@ -4,7 +4,7 @@
 most ``_ROW_BLOCK_ENTRIES`` entries, and every ReLU sum over samples reads
 them: ``ReluKernel.objective_value`` sums the residual
 ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``, the certificate takes
-``r`` from ``relu_outputs``' network outputs, exact or batched, and
+``r`` from the blocks' network outputs ``act @ c``, exact or batched, and
 ``experiments.heldout_mse`` is twice the kappa = 0 objective of the held-out
 rows. The loss must agree with the expanded objective
 ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c' K c`` and with the residual
