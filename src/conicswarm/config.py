@@ -2,7 +2,8 @@
 
 Parsing is fail-closed: unknown sections or keys raise, so a schedule typo
 cannot silently fall back to a default and invalidate a calibrated run, and
-so does a ``[problem]`` key that the configured model does not read.
+so does a ``[problem]`` key that the configured model does not read (a
+mixture read from ``data_path`` reads none of the generated ring's keys).
 ``_SCHEMA`` is the one place a key's domain is declared: its parser converts
 and checks each value, so one outside the domain raises ``ConfigError``
 naming the key. All paths are relative to the configuration file's directory.
@@ -144,6 +145,9 @@ _MODEL_KEYS = {
     "teacher": {"features", "reg_samples", "teacher_neurons", "label_noise"},
     "regression": {"data_path"},
 }
+# the [problem] keys of a generated ring mixture, which a gmm that reads its
+# samples from data_path does not read
+_RING_KEYS = {"components", "gmm_samples", "ring_radius"}
 
 
 def parse_value(section: str, key: str, text: str, name: str):
@@ -237,9 +241,12 @@ def _validate(sections, path, given) -> None:
     ``[problem]`` keys that the file sets."""
     rates, prob = sections["rates"], sections["problem"]
     model = prob["model"]
-    foreign = sorted(given - {"model", "kappa", "seed"} - _MODEL_KEYS[model])
+    read, reader = _MODEL_KEYS[model], f"model = {model}"
+    if model == "gmm" and prob["data_path"]:
+        read, reader = read - _RING_KEYS, "model = gmm with data_path"
+    foreign = sorted(given - {"model", "kappa", "seed"} - read)
     if foreign:
-        raise ConfigError(f"{path}: [problem] {foreign[0]} is not read by model = {model}")
+        raise ConfigError(f"{path}: [problem] {foreign[0]} is not read by {reader}")
     if rates["mode"] == "manual" and rates["alpha"] is None:
         raise ConfigError(f"{path}: manual rates need an explicit alpha")
     variant = sections["schedule"]["variant"]

@@ -24,9 +24,10 @@ below, ``objective_value``, and the audit's ``_pair_grad1`` and
   phi_t>`` per row of T and its gradients, ``0.0 - v`` of the values and
   gradients v of the zero measure's certificate (an empty support), which
   is ``-<y, phi_t>``. Negation is exact, and ``0.0 - v`` returns a zero
-  as +0.0;
-* the loop evaluations ``pushed_values`` and ``support_field`` below, by
-  default.
+  as +0.0.
+
+Each model implements the loop evaluations ``pushed_values`` and
+``support_field`` below.
 
 Point sets are (k, d) float arrays and coefficients 1-D float arrays, as
 the program's entry points make them (``ParticleSwarm``, ``objective``'s
@@ -57,7 +58,7 @@ call writes after ``pushed_values`` returns it; they have the bits of the
 stateless calls:
 
 * ``pushed_values(T', c, idx)`` -- ``certificate_values(T', T', c, idx)``
-  for the death step, and ``ev``, by default ``_evaluation(T', c, idx)``;
+  for the death step, and ``ev``;
 * ``candidate_values(ev, C)`` -- ``certificate_values(C, T', c, idx)``;
 * ``support_field(T, c, idx, ev, keep)`` -- the next iteration's
   ``certificate_field(T, T, c, idx)`` at ``T = [T'[keep]; born]``, the
@@ -73,8 +74,8 @@ and hands on next to ``ev``; the models keep it nowhere. Its slots are
 the large temporaries are written into them through ``out=`` by the same
 ufuncs and BLAS calls, so no result changes by a bit: ``_sqdist``'s
 products, the Gaussian entries, the mixture's data-side rows and mean
-blocks, ``ev``'s ``K(T', T')`` and exact rows, the assembled support kernel
-and its survivor gathers, and ReLU's activation blocks. ``ev``'s own arrays
+blocks, ``ev``'s kernel block and the mixture's exact rows, the assembled
+support kernel and its survivor gathers, and ReLU's activation blocks. ``ev``'s own arrays
 live until the next ``pushed_values`` rewrites them, after the next
 ``support_field`` has read them; every other slot holds what one call uses
 up. Arrays below ``_PRODUCT_ENTRIES`` entries skip the workspace and are
@@ -100,10 +101,11 @@ One array against itself (``a is b``) is the upper triangle of row blocks,
 mirrored, with the bits of the full build. The synthetic observation is the
 point set ``[atoms; anchors]`` weighted by ``[w; eta_b]``, so a certificate
 is the weighted kernel of ``P = [S; atoms; anchors]`` with ``q = [c; -w;
--eta_b]``, one product, and ``ev = (P, q)``; a batch's noise mean ``eta_b`` is
-``bincount(idx) @ eta / |idx|``, with no |idx| x r gather. The mixture
-keeps its own data side: densities of a second variance, averaged over row
-blocks of ``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array.
+-eta_b]``, one product, and ``ev = (P', q', K(T', P'))``, the pushed
+measure's; a batch's noise mean ``eta_b`` is ``bincount(idx) @ eta /
+|idx|``, with no |idx| x r gather. The mixture keeps its own data side:
+densities of a second variance, averaged over row blocks of
+``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array.
 
 ``audit_assumptions`` runs no Python loop over samples or pairs. It reads
 the diagonal ``K(t, t)`` from the kernel matrix of its points, takes every
@@ -173,8 +175,9 @@ class Workspace:
     before the new one is allocated, so malloc may hand that memory on. What
     a slot holds is overwritten by the next call that takes it:
 
-    * ``"ev.kernel"`` and ``"ev.rows"``: the mixture ``ev``'s ``K(T', T')``
-      and, in an exact run, its data-side rows. ``pushed_values`` writes them
+    * ``"ev.kernel"`` and ``"ev.rows"``: ``ev``'s kernel block (the
+      mixture's ``K(T', T')``, the synthetic model's ``K(T', P')``) and, in
+      an exact mixture run, its data-side rows. ``pushed_values`` writes them
       and the next iteration's ``support_field`` reads them, before the next
       ``pushed_values`` writes its own.
     * ``"work"``: the largest array of one evaluation step, used up within
@@ -429,18 +432,17 @@ class KernelModel(ABC):
         """The gradients of ``<y, phi_t>`` in t: minus the zero measure's."""
         return 0.0 - self.certificate_field(t, np.empty((0, self.dim)), np.empty(0), idx)[1]
 
+    @abstractmethod
     def pushed_values(self, support, coef, idx=None, ws=None):
         """``(certificate_values(S, S, c, idx), ev)`` at the pushed support
         S, where ``ev`` is what ``candidate_values`` and ``support_field``
-        share of the evaluation; by default ``_evaluation``'s."""
-        ev = self._evaluation(support, coef, idx)
-        return self.candidate_values(ev, support, ws), ev
+        share of the evaluation."""
 
+    @abstractmethod
     def support_field(self, t, coef, idx, ev, keep, ws=None) -> tuple[np.ndarray, np.ndarray]:
         """``certificate_field(t, t, coef, idx)`` at ``t``, ``ev``'s support
         where the mask ``keep`` holds, then the born candidates; ``ev`` and
         ``keep`` are None if no pushed evaluation came."""
-        return self.certificate_field(t, t, coef, idx, ws)
 
     @abstractmethod
     def objective_value(self, t, weights, signs, kappa: float, ws=None) -> float:
@@ -533,8 +535,16 @@ class SyntheticKernel(GaussianKernel):
     one kernel matrix ``K(t, P)`` of the signed point set
     ``P = [S; atoms; anchors]``; with the coefficients ``q = [c; -w; -eta_b]``
     it gives the values ``K(t, P) q`` and, by one ``_gauss_grad`` product,
-    their gradients, and ``ev = (P, q)`` hands ``eta_b`` to the candidates.
-    ``|y|^2`` is computed once.
+    their gradients. ``|y|^2`` is computed once.
+
+    In the loop ``ev = (P', q', k)`` holds the pushed measure's point set and
+    coefficients, which hand ``eta_b`` to the candidates, and its unnormalized
+    block ``k = K(T', P')``, in ``ws``'s ``"ev.kernel"``. When nothing died
+    and nothing was born, ``T = T'`` and ``support_field`` takes the values
+    and gradients from ``k`` with the new batch's ``q = [c; -w; -eta_b]``;
+    entries are pair-local, so they have fresh bits. Otherwise it builds the
+    field fresh: at p of about 8, gathering the survivors and building the
+    born rows costs about as much as a fresh build.
     """
 
     def __init__(self, domain: Box, sigma: float, atom_weights, atom_positions,
@@ -597,10 +607,22 @@ class SyntheticKernel(GaussianKernel):
     def _evaluation(self, support, coef, idx):
         """The certificate's signed point set ``P = [S; atoms; anchors]`` and
         its coefficients ``q = [c; -w; -eta_b]``."""
-        return np.vstack([support, self._fixed]), np.concatenate([coef, -self._y_coef(idx)])
+        return np.concatenate([support, self._fixed]), np.concatenate([coef, -self._y_coef(idx)])
+
+    def pushed_values(self, support, coef, idx=None, ws=None):
+        points, q = self._evaluation(support, coef, idx)
+        k = self._kernel(support, points, ws, _out(ws, "ev.kernel", len(support), len(points)))
+        return self._values(k, q), (points, q, k)
 
     def candidate_values(self, ev, t, ws=None):
         return self._values(self._kernel(t, ev[0], ws), ev[1])
+
+    def support_field(self, t, coef, idx, ev, keep, ws=None):
+        if ev is None or len(t) != len(keep) or not keep.all():
+            return self.certificate_field(t, t, coef, idx, ws)
+        points, _, k = ev
+        q = np.concatenate([coef, -self._y_coef(idx)])
+        return self._values(k, q), self._grads(k, t, points, q)
 
     def certificate_field(self, t, support, coef, idx=None, ws=None):
         points, q = self._evaluation(support, coef, idx)

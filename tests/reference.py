@@ -243,6 +243,9 @@ class Reference(SyntheticKernel):
     def candidate_values(self, ev, t, ws=None):
         return self.certificate_values(t, *ev)
 
+    def support_field(self, t, coef, idx, ev, keep, ws=None):
+        return self.certificate_field(t, t, coef, idx)
+
     @property
     def y_norm_sq(self):
         pts, coefs = observation(self, None)

@@ -504,7 +504,7 @@ class TestRunCommand:
     def test_constant_mixture_column_exits_1_naming_file_and_column(self, tmp_path, capsys):
         data = tmp_path / "flat.csv"
         data.write_text("x0,x1\n1.5,0.0\n1.5,2.0\n1.5,-1.0\n")
-        cfg = write_config(tmp_path, TINY_GMM.replace("gmm_samples = 200",
+        cfg = write_config(tmp_path, TINY_GMM.replace("components = 3\ngmm_samples = 200",
                                                       "data_path = flat.csv"))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
@@ -908,9 +908,9 @@ def test_kkt_grid_past_max_points_falls_back_to_uniform_draws(tmp_path, monkeypa
 
 class TestShippedProfiles:
     def test_all_shipped_configs_parse(self):
+        # ``load_config`` never opens ``data_path``, so housing_full.cfg
+        # parses without its CSV
         for cfg in sorted(CONFIGS.glob("*.cfg")):
-            if cfg.name == "housing_full.cfg":
-                continue  # requires a user-supplied dataset
             load_config(cfg)
 
     def test_full_scale_gmm_profile_matches_reference_scale(self):
@@ -968,6 +968,28 @@ def test_problem_key_the_model_does_not_read_exits_2_naming_it(model, lines, key
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {cfg}: [problem] {key} is not read by model = {model}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("ring_radius = 99.0\ncomponents = 7", "components"),
+    ("gmm_samples = 500", "gmm_samples"),
+    ("ring_radius = 99.0", "ring_radius"),
+])
+def test_generated_ring_key_with_data_path_exits_2_naming_it(lines, key, tmp_path, capsys):
+    # a mixture read from data_path used to ignore these keys and exit 0;
+    # seed stays, as the audit of a calibrated run reads it
+    g = np.random.Generator(np.random.Philox(6))
+    np.savetxt(tmp_path / "data.csv", g.standard_normal((200, 2)), delimiter=",",
+               header="x0,x1", comments="")
+    body = TINY_GMM.replace("components = 3\ngmm_samples = 200\n", "data_path = data.csv\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == 0
+    cfg = write_config(tmp_path, with_problem_keys(body, lines), name="ring.cfg")
+    out = tmp_path / "ring"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: [problem] {key} is not read by model = gmm with data_path\n"
     assert not out.exists()
 
 

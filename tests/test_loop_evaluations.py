@@ -8,7 +8,7 @@ synthetic model (signed and unsigned), the mixture and the ReLU network,
 exact and mini-batch: (a) each call has the bits of a fresh model's
 stateless ``certificate_values`` or ``certificate_field``; (b) so does
 every loop evaluation of runs with births and deaths at beta = 0 and > 0,
-whose rows and final swarms are those of ``KernelModel``'s stateless
+whose rows and final swarms are those of the stateless
 evaluations; (c) the model's attributes are the same objects after a run,
 during and after an aborted one and after a weight overflow; (d) the trace
 does not depend on the cadence; (e) no call after ``pushed_values`` writes
@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 import conicswarm.runner as runner
 from conicswarm import verify
 from conicswarm.domain import Ball
-from conicswarm.kernels import KernelModel, ReluKernel, Workspace
+from conicswarm.kernels import ReluKernel, Workspace
 from conicswarm.runner import RunAborted, run
 from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm
@@ -87,9 +87,7 @@ def test_warm_model_gives_fresh_bits(name, seed, data):
 class Stateless:
     """The model with stateless loop evaluations: ``ev`` is the operands, the
     values come from ``certificate_values`` and the support field is
-    ``KernelModel``'s."""
-
-    support_field = KernelModel.support_field
+    ``certificate_field``."""
 
     def __init__(self, model):
         self.model = model
@@ -102,6 +100,9 @@ class Stateless:
 
     def candidate_values(self, ev, t, ws=None):
         return self.model.certificate_values(t, *ev)
+
+    def support_field(self, t, coef, idx, ev, keep, ws=None):
+        return self.model.certificate_field(t, t, coef, idx)
 
 
 class Checked(Stateless):
@@ -248,7 +249,8 @@ def test_no_loop_evaluation_writes_ev(name, full_batch):
 def test_support_field_of_an_unchanged_swarm_has_fresh_bits(name, full_batch, size):
     # nothing died, nothing was born and the coefficients are ``ev``'s own,
     # as in most iterations: the mixture then reads ``ev``'s ``K(T', T')``
-    # whole, with ``ev``'s coefficients or a fresh ``c``
+    # and the synthetic model its ``K(T', P')`` whole, with ``ev``'s
+    # coefficients or a fresh ``c``
     problem = WARM[name]
     model, fresh, g = problem.model, BUILDERS[name]().model, rng(11)
     pushed = problem.domain.sample_uniform(g, size=size)

@@ -25,9 +25,11 @@ stays within the summation bound ``counted_mean_bound`` of the gathered
 ``eta[idx].mean(axis=0)``. The pushed certificate and the birth candidates
 share a batch, so ``pushed_values`` computes its mean once and hands
 ``(P, q)`` to ``candidate_values`` in ``ev``; every stateless evaluation
-computes its own mean. That the loop evaluations have the bits of the
-stateless ones and keep nothing in the model is checked for every model in
-``test_loop_evaluations.py``. CI runs the bit and bound tests again with
+computes its own mean. ``ev`` also holds the block ``K(T', P')``, which the
+next support field reads after an iteration with no death and no birth, so
+such an iteration builds two kernel matrices and any other three. That the
+loop evaluations have the bits of the stateless ones and keep nothing in
+the model is checked for every model in ``test_loop_evaluations.py``. CI runs the bit and bound tests again with
 OpenBLAS on two threads.
 """
 
@@ -41,6 +43,7 @@ from hypothesis import given, settings, strategies as st
 
 import conicswarm.cli as cli
 import conicswarm.kernels as kernels
+import conicswarm.runner as runner
 from conicswarm.birth_death import BirthRule
 from conicswarm.config import load_config
 from conicswarm.domain import Box
@@ -273,3 +276,39 @@ def test_theory_run_writes_the_bytes_of_the_signed_measure_path(tmp_path, monkey
     for name in ("trace.csv", "final_swarm.csv"):
         assert (shipped / name).read_bytes() == (reference / name).read_bytes()
 
+
+@pytest.mark.exactness
+def test_support_field_reuses_the_pushed_block_after_an_unchanged_iteration(monkeypatch):
+    # an iteration builds ``K(T', P')`` for its deaths and ``K(C, P')`` for
+    # its candidates; the next support field builds ``K(T, P)`` unless
+    # nothing died and nothing was born, when it reads ``ev``'s block. The
+    # loss at cadence builds its own and is not counted
+    spec = load_config(CONFIGS / "synthetic_theory.cfg")
+    spec.run["iterations"] = 300
+    problem, extras = cli.build_problem(spec)
+    config, _ = cli.build_run_config(spec, problem, extras)
+    model, real_loss = problem.model, runner.loss
+    real_kernel, real_field = model._kernel, model.support_field
+    builds, in_loss = [], [True]  # builds per iteration, outside the loss
+
+    def kernel(*args, **kw):
+        if not in_loss[0]:
+            builds[-1] += 1
+        return real_kernel(*args, **kw)
+
+    def field(*args, **kw):  # the first call of each iteration
+        builds.append(0)
+        in_loss[0] = False
+        return real_field(*args, **kw)
+
+    def loss(*args, **kw):  # the last call of an iteration at cadence
+        in_loss[0] = True
+        return real_loss(*args, **kw)
+
+    model._kernel, model.support_field = kernel, field
+    monkeypatch.setattr(runner, "loss", loss)
+    result = run(config, problem)
+    # the first support field has no pushed evaluation to read
+    changed = [True] + [rec.births + rec.deaths > 0 for rec in result.trace[1:-1]]
+    assert builds == [3 if c else 2 for c in changed]
+    assert 0 < changed.count(False) < len(changed)

@@ -7,7 +7,8 @@ BLAS may pick its kernel by alignment, so each test here also forces the
 slots to the offsets 16, 32 and 48 past the boundary. For every model,
 exact and batched: (a) the three loop evaluations, at a 200-point support
 (``_sqdist``'s product path and ``_gauss_self``'s blocks) with deaths and
-births, the mixture's survivor gathers among them, have the bits of the
+births, the mixture's survivor gathers among them and the Gaussian models'
+kernel blocks kept in ``"ev.kernel"``, have the bits of the
 reference forms of ``reference.py``, and the loss the bits of the call
 without a workspace; (b) a run with deaths and births writes the trace and
 final swarm of a run without a workspace. (c) A plain process on
@@ -91,6 +92,11 @@ def test_loop_evaluations_have_reference_bits_at_every_offset(name, full_batch, 
     idx = batch()
     vals, ev = model.pushed_values(pushed, coef, idx, ws)
     assert same_bits(vals, reference_field(model, pushed, pushed, coef, idx)[0])
+    if name != "relu":
+        # the Gaussian models keep their pushed kernel block in "ev.kernel";
+        # the first support field below, of an unchanged swarm, reads it
+        block = ev[2] if name == "synthetic" else ev["k"]
+        assert np.shares_memory(block, ws.take("ev.kernel", 1, _PRODUCT_ENTRIES))
     assert same_bits(model.candidate_values(ev, cand, ws),
                      reference_field(model, cand, pushed, coef, idx)[0])
     died = g.random(200) < 0.2
