@@ -10,12 +10,12 @@ negative and removes them where it is safely positive.
 from .birth_death import BirthRule, DeathRule, apply_mass_tweak, evaluate_birth_candidates, \
     select_deaths
 from .domain import Ball, Box, Domain, grid_points
-from .dynamics import StepRates, descent_check, weight_push_update
+from .dynamics import descent_check, weight_push_update
 from .kernels import AssumptionBounds, GmmKernel, KernelModel, ReluKernel, SyntheticKernel, \
     audit_assumptions
 from .objective import KktReport, Problem, certificate, certificate_and_grad, frechet_gap, \
     kkt_residual, loss
-from .oracle import OracleConfig, draw_batch
+from .oracle import draw_batch
 from .runner import IterationRecord, RunAborted, RunConfig, RunResult, run, trace_from_csv, \
     trace_to_csv
 from .schedules import AnytimePlan, Calibration, CalibrationError, FixedPlan, calibrate, \

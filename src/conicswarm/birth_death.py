@@ -23,6 +23,8 @@ from .swarm import ParticleSwarm
 __all__ = [
     "DeathRule",
     "BirthRule",
+    "tail_exponent_for_dim",
+    "guarded_threshold_coeff",
     "select_deaths",
     "evaluate_birth_candidates",
     "apply_mass_tweak",
@@ -84,6 +86,19 @@ class BirthRule:
         if math.isinf(self.threshold_coeff):
             return self.threshold_coeff
         return self.threshold_coeff * math.sqrt(math.log(m_k) / m_k) if m_k > 1 else 0.0
+
+
+def tail_exponent_for_dim(d: int) -> float:
+    """Smallest tail exponent the convergence analysis admits: d / (2 (2 + d))."""
+    return d / (2.0 * (2.0 + d))
+
+
+def guarded_threshold_coeff(noise_sup: float, tail_exponent: float) -> float:
+    """The guarded birth coefficient ``noise_sup * sqrt(2 a)``: a batch estimate falls
+    ``BirthRule.threshold(m)`` below the exact certificate with probability at most ``m**-a``."""
+    if tail_exponent <= 0 or noise_sup <= 0:
+        raise ValueError("tail exponent and noise bound must be positive")
+    return noise_sup * math.sqrt(2.0 * tail_exponent)
 
 
 def select_deaths(swarm: ParticleSwarm, pushed_certs, rule: DeathRule, eps_k: float,

@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .birth_death import BirthRule, DeathRule
+from .birth_death import BirthRule, DeathRule, guarded_threshold_coeff, tail_exponent_for_dim
 from .config import ConfigError, RunSpec, load_config, parse_value
 from .domain import Box, grid_points
 from .kernels import SyntheticKernel, audit_assumptions
 from .objective import Problem, kkt_residual
-from .oracle import OracleConfig
 from .runner import RunAborted, RunConfig, run, trace_from_csv, trace_to_csv
 from .schedules import AnytimePlan, CalibrationError, FixedPlan, calibrate, horizon_plan
 from .swarm import ParticleSwarm
@@ -35,8 +34,9 @@ EXIT_CONFIG = 2
 def build_problem(spec: RunSpec):
     """Instantiate the problem described by ``[problem]``.
 
-    Returns ``(problem, extras)``; extras may hold the dataset, the raw
-    sample cloud and a reference swarm, depending on the model.
+    Returns ``(problem, extras)``; extras may hold the dataset, or the raw
+    sample cloud and the spec of the mixture that generated it, depending
+    on the model.
     """
     prob = spec.problem
     rng = np.random.Generator(np.random.Philox(prob["seed"]))
@@ -69,12 +69,11 @@ def build_problem(spec: RunSpec):
             extras["gmm_spec"] = gspec
         extras["data"] = data
     elif model_kind == "teacher":
-        dataset, problem, teacher = experiments.gen_teacher_regression(
+        dataset, problem, _ = experiments.gen_teacher_regression(
             n_samples=prob["reg_samples"], n_features=prob["features"],
             n_teacher=prob["teacher_neurons"], noise=prob["label_noise"],
             rng=rng, kappa=prob["kappa"])
         extras["dataset"] = dataset
-        extras["teacher"] = teacher
     elif model_kind == "regression":
         dataset, problem = experiments.load_regression(
             spec.resolve_path(prob["data_path"]), rng, kappa=prob["kappa"])
@@ -184,9 +183,9 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
                 raise ConfigError("guarded birth threshold needs a positive audited "
                                   "noise bound; set birth_threshold explicitly")
             exponent = bd["tail_exponent"]
-            oc = OracleConfig.for_dim(problem.domain.dim, noise) if exponent is None \
-                else OracleConfig(tail_exponent=exponent, noise_sup=noise)
-            threshold = oc.threshold_scale
+            if exponent is None:
+                exponent = tail_exponent_for_dim(problem.domain.dim)
+            threshold = guarded_threshold_coeff(noise, exponent)
         else:
             threshold = 0.0
     birth = BirthRule(threshold_coeff=threshold, candidates_per_iter=bd["candidates"],

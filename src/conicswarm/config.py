@@ -60,6 +60,14 @@ _FINITE = _key("finite", float, math.isfinite)
 # a Gaussian kernel width, whose square the kernels divide by
 _WIDTH = _key("positive with a finite square that is a normal float", float,
               lambda value: value > 0 and sys.float_info.min <= value * value < math.inf)
+# a mixture's tau, a width in the plane (both mixture readers give d = 2): the
+# kernel's constant (2 pi var)^(-d/2) at var = 2 (1 + tau^2), 1 / (4 pi (1 + tau^2)),
+# is below the data side's, and GmmKernel refuses it below the smallest normal
+# float, for tau^2 > 1 / (4 pi float_min) - 1; so, in the kernel's expression:
+_TAU = _key("positive with a finite square that is a normal float, and at most about "
+            "1.891e153, where 1 / (4 pi (1 + tau^2)) is a normal float", _WIDTH,
+            lambda value: (2.0 * math.pi * (2.0 * (1.0 + value**2))) ** -1.0
+            >= sys.float_info.min)
 
 # section -> key -> (parser, default); REQUIRED means no default
 _REQUIRED = object()
@@ -82,7 +90,7 @@ _SCHEMA = {
         # gmm
         "components": (_at_least(1), 5),
         "gmm_samples": (_at_least(2), 2000),
-        "tau": (_WIDTH, 0.2),
+        "tau": (_TAU, 0.2),
         "ring_radius": (_FINITE, 4.0),
         "data_path": (str, None),
         # teacher; one sample cannot be standardized

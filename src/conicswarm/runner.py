@@ -42,7 +42,7 @@ import numpy as np
 
 from .birth_death import BirthRule, DeathRule, apply_mass_tweak, evaluate_birth_candidates, \
     select_deaths
-from .dynamics import StepRates, weight_push_update
+from .dynamics import weight_push_update
 from .kernels import Workspace
 from .objective import Problem, loss
 from .oracle import draw_batch
@@ -169,8 +169,7 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
         # values stand in for them
         seen = certs
         try:
-            swarm = weight_push_update(problem, swarm, certs, grads,
-                                       StepRates(config.plan.alpha, beta_k))
+            swarm = weight_push_update(problem, swarm, certs, grads, config.plan.alpha, beta_k)
         except ValueError as exc:
             raise RunAborted(f"iteration {k}: {exc}", trace, swarm) from exc
 

@@ -43,7 +43,7 @@ class Calibration:
 
     tv_radius      -- attractor radius R of the total-variation recursion
     tv_bound       -- uniform TV cap: max(tv(nu_0), 2 * tv_radius)
-    alpha          -- chosen weight rate, the minimum of the three caps
+    alpha          -- (derived) chosen weight rate, the minimum of the three caps
     alpha_cap_mass -- 1 / (1 + tv_radius)
     alpha_cap_descent -- descent-condition cap
     hoeffding_cap  -- noise cap (inf for deterministic oracles)
@@ -56,13 +56,16 @@ class Calibration:
 
     tv_radius: float
     tv_bound: float
-    alpha: float
     alpha_cap_mass: float
     alpha_cap_descent: float
     hoeffding_cap: float
     chosen_beta: float
     cert_bound: float
     stochastic: bool = False
+
+    @property
+    def alpha(self) -> float:
+        return min(self.alpha_cap_mass, self.alpha_cap_descent, self.hoeffding_cap)
 
     @property
     def binding_cap(self) -> str:
@@ -132,11 +135,9 @@ def calibrate(bounds: AssumptionBounds, nu0_tv: float, kappa: float, lambda_x: f
         cap_hoeffding = HOEFFDING_CAP_CONST / bounds.noise_sup
     else:
         cap_hoeffding = math.inf
-    alpha = min(cap_mass, cap_descent, cap_hoeffding)
     return Calibration(
         tv_radius=radius,
         tv_bound=tv_bound,
-        alpha=alpha,
         alpha_cap_mass=cap_mass,
         alpha_cap_descent=cap_descent,
         hoeffding_cap=cap_hoeffding,

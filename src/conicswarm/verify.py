@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Ball, Box
-from .dynamics import StepRates, descent_check
+from .birth_death import BirthRule, guarded_threshold_coeff, tail_exponent_for_dim
+from .dynamics import descent_check
 from .kernels import GmmKernel, ReluKernel, SyntheticKernel, audit_assumptions
 from .objective import Problem, certificate, certificate_and_grad, frechet_gap, loss
-from .oracle import OracleConfig, draw_batch
+from .oracle import draw_batch
 from .schedules import calibrate
 from .swarm import ParticleSwarm
 
@@ -115,21 +116,21 @@ def suite_descent(seed=0, n_swarms=100, tol=1e-10):
     cal = calibrate(bounds, nu0_tv=1.0, kappa=problem.kappa,
                     lambda_x=problem.domain.volume(),
                     y_norm=math.sqrt(problem.model.y_norm_sq), stochastic=False)
-    rates = StepRates(cal.alpha, cal.chosen_beta)
+    alpha, beta = cal.alpha, cal.chosen_beta
     failures = 0
     worst_slack = -math.inf
     for _ in range(n_swarms):
         swarm = random_swarm(problem, rng, max_particles=12,
                              tv=float(rng.uniform(0.05, cal.tv_bound)))
         certs, grads = certificate_and_grad(problem, swarm, swarm.positions, swarm.signs)
-        _, pis = problem.domain.prox_step(swarm.positions, grads, rates.beta)
-        holds, lhs, rhs = descent_check(problem, swarm, rates, certs, pis, tol=tol)
+        _, pis = problem.domain.prox_step(swarm.positions, grads, beta)
+        holds, lhs, rhs = descent_check(problem, swarm, alpha, beta, certs, pis, tol=tol)
         worst_slack = max(worst_slack, lhs - rhs)
         failures += 0 if holds else 1
     return [CheckResult(
         "descent/calibrated", failures == 0,
         f"{n_swarms - failures}/{n_swarms} swarms satisfied the descent bound "
-        f"(worst lhs-rhs {worst_slack:.3e}, alpha {rates.alpha:.3e}, beta {rates.beta:.3e})")]
+        f"(worst lhs-rhs {worst_slack:.3e}, alpha {alpha:.3e}, beta {beta:.3e})")]
 
 
 def suite_projection(seed=0, n_draws=10_000, tol=1e-12):
@@ -206,12 +207,14 @@ def suite_oracle(seed=0, n_batches=100_000):
 
 
 def suite_hoeffding(seed=0, n_batches=10_000, sizes=(64, 256, 1024)):
-    """Spurious-birth probability bound at a point with nonnegative certificate."""
+    """Spurious-birth bound of the guarded rule a theory run builds, at its levels
+    ``BirthRule.threshold(m)``: added to twice the level, the least certificate it
+    guards, each batch's error may fall to the level at most ``m^-a`` of the time."""
     problem = make_synthetic_problem(seed=seed, signed=False, noise_scale=0.05)
     rng = _rng(seed + 31)
-    d = problem.domain.dim
-    noise_val, noise_grad = problem.model.noise_sup()
-    config = OracleConfig.for_dim(d, max(noise_val, noise_grad))
+    exponent = tail_exponent_for_dim(problem.domain.dim)
+    rule = BirthRule(threshold_coeff=guarded_threshold_coeff(max(problem.model.noise_sup()),
+                                                             exponent))
     swarm = random_swarm(problem, rng, max_particles=4)
     # scan for a point whose exact certificate is nonnegative
     cands = problem.domain.sample_uniform(rng, size=256)
@@ -221,16 +224,17 @@ def suite_hoeffding(seed=0, n_batches=10_000, sizes=(64, 256, 1024)):
     assert exact >= 0.0, "fixture must provide a nonnegative-certificate point"
     results = []
     for m in sizes:
-        level = config.threshold_scale * math.sqrt(math.log(m) / m)
+        level = rule.threshold(m)
         spread = _batch_certificates(problem, swarm, point, rng, m, n_batches) - exact
-        rate = np.count_nonzero(spread <= -level) / n_batches
-        bound = m ** (-config.tail_exponent)
+        # births at a point whose exact certificate is twice the level
+        rate = np.count_nonzero(2.0 * level + spread <= level) / n_batches
+        bound = m ** (-exponent)
         sigma = math.sqrt(bound * (1.0 - bound) / n_batches)
         noisy = float(spread.std()) > 0.0  # guard against a vacuous pass
         results.append(CheckResult(
             f"hoeffding/m={m}", rate <= bound + 3.0 * sigma and noisy,
             f"false-birth rate {rate:.4f} <= m^-a + 3 sigma = {bound + 3.0 * sigma:.4f} "
-            f"(a={config.tail_exponent:.4f}, estimator std {spread.std():.2e})"))
+            f"(a={exponent:.4f}, estimator std {spread.std():.2e})"))
     return results
 
 

@@ -12,14 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conicswarm.birth_death import BirthRule, DeathRule
+from conicswarm.birth_death import BirthRule, DeathRule, guarded_threshold_coeff, \
+    tail_exponent_for_dim
 from conicswarm.cli import build_problem, build_run_config, main
 from conicswarm.config import load_config
 from conicswarm.domain import Box
 from conicswarm.experiments import GmmSpec, gen_gmm, gen_teacher_regression, heldout_mse
 from conicswarm.kernels import SyntheticKernel
 from conicswarm.objective import Problem, kkt_residual, loss
-from conicswarm.oracle import OracleConfig
 from conicswarm.runner import RunConfig, run
 from conicswarm.schedules import FixedPlan, horizon_plan
 from conicswarm.swarm import ParticleSwarm
@@ -125,8 +125,7 @@ def horizon_sweep():
     assert rep.is_stationary(1e-9), "planted reference must be stationary"
     j_star = loss(problem, nu_star)
 
-    noise_val, noise_grad = model.noise_sup()
-    oc = OracleConfig.for_dim(1, max(noise_val, noise_grad))
+    coeff = guarded_threshold_coeff(max(model.noise_sup()), tail_exponent_for_dim(1))
     alpha, beta_cap = 0.1, 0.05
     irng = np.random.Generator(np.random.Philox(99))
     init = ParticleSwarm(np.full(6, 0.05), np.ones(6), domain.sample_uniform(irng, size=6))
@@ -139,7 +138,7 @@ def horizon_sweep():
         cfg = RunConfig(init_swarm=init, k_iters=k_iter, plan=plan,
                         full_batch=False, birth_death=True,
                         death_rule=DeathRule(kind="guarded", scan="all"),
-                        birth_rule=BirthRule(threshold_coeff=oc.threshold_scale,
+                        birth_rule=BirthRule(threshold_coeff=coeff,
                                              candidates_per_iter=1),
                         seed=100 + k_iter, trace_cadence=1, j_ref=j_star)
         res = run(cfg, problem)

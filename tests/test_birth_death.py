@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conicswarm.birth_death import SQRT2, BirthRule, DeathRule, apply_mass_tweak, \
-    evaluate_birth_candidates, select_deaths
+    evaluate_birth_candidates, guarded_threshold_coeff, select_deaths, tail_exponent_for_dim
 from conicswarm.objective import certificate, loss
-from conicswarm.oracle import OracleConfig, draw_batch
+from conicswarm.oracle import draw_batch
 from conicswarm.swarm import ParticleSwarm
-from conicswarm.verify import make_synthetic_problem, random_swarm
+from conicswarm.verify import make_synthetic_problem, random_swarm, suite_hoeffding
 from helpers import rng, survivors
 
 
@@ -111,10 +111,11 @@ class TestProposeBirths:
         problem = make_synthetic_problem(signed=False, noise_scale=0.02, seed=13)
         model = problem.model
         d = problem.domain.dim
-        noise_val, noise_grad = model.noise_sup()
-        cfg = OracleConfig.for_dim(d, max(noise_val, noise_grad))
+        exponent = tail_exponent_for_dim(d)
+        rule = BirthRule(threshold_coeff=guarded_threshold_coeff(max(model.noise_sup()), exponent),
+                         candidates_per_iter=1)
         m = 256
-        level = cfg.threshold_scale * math.sqrt(math.log(m) / m)
+        level = rule.threshold(m)
         sw = ParticleSwarm.empty(d)
 
         # measure the deep-violation fraction q on a dense grid
@@ -124,14 +125,13 @@ class TestProposeBirths:
         q = float(np.mean(exact < -2 * level))
         assert q > 0.05, "fixture must have a substantial violation region"
 
-        rule = BirthRule(threshold_coeff=cfg.threshold_scale, candidates_per_iter=1)
         trials = 4000
         accepted = 0
         for _ in range(trials):
             batch = draw_batch(g, m, model.n_samples)
             accepted += len(births(problem, sw, rule, 0.01, m, batch, g))
         rate = accepted / trials
-        bound = q - m ** (-cfg.tail_exponent)
+        bound = q - m ** (-exponent)
         sigma = math.sqrt(q * (1 - q) / trials)
         assert rate >= bound - 3 * sigma
 
@@ -141,24 +141,24 @@ class TestProposeBirths:
         problem = make_synthetic_problem(signed=False, noise_scale=0.05, seed=15,
                                          kappa=5.0)
         model = problem.model
-        noise_val, noise_grad = model.noise_sup()
-        cfg = OracleConfig.for_dim(problem.domain.dim, max(noise_val, noise_grad))
+        exponent = tail_exponent_for_dim(problem.domain.dim)
+        rule = BirthRule(threshold_coeff=guarded_threshold_coeff(max(model.noise_sup()), exponent),
+                         candidates_per_iter=1)
         m = 256
-        level = cfg.threshold_scale * math.sqrt(math.log(m) / m)
+        level = rule.threshold(m)
         sw = ParticleSwarm.empty(problem.domain.dim)
         g = rng(16)
         grid = problem.domain.sample_uniform(g, size=5000)
         exact = certificate(problem, sw, grid, np.ones(len(grid)))
         assert exact.min() >= 2 * level, "fixture must be uniformly positive"
 
-        rule = BirthRule(threshold_coeff=cfg.threshold_scale, candidates_per_iter=1)
         trials = 4000
         accepted = 0
         for _ in range(trials):
             batch = draw_batch(g, m, model.n_samples)
             accepted += len(births(problem, sw, rule, 0.01, m, batch, g))
         rate = accepted / trials
-        bound = m ** (-cfg.tail_exponent)
+        bound = m ** (-exponent)
         sigma = math.sqrt(bound * (1 - bound) / trials)
         assert rate <= bound + 3 * sigma
 
@@ -298,6 +298,15 @@ def test_infinite_threshold_keeps_its_sign(m):
 def test_finite_threshold_formula(coeff, m):
     expected = coeff * math.sqrt(math.log(m) / m) if m > 1 else 0.0
     assert BirthRule(threshold_coeff=coeff).threshold(m) == expected
+
+
+def test_verify_checks_the_level_the_rule_applies(monkeypatch):
+    # suite_hoeffding takes its levels from BirthRule.threshold, so a rule
+    # that accepts every candidate fails the spurious-birth bound
+    monkeypatch.setattr(BirthRule, "threshold", lambda self, m_k: math.inf)
+    results = suite_hoeffding(n_batches=200, sizes=(64, 256))
+    assert [r.passed for r in results] == [False, False]
+    assert all(r.detail.startswith("false-birth rate 1.0000") for r in results)
 
 
 def test_nan_threshold_rejected():

@@ -512,15 +512,23 @@ class TestRunCommand:
         assert err == f"error: {data.resolve()}: constant column(s) x0: the samples span no box\n"
         assert not out.exists()
 
-    def test_mixture_whose_constants_vanish_exits_1_naming_tau(self, tmp_path, capsys):
-        # at tau = 1e154 every kernel value, density and |y|^2 would be 0, so
-        # the loss would be kappa TV whatever the swarm
+    def test_mixture_whose_constants_vanish_exits_2_naming_tau(self, tmp_path, capsys):
+        # from tau of about 1.891e153 on, the mixture's kernel constant
+        # 1 / (4 pi (1 + tau^2)) is below the smallest normal float, and at
+        # 1e154 every kernel value, density and |y|^2 would be 0, so the loss
+        # would be kappa TV whatever the swarm; GmmKernel refused both with
+        # exit 1 and a message naming no key
         body = (CONFIGS / "gmm_desk.cfg").read_text(encoding="utf-8")
-        cfg = write_config(tmp_path, body.replace("tau = 0.2", "tau = 1e154"))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: tau = 1e+154 is too large in d = 2") and err.count("\n") == 1
+        for tau in ("1.9e153", "1e154"):
+            cfg = write_config(tmp_path, body.replace("tau = 0.2", f"tau = {tau}"))
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {cfg}: [problem] tau must be positive")
+            assert err.endswith(f", got '{tau}'\n") and err.count("\n") == 1
         assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+        cfg = write_config(tmp_path, body.replace("tau = 0.2", "tau = 1.89e153"))
+        problem, _ = build_problem(load_config(cfg))
+        assert problem.model.tau == 1.89e153
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conicswarm.dynamics import StepRates, descent_check, weight_push_update
+from conicswarm import dynamics
+from conicswarm.dynamics import descent_check, weight_push_update
 from conicswarm.kernels import audit_assumptions
 from conicswarm.objective import certificate_and_grad
 from conicswarm.schedules import calibrate
 from conicswarm.swarm import ParticleSwarm
-from conicswarm.verify import make_relu_problem, make_synthetic_problem, random_swarm
+from conicswarm.verify import make_relu_problem, make_synthetic_problem, random_swarm, \
+    suite_descent
 from helpers import rng
 
 
@@ -27,7 +29,7 @@ class TestWeightPushUpdate:
         problem = make_synthetic_problem()
         sw = random_swarm(problem, rng(1), max_particles=5)
         certs, grads, _ = exact_certs_and_pis(problem, sw, 0.0)
-        out = weight_push_update(problem, sw, certs, grads, StepRates(0.0, 0.0))
+        out = weight_push_update(problem, sw, certs, grads, 0.0, 0.0)
         assert np.array_equal(out.weights, sw.weights)
         assert np.array_equal(out.positions, sw.positions)
         assert np.array_equal(out.signs, sw.signs)
@@ -38,14 +40,14 @@ class TestWeightPushUpdate:
         sw = ParticleSwarm([0.6], [1], [[0.5, 0.5]])
         certs = np.array([math.log(2.0) / alpha])
         grads = np.zeros((1, 2))
-        out = weight_push_update(problem, sw, certs, grads, StepRates(alpha, 0.0))
+        out = weight_push_update(problem, sw, certs, grads, alpha, 0.0)
         assert out.weights[0] == pytest.approx(0.3)
 
     def test_positions_bitwise_unchanged_at_beta_zero(self):
         problem = make_synthetic_problem()
         sw = random_swarm(problem, rng(2), max_particles=6)
         certs, grads, _ = exact_certs_and_pis(problem, sw, 0.0)
-        out = weight_push_update(problem, sw, certs, grads, StepRates(0.3, 0.0))
+        out = weight_push_update(problem, sw, certs, grads, 0.3, 0.0)
         assert np.array_equal(out.positions, sw.positions)
 
     def test_positions_stay_in_domain(self):
@@ -55,7 +57,7 @@ class TestWeightPushUpdate:
             sw = random_swarm(problem, g, max_particles=6)
             certs = g.standard_normal(len(sw))
             grads = 10.0 * g.standard_normal((len(sw), 2))
-            out = weight_push_update(problem, sw, certs, grads, StepRates(0.1, 2.0))
+            out = weight_push_update(problem, sw, certs, grads, 0.1, 2.0)
             assert problem.domain.contains(out.positions).all()
 
     def test_tv_after_update_is_exponential_reweighting(self):
@@ -65,7 +67,7 @@ class TestWeightPushUpdate:
         certs = g.standard_normal(len(sw))
         grads = g.standard_normal((len(sw), 2))
         alpha = 0.42
-        out = weight_push_update(problem, sw, certs, grads, StepRates(alpha, 0.5))
+        out = weight_push_update(problem, sw, certs, grads, alpha, 0.5)
         assert out.tv_norm() == pytest.approx(float(np.sum(sw.weights * np.exp(-alpha * certs))))
 
     def test_nonnegative_certs_do_not_increase_tv(self):
@@ -74,7 +76,7 @@ class TestWeightPushUpdate:
         sw = random_swarm(problem, g, max_particles=7)
         certs = np.abs(g.standard_normal(len(sw)))
         grads = g.standard_normal((len(sw), 2))
-        out = weight_push_update(problem, sw, certs, grads, StepRates(0.7, 0.0))
+        out = weight_push_update(problem, sw, certs, grads, 0.7, 0.0)
         assert out.tv_norm() <= sw.tv_norm() + 1e-15
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -83,7 +85,7 @@ class TestWeightPushUpdate:
         sw = ParticleSwarm([0.6, 0.2], [1, 1], [[0.5, 0.5], [0.2, 0.8]])
         certs = np.array([0.0, -1e4])  # exp(-alpha * cert) = exp(1e4) overflows
         with pytest.raises(ValueError, match="non-finite"):
-            weight_push_update(problem, sw, certs, np.zeros((2, 2)), StepRates(1.0, 0.0))
+            weight_push_update(problem, sw, certs, np.zeros((2, 2)), 1.0, 0.0)
 
     @given(domain=st.sampled_from(["box", "ball"]), seed=st.integers(0, 2**32 - 1),
            p=st.integers(1, 40), beta=st.floats(1e-6, 3.0), scale=st.sampled_from([0.1, 10.0]))
@@ -95,7 +97,7 @@ class TestWeightPushUpdate:
         g = rng(seed)
         sw = random_swarm(problem, g, max_particles=p)
         grads = scale * g.standard_normal((len(sw), problem.domain.dim))
-        out = weight_push_update(problem, sw, np.zeros(len(sw)), grads, StepRates(0.1, beta))
+        out = weight_push_update(problem, sw, np.zeros(len(sw)), grads, 0.1, beta)
         t_plus, _ = problem.domain.prox_step(sw.positions, grads, beta)
         assert out.positions.tobytes() == t_plus.tobytes()
 
@@ -105,7 +107,7 @@ class TestWeightPushUpdate:
         g = rng(7)
         sw = random_swarm(problem, g, max_particles=12)
         grads = 100.0 * g.standard_normal((len(sw), problem.domain.dim))
-        out = weight_push_update(problem, sw, np.zeros(len(sw)), grads, StepRates(0.1, 0.5))
+        out = weight_push_update(problem, sw, np.zeros(len(sw)), grads, 0.1, 0.5)
         t_plus, _ = problem.domain.prox_step(sw.positions, grads, 0.5)
         assert not problem.domain.contains(sw.positions - 0.5 * grads).any()
         assert out.positions.tobytes() == t_plus.tobytes()
@@ -115,14 +117,14 @@ class TestWeightPushUpdate:
         sw = random_swarm(problem, rng(6), max_particles=4)
         with pytest.raises(ValueError, match="dimension"):
             weight_push_update(problem, sw, np.zeros(len(sw)),
-                               np.zeros((len(sw), 1)), StepRates(0.1, 0.5))
+                               np.zeros((len(sw), 1)), 0.1, 0.5)
 
     def test_length_mismatch_rejected(self):
         problem = make_synthetic_problem()
         sw = random_swarm(problem, rng(6), max_particles=4)
         with pytest.raises(ValueError):
             weight_push_update(problem, sw, np.zeros(len(sw) + 1),
-                               np.zeros((len(sw), 2)), StepRates(0.1, 0.0))
+                               np.zeros((len(sw), 2)), 0.1, 0.0)
 
 
 class TestDescentCheck:
@@ -130,7 +132,7 @@ class TestDescentCheck:
         problem = make_synthetic_problem()
         sw = random_swarm(problem, rng(7), max_particles=4)
         certs, _, pis = exact_certs_and_pis(problem, sw, 0.0)
-        holds, lhs, rhs = descent_check(problem, sw, StepRates(0.0, 0.0), certs, pis)
+        holds, lhs, rhs = descent_check(problem, sw, 0.0, 0.0, certs, pis)
         assert holds and lhs == pytest.approx(0.0, abs=1e-12) and rhs == 0.0
 
     def test_calibrated_rates_descend(self):
@@ -139,13 +141,13 @@ class TestDescentCheck:
         cal = calibrate(bounds, nu0_tv=1.0, kappa=problem.kappa,
                         lambda_x=problem.domain.volume(),
                         y_norm=math.sqrt(problem.model.y_norm_sq), stochastic=False)
-        rates = StepRates(cal.alpha, cal.chosen_beta)
+        alpha, beta = cal.alpha, cal.chosen_beta
         g = rng(10)
         for _ in range(10):
             sw = random_swarm(problem, g, max_particles=8,
                               tv=float(g.uniform(0.1, cal.tv_bound)))
-            certs, _, pis = exact_certs_and_pis(problem, sw, rates.beta)
-            holds, lhs, rhs = descent_check(problem, sw, rates, certs, pis)
+            certs, _, pis = exact_certs_and_pis(problem, sw, beta)
+            holds, lhs, rhs = descent_check(problem, sw, alpha, beta, certs, pis)
             assert holds
             assert lhs <= 0.0 or rhs >= lhs - 1e-10
 
@@ -157,20 +159,15 @@ class TestDescentCheck:
         cal = calibrate(bounds, nu0_tv=1.0, kappa=problem.kappa,
                         lambda_x=problem.domain.volume(),
                         y_norm=math.sqrt(problem.model.y_norm_sq), stochastic=False)
-        rates = StepRates(100 * cal.alpha, 100 * cal.chosen_beta)
+        alpha, beta = 100 * cal.alpha, 100 * cal.chosen_beta
         sw = random_swarm(problem, rng(13), max_particles=6, tv=cal.tv_bound)
-        certs, _, pis = exact_certs_and_pis(problem, sw, rates.beta)
-        holds, lhs, rhs = descent_check(problem, sw, rates, certs, pis)
+        certs, _, pis = exact_certs_and_pis(problem, sw, beta)
+        holds, lhs, rhs = descent_check(problem, sw, alpha, beta, certs, pis)
         print(f"oversized-rate diagnostic: holds={holds} lhs={lhs:.3e} rhs={rhs:.3e}")
 
-
-def test_rates_validation():
-    with pytest.raises(ValueError):
-        StepRates(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        StepRates(0.1, -1.0)
-    with pytest.raises(ValueError):
-        StepRates(float("nan"), 0.0)
-    with pytest.raises(ValueError):
-        StepRates(0.1, float("nan"))
-    StepRates(0.0, 0.0)  # the trivial rates are legal
+    def test_verify_checks_the_update_the_solver_runs(self, monkeypatch):
+        # descent_check builds its measure with weight_push_update, so an
+        # update that moves nothing fails the calibrated descent bound
+        monkeypatch.setattr(dynamics, "weight_push_update", lambda problem, swarm, *rates: swarm)
+        [result] = suite_descent(n_swarms=10)
+        assert not result.passed and result.detail.startswith("0/10 swarms")

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conicswarm.birth_death import BirthRule, DeathRule, apply_mass_tweak, \
     evaluate_birth_candidates, select_deaths
-from conicswarm.dynamics import StepRates, weight_push_update
+from conicswarm.dynamics import weight_push_update
 from conicswarm.objective import certificate_and_grad
 from conicswarm.oracle import draw_batch
 from conicswarm.runner import RunConfig, run
@@ -27,7 +27,7 @@ PROBLEMS = {
     "relu": make_relu_problem(seed=4),
 }
 
-rates = st.builds(StepRates, alpha=st.floats(0.0, 2.0), beta=st.floats(0.0, 2.0))
+rates = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))  # (alpha, beta)
 death_rules = st.builds(DeathRule, kind=st.sampled_from(["guarded", "ratio"]),
                         tau_death=st.floats(0.01, 10.0),
                         scan=st.sampled_from(["all", "single"]))
@@ -49,7 +49,7 @@ def test_one_step_outputs_pass_check(name, seed, step, death_rule, birth_rule, e
     idx = None if exact else draw_batch(rng, m_k, n)
 
     certs, grads = certificate_and_grad(problem, swarm, swarm.positions, swarm.signs, idx)
-    pushed = weight_push_update(problem, swarm, certs, grads, step).check()
+    pushed = weight_push_update(problem, swarm, certs, grads, *step).check()
 
     vals, ev = problem.model.pushed_values(pushed.positions, pushed.weights * pushed.signs, idx)
     deaths = select_deaths(pushed, pushed.signs * vals + problem.kappa, death_rule, eps_k, rng)

@@ -5,7 +5,8 @@ import pytest
 
 from conicswarm.kernels import audit_assumptions
 from conicswarm.objective import certificate, certificate_and_grad
-from conicswarm.oracle import HOEFFDING_CAP_CONST, OracleConfig, draw_batch
+from conicswarm.birth_death import guarded_threshold_coeff, tail_exponent_for_dim
+from conicswarm.oracle import HOEFFDING_CAP_CONST, draw_batch
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem, \
     random_swarm
 from helpers import rng
@@ -101,16 +102,17 @@ class TestHoeffdingCap:
 
 
 class TestOracleConfig:
+    """The birth coefficient that the oracle's noise bound configures."""
+
     def test_threshold_scale_formula(self):
-        cfg = OracleConfig(tail_exponent=0.25, noise_sup=2.0)
-        assert cfg.threshold_scale == pytest.approx(2.0 * math.sqrt(0.5))
+        assert guarded_threshold_coeff(2.0, 0.25) == pytest.approx(2.0 * math.sqrt(0.5))
 
     def test_default_exponent_for_dim(self):
-        cfg = OracleConfig.for_dim(2, 1.0)
-        assert cfg.tail_exponent == pytest.approx(2 / (2 * (2 + 2)))
-        cfg1 = OracleConfig.for_dim(1, 1.0)
-        assert cfg1.tail_exponent == pytest.approx(1 / 6)
+        assert tail_exponent_for_dim(2) == pytest.approx(2 / (2 * (2 + 2)))
+        assert tail_exponent_for_dim(1) == pytest.approx(1 / 6)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
-            OracleConfig(tail_exponent=0.0, noise_sup=1.0)
+            guarded_threshold_coeff(1.0, 0.0)
+        with pytest.raises(ValueError):
+            guarded_threshold_coeff(0.0, 0.25)

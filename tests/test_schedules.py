@@ -133,10 +133,14 @@ class TestCalibrate:
                                  r"exp\(-alpha \* cert\) rounds to 1 for every certificate, "
                                  r"tv_bound = 8\.96\d+e\+20"):
             cal.check_rates(bounds)
-        # the threshold itself: 2^-54 passes, the float below it does not
-        dataclasses.replace(cal, alpha=2.0**-54, cert_bound=1.0).check_rates(bounds)
+        # the threshold itself: 2^-54 passes, the float below it does not;
+        # alpha is the least cap, so the descent cap sets it under a mass cap of 1
+        at_2_54 = dataclasses.replace(cal, alpha_cap_mass=1.0, alpha_cap_descent=2.0**-54,
+                                      cert_bound=1.0)
+        assert at_2_54.alpha == 2.0**-54
+        at_2_54.check_rates(bounds)
         with pytest.raises(CalibrationError, match="rounds to 1 for every certificate"):
-            dataclasses.replace(cal, alpha=below, cert_bound=1.0).check_rates(bounds)
+            dataclasses.replace(at_2_54, alpha_cap_descent=below).check_rates(bounds)
 
     def test_pure_function(self):
         args = dict(nu0_tv=0.3, kappa=0.05, lambda_x=2.0, y_norm=1.5, stochastic=True)
