@@ -7,12 +7,12 @@ birth/death process that inserts particles where the dual certificate is
 negative and removes them where it is safely positive.
 """
 
+from .audit import AssumptionBounds, audit_assumptions
 from .birth_death import BirthRule, DeathRule, apply_mass_tweak, evaluate_birth_candidates, \
     select_deaths
 from .domain import Ball, Box, Domain, grid_points
 from .dynamics import descent_check, weight_push_update
-from .kernels import AssumptionBounds, GmmKernel, KernelModel, ReluKernel, SyntheticKernel, \
-    audit_assumptions
+from .kernels import GmmKernel, KernelModel, ReluKernel, SyntheticKernel
 from .objective import KktReport, Problem, certificate, certificate_and_grad, frechet_gap, \
     kkt_residual, loss
 from .oracle import draw_batch

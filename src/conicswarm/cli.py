@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
+from .audit import audit_assumptions
 from .birth_death import BirthRule, DeathRule, guarded_threshold_coeff, tail_exponent_for_dim
 from .config import ConfigError, RunSpec, load_config, parse_value
 from .domain import Box, grid_points
-from .kernels import SyntheticKernel, audit_assumptions
+from .kernels import SyntheticKernel
 from .objective import Problem, kkt_residual
 from .runner import RunAborted, RunConfig, run, trace_from_csv, trace_to_csv
 from .schedules import AnytimePlan, CalibrationError, FixedPlan, calibrate, horizon_plan
@@ -151,6 +152,10 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
     rates_cfg = spec.rates
     theory = bd["profile"] == "theory"
     calibrated = rates_cfg["mode"] == "calibrated"
+    least = tail_exponent_for_dim(problem.domain.dim)
+    if bd["tail_exponent"] is not None and bd["tail_exponent"] < least:
+        raise ConfigError(f"[birth_death] tail_exponent must be at least d / (2 (2 + d)) = "
+                          f"{least:g} in d = {problem.domain.dim}, got {bd['tail_exponent']!r}")
 
     bounds = cal = None
     if calibrated or (bd["enabled"] and bd["birth_threshold"] is None and theory):
@@ -182,9 +187,7 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
             if noise <= 0:
                 raise ConfigError("guarded birth threshold needs a positive audited "
                                   "noise bound; set birth_threshold explicitly")
-            exponent = bd["tail_exponent"]
-            if exponent is None:
-                exponent = tail_exponent_for_dim(problem.domain.dim)
+            exponent = least if bd["tail_exponent"] is None else bd["tail_exponent"]
             threshold = guarded_threshold_coeff(noise, exponent)
         else:
             threshold = 0.0

@@ -101,10 +101,6 @@ class Box(Domain):
     def volume(self):
         return float(np.prod(self.upper - self.lower))
 
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
-
 
 class Ball(Domain):
     """Closed Euclidean ball of given center and radius."""
@@ -144,10 +140,6 @@ class Ball(Domain):
     def volume(self):
         d = self.dim
         return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * self.radius**d
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
 
 
 def grid_points(domain: Domain, resolution: int) -> np.ndarray:

@@ -1,21 +1,25 @@
-"""Problem kernels: model kernel K, observation inner products and audits.
+"""Kernel models: the kernel K, the observation inner products and the
+solver loop's evaluations of each problem.
 
-A model implements ten members, each evaluation with an optional
-mini-batch restriction ``idx`` (``None`` means the exact, full-data
-quantity): ``n_samples``, ``y_norm_sq``, the kernel primitives
+A model implements these members. Each evaluation takes an optional
+mini-batch restriction ``idx``: ``None`` means the exact, full-data
+quantity, and a batch averages per-sample quantities, so ``idx =
+arange(n)`` reproduces the exact one.
 
-* ``kernel_matrix(A, B, idx)``        -- K(a_i, b_j), shape (|A|, |B|)
-* ``weighted_grad1_kernel(A, B, c, idx)`` -- sum_j c_j * grad_a K(a_i, b_j)
-
-one fused evaluator of the unsigned certificate field,
-
+* ``n_samples`` and ``y_norm_sq``;
+* ``kernel_matrix(A, B, idx)`` -- K(a_i, b_j), shape (|A|, |B|);
+* ``weighted_grad1_kernel(A, B, c, idx)`` -- sum_j c_j grad_a K(a_i, b_j);
 * ``certificate_field(T, S, c, idx)`` -- ``(K(T, S) c - <y, phi_T>,
-  sum_j c_j grad K(T, s_j) - grad <y, phi_T>)``
+  sum_j c_j grad K(T, s_j) - grad <y, phi_T>)``, values and gradients
+  from one kernel matrix and one data-side evaluation;
+* the value form ``_evaluation`` and ``candidate_values`` (below);
+* ``objective_value(T, w, s, kappa)`` -- the exact objective of a
+  non-empty swarm;
+* the audit's hooks (``audit.audit_assumptions``): ``_pair_grad1``,
+  ``_sample_y`` and ``_sample_width``, and ``_sample_kernel`` where
+  ``kernel_depends_on_samples``.
 
-which builds one kernel matrix and one data-side density for both values
-and gradients, the value form ``_evaluation`` and ``candidate_values``
-below, ``objective_value``, and the audit's ``_pair_grad1`` and
-``_sample_y``. ``KernelModel`` derives the rest from them:
+``KernelModel`` derives the rest from them:
 
 * ``certificate_values(T, S, c, idx)`` -- the values of
   ``certificate_field`` alone, with its bits: ``candidate_values(
@@ -26,30 +30,8 @@ below, ``objective_value``, and the audit's ``_pair_grad1`` and
   is ``-<y, phi_t>``. Negation is exact, and ``0.0 - v`` returns a zero
   as +0.0.
 
-Each model implements the loop evaluations ``pushed_values`` and
-``support_field`` below.
-
 Point sets are (k, d) float arrays and coefficients 1-D float arrays, as
-the program's entry points make them (``ParticleSwarm``, ``objective``'s
-lifted points and grids, ``Domain.sample_uniform``); the models convert
-no operand.
-
-The mixture's field is ``GaussianKernel.weighted_kernel`` (``K c`` from the
-unnormalized entries, the constant applied to the product) and
-``weighted_grad1_kernel`` less its data side, bit for bit; the synthetic
-model sums the same products in one group (see below). ReLU builds no
-kernel matrix: over row blocks of the batch it correlates the activations
-``act = relu(X_b T')`` with the residual ``r = relu(X_b S) c - y``, values
-``act' r / m`` and gradients ``((X_b * r)' [act > 0])' / m``, equal to
-``K c`` less the data side up to summation rounding. ``objective_value(T,
-w, s, kappa)`` is the exact objective of a non-empty swarm. Both Gaussian
-models take the expanded ``0.5 |y|^2 + <kappa - s <y, phi_T>, w> + 0.5 c'
-K(T, T) c`` with ``c = s w``, the last term from ``weighted_kernel``. ReLU
-sums the residual ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)`` over its
-1 MiB row blocks, so its memory does not grow with n.
-
-A batch restriction averages per-sample quantities, so
-``idx = arange(n)`` reproduces the exact one.
+the program's entry points make them; the models convert no operand.
 
 A solver iteration scores one pushed measure ``(T', c)`` on one batch
 twice, and three loop evaluations hand what the two share on as an
@@ -64,322 +46,32 @@ stateless calls:
   ``certificate_field(T, T, c, idx)`` at ``T = [T'[keep]; born]``, the
   survivors under the boolean mask ``keep``, then the born candidates.
 
-ReLU's ``pushed_values`` and ``support_field`` take ``r`` and the values
-from one activation.
-
 Every loop evaluation, and the objective at the loop's cadence, also takes
-an optional ``Workspace`` ``ws``, which ``runner.run`` creates once per run
-and hands on next to ``ev``; the models keep it nowhere. Its slots are
-64-byte aligned, C-ordered float64 buffers, reused from call to call, and
-the large temporaries are written into them through ``out=`` by the same
-ufuncs and BLAS calls, so no result changes by a bit: ``_sqdist``'s
-products, the Gaussian entries, the mixture's data-side rows and mean
-blocks, ``ev``'s kernel block and the mixture's exact rows, the assembled
-support kernel and its survivor gathers, and ReLU's activation blocks. ``ev``'s own arrays
+an optional ``workspace.Workspace`` ``ws``, which ``runner.run`` creates
+once per run and hands on next to ``ev``; the models keep it nowhere. The
+large temporaries are written into its slots through ``out=`` by the same
+ufuncs and BLAS calls, so no result changes by a bit. ``ev``'s own arrays
 live until the next ``pushed_values`` rewrites them, after the next
 ``support_field`` has read them; every other slot holds what one call uses
-up. Arrays below ``_PRODUCT_ENTRIES`` entries skip the workspace and are
-allocated as without one, since at p of about 8 any bookkeeping per call
-costs more than it saves. Every caller outside the loop (the objective
-and certificates, the audit, ``verify``) passes no workspace and allocates
-as before.
-
-``GaussianKernel`` is the kernel side of both Gaussian models,
-``K(a, b) = knorm exp(-|a - b|^2 / (2 kvar))``: ``SyntheticKernel`` has
-``kvar = sigma^2`` and ``knorm = 1``, ``GmmKernel`` the variance and
-density constant of ``N(.; b, kvar I)``. ``_gauss_finish`` finishes every
-entry in place by one multiply and one exp from ``_sqdist``'s sums of
-squared coordinate differences, so each depends on its two points alone: a
-row has the same bits whatever else shares the call, and ``K(A, B)`` is
-``K(B, A)'`` exactly. From ``_PRODUCT_ENTRIES`` entries on, each
-coordinate's differences are one BLAS product ``[a, 1] @ [1; -b]``, exact
-up to the sign of a zero for any BLAS summation order, FMA use or thread
-split. ``knorm`` multiplies the sums the entries are reduced to, ``K c``
-and the gradients ``sum_j c_j grad_a K(a_i, b_j)`` (one product
-``K(A, B) @ [c B, c]``); only ``kernel_matrix`` carries it entry by entry.
-One array against itself (``a is b``) is the upper triangle of row blocks,
-mirrored, with the bits of the full build. The synthetic observation is the
-point set ``[atoms; anchors]`` weighted by ``[w; eta_b]``, so a certificate
-is the weighted kernel of ``P = [S; atoms; anchors]`` with ``q = [c; -w;
--eta_b]``, one product, and ``ev = (P', q', K(T', P'))``, the pushed
-measure's; a batch's noise mean ``eta_b`` is ``bincount(idx) @ eta /
-|idx|``, with no |idx| x r gather. The mixture keeps its own data side:
-densities of a second variance, averaged over row blocks of
-``_ROW_BLOCK_ENTRIES`` entries with the bits of one n-wide array.
-
-``audit_assumptions`` runs no Python loop over samples or pairs. It reads
-the diagonal ``K(t, t)`` from the kernel matrix of its points, takes every
-pair gradient and finite-difference Hessian column from one batched
-``_pair_grad1`` call and the Hessians' eigenvalues from one stacked
-``eigvalsh``, and takes per-sample values (``_sample_y``, and ReLU's
-``_sample_kernel``) over chunks of samples whose arrays hold at most
-``_ROW_BLOCK_ENTRIES`` entries. The Gaussian pair gradients are ``_grads``
-of the diagonal of ``_kernel(A, B)``, one pair per stacked slice, so these
-models' bounds have the bits of one call per pair and per sample; ReLU's
-batched products sum in another order, so its bounds may move by rounding,
-within a relative 1e-9 (see the function).
+up. Every caller outside the loop (the objective and certificates, the
+audit, ``verify``) passes no workspace.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Box, Domain, grid_points
+# ``perfbench/micro.py`` imports the audit from here
+from .audit import AssumptionBounds, audit_assumptions
+from .domain import Box
+from .gaussian import close_pair_sum, gauss_density, gauss_grad, gauss_norm, gauss_self
+from .workspace import ROW_BLOCK_ENTRIES, SELF_BLOCK_ENTRIES, buffer, out_buffer
 
-__all__ = [
-    "KernelModel",
-    "GaussianKernel",
-    "SyntheticKernel",
-    "GmmKernel",
-    "ReluKernel",
-    "AssumptionBounds",
-    "audit_assumptions",
-]
-
-
-#: pairwise entries from which ``_sqdist`` forms coordinate differences as a
-#: product. Below it the product's set-up costs more than it saves: in d = 2
-#: on a Xeon core with OpenBLAS 0.3.31 on one thread, 15 us against 10 us at
-#: 8 x 8, about even at 48 x 48, 22 us against 27 us at 64 x 64 and 34 us
-#: against 62 us at 128 x 128
-_PRODUCT_ENTRIES = 4096
-
-
-#: byte alignment of every workspace slot: a cache line, and the widest SIMD
-#: load
-_ALIGN = 64
-
-
-class Workspace:
-    """Reused buffers for the large temporaries of one run's loop
-    evaluations, in named slots.
-
-    ``runner.run`` creates one per run and hands it, next to ``ev``, to
-    ``pushed_values``, ``candidate_values``, ``support_field`` and the
-    cadence ``loss``; the models keep it nowhere. Every other caller passes
-    None, and numpy allocates as it would without one.
-
-    ``take(slot, rows, cols)`` returns a C-ordered float64 array of that
-    shape at the start of the slot, whose data start ``offset`` bytes past a
-    64-byte boundary (0 in the loop; the tests try 16, 32 and 48 to show
-    that no bits depend on it). Below ``_PRODUCT_ENTRIES`` entries it
-    returns None and the caller allocates, as a fresh small array costs less
-    than the bookkeeping. A slot asked for more than it holds is replaced by
-    one half as large again as the size asked, so it is replaced a number of
-    times logarithmic in its largest size, and its old buffer is freed
-    before the new one is allocated, so malloc may hand that memory on. What
-    a slot holds is overwritten by the next call that takes it:
-
-    * ``"ev.kernel"`` and ``"ev.rows"``: ``ev``'s kernel block (the
-      mixture's ``K(T', T')``, the synthetic model's ``K(T', P')``) and, in
-      an exact mixture run, its data-side rows. ``pushed_values`` writes them
-      and the next iteration's ``support_field`` reads them, before the next
-      ``pushed_values`` writes its own.
-    * ``"work"``: the largest array of one evaluation step, used up within
-      the call: data-side rows (a batch's, the candidates' and the loss's
-      mean blocks, the exact support's assembled rows), then the kernel
-      built after them (the candidates' ``K(C, T')``, the assembled support
-      kernel, the loss's ``K(T, T)``), or a ReLU activation block.
-    * ``"diff"``: ``_sqdist``'s coordinate differences, and the survivors'
-      rows of ``K(T', T')`` while their columns are gathered.
-    * ``"block"``: ``_gauss_self``'s row blocks.
-    """
-
-    def __init__(self, offset: int = 0):
-        self.offset = offset
-        self._slots = {}
-
-    def take(self, slot: str, rows: int, cols: int):
-        """The slot's first ``rows * cols`` entries as a (rows, cols) array,
-        or None below ``_PRODUCT_ENTRIES`` entries."""
-        size = rows * cols
-        if size < _PRODUCT_ENTRIES:
-            return None
-        if len(self._slots.get(slot, ())) < size:
-            self._slots[slot] = ()  # free the old buffer first: malloc may reuse its memory
-            raw = np.empty(size + size // 2 + _ALIGN // 8)
-            self._slots[slot] = raw[(self.offset - raw.ctypes.data) % _ALIGN // 8 :]
-        return self._slots[slot][:size].reshape(rows, cols)
-
-
-def _out(ws, slot, rows, cols):
-    """``ws.take(slot, rows, cols)``, or None without a workspace."""
-    return None if ws is None else ws.take(slot, rows, cols)
-
-
-def _buffer(ws, slot, rows, cols):
-    """``_out(ws, slot, rows, cols)``, or a fresh array where that is None."""
-    buf = _out(ws, slot, rows, cols)
-    return np.empty((rows, cols)) if buf is None else buf
-
-
-def _sqdist(a: np.ndarray, b: np.ndarray, ws=None, out=None) -> np.ndarray:
-    """Pairwise squared Euclidean distances, shape (|a|, |b|), as sums of
-    squared coordinate differences in one buffer, ``out`` if given: each
-    entry depends on its two points alone, whatever else shares the call,
-    and loses no digits far from the origin. Only the squares are returned,
-    never the differences.
-
-    From ``_PRODUCT_ENTRIES`` entries on, each coordinate's differences
-    ``a_i - b_j`` are one small product, ``[a_:,j, 1] @ [1; -b_:,j]``. Its
-    terms are products by 1, so exact, and the sum of two terms is rounded
-    once: every difference is the correctly rounded ``a_i - b_j`` of
-    ``np.subtract.outer`` whatever the BLAS summation order, FMA use or
-    thread split. Only the sign of a zero difference may differ, and the
-    square removes it. The first coordinate's squares are formed in the
-    result, each further one's in row blocks of at most
-    ``_SELF_BLOCK_ENTRIES`` entries (``ws``'s slot ``"diff"``), which stay
-    in cache until they are added.
-    """
-    if len(a) * len(b) < _PRODUCT_ENTRIES:
-        d2 = np.subtract.outer(a[:, 0], b[:, 0], out=out)
-        d2 *= d2
-        for j in range(1, a.shape[1]):
-            dj = np.subtract.outer(a[:, j], b[:, j])
-            dj *= dj
-            d2 += dj
-        return d2
-    left, right = np.empty((len(a), 2)), np.empty((2, len(b)))
-    left[:, 1] = right[0] = 1.0
-    left[:, 0] = a[:, 0]
-    np.negative(b[:, 0], out=right[1])
-    d2 = np.matmul(left, right, out=out)
-    d2 *= d2
-    step = max(1, _SELF_BLOCK_ENTRIES // len(b))
-    for j in range(1, a.shape[1]):
-        left[:, 0] = a[:, j]
-        np.negative(b[:, j], out=right[1])
-        for lo in range(0, len(a), step):
-            rows = d2[lo : lo + step]
-            dj = np.matmul(left[lo : lo + step], right, out=_out(ws, "diff", len(rows), len(b)))
-            dj *= dj
-            rows += dj
-    return d2
-
-
-def _gauss_finish(d2: np.ndarray, var: float) -> np.ndarray:
-    """``exp(-d2 / (2 var))`` from ``d2 = |a - b|^2``, in place, by one
-    multiply and one exp: the Gaussian density ``N(a; b, var*I)`` without
-    its constant ``_gauss_norm(var, d)``, which callers apply to the sums
-    they reduce the entries to."""
-    d2 *= -0.5 / var
-    return np.exp(d2, out=d2)
-
-
-def _gauss_norm(var: float, dim: int) -> float:
-    """The constant ``(2 pi var)^(-d/2)`` of the density ``N(.; b, var*I)``."""
-    return (2.0 * np.pi * var) ** (-dim / 2.0)
-
-
-def gauss_density(a: np.ndarray, b: np.ndarray, var: float, ws=None, out=None) -> np.ndarray:
-    """Isotropic Gaussian density N(a; b, var*I) evaluated pairwise, without
-    its constant ``_gauss_norm(var, d)``: ``exp(-|a_i - b_j|^2 / (2 var))``,
-    finished in the distance buffer (``_sqdist``'s, with its ``ws`` and
-    ``out``)."""
-    return _gauss_finish(_sqdist(a, b, ws, out), var)
-
-
-#: entries per row block of an n-long evaluation: ``relu_blocks``'
-#: activations, ``GmmKernel``'s data-side means and the audit's chunks (1 MiB)
-_ROW_BLOCK_ENTRIES = 2**17
-#: entries per row block of ``_gauss_self`` and ``_exp_sum`` (256 KiB, so a
-#: block and its temporaries stay in a core's cache)
-_SELF_BLOCK_ENTRIES = 2**15
-#: leading coordinates that index the cell list of ``_close_pair_sum``
-_CELL_DIMS = 3
-
-
-def _exp_sum(x: np.ndarray, m: int, scale: float) -> float:
-    """``sum_ij w_ij exp(-|x_i - x_j|^2 / scale)`` over ``i < m``, with
-    ``w_ij = 1`` for ``j < m`` and 2 otherwise: the first ``m`` rows
-    against themselves once and against the rest twice, in cache-sized row
-    blocks of at most ``_SELF_BLOCK_ENTRIES`` terms, each block against
-    itself and the rows after it.
-    """
-    total, step = 0.0, max(1, _SELF_BLOCK_ENTRIES // len(x))
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        # -0.5 / (0.5 scale) is -1 / scale exactly
-        terms = _gauss_finish(_sqdist(x[lo:hi], x[lo:]), 0.5 * scale)
-        total += float(terms[:, : hi - lo].sum()) + 2.0 * float(terms[:, hi - lo :].sum())
-    return total
-
-
-def _gauss_self(x: np.ndarray, var: float, ws=None, out=None) -> np.ndarray:
-    """``gauss_density(x, x, var)``, in ``out`` if given, from the upper
-    triangle: row blocks of at most ``_SELF_BLOCK_ENTRIES`` entries against
-    themselves and the rows after them, each built in ``ws``'s slot
-    ``"block"``, copied in and mirrored below the diagonal. Entries are
-    pair-local and ``K(a, b) = K(b, a)`` bit for bit, so the result has the
-    bits of the full build."""
-    p = len(x)
-    if p * p <= _SELF_BLOCK_ENTRIES:
-        return gauss_density(x, x, var, ws, out)
-    k = np.empty((p, p)) if out is None else out
-    step = max(1, _SELF_BLOCK_ENTRIES // p)
-    for lo in range(0, p, step):
-        hi = min(lo + step, p)
-        block = gauss_density(x[lo:hi], x[lo:], var, ws, _out(ws, "block", hi - lo, p - lo))
-        k[lo:hi, lo:] = block
-        k[hi:, lo:hi] = block[:, hi - lo :].T
-    return k
-
-
-def _close_pair_sum(x: np.ndarray, scale: float, cutoff: float) -> float:
-    """``sum_ij exp(-|x_i - x_j|^2 / scale)`` over every ordered pair closer
-    than ``cutoff`` (and some farther ones), by a cell list.
-
-    Cells have side ``cutoff / 2`` in the first ``g = min(d, 3)``
-    coordinates, so two samples closer than ``cutoff`` sit in cells whose
-    indices differ by at most 2 per axis. Only occupied cells are stored,
-    keyed by the bytes of their indices. ``_exp_sum`` sums each cell once
-    against itself and twice against the occupied cells of the forward half
-    of its ``5^g`` stencil, in tiles of at most ``_SELF_BLOCK_ENTRIES`` terms.
-    """
-    n, g = len(x), min(x.shape[1], _CELL_DIMS)
-
-    def byte_keys(idx):
-        return np.ascontiguousarray(idx).view(np.dtype((np.void, 8 * g))).ravel()
-
-    # The clip guards the int64 cast; it is monotone, so indices within 2 of
-    # each other stay within 2.
-    keys = np.clip(np.floor(x[:, :g] * (2.0 / cutoff)), -2.0**62, 2.0**62).astype(np.int64)
-    order = np.argsort(byte_keys(keys), kind="stable")
-    x, keys = x[order], keys[order]
-    cells, starts = np.unique(byte_keys(keys), return_index=True)
-    ends = np.r_[starts[1:], n]
-    stencil = [off for off in itertools.product(range(-2, 3), repeat=g) if off > (0,) * g]
-    near = np.full((len(starts), len(stencil)), -1)
-    for s, off in enumerate(stencil):
-        want = byte_keys(keys[starts] + np.array(off))
-        pos = np.minimum(np.searchsorted(cells, want), len(cells) - 1)
-        near[:, s] = np.where(cells[pos] == want, pos, -1)
-    total = 0.0
-    for c, (lo, hi) in enumerate(zip(starts, ends)):
-        block = [x[lo:hi]] + [x[starts[j] : ends[j]] for j in near[c] if j >= 0]
-        total += _exp_sum(np.concatenate(block), hi - lo, scale)
-    return total
-
-
-def _gauss_grad(k: np.ndarray, a: np.ndarray, b: np.ndarray, coef, var: float) -> np.ndarray:
-    """``sum_j coef_j grad_a K(a_i, b_j)`` from the Gaussian kernel matrix ``k``
-    of variance ``var``, ``grad_a K = K (b - a) / var``: one product ``s = k @
-    [coef b, coef]`` against a |b| x (d + 1) right-hand side, with no |a| x |b|
-    temporary, gives ``(s[:, :d] - s[:, d:] a) / var``. A ``coef`` of shape
-    (m, |b|) stacks m vectors: one matmul, one BLAS call and its bits per slice."""
-    s = k @ np.concatenate([coef[..., None] * b, coef[..., None]], axis=-1)
-    return (s[..., :-1] - s[..., -1:] * a) / var
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of ``x``, each from the dot product that
-    ``np.linalg.norm`` of that row alone takes: one BLAS dot per row."""
-    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+__all__ = ["KernelModel", "GaussianKernel", "SyntheticKernel", "GmmKernel", "ReluKernel",
+           "AssumptionBounds", "audit_assumptions"]
 
 
 class KernelModel(ABC):
@@ -469,7 +161,7 @@ class GaussianKernel(KernelModel):
 
     Entries are built without ``_knorm`` (``_kernel``), one multiply and one
     exp each, and ``_knorm`` multiplies what they are reduced to: the
-    products ``K c`` (``_values``) and ``_gauss_grad``'s (``_grads``). Only
+    products ``K c`` (``_values``) and ``gauss_grad``'s (``_grads``). Only
     ``kernel_matrix`` multiplies every entry, so it returns the kernel.
     """
 
@@ -481,9 +173,9 @@ class GaussianKernel(KernelModel):
         ``ws``'s ``"work"``; one array against itself (``a is b``) by the
         symmetric build."""
         if out is None:
-            out = _out(ws, "work", len(a), len(b))
+            out = out_buffer(ws, "work", len(a), len(b))
         if a is b:
-            return _gauss_self(a, self._kvar, ws, out)
+            return gauss_self(a, self._kvar, ws, out)
         return gauss_density(a, b, self._kvar, ws, out)
 
     def kernel_matrix(self, a, b, idx=None):
@@ -497,7 +189,7 @@ class GaussianKernel(KernelModel):
 
     def _grads(self, k, a, b, coef):
         """``sum_j c_j grad_a K(a_i, b_j)`` from the unnormalized kernel ``k``."""
-        return _gauss_grad(k, a, b, coef, self._kvar) * self._knorm
+        return gauss_grad(k, a, b, coef, self._kvar) * self._knorm
 
     def weighted_kernel(self, a, b, coef, idx=None, ws=None):
         """``sum_j coef_j K(a_i, b_j)``, shape (|a|,)."""
@@ -534,7 +226,7 @@ class SyntheticKernel(GaussianKernel):
     ``eta_b`` comes from its sample counts. A certificate evaluation builds
     one kernel matrix ``K(t, P)`` of the signed point set
     ``P = [S; atoms; anchors]``; with the coefficients ``q = [c; -w; -eta_b]``
-    it gives the values ``K(t, P) q`` and, by one ``_gauss_grad`` product,
+    it gives the values ``K(t, P) q`` and, by one ``gauss_grad`` product,
     their gradients. ``|y|^2`` is computed once.
 
     In the loop ``ev = (P', q', k)`` holds the pushed measure's point set and
@@ -611,7 +303,8 @@ class SyntheticKernel(GaussianKernel):
 
     def pushed_values(self, support, coef, idx=None, ws=None):
         points, q = self._evaluation(support, coef, idx)
-        k = self._kernel(support, points, ws, _out(ws, "ev.kernel", len(support), len(points)))
+        k = self._kernel(support, points, ws,
+                         out_buffer(ws, "ev.kernel", len(support), len(points)))
         return self._values(k, q), (points, q, k)
 
     def candidate_values(self, ev, t, ws=None):
@@ -672,7 +365,7 @@ class GmmKernel(GaussianKernel):
     Data-side means that feed no gradient (``candidate_values``, and so
     ``certificate_values``, ``y_inner_many``, the loss and
     ``kkt_residual``), exact or batched, are built and averaged in row
-    blocks of at most ``_ROW_BLOCK_ENTRIES`` densities, so no |T| x n array
+    blocks of at most ``ROW_BLOCK_ENTRIES`` densities, so no |T| x n array
     is held.
 
     In the loop ``ev`` holds the batch rows, fetched once, the unnormalized
@@ -700,8 +393,8 @@ class GmmKernel(GaussianKernel):
         self.dim = self.data.shape[1]
         self._kvar = 2.0 * (1.0 + tau**2)
         self._yvar = 1.0 + 2.0 * tau**2
-        self._knorm = _gauss_norm(self._kvar, self.dim)
-        self._ynorm = _gauss_norm(self._yvar, self.dim)
+        self._knorm = gauss_norm(self._kvar, self.dim)
+        self._ynorm = gauss_norm(self._yvar, self.dim)
         if min(self._knorm, self._ynorm) < np.finfo(float).tiny:
             raise ValueError(f"tau = {self.tau!r} is too large in d = {self.dim}: the Gaussian "
                              "constants (2 pi var)^(-d/2) are below the smallest normal float")
@@ -721,7 +414,7 @@ class GmmKernel(GaussianKernel):
             cutoff = math.sqrt(scale * (math.log(n) + 60.0 * math.log(2.0)))
             # far pairs' exponents may overflow to -inf, whose exp is exactly 0
             with np.errstate(over="ignore"):
-                mean = _close_pair_sum(self.data, scale, cutoff) / n**2
+                mean = close_pair_sum(self.data, scale, cutoff) / n**2
             try:
                 half = (math.pi * scale) ** (-self.dim / 4.0)
                 value = mean * half * half
@@ -743,7 +436,7 @@ class GmmKernel(GaussianKernel):
         ``"work"``, and their means, with it. The means are ``np.mean``'s own
         sum and division, without its wrapper."""
         if out is None:
-            out = _out(ws, "work", len(t), len(x))
+            out = out_buffer(ws, "work", len(t), len(x))
         rows = gauss_density(t, x, self._yvar, ws, out)
         means = np.add.reduce(rows, axis=1)
         means /= x.shape[0]
@@ -756,10 +449,10 @@ class GmmKernel(GaussianKernel):
 
     def _means(self, t, x, ws=None):
         """``<y, phi_t>`` over the samples ``x``, built and averaged in blocks
-        of at most ``_ROW_BLOCK_ENTRIES`` densities (one row once ``len(x)``
+        of at most ``ROW_BLOCK_ENTRIES`` densities (one row once ``len(x)``
         exceeds it)."""
         out = np.empty(len(t))
-        step = max(1, _ROW_BLOCK_ENTRIES // len(x))
+        step = max(1, ROW_BLOCK_ENTRIES // len(x))
         for lo in range(0, len(t), step):
             out[lo : lo + step] = self._density(t[lo : lo + step], x, ws)[1]
         return out
@@ -798,11 +491,12 @@ class GmmKernel(GaussianKernel):
     def pushed_values(self, support, coef, idx=None, ws=None):
         ev = self._evaluation(support, coef, idx)
         support, coef, x = ev["support"], ev["coef"], ev["x"]
-        out = None if idx is not None else _out(ws, "ev.rows", len(support), len(x))
+        out = None if idx is not None else out_buffer(ws, "ev.rows", len(support), len(x))
         rows, means = self._density(support, x, ws, out)
         side = (rows, means) if idx is None else None
         del rows  # a batch's rows go before K(T', T') is built
-        k = self._kernel(support, support, ws, _out(ws, "ev.kernel", len(support), len(support)))
+        k = self._kernel(support, support, ws,
+                         out_buffer(ws, "ev.kernel", len(support), len(support)))
         ev.update(k=k, side=side)
         return self._values(k, coef) - means, ev
 
@@ -826,18 +520,18 @@ class GmmKernel(GaussianKernel):
         """The unnormalized ``K(T, T)`` of ``T = [T'[keep]; born]`` in
         ``ws``'s ``"work"``, from ``k = K(T', T')``: the survivors' block by
         row-order gathers of rows, then columns, in row blocks of at most
-        ``_SELF_BLOCK_ENTRIES`` (so each block's rows stay in cache), which
+        ``SELF_BLOCK_ENTRIES`` (so each block's rows stay in cache), which
         leave it C-ordered like a fresh build; then the born rows
         ``K(T[p:], T)``, mirrored into the born columns."""
-        full = _buffer(ws, "work", len(t), len(t))
+        full = buffer(ws, "work", len(t), len(t))
         if p < len(keep):
             # "clip" (the indices are in range) writes a C-ordered ``out`` in
             # place, where "raise" copies through a temporary of its size
             live = np.flatnonzero(keep)
-            step = max(1, _SELF_BLOCK_ENTRIES // len(keep))
+            step = max(1, SELF_BLOCK_ENTRIES // len(keep))
             for lo in range(0, p, step):
                 sub = live[lo : lo + step]
-                rows = np.take(k, sub, axis=0, out=_out(ws, "diff", len(sub), len(keep)),
+                rows = np.take(k, sub, axis=0, out=out_buffer(ws, "diff", len(sub), len(keep)),
                                mode="clip")
                 np.take(rows, live, axis=1, out=full[lo : lo + len(sub), :p], mode="clip")
         else:
@@ -854,19 +548,19 @@ class GmmKernel(GaussianKernel):
         batched ``ev``, which holds no rows."""
         if side is None or (p == len(keep) and not len(born)):
             return side
-        rows = _buffer(ws, "work", p + len(born), len(x))
+        rows = buffer(ws, "work", p + len(born), len(x))
         np.take(side[0], np.flatnonzero(keep), axis=0, out=rows[:p], mode="clip")
         return rows, np.concatenate([side[1][keep], self._density(born, x, ws, rows[p:])[1]])
 
 
 def relu_blocks(aug: np.ndarray, t: np.ndarray, ws=None):
     """``(rows, relu(aug[rows] T'))`` over row blocks of at most
-    ``_ROW_BLOCK_ENTRIES`` activations, ``max(1, |T|)`` to a row, each
+    ``ROW_BLOCK_ENTRIES`` activations, ``max(1, |T|)`` to a row, each
     overwriting the one before in one buffer, ``ws``'s ``"work"`` if given:
     the one loop over a batch's rows of every ReLU evaluation."""
     n = aug.shape[0]
-    step = max(1, _ROW_BLOCK_ENTRIES // max(1, len(t)))
-    buf = _buffer(ws, "work", min(step, n), len(t))
+    step = max(1, ROW_BLOCK_ENTRIES // max(1, len(t)))
+    buf = buffer(ws, "work", min(step, n), len(t))
     for lo in range(0, n, step):
         act = buf[: min(step, n - lo)]
         np.matmul(aug[lo : lo + step], t.T, out=act)
@@ -1022,127 +716,3 @@ class ReluKernel(KernelModel):
             resid = act @ c - self.targets[rows]
             return resid @ resid
         return float(0.5 * _relu_sum(self._aug, t, part, ws)) + kappa * float(weights.sum())
-
-
-@dataclass
-class AssumptionBounds:
-    """Empirical estimates of the regularity constants of a model.
-
-    kernel_min    -- smallest sampled kernel value (0 flags failed positivity)
-    smooth_max    -- bound on |K|, |grad K| and a finite-difference Hessian norm
-    noise_sup     -- a.s. bound estimate on per-sample estimator deviations
-    cert_offset   -- offset of the certificate lower bound kernel_min * tv - cert_offset
-                     (max |<y, phi_t>| on the grid)
-    diag_gap      -- max |K(t, t) - 1|, reported for normalization warnings
-    """
-
-    kernel_min: float
-    smooth_max: float
-    noise_sup: float
-    cert_offset: float
-    diag_gap: float = 0.0
-
-    def __post_init__(self):
-        if self.kernel_min < 0 or self.noise_sup < 0:
-            raise ValueError("bounds must be nonnegative")
-        if self.smooth_max < self.kernel_min:
-            raise ValueError("smooth_max must dominate kernel_min")
-
-
-#: factor on the worst observed per-sample deviation in the audit's noise bound
-_NOISE_SAFETY = 1.5
-
-
-def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
-                      rng: np.random.Generator, tv_cap: float = 1.0) -> AssumptionBounds:
-    """Estimate the assumption constants by sampling the domain.
-
-    Boxes contribute their corners to the sample (the kernel minimum of a
-    radial kernel sits at maximal separation), the rest is uniform. The
-    noise bound multiplies the worst observed per-sample deviation by
-    ``_NOISE_SAFETY`` and scales kernel deviations by ``tv_cap``.
-
-    Every step is an array evaluation. The diagonal ``K(t, t)`` of the first
-    64 points is read from the kernel matrix of all points. The gradients
-    ``grad_s K(s, t)`` of up to 48 neighbouring pairs and the central
-    differences (step 1e-4) of the Hessians at up to 12 of them, those
-    at least 1e-3 inside the domain, are one ``_pair_grad1`` call, and the
-    Hessians' eigenvalues one stacked ``eigvalsh``. The per-sample
-    deviations at up to 24 points are taken over chunks of samples whose
-    arrays hold at most ``_ROW_BLOCK_ENTRIES`` entries.
-
-    The Gaussian models' per-pair and per-sample values are pair-local or
-    made by the BLAS calls of the one-sample evaluations, so their bounds
-    have the bits of a loop over pairs and samples. ReLU's pre-activations
-    of many samples and its exact pair gradients are matrix products, whose
-    summation order differs from one sample's or one pair's, so its bounds
-    may move by rounding. The finite-difference Hessian amplifies that most,
-    to about ``n^1.5`` units in the last place; the tests hold every field
-    within a relative 1e-9 of the loop's, on data in general position (a
-    pre-activation within rounding of 0 can flip its mask in one form only).
-    """
-    if grid_points_n < 2:
-        raise ValueError("need at least two audit points")
-    pts = domain.sample_uniform(rng, size=grid_points_n)
-    if isinstance(domain, Box) and domain.dim <= 12:
-        corners = grid_points(domain, 2)
-        pts = np.vstack([pts, corners])
-
-    kmat = model.kernel_matrix(pts, pts)
-    kernel_min = max(float(kmat.min()), 0.0)
-    kernel_abs_max = float(np.abs(kmat).max())
-    diag_gap = float(np.abs(np.diagonal(kmat)[:64] - 1.0).max())
-
-    # One gradient per pair, then the finite-difference Hessians: row j of a
-    # stencil block is s + h e_j (or s - h e_j), against the pair's t.
-    n_pairs = min(48, len(pts) - 1)
-    pair_a = pts[:n_pairs]
-    pair_b = pts[1 : n_pairs + 1]
-    inner = np.flatnonzero(domain.contains(pair_a, tol=-1e-3))[:12]
-    d, h = model.dim, 1e-4
-    step = np.eye(d) * h
-    s, t = pair_a[inner][:, None, :], np.repeat(pair_b[inner], d, axis=0)
-    grads = model._pair_grad1(np.vstack([pair_a, (s + step).reshape(-1, d),
-                                         (s - step).reshape(-1, d)]),
-                              np.vstack([pair_b, t, t]))
-    g_plus, g_minus = grads[n_pairs:].reshape(2, len(inner), d, d)
-    hess = ((g_plus - g_minus) / (2.0 * h)).swapaxes(1, 2)
-    hess = 0.5 * (hess + hess.swapaxes(1, 2))
-    smooth_max = max(kernel_abs_max, float(_row_norms(grads[:n_pairs]).max()),
-                     float(np.abs(np.linalg.eigvalsh(hess)).max(initial=0.0)))
-
-    # Per-sample deviations on a subsample of points and pairs; kernel-side
-    # deviations enter scaled by the caller's TV cap since the certificate
-    # weighs them by particle mass.
-    eval_pts = pts[: min(24, len(pts))]
-    y_full = model.y_inner_many(eval_pts)
-    gy_full = model.grad_y_inner_many(eval_pts)
-    n_gpairs = min(8, n_pairs)
-    depends = model.kernel_depends_on_samples
-    if depends:
-        k_full = model.kernel_matrix(pair_a, pair_b)
-        gk_full = grads[:n_gpairs]
-    width = max(len(eval_pts) * model._sample_width(), n_pairs**2 if depends else 0)
-    chunk = max(1, _ROW_BLOCK_ENTRIES // width)
-    dev_y = dev_gy = dev_k = dev_gk = 0.0
-    for lo in range(0, model.n_samples, chunk):
-        rows = slice(lo, lo + chunk)
-        y_one, gy_one = model._sample_y(eval_pts, rows)
-        dev_y = max(dev_y, float(np.abs(y_one - y_full).max()))
-        dev_gy = max(dev_gy, float(np.linalg.norm(gy_one - gy_full, axis=-1).max()))
-        if depends:
-            k_one, gk_one = model._sample_kernel(pair_a, pair_b, n_gpairs, rows)
-            dev_k = max(dev_k, float(np.abs(k_one - k_full).max()))
-            dev_gk = max(dev_gk, float(np.linalg.norm(gk_one - gk_full, axis=-1).max()))
-    noise_val = dev_y + tv_cap * dev_k
-    noise_grad = dev_gy + tv_cap * dev_gk
-    noise_sup = _NOISE_SAFETY * max(noise_val, noise_grad)
-
-    cert_offset = float(np.abs(model.y_inner_many(pts)).max())
-    return AssumptionBounds(
-        kernel_min=kernel_min,
-        smooth_max=smooth_max,
-        noise_sup=noise_sup,
-        cert_offset=cert_offset,
-        diag_gap=diag_gap,
-    )

@@ -20,8 +20,8 @@ drives birth (negative regions) and death (positive regions).
 ``KernelModel.certificate_values`` and ``certificate_field``, whose values
 agree bit for bit. ``idx=None`` evaluates it exactly, an index array from
 ``oracle.draw_batch`` gives its mini-batch estimate. The solver loop folds
-them the same way into the model's loop evaluations (``pushed_values``,
-``candidate_values``, ``support_field``), which have the bits of those two.
+them the same way into the model's loop evaluations, under the contract
+that ``kernels`` states.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class Problem:
 
 def loss(problem: Problem, swarm: ParticleSwarm, ws=None) -> float:
     """Exact objective value of a swarm (empty swarm gives 0.5 |y|^2); the
-    solver loop hands its ``kernels.Workspace`` as ``ws``."""
+    solver loop hands its ``workspace.Workspace`` as ``ws``."""
     if len(swarm) == 0:
         return 0.5 * problem.model.y_norm_sq
     return problem.model.objective_value(swarm.positions, swarm.weights, swarm.signs,
@@ -122,11 +122,6 @@ class KktReport:
     min_cert_grid: float
     argmin_grid: np.ndarray
     max_abs_cert_support: float
-
-    def is_stationary(self, tol: float) -> bool:
-        """First-order optimality within tol: certificate nonnegative on the
-        grid and (numerically) zero on the support."""
-        return self.min_cert_grid >= -tol and self.max_abs_cert_support <= tol
 
 
 def kkt_residual(problem: Problem, swarm: ParticleSwarm, grid) -> KktReport:

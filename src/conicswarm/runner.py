@@ -15,22 +15,13 @@ and carries the trace rows recorded so far and the last good swarm.
 
 Each iteration scores the pushed measure on one batch twice, for deaths at
 its support and for births at the candidates, and the next support is the
-survivors followed by the born candidates. The loop hands this on
-explicitly: ``KernelModel.pushed_values`` returns ``ev``, what the two
-scorings share, which ``candidate_values`` and the next iteration's
-``support_field`` read and no call writes. The survivors are decided once,
-as the boolean mask ``keep``, which both ``apply_mass_tweak`` and
-``support_field`` take. The models keep no state between calls.
-
-The run owns one ``kernels.Workspace``, created when it starts and dropped
-when it returns, and hands it to the three loop evaluations and the cadence
-loss next to ``ev``: their large temporaries land in its reused, 64-byte
-aligned slots, so a long run neither maps fresh pages every iteration nor
-runs at a speed set by where malloc places its arrays. ``ev``'s own arrays
-sit in its slots until the next ``pushed_values`` rewrites them, so the
-loop drops ``ev`` as soon as ``support_field`` has read it: a slot that
-grows then frees its old buffer at once. Arrays too small to gain from it,
-and every call outside the loop, allocate as without one.
+survivors followed by the born candidates. The loop hands on what the two
+scorings share as ``ev`` and its workspace as ``ws``, under the contract
+that ``kernels`` states. The survivors are decided once, as the boolean
+mask ``keep``, which both ``apply_mass_tweak`` and ``support_field`` take.
+The run creates one ``workspace.Workspace`` when it starts and drops it
+when it returns, and drops ``ev`` as soon as ``support_field`` has read
+it, so a slot that grows frees its old buffer at once.
 """
 
 from __future__ import annotations
@@ -43,11 +34,11 @@ import numpy as np
 from .birth_death import BirthRule, DeathRule, apply_mass_tweak, evaluate_birth_candidates, \
     select_deaths
 from .dynamics import weight_push_update
-from .kernels import Workspace
 from .objective import Problem, loss
 from .oracle import draw_batch
 from .schedules import AnytimePlan, FixedPlan
 from .swarm import ParticleSwarm
+from .workspace import Workspace
 
 __all__ = ["RunConfig", "IterationRecord", "RunResult", "RunAborted", "run",
            "trace_to_csv", "trace_from_csv", "TRACE_COLUMNS"]

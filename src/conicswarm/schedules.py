@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .kernels import AssumptionBounds
+from .audit import AssumptionBounds
 from .oracle import HOEFFDING_CAP_CONST
 
 __all__ = [

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audit import audit_assumptions
 from .domain import Ball, Box
 from .birth_death import BirthRule, guarded_threshold_coeff, tail_exponent_for_dim
 from .dynamics import descent_check
-from .kernels import GmmKernel, ReluKernel, SyntheticKernel, audit_assumptions
+from .kernels import GmmKernel, ReluKernel, SyntheticKernel
 from .objective import Problem, certificate, certificate_and_grad, frechet_gap, loss
 from .oracle import draw_batch
 from .schedules import calibrate

@@ -17,10 +17,11 @@ import math
 
 import numpy as np
 
-from conicswarm import kernels
+from conicswarm import gaussian, kernels
+from conicswarm.audit import AssumptionBounds
 from conicswarm.domain import Ball, Box, Domain, grid_points
-from conicswarm.kernels import AssumptionBounds, KernelModel, ReluKernel, SyntheticKernel, \
-    gauss_density
+from conicswarm.gaussian import gauss_density
+from conicswarm.kernels import KernelModel, ReluKernel, SyntheticKernel
 
 # --- rounding constants ------------------------------------------------------
 
@@ -112,10 +113,10 @@ def reference_sqdist(a, b):
 
 
 def subtraction_exp_sum(x, m, scale):
-    """``kernels._exp_sum``'s tile loop with each tile's squared distances
+    """``gaussian._exp_sum``'s tile loop with each tile's squared distances
     from ``reference_sqdist``: no BLAS call."""
     total = 0.0
-    step = max(1, kernels._SELF_BLOCK_ENTRIES // len(x))
+    step = max(1, gaussian.SELF_BLOCK_ENTRIES // len(x))
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         d2 = reference_sqdist(x[lo:hi], x[lo:])
@@ -134,10 +135,10 @@ def scaled_kernel_grad(k, a, b, c, var):
 
 def grad_rounding_bound(k, a, b, c, var):
     """Elementwise bound ``2 (gamma(q + 2) + 2u) A_il`` between
-    ``kernels._gauss_grad`` and ``scaled_kernel_grad``, with
+    ``gaussian.gauss_grad`` and ``scaled_kernel_grad``, with
     ``A_il = sum_j |k_ij c_j| (|b_jl| + |a_il|) / var``.
 
-    ``_gauss_grad`` sums the terms ``k_ij c_j (b_j - a_i) / var`` as one
+    ``gauss_grad`` sums the terms ``k_ij c_j (b_j - a_i) / var`` as one
     product ``k @ [c * b, c]``; the reference scales the kernel first. The
     two group the same terms differently. Each side's products and sums of
     at most q + 2 terms are within ``gamma(q + 2)`` of the exact value,
@@ -327,7 +328,7 @@ def divided(a, b, var, dim):
     """The normalized entries ``exp(d2 / (-2 var)) (2 pi var)^(-d/2)``, the
     density's constant applied to every entry, and the per-entry relative
     bound ``eps_ij`` of ``mixture_field``."""
-    d2 = kernels._sqdist(a, b)
+    d2 = gaussian._sqdist(a, b)
     eps = (3.02 * d2 / (2.0 * var) + 10.0) * U
     d2 /= -2.0 * var
     np.exp(d2, out=d2)
@@ -377,7 +378,7 @@ def mixture_field(model, t, support, coef, x):
     m = len(x)
     y = ky.mean(axis=1)
     vals = k @ coef - y
-    grads = kernels._gauss_grad(k, t, support, coef, model._kvar) \
+    grads = gaussian.gauss_grad(k, t, support, coef, model._kvar) \
         - (ky @ x / m - y[:, None] * t) / model._yvar
     ks = entry_size(k, k_eps, len(support) + 6)
     ys = entry_size(ky, y_eps, m + 6)
@@ -528,7 +529,7 @@ def relu_objective_loop(model, t, weights, signs, kappa):
     ``kernels.relu_blocks``."""
     c = weights * signs
     n = model.n_samples
-    step = max(1, kernels._ROW_BLOCK_ENTRIES // len(c))
+    step = max(1, kernels.ROW_BLOCK_ENTRIES // len(c))
     buf = np.empty((min(step, n), len(c)))
     total = 0.0
     for lo in range(0, n, step):
@@ -543,11 +544,11 @@ def relu_objective_loop(model, t, weights, signs, kappa):
 
 def relu_block_field(model, points, support, coef, idx):
     """``residual_field`` as a plain loop over row blocks of at most
-    ``kernels._ROW_BLOCK_ENTRIES`` activations: r from the blocks of the
+    ``kernels.ROW_BLOCK_ENTRIES`` activations: r from the blocks of the
     support's, then each block of the points' adds its products, in order,
     to the first block's."""
     aug, y = relu_batch(model, idx)
-    m, entries = len(aug), kernels._ROW_BLOCK_ENTRIES
+    m, entries = len(aug), kernels.ROW_BLOCK_ENTRIES
     step = max(1, entries // max(1, len(support)))
     r = np.concatenate([np.maximum(aug[lo : lo + step] @ support.T, 0.0) @ coef
                         for lo in range(0, m, step)]) - y

@@ -35,12 +35,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import conicswarm.kernels as kernels
+import conicswarm.audit as audit
+from conicswarm.audit import AssumptionBounds, audit_assumptions
 from conicswarm.cli import build_problem, main
 from conicswarm.config import load_config
 from conicswarm.domain import Box
 from conicswarm.experiments import gen_teacher_regression, load_regression
-from conicswarm.kernels import AssumptionBounds, GmmKernel, SyntheticKernel, audit_assumptions
+from conicswarm.kernels import GmmKernel, SyntheticKernel
 from helpers import rng
 from reference import SYNTHETIC_THEORY_REPORT, reference_audit
 
@@ -90,9 +91,9 @@ def regression(seed, n, dim):
 
 
 def audits(build, seed, n, dim, points, block):
-    """The batched audit with ``_ROW_BLOCK_ENTRIES = block`` and the loop."""
+    """The batched audit with ``ROW_BLOCK_ENTRIES = block`` and the loop."""
     model, domain = build(seed, n, dim)
-    with mock.patch.object(kernels, "_ROW_BLOCK_ENTRIES", block):
+    with mock.patch.object(audit, "ROW_BLOCK_ENTRIES", block):
         new = audit_assumptions(model, domain, points, rng(seed + 1), tv_cap=0.7)
     old = reference_audit(model, domain, points, rng(seed + 1), tv_cap=0.7)
     return new, old

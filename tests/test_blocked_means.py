@@ -1,7 +1,7 @@
 """Mixture data-side means over row blocks.
 
 ``GmmKernel`` averages data-side densities, exact or batched, in blocks of
-at most ``_ROW_BLOCK_ENTRIES`` entries in ``y_inner_many`` (and so the
+at most ``ROW_BLOCK_ENTRIES`` entries in ``y_inner_many`` (and so the
 loss), in ``certificate_values`` (and so ``kkt_residual`` and
 ``frechet_gap``) and in ``candidate_values``. Gaussian entries are
 pair-local and each row is averaged on its own, so the means must equal the
@@ -28,7 +28,7 @@ from conicswarm.verify import make_gmm_problem
 from helpers import rng, same_bits, traced_peak
 from reference import kernel_sum, mixture_means
 
-ENTRIES = kernels._ROW_BLOCK_ENTRIES
+ENTRIES = kernels.ROW_BLOCK_ENTRIES
 #: sample counts: a block of 43 rows, one of 4 rows, and one row per block
 SAMPLE_COUNTS = (3_000, 2**15, ENTRIES + 3)
 
@@ -136,7 +136,7 @@ def test_kkt_residual_memory_does_not_scale_with_n(large_problem):
 
 def test_y_norm_sq_memory_stays_in_cache_sized_tiles():
     # gmm_full.cfg's 24,000 samples: pair-term blocks of up to 2M entries
-    # peaked at 15.4 MiB; tiles of at most _SELF_BLOCK_ENTRIES terms (256 KiB)
+    # peaked at 15.4 MiB; tiles of at most SELF_BLOCK_ENTRIES terms (256 KiB)
     # leave the sorted samples, their cell keys and the cell table, 1.9 MiB
     cfg = Path(__file__).resolve().parent.parent / "configs" / "gmm_full.cfg"
     problem, _ = build_problem(load_config(cfg))

@@ -1064,6 +1064,22 @@ def test_tail_exponent_sets_the_theory_birth_level(tmp_path):
     assert levels[0.4] == noise * math.sqrt(2.0 * 0.4) != levels[None]
 
 
+def test_tail_exponent_below_the_analysis_exits_2(tmp_path, capsys):
+    # a = d / (2 (2 + d)) = 1/4 is the smallest exponent the analysis admits
+    # at d = 2: a smaller one is refused before anything is written
+    cfg = shipped_copy("synthetic_theory.cfg", tmp_path, iterations=20)
+    body = cfg.read_text(encoding="utf-8")
+    cfg.write_text(body.replace("profile = theory", "profile = theory\ntail_exponent = 0.01"),
+                   encoding="utf-8")
+    assert load_config(cfg).birth_death["tail_exponent"] == 0.01
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: [birth_death] tail_exponent must be at least d / (2 (2 + d)) = 0.25 "
+                   "in d = 2, got 0.01\n")
+    assert not out.exists()
+
+
 def test_theory_level_without_observation_noise_exits_2(tmp_path, capsys):
     # with noise_scale = 0 the audited noise bound is 0, so the noise-derived
     # birth level would be 0: the run is refused until the level is set

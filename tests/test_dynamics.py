@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conicswarm import dynamics
 from conicswarm.dynamics import descent_check, weight_push_update
-from conicswarm.kernels import audit_assumptions
+from conicswarm.audit import audit_assumptions
 from conicswarm.objective import certificate_and_grad
 from conicswarm.schedules import calibrate
 from conicswarm.swarm import ParticleSwarm

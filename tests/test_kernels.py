@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from conicswarm import kernels
+from conicswarm import audit, gaussian, kernels
+from conicswarm.audit import audit_assumptions
 from conicswarm.domain import Ball, Box
 from conicswarm.experiments import GmmSpec, gen_gmm
-from conicswarm.kernels import GmmKernel, ReluKernel, SyntheticKernel, audit_assumptions, \
-    gauss_density
+from conicswarm.gaussian import gauss_density
+from conicswarm.kernels import GmmKernel, ReluKernel, SyntheticKernel
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
 from helpers import rng, same_bits
 from reference import brute_y_norm_sq, grad_k_at, grad_rounding_bound, k_at, kernel_sum, \
@@ -149,7 +150,8 @@ class TestAudit:
         problem = make_synthetic_problem(sigma=2.0)
         bounds = audit_assumptions(problem.model, problem.domain, 200, rng(10))
         # the Gaussian kernel's smallest value, at the domain's diameter
-        exact = np.exp(-problem.domain.diameter**2 / (2.0 * problem.model.sigma**2))
+        diameter = np.linalg.norm(problem.domain.upper - problem.domain.lower)
+        exact = np.exp(-diameter**2 / (2.0 * problem.model.sigma**2))
         assert bounds.kernel_min == pytest.approx(exact, rel=0.01)
 
     def test_synthetic_smooth_max_at_least_one(self):
@@ -277,7 +279,7 @@ def any_points(g, n, d):
 
 
 #: set sizes on both sides of the switch to the product differences: 64 x 64
-#: and larger pairs reach ``_PRODUCT_ENTRIES``, single rows and small subsets
+#: and larger pairs reach ``PRODUCT_ENTRIES``, single rows and small subsets
 #: of them do not
 SIZES = st.one_of(st.integers(1, 9), st.sampled_from([64, 70, 130]))
 
@@ -308,7 +310,7 @@ def test_gaussian_entries_are_pair_local(p, q, d, points, offset, seed, data):
             assert same_bits(kernel(a_off[i : i + 1], b_off), full[i : i + 1])
 
 
-# ``_gauss_grad`` sums ``c_j grad_a K(a_i, b_j)`` as one product; the
+# ``gauss_grad`` sums ``c_j grad_a K(a_i, b_j)`` as one product; the
 # reference scales the kernel first, and ``grad_rounding_bound`` derives how
 # far the two groupings of the same terms may differ.
 
@@ -323,7 +325,7 @@ def test_gauss_grad_within_rounding_of_the_scaled_kernel(p, q, d, signed, offset
     var = g.uniform(0.2, 3.0)
     c = g.uniform(0.0, 1.0, size=q) * (np.where(g.random(q) < 0.5, -1.0, 1.0) if signed else 1.0)
     k = gauss_density(a, b, var)
-    grad = kernels._gauss_grad(k, a, b, c, var)
+    grad = gaussian.gauss_grad(k, a, b, c, var)
     reference = scaled_kernel_grad(k, a, b, c, var)
     assert grad.shape == (p, d)
     assert np.all(np.abs(grad - reference) <= grad_rounding_bound(k, a, b, c, var))
@@ -339,19 +341,19 @@ def test_gauss_grad_stacked_slices_have_the_bits_of_their_calls(p, q, m, d, seed
     a, b = g.uniform(-3.0, 3.0, size=(p, d)), g.uniform(-3.0, 3.0, size=(q, d))
     k = gauss_density(a, b, 1.3)
     coefs = g.standard_normal((m, q))
-    stacked = kernels._gauss_grad(k, a, b, coefs, 1.3)
+    stacked = gaussian.gauss_grad(k, a, b, coefs, 1.3)
     assert stacked.shape == (m, p, d)
     for i in range(m):
-        assert same_bits(stacked[i], kernels._gauss_grad(k, a, b, coefs[i], 1.3))
+        assert same_bits(stacked[i], gaussian.gauss_grad(k, a, b, coefs[i], 1.3))
 
 
 @pytest.mark.parametrize("p, q", [(0, 4), (3, 0), (0, 0)])
 def test_gauss_grad_of_empty_point_sets(p, q):
     a, b = np.ones((p, 2)), np.ones((q, 2))
     k = gauss_density(a, b, 1.0)
-    grad = kernels._gauss_grad(k, a, b, np.ones(q), 1.0)
+    grad = gaussian.gauss_grad(k, a, b, np.ones(q), 1.0)
     assert grad.shape == (p, 2) and not grad.any()
-    assert kernels._gauss_grad(k, a, b, np.ones((3, q)), 1.0).shape == (3, p, 2)
+    assert gaussian.gauss_grad(k, a, b, np.ones((3, q)), 1.0).shape == (3, p, 2)
 
 
 # ``GmmKernel.y_norm_sq`` skips pairs beyond a cutoff; the reference is the
@@ -361,8 +363,8 @@ def gmm_cutoff(n, tau):
     return math.sqrt(4.0 * tau**2 * (math.log(n) + 60.0 * math.log(2.0)))
 
 
-# d = 4 leaves its last coordinate out of the cell index (``_CELL_DIMS`` = 3).
-# ``tile`` is the tile bound ``_SELF_BLOCK_ENTRIES``: None keeps the shipped
+# d = 4 leaves its last coordinate out of the cell index (``gaussian._CELL_DIMS`` = 3).
+# ``tile`` is the tile bound ``gaussian.SELF_BLOCK_ENTRIES``: None keeps the shipped
 # 2^15, and a few dozen entries split every cell into many tiles, one row per
 # tile once a cell's block has more rows than that.
 @given(n=st.integers(1, 400), d=st.sampled_from([1, 2, 3, 4]), tau=st.floats(0.05, 1.0),
@@ -382,7 +384,7 @@ def test_gmm_y_norm_sq_matches_brute_force(n, d, tau, layout, offset, tile, seed
         distinct = g.standard_normal((int(g.integers(1, n + 1)), d))
         data = distinct[g.integers(0, len(distinct), size=n)]
     data = data + offset
-    with mock.patch.object(kernels, "_SELF_BLOCK_ENTRIES", tile or kernels._SELF_BLOCK_ENTRIES):
+    with mock.patch.object(gaussian, "SELF_BLOCK_ENTRIES", tile or gaussian.SELF_BLOCK_ENTRIES):
         y_norm_sq = GmmKernel(data, tau).y_norm_sq
     assert y_norm_sq == pytest.approx(brute_y_norm_sq(data, tau), rel=1e-13, abs=0)
 
@@ -398,7 +400,7 @@ def test_gmm_y_norm_sq_has_the_bits_of_the_subtraction_tiles(shape):
     else:
         g = rng(34)
         data, tau = g.standard_normal((3000, 3)) * 0.8 - 3.7e6, 0.3
-    with mock.patch.object(kernels, "_exp_sum", subtraction_exp_sum):
+    with mock.patch.object(gaussian, "_exp_sum", subtraction_exp_sum):
         reference = GmmKernel(data, tau).y_norm_sq
     assert GmmKernel(data, tau).y_norm_sq.hex() == reference.hex()
 
@@ -523,3 +525,28 @@ def test_relu_rejects_non_finite_data(where, bad):
     (features[2] if where == "features" else targets)[1] = bad
     with pytest.raises(ValueError, match="finite"):
         ReluKernel(features, targets)
+
+
+#: what perfbench (``tracer.py``, ``micro.py``, ``child.py`` and
+#: ``test_trace_bytes.py``) reaches of every model: the tracer wraps the
+#: public methods of the classes named in ``kernels.__all__`` whose
+#: ``__module__`` is ``conicswarm.kernels``, and counts with these members
+BENCHMARK_MEMBERS = ("kernel_matrix", "weighted_grad1_kernel", "y_inner_many",
+                     "grad_y_inner_many", "kernel_depends_on_samples")
+
+
+@pytest.mark.parametrize("name", ["KernelModel", "GaussianKernel", "SyntheticKernel",
+                                  "GmmKernel", "ReluKernel"])
+def test_models_stay_where_perfbench_reaches_them(name):
+    model = getattr(kernels, name)
+    assert name in kernels.__all__
+    assert model.__module__ == "conicswarm.kernels"
+    for member in BENCHMARK_MEMBERS:
+        assert hasattr(model, member), member
+
+
+def test_perfbench_imports_from_kernels():
+    from conicswarm.kernels import AssumptionBounds, ReluKernel, SyntheticKernel, \
+        audit_assumptions as audited
+    assert (SyntheticKernel, ReluKernel) == (kernels.SyntheticKernel, kernels.ReluKernel)
+    assert (AssumptionBounds, audited) == (audit.AssumptionBounds, audit.audit_assumptions)

@@ -31,10 +31,11 @@ from hypothesis import given, settings, strategies as st
 import conicswarm.runner as runner
 from conicswarm import verify
 from conicswarm.domain import Ball
-from conicswarm.kernels import ReluKernel, Workspace
+from conicswarm.kernels import ReluKernel
 from conicswarm.runner import RunAborted, run
 from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm
+from conicswarm.workspace import Workspace
 from helpers import attributes, loop_config, rng, rows, same_bits
 
 pytestmark = pytest.mark.exactness
@@ -59,7 +60,7 @@ def test_warm_model_gives_fresh_bits(name, seed, data):
     problem = WARM[name]
     warm, fresh = problem.model, BUILDERS[name]().model
     g, exact = rng(seed), data.draw(st.booleans())
-    # 70 and 200 points take ``_sqdist``'s product path and ``_gauss_self``'s
+    # 70 and 200 points take ``_sqdist``'s product path and ``gauss_self``'s
     # blocks, where the subsets a support field assembles take neither
     size = data.draw(st.one_of(st.integers(0, 7), st.sampled_from([70, 200])))
     pushed = problem.domain.sample_uniform(g, size=size)
@@ -269,7 +270,7 @@ def test_support_field_of_an_unchanged_swarm_has_fresh_bits(name, full_batch, si
 @each_batching
 @pytest.mark.parametrize("born", [0, 2])
 def test_support_field_after_deaths_at_200_points_has_fresh_bits(name, full_batch, born):
-    # 200 pushed points take ``_sqdist``'s product path and ``_gauss_self``'s
+    # 200 pushed points take ``_sqdist``'s product path and ``gauss_self``'s
     # blocks; the mixture gathers the survivors' block of ``K(T', T')``,
     # which must stay C-ordered for its products to sum as a fresh build's
     problem = WARM[name]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conicswarm.domain import Box, grid_points
-from conicswarm.kernels import SyntheticKernel, audit_assumptions
+from conicswarm.audit import audit_assumptions
+from conicswarm.kernels import SyntheticKernel
 from conicswarm.objective import Problem, certificate, certificate_and_grad, frechet_gap, \
     kkt_residual, loss
 from conicswarm.swarm import ParticleSwarm
@@ -225,7 +226,6 @@ class TestKkt:
         report = kkt_residual(problem, nu_star, grid)
         assert report.min_cert_grid >= -1e-6
         assert report.max_abs_cert_support <= 1e-12
-        assert report.is_stationary(1e-6)
 
     def test_planted_optimum_beats_perturbations(self):
         problem, nu_star = planted_stationary_instance()
@@ -244,7 +244,7 @@ class TestKkt:
         problem = Problem(model=model, domain=domain, kappa=0.3, signed=False)
         report = kkt_residual(problem, ParticleSwarm.empty(2), grid_points(domain, 9))
         assert report.min_cert_grid == pytest.approx(0.3)
-        assert report.is_stationary(1e-12)
+        assert report.max_abs_cert_support <= 1e-12
 
     def test_underfit_instance_has_negative_certificate(self):
         problem, nu_star = planted_stationary_instance()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conicswarm.kernels import audit_assumptions
+from conicswarm.audit import audit_assumptions
 from conicswarm.objective import certificate, certificate_and_grad
 from conicswarm.birth_death import guarded_threshold_coeff, tail_exponent_for_dim
 from conicswarm.oracle import HOEFFDING_CAP_CONST, draw_batch

@@ -1,7 +1,7 @@
 """The blocked ReLU loss and held-out error against their one-piece forms.
 
 ``relu_blocks`` builds the activations ``relu(X T')`` over row blocks of at
-most ``_ROW_BLOCK_ENTRIES`` entries, and every ReLU sum over samples reads
+most ``ROW_BLOCK_ENTRIES`` entries, and every ReLU sum over samples reads
 them: ``ReluKernel.objective_value`` sums the residual
 ``0.5 mean((relu(X T) c - y)^2) + kappa sum(w)``, the certificate takes
 ``r`` from the blocks' network outputs ``act @ c``, exact or batched, and
@@ -32,7 +32,7 @@ from helpers import network_outputs, same_bits, traced_peak
 from reference import expanded_objective, relu_objective, relu_objective_bound, \
     relu_block_field, relu_objective_loop, relu_output, relu_output_bound
 
-ENTRIES = kernels._ROW_BLOCK_ENTRIES
+ENTRIES = kernels.ROW_BLOCK_ENTRIES
 
 
 def draw_case(seed, d, p_kind, n_kind, blocks, data, entries=ENTRIES):
@@ -97,7 +97,7 @@ BLOCK_ENTRIES = st.sampled_from([64, ENTRIES])
 def test_relu_loss_has_the_bits_of_the_block_loop(entries, seed, d, p_kind, n_kind, blocks,
                                                   data):
     model, t, w, s = draw_case(seed, d, p_kind, n_kind, blocks, data, entries)
-    with mock.patch.object(kernels, "_ROW_BLOCK_ENTRIES", entries):
+    with mock.patch.object(kernels, "ROW_BLOCK_ENTRIES", entries):
         assert same_bits(model.objective_value(t, w, s, 1e-3),
                          relu_objective_loop(model, t, w, s, 1e-3))
 
@@ -111,7 +111,7 @@ def test_exact_relu_values_have_the_bits_of_the_block_loops(entries, n_points, s
     model, t, w, s = draw_case(seed, d, p_kind, n_kind, blocks, data, entries)
     points = Ball(np.zeros(d + 1), 1.0).sample_uniform(np.random.default_rng(seed),
                                                        size=n_points)
-    with mock.patch.object(kernels, "_ROW_BLOCK_ENTRIES", entries):
+    with mock.patch.object(kernels, "ROW_BLOCK_ENTRIES", entries):
         assert same_bits(model.certificate_values(points, t, w * s),
                          relu_block_field(model, points, t, w * s, None)[0])
 
@@ -120,7 +120,7 @@ def test_relu_loss_temporaries_do_not_scale_with_n():
     # n = 16,512 samples (the housing training split) and p = 400 particles:
     # the one-piece residual, or an exact run's support field or pushed
     # values in one piece, would hold n x p activations, 53 MB; the blocked
-    # ones hold one block of at most _ROW_BLOCK_ENTRIES, 1 MiB, and r
+    # ones hold one block of at most ROW_BLOCK_ENTRIES, 1 MiB, and r
     g = np.random.Generator(np.random.Philox(4))
     model = ReluKernel(g.standard_normal((16_512, 8)), g.standard_normal(16_512))
     problem = Problem(model=model, domain=Ball(np.zeros(9), 1.0), kappa=1e-3)
@@ -135,7 +135,7 @@ def test_relu_loss_temporaries_do_not_scale_with_n():
 def test_heldout_mse_temporaries_do_not_scale_with_n():
     # 16,512 held-out rows and p = 400 particles: the one-shot error held two
     # n x p arrays, 53 MB each; the blocked one holds the rows' [x, 1]
-    # (1.2 MB), their targets and one block of at most _ROW_BLOCK_ENTRIES,
+    # (1.2 MB), their targets and one block of at most ROW_BLOCK_ENTRIES,
     # 1 MiB
     g = np.random.Generator(np.random.Philox(5))
     n = 16_512

@@ -8,7 +8,7 @@ import pytest
 from conicswarm.birth_death import BirthRule, DeathRule
 from conicswarm.domain import grid_points
 from conicswarm.experiments import gen_teacher_regression
-from conicswarm.kernels import audit_assumptions
+from conicswarm.audit import audit_assumptions
 from conicswarm.objective import kkt_residual, loss
 from conicswarm.runner import IterationRecord, RunAborted, RunConfig, RunResult, run, \
     trace_from_csv, trace_to_csv

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conicswarm.kernels import AssumptionBounds
+from conicswarm.audit import AssumptionBounds
 from conicswarm.oracle import HOEFFDING_CAP_CONST
 from conicswarm.schedules import AnytimePlan, CalibrationError, FixedPlan, calibrate, \
     horizon_plan

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import conicswarm.gaussian as gaussian
 import conicswarm.kernels as kernels
 import conicswarm.runner as runner
 from conicswarm.birth_death import DeathRule
@@ -30,7 +31,7 @@ from helpers import loop_config, rng, same_bits
 from reference import kernel_sum
 
 
-REAL_DENSITY = kernels.gauss_density
+REAL_DENSITY = gaussian.gauss_density
 
 
 @pytest.fixture
@@ -42,7 +43,8 @@ def built(monkeypatch):
         log.append((var, a.shape[0], b.shape[0]))
         return REAL_DENSITY(a, b, var, *args, **kwargs)
 
-    monkeypatch.setattr(kernels, "gauss_density", counting)
+    for module in (gaussian, kernels):
+        monkeypatch.setattr(module, "gauss_density", counting)
     return log
 
 
@@ -203,7 +205,7 @@ def test_fresh_support_kernel_builds_the_upper_triangle(built, idx):
     problem = make_gmm_problem(seed=3)
     model = problem.model
     p = 400
-    block = kernels._SELF_BLOCK_ENTRIES // p
+    block = gaussian.SELF_BLOCK_ENTRIES // p
     bound = p * (p + 1) // 2 + p * block
     pushed = problem.domain.sample_uniform(rng(4), size=p)
     coef = np.linspace(0.1, 1.0, p)

@@ -42,7 +42,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conicswarm.cli as cli
-import conicswarm.kernels as kernels
+import conicswarm.gaussian as gaussian
 import conicswarm.runner as runner
 from conicswarm.birth_death import BirthRule
 from conicswarm.config import load_config
@@ -73,7 +73,7 @@ def evaluations(model, t, support, coef, idx):
             model.y_inner_many(t, idx), model.grad_y_inner_many(t, idx)]
 
 
-#: small sizes, and run-scale ones past ``_PRODUCT_ENTRIES`` and BLAS blocking
+#: small sizes, and run-scale ones past ``PRODUCT_ENTRIES`` and BLAS blocking
 SUPPORTS = st.one_of(st.integers(0, 12), st.sampled_from([64, 65, 512, 999, 1000]),
                      st.integers(13, 1000))
 POINTS = st.one_of(st.integers(0, 12), st.sampled_from([64, 65, 640, 700]),
@@ -121,7 +121,7 @@ def test_observation_has_the_bits_of_one_product_against_atoms_and_anchors(
     k = model.kernel_matrix(t, points)
     vals, grads = model.y_inner_many(t, idx), model.grad_y_inner_many(t, idx)
     assert same_bits(vals, k @ q)
-    assert same_bits(grads, kernels._gauss_grad(k, t, points, q, model.sigma**2))
+    assert same_bits(grads, gaussian.gauss_grad(k, t, points, q, model.sigma**2))
     # the atoms and the anchors apart sum the same terms in two groups
     apart = [(model.atom_positions, q[:n_atoms]), (model.anchors, q[n_atoms:])]
     split_vals = sum(model.kernel_matrix(t, pts) @ c for pts, c in apart)

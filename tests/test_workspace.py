@@ -6,7 +6,7 @@ a 64-byte boundary, where the loop's BLAS calls and ufuncs run fastest;
 BLAS may pick its kernel by alignment, so each test here also forces the
 slots to the offsets 16, 32 and 48 past the boundary. For every model,
 exact and batched: (a) the three loop evaluations, at a 200-point support
-(``_sqdist``'s product path and ``_gauss_self``'s blocks) with deaths and
+(``_sqdist``'s product path and ``gauss_self``'s blocks) with deaths and
 births, the mixture's survivor gathers among them and the Gaussian models'
 kernel blocks kept in ``"ev.kernel"``, have the bits of the
 reference forms of ``reference.py``, and the loss the bits of the call
@@ -31,7 +31,8 @@ import pytest
 import conicswarm
 import conicswarm.runner as runner
 from conicswarm import verify
-from conicswarm.kernels import ReluKernel, SyntheticKernel, Workspace, _PRODUCT_ENTRIES
+from conicswarm.kernels import ReluKernel, SyntheticKernel
+from conicswarm.workspace import PRODUCT_ENTRIES, Workspace
 from conicswarm.objective import loss
 from conicswarm.runner import trace_to_csv
 from conicswarm.swarm import ParticleSwarm
@@ -67,7 +68,7 @@ def reference_field(model, t, support, coef, idx):
 @each_offset
 def test_slots_start_at_the_offset_in_c_order(offset):
     ws = Workspace(offset)
-    assert ws.take("work", 1, _PRODUCT_ENTRIES - 1) is None
+    assert ws.take("work", 1, PRODUCT_ENTRIES - 1) is None
     for rows, cols in [(64, 64), (3, 4096), (200, 200), (65, 64)]:
         buf = ws.take("work", rows, cols)
         assert buf.shape == (rows, cols) and buf.flags.c_contiguous
@@ -96,7 +97,7 @@ def test_loop_evaluations_have_reference_bits_at_every_offset(name, full_batch, 
         # the Gaussian models keep their pushed kernel block in "ev.kernel";
         # the first support field below, of an unchanged swarm, reads it
         block = ev[2] if name == "synthetic" else ev["k"]
-        assert np.shares_memory(block, ws.take("ev.kernel", 1, _PRODUCT_ENTRIES))
+        assert np.shares_memory(block, ws.take("ev.kernel", 1, PRODUCT_ENTRIES))
     assert same_bits(model.candidate_values(ev, cand, ws),
                      reference_field(model, cand, pushed, coef, idx)[0])
     died = g.random(200) < 0.2
