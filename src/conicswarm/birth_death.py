@@ -6,8 +6,9 @@ pushed certificate at its location is nonnegative and its weight is at
 most ``sqrt(2) * eps_k`` (scanning either every particle or one uniformly
 drawn particle per step). The ratio rule removes any particle whose
 certificate-to-weight ratio exceeds a threshold; it always scans all
-particles. Births draw uniform candidates and accept those whose
-estimated certificate falls below ``coeff * sqrt(log(m) / m)``.
+particles. Births draw uniform candidates (``draw_candidates``) before the
+death step, and accept those whose estimated certificate falls below
+``coeff * sqrt(log(m) / m)``.
 """
 
 from __future__ import annotations
@@ -119,26 +120,35 @@ def select_deaths(swarm: ParticleSwarm, pushed_certs, rule: DeathRule, eps_k: fl
     return np.array([j], dtype=int) if mask[j] else np.empty(0, dtype=int)
 
 
-def evaluate_birth_candidates(problem: Problem, ev, rule: BirthRule, eps_k: float, m_k: int,
-                              rng: np.random.Generator, ws=None):
-    """Draw candidates, estimate their certificates against the pushed
-    evaluation ``ev`` of ``KernelModel.pushed_values`` (its measure, on its
-    batch, with the loop's workspace ``ws``) and apply the threshold.
-
-    Returns ``(born, cand_certs)``: the ``born`` swarm holds the candidates
-    whose certificate is at most the threshold, in draw order, and
-    ``cand_certs`` every candidate's certificate.
-    """
+def draw_candidates(problem: Problem, rule: BirthRule, rng: np.random.Generator):
+    """The iteration's ``rule.candidates_per_iter`` uniform candidates:
+    positions first, then, on a signed problem, signs; an unsigned
+    problem's are +1 and take no draw."""
     n_cand = rule.candidates_per_iter
     positions = problem.domain.sample_uniform(rng, size=n_cand)
     if problem.signed:
         signs = np.where(rng.integers(0, 2, size=n_cand) == 0, 1.0, -1.0)
     else:
         signs = np.ones(n_cand)
-    certs = signs * problem.model.candidate_values(ev, positions, ws=ws) + problem.kappa
+    return positions, signs
+
+
+def evaluate_birth_candidates(problem: Problem, positions, signs, values, rule: BirthRule,
+                              eps_k: float, m_k: int):
+    """Apply the threshold to the candidates of ``draw_candidates``, whose
+    pushed values ``K(C, T') c - <y, phi_C>`` (``KernelModel.pushed_values``)
+    are ``values``; a certificate is ``s v + kappa``, or ``v + kappa`` on an
+    unsigned problem, where every sign is +1.
+
+    Returns ``(born, cand_certs)``: the ``born`` swarm holds the candidates
+    whose certificate is at most the threshold, in draw order, and
+    ``cand_certs`` every candidate's certificate.
+    """
+    certs = (signs * values if problem.signed else values) + problem.kappa
     mass = eps_k if rule.birth_mass is None else rule.birth_mass
     accept = certs <= rule.threshold(m_k)
-    born = ParticleSwarm(np.full(int(accept.sum()), mass), signs[accept], positions[accept])
+    born = ParticleSwarm(np.full(np.count_nonzero(accept), mass), signs[accept],
+                         positions[accept])
     return born, certs
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from . import experiments
 from .audit import audit_assumptions
 from .birth_death import BirthRule, DeathRule, guarded_threshold_coeff, tail_exponent_for_dim
 from .config import ConfigError, RunSpec, load_config, parse_value
-from .domain import Box, grid_points
+from .domain import Box, DomainError, grid_points
 from .kernels import SyntheticKernel
 from .objective import Problem, kkt_residual
 from .runner import RunAborted, RunConfig, run, trace_from_csv, trace_to_csv
@@ -32,12 +33,23 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
+@contextmanager
+def _domain_from(key: str):
+    """Report a domain that the bounds given by ``[problem] key`` make, and
+    that ``Box`` refuses, as a configuration error naming the key."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(f"[problem] {key}: {exc}") from None
+
+
 def build_problem(spec: RunSpec):
     """Instantiate the problem described by ``[problem]``.
 
     Returns ``(problem, extras)``; extras may hold the dataset, or the raw
     sample cloud and the spec of the mixture that generated it, depending
-    on the model.
+    on the model. A box that the bounds or the data make and ``Box``
+    refuses is a ``ConfigError`` naming the key.
     """
     prob = spec.problem
     rng = np.random.Generator(np.random.Philox(prob["seed"]))
@@ -45,7 +57,8 @@ def build_problem(spec: RunSpec):
     model_kind = prob["model"]
     if model_kind == "synthetic":
         dim = prob["dim"]
-        domain = Box(np.full(dim, prob["box_low"]), np.full(dim, prob["box_high"]))
+        with _domain_from("box_low/box_high"):
+            domain = Box(np.full(dim, prob["box_low"]), np.full(dim, prob["box_high"]))
         signed = prob["signed"] if prob["signed"] is not None else True
         # plant atoms in the inner 80% of the box so the kernel audit's
         # boundary points stay informative
@@ -60,13 +73,16 @@ def build_problem(spec: RunSpec):
         problem = Problem(model=model, domain=domain, kappa=prob["kappa"], signed=signed)
     elif model_kind == "gmm":
         if prob["data_path"]:
-            data, problem = experiments.load_gmm_data(
-                spec.resolve_path(prob["data_path"]), tau=prob["tau"], kappa=prob["kappa"])
+            where = spec.resolve_path(prob["data_path"])
+            with _domain_from(f"data_path {where}"):
+                data, problem = experiments.load_gmm_data(where, tau=prob["tau"],
+                                                          kappa=prob["kappa"])
         else:
             gspec = experiments.GmmSpec.ring(
                 n_components=prob["components"], radius=prob["ring_radius"],
                 n_samples=prob["gmm_samples"], tau=prob["tau"])
-            data, problem = experiments.gen_gmm(gspec, rng, kappa=prob["kappa"])
+            with _domain_from("ring_radius"):
+                data, problem = experiments.gen_gmm(gspec, rng, kappa=prob["kappa"])
             extras["gmm_spec"] = gspec
         extras["data"] = data
     elif model_kind == "teacher":

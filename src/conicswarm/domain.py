@@ -15,9 +15,13 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-__all__ = ["Domain", "Box", "Ball", "grid_points"]
+__all__ = ["Domain", "DomainError", "Box", "Ball", "grid_points"]
 
 _MAX_GRID_POINTS = 50_000  # past this, grids are uniform draws, not lattices
+
+
+class DomainError(ValueError):
+    """Bounds that a domain refuses."""
 
 
 class Domain(ABC):
@@ -69,17 +73,30 @@ class Domain(ABC):
 
 
 class Box(Domain):
-    """Axis-aligned box ``prod_i [lower_i, upper_i]``."""
+    """Axis-aligned box ``prod_i [lower_i, upper_i]``.
+
+    Its squared diameter ``sum((upper - lower)^2)``, summed over the
+    coordinates in order, must be a finite float. Two points of the box
+    differ by at most the width ``upper_i - lower_i`` in each coordinate and
+    rounding is monotone, so each rounded difference, its square and every
+    running sum over the coordinates is at most the widths': every pair of
+    points in the box has the finite squared distance that
+    ``gaussian._sqdist`` forms that way.
+    """
 
     def __init__(self, lower, upper):
         self.lower = np.atleast_1d(np.asarray(lower, dtype=float))
         self.upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
-            raise ValueError("box bounds must be 1-d arrays of equal length")
+        if self.lower.shape != self.upper.shape or self.lower.ndim != 1 or not self.lower.size:
+            raise DomainError("box bounds must be non-empty 1-d arrays of equal length")
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(self.upper - self.lower)
-        if not np.all(finite & (self.lower < self.upper)):
-            raise ValueError("box requires lower < upper with a finite width in every coordinate")
+            width = self.upper - self.lower
+            sq_diam = np.add.accumulate(width * width)[-1]
+        if not np.all(np.isfinite(width) & (self.lower < self.upper)):
+            raise DomainError("box requires lower < upper with a finite width in every coordinate")
+        if not np.isfinite(sq_diam):
+            raise DomainError(f"the box's squared diameter sum((upper - lower)^2) is {sq_diam}, "
+                              "not a finite float")
         self.dim = self.lower.size
 
     def __repr__(self):

@@ -12,7 +12,9 @@ arange(n)`` reproduces the exact one.
 * ``certificate_field(T, S, c, idx)`` -- ``(K(T, S) c - <y, phi_T>,
   sum_j c_j grad K(T, s_j) - grad <y, phi_T>)``, values and gradients
   from one kernel matrix and one data-side evaluation;
-* the value form ``_evaluation`` and ``candidate_values`` (below);
+* the value form: ``_evaluation(S, c, idx)``, what the values of the
+  measure ``(S, c)`` on the batch ``idx`` read, and ``candidate_values(ev,
+  T)``, the values at T from it;
 * ``objective_value(T, w, s, kappa)`` -- the exact objective of a
   non-empty swarm;
 * the audit's hooks (``audit.audit_assumptions``): ``_pair_grad1``,
@@ -33,18 +35,25 @@ arange(n)`` reproduces the exact one.
 Point sets are (k, d) float arrays and coefficients 1-D float arrays, as
 the program's entry points make them; the models convert no operand.
 
-A solver iteration scores one pushed measure ``(T', c)`` on one batch
-twice, and three loop evaluations hand what the two share on as an
-explicit value ``ev`` (each class says what its ``ev`` holds), which no
-call writes after ``pushed_values`` returns it; they have the bits of the
-stateless calls:
+A solver iteration scores one pushed measure ``(T', c)`` on one batch at
+its support and at the birth candidates C in one pass, and hands what the
+next support field reuses on as an explicit value ``ev`` (each class says
+what its ``ev`` holds), which no call writes after ``pushed_values``
+returns it. The two loop evaluations have the bits of the stateless calls:
 
-* ``pushed_values(T', c, idx)`` -- ``certificate_values(T', T', c, idx)``
-  for the death step, and ``ev``;
-* ``candidate_values(ev, C)`` -- ``certificate_values(C, T', c, idx)``;
+* ``pushed_values(T', c, idx, C)`` -- ``certificate_values(T', T', c,
+  idx)`` for the death step, ``certificate_values(C, T', c, idx)`` for the
+  births, and ``ev``;
 * ``support_field(T, c, idx, ev, keep)`` -- the next iteration's
   ``certificate_field(T, T, c, idx)`` at ``T = [T'[keep]; born]``, the
   survivors under the boolean mask ``keep``, then the born candidates.
+
+Where the two scorings share a block, ``pushed_values`` builds the rows of
+``[T'; C]`` in one call and reduces each side by its own call on its row
+slice. Entries are pair-local, and a matvec over a row slice of a
+C-contiguous block, or ``np.add.reduce`` along its rows, gives each row the
+bits of the same call on a separate array (``test_row_slices.py``), so both
+sides have the bits of two separate scorings.
 
 Every loop evaluation, and the objective at the loop's cadence, also takes
 an optional ``workspace.Workspace`` ``ws``, which ``runner.run`` creates
@@ -125,10 +134,10 @@ class KernelModel(ABC):
         return 0.0 - self.certificate_field(t, np.empty((0, self.dim)), np.empty(0), idx)[1]
 
     @abstractmethod
-    def pushed_values(self, support, coef, idx=None, ws=None):
-        """``(certificate_values(S, S, c, idx), ev)`` at the pushed support
-        S, where ``ev`` is what ``candidate_values`` and ``support_field``
-        share of the evaluation."""
+    def pushed_values(self, support, coef, idx, cand, ws=None):
+        """``(certificate_values(S, S, c, idx), certificate_values(C, S, c,
+        idx), ev)`` at the pushed support S and the birth candidates C, where
+        ``ev`` is what ``support_field`` reads of the evaluation."""
 
     @abstractmethod
     def support_field(self, t, coef, idx, ev, keep, ws=None) -> tuple[np.ndarray, np.ndarray]:
@@ -156,22 +165,20 @@ class KernelModel(ABC):
 
 
 class GaussianKernel(KernelModel):
-    """The kernel side of a Gaussian model, ``K(a, b) = _knorm exp(-|a - b|^2
-    / (2 _kvar))``, which carries no data dependence.
+    """The kernel side of a Gaussian model, ``K(a, b) = exp(-|a - b|^2 /
+    (2 _kvar))``, which carries no data dependence.
 
-    Entries are built without ``_knorm`` (``_kernel``), one multiply and one
-    exp each, and ``_knorm`` multiplies what they are reduced to: the
-    products ``K c`` (``_values``) and ``gauss_grad``'s (``_grads``). Only
-    ``kernel_matrix`` multiplies every entry, so it returns the kernel.
+    Entries are built by ``_kernel``, one multiply and one exp each, and
+    reduced to the products ``K c`` (``_values``) and ``gauss_grad``'s
+    (``_grads``). ``GmmKernel`` scales these three by its kernel's constant.
     """
 
     _kvar: float
-    _knorm: float
 
     def _kernel(self, a, b, ws=None, out=None):
-        """``K(a, b)`` without its constant ``_knorm``, in ``out`` or else in
-        ``ws``'s ``"work"``; one array against itself (``a is b``) by the
-        symmetric build."""
+        """``K(a, b)`` without a constant, in ``out`` or else in ``ws``'s
+        ``"work"``; one array against itself (``a is b``) by the symmetric
+        build."""
         if out is None:
             out = out_buffer(ws, "work", len(a), len(b))
         if a is b:
@@ -179,17 +186,15 @@ class GaussianKernel(KernelModel):
         return gauss_density(a, b, self._kvar, ws, out)
 
     def kernel_matrix(self, a, b, idx=None):
-        k = self._kernel(a, b)
-        k *= self._knorm
-        return k
+        return self._kernel(a, b)
 
     def _values(self, k, coef):
-        """``K c`` from the unnormalized kernel ``k``."""
-        return (k @ coef) * self._knorm
+        """``K c`` from the kernel ``k`` of ``_kernel``."""
+        return k @ coef
 
     def _grads(self, k, a, b, coef):
-        """``sum_j c_j grad_a K(a_i, b_j)`` from the unnormalized kernel ``k``."""
-        return gauss_grad(k, a, b, coef, self._kvar) * self._knorm
+        """``sum_j c_j grad_a K(a_i, b_j)`` from the kernel ``k`` of ``_kernel``."""
+        return gauss_grad(k, a, b, coef, self._kvar)
 
     def weighted_kernel(self, a, b, coef, idx=None, ws=None):
         """``sum_j coef_j K(a_i, b_j)``, shape (|a|,)."""
@@ -222,21 +227,23 @@ class SyntheticKernel(GaussianKernel):
     stochastic oracle a real (but exactly controlled) noise source.
 
     The observation is the point set ``_fixed = [atoms; anchors]`` with the
-    coefficients ``_y_coef(idx) = [w; eta_b]``, where the batch's noise mean
-    ``eta_b`` comes from its sample counts. A certificate evaluation builds
-    one kernel matrix ``K(t, P)`` of the signed point set
-    ``P = [S; atoms; anchors]``; with the coefficients ``q = [c; -w; -eta_b]``
-    it gives the values ``K(t, P) q`` and, by one ``gauss_grad`` product,
-    their gradients. ``|y|^2`` is computed once.
+    coefficients ``[w; eta_b]``, where the batch's noise mean ``eta_b`` comes
+    from its sample counts. A certificate evaluation builds one kernel
+    matrix ``K(t, P)`` of the signed point set ``P = [S; atoms; anchors]``;
+    with the coefficients ``q = [c; -w; -eta_b]`` (``_q``) it gives the
+    values ``K(t, P) q`` and, by one ``gauss_grad`` product, their
+    gradients. ``|y|^2`` is computed once.
 
-    In the loop ``ev = (P', q', k)`` holds the pushed measure's point set and
-    coefficients, which hand ``eta_b`` to the candidates, and its unnormalized
-    block ``k = K(T', P')``, in ``ws``'s ``"ev.kernel"``. When nothing died
-    and nothing was born, ``T = T'`` and ``support_field`` takes the values
-    and gradients from ``k`` with the new batch's ``q = [c; -w; -eta_b]``;
-    entries are pair-local, so they have fresh bits. Otherwise it builds the
-    field fresh: at p of about 8, gathering the survivors and building the
-    born rows costs about as much as a fresh build.
+    In the loop ``pushed_values`` builds one block ``K([T'; C], P')`` in
+    ``ws``'s ``"ev.kernel"`` and takes the values at T' and at the candidates
+    C from its rows ``[:p]`` and ``[p:]``, one matvec each. ``ev = (P', k)``
+    holds the pushed point set and the C-contiguous view ``k = K(T', P')`` of
+    the block's first p rows. When nothing died and nothing was born,
+    ``T = T'`` and ``support_field`` takes the values and gradients from
+    ``k`` with the new batch's ``q``; entries are pair-local, so they have
+    fresh bits. Otherwise it builds the field fresh: at p of about 8,
+    gathering the survivors and building the born rows costs about as much
+    as a fresh build.
     """
 
     def __init__(self, domain: Box, sigma: float, atom_weights, atom_positions,
@@ -248,7 +255,7 @@ class SyntheticKernel(GaussianKernel):
             raise ValueError("sigma must be positive with a finite square that is a normal float")
         self.domain = domain
         self.sigma = float(sigma)
-        self._kvar, self._knorm = self.sigma**2, 1.0
+        self._kvar = self.sigma**2
         self.dim = domain.dim
         self.atom_weights = np.asarray(atom_weights, dtype=float).reshape(-1)
         self.atom_positions = np.asarray(atom_positions, dtype=float)
@@ -268,8 +275,10 @@ class SyntheticKernel(GaussianKernel):
         if center_noise:
             self.eta = self.eta - self.eta.mean(axis=0)
         self._eta_mean = self.eta.mean(axis=0)
-        # the fixed points of <y, phi_t>, stacked once: atoms, then anchors
+        # the fixed points of <y, phi_t>, stacked once: atoms, then anchors,
+        # and the exact parts of their coefficients in q, negated once
         self._fixed = np.vstack([self.atom_positions, self.anchors])
+        self._neg_w, self._neg_eta_mean = -self.atom_weights, -self._eta_mean
         self._y_norm_sq = None
 
     @property
@@ -279,7 +288,7 @@ class SyntheticKernel(GaussianKernel):
     @property
     def y_norm_sq(self):
         if self._y_norm_sq is None:
-            coefs = self._y_coef(None)
+            coefs = np.concatenate([self.atom_weights, self._eta_mean])
             self._y_norm_sq = float(coefs @ self.kernel_matrix(self._fixed, self._fixed) @ coefs)
         return self._y_norm_sq
 
@@ -289,23 +298,26 @@ class SyntheticKernel(GaussianKernel):
         grad_max = np.exp(-0.5) / self.sigma  # max |grad K| for the Gaussian kernel
         return float(dev), float(dev * grad_max)
 
-    def _y_coef(self, idx):
-        """``[w; eta_b]``: the observation's coefficients on ``_fixed``, with
-        the batch ``idx``'s mean noise from its sample counts."""
-        eta = self._eta_mean if idx is None else \
-            np.bincount(idx, minlength=self._n) @ self.eta / len(idx)
-        return np.concatenate([self.atom_weights, eta])
+    def _q(self, coef, idx):
+        """``q = [c; -w; -eta_b]``, the coefficients of ``[S; atoms; anchors]``,
+        with the batch ``idx``'s mean noise from its sample counts, in one
+        concatenation. ``x / -m`` is ``-(x / m)`` bit for bit, as IEEE
+        division takes its sign from its operands' and rounds symmetrically."""
+        neg_eta = self._neg_eta_mean if idx is None else \
+            np.bincount(idx, minlength=self._n) @ self.eta / -len(idx)
+        return np.concatenate([coef, self._neg_w, neg_eta])
 
     def _evaluation(self, support, coef, idx):
         """The certificate's signed point set ``P = [S; atoms; anchors]`` and
-        its coefficients ``q = [c; -w; -eta_b]``."""
-        return np.concatenate([support, self._fixed]), np.concatenate([coef, -self._y_coef(idx)])
+        its coefficients ``q``."""
+        return np.concatenate([support, self._fixed]), self._q(coef, idx)
 
-    def pushed_values(self, support, coef, idx=None, ws=None):
+    def pushed_values(self, support, coef, idx, cand, ws=None):
         points, q = self._evaluation(support, coef, idx)
-        k = self._kernel(support, points, ws,
-                         out_buffer(ws, "ev.kernel", len(support), len(points)))
-        return self._values(k, q), (points, q, k)
+        p = len(support)
+        k = self._kernel(np.concatenate([support, cand]), points, ws,
+                         out_buffer(ws, "ev.kernel", p + len(cand), len(points)))
+        return k[:p] @ q, k[p:] @ q, (points, k[:p])
 
     def candidate_values(self, ev, t, ws=None):
         return self._values(self._kernel(t, ev[0], ws), ev[1])
@@ -313,8 +325,8 @@ class SyntheticKernel(GaussianKernel):
     def support_field(self, t, coef, idx, ev, keep, ws=None):
         if ev is None or len(t) != len(keep) or not keep.all():
             return self.certificate_field(t, t, coef, idx, ws)
-        points, _, k = ev
-        q = np.concatenate([coef, -self._y_coef(idx)])
+        points, k = ev
+        q = self._q(coef, idx)
         return self._values(k, q), self._grads(k, t, points, q)
 
     def certificate_field(self, t, support, coef, idx=None, ws=None):
@@ -332,7 +344,7 @@ class SyntheticKernel(GaussianKernel):
         q = np.hstack([np.broadcast_to(self.atom_weights, (len(eta), self.atom_weights.size)),
                        eta])
         k = self._kernel(t, self._fixed)
-        return np.matmul(k, q[:, :, None])[..., 0] * self._knorm, self._grads(k, t, self._fixed, q)
+        return np.matmul(k, q[:, :, None])[..., 0], self._grads(k, t, self._fixed, q)
 
     def _sample_width(self):
         return max(self.dim, len(self._fixed))
@@ -349,10 +361,12 @@ class GmmKernel(GaussianKernel):
 
     Both variances' entries are built without their constants: the kernel's
     by ``GaussianKernel``, the data side's by ``gauss_density``, one multiply
-    and one exp each. ``_ynorm = (2 pi yvar)^(-d/2)`` multiplies what the
-    densities are reduced to, the row means and ``k_y @ x``, as ``_knorm``
-    does the kernel's. Every kernel entry is at most ``_knorm`` and every
-    density at most ``_ynorm``, so a tau that leaves either below the
+    and one exp each. ``_knorm = (2 pi kvar)^(-d/2)`` multiplies what the
+    kernel entries are reduced to, ``K c`` and the gradients' product (only
+    ``kernel_matrix`` multiplies every entry, so it returns the kernel), and
+    ``_ynorm = (2 pi yvar)^(-d/2)`` what the densities are reduced to, the
+    row means and ``k_y @ x``. Every kernel entry is at most ``_knorm`` and
+    every density at most ``_ynorm``, so a tau that leaves either below the
     smallest normal float is refused: every value would vanish.
 
     ``|y|^2 = n^-2 sum_ij N(X_i; X_j, 2 tau^2 I)`` skips the pairs farther
@@ -368,16 +382,20 @@ class GmmKernel(GaussianKernel):
     blocks of at most ``ROW_BLOCK_ENTRIES`` densities, so no |T| x n array
     is held.
 
-    In the loop ``ev`` holds the batch rows, fetched once, the unnormalized
-    ``K(T', T')`` and, in an exact run, the pushed support's data-side rows
-    (unnormalized) and means. ``support_field`` takes the survivors' block
-    of ``K(T', T')`` by row-order gathers of rows, then columns, which leave
-    it C-ordered like a fresh build, and, in an exact run, their rows from
+    In the loop ``pushed_values`` builds the data-side rows of ``[T'; C]``,
+    the pushed support and the birth candidates, in one call, in an exact
+    run into ``ws``'s ``"ev.rows"``; ``K(T', T')`` by the symmetric build and
+    ``K(C, T')`` on its own. ``ev`` holds the unnormalized ``K(T', T')`` and,
+    in an exact run, the pushed support's data-side rows (the first p rows,
+    unnormalized) and means.
+    ``support_field`` takes the survivors' block of ``K(T', T')`` by
+    row-order gathers of rows, then columns, which leave it C-ordered like a
+    fresh build, and, in an exact run, their rows from
     ``ev`` (gathering only when something died), and builds the born rows
     ``K(T[p:], T)``, ``p = keep.sum()``, and in an exact run their
     data-side rows; all of it is pair-local, so it has fresh bits. Both
     ``pushed_values`` and ``support_field`` finish the data side, and a
-    batch's rows go, before the kernel is built and multiplied, so fewer
+    batch's rows go, before the kernels are built and multiplied, so fewer
     arrays share the cache.
     """
 
@@ -403,6 +421,17 @@ class GmmKernel(GaussianKernel):
     @property
     def n_samples(self):
         return self.data.shape[0]
+
+    def kernel_matrix(self, a, b, idx=None):
+        k = self._kernel(a, b)
+        k *= self._knorm
+        return k
+
+    def _values(self, k, coef):
+        return (k @ coef) * self._knorm
+
+    def _grads(self, k, a, b, coef):
+        return gauss_grad(k, a, b, coef, self._kvar) * self._knorm
 
     @property
     def y_norm_sq(self):
@@ -486,32 +515,30 @@ class GmmKernel(GaussianKernel):
 
     def _evaluation(self, support, coef, idx):
         """The support, its coefficients and the batch rows."""
-        return {"support": support, "coef": coef, "x": self._batch(idx)}
+        return support, coef, self._batch(idx)
 
-    def pushed_values(self, support, coef, idx=None, ws=None):
-        ev = self._evaluation(support, coef, idx)
-        support, coef, x = ev["support"], ev["coef"], ev["x"]
-        out = None if idx is not None else out_buffer(ws, "ev.rows", len(support), len(x))
-        rows, means = self._density(support, x, ws, out)
-        side = (rows, means) if idx is None else None
-        del rows  # a batch's rows go before K(T', T') is built
-        k = self._kernel(support, support, ws,
-                         out_buffer(ws, "ev.kernel", len(support), len(support)))
-        ev.update(k=k, side=side)
-        return self._values(k, coef) - means, ev
+    def pushed_values(self, support, coef, idx, cand, ws=None):
+        x, p = self._batch(idx), len(support)
+        out = None if idx is not None else out_buffer(ws, "ev.rows", p + len(cand), len(x))
+        rows, means = self._density(np.concatenate([support, cand]), x, ws, out)
+        side = (rows[:p], means[:p]) if idx is None else None
+        del rows  # a batch's rows go before the kernels are built
+        k = self._kernel(support, support, ws, out_buffer(ws, "ev.kernel", p, p))
+        return (self._values(k, coef) - means[:p],
+                self._values(self._kernel(cand, support, ws), coef) - means[p:], (k, side))
 
     def candidate_values(self, ev, t, ws=None):
-        vals = self._values(self._kernel(t, ev["support"], ws), ev["coef"])
-        return vals - self._means(t, ev["x"], ws)
+        support, coef, x = ev
+        return self._values(self._kernel(t, support, ws), coef) - self._means(t, x, ws)
 
     def support_field(self, t, coef, idx, ev, keep, ws=None):
         if ev is None:
             return self.certificate_field(t, t, coef, idx, ws)
         x = self._batch(idx)
         p = int(keep.sum())
-        side = None if idx is not None else self._kept_side(ev["side"], keep, p, t[p:], x, ws)
+        k, side = ev
+        side = None if idx is not None else self._kept_side(side, keep, p, t[p:], x, ws)
         y, y_grads = self._data_side(t, x, side, ws)
-        k = ev["k"]
         if p < len(t) or p < len(keep):
             k = self._support_kernel(t, k, keep, p, ws)
         return self._field(t, t, coef, k, y, y_grads)
@@ -595,8 +622,11 @@ class ReluKernel(KernelModel):
     particle-by-particle matrix is built. At the support (``support_field``
     and ``pushed_values``) each block forms its rows of r from its own
     activation, so each builds one activation; ``certificate_field`` builds
-    r first, then the activations of t. ``ev`` holds the batch rows and the
-    pushed support's ``r``, so the birth candidates build only their own.
+    r first, then the activations of t. ``pushed_values`` then scores the
+    birth candidates by their own activation pass against that r: a GEMM's
+    row results depend on the call's shape, so the candidates are not
+    stacked with the support. Its ``ev`` is None: ``support_field`` builds
+    everything it reads.
     """
 
     kernel_depends_on_samples = True
@@ -684,11 +714,11 @@ class ReluKernel(KernelModel):
         u = np.concatenate([act @ coef for _, act in relu_blocks(aug, support)])
         return aug, u - self._targets(idx)
 
-    def pushed_values(self, support, coef, idx=None, ws=None):
+    def pushed_values(self, support, coef, idx, cand, ws=None):
         aug = self._batch(idx)
         r = np.empty(len(aug))
         vals = self._sums(aug, support, self._residual(r, self._targets(idx), coef), ws=ws)[0]
-        return vals, (aug, r)
+        return vals, self._sums(aug, cand, r, ws=ws)[0], None
 
     def candidate_values(self, ev, t, ws=None):
         aug, r = ev
@@ -701,7 +731,7 @@ class ReluKernel(KernelModel):
     def support_field(self, t, coef, idx, ev, keep, ws=None):
         """``certificate_field(t, t, coef, idx)`` from one activation per
         block: each block's rows of the residual come from its own
-        activation, so nothing of ``ev`` is read."""
+        activation."""
         aug = self._batch(idx)
         weight = self._residual(np.empty(len(aug)), self._targets(idx), coef)
         return self._sums(aug, t, weight, grads=True, ws=ws)

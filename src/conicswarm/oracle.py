@@ -7,7 +7,8 @@ gives the mini-batch estimate, while ``idx=None`` evaluates the exact
 full-data quantity, which coincides with a batch that enumerates every
 sample index exactly once. The solver loop passes each iteration's first
 batch to ``KernelModel.support_field`` and its second to
-``pushed_values``, whose ``ev`` carries that batch to ``candidate_values``.
+``pushed_values``, which scores the pushed support and the birth candidates
+on it in one pass.
 """
 
 from __future__ import annotations

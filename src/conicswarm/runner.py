@@ -13,15 +13,21 @@ whose temporaries do not grow with n.
 A weight-update overflow raises ``RunAborted``, which names the iteration
 and carries the trace rows recorded so far and the last good swarm.
 
-Each iteration scores the pushed measure on one batch twice, for deaths at
-its support and for births at the candidates, and the next support is the
-survivors followed by the born candidates. The loop hands on what the two
-scorings share as ``ev`` and its workspace as ``ws``, under the contract
-that ``kernels`` states. The survivors are decided once, as the boolean
-mask ``keep``, which both ``apply_mass_tweak`` and ``support_field`` take.
-The run creates one ``workspace.Workspace`` when it starts and drops it
-when it returns, and drops ``ev`` as soon as ``support_field`` has read
-it, so a slot that grows frees its old buffer at once.
+Each iteration draws its second batch and then its birth candidates,
+before the death decision, and scores the pushed measure on that batch in
+one pass, for deaths at its support and for births at the candidates; the
+next support is the survivors followed by the born candidates. The loop
+hands on what the next support field reuses of that pass as ``ev`` and its
+workspace as ``ws``, under the contract that ``kernels`` states. The
+survivors are decided once, as the boolean mask ``keep``, which both
+``apply_mass_tweak`` and ``support_field`` take. The run creates one
+``workspace.Workspace`` when it starts and drops it when it returns, and
+drops ``ev`` as soon as ``support_field`` has read it, so a slot that grows
+frees its old buffer at once.
+
+On an unsigned problem every sign is +1 (``run`` refuses a start swarm with
+a negative sign, and births take +1), so the loop skips the sign folds
+``s w``, ``s v + kappa`` and ``s grad``, which would not change a bit.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .birth_death import BirthRule, DeathRule, apply_mass_tweak, evaluate_birth_candidates, \
-    select_deaths
+from .birth_death import BirthRule, DeathRule, apply_mass_tweak, draw_candidates, \
+    evaluate_birth_candidates, select_deaths
 from .dynamics import weight_push_update
 from .objective import Problem, loss
 from .oracle import draw_batch
@@ -131,10 +137,14 @@ class RunAborted(ValueError):
 
 
 def run(config: RunConfig, problem: Problem) -> RunResult:
-    """Execute the loop and record one trace row per iteration."""
+    """Execute the loop and record one trace row per iteration; a start
+    swarm with a negative sign on an unsigned problem is refused."""
     rng = np.random.Generator(np.random.Philox(config.seed))
     swarm = config.init_swarm
-    model, kappa = problem.model, problem.kappa
+    model, kappa, signed = problem.model, problem.kappa, problem.signed
+    if not signed and np.any(swarm.signs < 0):
+        raise ValueError(f"the problem is unsigned, but {np.count_nonzero(swarm.signs < 0)} "
+                         "start particle(s) have sign -1")
     n = model.n_samples
     ws = Workspace()
     t0 = time.perf_counter()
@@ -150,10 +160,13 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
         idx = None if config.full_batch else draw_batch(rng, m_k, n)
         threshold_m = n if config.full_batch else m_k
 
-        vals, grad = model.support_field(swarm.positions, swarm.weights * swarm.signs, idx,
-                                         ev, keep, ws=ws)
+        coef = swarm.weights * swarm.signs if signed else swarm.weights
+        vals, grads = model.support_field(swarm.positions, coef, idx, ev, keep, ws=ws)
         ev = keep = None  # read for the last time: a growing slot frees its buffer
-        certs, grads = swarm.signs * vals + kappa, swarm.signs[:, None] * grad
+        if signed:
+            certs, grads = swarm.signs * vals + kappa, swarm.signs[:, None] * grads
+        else:
+            certs = vals + kappa
         cert_norm_sq = float(swarm.weights @ certs**2) if len(swarm) else 0.0
         # the recorded minimum tracks the pushed certificate and the
         # candidates'; without the birth/death step the pre-update support
@@ -167,12 +180,14 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
         births = deaths = 0
         if config.birth_death:
             idx_plus = None if config.full_batch else draw_batch(rng, m_k, n)
-            vals, ev = model.pushed_values(swarm.positions, swarm.weights * swarm.signs, idx_plus,
-                                           ws=ws)
-            pushed = swarm.signs * vals + kappa
+            cand, cand_signs = draw_candidates(problem, config.birth_rule, rng)
+            coef = swarm.weights * swarm.signs if signed else swarm.weights
+            vals, cand_vals, ev = model.pushed_values(swarm.positions, coef, idx_plus, cand,
+                                                      ws=ws)
+            pushed = swarm.signs * vals + kappa if signed else vals + kappa
             death_idx = select_deaths(swarm, pushed, config.death_rule, eps_k, rng)
-            born, cand_certs = evaluate_birth_candidates(problem, ev, config.birth_rule,
-                                                         eps_k, threshold_m, rng, ws)
+            born, cand_certs = evaluate_birth_candidates(problem, cand, cand_signs, cand_vals,
+                                                         config.birth_rule, eps_k, threshold_m)
             keep = np.ones(len(swarm), dtype=bool)
             keep[death_idx] = False
             seen = np.concatenate([pushed, cand_certs])
@@ -184,7 +199,7 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
         delta = None if cur_loss is None else last_loss - cur_loss
         if cur_loss is not None:
             last_loss = cur_loss
-        min_cert = min(float(seen.min()), 0.0) if seen.size else None
+        min_cert = min(float(np.minimum.reduce(seen)), 0.0) if seen.size else None
         trace.append(IterationRecord(k, time.perf_counter() - t0, cur_loss, swarm.tv_norm(),
                                      len(swarm), births, deaths, min_cert, delta,
                                      cert_norm_sq))

@@ -65,7 +65,7 @@ class ParticleSwarm:
 
     def tv_norm(self) -> float:
         """Total variation norm: the sum of (lifted, nonnegative) weights."""
-        return float(self.weights.sum()) if len(self) else 0.0
+        return float(np.add.reduce(self.weights)) if len(self) else 0.0
 
     def appended(self, extra: "ParticleSwarm") -> "ParticleSwarm":
         """New swarm with the particles of ``extra`` appended in order."""

@@ -32,8 +32,8 @@ class Workspace:
     evaluations, in named slots.
 
     ``runner.run`` creates one per run and hands it, next to ``ev``, to
-    ``pushed_values``, ``candidate_values``, ``support_field`` and the
-    cadence ``loss``; the models keep it nowhere. Every other caller passes
+    ``pushed_values``, ``support_field`` and the cadence ``loss``; the
+    models keep it nowhere. Every other caller passes
     None, and numpy allocates as it would without one.
 
     ``take(slot, rows, cols)`` returns a C-ordered float64 array of that
@@ -48,14 +48,16 @@ class Workspace:
     a slot holds is overwritten by the next call that takes it:
 
     * ``"ev.kernel"`` and ``"ev.rows"``: ``ev``'s kernel block (the
-      mixture's ``K(T', T')``, the synthetic model's ``K(T', P')``) and, in
-      an exact mixture run, its data-side rows. ``pushed_values`` writes them
-      and the next iteration's ``support_field`` reads them, before the next
-      ``pushed_values`` writes its own.
+      mixture's ``K(T', T')``, the synthetic model's ``K([T'; C], P')``,
+      whose first p rows ``ev`` keeps) and, in an exact mixture run, the
+      data-side rows of ``[T'; C]``, whose first p rows are ``ev``'s.
+      ``pushed_values`` writes them and the next iteration's
+      ``support_field`` reads them, before the next ``pushed_values`` writes
+      its own.
     * ``"work"``: the largest array of one evaluation step, used up within
-      the call: data-side rows (a batch's, the candidates' and the loss's
-      mean blocks, the exact support's assembled rows), then the kernel
-      built after them (the candidates' ``K(C, T')``, the assembled support
+      the call: data-side rows (a batch's of ``[T'; C]``, the loss's mean
+      blocks, the exact support's assembled rows), then the kernel built
+      after them (the candidates' ``K(C, T')``, the assembled support
       kernel, the loss's ``K(T, T)``), or a ReLU activation block.
     * ``"diff"``: ``_sqdist``'s coordinate differences, and the survivors'
       rows of ``K(T', T')`` while their columns are gathered.

@@ -21,7 +21,7 @@ from conicswarm import gaussian, kernels
 from conicswarm.audit import AssumptionBounds
 from conicswarm.domain import Ball, Box, Domain, grid_points
 from conicswarm.gaussian import gauss_density
-from conicswarm.kernels import KernelModel, ReluKernel, SyntheticKernel
+from conicswarm.kernels import GmmKernel, KernelModel, ReluKernel, SyntheticKernel
 
 # --- rounding constants ------------------------------------------------------
 
@@ -57,12 +57,13 @@ def y_at(model, t, i=None):
 def kernel_sum(model, a, b, coef, idx=None):
     """``K(A, B) c``. ReLU sums in feature space, ``relu(X_b A')'
     (relu(X_b B') c) / m``; the Gaussian models take the product of the
-    entries without their constant and then multiply the constant in, the
-    bits of ``GaussianKernel.weighted_kernel``."""
+    entries without a constant and then multiply the mixture's constant in,
+    the bits of ``GaussianKernel.weighted_kernel``."""
     if isinstance(model, ReluKernel):
         aug, _, u = relu_output(model, b, coef, idx)
         return np.maximum(aug @ a.T, 0.0).T @ u / aug.shape[0]
-    return (gauss_density(a, b, model._kvar) @ coef) * model._knorm
+    values = gauss_density(a, b, model._kvar) @ coef
+    return values * model._knorm if isinstance(model, GmmKernel) else values
 
 
 def observation_terms(model, t, idx=None):
@@ -238,8 +239,9 @@ class Reference(SyntheticKernel):
     def certificate_values(self, t, support, coef, idx=None, ws=None):
         return self.weighted_kernel(t, support, coef) - self.y_inner_many(t, idx)
 
-    def pushed_values(self, support, coef, idx=None, ws=None):
-        return self.certificate_values(support, support, coef, idx), (support, coef, idx)
+    def pushed_values(self, support, coef, idx, cand, ws=None):
+        return (self.certificate_values(support, support, coef, idx),
+                self.certificate_values(cand, support, coef, idx), (support, coef, idx))
 
     def candidate_values(self, ev, t, ws=None):
         return self.certificate_values(t, *ev)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conicswarm.birth_death import SQRT2, BirthRule, DeathRule, apply_mass_tweak, \
-    evaluate_birth_candidates, guarded_threshold_coeff, select_deaths, tail_exponent_for_dim
+    draw_candidates, evaluate_birth_candidates, guarded_threshold_coeff, select_deaths, \
+    tail_exponent_for_dim
 from conicswarm.objective import certificate, loss
 from conicswarm.oracle import draw_batch
 from conicswarm.swarm import ParticleSwarm
@@ -17,15 +18,18 @@ def swarm_of(weights, certs_dim=1):
     return ParticleSwarm(weights, np.ones(p), np.zeros((p, certs_dim)))
 
 
-def pushed_ev(problem, swarm, idx):
-    """What the birth step reads of the pushed evaluation of ``swarm`` on ``idx``."""
-    return problem.model.pushed_values(swarm.positions, swarm.weights * swarm.signs, idx)[1]
+def birth_step(problem, swarm, rule, eps_k, m_k, idx, g):
+    """One birth step: the candidates drawn from ``g``, scored by the pushed
+    evaluation of ``swarm`` on ``idx``; returns ``(born, cand_certs)``."""
+    cand, signs = draw_candidates(problem, rule, g)
+    vals = problem.model.pushed_values(swarm.positions, swarm.weights * swarm.signs, idx,
+                                       cand)[1]
+    return evaluate_birth_candidates(problem, cand, signs, vals, rule, eps_k, m_k)
 
 
 def births(problem, swarm, rule, eps_k, m_k, idx, g):
     """The accepted candidates of one birth step."""
-    return evaluate_birth_candidates(problem, pushed_ev(problem, swarm, idx), rule, eps_k, m_k,
-                                     g)[0]
+    return birth_step(problem, swarm, rule, eps_k, m_k, idx, g)[0]
 
 
 class TestSelectDeaths:
@@ -166,8 +170,7 @@ class TestProposeBirths:
         problem = make_synthetic_problem()
         sw = ParticleSwarm.empty(2)
         rule = BirthRule(threshold_coeff=math.inf, candidates_per_iter=5)
-        born, _ = evaluate_birth_candidates(problem, pushed_ev(problem, sw, None), rule,
-                                            0.01, 16, rng(17))
+        born, _ = birth_step(problem, sw, rule, 0.01, 16, None, rng(17))
         cands = problem.domain.sample_uniform(rng(17), size=5)  # the step's first draw
         assert np.array_equal(born.positions, cands)
 

@@ -79,9 +79,8 @@ def test_scoped_means_with_kept_hits_and_misses(n, data, seed):
                      if len(pool) else st.just([]))
     t = pool[pick] if pick else np.empty((0, 2))
     if len(kept):  # the exact pushed evaluation's rows and means go to ``ev`` only
-        _, ev = model.pushed_values(kept, np.ones(len(kept)))
-        assert same_bits(model.candidate_values(ev, t),
-                         model.certificate_values(t, kept, np.ones(len(kept))))
+        _, at_t, _ = model.pushed_values(kept, np.ones(len(kept)), None, t)
+        assert same_bits(at_t, model.certificate_values(t, kept, np.ones(len(kept))))
     assert same_bits(model.y_inner_many(t), mixture_means(model, t))
     assert same_bits(model.y_inner_many(new), mixture_means(model, new))
 
@@ -101,8 +100,8 @@ def test_batched_means_match_one_shot_across_the_block_edge(p):
     assert same_bits(model.y_inner_many(t, idx), want)
     support = problem.domain.sample_uniform(g, size=3)
     coef = g.uniform(-1.0, 1.0, size=3)
-    _, ev = model.pushed_values(support, coef, idx)
-    assert same_bits(model.candidate_values(ev, t), kernel_sum(model, t, support, coef) - want)
+    _, at_t, _ = model.pushed_values(support, coef, idx, t)
+    assert same_bits(at_t, kernel_sum(model, t, support, coef) - want)
 
 
 @pytest.fixture(scope="module")

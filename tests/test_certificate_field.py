@@ -233,5 +233,5 @@ def test_relu_support_evaluations_hold_one_activation_array():
     idx = g.integers(0, 2000, size=m)
     slack = 2**17
     for call in (lambda: model.certificate_field(support, support, coef, idx),
-                 lambda: model.pushed_values(support, coef, idx)):
+                 lambda: model.pushed_values(support, coef, idx, support[:0])):
         assert traced_peak(call) <= 8 * m * p + slack

@@ -493,6 +493,9 @@ class TestRunCommand:
                      id="no-births"),
         pytest.param(TINY_SYNTHETIC, "birth_threshold = 0.0", "birth_threshold = inf",
                      id="every-candidate-born"),
+        # a squared diameter of about 7e307, still a finite float
+        pytest.param(TINY_GMM, "tau = 0.2", "tau = 0.2\nring_radius = 3e153",
+                     id="widest-ring"),
     ])
     def test_values_on_a_domain_edge_still_run(self, tmp_path, body, old, new):
         cfg = write_config(tmp_path, body.replace(old, new).replace("iterations = 40",
@@ -1122,6 +1125,33 @@ def test_cross_key_refusals_exit_2(body, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, line, value, key", [
+    ("synthetic_theory.cfg", "box_high = 1.0", "1e160", "box_low/box_high"),
+    ("gmm_desk.cfg", "ring_radius = 5.0", "1e160", "ring_radius"),
+    ("gmm_desk.cfg", "ring_radius = 5.0", None, "data_path"),
+])
+def test_box_whose_squared_diameter_overflows_exits_2_naming_the_key(name, line, value, key,
+                                                                      tmp_path, capsys):
+    # the kernels square the distance of two points of the box; where the
+    # box's squared diameter is not a finite float, the run is refused
+    # before anything is written
+    cfg = shipped_copy(name, tmp_path, iterations=20)
+    body = cfg.read_text(encoding="utf-8")
+    assert line + "\n" in body
+    if value is None:
+        (tmp_path / "wide.csv").write_text("x0,x1\n0,0\n1e160,1e160\n5,-1e160\n")
+        new, key = "data_path = wide.csv", f"data_path {tmp_path / 'wide.csv'}"
+        body = body.replace("components = 5\ngmm_samples = 2000\n", "")
+    else:
+        new = line.split("=")[0] + f"= {value}"
+    cfg.write_text(body.replace(line, new), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: [problem] {key}: the box's squared diameter "
+                                       "sum((upper - lower)^2) is inf, not a finite float\n")
     assert not out.exists()
 
 

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conicswarm.domain import Ball, Box, grid_points
+from conicswarm.domain import Ball, Box, DomainError, grid_points
+from conicswarm.gaussian import _sqdist
 from helpers import rng, same_bits
 
 
@@ -217,6 +219,26 @@ class TestBoxArithmetic:
     def test_box_rejects_bounds_without_a_finite_width(self, lower, upper):
         with pytest.raises(ValueError, match="finite width"):
             Box(lower, upper)
+
+    # the kernels form squared distances coordinate by coordinate, in order:
+    # each width is finite here, but the sum of their squares is not
+    @pytest.mark.parametrize("lower, upper", [([0.0], [1.4e154]), ([0.0, 0.0], [1e154, 1e154]),
+                                              ([-1e160, 0.0], [1e160, 1.0]),
+                                              ([0.0] * 3, [8e153] * 3)])
+    def test_box_rejects_a_squared_diameter_that_is_not_finite(self, lower, upper):
+        with pytest.raises(DomainError, match="squared diameter"):
+            Box(lower, upper)
+
+    @pytest.mark.parametrize("lower, upper", [([0.0], [1.3e154]), ([-9e153, 0.0], [0.0, 9e153]),
+                                              ([0.0] * 3, [7.7e153] * 3)])
+    def test_points_of_the_largest_boxes_have_finite_squared_distances(self, lower, upper):
+        box = Box(lower, upper)
+        corners = np.array(list(itertools.product(*zip(box.lower, box.upper))))
+        points = np.vstack([corners, box.sample_uniform(rng(3), size=50)])
+        with np.errstate(over="raise"):
+            for n in (len(points), 70):  # the subtraction and the product paths
+                stack = np.vstack([points] * (n // len(points) + 1))[:n]
+                assert np.all(np.isfinite(_sqdist(stack, stack[::-1])))
 
 
 class TestVolume:

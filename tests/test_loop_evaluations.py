@@ -1,9 +1,9 @@
 """The loop evaluations of every kernel model, under one contract.
 
-Each iteration scores the pushed measure ``(T', c)`` twice on one batch,
-``pushed_values`` at ``T'`` and ``candidate_values`` at the birth
-candidates ``C`` through ``ev``, and the next ``support_field`` takes ``ev``
-with the survivor mask ``keep`` of ``T = [T'[keep]; C[born]]``. For the
+Each iteration scores the pushed measure ``(T', c)`` on one batch at
+``T'`` and at the birth candidates ``C`` in one ``pushed_values`` call, and
+the next ``support_field`` takes its ``ev`` with the survivor mask ``keep``
+of ``T = [T'[keep]; C[born]]``. For the
 synthetic model (signed and unsigned), the mixture and the ReLU network,
 exact and mini-batch: (a) each call has the bits of a fresh model's
 stateless ``certificate_values`` or ``certificate_field``; (b) so does
@@ -67,10 +67,9 @@ def test_warm_model_gives_fresh_bits(name, seed, data):
     cand = problem.domain.sample_uniform(g, size=data.draw(st.integers(1, 5)))
     coef = g.uniform(-1.0, 1.0, size=size)
     idx = None if exact else g.integers(0, warm.n_samples, size=32)
-    vals, ev = warm.pushed_values(pushed, coef, idx)
+    vals, at_cand, ev = warm.pushed_values(pushed, coef, idx, cand)
     assert same_bits(vals, fresh.certificate_values(pushed, pushed, coef, idx))
-    assert same_bits(warm.candidate_values(ev, cand),
-                     fresh.certificate_values(cand, pushed, coef, idx))
+    assert same_bits(at_cand, fresh.certificate_values(cand, pushed, coef, idx))
 
     def mask(n):  # all, none or any
         return np.array(data.draw(st.sampled_from([[True] * n, [False] * n])
@@ -86,7 +85,7 @@ def test_warm_model_gives_fresh_bits(name, seed, data):
 
 
 class Stateless:
-    """The model with stateless loop evaluations: ``ev`` is the operands, the
+    """The model with stateless loop evaluations: there is no ``ev``, the
     values come from ``certificate_values`` and the support field is
     ``certificate_field``."""
 
@@ -96,11 +95,9 @@ class Stateless:
     def __getattr__(self, name):
         return getattr(self.model, name)
 
-    def pushed_values(self, support, coef, idx=None, ws=None):
-        return self.model.certificate_values(support, support, coef, idx), (support, coef, idx)
-
-    def candidate_values(self, ev, t, ws=None):
-        return self.model.certificate_values(t, *ev)
+    def pushed_values(self, support, coef, idx, cand, ws=None):
+        return (self.model.certificate_values(support, support, coef, idx),
+                self.model.certificate_values(cand, support, coef, idx), None)
 
     def support_field(self, t, coef, idx, ev, keep, ws=None):
         return self.model.certificate_field(t, t, coef, idx)
@@ -113,18 +110,13 @@ class Checked(Stateless):
 
     def __init__(self, model, fresh):
         super().__init__(model)
-        self.fresh, self.assembled, self.last = fresh, 0, None
+        self.fresh, self.assembled = fresh, 0
 
-    def pushed_values(self, support, coef, idx=None, ws=None):
-        vals, ev = self.model.pushed_values(support, coef, idx, ws)
+    def pushed_values(self, support, coef, idx, cand, ws=None):
+        vals, at_cand, ev = self.model.pushed_values(support, coef, idx, cand, ws)
         assert same_bits(vals, self.fresh.certificate_values(support, support, coef, idx))
-        self.last = support, coef, idx
-        return vals, ev
-
-    def candidate_values(self, ev, t, ws=None):
-        vals = self.model.candidate_values(ev, t, ws)
-        assert same_bits(vals, self.fresh.certificate_values(t, *self.last))
-        return vals
+        assert same_bits(at_cand, self.fresh.certificate_values(cand, support, coef, idx))
+        return vals, at_cand, ev
 
     def support_field(self, t, coef, idx, ev, keep, ws=None):
         got = self.model.support_field(t, coef, idx, ev, keep, ws)
@@ -148,7 +140,9 @@ def test_run_has_the_bits_of_stateless_evaluations(name, full_batch, beta):
     checked = Checked(problem.model, BUILDERS[name]().model)
     res = run(config, dataclasses.replace(problem, model=checked))
     assert res.total_births > 0 and res.total_deaths > 0
-    assert checked.assembled == config.k_iters - 1
+    # every support field after the first reads a pushed evaluation; ReLU's
+    # builds everything it reads, so its ``ev`` is None
+    assert checked.assembled == (0 if name == "relu" else config.k_iters - 1)
     bare = run(config, dataclasses.replace(problem, model=Stateless(problem.model)))
     assert rows(res.trace) == rows(bare.trace)
     for field in ("weights", "signs", "positions"):
@@ -221,8 +215,8 @@ def contents(ev):
 @each_model
 @each_batching
 def test_no_loop_evaluation_writes_ev(name, full_batch):
-    # the birth step and the next support field read the pushed evaluation;
-    # neither adds to it or overwrites it, whatever died or was born
+    # the next support field reads the pushed evaluation; it neither adds to
+    # it nor overwrites it, whatever died or was born
     problem = WARM[name]
     model, g = problem.model, rng(5)
     pushed = problem.domain.sample_uniform(g, size=6)
@@ -231,10 +225,8 @@ def test_no_loop_evaluation_writes_ev(name, full_batch):
     def batch():
         return None if full_batch else g.integers(0, model.n_samples, size=32)
 
-    _, ev = model.pushed_values(pushed, g.uniform(-1.0, 1.0, size=6), batch())
+    _, _, ev = model.pushed_values(pushed, g.uniform(-1.0, 1.0, size=6), batch(), cand)
     before = contents(ev)
-    model.candidate_values(ev, cand)
-    assert contents(ev) == before
     for keep, born in [(np.ones(6, dtype=bool), cand[:0]),
                        (np.ones(6, dtype=bool), cand[1:3]),
                        (np.array([True, False, True, True, False, True]), cand[:2]),
@@ -257,7 +249,7 @@ def test_support_field_of_an_unchanged_swarm_has_fresh_bits(name, full_batch, si
     pushed = problem.domain.sample_uniform(g, size=size)
     coef = g.uniform(-1.0, 1.0, size=size)
     idx = None if full_batch else g.integers(0, model.n_samples, size=32)
-    _, ev = model.pushed_values(pushed, coef, idx)
+    _, _, ev = model.pushed_values(pushed, coef, idx, pushed[:0])
     keep = np.ones(size, dtype=bool)
     for c in (coef, coef.copy(), g.uniform(-1.0, 1.0, size=size)):
         idx = None if full_batch else g.integers(0, model.n_samples, size=32)
@@ -278,7 +270,7 @@ def test_support_field_after_deaths_at_200_points_has_fresh_bits(name, full_batc
     pushed = problem.domain.sample_uniform(g, size=200)
     cand = problem.domain.sample_uniform(g, size=2)
     idx = None if full_batch else g.integers(0, model.n_samples, size=32)
-    _, ev = model.pushed_values(pushed, g.uniform(-1.0, 1.0, size=200), idx)
+    _, _, ev = model.pushed_values(pushed, g.uniform(-1.0, 1.0, size=200), idx, cand)
     keep = np.ones(200, dtype=bool)
     keep[[0, 57, 58, 131, 199]] = False
     t = np.vstack([pushed[keep], cand[:born]])
@@ -301,10 +293,9 @@ def test_relu_loop_evaluations_past_one_row_block_have_fresh_bits(m, p):
     pushed, cand = ball.sample_uniform(g, size=p), ball.sample_uniform(g, size=p)
     coef = g.uniform(-1.0, 1.0, size=p)
     idx = None if m is None else g.integers(0, 2000, size=m)
-    vals, ev = model.pushed_values(pushed, coef, idx)
+    vals, at_cand, ev = model.pushed_values(pushed, coef, idx, cand)
     assert same_bits(vals, fresh.certificate_values(pushed, pushed, coef, idx))
-    assert same_bits(model.candidate_values(ev, cand),
-                     fresh.certificate_values(cand, pushed, coef, idx))
+    assert same_bits(at_cand, fresh.certificate_values(cand, pushed, coef, idx))
     keep = g.random(p) < 0.9
     t = np.vstack([pushed[keep], cand[:3]])
     c = g.uniform(-1.0, 1.0, size=len(t))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conicswarm.birth_death import BirthRule, DeathRule, apply_mass_tweak, \
+from conicswarm.birth_death import BirthRule, DeathRule, apply_mass_tweak, draw_candidates, \
     evaluate_birth_candidates, select_deaths
 from conicswarm.dynamics import weight_push_update
 from conicswarm.objective import certificate_and_grad
@@ -51,10 +51,12 @@ def test_one_step_outputs_pass_check(name, seed, step, death_rule, birth_rule, e
     certs, grads = certificate_and_grad(problem, swarm, swarm.positions, swarm.signs, idx)
     pushed = weight_push_update(problem, swarm, certs, grads, *step).check()
 
-    vals, ev = problem.model.pushed_values(pushed.positions, pushed.weights * pushed.signs, idx)
+    cand, signs = draw_candidates(problem, birth_rule, rng)
+    vals, cand_vals, _ = problem.model.pushed_values(pushed.positions,
+                                                     pushed.weights * pushed.signs, idx, cand)
     deaths = select_deaths(pushed, pushed.signs * vals + problem.kappa, death_rule, eps_k, rng)
-    born = evaluate_birth_candidates(problem, ev, birth_rule, eps_k,
-                                     n if exact else m_k, rng)[0].check()
+    born = evaluate_birth_candidates(problem, cand, signs, cand_vals, birth_rule, eps_k,
+                                     n if exact else m_k)[0].check()
     after = apply_mass_tweak(pushed, survivors(pushed, deaths), born).check()
     assert len(after) == len(pushed) - len(deaths) + len(born)
 

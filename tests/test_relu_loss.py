@@ -128,7 +128,7 @@ def test_relu_loss_temporaries_do_not_scale_with_n():
                           problem.domain.sample_uniform(g, size=400))
     s, c = swarm.positions, swarm.weights * swarm.signs
     for call in (lambda: loss(problem, swarm), lambda: model.certificate_field(s, s, c),
-                 lambda: model.pushed_values(s, c)):
+                 lambda: model.pushed_values(s, c, None, s[:0])):
         assert traced_peak(call) < 3 * 2**20
 
 

@@ -1,14 +1,11 @@
-"""What ``ReluKernel``'s loop evaluations build: the pushed support's
-residual in ``ev``.
+"""What ``ReluKernel``'s loop evaluations build.
 
-``pushed_values`` hands the batch rows and the residual ``r = u - y`` of the
-pushed support's network output ``u = relu(X_b S) c`` on them to
-``candidate_values`` as ``ev``; the loop scores its birth candidates against
-the pushed support on that same batch, so they read ``r`` and build only
-their own activation, and a stateless evaluation builds every activation
-again. That the loop evaluations have the bits of the stateless ones and
-keep nothing in the model is checked for every model in
-``test_loop_evaluations.py``.
+``pushed_values`` forms the residual ``r = u - y`` of the pushed support's
+network output ``u = relu(X_b S) c`` on the batch rows and scores the birth
+candidates against it on that same batch, so they build only their own
+activation. A stateless evaluation builds every activation again. That the
+loop evaluations have the bits of the stateless ones and keep nothing in
+the model is checked for every model in ``test_loop_evaluations.py``.
 """
 
 from __future__ import annotations
@@ -65,8 +62,8 @@ def activations(model, fetched=None, blocked=None):
 @pytest.mark.parametrize("batched", [True, False])
 @pytest.mark.parametrize("case", ["kept", "support", "coef", "batch", "unscoped"])
 def test_only_the_kept_support_coef_and_batch_read_the_record(case, batched):
-    # only ``candidate_values`` reads the pushed evaluation, through its
-    # ``ev``; a stateless evaluation against any support, ``c`` or batch,
+    # only the candidates of the pushed evaluation read its residual; a
+    # stateless evaluation against any support, ``c`` or batch,
     # the pushed one's included, builds every activation again
     problem = make_relu_problem(seed=3)
     model = problem.model
@@ -86,15 +83,13 @@ def test_only_the_kept_support_coef_and_batch_read_the_record(case, batched):
         "coef": (pushed, coef[::-1].copy(), idx),
         "batch": (pushed, coef, other if idx is None else None),
     }[case]
-    _, ev = model.pushed_values(pushed, coef, idx)
+    _, got, _ = model.pushed_values(pushed, coef, idx, cand)
     want = fresh.certificate_values(cand, support, c, batch)
-    if case == "kept":
-        got = model.candidate_values(ev, cand)
-    else:
+    if case != "kept":
         got = model.certificate_values(cand, support, c, batch)
     assert same_bits(got, want)
     assert log == []
-    assert sorted(blocked) == sorted([5, N_CAND] if case == "kept" else [5, N_CAND, 5])
+    assert sorted(blocked) == sorted([5, N_CAND] if case == "kept" else [5, N_CAND] * 2)
 
 
 @pytest.mark.parametrize("full_batch", [True, False])

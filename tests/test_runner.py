@@ -37,6 +37,15 @@ class TestRunBasics:
         assert res.trace[0].loss == pytest.approx(loss(problem, init))
         assert np.array_equal(res.final_swarm.weights, init.weights)
 
+    def test_negative_particle_on_an_unsigned_problem_is_refused(self):
+        # the loop folds no sign on an unsigned problem, where every sign is
+        # +1; a start swarm with a -1 particle is refused before iteration 1
+        problem = make_synthetic_problem(seed=4, signed=False)
+        init = ParticleSwarm(np.full(2, 0.05), [1.0, -1.0],
+                             problem.domain.sample_uniform(rng(1), size=2))
+        with pytest.raises(ValueError, match="unsigned, but 1 start particle"):
+            run(small_config(init, k_iters=20), problem)
+
     def test_bookkeeping_identity_every_step(self):
         problem = make_synthetic_problem()
         init = random_swarm(problem, rng(2), max_particles=6)

@@ -1,13 +1,13 @@
 """What ``GmmKernel``'s loop evaluations build.
 
-Each iteration scores the pushed support ``T'`` against itself
-(``pushed_values``) and the birth candidates ``C`` against ``T'`` on the
-same batch (``candidate_values``); the next support ``T`` is ``T'[keep]``
-followed by the born candidates. ``ev`` carries the batch rows,
-``K(T', T')`` and, in an exact
+Each iteration scores the pushed support ``T'`` against itself and the
+birth candidates ``C`` against ``T'`` on the same batch in one
+``pushed_values`` call, which builds the data-side rows of ``[T'; C]``
+together; the next support ``T`` is ``T'[keep]`` followed by the born
+candidates. ``ev`` carries the batch rows, ``K(T', T')`` and, in an exact
 run the pushed support's data-side rows and means, so ``support_field``
 builds only the born rows ``K(T_born, T)``, after deaths too, and in an
-exact run one data-side row per birth, and the candidates fetch no batch. Every stateless evaluation builds fresh. That
+exact run one data-side row per birth. Every stateless evaluation builds fresh. That
 the loop evaluations have the bits of the stateless ones, write nothing
 into ``ev`` and keep nothing in the model is checked for every model in
 ``test_loop_evaluations.py``.
@@ -59,7 +59,7 @@ def kernel_entries(log, model, since=0, until=None):
 
 
 #: each loop evaluation and the position of its points among its arguments
-LOOP_EVALUATIONS = {"support_field": 0, "pushed_values": 0, "candidate_values": 1}
+LOOP_EVALUATIONS = {"support_field": 0, "pushed_values": 0}
 
 
 @pytest.fixture
@@ -144,8 +144,7 @@ def scoped_pair(model, domain, idx=None):
     the batch ``idx``; returns T', C and ``ev``."""
     pushed = domain.sample_uniform(rng(1), size=5)
     cand = domain.sample_uniform(rng(2), size=4)
-    _, ev = model.pushed_values(pushed, np.linspace(0.1, 0.5, 5), idx)
-    model.candidate_values(ev, cand)
+    _, _, ev = model.pushed_values(pushed, np.linspace(0.1, 0.5, 5), idx, cand)
     return pushed, cand, ev
 
 
@@ -210,7 +209,7 @@ def test_fresh_support_kernel_builds_the_upper_triangle(built, idx):
     pushed = problem.domain.sample_uniform(rng(4), size=p)
     coef = np.linspace(0.1, 1.0, p)
     since = len(built)
-    vals, _ = model.pushed_values(pushed, coef, idx)
+    vals, _, _ = model.pushed_values(pushed, coef, idx, pushed[:0])
     assert kernel_entries(built, model, since) <= bound < p**2
     since = len(built)
     rest = pushed[1:]
@@ -232,8 +231,7 @@ def test_mini_batch_unscoped_and_loss_calls_keep_nothing(built):
     for _ in range(2):
         model.certificate_values(pts, pts, np.ones(3))
     assert data_rows(built, model) == 6
-    _, ev = model.pushed_values(pts, np.ones(3))
-    model.candidate_values(ev, pts)
+    model.pushed_values(pts, np.ones(3), None, pts)
     assert data_rows(built, model) == 12
     for _ in range(2):
         model.certificate_values(pts, pts, np.ones(3), np.arange(model.n_samples))

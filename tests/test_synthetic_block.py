@@ -23,11 +23,11 @@ A batch's noise mean is counted, ``bincount(idx, minlength=n) @ eta / m``,
 with no m x r gather, so an evaluation's memory does not grow with m; it
 stays within the summation bound ``counted_mean_bound`` of the gathered
 ``eta[idx].mean(axis=0)``. The pushed certificate and the birth candidates
-share a batch, so ``pushed_values`` computes its mean once and hands
-``(P, q)`` to ``candidate_values`` in ``ev``; every stateless evaluation
-computes its own mean. ``ev`` also holds the block ``K(T', P')``, which the
-next support field reads after an iteration with no death and no birth, so
-such an iteration builds two kernel matrices and any other three. That the
+share a batch, so ``pushed_values`` computes its mean once and scores both
+from one block ``K([T'; C], P')``; every stateless evaluation computes its
+own mean. ``ev`` keeps the block's rows ``K(T', P')``, which the next
+support field reads after an iteration with no death and no birth, so such
+an iteration builds one kernel matrix and any other two. That the
 loop evaluations have the bits of the stateless ones and keep nothing in
 the model is checked for every model in ``test_loop_evaluations.py``. CI runs the bit and bound tests again with
 OpenBLAS on two threads.
@@ -97,9 +97,9 @@ def test_certificate_has_the_bits_of_one_signed_measure(seed, dim, n_atoms, n_an
     want = evaluations(ref, t, support, coef, idx)
     for got, expected in zip(evaluations(model, t, support, coef, idx), want):
         assert same_bits(got, expected)
-    vals, ev = model.pushed_values(support, coef, idx)
+    vals, at_t, _ = model.pushed_values(support, coef, idx, t)
     assert same_bits(vals, ref.certificate_values(support, support, coef, idx))
-    assert same_bits(model.candidate_values(ev, t), want[2])
+    assert same_bits(at_t, want[2])
     assert model.y_norm_sq == ref.y_norm_sq
     primitives = Reference.certificate_field(ref, t, support, coef, idx)
     for got, expected, bound in zip(want, primitives,
@@ -140,7 +140,7 @@ def test_counted_noise_mean_within_rounding_of_the_gathered_mean(seed, n_samples
                                                                  m):
     model, _ = model_pair(seed, 2, 3, n_anchors, n_samples=n_samples)
     idx = rng(seed).integers(0, n_samples, size=m)
-    got = model._y_coef(idx)[model.atom_weights.size :]
+    got = -model._q(np.empty(0), idx)[model.atom_weights.size :]
     assert same_bits(got, counted_mean(model, idx))
     assert np.all(np.abs(got - model.eta[idx].mean(axis=0)) <= counted_mean_bound(model, idx))
 
@@ -156,7 +156,7 @@ def test_certificate_memory_does_not_grow_with_the_batch():
     for m in (10**3, 10**6):
         idx = g.integers(0, model.n_samples, size=m)
         peaks.append([traced_peak(lambda: model.certificate_field(t, support, coef, idx)),
-                      traced_peak(lambda: model.pushed_values(support, coef, idx))])
+                      traced_peak(lambda: model.pushed_values(support, coef, idx, t))])
     assert all(big <= small + 1024 for small, big in zip(*peaks))
 
 
@@ -201,19 +201,19 @@ def test_each_evaluation_builds_one_kernel_matrix(monkeypatch):
 def noise_means(model):
     """Makes the model log the batch size of every noise mean it computes,
     None for the exact mean; returns the log."""
-    log, real = [], model._y_coef
+    log, real = [], model._q
 
-    def counting(idx):
+    def counting(coef, idx):
         log.append(None if idx is None else len(idx))
-        return real(idx)
+        return real(coef, idx)
 
-    model._y_coef = counting
+    model._q = counting
     return log
 
 
 def test_noise_mean_is_kept_for_its_batch_only():
-    # the pushed evaluation computes its batch's mean once and the
-    # candidates read it from ``ev``; a stateless evaluation computes it on
+    # the pushed evaluation computes its batch's mean once for the pushed
+    # support and the candidates; a stateless evaluation computes it on
     # every call
     model, ref = model_pair(5, 2, 3, 3)
     log = noise_means(model)
@@ -222,11 +222,9 @@ def test_noise_mean_is_kept_for_its_batch_only():
     coef = g.uniform(-1.0, 1.0, size=5)
     for idx, size in ((g.integers(0, 64, size=32), 32), (None, None)):
         before = len(log)
-        vals, ev = model.pushed_values(support, coef, idx)
+        vals, at_t, _ = model.pushed_values(support, coef, idx, t)
         assert same_bits(vals, ref.certificate_values(support, support, coef, idx))
-        for _ in range(2):
-            assert same_bits(model.candidate_values(ev, t),
-                             ref.certificate_values(t, support, coef, idx))
+        assert same_bits(at_t, ref.certificate_values(t, support, coef, idx))
         assert log[before:] == [size]
     a = g.integers(0, 64, size=32)
     before = len(log)
@@ -279,10 +277,10 @@ def test_theory_run_writes_the_bytes_of_the_signed_measure_path(tmp_path, monkey
 
 @pytest.mark.exactness
 def test_support_field_reuses_the_pushed_block_after_an_unchanged_iteration(monkeypatch):
-    # an iteration builds ``K(T', P')`` for its deaths and ``K(C, P')`` for
-    # its candidates; the next support field builds ``K(T, P)`` unless
-    # nothing died and nothing was born, when it reads ``ev``'s block. The
-    # loss at cadence builds its own and is not counted
+    # an iteration builds one block ``K([T'; C], P')`` for its deaths and its
+    # candidates; the next support field builds ``K(T, P)`` unless nothing
+    # died and nothing was born, when it reads ``ev``'s rows of that block.
+    # The loss at cadence builds its own and is not counted
     spec = load_config(CONFIGS / "synthetic_theory.cfg")
     spec.run["iterations"] = 300
     problem, extras = cli.build_problem(spec)
@@ -310,5 +308,5 @@ def test_support_field_reuses_the_pushed_block_after_an_unchanged_iteration(monk
     result = run(config, problem)
     # the first support field has no pushed evaluation to read
     changed = [True] + [rec.births + rec.deaths > 0 for rec in result.trace[1:-1]]
-    assert builds == [3 if c else 2 for c in changed]
+    assert builds == [2 if c else 1 for c in changed]
     assert 0 < changed.count(False) < len(changed)

@@ -91,15 +91,14 @@ def test_loop_evaluations_have_reference_bits_at_every_offset(name, full_batch, 
     cand = problem.domain.sample_uniform(g, size=40)
     coef = g.uniform(-1.0, 1.0, size=200)
     idx = batch()
-    vals, ev = model.pushed_values(pushed, coef, idx, ws)
+    vals, at_cand, ev = model.pushed_values(pushed, coef, idx, cand, ws)
     assert same_bits(vals, reference_field(model, pushed, pushed, coef, idx)[0])
     if name != "relu":
         # the Gaussian models keep their pushed kernel block in "ev.kernel";
         # the first support field below, of an unchanged swarm, reads it
-        block = ev[2] if name == "synthetic" else ev["k"]
+        block = ev[1] if name == "synthetic" else ev[0]
         assert np.shares_memory(block, ws.take("ev.kernel", 1, PRODUCT_ENTRIES))
-    assert same_bits(model.candidate_values(ev, cand, ws),
-                     reference_field(model, cand, pushed, coef, idx)[0])
+    assert same_bits(at_cand, reference_field(model, cand, pushed, coef, idx)[0])
     died = g.random(200) < 0.2
     for keep, born in [(np.ones(200, dtype=bool), cand[:0]),
                        (np.ones(200, dtype=bool), cand[::3]),
