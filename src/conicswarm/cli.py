@@ -49,7 +49,8 @@ def build_problem(spec: RunSpec):
     Returns ``(problem, extras)``; extras may hold the dataset, or the raw
     sample cloud and the spec of the mixture that generated it, depending
     on the model. A box that the bounds or the data make and ``Box``
-    refuses is a ``ConfigError`` naming the key.
+    refuses is a ``ConfigError`` naming the key, and so is a ``sigma`` too
+    small for the box's kernel exponents.
     """
     prob = spec.problem
     rng = np.random.Generator(np.random.Philox(prob["seed"]))
@@ -67,9 +68,10 @@ def build_problem(spec: RunSpec):
         weights = prob["atom_mass"] * rng.uniform(0.75, 1.25, size=prob["atoms"])
         if signed:
             weights *= rng.choice([-1.0, 1.0], size=prob["atoms"])
-        model = SyntheticKernel(domain, prob["sigma"], weights, positions,
-                                n_samples=prob["n_samples"],
-                                noise_scale=prob["noise_scale"], seed=prob["seed"] + 1)
+        with _domain_from("sigma"):
+            model = SyntheticKernel(domain, prob["sigma"], weights, positions,
+                                    n_samples=prob["n_samples"],
+                                    noise_scale=prob["noise_scale"], seed=prob["seed"] + 1)
         problem = Problem(model=model, domain=domain, kappa=prob["kappa"], signed=signed)
     elif model_kind == "gmm":
         if prob["data_path"]:

@@ -21,7 +21,7 @@ _MAX_GRID_POINTS = 50_000  # past this, grids are uniform draws, not lattices
 
 
 class DomainError(ValueError):
-    """Bounds that a domain refuses."""
+    """Bounds that a domain refuses, alone or with a kernel width."""
 
 
 class Domain(ABC):
@@ -81,7 +81,7 @@ class Box(Domain):
     rounding is monotone, so each rounded difference, its square and every
     running sum over the coordinates is at most the widths': every pair of
     points in the box has the finite squared distance that
-    ``gaussian._sqdist`` forms that way.
+    ``gaussian._sqdist`` forms that way, at most ``sq_diam``.
     """
 
     def __init__(self, lower, upper):
@@ -97,6 +97,7 @@ class Box(Domain):
         if not np.isfinite(sq_diam):
             raise DomainError(f"the box's squared diameter sum((upper - lower)^2) is {sq_diam}, "
                               "not a finite float")
+        self.sq_diam = float(sq_diam)
         self.dim = self.lower.size
 
     def __repr__(self):

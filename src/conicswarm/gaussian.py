@@ -11,7 +11,8 @@ constant: callers multiply the sums they reduce them to by ``gauss_norm``
 or their own, the values ``K c`` and the gradients of ``gauss_grad`` (one
 product ``K(A, B) @ [c B, c]``). One array against itself (``gauss_self``)
 is the upper triangle of row blocks, mirrored, with the bits of the full
-build.
+build. The pair sum of ``close_pair_sum`` alone takes its exponents from
+expanded products, within a stated bound of the exact ones.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ __all__ = ["gauss_density", "gauss_norm", "gauss_self", "gauss_grad", "close_pai
 
 #: leading coordinates that index the cell list of ``close_pair_sum``
 _CELL_DIMS = 3
+#: cell indices from this magnitude on take exact differences in
+#: ``close_pair_sum``: below it, the index's own rounding is under 2^-12 cell
+_EXPAND_LIMIT = 2**40
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray, ws=None, out=None) -> np.ndarray:
@@ -95,19 +99,41 @@ def gauss_density(a: np.ndarray, b: np.ndarray, var: float, ws=None, out=None) -
     return _gauss_finish(_sqdist(a, b, ws, out), var)
 
 
-def _exp_sum(x: np.ndarray, m: int, scale: float) -> float:
+def _exp_sum(x: np.ndarray, m: int, scale: float, g: int) -> float:
     """``sum_ij w_ij exp(-|x_i - x_j|^2 / scale)`` over ``i < m``, with
     ``w_ij = 1`` for ``j < m`` and 2 otherwise: the first ``m`` rows
     against themselves once and against the rest twice, in cache-sized row
-    blocks of at most ``SELF_BLOCK_ENTRIES`` terms, each block against
-    itself and the rows after it.
+    tiles of at most ``SELF_BLOCK_ENTRIES`` terms, each tile against itself
+    and the rows after it. A tile's exponents are formed in one buffer,
+    exponentiated in place and summed by one matvec with the weights.
+
+    The first ``g`` coordinates enter expanded: with ``a`` and ``b`` the
+    rows centred on ``x_0``, ``-|a - b|^2 / s`` is one product with
+    ``g + 2`` inner terms, ``[2a/s, -|a|^2/s, 1] @ [b; 1; -|b|^2/s]``. The
+    other coordinates, all of them for ``g = 0``, subtract ``_sqdist``'s
+    exact sums of squared differences over ``s``.
     """
-    total, step = 0.0, max(1, SELF_BLOCK_ENTRIES // len(x))
+    n, d = x.shape
+    step = max(1, SELF_BLOCK_ENTRIES // n)
+    if g:
+        right = np.empty((g + 2, n))
+        b = np.subtract(x[:, :g].T, x[0, :g, None], out=right[:g])
+        right[g] = 1.0
+        np.divide(np.einsum("ij,ij->j", b, b), -scale, out=right[g + 1])
+        left = np.empty((m, g + 2))
+        np.divide(b[:, :m].T, 0.5 * scale, out=left[:, :g])
+        left[:, g] = right[g + 1, :m]
+        left[:, g + 1] = 1.0
+    weights = np.full(n, 2.0)
+    total = 0.0
     for lo in range(0, m, step):
         hi = min(lo + step, m)
-        # -0.5 / (0.5 scale) is -1 / scale exactly
-        terms = _gauss_finish(_sqdist(x[lo:hi], x[lo:]), 0.5 * scale)
-        total += float(terms[:, : hi - lo].sum()) + 2.0 * float(terms[:, hi - lo :].sum())
+        exponents = left[lo:hi] @ right[:, lo:] if g else np.zeros((hi - lo, n - lo))
+        if d > g:
+            exponents -= _sqdist(x[lo:hi, g:], x[lo:, g:]) / scale
+        np.exp(exponents, out=exponents)
+        weights[lo:hi] = 1.0
+        total += float((exponents @ weights[lo:]).sum())
     return total
 
 
@@ -135,12 +161,28 @@ def close_pair_sum(x: np.ndarray, scale: float, cutoff: float) -> float:
     """``sum_ij exp(-|x_i - x_j|^2 / scale)`` over every ordered pair closer
     than ``cutoff`` (and some farther ones), by a cell list.
 
-    Cells have side ``cutoff / 2`` in the first ``g = min(d, 3)``
+    Cells have side ``h = cutoff / 2`` in the first ``g = min(d, 3)``
     coordinates, so two samples closer than ``cutoff`` sit in cells whose
     indices differ by at most 2 per axis. Only occupied cells are stored,
     keyed by the bytes of their indices. ``_exp_sum`` sums each cell once
     against itself and twice against the occupied cells of the forward half
     of its ``5^g`` stencil, in tiles of at most ``SELF_BLOCK_ENTRIES`` terms.
+
+    Each block is centred on its cell's first sample, so a row ``a`` and a
+    column ``b`` of it have ``|a| < sqrt(g) h`` and ``|b| < 3 sqrt(g) h``,
+    up to the indices' own rounding (under 2^-12 of a cell). The centring
+    is exact far from the origin (Sterbenz) and elsewhere rounds each
+    coordinate by a relative ``u = 2^-53`` at most, which moves the
+    exponent by ``2u (|a| + |b|)^2 / scale``. The expanded product's
+    operands round its cross terms at most ``g + 3`` times and its norm
+    terms ``2g + 2`` times, so for ``d <= 3`` a term's exponent is within
+    ``2 (g + 3) u (|a| + |b|)^2 / scale``, about
+    ``8 g (g + 3) u cutoff^2 / scale`` or less, of the exact one. That is
+    each term's relative error, apart from exp's own; the terms are
+    positive, so the sum adds only the rounding of its sums. A cell whose
+    index reaches ``_EXPAND_LIMIT`` in magnitude may hold samples far apart
+    (the cast's clip at 2^62, or indices rounded by whole cells), so its
+    tiles take exact differences in every coordinate.
     """
     n, g = len(x), min(x.shape[1], _CELL_DIMS)
 
@@ -160,10 +202,11 @@ def close_pair_sum(x: np.ndarray, scale: float, cutoff: float) -> float:
         want = byte_keys(keys[starts] + np.array(off))
         pos = np.minimum(np.searchsorted(cells, want), len(cells) - 1)
         near[:, s] = np.where(cells[pos] == want, pos, -1)
+    expand = np.where(np.abs(keys[starts]).max(axis=1) < _EXPAND_LIMIT, g, 0)
     total = 0.0
     for c, (lo, hi) in enumerate(zip(starts, ends)):
         block = [x[lo:hi]] + [x[starts[j] : ends[j]] for j in near[c] if j >= 0]
-        total += _exp_sum(np.concatenate(block), hi - lo, scale)
+        total += _exp_sum(np.concatenate(block), hi - lo, scale, int(expand[c]))
     return total
 
 

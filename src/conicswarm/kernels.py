@@ -75,7 +75,7 @@ import numpy as np
 
 # ``perfbench/micro.py`` imports the audit from here
 from .audit import AssumptionBounds, audit_assumptions
-from .domain import Box
+from .domain import Box, DomainError
 from .gaussian import close_pair_sum, gauss_density, gauss_grad, gauss_norm, gauss_self
 from .workspace import ROW_BLOCK_ENTRIES, SELF_BLOCK_ENTRIES, buffer, out_buffer
 
@@ -256,6 +256,12 @@ class SyntheticKernel(GaussianKernel):
         self.domain = domain
         self.sigma = float(sigma)
         self._kvar = self.sigma**2
+        # ``_gauss_finish`` scales a squared distance of two points of the box,
+        # at most ``sq_diam``, by ``-0.5 / sigma^2``; rounding is monotone
+        top = domain.sq_diam * (0.5 / self._kvar)
+        if not math.isfinite(top):
+            raise DomainError(f"the kernel's largest exponent sum((upper - lower)^2) / "
+                              f"(2 sigma^2) is {top}, not a finite float")
         self.dim = domain.dim
         self.atom_weights = np.asarray(atom_weights, dtype=float).reshape(-1)
         self.atom_positions = np.asarray(atom_positions, dtype=float)
@@ -374,7 +380,13 @@ class GmmKernel(GaussianKernel):
     most ``c exp(-r^2 / (4 tau^2)) = c 2^-60 / n`` with
     ``c = (4 pi tau^2)^(-d/2)``, and the diagonal alone contributes ``n c``,
     so the at most n^2 skipped terms change the sum by a relative 2^-60 or
-    less.
+    less. ``close_pair_sum`` forms each kept term's exponent as an expanded
+    product, within ``8 g (g + 3) u (ln n + 60 ln 2)`` of the exact one,
+    ``g = min(d, 3)``, ``u = 2^-53``: about 4.6e-13 at gmm_full.cfg's
+    n = 24,000 in the plane, a bound on each term's relative error apart
+    from exp's own, to which the positive sum adds only its sums' rounding.
+    The value lies within 1e-15 of the exact double sum on
+    ``gmm_full.cfg``'s samples, ``gmm_desk.cfg``'s and 300 generated sets.
 
     Data-side means that feed no gradient (``candidate_values``, and so
     ``certificate_values``, ``y_inner_many``, the loss and

@@ -113,9 +113,10 @@ def reference_sqdist(a, b):
     return d2
 
 
-def subtraction_exp_sum(x, m, scale):
+def subtraction_exp_sum(x, m, scale, g=None):
     """``gaussian._exp_sum``'s tile loop with each tile's squared distances
-    from ``reference_sqdist``: no BLAS call."""
+    from ``reference_sqdist``, in every coordinate (``g`` is not read): no
+    BLAS call."""
     total = 0.0
     step = max(1, gaussian.SELF_BLOCK_ENTRIES // len(x))
     for lo in range(0, m, step):

@@ -1155,6 +1155,26 @@ def test_box_whose_squared_diameter_overflows_exits_2_naming_the_key(name, line,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "calibrate"])
+def test_sigma_too_small_for_the_box_exits_2_naming_sigma(command, tmp_path, capsys):
+    # the box's squared diameter 2e304 is finite, but the Gaussian exponent
+    # 2e304 / (2 sigma^2) is not: the audit's kernel matrix used to exit 1
+    # with "overflow encountered in multiply"
+    cfg = shipped_copy("synthetic_theory.cfg", tmp_path, iterations=20)
+    body = cfg.read_text(encoding="utf-8")
+    assert "sigma = 1.2\n" in body and "box_high = 1.0\n" in body
+    cfg.write_text(body.replace("sigma = 1.2", "sigma = 1e-3")
+                   .replace("box_high = 1.0", "box_high = 1e152"), encoding="utf-8")
+    out = tmp_path / "out"
+    args = [command, "--config", str(cfg)] + (["--out", str(out)] if command == "run" else [])
+    assert main(args) == 2
+    assert capsys.readouterr().err == ("error: [problem] sigma: the kernel's largest exponent "
+                                       "sum((upper - lower)^2) / (2 sigma^2) is inf, "
+                                       "not a finite float\n")
+    assert not out.exists()
+
+
 def test_report_without_two_positive_excess_values_fits_no_slope(tmp_path, capsys):
     # j_ref defaults to the smallest loss of the traces, whose own excess is
     # then 0: two horizons leave one positive excess, too few for a slope

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,12 +13,12 @@ from scipy import integrate
 
 from conicswarm import audit, gaussian, kernels
 from conicswarm.audit import audit_assumptions
-from conicswarm.domain import Ball, Box
+from conicswarm.domain import Ball, Box, DomainError
 from conicswarm.experiments import GmmSpec, gen_gmm
 from conicswarm.gaussian import gauss_density
 from conicswarm.kernels import GmmKernel, ReluKernel, SyntheticKernel
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
-from helpers import rng, same_bits
+from helpers import rng, same_bits, y_norm_sq_case
 from reference import brute_y_norm_sq, grad_k_at, grad_rounding_bound, k_at, kernel_sum, \
     plane_density, relu_sum_bound, scaled_kernel_grad, smoothed_sample, subtraction_exp_sum, y_at
 
@@ -102,6 +106,15 @@ class TestGram:
         box = Box(np.zeros(2), np.ones(2))
         with pytest.raises(ValueError, match="sigma must be positive with a finite square"):
             SyntheticKernel(box, sigma, [1.0], [[0.5, 0.5]])
+
+    def test_synthetic_refuses_a_sigma_too_small_for_its_box(self):
+        # the box's squared diameter 2e304 is finite, but its Gaussian
+        # exponent 2e304 / (2 sigma^2) is not at sigma = 1e-3
+        box = Box(np.zeros(2), np.full(2, 1e152))
+        with pytest.raises(DomainError, match=re.escape(
+                "the kernel's largest exponent sum((upper - lower)^2) / (2 sigma^2) is inf")):
+            SyntheticKernel(box, 1e-3, [1.0], [[0.5, 0.5]])
+        assert SyntheticKernel(box, 1.0, [1.0], [[0.5, 0.5]]).sigma == 1.0
 
     def test_gmm_diagonal_closed_form_and_quadrature(self):
         tau = 0.3
@@ -389,20 +402,41 @@ def test_gmm_y_norm_sq_matches_brute_force(n, d, tau, layout, offset, tile, seed
     assert y_norm_sq == pytest.approx(brute_y_norm_sq(data, tau), rel=1e-13, abs=0)
 
 
-@pytest.mark.exactness
-@pytest.mark.parametrize("shape", ["desk", "offset_3d"])
-def test_gmm_y_norm_sq_has_the_bits_of_the_subtraction_tiles(shape):
-    # CI runs this with OpenBLAS on two threads too: |y|^2 must not depend on
-    # the BLAS thread count that forms the tiles' product differences
-    if shape == "desk":
-        spec = GmmSpec.ring(5, 5.0, 2000, 0.2)
-        data, tau = gen_gmm(spec, rng(33))[0], spec.tau
-    else:
-        g = rng(34)
-        data, tau = g.standard_normal((3000, 3)) * 0.8 - 3.7e6, 0.3
+@pytest.mark.parametrize("shape", ["desk", "offset_3d", "gmm_full"])
+def test_gmm_y_norm_sq_agrees_with_the_subtraction_tiles(shape):
+    # the tiles' exponents are expanded products, so |y|^2 keeps the cell
+    # list and the tiles of the exact differences but not their last bits;
+    # brute force would take about 20 s at gmm_full's n = 24,000
+    data, tau = y_norm_sq_case(shape)
     with mock.patch.object(gaussian, "_exp_sum", subtraction_exp_sum):
         reference = GmmKernel(data, tau).y_norm_sq
-    assert GmmKernel(data, tau).y_norm_sq.hex() == reference.hex()
+    assert GmmKernel(data, tau).y_norm_sq == pytest.approx(reference, rel=1e-14, abs=0)
+
+
+THREAD_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from conicswarm.kernels import GmmKernel
+from helpers import y_norm_sq_case
+for name in ("gmm_full", "offset_3d"):
+    print(name, GmmKernel(*y_norm_sq_case(name)).y_norm_sq.hex())
+"""
+
+
+def test_gmm_y_norm_sq_bits_do_not_depend_on_the_blas_thread_count():
+    # each tile's exponents are one BLAS product and its sum one matvec:
+    # OpenBLAS must split neither inner sum over threads
+    src = str(Path(kernels.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
+    hexes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", THREAD_SCRIPT, tests], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        hexes.append(done.stdout)
+    assert len(hexes[0].split()) == 4 and hexes[0] == hexes[1]
 
 
 def test_gmm_y_norm_sq_single_sample():
