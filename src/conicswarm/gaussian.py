@@ -11,8 +11,10 @@ constant: callers multiply the sums they reduce them to by ``gauss_norm``
 or their own, the values ``K c`` and the gradients of ``gauss_grad`` (one
 product ``K(A, B) @ [c B, c]``). One array against itself (``gauss_self``)
 is the upper triangle of row blocks, mirrored, with the bits of the full
-build. The pair sum of ``close_pair_sum`` alone takes its exponents from
-expanded products, within a stated bound of the exact ones.
+build. The pair sum of ``close_pair_sum`` takes its exponents from expanded
+products, within a stated bound of the exact ones, and so do the mixture's
+data-side densities (``kernels.GmmKernel``), which fall back on
+``gauss_density`` where that bound exceeds 1e-12.
 """
 
 from __future__ import annotations

@@ -39,7 +39,8 @@ A solver iteration scores one pushed measure ``(T', c)`` on one batch at
 its support and at the birth candidates C in one pass, and hands what the
 next support field reuses on as an explicit value ``ev`` (each class says
 what its ``ev`` holds), which no call writes after ``pushed_values``
-returns it. The two loop evaluations have the bits of the stateless calls:
+returns it. The two loop evaluations have the bits of the stateless calls
+(the mixture's data side apart, below):
 
 * ``pushed_values(T', c, idx, C)`` -- ``certificate_values(T', T', c,
   idx)`` for the death step, ``certificate_values(C, T', c, idx)`` for the
@@ -50,10 +51,15 @@ returns it. The two loop evaluations have the bits of the stateless calls:
 
 Where the two scorings share a block, ``pushed_values`` builds the rows of
 ``[T'; C]`` in one call and reduces each side by its own call on its row
-slice. Entries are pair-local, and a matvec over a row slice of a
+slice. Kernel entries are pair-local, and a matvec over a row slice of a
 C-contiguous block, or ``np.add.reduce`` along its rows, gives each row the
 bits of the same call on a separate array (``test_row_slices.py``), so both
-sides have the bits of two separate scorings.
+sides have the bits of two separate scorings. The mixture's densities are
+entries of one expanded product (``GmmKernel``), whose row results may
+depend on the product's shape: on OpenBLAS a row has the same bits in every
+product of two or more rows, and a one-row product, which numpy hands to
+gemv, may differ in the last bits. The tests hold the mixture's loop
+evaluations within the data-side rounding bound of the stateless ones.
 
 Every loop evaluation, and the objective at the loop's cadence, also takes
 an optional ``workspace.Workspace`` ``ws``, which ``runner.run`` creates
@@ -81,6 +87,10 @@ from .workspace import ROW_BLOCK_ENTRIES, SELF_BLOCK_ENTRIES, buffer, out_buffer
 
 __all__ = ["KernelModel", "GaussianKernel", "SyntheticKernel", "GmmKernel", "ReluKernel",
            "AssumptionBounds", "audit_assumptions"]
+
+#: the bound on a mixture data-side exponent's error, ``2 (d + 3) u R^2 / s``,
+#: above which a call takes exact differences (``GmmKernel``)
+_EXPANDED_ERROR = 1e-12
 
 
 class KernelModel(ABC):
@@ -366,8 +376,9 @@ class GmmKernel(GaussianKernel):
     observation side is estimated per sample.
 
     Both variances' entries are built without their constants: the kernel's
-    by ``GaussianKernel``, the data side's by ``gauss_density``, one multiply
-    and one exp each. ``_knorm = (2 pi kvar)^(-d/2)`` multiplies what the
+    by ``GaussianKernel``, one multiply and one exp each, the data side's
+    densities by one product and one exp (below). ``_knorm = (2 pi
+    kvar)^(-d/2)`` multiplies what the
     kernel entries are reduced to, ``K c`` and the gradients' product (only
     ``kernel_matrix`` multiplies every entry, so it returns the kernel), and
     ``_ynorm = (2 pi yvar)^(-d/2)`` what the densities are reduced to, the
@@ -388,6 +399,27 @@ class GmmKernel(GaussianKernel):
     The value lies within 1e-15 of the exact double sum on
     ``gmm_full.cfg``'s samples, ``gmm_desk.cfg``'s and 300 generated sets.
 
+    Every data-side exponent ``-|t - x|^2 / s``, ``s = 2 yvar``, is one
+    entry of the product ``[a, -|a|^2/s, 1] @ [2b/s; 1; -|b|^2/s]``, ``d +
+    2`` inner terms, of ``a = t - c`` and ``b = x - c`` centred on the
+    centre c of the samples' box: the loop's batch rows, an exact run's
+    ``"ev.rows"``, and the means of the loss, ``certificate_values`` and
+    ``kkt_residual``. The sample side is built once (``_side``, one row per
+    sample), and a batch takes its rows. The centring rounds each
+    coordinate by a relative ``u = 2^-53`` at most, which moves the exponent
+    by ``2u (|a| + |b|)^2 / s`` at most. The product's cross terms ``a_k
+    (2 b_k / s)`` meet at most ``d + 3`` roundings and its norm terms ``2d
+    + 2``, so an exponent is within ``2 (d + 3) u (|a| + |b|)^2 / s`` of the
+    exact one, and a density within that relative error, apart from exp's
+    own. A call takes ``gauss_density``'s exact differences instead where
+    this bound, with |a| and |b| the largest over its points and over all
+    samples, exceeds ``_EXPANDED_ERROR = 1e-12``: on samples spread far
+    wider than ``sqrt(s)``, such as a ring of radius 3e153, the product's
+    exponents would be off by more than their size. On gmm_full.cfg (points
+    up to 19.4 and samples up to 11.9 from c, ``s = 2.16``) the bound is
+    about 5.0e-13, on gmm_desk.cfg 2.3e-13. The audit's per-sample
+    densities (``_sample_y``) have the bits of the one-sample evaluations.
+
     Data-side means that feed no gradient (``candidate_values``, and so
     ``certificate_values``, ``y_inner_many``, the loss and
     ``kkt_residual``), exact or batched, are built and averaged in row
@@ -398,14 +430,16 @@ class GmmKernel(GaussianKernel):
     the pushed support and the birth candidates, in one call, in an exact
     run into ``ws``'s ``"ev.rows"``; ``K(T', T')`` by the symmetric build and
     ``K(C, T')`` on its own. ``ev`` holds the unnormalized ``K(T', T')`` and,
-    in an exact run, the pushed support's data-side rows (the first p rows,
-    unnormalized) and means.
+    in an exact run, the data-side rows (unnormalized) and means of
+    ``[T'; C]`` and the candidates C.
     ``support_field`` takes the survivors' block of ``K(T', T')`` by
     row-order gathers of rows, then columns, which leave it C-ordered like a
-    fresh build, and, in an exact run, their rows from
-    ``ev`` (gathering only when something died), and builds the born rows
-    ``K(T[p:], T)``, ``p = keep.sum()``, and in an exact run their
-    data-side rows; all of it is pair-local, so it has fresh bits. Both
+    fresh build, and builds the born rows ``K(T[p:], T)``, ``p =
+    keep.sum()``; the kernel entries are pair-local, so they have fresh
+    bits. In an exact run it reads the data-side rows of the survivors and
+    of the candidates the born points equal from ``ev`` (gathering only
+    when something died or was born), so the support's rows are one call's
+    rows; a born point that is no candidate makes it build them all. Both
     ``pushed_values`` and ``support_field`` finish the data side, and a
     batch's rows go, before the kernels are built and multiplied, so fewer
     arrays share the cache.
@@ -429,6 +463,16 @@ class GmmKernel(GaussianKernel):
             raise ValueError(f"tau = {self.tau!r} is too large in d = {self.dim}: the Gaussian "
                              "constants (2 pi var)^(-d/2) are below the smallest normal float")
         self._y_norm_sq = None
+        # the samples' side of the expanded product, centred on their box's
+        # centre, and the largest |b|; |b|^2 may overflow on data too wide
+        # for the product, whose every call then takes exact differences
+        self._center = 0.5 * self.data.min(axis=0) + 0.5 * self.data.max(axis=0)
+        b = self.data - self._center
+        with np.errstate(over="ignore"):
+            norms = np.einsum("ij,ij->i", b, b)
+        self._reach = math.sqrt(float(norms.max()))
+        self._side = np.column_stack([b / self._yvar, np.ones(len(b)),
+                                      norms / (-2.0 * self._yvar)])
 
     @property
     def n_samples(self):
@@ -471,14 +515,43 @@ class GmmKernel(GaussianKernel):
         """The sample rows of the batch ``idx``, all of them for None."""
         return self.data if idx is None else self.data.take(idx, axis=0)
 
-    def _density(self, t, x, ws=None, out=None):
+    def _samples(self, idx):
+        """The batch ``idx``: its sample rows and its rows of the expanded
+        product's sample side ``[2b/s, 1, -|b|^2/s]``."""
+        side = self._side if idx is None else self._side.take(idx, axis=0)
+        return self._batch(idx), side
+
+    def _expanded_rows(self, t):
+        """The expanded product's side of the points t, ``[a, -|a|^2/s, 1]``,
+        or None where the bound on its exponents' error exceeds
+        ``_EXPANDED_ERROR``."""
+        d, s = self.dim, 2.0 * self._yvar
+        left = np.empty((len(t), d + 2))
+        a = np.subtract(t, self._center, out=left[:, :d])
+        norms = np.einsum("ij,ij->i", a, a, out=left[:, d])
+        reach = math.sqrt(float(norms.max(initial=0.0))) + self._reach
+        if (d + 3) * 2.0**-52 * (reach * reach / s) > _EXPANDED_ERROR:
+            return None
+        norms /= -s
+        left[:, d + 1] = 1.0
+        return left
+
+    def _density(self, t, batch, ws=None, out=None):
         """Density rows ``N(t_i; x_j, (1 + 2 tau^2) I)`` over the samples
-        ``x``, without their constant, in ``out`` or else in ``ws``'s
-        ``"work"``, and their means, with it. The means are ``np.mean``'s own
-        sum and division, without its wrapper."""
+        ``x`` of ``batch``, without their constant, in ``out`` or else in
+        ``ws``'s ``"work"``, and their means, with it. Each exponent is one
+        entry of the expanded product, or, where its bound fails, of
+        ``gauss_density``'s exact differences. The means are ``np.mean``'s
+        own sum and division, without its wrapper."""
+        x, side = batch
         if out is None:
             out = out_buffer(ws, "work", len(t), len(x))
-        rows = gauss_density(t, x, self._yvar, ws, out)
+        left = self._expanded_rows(t)
+        if left is None:
+            rows = gauss_density(t, x, self._yvar, ws, out)
+        else:
+            rows = np.matmul(left, side.T, out=out)
+            np.exp(rows, out=rows)
         means = np.add.reduce(rows, axis=1)
         means /= x.shape[0]
         means *= self._ynorm
@@ -488,33 +561,41 @@ class GmmKernel(GaussianKernel):
         """The gradients of ``<y, phi_t>`` from ``_density(t, x)``."""
         return ((rows @ x) * (self._ynorm / x.shape[0]) - means[:, None] * t) / self._yvar
 
-    def _means(self, t, x, ws=None):
-        """``<y, phi_t>`` over the samples ``x``, built and averaged in blocks
-        of at most ``ROW_BLOCK_ENTRIES`` densities (one row once ``len(x)``
-        exceeds it)."""
+    def _means(self, t, batch, ws=None):
+        """``<y, phi_t>`` over the samples of ``batch``, built and averaged in
+        blocks of at most ``ROW_BLOCK_ENTRIES`` densities (one row once the
+        batch exceeds it)."""
         out = np.empty(len(t))
-        step = max(1, ROW_BLOCK_ENTRIES // len(x))
+        step = max(1, ROW_BLOCK_ENTRIES // len(batch[0]))
         for lo in range(0, len(t), step):
-            out[lo : lo + step] = self._density(t[lo : lo + step], x, ws)[1]
+            out[lo : lo + step] = self._density(t[lo : lo + step], batch, ws)[1]
         return out
 
     def _sample_y(self, t, rows):
         """One sample's density row is its mean, and its gradient's products
-        have one term each, so both are elementwise over the pair-local
-        densities ``N(t_j; x_i, (1 + 2 tau^2) I)``, with the constant
-        applied as ``_density`` and ``_y_grads`` apply it for one sample."""
+        have one term each, so both are elementwise over the densities
+        ``N(t_j; x_i, (1 + 2 tau^2) I)``, with the constant applied as
+        ``_density`` and ``_y_grads`` apply it for one sample. The expanded
+        exponents are one stacked ``matmul``, which makes one BLAS call per
+        sample with the operands and strides of the sample's own
+        evaluation, so they have its bits."""
         x = self.data[rows]
-        k = gauss_density(t, x, self._yvar).T
+        left = self._expanded_rows(t)
+        if left is None:
+            k = gauss_density(t, x, self._yvar).T
+        else:
+            k = np.matmul(left, self._side[rows][:, :, None])[..., 0]
+            np.exp(k, out=k)
         vals = k * self._ynorm
         return vals, (k[:, :, None] * x[:, None, :] * self._ynorm
                       - vals[:, :, None] * t) / self._yvar
 
-    def _data_side(self, t, x, side=None, ws=None):
-        """``<y, phi_t>`` over the samples ``x`` and its gradients, from the
-        density rows and means ``side`` or fresh ones; the rows go when it
-        returns, before the caller builds its kernel."""
-        rows, means = self._density(t, x, ws) if side is None else side
-        return means, self._y_grads(t, x, rows, means)
+    def _data_side(self, t, batch, side=None, ws=None):
+        """``<y, phi_t>`` over the samples of ``batch`` and its gradients,
+        from the density rows and means ``side`` or fresh ones; the rows go
+        when it returns, before the caller builds its kernel."""
+        rows, means = self._density(t, batch, ws) if side is None else side
+        return means, self._y_grads(t, batch[0], rows, means)
 
     def _field(self, t, support, coef, k_s, y, y_grads):
         """Values and gradients from the unnormalized ``K(t, support)`` and the
@@ -522,35 +603,36 @@ class GmmKernel(GaussianKernel):
         return self._values(k_s, coef) - y, self._grads(k_s, t, support, coef) - y_grads
 
     def certificate_field(self, t, support, coef, idx=None, ws=None):
-        y, y_grads = self._data_side(t, self._batch(idx), ws=ws)
+        y, y_grads = self._data_side(t, self._samples(idx), ws=ws)
         return self._field(t, support, coef, self._kernel(t, support, ws), y, y_grads)
 
     def _evaluation(self, support, coef, idx):
-        """The support, its coefficients and the batch rows."""
-        return support, coef, self._batch(idx)
+        """The support, its coefficients and the batch."""
+        return support, coef, self._samples(idx)
 
     def pushed_values(self, support, coef, idx, cand, ws=None):
-        x, p = self._batch(idx), len(support)
-        out = None if idx is not None else out_buffer(ws, "ev.rows", p + len(cand), len(x))
-        rows, means = self._density(np.concatenate([support, cand]), x, ws, out)
-        side = (rows[:p], means[:p]) if idx is None else None
+        batch, p = self._samples(idx), len(support)
+        points = np.concatenate([support, cand])
+        out = None if idx is not None else out_buffer(ws, "ev.rows", len(points), len(batch[0]))
+        rows, means = self._density(points, batch, ws, out)
+        side = (rows, means, cand) if idx is None else None
         del rows  # a batch's rows go before the kernels are built
         k = self._kernel(support, support, ws, out_buffer(ws, "ev.kernel", p, p))
         return (self._values(k, coef) - means[:p],
                 self._values(self._kernel(cand, support, ws), coef) - means[p:], (k, side))
 
     def candidate_values(self, ev, t, ws=None):
-        support, coef, x = ev
-        return self._values(self._kernel(t, support, ws), coef) - self._means(t, x, ws)
+        support, coef, batch = ev
+        return self._values(self._kernel(t, support, ws), coef) - self._means(t, batch, ws)
 
     def support_field(self, t, coef, idx, ev, keep, ws=None):
         if ev is None:
             return self.certificate_field(t, t, coef, idx, ws)
-        x = self._batch(idx)
+        batch = self._samples(idx)
         p = int(keep.sum())
         k, side = ev
-        side = None if idx is not None else self._kept_side(side, keep, p, t[p:], x, ws)
-        y, y_grads = self._data_side(t, x, side, ws)
+        side = None if idx is not None or side is None else self._kept_side(side, keep, t[p:], ws)
+        y, y_grads = self._data_side(t, batch, side, ws)
         if p < len(t) or p < len(keep):
             k = self._support_kernel(t, k, keep, p, ws)
         return self._field(t, t, coef, k, y, y_grads)
@@ -580,16 +662,23 @@ class GmmKernel(GaussianKernel):
             full[:p, p:] = full[p:, :p].T
         return full
 
-    def _kept_side(self, side, keep, p, born, x, ws):
-        """The exact density rows and means of ``[T'[keep]; born]``: ``ev``'s
-        rows of the survivors, then fresh rows of the born, in ``ws``'s
-        ``"work"``; ``ev``'s own if nothing died or was born, and None from a
-        batched ``ev``, which holds no rows."""
-        if side is None or (p == len(keep) and not len(born)):
-            return side
-        rows = buffer(ws, "work", p + len(born), len(x))
-        np.take(side[0], np.flatnonzero(keep), axis=0, out=rows[:p], mode="clip")
-        return rows, np.concatenate([side[1][keep], self._density(born, x, ws, rows[p:])[1]])
+    def _kept_side(self, side, keep, born, ws):
+        """The exact density rows and means of ``[T'[keep]; born]`` from
+        ``ev``'s rows of ``[T'; C]``: its first rows if every particle
+        survived and none was born, else the survivors' rows, then those of
+        the candidates the born points equal, gathered in ``ws``'s
+        ``"work"``; None where a born point is no candidate."""
+        rows, means, cand = side
+        if keep.all() and not len(born):
+            return rows[: len(keep)], means[: len(keep)]
+        pick = np.flatnonzero(keep)
+        if len(born):
+            hits = (born[:, None] == cand).all(axis=2)
+            if not hits.any(axis=1).all():
+                return None
+            pick = np.concatenate([pick, len(keep) + hits.argmax(axis=1)])
+        out = buffer(ws, "work", len(pick), rows.shape[1])
+        return np.take(rows, pick, axis=0, out=out, mode="clip"), means[pick]
 
 
 def relu_blocks(aug: np.ndarray, t: np.ndarray, ws=None):

@@ -5,10 +5,11 @@ Batches are index arrays drawn i.i.d. uniform with replacement; passing one
 as ``idx`` to ``objective.certificate`` or ``objective.certificate_and_grad``
 gives the mini-batch estimate, while ``idx=None`` evaluates the exact
 full-data quantity, which coincides with a batch that enumerates every
-sample index exactly once. The solver loop passes each iteration's first
-batch to ``KernelModel.support_field`` and its second to
-``pushed_values``, which scores the pushed support and the birth candidates
-on it in one pass.
+sample index exactly once. The solver loop draws both of an iteration's
+batches in one call of ``2 m`` indices, which has the values of two draws
+of m, and passes the first half to ``KernelModel.support_field`` and the
+second to ``pushed_values``, which scores the pushed support and the birth
+candidates on it in one pass.
 """
 
 from __future__ import annotations

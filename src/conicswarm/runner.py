@@ -2,28 +2,30 @@
 
 Each iteration draws a mini-batch, estimates certificates and gradients at
 the support in one fused evaluation, applies the conic update, and (when
-enabled) draws a second independent batch to evaluate the pushed
-certificate that drives deletion and creation. Exact losses are only
-evaluated at a configurable cadence since they apply the kernel over the
-whole support: O(p^2) kernel entries for the Gaussian models, plus the
-mixture's O(n p) data-side means, O(n p d) for ReLU over n samples in
+enabled) evaluates the pushed certificate that drives deletion and creation
+on a second independent batch. Both batches come from one draw of ``2 m``
+indices, split in two: numpy's bounded integers give the values and leave
+the state of two draws of m (``test_oracle.py`` pins this). Exact losses
+are only evaluated at a configurable cadence since they apply the kernel
+over the whole support: O(p^2) kernel entries for the Gaussian models, plus
+the mixture's O(n p) data-side means, O(n p d) for ReLU over n samples in
 d + 1 parameters, as one network residual; both stream over row blocks
 whose temporaries do not grow with n.
 
 A weight-update overflow raises ``RunAborted``, which names the iteration
 and carries the trace rows recorded so far and the last good swarm.
 
-Each iteration draws its second batch and then its birth candidates,
-before the death decision, and scores the pushed measure on that batch in
-one pass, for deaths at its support and for births at the candidates; the
-next support is the survivors followed by the born candidates. The loop
-hands on what the next support field reuses of that pass as ``ev`` and its
-workspace as ``ws``, under the contract that ``kernels`` states. The
-survivors are decided once, as the boolean mask ``keep``, which both
-``apply_mass_tweak`` and ``support_field`` take. The run creates one
-``workspace.Workspace`` when it starts and drops it when it returns, and
-drops ``ev`` as soon as ``support_field`` has read it, so a slot that grows
-frees its old buffer at once.
+Each iteration draws its birth candidates before the death decision, and
+scores the pushed measure on the second batch in one pass, for deaths at
+its support and for births at the candidates; the next support is the
+survivors followed by the born candidates. The loop hands on what the next
+support field reuses of that pass as ``ev`` and its workspace as ``ws``,
+under the contract that ``kernels`` states. The survivors are decided once,
+as the boolean mask ``keep``, which both ``apply_mass_tweak`` and
+``support_field`` take. The run creates one ``workspace.Workspace`` when it
+starts and drops it when it returns, and drops ``ev`` as soon as
+``support_field`` has read it, so a slot that grows frees its old buffer at
+once.
 
 On an unsigned problem every sign is +1 (``run`` refuses a start swarm with
 a negative sign, and births take +1), so the loop skips the sign folds
@@ -157,7 +159,9 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
     ev = keep = None  # the last pushed evaluation and its survivors
     for k in range(1, config.k_iters + 1):
         eps_k, m_k, beta_k = config.plan.at(k)
-        idx = None if config.full_batch else draw_batch(rng, m_k, n)
+        batches = None if config.full_batch else \
+            draw_batch(rng, (2 if config.birth_death else 1) * m_k, n)
+        idx = None if batches is None else batches[:m_k]
         threshold_m = n if config.full_batch else m_k
 
         coef = swarm.weights * swarm.signs if signed else swarm.weights
@@ -179,7 +183,7 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
 
         births = deaths = 0
         if config.birth_death:
-            idx_plus = None if config.full_batch else draw_batch(rng, m_k, n)
+            idx_plus = None if batches is None else batches[m_k:]
             cand, cand_signs = draw_candidates(problem, config.birth_rule, rng)
             coef = swarm.weights * swarm.signs if signed else swarm.weights
             vals, cand_vals, ev = model.pushed_values(swarm.positions, coef, idx_plus, cand,

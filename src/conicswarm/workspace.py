@@ -50,7 +50,7 @@ class Workspace:
     * ``"ev.kernel"`` and ``"ev.rows"``: ``ev``'s kernel block (the
       mixture's ``K(T', T')``, the synthetic model's ``K([T'; C], P')``,
       whose first p rows ``ev`` keeps) and, in an exact mixture run, the
-      data-side rows of ``[T'; C]``, whose first p rows are ``ev``'s.
+      data-side rows of ``[T'; C]``, which ``ev`` keeps whole.
       ``pushed_values`` writes them and the next iteration's
       ``support_field`` reads them, before the next ``pushed_values`` writes
       its own.

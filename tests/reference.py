@@ -318,6 +318,58 @@ def mixture_grads(model, t, x):
     return ((rows @ x) * (model._ynorm / len(x)) - means[:, None] * t) / model._yvar
 
 
+def expansion_slack(model, t, x):
+    """Per-entry bound ``(3 d + 10) u (|t_i - c| + |x_j - c|)^2 / s``,
+    ``s = 2 yvar``, ``c`` the model's centre, on the gap between
+    ``GmmKernel``'s data-side exponents and those of ``gauss_density``'s
+    exact differences.
+
+    ``GmmKernel``'s docstring puts an expanded exponent within ``2 (d + 3)
+    u (|a| + |b|)^2 / s`` of the true ``-|t - x|^2 / s``. ``gauss_density``
+    rounds the d differences, their squares and sum, so ``d2`` is within
+    ``(d + 2) u`` of its value, and scales it by the rounded ``-0.5 / var``:
+    its exponent is within ``(d + 4) u z`` of the true one, with ``z = |t -
+    x|^2 / s <= (|a| + |b|)^2 / s``. The sum of the two is the bound, to
+    first order; callers' factor 1.01 covers the rest. A call that takes
+    exact differences has no gap at all. A pair whose bound exceeds 1 never
+    takes the expanded product, so the slack is capped at 1, which keeps it
+    finite where the squares overflow."""
+    c, s = model._center, 2.0 * model._yvar
+    with np.errstate(over="ignore"):
+        reach = np.add.outer(np.sqrt(np.einsum("ij,ij->i", t - c, t - c)),
+                             np.sqrt(np.einsum("ij,ij->i", x - c, x - c)))
+        return np.minimum((3 * model.dim + 10) * U * (reach * reach / s), 1.0)
+
+
+def mixture_side_bound(model, t, idx=None):
+    """Elementwise bounds between the model's data side over the batch
+    ``idx``, all samples by default, and ``mixture_means`` and
+    ``mixture_grads``: for the means ``<y, phi_t>`` and for their gradients.
+
+    Both take the same operations on their density rows: one
+    ``np.add.reduce`` per row, the division by m and the constant, and for
+    the gradients ``rows @ x`` and the scalings. Their entries differ by the
+    exponents' gap ``expansion_slack`` and each side's exp, within 4u of its
+    value: a relative ``eps_ij = expansion_slack + 8u``. Each reduction then
+    rounds a term at most ``m + 6`` times on either side, so the bounds are
+    those of ``mixture_field``'s data side with this ``eps_ij``."""
+    x = model.data if idx is None else model.data[idx]
+    entries = gauss_density(t, x, model._yvar) * model._ynorm
+    size = entry_size(entries, expansion_slack(model, t, x) + 8.0 * U, len(x) + 6)
+    y_bound = size.sum(axis=1) / len(x)
+    grad_bound = (size @ np.abs(x) / len(x) + y_bound[:, None] * np.abs(t)) / model._yvar
+    return 1.01 * y_bound + FLOOR, 1.01 * grad_bound + FLOOR
+
+
+def near(got, want, bound):
+    """Whether ``got`` lies within ``bound`` of ``want`` elementwise, with
+    ``4u |want|`` more for up to two final roundings on each side (a
+    certificate's subtraction ``K c - y`` and its fold ``s v + kappa``)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and bool(np.all(np.abs(got - want)
+                                                   <= bound + 2.0 * EPS * np.abs(want)))
+
+
 def brute_y_norm_sq(data, tau):
     """``|y|^2`` as the exact double sum over all ordered pairs of samples."""
     n, d = data.shape
@@ -351,8 +403,9 @@ def mixture_field(model, t, support, coef, x):
     as ``exp(d2 * (-0.5 / var))`` and multiplies the densities' constants
     into the sums the entries are reduced to.
 
-    Both forms start from the same ``_sqdist`` bits, so they differ by
-    rounding alone. With ``z = d2 / (2 var)`` for one entry:
+    The kernel entries of both forms start from the same ``_sqdist`` bits,
+    so they differ by rounding alone. With ``z = d2 / (2 var)`` for one
+    entry:
 
     * ``divided`` rounds the exponent once (``-2 var`` is exact), the model
       twice (``-0.5 / var``, then the product), so the two exponents differ
@@ -363,6 +416,11 @@ def mixture_field(model, t, support, coef, x):
     * so every normalized entry is within ``eps_ij = (3.02 z + 10) u`` of
       the ``divided`` entry ``P_ij``, relative to it, and within ``ETA``
       absolutely once it is subnormal, where rounding is absolute.
+    * The model's data-side exponents come from the expanded product, within
+      ``2 (d + 3) u (|a| + |b|)^2 / s`` of the true exponent, where
+      ``divided``'s is within ``(d + 3) u z``. With ``z <= (|a| + |b|)^2 / s``
+      their gap is below the old ``3.01 z u`` plus ``expansion_slack``, which
+      each data-side ``eps_ij`` adds.
 
     A reduction of q entries rounds each term at most q + 6 times on either
     side, whatever the summation order (the product, the constant, the
@@ -378,6 +436,7 @@ def mixture_field(model, t, support, coef, x):
     every bound."""
     k, k_eps = divided(t, support, model._kvar, model.dim)
     ky, y_eps = divided(t, x, model._yvar, model.dim)
+    y_eps += expansion_slack(model, t, x)
     m = len(x)
     y = ky.mean(axis=1)
     vals = k @ coef - y

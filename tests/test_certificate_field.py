@@ -5,9 +5,11 @@
 batch, on an empty support, at the support itself and away from it, for
 signed and unsigned problems:
 
-* the mixture model must reproduce, bit for bit, the certificate assembled
-  from the reference's ``K c``, ``weighted_grad1_kernel`` and the plain
-  data-side forms of ``observation_terms`` (``primitive_field``);
+* the mixture model must lie within the data-side bound
+  ``mixture_side_bound`` of the certificate assembled from the reference's
+  ``K c``, ``weighted_grad1_kernel`` and the plain data-side forms of
+  ``observation_terms`` (``primitive_field``): its kernel side has their
+  bits, and its densities' exponents come from an expanded product;
 * the synthetic observation is a signed point measure, so its certificate
   is the weighted kernel of ``P = [S; atoms; anchors]`` with coefficients
   ``q = [c; -w; -eta_b]`` (``signed_measure``). It must reproduce, bit for
@@ -29,9 +31,10 @@ signed and unsigned problems:
 
 ``KernelModel`` derives ``y_inner_many`` and ``grad_y_inner_many`` from
 each model's certificate of the zero measure. Each call above also holds
-that pair, exact and batched, to ``observation_terms``: the Gaussian
-models bit for bit, since both take the same operations, and ReLU, which
-sums over row blocks, within ``relu_residual_bound`` of an empty support.
+that pair, exact and batched, to ``observation_terms``: the synthetic model
+bit for bit, since both take the same operations, the mixture within
+``mixture_side_bound``, and ReLU, which sums over row blocks, within
+``relu_residual_bound`` of an empty support.
 
 The forms and their bounds are in ``reference.py``.
 """
@@ -41,14 +44,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicswarm.domain import Ball
-from conicswarm.kernels import ReluKernel, SyntheticKernel
+from conicswarm.kernels import GmmKernel, ReluKernel, SyntheticKernel
 from conicswarm.objective import Problem, certificate, certificate_and_grad, kkt_residual, loss
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
 from helpers import same_bits, traced_peak
-from reference import masked_residual_grads, observation_terms, primitive_field, \
-    relu_block_field, relu_residual_bound, residual_field, scaled_rows_bound, signed_field, \
-    signed_sum_bound
+from reference import masked_residual_grads, mixture_side_bound, near, observation_terms, \
+    primitive_field, relu_block_field, relu_residual_bound, residual_field, scaled_rows_bound, \
+    signed_field, signed_sum_bound
 
 pytestmark = pytest.mark.exactness
 
@@ -73,6 +76,9 @@ def check_observation_terms(model, points, idx):
         bounds = relu_residual_bound(model, points, np.empty((0, model.dim)), np.empty(0), idx)
         for g, w, b in zip(got, want, bounds):
             assert np.all(np.abs(g - w) <= b)
+    elif isinstance(model, GmmKernel):
+        for g, w, b in zip(got, want, mixture_side_bound(model, points, idx)):
+            assert near(g, w, b)
     else:
         for g, w in zip(got, want):
             assert same_bits(g, w)
@@ -101,6 +107,11 @@ def check_certificate(problem, swarm, points, signs, idx):
         want = relu_block_field(model, points, swarm.positions, coef, idx)
     want_vals, want_grads = fold(problem, signs, want)
     vals, grads = certificate_and_grad(problem, swarm, points, signs, idx)
+    if isinstance(model, GmmKernel):
+        val_bound, grad_bound = mixture_side_bound(model, points, idx)
+        assert near(vals, want_vals, val_bound) and near(grads, want_grads, grad_bound)
+        assert near(certificate(problem, swarm, points, signs, idx), want_vals, val_bound)
+        return
     assert np.array_equal(vals, want_vals)
     assert np.array_equal(grads, want_grads)
     assert np.array_equal(certificate(problem, swarm, points, signs, idx), want_vals)

@@ -16,7 +16,7 @@ from conicswarm.config import ConfigError, load_config
 from conicswarm.runner import trace_from_csv
 from conicswarm.swarm import ParticleSwarm
 from helpers import same_bits
-from reference import SYNTHETIC_THEORY_REPORT
+from reference import SYNTHETIC_THEORY_REPORT, mixture_means
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -503,6 +503,14 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "trace.csv").exists() and (out / "summary.txt").exists()
+        if body is TINY_GMM:
+            # on the widest ring an expanded product's exponents would be off
+            # by far more than their size, so the data side must take exact
+            # differences: at 64 of the samples, whose densities are far from
+            # 0, against all 200, past the product path of ``_sqdist``
+            model = build_problem(load_config(cfg))[0].model
+            t = model.data[:64]
+            assert same_bits(model.y_inner_many(t), mixture_means(model, t))
 
     def test_constant_mixture_column_exits_1_naming_file_and_column(self, tmp_path, capsys):
         data = tmp_path / "flat.csv"

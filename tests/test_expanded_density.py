@@ -1,0 +1,85 @@
+"""The mixture's data-side densities from one centred expanded product.
+
+``GmmKernel._density`` forms each exponent ``-|t - x|^2 / s``, ``s = 2
+yvar``, as one entry of the product ``[a, -|a|^2/s, 1] @ [2b/s; 1;
+-|b|^2/s]`` of the points and the samples centred on the samples' box,
+within the bound of the ``GmmKernel`` docstring of the exact exponent, and
+takes exact differences where that bound exceeds ``_EXPANDED_ERROR``. Its
+densities must lie within ``reference.expansion_slack`` of the exact
+``gauss_density``, and its means, and the blocked means of
+``y_inner_many``, within ``reference.mixture_side_bound`` of
+``mixture_means``: in d = 1 to 3, up to 1e6 from the origin, exact and
+batched, on both sides of ``PRODUCT_ENTRIES`` (``_sqdist``'s product path)
+and ``ROW_BLOCK_ENTRIES`` (the blocked means). A call whose bound fails has
+the exact form's bits.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conicswarm.cli import build_problem
+from conicswarm.config import load_config
+from conicswarm.domain import grid_points
+from conicswarm.gaussian import gauss_density
+from conicswarm.kernels import GmmKernel
+from helpers import rng, same_bits
+from reference import ETA, U, expansion_slack, mixture_means, mixture_side_bound, near
+
+pytestmark = pytest.mark.exactness
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def cloud(g, size, d, width, offset):
+    return g.uniform(-width, width, size=(size, d)) + offset
+
+
+#: points and samples: 60 x 70 entries fall below ``PRODUCT_ENTRIES``, 70 x
+#: 70 above it, and 60 x 3,000 above ``ROW_BLOCK_ENTRIES``
+SIZES = (1, 60, 70, 300)
+SAMPLES = (1, 70, 3_000)
+
+
+@given(p=st.sampled_from(SIZES), n=st.sampled_from(SAMPLES), d=st.sampled_from([1, 2, 3]),
+       width=st.sampled_from([0.5, 4.0, 20.0, 1e4]),
+       offset=st.sampled_from([0.0, 1e6, -1e6, 3.7e5]), tau=st.floats(0.05, 1.0),
+       batch=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_densities_within_the_bound_of_exact_differences(p, n, d, width, offset, tau, batch,
+                                                         seed):
+    # ``width`` 20 puts most pairs' densities below the float range, and 1e4
+    # fails the expanded product's bound
+    g = rng(seed)
+    model = GmmKernel(cloud(g, n, d, width, offset), tau)
+    t = cloud(g, p, d, width, offset)
+    idx = g.integers(0, n, size=int(g.integers(1, 2 * n + 1))) if batch else None
+    x = model.data if idx is None else model.data[idx]
+
+    rows, means = model._density(t, model._samples(idx))
+    exact = gauss_density(t, x, model._yvar)
+    slack = expansion_slack(model, t, x) + 8.0 * U
+    assert np.all(np.abs(rows - exact) <= 1.01 * slack * exact + ETA)
+    if model._expanded_rows(t) is None:
+        assert same_bits(rows, exact)
+    want = mixture_means(model, t, x)
+    bound = mixture_side_bound(model, t, idx)[0]
+    assert near(means, want, bound)
+    assert near(model.y_inner_many(t, idx), want, bound)
+
+
+def test_shipped_profiles_take_the_product_and_a_wide_ring_does_not():
+    # gmm_full.cfg's domain corners lie 19.4 and its samples up to 11.9 from
+    # the samples' centre: the bound is about 5e-13 there, and every point
+    # of its domain takes the product; the same samples spread 1e6 times
+    # wider do not
+    for name in ("gmm_full.cfg", "gmm_desk.cfg"):
+        problem, _ = build_problem(load_config(CONFIGS / name))
+        corners = grid_points(problem.domain, 2)
+        assert problem.model._expanded_rows(corners) is not None
+    wide = GmmKernel(problem.model.data * 1e6, 0.2)
+    assert wide._expanded_rows(corners * 1e6) is None

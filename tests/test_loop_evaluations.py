@@ -1,22 +1,27 @@
 """The loop evaluations of every kernel model, under one contract.
 
-Each iteration scores the pushed measure ``(T', c)`` on one batch at
-``T'`` and at the birth candidates ``C`` in one ``pushed_values`` call, and
-the next ``support_field`` takes its ``ev`` with the survivor mask ``keep``
-of ``T = [T'[keep]; C[born]]``. For the
-synthetic model (signed and unsigned), the mixture and the ReLU network,
-exact and mini-batch: (a) each call has the bits of a fresh model's
-stateless ``certificate_values`` or ``certificate_field``; (b) so does
-every loop evaluation of runs with births and deaths at beta = 0 and > 0,
-whose rows and final swarms are those of the stateless
-evaluations; (c) the model's attributes are the same objects after a run,
-during and after an aborted one and after a weight overflow; (d) the trace
-does not depend on the cadence; (e) no call after ``pushed_values`` writes
-its ``ev``; (f) (a) holds for the two cases that random masks and fresh
-coefficients rarely or never draw: an unchanged swarm with ``ev``'s own
-coefficients, and deaths among 200 points; (g) (a) holds for ReLU where
-every evaluation spans several row blocks. CI runs this again with OpenBLAS
-on two threads.
+Each iteration scores the pushed measure ``(T', c)`` on one batch at ``T'``
+and at the birth candidates ``C`` in one ``pushed_values`` call, and the
+next ``support_field`` takes its ``ev`` with the survivor mask ``keep`` of
+``T = [T'[keep]; C[born]]``. For the synthetic model (signed and unsigned),
+the mixture and the ReLU network, exact and mini-batch: (a) each call has
+the bits of a fresh model's stateless ``certificate_values`` or
+``certificate_field``; the mixture builds its density rows in expanded
+products of other shapes, and a one-row product goes through another BLAS
+routine, so there it lies within twice the data-side bound
+``mixture_side_bound`` of them; (b) every loop evaluation of runs with
+births and deaths at beta = 0 and > 0 has those bits, and the runs' rows
+and final swarms are those of the stateless evaluations; (c) the model's
+attributes are the same objects after a run, during and after an aborted
+one and after a weight overflow; (d) the trace does not depend on the
+cadence; (e) no call after ``pushed_values`` writes its ``ev``; (f) each
+call has the stateless call's bits in the two cases that random masks and
+fresh coefficients rarely or never draw: an unchanged swarm with ``ev``'s
+own coefficients, and deaths among 200 points; (g) (a) holds for ReLU
+where every evaluation spans several row blocks. For the mixture, (b) and
+(f) rest on OpenBLAS giving each row of a product of two or more rows the
+same bits whatever their number. CI runs this again with OpenBLAS on two
+threads.
 """
 
 from __future__ import annotations
@@ -31,12 +36,13 @@ from hypothesis import given, settings, strategies as st
 import conicswarm.runner as runner
 from conicswarm import verify
 from conicswarm.domain import Ball
-from conicswarm.kernels import ReluKernel
+from conicswarm.kernels import GmmKernel, ReluKernel
 from conicswarm.runner import RunAborted, run
 from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.workspace import Workspace
 from helpers import attributes, loop_config, rng, rows, same_bits
+from reference import mixture_side_bound, near
 
 pytestmark = pytest.mark.exactness
 
@@ -68,8 +74,8 @@ def test_warm_model_gives_fresh_bits(name, seed, data):
     coef = g.uniform(-1.0, 1.0, size=size)
     idx = None if exact else g.integers(0, warm.n_samples, size=32)
     vals, at_cand, ev = warm.pushed_values(pushed, coef, idx, cand)
-    assert same_bits(vals, fresh.certificate_values(pushed, pushed, coef, idx))
-    assert same_bits(at_cand, fresh.certificate_values(cand, pushed, coef, idx))
+    assert as_fresh(warm, pushed, idx, vals, fresh.certificate_values(pushed, pushed, coef, idx))
+    assert as_fresh(warm, cand, idx, at_cand, fresh.certificate_values(cand, pushed, coef, idx))
 
     def mask(n):  # all, none or any
         return np.array(data.draw(st.sampled_from([[True] * n, [False] * n])
@@ -79,9 +85,18 @@ def test_warm_model_gives_fresh_bits(name, seed, data):
     t = np.vstack([pushed[keep], cand[born]])
     c = g.uniform(-1.0, 1.0, size=len(t))
     idx = None if exact else g.integers(0, warm.n_samples, size=32)
-    for got, want in zip(warm.support_field(t, c, idx, ev, keep),
-                         fresh.certificate_field(t, t, c, idx)):
-        assert same_bits(got, want)
+    for got, want, side in zip(warm.support_field(t, c, idx, ev, keep),
+                               fresh.certificate_field(t, t, c, idx), (0, 1)):
+        assert as_fresh(warm, t, idx, got, want, side)
+
+
+def as_fresh(model, t, idx, got, want, side=0):
+    """Whether a loop evaluation's values (``side`` 0) or gradients (1) at
+    t have the stateless call's bits, or for the mixture lie within twice
+    ``mixture_side_bound``: each is within it of the exact reference."""
+    if not isinstance(model, GmmKernel):
+        return same_bits(got, want)
+    return near(got, want, 2.0 * mixture_side_bound(model, t, idx)[side])
 
 
 class Stateless:

@@ -26,6 +26,19 @@ class TestDrawBatch:
         with pytest.raises(ValueError):
             draw_batch(rng(3), 4, 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 24_000, 2**31 + 5, 2**33])
+    @pytest.mark.parametrize("m", [1, 31, 256, 257])
+    def test_one_draw_of_two_batches_is_two_draws(self, n, m):
+        # the loop draws an iteration's two batches in one call and splits
+        # it; numpy's bounded integers must give the values and leave the
+        # state of two calls, or every stochastic trace moves
+        for seed in range(5):
+            one, two = rng(seed), rng(seed)
+            both = draw_batch(one, 2 * m, n)
+            assert np.array_equal(both[:m], draw_batch(two, m, n))
+            assert np.array_equal(both[m:], draw_batch(two, m, n))
+            assert one.integers(0, 2**62) == two.integers(0, 2**62)
+
     def test_histogram_uniform(self):
         n, draws = 8, 1_000_000
         batch = draw_batch(rng(4), draws, n)

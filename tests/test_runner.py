@@ -1,10 +1,15 @@
 import math
+import os
 import signal
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conicswarm
 from conicswarm.birth_death import BirthRule, DeathRule
 from conicswarm.domain import grid_points
 from conicswarm.experiments import gen_teacher_regression
@@ -304,3 +309,47 @@ class TestHighDimension:
             assert cur.particles == prev.particles - cur.deaths + cur.births
         assert len(res.final_swarm) == 40 - res.total_deaths + res.total_births
         assert problem.domain.contains(res.final_swarm.positions).all()
+
+
+#: runs each shipped profile given for 150 iterations and writes its trace
+#: and final swarm under the output directory
+PROFILE_SCRIPT = """
+import sys
+from pathlib import Path
+from conicswarm import cli
+from conicswarm.config import load_config
+from conicswarm.runner import run, trace_to_csv
+out = Path(sys.argv[1])
+for path in sys.argv[2:]:
+    spec = load_config(path)
+    spec.run["iterations"] = 150
+    problem, extras = cli.build_problem(spec)
+    config, _ = cli.build_run_config(spec, problem, extras)
+    res = run(config, problem)
+    (out / Path(path).stem).mkdir()
+    trace_to_csv(res.trace, out / Path(path).stem / "trace.csv")
+    res.final_swarm.to_csv(out / Path(path).stem / "final_swarm.csv")
+"""
+
+
+@pytest.mark.exactness
+def test_mixture_profiles_write_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
+    # gmm_desk.cfg runs exact and gmm_full.cfg on batches: their densities'
+    # exponents are products with 4 inner terms, which OpenBLAS must not
+    # split over threads, and the batches one draw per iteration
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    src = str(Path(conicswarm.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", PROFILE_SCRIPT, str(out),
+                               str(configs / "gmm_desk.cfg"), str(configs / "gmm_full.cfg")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append({f: (out / f).read_bytes() for f in (
+            "gmm_desk/trace.csv", "gmm_desk/final_swarm.csv", "gmm_full/trace.csv",
+            "gmm_full/final_swarm.csv")})
+    assert outputs[0] == outputs[1]

@@ -4,10 +4,10 @@ Each iteration scores the pushed support ``T'`` against itself and the
 birth candidates ``C`` against ``T'`` on the same batch in one
 ``pushed_values`` call, which builds the data-side rows of ``[T'; C]``
 together; the next support ``T`` is ``T'[keep]`` followed by the born
-candidates. ``ev`` carries the batch rows, ``K(T', T')`` and, in an exact
-run the pushed support's data-side rows and means, so ``support_field``
-builds only the born rows ``K(T_born, T)``, after deaths too, and in an
-exact run one data-side row per birth. Every stateless evaluation builds fresh. That
+candidates. ``ev`` carries ``K(T', T')`` and, in an exact run, the
+data-side rows and means of ``[T'; C]``, so ``support_field`` builds only
+the born rows ``K(T_born, T)``, after deaths too, and in an exact run no
+data-side row at all. Every stateless evaluation builds fresh. That
 the loop evaluations have the bits of the stateless ones, write nothing
 into ``ev`` and keep nothing in the model is checked for every model in
 ``test_loop_evaluations.py``.
@@ -31,26 +31,33 @@ from helpers import loop_config, rng, same_bits
 from reference import kernel_sum
 
 
-REAL_DENSITY = gaussian.gauss_density
+REAL_DENSITY, REAL_ROWS = gaussian.gauss_density, GmmKernel._density
 
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every ``gauss_density`` call as ``(var, |a|, |b|)``."""
+    """Every ``gauss_density`` call as ``(var, |a|, |b|)``, and every
+    mixture data-side build (``GmmKernel._density``, exact differences or
+    the expanded product) as ``("rows", |t|, |x|)``."""
     log = []
 
     def counting(a, b, var, *args, **kwargs):
         log.append((var, a.shape[0], b.shape[0]))
         return REAL_DENSITY(a, b, var, *args, **kwargs)
 
+    def counting_rows(self, t, batch, *args, **kwargs):
+        log.append(("rows", t.shape[0], batch[0].shape[0]))
+        return REAL_ROWS(self, t, batch, *args, **kwargs)
+
     for module in (gaussian, kernels):
         monkeypatch.setattr(module, "gauss_density", counting)
+    monkeypatch.setattr(GmmKernel, "_density", counting_rows)
     return log
 
 
 def data_rows(log, model, since=0, until=None):
     """Data-side density rows built in ``log[since:until]``."""
-    return sum(a for var, a, _ in log[since:until] if var == model._yvar)
+    return sum(a for var, a, _ in log[since:until] if var == "rows")
 
 
 def kernel_entries(log, model, since=0, until=None):
@@ -93,20 +100,20 @@ def test_run_without_deaths_builds_no_support_kernel(evaluations, full_batch):
     sizes = [size for _, size, _, _ in fields]
     assert sizes == [rec.particles for rec in res.trace[:-1]]
     # the first support has no pushed evaluation before it; later, only the
-    # born rows against the whole support, and in a full-batch run their
-    # data-side rows
+    # born rows against the whole support, and in a full-batch run no
+    # data-side row: the pushed evaluation built the candidates' too
     assert [entries for *_, entries in fields] == \
         [sizes[0] ** 2] + [rec.births * rec.particles for rec in res.trace[1:-1]]
     assert [built for *_, built, _ in fields] == \
-        ([sizes[0]] + [rec.births for rec in res.trace[1:-1]] if full_batch else sizes)
+        ([sizes[0]] + [0] * (len(sizes) - 1) if full_batch else sizes)
 
 
 @pytest.mark.parametrize("full_batch", [True, False])
 def test_iteration_after_deaths_builds_only_the_born_block(monkeypatch, built, full_batch):
     # the support's field is everything built between one iteration's mass
     # tweak and the next one's weight update (the loss runs only at k = K):
-    # after deaths as after births alone, K(T_born, T) and, in a full-batch
-    # run, the births' data-side rows
+    # after deaths as after births alone, K(T_born, T), and in a full-batch
+    # run no data-side row
     problem = make_gmm_problem(seed=7)
     init = random_swarm(problem, rng(8), max_particles=6)
     marks = []
@@ -121,22 +128,20 @@ def test_iteration_after_deaths_builds_only_the_born_block(monkeypatch, built, f
     assert [kernel_entries(built, model, lo, hi) for lo, hi in spans] == \
         [rec.births * rec.particles for rec in steps]
     if full_batch:
-        assert [data_rows(built, model, lo, hi) for lo, hi in spans] == \
-            [rec.births for rec in steps]
+        assert [data_rows(built, model, lo, hi) for lo, hi in spans] == [0] * len(steps)
 
 
 def test_support_evaluation_builds_no_rows(built):
     # the losses at k = 0 and k = K and the first support build p_0, p_K and
-    # p_0 rows; then each iteration builds only its pushed support's p_k rows,
-    # the q = 4 candidates' and the rows of the births the next support adds
+    # p_0 rows; then each iteration builds only its pushed support's p_k rows
+    # and the q = 4 candidates', which hold the rows of the births the next
+    # support adds
     problem = make_gmm_problem(seed=7, n=400)
     init = random_swarm(problem, rng(8), max_particles=6)
     res = run(loop_config(init, True, death_rule=NO_DEATHS, trace_cadence=1000), problem)
     p = [rec.particles for rec in res.trace]
     assert res.total_deaths == 0 and res.total_births > 0
-    born = sum(rec.births for rec in res.trace[1:-1])
-    assert data_rows(built, problem.model) == \
-        2 * p[0] + sum(pk + 4 for pk in p[:-1]) + born + p[-1]
+    assert data_rows(built, problem.model) == 2 * p[0] + sum(pk + 4 for pk in p[:-1]) + p[-1]
 
 
 def scoped_pair(model, domain, idx=None):
@@ -156,8 +161,8 @@ def support_builds(built, model, support, ev=None, keep=None):
 
 
 def test_kept_support_with_births_builds_only_the_born_block(built):
-    # the two born rows against the p survivors and themselves, and their
-    # two data-side rows; nothing without births
+    # the two born rows against the p survivors and themselves, and no
+    # data-side row: ``ev`` holds the candidates'; nothing without births
     problem = make_gmm_problem(seed=3)
     model = problem.model
     pushed, cand, ev = scoped_pair(model, problem.domain)
@@ -166,8 +171,12 @@ def test_kept_support_with_births_builds_only_the_born_block(built):
                  np.zeros(5, dtype=bool)):
         p = int(keep.sum())
         support = np.vstack([pushed[keep], born])
-        assert support_builds(built, model, support, ev, keep) == (2, 2 * (p + 2))
+        assert support_builds(built, model, support, ev, keep) == (0, 2 * (p + 2))
         assert support_builds(built, model, pushed[keep], ev, keep) == (0, 0)
+        # a born point that is no candidate has no row in ``ev``: every
+        # data-side row is built fresh
+        stranger = np.vstack([pushed[keep], cand[[1]], problem.domain.sample_uniform(rng(5), 1)])
+        assert support_builds(built, model, stranger, ev, keep) == (p + 2, 2 * (p + 2))
     # mini-batch evaluations lend their kernel blocks, not their rows
     pushed, cand, ev = scoped_pair(model, problem.domain, np.arange(10))
     assert support_builds(built, model, np.vstack([pushed, cand[[0]]]), ev,

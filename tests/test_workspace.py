@@ -8,10 +8,13 @@ slots to the offsets 16, 32 and 48 past the boundary. For every model,
 exact and batched: (a) the three loop evaluations, at a 200-point support
 (``_sqdist``'s product path and ``gauss_self``'s blocks) with deaths and
 births, the mixture's survivor gathers among them and the Gaussian models'
-kernel blocks kept in ``"ev.kernel"``, have the bits of the
-reference forms of ``reference.py``, and the loss the bits of the call
-without a workspace; (b) a run with deaths and births writes the trace and
-final swarm of a run without a workspace. (c) A plain process on
+kernel blocks kept in ``"ev.kernel"``, have the bits of the same calls
+without a workspace, and those have the bits of the reference forms of
+``reference.py``, or for the mixture, whose densities take an expanded
+product where the reference takes exact differences, lie within the
+data-side bound ``mixture_side_bound`` of them; the loss has the bits of
+the call without a workspace; (b) a run with deaths and births writes the
+trace and final swarm of a run without a workspace. (c) A plain process on
 ``gmm_desk.cfg`` takes at most ``FAULT_BUDGET`` minor page faults per
 iteration of the loop.
 """
@@ -31,13 +34,14 @@ import pytest
 import conicswarm
 import conicswarm.runner as runner
 from conicswarm import verify
-from conicswarm.kernels import ReluKernel, SyntheticKernel
+from conicswarm.kernels import GmmKernel, ReluKernel, SyntheticKernel
 from conicswarm.workspace import PRODUCT_ENTRIES, Workspace
 from conicswarm.objective import loss
 from conicswarm.runner import trace_to_csv
 from conicswarm.swarm import ParticleSwarm
 from helpers import loop_config, rng, same_bits
-from reference import primitive_field, relu_block_field, signed_field
+from reference import mixture_side_bound, near, primitive_field, relu_block_field, \
+    signed_field
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -56,12 +60,22 @@ each_offset = pytest.mark.parametrize("offset", OFFSETS)
 
 
 def reference_field(model, t, support, coef, idx):
-    """The field of ``reference.py`` that has the model's bits."""
+    """The field of ``reference.py`` that has the model's bits, or the
+    mixture's bits apart from its densities."""
     if isinstance(model, SyntheticKernel):
         return signed_field(model, t, support, coef, idx)
     if isinstance(model, ReluKernel):
         return relu_block_field(model, t, support, coef, idx)
     return primitive_field(model, t, support, coef, idx)
+
+
+def as_reference(model, t, idx, got, want):
+    """Whether values and gradients ``got`` at t have the bits of the
+    reference field ``want``, or for the mixture lie within
+    ``mixture_side_bound`` of it."""
+    if not isinstance(model, GmmKernel):
+        return all(same_bits(g, w) for g, w in zip(got, want))
+    return all(near(g, w, b) for g, w, b in zip(got, want, mixture_side_bound(model, t, idx)))
 
 
 @pytest.mark.exactness
@@ -92,13 +106,17 @@ def test_loop_evaluations_have_reference_bits_at_every_offset(name, full_batch, 
     coef = g.uniform(-1.0, 1.0, size=200)
     idx = batch()
     vals, at_cand, ev = model.pushed_values(pushed, coef, idx, cand, ws)
-    assert same_bits(vals, reference_field(model, pushed, pushed, coef, idx)[0])
+    bare = model.pushed_values(pushed, coef, idx, cand)
+    assert same_bits(vals, bare[0]) and same_bits(at_cand, bare[1])
+    assert as_reference(model, pushed, idx, [vals],
+                        reference_field(model, pushed, pushed, coef, idx)[:1])
     if name != "relu":
         # the Gaussian models keep their pushed kernel block in "ev.kernel";
         # the first support field below, of an unchanged swarm, reads it
         block = ev[1] if name == "synthetic" else ev[0]
         assert np.shares_memory(block, ws.take("ev.kernel", 1, PRODUCT_ENTRIES))
-    assert same_bits(at_cand, reference_field(model, cand, pushed, coef, idx)[0])
+    assert as_reference(model, cand, idx, [at_cand],
+                        reference_field(model, cand, pushed, coef, idx)[:1])
     died = g.random(200) < 0.2
     for keep, born in [(np.ones(200, dtype=bool), cand[:0]),
                        (np.ones(200, dtype=bool), cand[::3]),
@@ -108,9 +126,10 @@ def test_loop_evaluations_have_reference_bits_at_every_offset(name, full_batch, 
         t = np.vstack([pushed[keep], born])
         c = g.uniform(-1.0, 1.0, size=len(t))
         idx = batch()
-        for got, want in zip(model.support_field(t, c, idx, ev, keep, ws),
-                             reference_field(model, t, t, c, idx)):
-            assert same_bits(got, want)
+        got = model.support_field(t, c, idx, ev, keep, ws)
+        for g_ws, g_bare in zip(got, model.support_field(t, c, idx, bare[2], keep)):
+            assert same_bits(g_ws, g_bare)
+        assert as_reference(model, t, idx, got, reference_field(model, t, t, c, idx))
         swarm = ParticleSwarm(np.abs(c), np.sign(c), t)
         assert same_bits(loss(problem, swarm, ws), loss(problem, swarm))
 
