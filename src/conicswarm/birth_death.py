@@ -140,16 +140,17 @@ def evaluate_birth_candidates(problem: Problem, positions, signs, values, rule: 
     are ``values``; a certificate is ``s v + kappa``, or ``v + kappa`` on an
     unsigned problem, where every sign is +1.
 
-    Returns ``(born, cand_certs)``: the ``born`` swarm holds the candidates
-    whose certificate is at most the threshold, in draw order, and
-    ``cand_certs`` every candidate's certificate.
+    Returns ``(born, cand_certs, accept)``: the ``born`` swarm holds the
+    candidates whose certificate is at most the threshold, in draw order,
+    ``cand_certs`` every candidate's certificate, and the boolean mask
+    ``accept`` the candidates that were born.
     """
     certs = (signs * values if problem.signed else values) + problem.kappa
     mass = eps_k if rule.birth_mass is None else rule.birth_mass
     accept = certs <= rule.threshold(m_k)
     born = ParticleSwarm(np.full(np.count_nonzero(accept), mass), signs[accept],
                          positions[accept])
-    return born, certs
+    return born, certs, accept
 
 
 def apply_mass_tweak(swarm: ParticleSwarm, keep, births: ParticleSwarm) -> ParticleSwarm:

@@ -191,7 +191,8 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
     if variant == "fixed":
         plan = FixedPlan(alpha, spec.schedule["eps"], spec.schedule["batch"], beta)
     elif variant == "horizon":
-        beta_cap = cal.chosen_beta if calibrated else (beta if beta > 0 else math.inf)
+        # the run's beta, ``chosen_beta`` where a calibrated run leaves the key unset
+        beta_cap = beta if calibrated or beta > 0 else math.inf
         plan = horizon_plan(spec.run["iterations"], alpha, beta_cap, problem.domain.dim)
     else:
         plan = AnytimePlan(alpha=alpha)

@@ -12,9 +12,8 @@ arange(n)`` reproduces the exact one.
 * ``certificate_field(T, S, c, idx)`` -- ``(K(T, S) c - <y, phi_T>,
   sum_j c_j grad K(T, s_j) - grad <y, phi_T>)``, values and gradients
   from one kernel matrix and one data-side evaluation;
-* the value form: ``_evaluation(S, c, idx)``, what the values of the
-  measure ``(S, c)`` on the batch ``idx`` read, and ``candidate_values(ev,
-  T)``, the values at T from it;
+* ``certificate_values(T, S, c, idx)`` -- the values of
+  ``certificate_field`` alone, with its bits;
 * ``objective_value(T, w, s, kappa)`` -- the exact objective of a
   non-empty swarm;
 * the audit's hooks (``audit.audit_assumptions``): ``_pair_grad1``,
@@ -23,9 +22,6 @@ arange(n)`` reproduces the exact one.
 
 ``KernelModel`` derives the rest from them:
 
-* ``certificate_values(T, S, c, idx)`` -- the values of
-  ``certificate_field`` alone, with its bits: ``candidate_values(
-  _evaluation(S, c, idx), T)``;
 * ``y_inner_many(T, idx)`` and ``grad_y_inner_many(T, idx)`` -- ``<y,
   phi_t>`` per row of T and its gradients, ``0.0 - v`` of the values and
   gradients v of the zero measure's certificate (an empty support), which
@@ -46,8 +42,9 @@ returns it. The two loop evaluations have the bits of the stateless calls
   idx)`` for the death step, ``certificate_values(C, T', c, idx)`` for the
   births, and ``ev``;
 * ``support_field(T, c, idx, ev, keep)`` -- the next iteration's
-  ``certificate_field(T, T, c, idx)`` at ``T = [T'[keep]; born]``, the
-  survivors under the boolean mask ``keep``, then the born candidates.
+  ``certificate_field(T, T, c, idx)`` at ``T = [T'; C][keep]``, one
+  selection by the boolean mask ``keep`` over the pushed evaluation's
+  points: the survivors, then the born candidates in draw order.
 
 Where the two scorings share a block, ``pushed_values`` builds the rows of
 ``[T'; C]`` in one call and reduces each side by its own call on its row
@@ -123,17 +120,8 @@ class KernelModel(ABC):
         """Values ``K(t, S) c - <y, phi_t>`` and their gradients in t."""
 
     @abstractmethod
-    def _evaluation(self, support, coef, idx):
-        """``ev``: what ``candidate_values`` reads of the measure ``(S, c)``
-        on the batch ``idx``."""
-
-    @abstractmethod
-    def candidate_values(self, ev, t, ws=None) -> np.ndarray:
-        """Values ``K(t, S) c - <y, phi_t>`` of the measure and batch of ``ev``."""
-
     def certificate_values(self, t, support, coef, idx=None, ws=None) -> np.ndarray:
         """Values ``K(t, S) c - <y, phi_t>`` alone."""
-        return self.candidate_values(self._evaluation(support, coef, idx), t, ws)
 
     def y_inner_many(self, t, idx=None, ws=None) -> np.ndarray:
         """``<y, phi_t>`` per row of t: minus the zero measure's certificate."""
@@ -151,9 +139,9 @@ class KernelModel(ABC):
 
     @abstractmethod
     def support_field(self, t, coef, idx, ev, keep, ws=None) -> tuple[np.ndarray, np.ndarray]:
-        """``certificate_field(t, t, coef, idx)`` at ``t``, ``ev``'s support
-        where the mask ``keep`` holds, then the born candidates; ``ev`` and
-        ``keep`` are None if no pushed evaluation came."""
+        """``certificate_field(t, t, coef, idx)`` at ``t``, the points of
+        ``ev``'s evaluation ``[T'; C]`` where the mask ``keep`` holds;
+        ``ev`` and ``keep`` are None if no pushed evaluation came."""
 
     @abstractmethod
     def objective_value(self, t, weights, signs, kappa: float, ws=None) -> float:
@@ -248,12 +236,12 @@ class SyntheticKernel(GaussianKernel):
     ``ws``'s ``"ev.kernel"`` and takes the values at T' and at the candidates
     C from its rows ``[:p]`` and ``[p:]``, one matvec each. ``ev = (P', k)``
     holds the pushed point set and the C-contiguous view ``k = K(T', P')`` of
-    the block's first p rows. When nothing died and nothing was born,
-    ``T = T'`` and ``support_field`` takes the values and gradients from
-    ``k`` with the new batch's ``q``; entries are pair-local, so they have
-    fresh bits. Otherwise it builds the field fresh: at p of about 8,
-    gathering the survivors and building the born rows costs about as much
-    as a fresh build.
+    the block's first p rows. When nothing died and nothing was born
+    (``|T| = p`` and ``keep`` holds on T'), ``T = T'`` and ``support_field``
+    takes the values and gradients from ``k`` with the new batch's ``q``;
+    entries are pair-local, so they have fresh bits. Otherwise it builds
+    the field fresh: at p of about 8, gathering the survivors and building
+    the born rows costs about as much as a fresh build.
     """
 
     def __init__(self, domain: Box, sigma: float, atom_weights, atom_positions,
@@ -335,11 +323,12 @@ class SyntheticKernel(GaussianKernel):
                          out_buffer(ws, "ev.kernel", p + len(cand), len(points)))
         return k[:p] @ q, k[p:] @ q, (points, k[:p])
 
-    def candidate_values(self, ev, t, ws=None):
-        return self._values(self._kernel(t, ev[0], ws), ev[1])
+    def certificate_values(self, t, support, coef, idx=None, ws=None):
+        points, q = self._evaluation(support, coef, idx)
+        return self._values(self._kernel(t, points, ws), q)
 
     def support_field(self, t, coef, idx, ev, keep, ws=None):
-        if ev is None or len(t) != len(keep) or not keep.all():
+        if ev is None or len(t) != len(ev[1]) or not keep[: len(t)].all():
             return self.certificate_field(t, t, coef, idx, ws)
         points, k = ev
         q = self._q(coef, idx)
@@ -420,27 +409,24 @@ class GmmKernel(GaussianKernel):
     about 5.0e-13, on gmm_desk.cfg 2.3e-13. The audit's per-sample
     densities (``_sample_y``) have the bits of the one-sample evaluations.
 
-    Data-side means that feed no gradient (``candidate_values``, and so
-    ``certificate_values``, ``y_inner_many``, the loss and
-    ``kkt_residual``), exact or batched, are built and averaged in row
-    blocks of at most ``ROW_BLOCK_ENTRIES`` densities, so no |T| x n array
-    is held.
+    Data-side means that feed no gradient (``certificate_values``, and so
+    ``y_inner_many``, the loss and ``kkt_residual``), exact or batched, are
+    built and averaged in row blocks of at most ``ROW_BLOCK_ENTRIES``
+    densities, so no |T| x n array is held.
 
     In the loop ``pushed_values`` builds the data-side rows of ``[T'; C]``,
     the pushed support and the birth candidates, in one call, in an exact
     run into ``ws``'s ``"ev.rows"``; ``K(T', T')`` by the symmetric build and
     ``K(C, T')`` on its own. ``ev`` holds the unnormalized ``K(T', T')`` and,
     in an exact run, the data-side rows (unnormalized) and means of
-    ``[T'; C]`` and the candidates C.
-    ``support_field`` takes the survivors' block of ``K(T', T')`` by
-    row-order gathers of rows, then columns, which leave it C-ordered like a
-    fresh build, and builds the born rows ``K(T[p:], T)``, ``p =
-    keep.sum()``; the kernel entries are pair-local, so they have fresh
-    bits. In an exact run it reads the data-side rows of the survivors and
-    of the candidates the born points equal from ``ev`` (gathering only
-    when something died or was born), so the support's rows are one call's
-    rows; a born point that is no candidate makes it build them all. Both
-    ``pushed_values`` and ``support_field`` finish the data side, and a
+    ``[T'; C]``. ``support_field`` takes the survivors' block of
+    ``K(T', T')``, where ``keep[:|T'|]`` holds, by row-order gathers of
+    rows, then columns, which leave it C-ordered like a fresh build, and
+    builds the born rows ``K(T[p:], T)``, p survivors; the kernel entries
+    are pair-local, so they have fresh bits. In an exact run it reads the
+    data-side rows of ``[T'; C][keep]`` from ``ev`` (gathering only when
+    something died or was born), so the support's rows are one call's rows.
+    Both ``pushed_values`` and ``support_field`` finish the data side, and a
     batch's rows go, before the kernels are built and multiplied, so fewer
     arrays share the cache.
     """
@@ -511,15 +497,12 @@ class GmmKernel(GaussianKernel):
             self._y_norm_sq = value
         return self._y_norm_sq
 
-    def _batch(self, idx):
-        """The sample rows of the batch ``idx``, all of them for None."""
-        return self.data if idx is None else self.data.take(idx, axis=0)
-
     def _samples(self, idx):
-        """The batch ``idx``: its sample rows and its rows of the expanded
-        product's sample side ``[2b/s, 1, -|b|^2/s]``."""
-        side = self._side if idx is None else self._side.take(idx, axis=0)
-        return self._batch(idx), side
+        """The batch ``idx``, every sample for None: its sample rows and its
+        rows of the expanded product's sample side ``[2b/s, 1, -|b|^2/s]``."""
+        if idx is None:
+            return self.data, self._side
+        return self.data.take(idx, axis=0), self._side.take(idx, axis=0)
 
     def _expanded_rows(self, t):
         """The expanded product's side of the points t, ``[a, -|a|^2/s, 1]``,
@@ -606,35 +589,32 @@ class GmmKernel(GaussianKernel):
         y, y_grads = self._data_side(t, self._samples(idx), ws=ws)
         return self._field(t, support, coef, self._kernel(t, support, ws), y, y_grads)
 
-    def _evaluation(self, support, coef, idx):
-        """The support, its coefficients and the batch."""
-        return support, coef, self._samples(idx)
+    def certificate_values(self, t, support, coef, idx=None, ws=None):
+        return (self._values(self._kernel(t, support, ws), coef)
+                - self._means(t, self._samples(idx), ws))
 
     def pushed_values(self, support, coef, idx, cand, ws=None):
         batch, p = self._samples(idx), len(support)
         points = np.concatenate([support, cand])
         out = None if idx is not None else out_buffer(ws, "ev.rows", len(points), len(batch[0]))
         rows, means = self._density(points, batch, ws, out)
-        side = (rows, means, cand) if idx is None else None
+        side = (rows, means) if idx is None else None
         del rows  # a batch's rows go before the kernels are built
         k = self._kernel(support, support, ws, out_buffer(ws, "ev.kernel", p, p))
         return (self._values(k, coef) - means[:p],
                 self._values(self._kernel(cand, support, ws), coef) - means[p:], (k, side))
 
-    def candidate_values(self, ev, t, ws=None):
-        support, coef, batch = ev
-        return self._values(self._kernel(t, support, ws), coef) - self._means(t, batch, ws)
-
     def support_field(self, t, coef, idx, ev, keep, ws=None):
         if ev is None:
             return self.certificate_field(t, t, coef, idx, ws)
         batch = self._samples(idx)
-        p = int(keep.sum())
         k, side = ev
-        side = None if idx is not None or side is None else self._kept_side(side, keep, t[p:], ws)
+        live = keep[: len(k)]
+        p = int(live.sum())
+        side = None if idx is not None or side is None else self._kept_side(side, keep, len(k), ws)
         y, y_grads = self._data_side(t, batch, side, ws)
-        if p < len(t) or p < len(keep):
-            k = self._support_kernel(t, k, keep, p, ws)
+        if p < len(t) or p < len(k):
+            k = self._support_kernel(t, k, live, p, ws)
         return self._field(t, t, coef, k, y, y_grads)
 
     def _support_kernel(self, t, k, keep, p, ws):
@@ -662,21 +642,15 @@ class GmmKernel(GaussianKernel):
             full[:p, p:] = full[p:, :p].T
         return full
 
-    def _kept_side(self, side, keep, born, ws):
-        """The exact density rows and means of ``[T'[keep]; born]`` from
-        ``ev``'s rows of ``[T'; C]``: its first rows if every particle
-        survived and none was born, else the survivors' rows, then those of
-        the candidates the born points equal, gathered in ``ws``'s
-        ``"work"``; None where a born point is no candidate."""
-        rows, means, cand = side
-        if keep.all() and not len(born):
-            return rows[: len(keep)], means[: len(keep)]
+    def _kept_side(self, side, keep, p, ws):
+        """The exact density rows and means of ``[T'; C][keep]`` from
+        ``ev``'s rows of ``[T'; C]``, ``p = |T'|``: its first p rows if every
+        particle survived and none was born, else the kept rows gathered in
+        ``ws``'s ``"work"``."""
+        rows, means = side
+        if keep[:p].all() and not keep[p:].any():
+            return rows[:p], means[:p]
         pick = np.flatnonzero(keep)
-        if len(born):
-            hits = (born[:, None] == cand).all(axis=2)
-            if not hits.any(axis=1).all():
-                return None
-            pick = np.concatenate([pick, len(keep) + hits.argmax(axis=1)])
         out = buffer(ws, "work", len(pick), rows.shape[1])
         return np.take(rows, pick, axis=0, out=out, mode="clip"), means[pick]
 
@@ -821,8 +795,8 @@ class ReluKernel(KernelModel):
         vals = self._sums(aug, support, self._residual(r, self._targets(idx), coef), ws=ws)[0]
         return vals, self._sums(aug, cand, r, ws=ws)[0], None
 
-    def candidate_values(self, ev, t, ws=None):
-        aug, r = ev
+    def certificate_values(self, t, support, coef, idx=None, ws=None):
+        aug, r = self._evaluation(support, coef, idx)
         return self._sums(aug, t, r, ws=ws)[0]
 
     def certificate_field(self, t, support, coef, idx=None, ws=None):

@@ -15,17 +15,19 @@ whose temporaries do not grow with n.
 A weight-update overflow raises ``RunAborted``, which names the iteration
 and carries the trace rows recorded so far and the last good swarm.
 
-Each iteration draws its birth candidates before the death decision, and
-scores the pushed measure on the second batch in one pass, for deaths at
-its support and for births at the candidates; the next support is the
-survivors followed by the born candidates. The loop hands on what the next
-support field reuses of that pass as ``ev`` and its workspace as ``ws``,
-under the contract that ``kernels`` states. The survivors are decided once,
-as the boolean mask ``keep``, which both ``apply_mass_tweak`` and
-``support_field`` take. The run creates one ``workspace.Workspace`` when it
-starts and drops it when it returns, and drops ``ev`` as soon as
-``support_field`` has read it, so a slot that grows frees its old buffer at
-once.
+Each iteration draws its birth candidates C before the death decision,
+and scores the pushed measure on the second batch in one pass, for deaths
+at its support T' and for births at the candidates. The next support is one
+selection from that pass's points, ``[T'; C][keep]``: the survivors, then
+the born candidates in draw order. The boolean mask ``keep`` over
+``[T'; C]`` is decided once, from the death indices and the candidates'
+acceptance mask; ``apply_mass_tweak`` takes its first ``len(T')`` entries
+and the born swarm, and ``support_field`` the whole mask. The loop hands on
+what the next support field reuses of the pass as ``ev`` and its workspace
+as ``ws``, under the contract that ``kernels`` states. The run creates one
+``workspace.Workspace`` when it starts and drops it when it returns, and
+drops ``ev`` as soon as ``support_field`` has read it, so a slot that grows
+frees its old buffer at once.
 
 On an unsigned problem every sign is +1 (``run`` refuses a start swarm with
 a negative sign, and births take +1), so the loop skips the sign folds
@@ -156,7 +158,7 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
     trace.append(IterationRecord(0, 0.0, last_loss, swarm.tv_norm(), len(swarm),
                                  0, 0, None, None, None))
 
-    ev = keep = None  # the last pushed evaluation and its survivors
+    ev = keep = None  # the last pushed evaluation and its kept points
     for k in range(1, config.k_iters + 1):
         eps_k, m_k, beta_k = config.plan.at(k)
         batches = None if config.full_batch else \
@@ -190,12 +192,14 @@ def run(config: RunConfig, problem: Problem) -> RunResult:
                                                       ws=ws)
             pushed = swarm.signs * vals + kappa if signed else vals + kappa
             death_idx = select_deaths(swarm, pushed, config.death_rule, eps_k, rng)
-            born, cand_certs = evaluate_birth_candidates(problem, cand, cand_signs, cand_vals,
-                                                         config.birth_rule, eps_k, threshold_m)
-            keep = np.ones(len(swarm), dtype=bool)
+            born, cand_certs, accept = evaluate_birth_candidates(
+                problem, cand, cand_signs, cand_vals, config.birth_rule, eps_k, threshold_m)
+            p = len(swarm)
+            keep = np.ones(p + len(cand), dtype=bool)
             keep[death_idx] = False
+            keep[p:] = accept
             seen = np.concatenate([pushed, cand_certs])
-            swarm = apply_mass_tweak(swarm, keep, born)
+            swarm = apply_mass_tweak(swarm, keep[:p], born)
             births, deaths = len(born), len(death_idx)
 
         at_cadence = (k % config.trace_cadence == 0) or (k == config.k_iters)

@@ -244,9 +244,6 @@ class Reference(SyntheticKernel):
         return (self.certificate_values(support, support, coef, idx),
                 self.certificate_values(cand, support, coef, idx), (support, coef, idx))
 
-    def candidate_values(self, ev, t, ws=None):
-        return self.certificate_values(t, *ev)
-
     def support_field(self, t, coef, idx, ev, keep, ws=None):
         return self.certificate_field(t, t, coef, idx)
 

@@ -20,7 +20,7 @@ def swarm_of(weights, certs_dim=1):
 
 def birth_step(problem, swarm, rule, eps_k, m_k, idx, g):
     """One birth step: the candidates drawn from ``g``, scored by the pushed
-    evaluation of ``swarm`` on ``idx``; returns ``(born, cand_certs)``."""
+    evaluation of ``swarm`` on ``idx``; returns ``(born, cand_certs, accept)``."""
     cand, signs = draw_candidates(problem, rule, g)
     vals = problem.model.pushed_values(swarm.positions, swarm.weights * swarm.signs, idx,
                                        cand)[1]
@@ -170,7 +170,7 @@ class TestProposeBirths:
         problem = make_synthetic_problem()
         sw = ParticleSwarm.empty(2)
         rule = BirthRule(threshold_coeff=math.inf, candidates_per_iter=5)
-        born, _ = birth_step(problem, sw, rule, 0.01, 16, None, rng(17))
+        born = births(problem, sw, rule, 0.01, 16, None, rng(17))
         cands = problem.domain.sample_uniform(rng(17), size=5)  # the step's first draw
         assert np.array_equal(born.positions, cands)
 
@@ -324,3 +324,20 @@ def test_bad_birth_mass_rejected(birth_mass):
     with pytest.raises(ValueError, match="birth mass"):
         BirthRule(threshold_coeff=0.0, birth_mass=birth_mass)
     assert BirthRule(threshold_coeff=0.0, birth_mass=0.0).birth_mass == 0.0
+
+
+def test_results_hold_what_perfbench_counts():
+    # perfbench's tracer counts the births as ``len(result[0])`` and the
+    # candidates as ``len(result[1])`` of ``evaluate_birth_candidates``, and
+    # the deaths as ``result.size`` of ``select_deaths``: a change to either
+    # return value fails here, not only in the per-layer table
+    problem = make_synthetic_problem()
+    rule = BirthRule(threshold_coeff=0.0, candidates_per_iter=6)
+    positions = problem.domain.sample_uniform(rng(21), size=6)
+    values = np.array([-1.0, 0.5, -0.2, 2.0, -3.0, 0.1])  # kappa = 1e-3 flips no sign
+    result = evaluate_birth_candidates(problem, positions, np.ones(6), values, rule, 0.01, 16)
+    assert len(result[0]) == 3 and len(result[1]) == 6
+    assert result[2].tolist() == [True, False, True, False, True, False]
+    deaths = select_deaths(swarm_of([1.0] * 4), [6.0, 4.0, 7.0, -1.0],
+                           DeathRule(kind="ratio", tau_death=5.0), 0.1, rng(22))
+    assert deaths.size == 2 and deaths.tolist() == [0, 2]

@@ -2,8 +2,8 @@
 
 ``GmmKernel`` averages data-side densities, exact or batched, in blocks of
 at most ``ROW_BLOCK_ENTRIES`` entries in ``y_inner_many`` (and so the
-loss), in ``certificate_values`` (and so ``kkt_residual`` and
-``frechet_gap``) and in ``candidate_values``. Each row is averaged on its
+loss) and in ``certificate_values`` (and so ``kkt_residual`` and
+``frechet_gap``). Each row is averaged on its
 own, so the means must lie within the data-side bound
 (``reference.mixture_side_bound``) of the reference's one-shot
 ``mixture_means``, whose densities take exact differences, on both sides of

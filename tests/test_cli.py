@@ -1119,6 +1119,22 @@ def test_theory_profile_calibrates_manual_rates_without_alpha(tmp_path, capsys):
     assert "\ncalibrated: alpha=" in (out / "summary.txt").read_text(encoding="utf-8")
 
 
+def test_calibrated_horizon_run_caps_its_step_by_rates_beta():
+    # a horizon plan caps its step by the run's beta, as a fixed plan takes
+    # it: ``[rates] beta`` where the file sets it, else ``chosen_beta``; at
+    # K = 13,000,000 both lie below the structural bound 1 / (alpha^(d/4) sqrt(K))
+    spec = load_config(CONFIGS / "synthetic_theory.cfg")
+    spec.schedule["variant"] = "horizon"
+    spec.run["iterations"] = 13_000_000
+    problem, extras = build_problem(spec)
+    config, cal = build_run_config(spec, problem, extras)
+    structural = 1.0 / (cal.alpha ** (problem.domain.dim / 4.0) * math.sqrt(13_000_000))
+    assert config.plan.beta == cal.chosen_beta < structural
+    spec.rates["beta"] = 0.001
+    config, cal = build_run_config(spec, problem, extras)
+    assert config.plan.beta == 0.001 < cal.chosen_beta
+
+
 @pytest.mark.parametrize("body, message", [
     pytest.param(TINY_TEACHER.replace("model = teacher", "model = regression")
                  .replace("features = 3\nreg_samples = 60\nteacher_neurons = 2\n", ""),

@@ -517,10 +517,10 @@ def test_batch_gathers_have_the_bits_of_fancy_indexing(idx):
     relu = ReluKernel(g.standard_normal((8, 3)), g.standard_normal(8))
     for as_array in (False, True):
         batch = np.array(idx) if as_array else idx
-        assert gmm._batch(batch).tobytes() == gmm.data[np.array(idx)].tobytes()
+        assert gmm._samples(batch)[0].tobytes() == gmm.data[np.array(idx)].tobytes()
         assert relu._batch(batch).tobytes() == relu._aug[np.array(idx)].tobytes()
         assert relu._targets(batch).tobytes() == relu.targets[np.array(idx)].tobytes()
-        assert gmm._batch(batch).shape == (len(idx), 2)
+        assert gmm._samples(batch)[0].shape == (len(idx), 2)
 
 
 @pytest.mark.parametrize("idx", [[8], [0, 9], [-9]])
@@ -528,7 +528,7 @@ def test_batch_gathers_refuse_an_index_out_of_range(idx):
     g = rng(12)
     gmm = GmmKernel(g.standard_normal((8, 2)), 0.3)
     relu = ReluKernel(g.standard_normal((8, 3)), g.standard_normal(8))
-    for gather in (gmm._batch, relu._batch, relu._targets):
+    for gather in (gmm._samples, relu._batch, relu._targets):
         with pytest.raises(IndexError):
             gather(np.array(idx))
 

@@ -2,8 +2,9 @@
 
 Each iteration scores the pushed measure ``(T', c)`` on one batch at ``T'``
 and at the birth candidates ``C`` in one ``pushed_values`` call, and the
-next ``support_field`` takes its ``ev`` with the survivor mask ``keep`` of
-``T = [T'[keep]; C[born]]``. For the synthetic model (signed and unsigned),
+next ``support_field`` takes its ``ev`` with the one mask ``keep`` over
+``[T'; C]`` that selects ``T = [T'; C][keep]``: the survivors, then the born
+candidates. For the synthetic model (signed and unsigned),
 the mixture and the ReLU network, exact and mini-batch: (a) each call has
 the bits of a fresh model's stateless ``certificate_values`` or
 ``certificate_field``; the mixture builds its density rows in expanded
@@ -85,7 +86,7 @@ def test_warm_model_gives_fresh_bits(name, seed, data):
     t = np.vstack([pushed[keep], cand[born]])
     c = g.uniform(-1.0, 1.0, size=len(t))
     idx = None if exact else g.integers(0, warm.n_samples, size=32)
-    for got, want, side in zip(warm.support_field(t, c, idx, ev, keep),
+    for got, want, side in zip(warm.support_field(t, c, idx, ev, np.concatenate([keep, born])),
                                fresh.certificate_field(t, t, c, idx), (0, 1)):
         assert as_fresh(warm, t, idx, got, want, side)
 
@@ -242,11 +243,11 @@ def test_no_loop_evaluation_writes_ev(name, full_batch):
 
     _, _, ev = model.pushed_values(pushed, g.uniform(-1.0, 1.0, size=6), batch(), cand)
     before = contents(ev)
-    for keep, born in [(np.ones(6, dtype=bool), cand[:0]),
-                       (np.ones(6, dtype=bool), cand[1:3]),
-                       (np.array([True, False, True, True, False, True]), cand[:2]),
-                       (np.zeros(6, dtype=bool), cand)]:
-        t = np.vstack([pushed[keep], born])
+    for keep in ([True] * 6 + [False] * 4, [True] * 6 + [False, True, True, False],
+                 [True, False, True, True, False, True, True, True, False, False],
+                 [False] * 6 + [True] * 4):
+        keep = np.array(keep)
+        t = np.vstack([pushed, cand])[keep]
         model.support_field(t, g.uniform(-1.0, 1.0, size=len(t)), batch(), ev, keep)
         assert contents(ev) == before
 
@@ -286,9 +287,9 @@ def test_support_field_after_deaths_at_200_points_has_fresh_bits(name, full_batc
     cand = problem.domain.sample_uniform(g, size=2)
     idx = None if full_batch else g.integers(0, model.n_samples, size=32)
     _, _, ev = model.pushed_values(pushed, g.uniform(-1.0, 1.0, size=200), idx, cand)
-    keep = np.ones(200, dtype=bool)
+    keep = np.arange(202) < 200 + born
     keep[[0, 57, 58, 131, 199]] = False
-    t = np.vstack([pushed[keep], cand[:born]])
+    t = np.vstack([pushed, cand])[keep]
     c = g.uniform(-1.0, 1.0, size=len(t))
     idx = None if full_batch else g.integers(0, model.n_samples, size=32)
     for got, want in zip(model.support_field(t, c, idx, ev, keep),
@@ -311,8 +312,8 @@ def test_relu_loop_evaluations_past_one_row_block_have_fresh_bits(m, p):
     vals, at_cand, ev = model.pushed_values(pushed, coef, idx, cand)
     assert same_bits(vals, fresh.certificate_values(pushed, pushed, coef, idx))
     assert same_bits(at_cand, fresh.certificate_values(cand, pushed, coef, idx))
-    keep = g.random(p) < 0.9
-    t = np.vstack([pushed[keep], cand[:3]])
+    keep = np.concatenate([g.random(p) < 0.9, np.arange(p) < 3])
+    t = np.vstack([pushed, cand])[keep]
     c = g.uniform(-1.0, 1.0, size=len(t))
     idx = None if m is None else g.integers(0, 2000, size=m)
     for got, want in zip(model.support_field(t, c, idx, ev, keep),

@@ -11,9 +11,11 @@ each row the bits of the same call on a separate array, wherever the block,
 and so each slice, starts. This holds for the loop's shapes on both sides of
 ``PRODUCT_ENTRIES`` (where a block moves into the workspace) and of
 ``ROW_BLOCK_ENTRIES``, with the block 0, 16, 32 or 48 bytes past a 64-byte
-boundary and the separate arrays at the same offsets or fresh. A numpy or
-BLAS that broke it would move the loop's bytes; this test fails first. CI
-runs it again with OpenBLAS on two threads.
+boundary and the separate arrays at the same offsets or fresh. The
+mixture's densities are entries of one expanded product, whose rows must
+have the same bits in every product of two or more rows. A numpy or BLAS
+that broke either would move the loop's bytes; these tests fail first. CI
+runs them again with OpenBLAS on two threads.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conicswarm.kernels import GmmKernel
 from conicswarm.workspace import PRODUCT_ENTRIES, ROW_BLOCK_ENTRIES
 from helpers import rng, same_bits
 
@@ -99,3 +102,30 @@ def test_row_sums_of_a_stacked_block_have_separate_bits(seed, p, c, m, offset):
     for rows in (slice(0, p), slice(p, p + c)):
         for alone in separate(block[rows]):
             assert same_bits(sums[rows], np.add.reduce(alone, axis=1))
+
+
+#: product heights: every count from 2 to 40, the 64- and 128-row edges, and
+#: the larger supports of a mixture run
+HEIGHTS = [*range(2, 41), 63, 64, 65, 127, 128, 129, 300, 599]
+
+
+@pytest.mark.parametrize("n", [256, 2000, 24000])
+def test_expanded_product_rows_have_the_same_bits_in_every_product_of_two_or_more_rows(n):
+    """The BLAS property the mixture's loop bits rest on: each row of the
+    expanded product ``left @ side.T`` (``GmmKernel._density``, ``d + 2 =
+    4`` inner terms) has the same bits in every product of two or more rows
+    that holds it, whatever the product's height and wherever its rows
+    start in ``left``. So the rows of ``[T'; C]`` that ``pushed_values``
+    builds in one product are those of a support field's own build. A
+    one-row product, which numpy hands to gemv, may differ in the last bits
+    and is not covered."""
+    g = rng(n)
+    model = GmmKernel(3.0 * g.standard_normal((n, 2)), 0.3)
+    left = model._expanded_rows(g.uniform(-8.0, 8.0, size=(7 + HEIGHTS[-1], 2)))
+    side = model._side
+    whole = np.matmul(left, side.T)
+    for start in (0, 1, 7):
+        for height in HEIGHTS:
+            rows = slice(start, start + height)
+            got = np.matmul(left[rows], side.T, out=np.empty((height, n)))
+            assert same_bits(got, whole[rows]), (start, height)

@@ -3,11 +3,12 @@
 Each iteration scores the pushed support ``T'`` against itself and the
 birth candidates ``C`` against ``T'`` on the same batch in one
 ``pushed_values`` call, which builds the data-side rows of ``[T'; C]``
-together; the next support ``T`` is ``T'[keep]`` followed by the born
-candidates. ``ev`` carries ``K(T', T')`` and, in an exact run, the
-data-side rows and means of ``[T'; C]``, so ``support_field`` builds only
-the born rows ``K(T_born, T)``, after deaths too, and in an exact run no
-data-side row at all. Every stateless evaluation builds fresh. That
+together; the next support ``T = [T'; C][keep]`` is the survivors
+followed by the born candidates, under one mask ``keep`` over ``[T'; C]``.
+``ev`` carries ``K(T', T')`` and, in an exact run, the data-side rows and
+means of ``[T'; C]``, so ``support_field`` builds only the born rows
+``K(T_born, T)``, after deaths too, and in an exact run no data-side row at
+all. Every stateless evaluation builds fresh. That
 the loop evaluations have the bits of the stateless ones, write nothing
 into ``ev`` and keep nothing in the model is checked for every model in
 ``test_loop_evaluations.py``.
@@ -166,21 +167,19 @@ def test_kept_support_with_births_builds_only_the_born_block(built):
     problem = make_gmm_problem(seed=3)
     model = problem.model
     pushed, cand, ev = scoped_pair(model, problem.domain)
-    born = cand[[1, 3]]
-    for keep in (np.ones(5, dtype=bool), np.array([True, False, True, True, False]),
+    points = np.vstack([pushed, cand])
+    born, none = np.array([False, True, False, True]), np.zeros(4, dtype=bool)
+    for live in (np.ones(5, dtype=bool), np.array([True, False, True, True, False]),
                  np.zeros(5, dtype=bool)):
-        p = int(keep.sum())
-        support = np.vstack([pushed[keep], born])
-        assert support_builds(built, model, support, ev, keep) == (0, 2 * (p + 2))
-        assert support_builds(built, model, pushed[keep], ev, keep) == (0, 0)
-        # a born point that is no candidate has no row in ``ev``: every
-        # data-side row is built fresh
-        stranger = np.vstack([pushed[keep], cand[[1]], problem.domain.sample_uniform(rng(5), 1)])
-        assert support_builds(built, model, stranger, ev, keep) == (p + 2, 2 * (p + 2))
+        p = int(live.sum())
+        keep = np.concatenate([live, born])
+        assert support_builds(built, model, points[keep], ev, keep) == (0, 2 * (p + 2))
+        keep = np.concatenate([live, none])
+        assert support_builds(built, model, points[keep], ev, keep) == (0, 0)
     # mini-batch evaluations lend their kernel blocks, not their rows
     pushed, cand, ev = scoped_pair(model, problem.domain, np.arange(10))
-    assert support_builds(built, model, np.vstack([pushed, cand[[0]]]), ev,
-                          np.ones(5, dtype=bool)) == (6, 6)
+    keep = np.arange(9) < 6
+    assert support_builds(built, model, np.vstack([pushed, cand])[keep], ev, keep) == (6, 6)
 
 
 @pytest.mark.parametrize("case", ["death", "unrelated", "stranger", "prefix", "unscoped"])
@@ -255,8 +254,9 @@ def test_mini_batch_unscoped_and_loss_calls_keep_nothing(built):
 def test_batched_field_fetches_the_batch_once(monkeypatch):
     problem = make_gmm_problem(seed=4)
     model = problem.model
-    real, fetched = GmmKernel._batch, []
-    monkeypatch.setattr(GmmKernel, "_batch", lambda self, idx: fetched.append(idx) or real(self, idx))
+    real, fetched = GmmKernel._samples, []
+    monkeypatch.setattr(GmmKernel, "_samples",
+                        lambda self, idx: fetched.append(idx) or real(self, idx))
     pts = problem.domain.sample_uniform(rng(6), size=3)
     model.certificate_field(pts, pts, np.ones(3), np.arange(10))
     assert len(fetched) == 1

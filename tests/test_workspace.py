@@ -117,13 +117,11 @@ def test_loop_evaluations_have_reference_bits_at_every_offset(name, full_batch, 
         assert np.shares_memory(block, ws.take("ev.kernel", 1, PRODUCT_ENTRIES))
     assert as_reference(model, cand, idx, [at_cand],
                         reference_field(model, cand, pushed, coef, idx)[:1])
-    died = g.random(200) < 0.2
-    for keep, born in [(np.ones(200, dtype=bool), cand[:0]),
-                       (np.ones(200, dtype=bool), cand[::3]),
-                       (~died, cand[:0]),
-                       (~died, cand[::3]),
-                       (np.zeros(200, dtype=bool), cand)]:
-        t = np.vstack([pushed[keep], born])
+    lived, some = g.random(200) >= 0.2, np.arange(40) % 3 == 0
+    every, none = np.ones(200, dtype=bool), np.zeros(40, dtype=bool)
+    for keep in [(every, none), (every, some), (lived, none), (lived, some), (~every, ~none)]:
+        keep = np.concatenate(keep)
+        t = np.vstack([pushed, cand])[keep]
         c = g.uniform(-1.0, 1.0, size=len(t))
         idx = batch()
         got = model.support_field(t, c, idx, ev, keep, ws)
