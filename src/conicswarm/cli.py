@@ -191,8 +191,9 @@ def build_run_config(spec: RunSpec, problem: Problem, extras):
     if variant == "fixed":
         plan = FixedPlan(alpha, spec.schedule["eps"], spec.schedule["batch"], beta)
     elif variant == "horizon":
-        # the run's beta, ``chosen_beta`` where a calibrated run leaves the key unset
-        beta_cap = beta if calibrated or beta > 0 else math.inf
+        # the run's beta, ``chosen_beta`` where a calibrated run leaves the
+        # key unset; a manual run that leaves it unset has no cap
+        beta_cap = math.inf if not calibrated and rates_cfg["beta"] is None else beta
         plan = horizon_plan(spec.run["iterations"], alpha, beta_cap, problem.domain.dim)
     else:
         plan = AnytimePlan(alpha=alpha)

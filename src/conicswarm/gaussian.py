@@ -11,27 +11,35 @@ constant: callers multiply the sums they reduce them to by ``gauss_norm``
 or their own, the values ``K c`` and the gradients of ``gauss_grad`` (one
 product ``K(A, B) @ [c B, c]``). One array against itself (``gauss_self``)
 is the upper triangle of row blocks, mirrored, with the bits of the full
-build. The pair sum of ``close_pair_sum`` takes its exponents from expanded
-products, within a stated bound of the exact ones, and so do the mixture's
-data-side densities (``kernels.GmmKernel``), which fall back on
-``gauss_density`` where that bound exceeds 1e-12.
+build. The mixture's data-side densities (``kernels.GmmKernel``) take their
+exponents from expanded products, within a stated bound of the exact ones,
+and fall back on ``gauss_density`` where that bound exceeds 1e-12. The
+planar pair sum of ``lattice_pair_sum`` is the squared norm of the smoothed
+samples on a lattice, within the bound that ``kernels.GmmKernel`` derives.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .workspace import PRODUCT_ENTRIES, SELF_BLOCK_ENTRIES, out_buffer
 
-__all__ = ["gauss_density", "gauss_norm", "gauss_self", "gauss_grad", "close_pair_sum"]
+__all__ = ["gauss_density", "gauss_norm", "gauss_self", "gauss_grad", "lattice_pair_sum"]
 
-#: leading coordinates that index the cell list of ``close_pair_sum``
-_CELL_DIMS = 3
-#: cell indices from this magnitude on take exact differences in
-#: ``close_pair_sum``: below it, the index's own rounding is under 2^-12 cell
-_EXPAND_LIMIT = 2**40
+#: the spacing of ``lattice_pair_sum``'s lattice in units of tau, from the
+#: aliasing bound of ``kernels.GmmKernel``
+_SPACING = 0.5
+#: the reach of a sample's lattice rows in units of tau, ``sqrt(45 c)`` with
+#: ``c = 2 tau^2``: a row's entries beyond it are below e^-45
+_REACH = math.sqrt(90.0)
+#: lattice lines per side of a cell of samples, the reach in lines: a cell's
+#: rows cover it and one cell on either side
+_CELL = math.ceil(_REACH / _SPACING)
+#: the 3 x 3 blocks of lattice that a cell's rows reach, as cell offsets
+_NEAR = np.array(list(itertools.product((-1, 0, 1), repeat=2)))
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray, ws=None, out=None) -> np.ndarray:
@@ -101,44 +109,6 @@ def gauss_density(a: np.ndarray, b: np.ndarray, var: float, ws=None, out=None) -
     return _gauss_finish(_sqdist(a, b, ws, out), var)
 
 
-def _exp_sum(x: np.ndarray, m: int, scale: float, g: int) -> float:
-    """``sum_ij w_ij exp(-|x_i - x_j|^2 / scale)`` over ``i < m``, with
-    ``w_ij = 1`` for ``j < m`` and 2 otherwise: the first ``m`` rows
-    against themselves once and against the rest twice, in cache-sized row
-    tiles of at most ``SELF_BLOCK_ENTRIES`` terms, each tile against itself
-    and the rows after it. A tile's exponents are formed in one buffer,
-    exponentiated in place and summed by one matvec with the weights.
-
-    The first ``g`` coordinates enter expanded: with ``a`` and ``b`` the
-    rows centred on ``x_0``, ``-|a - b|^2 / s`` is one product with
-    ``g + 2`` inner terms, ``[2a/s, -|a|^2/s, 1] @ [b; 1; -|b|^2/s]``. The
-    other coordinates, all of them for ``g = 0``, subtract ``_sqdist``'s
-    exact sums of squared differences over ``s``.
-    """
-    n, d = x.shape
-    step = max(1, SELF_BLOCK_ENTRIES // n)
-    if g:
-        right = np.empty((g + 2, n))
-        b = np.subtract(x[:, :g].T, x[0, :g, None], out=right[:g])
-        right[g] = 1.0
-        np.divide(np.einsum("ij,ij->j", b, b), -scale, out=right[g + 1])
-        left = np.empty((m, g + 2))
-        np.divide(b[:, :m].T, 0.5 * scale, out=left[:, :g])
-        left[:, g] = right[g + 1, :m]
-        left[:, g + 1] = 1.0
-    weights = np.full(n, 2.0)
-    total = 0.0
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        exponents = left[lo:hi] @ right[:, lo:] if g else np.zeros((hi - lo, n - lo))
-        if d > g:
-            exponents -= _sqdist(x[lo:hi, g:], x[lo:, g:]) / scale
-        np.exp(exponents, out=exponents)
-        weights[lo:hi] = 1.0
-        total += float((exponents @ weights[lo:]).sum())
-    return total
-
-
 def gauss_self(x: np.ndarray, var: float, ws=None, out=None) -> np.ndarray:
     """``gauss_density(x, x, var)``, in ``out`` if given, from the upper
     triangle: row blocks of at most ``SELF_BLOCK_ENTRIES`` entries against
@@ -159,56 +129,74 @@ def gauss_self(x: np.ndarray, var: float, ws=None, out=None) -> np.ndarray:
     return k
 
 
-def close_pair_sum(x: np.ndarray, scale: float, cutoff: float) -> float:
-    """``sum_ij exp(-|x_i - x_j|^2 / scale)`` over every ordered pair closer
-    than ``cutoff`` (and some farther ones), by a cell list.
+def _groups(x, gap):
+    """The planar samples ``x`` split wherever two neighbours leave a gap
+    wider than ``gap``, along x0 and then along x1 within each part: samples
+    of different groups lie more than ``gap`` apart."""
+    x = x[np.argsort(x[:, 0])]
+    # a gap past the float range is inf, which still splits
+    with np.errstate(over="ignore"):
+        part = np.r_[0, np.cumsum(np.diff(x[:, 0]) > gap)]
+        # by part, then x1, then x0: samples that the unstable sort may have
+        # swapped are equal, so the sorted array is unique; ``part``, sorted
+        # already, keeps its order
+        x = x[np.lexsort((x[:, 1], part))]
+        cut = (np.diff(part) > 0) | (np.diff(x[:, 1]) > gap)
+    return np.split(x, np.flatnonzero(cut) + 1)
 
-    Cells have side ``h = cutoff / 2`` in the first ``g = min(d, 3)``
-    coordinates, so two samples closer than ``cutoff`` sit in cells whose
-    indices differ by at most 2 per axis. Only occupied cells are stored,
-    keyed by the bytes of their indices. ``_exp_sum`` sums each cell once
-    against itself and twice against the occupied cells of the forward half
-    of its ``5^g`` stencil, in tiles of at most ``SELF_BLOCK_ENTRIES`` terms.
 
-    Each block is centred on its cell's first sample, so a row ``a`` and a
-    column ``b`` of it have ``|a| < sqrt(g) h`` and ``|b| < 3 sqrt(g) h``,
-    up to the indices' own rounding (under 2^-12 of a cell). The centring
-    is exact far from the origin (Sterbenz) and elsewhere rounds each
-    coordinate by a relative ``u = 2^-53`` at most, which moves the
-    exponent by ``2u (|a| + |b|)^2 / scale``. The expanded product's
-    operands round its cross terms at most ``g + 3`` times and its norm
-    terms ``2g + 2`` times, so for ``d <= 3`` a term's exponent is within
-    ``2 (g + 3) u (|a| + |b|)^2 / scale``, about
-    ``8 g (g + 3) u cutoff^2 / scale`` or less, of the exact one. That is
-    each term's relative error, apart from exp's own; the terms are
-    positive, so the sum adds only the rounding of its sums. A cell whose
-    index reaches ``_EXPAND_LIMIT`` in magnitude may hold samples far apart
-    (the cast's clip at 2^62, or indices rounded by whole cells), so its
-    tiles take exact differences in every coordinate.
-    """
-    n, g = len(x), min(x.shape[1], _CELL_DIMS)
+def _line_rows(values, first):
+    """``exp(-(z_j - v)^2 / 2)`` of each value v at the ``3 _CELL`` lattice
+    lines ``z_j = first + j _SPACING``, one row per value."""
+    t = np.subtract.outer(values, first + _SPACING * np.arange(3 * _CELL))
+    t *= t
+    t *= -0.5
+    return np.exp(t, out=t)
 
-    def byte_keys(idx):
-        return np.ascontiguousarray(idx).view(np.dtype((np.void, 8 * g))).ravel()
 
-    # The clip guards the int64 cast; it is monotone, so indices within 2 of
-    # each other stay within 2.
-    keys = np.clip(np.floor(x[:, :g] * (2.0 / cutoff)), -2.0**62, 2.0**62).astype(np.int64)
-    order = np.argsort(byte_keys(keys), kind="stable")
-    x, keys = x[order], keys[order]
-    cells, starts = np.unique(byte_keys(keys), return_index=True)
-    ends = np.r_[starts[1:], n]
-    stencil = [off for off in itertools.product(range(-2, 3), repeat=g) if off > (0,) * g]
-    near = np.full((len(starts), len(stencil)), -1)
-    for s, off in enumerate(stencil):
-        want = byte_keys(keys[starts] + np.array(off))
-        pos = np.minimum(np.searchsorted(cells, want), len(cells) - 1)
-        near[:, s] = np.where(cells[pos] == want, pos, -1)
-    expand = np.where(np.abs(keys[starts]).max(axis=1) < _EXPAND_LIMIT, g, 0)
+def _group_sum(x, tau):
+    """``h^2 sum_k F_k^2 / pi`` over the lattice of one group, in units of tau
+    and anchored at one of its samples: ``F = sum_i exp(-|z - u_i|^2 / 2)``
+    over the lines within reach of each sample's cell. The samples sorted
+    by cell, each cell adds ``A^T B`` to the 3 x 3 lattice blocks around
+    it, with A and B its samples' ``_line_rows`` along x0 and x1, summed in
+    row chunks of at most ``SELF_BLOCK_ENTRIES`` entries. Only the blocks
+    that some cell reaches are stored."""
+    u = (x - x[len(x) // 2]) / tau
+    cells = np.floor(u / (_CELL * _SPACING)).astype(np.int64)
+    # the samples come sorted by x1, so a stable sort by c0 sorts by cell
+    order = np.argsort(cells[:, 0], kind="stable")
+    u, cells = u[order], cells[order]
+    starts = np.flatnonzero(np.r_[True, (np.diff(cells, axis=0) != 0).any(axis=1)])
+    ends = np.r_[starts[1:], len(u)]
+    occupied = cells[starts]
+    # one integer key per block over the box of the group's cells and their neighbours
+    low = occupied.min(axis=0) - 1
+    keys = ((occupied - low)[:, None, :] + _NEAR) @ np.array([occupied[:, 1].max() - low[1] + 2, 1])
+    blocks, slots = np.unique(keys.ravel(), return_inverse=True)
+    lattice = np.zeros((len(blocks), _CELL, _CELL))
+    step = max(1, SELF_BLOCK_ENTRIES // (3 * _CELL))
+    for cell, near, lo, hi in zip(occupied, slots.reshape(-1, 9), starts, ends):
+        first = (cell - 1) * (_CELL * _SPACING)
+        reach = np.zeros((3 * _CELL, 3 * _CELL))
+        for r in range(lo, hi, step):
+            rows = u[r : min(r + step, hi)]
+            reach += _line_rows(rows[:, 0], first[0]).T @ _line_rows(rows[:, 1], first[1])
+        lattice[near] += reach.reshape(3, _CELL, 3, _CELL).swapaxes(1, 2).reshape(9, _CELL, _CELL)
+    lattice *= lattice
+    return float(lattice.sum()) * _SPACING**2 / math.pi
+
+
+def lattice_pair_sum(x: np.ndarray, tau: float) -> float:
+    """``sum_ij exp(-|x_i - x_j|^2 / (4 tau^2))`` over every ordered pair of
+    the planar samples ``x``, as ``h^2 sum_k F_k^2 / pi`` on a lattice of
+    spacing ``h = _SPACING`` in units of tau (``kernels.GmmKernel`` derives
+    the identity and its error). Groups of samples more than twice the
+    reach apart (``_groups``) are summed on lattices of their own, and a
+    group of one point, repeated m times, as ``m^2`` exactly."""
     total = 0.0
-    for c, (lo, hi) in enumerate(zip(starts, ends)):
-        block = [x[lo:hi]] + [x[starts[j] : ends[j]] for j in near[c] if j >= 0]
-        total += _exp_sum(np.concatenate(block), hi - lo, scale, int(expand[c]))
+    for group in _groups(x, 2.0 * _REACH * tau):
+        total += float(len(group)) ** 2 if (group == group[0]).all() else _group_sum(group, tau)
     return total
 
 

@@ -79,7 +79,7 @@ import numpy as np
 # ``perfbench/micro.py`` imports the audit from here
 from .audit import AssumptionBounds, audit_assumptions
 from .domain import Box, DomainError
-from .gaussian import close_pair_sum, gauss_density, gauss_grad, gauss_norm, gauss_self
+from .gaussian import gauss_density, gauss_grad, gauss_norm, gauss_self, lattice_pair_sum
 from .workspace import ROW_BLOCK_ENTRIES, SELF_BLOCK_ENTRIES, buffer, out_buffer
 
 __all__ = ["KernelModel", "GaussianKernel", "SyntheticKernel", "GmmKernel", "ReluKernel",
@@ -375,18 +375,55 @@ class GmmKernel(GaussianKernel):
     every density at most ``_ynorm``, so a tau that leaves either below the
     smallest normal float is refused: every value would vanish.
 
-    ``|y|^2 = n^-2 sum_ij N(X_i; X_j, 2 tau^2 I)`` skips the pairs farther
-    apart than r, ``r^2 = 4 tau^2 (ln n + 60 ln 2)``. Each skipped term is at
-    most ``c exp(-r^2 / (4 tau^2)) = c 2^-60 / n`` with
-    ``c = (4 pi tau^2)^(-d/2)``, and the diagonal alone contributes ``n c``,
-    so the at most n^2 skipped terms change the sum by a relative 2^-60 or
-    less. ``close_pair_sum`` forms each kept term's exponent as an expanded
-    product, within ``8 g (g + 3) u (ln n + 60 ln 2)`` of the exact one,
-    ``g = min(d, 3)``, ``u = 2^-53``: about 4.6e-13 at gmm_full.cfg's
-    n = 24,000 in the plane, a bound on each term's relative error apart
-    from exp's own, to which the positive sum adds only its sums' rounding.
-    The value lies within 1e-15 of the exact double sum on
-    ``gmm_full.cfg``'s samples, ``gmm_desk.cfg``'s and 300 generated sets.
+    The data must be planar (d = 2), as both mixture readers build them;
+    other data are refused.
+
+    ``|y|^2 = n^-2 sum_ij N(X_i; X_j, 2 tau^2 I)`` is computed once, at
+    construction, from the identity ``sum_ij exp(-|x_i - x_j|^2 / s) =
+    (pi c / 2)^(-d/2) int f^2``, ``f(z) = sum_i exp(-|z - x_i|^2 / c)``,
+    ``s = 4 tau^2 = 2c``: the product of two of f's terms is the pair's term
+    times ``exp(-2 |z - m|^2 / c)``, m their midpoint. In units of tau c is 2
+    and the pair sum is ``int f^2 / pi``, which
+    ``gaussian.lattice_pair_sum`` takes by the trapezoid rule,
+    ``h^2 sum_k f(z_k)^2 / pi`` over a lattice of spacing h. The units of
+    tau put every exponent in [-181, 0], so no tau forms a subnormal one.
+
+    * Aliasing. A pair's product ``w exp(-|z - m|^2)`` has the Fourier
+      transform ``pi w exp(-|xi|^2 / 4)``, so by Poisson summation its
+      lattice sum lies within ``pi w sum_{k != 0} exp(-pi^2 |k|^2 / h^2)``
+      of its integral ``pi w``, wherever m lies: a relative ``4 exp(-pi^2 /
+      h^2)`` to first order, and so for the positive sum of all pairs.
+      ``h = 1/2`` makes it ``4 exp(-4 pi^2) = 2.9e-17``, below one
+      rounding, and keeps the lattice lines ``j / 2`` exact.
+    * Reach. A sample adds to f only at the lattice lines within its cell's
+      reach, every line within ``R = sqrt(45 c)`` of it per coordinate
+      (``sqrt(90)`` in units of tau). On the lattice the dropped part e of
+      f has norm at most n times one sample's tail, ``|e| <= 2 n
+      exp(-45)``, against ``|f| >= sqrt(n pi)``, so ``h^2 sum f^2`` moves
+      by a relative ``2 |e| / |f| <= 6.4e-20 sqrt(n)``: 6.4e-17 at
+      n = 10^6.
+    * Groups. Where the samples leave a gap wider than 2R along a
+      coordinate, the two sides are summed on lattices of their own, each
+      anchored at one of its samples, so the indices stay small for any
+      spread or tau. Their cross pairs, each below ``exp(-(2R)^2 / s) =
+      exp(-90)``, are left out: a relative ``n exp(-90)`` at most, against
+      the diagonal's n. A group of one point repeated m times, as every
+      sample is at a tau far below the samples' spacing, adds its exact
+      ``m^2`` without a lattice.
+    * Rounding. A sample's offset ``u = (x - a) / tau`` from its anchor a
+      is rounded by ``2 u_r |u|`` at most, ``u_r = 2^-53``, and a row entry
+      ``exp(-t^2 / 2)``, ``t = z - u`` with ``|t| <= R``, by ``1.5 u_r t^2
+      + 2 u_r W |t|`` in its exponent, W the largest ``|u|`` of the group,
+      and two roundings of exp. A term of ``sum_k f(z_k)^2`` is then within
+      a relative ``(551 + 76 W) u_r`` of the exact one, apart from its sums'
+      rounding, which the positive sums add alone: 9.1e-13 on
+      ``gmm_full.cfg``'s samples (W = 101), 5.2e-13 on ``gmm_desk.cfg``'s
+      (W = 54). Terms beyond R are within the reach bound above.
+
+    Measured against the exact double sum, the pair sum lies within 1.5e-16
+    on both profiles' samples. The lattice takes 26 ms on ``gmm_full.cfg``
+    (n = 24,000), against 90 ms for the cell list of sample pairs it
+    replaces (2-core Xeon VM, one OpenBLAS thread).
 
     Every data-side exponent ``-|t - x|^2 / s``, ``s = 2 yvar``, is one
     entry of the product ``[a, -|a|^2/s, 1] @ [2b/s; 1; -|b|^2/s]``, ``d +
@@ -448,7 +485,9 @@ class GmmKernel(GaussianKernel):
         if min(self._knorm, self._ynorm) < np.finfo(float).tiny:
             raise ValueError(f"tau = {self.tau!r} is too large in d = {self.dim}: the Gaussian "
                              "constants (2 pi var)^(-d/2) are below the smallest normal float")
-        self._y_norm_sq = None
+        if self.dim != 2:
+            raise ValueError(f"mixture data must be planar (d = 2), got d = {self.dim}")
+        self._y_norm_sq = self._pair_constant()
         # the samples' side of the expanded product, centred on their box's
         # centre, and the largest |b|; |b|^2 may overflow on data too wide
         # for the product, whose every call then takes exact differences
@@ -477,25 +516,22 @@ class GmmKernel(GaussianKernel):
 
     @property
     def y_norm_sq(self):
-        """The mean pair term times ``(4 pi tau^2)^(-d/2)``, split in two
-        square-root factors so that the product overflows only where the
-        value does; a value that is not a finite float is refused."""
-        if self._y_norm_sq is None:
-            n, scale = self.n_samples, 4.0 * self.tau**2
-            cutoff = math.sqrt(scale * (math.log(n) + 60.0 * math.log(2.0)))
-            # far pairs' exponents may overflow to -inf, whose exp is exactly 0
-            with np.errstate(over="ignore"):
-                mean = close_pair_sum(self.data, scale, cutoff) / n**2
-            try:
-                half = (math.pi * scale) ** (-self.dim / 4.0)
-                value = mean * half * half
-            except OverflowError:
-                value = math.inf
-            if not math.isfinite(value):
-                raise ValueError(f"tau = {self.tau!r} is too small in d = {self.dim}: "
-                                 "|y|^2 is not a finite float")
-            self._y_norm_sq = value
         return self._y_norm_sq
+
+    def _pair_constant(self):
+        """``|y|^2``: the mean pair term times ``(4 pi tau^2)^(-d/2)``, split in
+        two square-root factors so that the product overflows only where the
+        value does; a value that is not a finite float is refused."""
+        mean = lattice_pair_sum(self.data, self.tau) / self.n_samples**2
+        try:
+            half = (4.0 * math.pi * self.tau**2) ** (-self.dim / 4.0)
+            value = mean * half * half
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"tau = {self.tau!r} is too small in d = {self.dim}: "
+                             "|y|^2 is not a finite float")
+        return value
 
     def _samples(self, idx):
         """The batch ``idx``, every sample for None: its sample rows and its

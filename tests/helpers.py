@@ -21,13 +21,13 @@ def rng(seed=0):
 
 def y_norm_sq_case(name):
     """The samples and tau of a named ``|y|^2`` case: the desk-scale ring
-    (n = 2,000), 3,000 samples in 3-d far from the origin, or
+    (n = 2,000), 3,000 planar samples far from the origin, or
     ``gmm_full.cfg``'s own 24,000 samples."""
     if name == "desk":
         spec = GmmSpec.ring(5, 5.0, 2000, 0.2)
         return gen_gmm(spec, rng(33))[0], spec.tau
-    if name == "offset_3d":
-        return rng(34).standard_normal((3000, 3)) * 0.8 - 3.7e6, 0.3
+    if name == "offset":
+        return rng(34).standard_normal((3000, 2)) * 0.8 - 3.7e6, 0.3
     problem, extras = build_problem(load_config(
         Path(__file__).resolve().parent.parent / "configs" / "gmm_full.cfg"))
     return extras["data"], problem.model.tau

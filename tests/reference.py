@@ -13,6 +13,7 @@ rounding constants and the views that serve every model.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -20,8 +21,9 @@ import numpy as np
 from conicswarm import gaussian, kernels
 from conicswarm.audit import AssumptionBounds
 from conicswarm.domain import Ball, Box, Domain, grid_points
-from conicswarm.gaussian import gauss_density
+from conicswarm.gaussian import _sqdist, gauss_density
 from conicswarm.kernels import GmmKernel, KernelModel, ReluKernel, SyntheticKernel
+from conicswarm.workspace import SELF_BLOCK_ENTRIES
 
 # --- rounding constants ------------------------------------------------------
 
@@ -114,11 +116,11 @@ def reference_sqdist(a, b):
 
 
 def subtraction_exp_sum(x, m, scale, g=None):
-    """``gaussian._exp_sum``'s tile loop with each tile's squared distances
-    from ``reference_sqdist``, in every coordinate (``g`` is not read): no
-    BLAS call."""
+    """``_exp_sum``'s tile loop with each tile's squared distances from
+    ``reference_sqdist``, in every coordinate (``g`` is not read): no BLAS
+    call."""
     total = 0.0
-    step = max(1, gaussian.SELF_BLOCK_ENTRIES // len(x))
+    step = max(1, SELF_BLOCK_ENTRIES // len(x))
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         d2 = reference_sqdist(x[lo:hi], x[lo:])
@@ -374,6 +376,141 @@ def brute_y_norm_sq(data, tau):
     for lo in range(0, n, 256):
         total += np.exp(-reference_sqdist(data[lo : lo + 256], data) / (4.0 * tau**2)).sum()
     return (4.0 * math.pi * tau**2) ** (-d / 2.0) * total / n**2
+
+
+def brute_pair_sum(data, tau):
+    """``sum_ij exp(-|x_i - x_j|^2 / (4 tau^2))`` over all ordered pairs of
+    samples, from coordinate differences in units of tau, whose squares are
+    normal floats for every tau."""
+    total = 0.0
+    for lo in range(0, len(data), 256):
+        d2 = 0.0
+        for j in range(data.shape[1]):
+            diff = np.subtract.outer(data[lo : lo + 256, j], data[:, j]) / tau
+            d2 = d2 + diff * diff
+        total += np.exp(d2 / -4.0).sum()
+    return total
+
+
+def lattice_bound(data, tau):
+    """The relative bound of ``GmmKernel``'s docstring between
+    ``gaussian.lattice_pair_sum`` and the exact pair sum: ``(551 + 76 W) u``
+    for the terms, with W the samples' widest coordinate spread in units of
+    tau, which no group's offsets from its anchor exceed; ``(2 n + 200) u``
+    for the positive sums, each of at most n terms, their squares and the
+    final sum and scalings; and the aliasing, reach and cross-group terms."""
+    n = len(data)
+    w = float(np.ptp(data, axis=0).max()) / tau
+    return ((551.0 + 76.0 * w + 2.0 * n + 200.0) * U + 4.0 * math.exp(-4.0 * math.pi**2)
+            + 6.4e-20 * math.sqrt(n) + n * math.exp(-90.0))
+
+
+def pair_cutoff(n, scale):
+    """The cutoff of ``close_pair_sum`` in ``GmmKernel`` before the lattice:
+    ``r^2 = scale (ln n + 60 ln 2)``, so the at most n^2 pairs beyond it move
+    the sum by a relative 2^-60 at most."""
+    return math.sqrt(scale * (math.log(n) + 60.0 * math.log(2.0)))
+
+
+# The cell list of sample pairs that computed ``|y|^2`` before the lattice,
+# moved from ``gaussian`` unchanged: the reference pair sum in any d.
+
+#: leading coordinates that index the cell list of ``close_pair_sum``
+_CELL_DIMS = 3
+#: cell indices from this magnitude on take exact differences in
+#: ``close_pair_sum``: below it, the index's own rounding is under 2^-12 cell
+_EXPAND_LIMIT = 2**40
+
+
+def _exp_sum(x: np.ndarray, m: int, scale: float, g: int) -> float:
+    """``sum_ij w_ij exp(-|x_i - x_j|^2 / scale)`` over ``i < m``, with
+    ``w_ij = 1`` for ``j < m`` and 2 otherwise: the first ``m`` rows
+    against themselves once and against the rest twice, in cache-sized row
+    tiles of at most ``SELF_BLOCK_ENTRIES`` terms, each tile against itself
+    and the rows after it. A tile's exponents are formed in one buffer,
+    exponentiated in place and summed by one matvec with the weights.
+
+    The first ``g`` coordinates enter expanded: with ``a`` and ``b`` the
+    rows centred on ``x_0``, ``-|a - b|^2 / s`` is one product with
+    ``g + 2`` inner terms, ``[2a/s, -|a|^2/s, 1] @ [b; 1; -|b|^2/s]``. The
+    other coordinates, all of them for ``g = 0``, subtract ``_sqdist``'s
+    exact sums of squared differences over ``s``.
+    """
+    n, d = x.shape
+    step = max(1, SELF_BLOCK_ENTRIES // n)
+    if g:
+        right = np.empty((g + 2, n))
+        b = np.subtract(x[:, :g].T, x[0, :g, None], out=right[:g])
+        right[g] = 1.0
+        np.divide(np.einsum("ij,ij->j", b, b), -scale, out=right[g + 1])
+        left = np.empty((m, g + 2))
+        np.divide(b[:, :m].T, 0.5 * scale, out=left[:, :g])
+        left[:, g] = right[g + 1, :m]
+        left[:, g + 1] = 1.0
+    weights = np.full(n, 2.0)
+    total = 0.0
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        exponents = left[lo:hi] @ right[:, lo:] if g else np.zeros((hi - lo, n - lo))
+        if d > g:
+            exponents -= _sqdist(x[lo:hi, g:], x[lo:, g:]) / scale
+        np.exp(exponents, out=exponents)
+        weights[lo:hi] = 1.0
+        total += float((exponents @ weights[lo:]).sum())
+    return total
+
+
+def close_pair_sum(x: np.ndarray, scale: float, cutoff: float) -> float:
+    """``sum_ij exp(-|x_i - x_j|^2 / scale)`` over every ordered pair closer
+    than ``cutoff`` (and some farther ones), by a cell list.
+
+    Cells have side ``h = cutoff / 2`` in the first ``g = min(d, 3)``
+    coordinates, so two samples closer than ``cutoff`` sit in cells whose
+    indices differ by at most 2 per axis. Only occupied cells are stored,
+    keyed by the bytes of their indices. ``_exp_sum`` sums each cell once
+    against itself and twice against the occupied cells of the forward half
+    of its ``5^g`` stencil, in tiles of at most ``SELF_BLOCK_ENTRIES`` terms.
+
+    Each block is centred on its cell's first sample, so a row ``a`` and a
+    column ``b`` of it have ``|a| < sqrt(g) h`` and ``|b| < 3 sqrt(g) h``,
+    up to the indices' own rounding (under 2^-12 of a cell). The centring
+    is exact far from the origin (Sterbenz) and elsewhere rounds each
+    coordinate by a relative ``u = 2^-53`` at most, which moves the
+    exponent by ``2u (|a| + |b|)^2 / scale``. The expanded product's
+    operands round its cross terms at most ``g + 3`` times and its norm
+    terms ``2g + 2`` times, so for ``d <= 3`` a term's exponent is within
+    ``2 (g + 3) u (|a| + |b|)^2 / scale``, about
+    ``8 g (g + 3) u cutoff^2 / scale`` or less, of the exact one. That is
+    each term's relative error, apart from exp's own; the terms are
+    positive, so the sum adds only the rounding of its sums. A cell whose
+    index reaches ``_EXPAND_LIMIT`` in magnitude may hold samples far apart
+    (the cast's clip at 2^62, or indices rounded by whole cells), so its
+    tiles take exact differences in every coordinate.
+    """
+    n, g = len(x), min(x.shape[1], _CELL_DIMS)
+
+    def byte_keys(idx):
+        return np.ascontiguousarray(idx).view(np.dtype((np.void, 8 * g))).ravel()
+
+    # The clip guards the int64 cast; it is monotone, so indices within 2 of
+    # each other stay within 2.
+    keys = np.clip(np.floor(x[:, :g] * (2.0 / cutoff)), -2.0**62, 2.0**62).astype(np.int64)
+    order = np.argsort(byte_keys(keys), kind="stable")
+    x, keys = x[order], keys[order]
+    cells, starts = np.unique(byte_keys(keys), return_index=True)
+    ends = np.r_[starts[1:], n]
+    stencil = [off for off in itertools.product(range(-2, 3), repeat=g) if off > (0,) * g]
+    near = np.full((len(starts), len(stencil)), -1)
+    for s, off in enumerate(stencil):
+        want = byte_keys(keys[starts] + np.array(off))
+        pos = np.minimum(np.searchsorted(cells, want), len(cells) - 1)
+        near[:, s] = np.where(cells[pos] == want, pos, -1)
+    expand = np.where(np.abs(keys[starts]).max(axis=1) < _EXPAND_LIMIT, g, 0)
+    total = 0.0
+    for c, (lo, hi) in enumerate(zip(starts, ends)):
+        block = [x[lo:hi]] + [x[starts[j] : ends[j]] for j in near[c] if j >= 0]
+        total += _exp_sum(np.concatenate(block), hi - lo, scale, int(expand[c]))
+    return total
 
 
 def divided(a, b, var, dim):

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from conicswarm import kernels
 from conicswarm.cli import build_problem
 from conicswarm.config import load_config
+from conicswarm.gaussian import lattice_pair_sum
 from conicswarm.objective import kkt_residual, loss
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem
@@ -111,9 +112,7 @@ def test_batched_means_match_one_shot_across_the_block_edge(p):
 
 @pytest.fixture(scope="module")
 def large_problem():
-    problem = make_gmm_problem(seed=6, n=24_000)
-    problem.model.y_norm_sq  # the cached constant is set-up, not loss, memory
-    return problem
+    return make_gmm_problem(seed=6, n=24_000)
 
 
 def test_loss_memory_does_not_scale_with_n(large_problem):
@@ -139,9 +138,10 @@ def test_kkt_residual_memory_does_not_scale_with_n(large_problem):
 
 
 def test_y_norm_sq_memory_stays_in_cache_sized_tiles():
-    # gmm_full.cfg's 24,000 samples: pair-term blocks of up to 2M entries
-    # peaked at 15.4 MiB; tiles of at most SELF_BLOCK_ENTRIES terms (256 KiB)
-    # leave the sorted samples, their cell keys and the cell table, 1.9 MiB
+    # gmm_full.cfg's 24,000 samples: lattice rows in chunks of at most
+    # SELF_BLOCK_ENTRIES entries (256 KiB) leave the sorted samples, their
+    # offsets and cells and the 180 lattice blocks, 2.5 MiB
     cfg = Path(__file__).resolve().parent.parent / "configs" / "gmm_full.cfg"
     problem, _ = build_problem(load_config(cfg))
-    assert traced_peak(lambda: problem.model.y_norm_sq) < 3 * 2**20
+    model = problem.model
+    assert traced_peak(lambda: lattice_pair_sum(model.data, model.tau)) < 3 * 2**20

@@ -1135,6 +1135,21 @@ def test_calibrated_horizon_run_caps_its_step_by_rates_beta():
     assert config.plan.beta == 0.001 < cal.chosen_beta
 
 
+@pytest.mark.parametrize("beta, want", [("beta = 0.0", 0.0), ("beta = 0.01", 0.01),
+                                        ("", 1.0 / (0.5**0.5 * 4.0))])
+def test_manual_horizon_run_caps_its_step_by_an_explicit_beta_even_zero(tmp_path, beta, want):
+    # ``[rates] beta = 0`` gives a horizon plan the step 0, as a fixed plan
+    # takes it; only a key left unset leaves the structural bound
+    # 1 / (alpha^(d/4) sqrt(K)) uncapped, at alpha = 0.5, K = 16 and d = 2
+    body = TINY_SYNTHETIC.replace("variant = fixed", "variant = horizon") \
+        .replace("alpha = 0.05", "alpha = 0.5").replace("iterations = 40", "iterations = 16") \
+        .replace("beta = 0.01", beta)
+    spec = load_config(write_config(tmp_path, body))
+    problem, extras = build_problem(spec)
+    config, _ = build_run_config(spec, problem, extras)
+    assert config.plan.beta == want
+
+
 @pytest.mark.parametrize("body, message", [
     pytest.param(TINY_TEACHER.replace("model = teacher", "model = regression")
                  .replace("features = 3\nreg_samples = 60\nteacher_neurons = 2\n", ""),

@@ -8,7 +8,7 @@ takes exact differences where that bound exceeds ``_EXPANDED_ERROR``. Its
 densities must lie within ``reference.expansion_slack`` of the exact
 ``gauss_density``, and its means, and the blocked means of
 ``y_inner_many``, within ``reference.mixture_side_bound`` of
-``mixture_means``: in d = 1 to 3, up to 1e6 from the origin, exact and
+``mixture_means``: in the plane, up to 1e6 from the origin, exact and
 batched, on both sides of ``PRODUCT_ENTRIES`` (``_sqdist``'s product path)
 and ``ROW_BLOCK_ENTRIES`` (the blocked means). A call whose bound fails has
 the exact form's bits.
@@ -45,16 +45,15 @@ SIZES = (1, 60, 70, 300)
 SAMPLES = (1, 70, 3_000)
 
 
-@given(p=st.sampled_from(SIZES), n=st.sampled_from(SAMPLES), d=st.sampled_from([1, 2, 3]),
+@given(p=st.sampled_from(SIZES), n=st.sampled_from(SAMPLES),
        width=st.sampled_from([0.5, 4.0, 20.0, 1e4]),
        offset=st.sampled_from([0.0, 1e6, -1e6, 3.7e5]), tau=st.floats(0.05, 1.0),
        batch=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_densities_within_the_bound_of_exact_differences(p, n, d, width, offset, tau, batch,
-                                                         seed):
+def test_densities_within_the_bound_of_exact_differences(p, n, width, offset, tau, batch, seed):
     # ``width`` 20 puts most pairs' densities below the float range, and 1e4
-    # fails the expanded product's bound
-    g = rng(seed)
+    # fails the expanded product's bound; the mixture is planar
+    g, d = rng(seed), 2
     model = GmmKernel(cloud(g, n, d, width, offset), tau)
     t = cloud(g, p, d, width, offset)
     idx = g.integers(0, n, size=int(g.integers(1, 2 * n + 1))) if batch else None
@@ -83,3 +82,24 @@ def test_shipped_profiles_take_the_product_and_a_wide_ring_does_not():
         assert problem.model._expanded_rows(corners) is not None
     wide = GmmKernel(problem.model.data * 1e6, 0.2)
     assert wide._expanded_rows(corners * 1e6) is None
+
+
+def test_audit_densities_take_exact_differences_where_the_bound_fails():
+    # samples spread 1e6 times wider than gmm_desk.cfg's fail the expanded
+    # product's bound, so the audit's per-sample densities (``_sample_y``)
+    # take ``gauss_density``'s exact differences: each sample's have the bits
+    # of a model built on that sample alone, whose own bound fails too, and
+    # its gradients equal them up to the sign of a zero
+    problem, _ = build_problem(load_config(CONFIGS / "gmm_desk.cfg"))
+    wide = GmmKernel(problem.model.data[:40] * 1e6, 0.2)
+    rows = np.arange(0, 40, 7)
+    t = wide.data[rows] + rng(5).uniform(-1.0, 1.0, size=(len(rows), 2))
+    assert wide._expanded_rows(t) is None
+    vals, grads = wide._sample_y(t, rows)
+    assert vals.shape == (len(rows), len(t)) and grads.shape == (len(rows), len(t), 2)
+    assert np.all(vals.diagonal() > 0.0)
+    for j, i in enumerate(rows):
+        one = GmmKernel(wide.data[i : i + 1], 0.2)
+        assert one._expanded_rows(t) is None
+        assert same_bits(vals[j], one.y_inner_many(t))
+        assert np.array_equal(grads[j], one.grad_y_inner_many(t))

@@ -30,15 +30,16 @@ def cloud(g, size, d, width, offset):
     return g.uniform(-width, width, size=(size, d)) + offset
 
 
-@given(p=st.integers(1, 400), q=st.integers(1, 400), d=st.sampled_from([1, 2, 3]),
+@given(p=st.integers(1, 400), q=st.integers(1, 400),
        n=st.integers(1, 120), width=st.sampled_from([0.5, 4.0, 20.0]),
        offset=st.sampled_from([0.0, 1e6, -3.7e6]), tau=st.floats(0.05, 1.0),
        batch=st.booleans(), equal=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
-def test_gmm_within_rounding_of_the_divide_and_normalize_form(p, q, d, n, width, offset, tau,
+def test_gmm_within_rounding_of_the_divide_and_normalize_form(p, q, n, width, offset, tau,
                                                              batch, equal, seed):
-    # ``width`` 20 puts most pairs' entries below the float range, 0.5 none
-    g = rng(seed)
+    # ``width`` 20 puts most pairs' entries below the float range, 0.5 none;
+    # the mixture is planar
+    g, d = rng(seed), 2
     model = GmmKernel(cloud(g, n, d, width, offset), tau)
     t = cloud(g, p, d, width, offset)
     support = t if equal else cloud(g, q, d, width, offset)

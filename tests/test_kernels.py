@@ -19,8 +19,10 @@ from conicswarm.gaussian import gauss_density
 from conicswarm.kernels import GmmKernel, ReluKernel, SyntheticKernel
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
 from helpers import rng, same_bits, y_norm_sq_case
-from reference import brute_y_norm_sq, grad_k_at, grad_rounding_bound, k_at, kernel_sum, \
-    plane_density, relu_sum_bound, scaled_kernel_grad, smoothed_sample, subtraction_exp_sum, y_at
+import reference
+from reference import U, brute_pair_sum, brute_y_norm_sq, close_pair_sum, grad_k_at, \
+    grad_rounding_bound, k_at, kernel_sum, lattice_bound, pair_cutoff, plane_density, \
+    relu_sum_bound, scaled_kernel_grad, smoothed_sample, subtraction_exp_sum, y_at
 
 
 ALL_BUILDERS = [make_synthetic_problem, make_gmm_problem, make_relu_problem]
@@ -307,8 +309,9 @@ def test_gaussian_entries_are_pair_local(p, q, d, points, offset, seed, data):
     a, b, x = points(g, p, d), points(g, q, d), points(g, 40, d)
     box = Box(np.full(d, -8.0), np.full(d, 8.0))
     kernels = [SyntheticKernel(box, 1.3, [1.0], a[:1]).kernel_matrix,
-               GmmKernel(x, 0.3).kernel_matrix,
                lambda s, t: gauss_density(s, t, 1.18)]
+    if d == 2:  # the mixture is planar
+        kernels.append(GmmKernel(x, 0.3).kernel_matrix)
     rows = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2 * p))
     cols = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=2 * q))
     a_off, b_off = a + offset, b + offset
@@ -369,48 +372,73 @@ def test_gauss_grad_of_empty_point_sets(p, q):
     assert gaussian.gauss_grad(k, a, b, np.ones((3, q)), 1.0).shape == (3, p, 2)
 
 
-# ``GmmKernel.y_norm_sq`` skips pairs beyond a cutoff; the reference is the
-# exact double sum over all ordered pairs, from coordinate differences.
+# ``GmmKernel.y_norm_sq`` is the pair sum of ``gaussian.lattice_pair_sum``;
+# the references are the exact double sum over all ordered pairs and, where
+# that is too slow, the cell list of sample pairs that came before the lattice.
 
-def gmm_cutoff(n, tau):
-    return math.sqrt(4.0 * tau**2 * (math.log(n) + 60.0 * math.log(2.0)))
+#: tau across the range ``config`` accepts, from the smallest with a normal
+#: square to the largest whose Gaussian constants are normal
+TAUS = st.one_of(st.sampled_from([1.4917e-154, 0.2, 1.891e153]),
+                 st.floats(-153.8, 153.2).map(lambda e: 10.0**e))
 
 
-# d = 4 leaves its last coordinate out of the cell index (``gaussian._CELL_DIMS`` = 3).
-# ``tile`` is the tile bound ``gaussian.SELF_BLOCK_ENTRIES``: None keeps the shipped
-# 2^15, and a few dozen entries split every cell into many tiles, one row per
-# tile once a cell's block has more rows than that.
-@given(n=st.integers(1, 400), d=st.sampled_from([1, 2, 3, 4]), tau=st.floats(0.05, 1.0),
-       layout=st.sampled_from(["clustered", "spread", "duplicated"]),
+def planar_layout(g, layout, n):
+    """n planar samples in units of tau: a few clusters, a spread wider than
+    the reach, or repeats of a few points."""
+    if layout == "clustered":
+        centres = g.uniform(-3.0, 3.0, size=(int(g.integers(1, 6)), 2))
+        return centres[g.integers(0, len(centres), size=n)] \
+            + g.uniform(0.2, 3.0) * g.standard_normal((n, 2))
+    if layout == "spread":
+        return g.uniform(0.0, g.uniform(1.0, 10.0) * pair_cutoff(n, 4.0), size=(n, 2))
+    distinct = g.standard_normal((int(g.integers(1, n + 1)), 2))
+    return distinct[g.integers(0, len(distinct), size=n)]
+
+
+# ``tile`` is the chunk bound ``gaussian.SELF_BLOCK_ENTRIES``: None keeps the
+# shipped 2^15, and a few dozen entries make every chunk one row.
+@given(n=st.integers(1, 400), tau=TAUS, layout=st.sampled_from(["clustered", "spread", "duplicated"]),
        offset=st.sampled_from([0.0, -3.7e6]), tile=st.sampled_from([None, 1, 24, 48]),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
-def test_gmm_y_norm_sq_matches_brute_force(n, d, tau, layout, offset, tile, seed):
-    g = rng(seed)
-    if layout == "clustered":
-        centres = g.uniform(-3.0, 3.0, size=(int(g.integers(1, 6)), d))
-        data = centres[g.integers(0, len(centres), size=n)] \
-            + tau * g.uniform(0.2, 3.0) * g.standard_normal((n, d))
-    elif layout == "spread":
-        data = g.uniform(0.0, g.uniform(1.0, 10.0) * gmm_cutoff(n, tau), size=(n, d))
-    else:
-        distinct = g.standard_normal((int(g.integers(1, n + 1)), d))
-        data = distinct[g.integers(0, len(distinct), size=n)]
-    data = data + offset
+def test_gmm_y_norm_sq_matches_brute_force(n, tau, layout, offset, tile, seed):
+    data = tau * (planar_layout(rng(seed), layout, n) + offset)
     with mock.patch.object(gaussian, "SELF_BLOCK_ENTRIES", tile or gaussian.SELF_BLOCK_ENTRIES):
-        y_norm_sq = GmmKernel(data, tau).y_norm_sq
-    assert y_norm_sq == pytest.approx(brute_y_norm_sq(data, tau), rel=1e-13, abs=0)
+        model = GmmKernel(data, tau)
+    # the same two square-root factors as the model's; at the largest tau
+    # the value is subnormal, its last rounding an absolute 2^-1075
+    half = (4.0 * math.pi * tau**2) ** -0.5
+    want = brute_pair_sum(data, tau) / n**2 * half * half
+    assert model.y_norm_sq == pytest.approx(want, rel=1e-13, abs=2.0**-1073)
 
 
-@pytest.mark.parametrize("shape", ["desk", "offset_3d", "gmm_full"])
+@given(n=st.integers(1, 3000), exponent=st.integers(-510, 508),
+       layout=st.sampled_from(["clustered", "spread", "duplicated"]),
+       offset=st.sampled_from([0.0, -3.7e6]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_gmm_lattice_within_its_bound_of_the_cell_list(n, exponent, layout, offset, seed):
+    # tau = 2^exponent scales the samples exactly, so the cell list sums the
+    # same samples in units of tau, where no square is subnormal
+    u = planar_layout(rng(seed), layout, n) + offset
+    tau = 2.0**exponent
+    cells = close_pair_sum(u, 4.0, pair_cutoff(n, 4.0))
+    bound = lattice_bound(u, 1.0) + 2.0**-60 + 80.0 * U * (math.log(n) + 60.0 * math.log(2.0)) \
+        + (2.0 * n + 200.0) * U
+    assert gaussian.lattice_pair_sum(u * tau, tau) == pytest.approx(cells, rel=bound, abs=0)
+
+
+@pytest.mark.parametrize("shape", ["desk", "offset", "gmm_full"])
 def test_gmm_y_norm_sq_agrees_with_the_subtraction_tiles(shape):
-    # the tiles' exponents are expanded products, so |y|^2 keeps the cell
-    # list and the tiles of the exact differences but not their last bits;
-    # brute force would take about 20 s at gmm_full's n = 24,000
+    # the cell list with exact differences in every tile, within 2^-60 and
+    # its sums' rounding of the exact double sum, which would take about
+    # 20 s at gmm_full's n = 24,000; the lattice lies far inside its derived
+    # bound here (``test_gmm_lattice_within_its_bound_of_the_cell_list``)
     data, tau = y_norm_sq_case(shape)
-    with mock.patch.object(gaussian, "_exp_sum", subtraction_exp_sum):
-        reference = GmmKernel(data, tau).y_norm_sq
-    assert GmmKernel(data, tau).y_norm_sq == pytest.approx(reference, rel=1e-14, abs=0)
+    n, scale = len(data), 4.0 * tau**2
+    with mock.patch.object(reference, "_exp_sum", subtraction_exp_sum):
+        exact = close_pair_sum(data, scale, pair_cutoff(n, scale))
+    assert GmmKernel(data, tau).y_norm_sq == pytest.approx(
+        exact / n**2 / (4.0 * math.pi * tau**2), rel=1e-14, abs=0)
 
 
 THREAD_SCRIPT = """
@@ -418,14 +446,14 @@ import sys
 sys.path.insert(0, sys.argv[1])
 from conicswarm.kernels import GmmKernel
 from helpers import y_norm_sq_case
-for name in ("gmm_full", "offset_3d"):
+for name in ("gmm_full", "offset"):
     print(name, GmmKernel(*y_norm_sq_case(name)).y_norm_sq.hex())
 """
 
 
 def test_gmm_y_norm_sq_bits_do_not_depend_on_the_blas_thread_count():
-    # each tile's exponents are one BLAS product and its sum one matvec:
-    # OpenBLAS must split neither inner sum over threads
+    # each cell's lattice rows meet in one BLAS product, whose entries'
+    # inner sums OpenBLAS must not split over threads
     src = str(Path(kernels.__file__).resolve().parent.parent)
     tests = str(Path(__file__).resolve().parent)
     hexes = []
@@ -474,36 +502,31 @@ def lattice_with_repeats(n_distinct, repeats, d):
 @pytest.mark.exactness
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("tau", [1.4917e-154, 2e-154, 2.5e-154, 3.2e-154, 1e-150])
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [2])
 def test_gmm_y_norm_sq_at_tiny_tau(tau, d):
-    # the value n^-2 sum_k n_k^2 (4 pi tau^2)^(-d/2) is finite, up to about
-    # 3e304 here, though n^2 times it is not; far pairs' exponents overflow
-    # to -inf, silently
+    # the value n^-2 sum_k n_k^2 (4 pi tau^2)^(-1) is finite, up to about
+    # 3e304 here, though n^2 times it is not; every distinct point is a
+    # group of its own, which adds n_k^2 (``test_gmm_y_norm_sq_matches_brute_force``
+    # draws tiny taus whose groups take the lattice)
     data, pair_sum = lattice_with_repeats(170, [12, 9, 5, 4], d)
     n = len(data)
     closed = pair_sum / n**2 * (4.0 * math.pi * tau**2) ** (-d / 2.0)
     assert GmmKernel(data, tau).y_norm_sq == pytest.approx(closed, rel=1e-13, abs=0)
 
 
-@pytest.mark.exactness
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_gmm_y_norm_sq_where_only_the_constant_overflows():
-    # d = 3 at tau = 2e-104: (4 pi tau^2)^(-3/2) is about 2.8e309, past the
-    # float range, but |y|^2 is about 1/n of it; the reference is formed in
-    # logs, which round its exponent of about 708 to about 1e-13
-    data, pair_sum = lattice_with_repeats(200, [], 3)
-    n, tau = len(data), 2e-104
-    closed = math.exp(math.log(pair_sum / n**2) - 1.5 * math.log(4.0 * math.pi * tau**2))
-    assert GmmKernel(data, tau).y_norm_sq == pytest.approx(closed, rel=1e-12, abs=0)
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_gmm_refuses_data_off_the_plane(d):
+    # the lattice of |y|^2 is planar, and so are both mixture readers' data
+    with pytest.raises(ValueError, match=f"mixture data must be planar \\(d = 2\\), got d = {d}"):
+        GmmKernel(lattice_with_repeats(50, [3], d)[0], 0.2)
 
 
-@pytest.mark.exactness
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("d, tau", [(3, 1.4917e-154), (3, 1e-150), (5, 1.4917e-154)])
-def test_gmm_y_norm_sq_refuses_a_value_past_the_float_range(d, tau):
-    data, _ = lattice_with_repeats(50, [3], d)
-    with pytest.raises(ValueError, match=f"tau = {tau!r} is too small in d = {d}"):
-        GmmKernel(data, tau).y_norm_sq
+def test_gmm_y_norm_sq_refuses_a_value_that_is_not_a_finite_float():
+    # in the plane |y|^2 is at most 1 / (4 pi tau^2) < 3.6e306 for every
+    # accepted tau; the refusal guards the sum itself
+    with mock.patch.object(kernels, "lattice_pair_sum", lambda x, tau: math.inf):
+        with pytest.raises(ValueError, match="tau = 0.2 is too small in d = 2"):
+            GmmKernel(np.zeros((4, 2)), 0.2)
 
 
 #: batch indices: repeated, unsorted, both edges, and negative

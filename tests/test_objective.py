@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from conicswarm import objective
 from conicswarm.domain import Box, grid_points
 from conicswarm.audit import audit_assumptions
 from conicswarm.kernels import SyntheticKernel
@@ -202,6 +204,17 @@ class TestFrechetGap:
         problem = make_synthetic_problem()
         sw = random_swarm(problem, rng(20))
         assert frechet_gap(problem, sw, ParticleSwarm.empty(2)) == 0.0
+
+    def test_non_empty_sigma_gap_is_the_expansion_residual(self):
+        # a linear term off by 1 per unit of sigma's mass shows in the gap as
+        # sigma's total weight; a gap that skipped a non-empty sigma reads 0
+        problem = make_synthetic_problem()
+        g = rng(24)
+        nu, sigma = random_swarm(problem, g), random_swarm(problem, g, max_particles=3)
+        exact = objective.certificate
+        with mock.patch.object(objective, "certificate", lambda *a: exact(*a) + 1.0):
+            gap = frechet_gap(problem, nu, sigma)
+        assert gap == pytest.approx(sigma.weights.sum(), rel=1e-9)
 
     def test_doubling(self):
         problem = make_synthetic_problem()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import conicswarm
+from conicswarm import kernels
 from conicswarm.birth_death import BirthRule, DeathRule
 from conicswarm.domain import grid_points
 from conicswarm.experiments import gen_teacher_regression
@@ -19,7 +20,7 @@ from conicswarm.runner import IterationRecord, RunAborted, RunConfig, RunResult,
     trace_from_csv, trace_to_csv
 from conicswarm.schedules import AnytimePlan, FixedPlan, calibrate
 from conicswarm.swarm import ParticleSwarm
-from conicswarm.verify import make_synthetic_problem, random_swarm
+from conicswarm.verify import make_gmm_problem, make_synthetic_problem, random_swarm
 from helpers import rng
 
 
@@ -50,6 +51,20 @@ class TestRunBasics:
                              problem.domain.sample_uniform(rng(1), size=2))
         with pytest.raises(ValueError, match="unsigned, but 1 start particle"):
             run(small_config(init, k_iters=20), problem)
+
+    def test_run_reads_the_mixture_constant_built_with_the_model(self, monkeypatch):
+        # |y|^2 is summed once, when the model is built; a run that summed it
+        # again, inside its timer, would meet the failing lattice
+        problem = make_gmm_problem(seed=5)
+        init = random_swarm(problem, rng(3), max_particles=4)
+
+        def summed(*args):
+            raise AssertionError("the run summed |y|^2")
+
+        monkeypatch.setattr(kernels, "lattice_pair_sum", summed)
+        res = run(small_config(init, k_iters=10, full_batch=False), problem)
+        assert len(res.trace) == 11
+        assert res.trace[0].loss == loss(problem, init)
 
     def test_bookkeeping_identity_every_step(self):
         problem = make_synthetic_problem()

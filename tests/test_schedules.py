@@ -142,6 +142,13 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="rounds to 1 for every certificate"):
             dataclasses.replace(at_2_54, alpha_cap_descent=below).check_rates(bounds)
 
+    def test_cert_bound_adds_kappa(self):
+        # smooth_max * tv_bound + cert_offset + kappa, at constants small
+        # enough that kappa = 0.1 moves the sum
+        cal = calibrate(bounds_of(), nu0_tv=0.1, kappa=0.1, lambda_x=1.0, y_norm=0.0,
+                        stochastic=False)
+        assert cal.tv_bound < 11.0 and cal.cert_bound == cal.tv_bound + 1.0 + 0.1
+
     def test_pure_function(self):
         args = dict(nu0_tv=0.3, kappa=0.05, lambda_x=2.0, y_norm=1.5, stochastic=True)
         a = calibrate(bounds_of(kernel_min=0.7, noise_sup=0.2), **args)
@@ -160,6 +167,12 @@ class TestHorizonPlan:
         horizon_plan(100, 0.1, 0.05, d=1)
         with pytest.raises(ValueError):
             horizon_plan(99, 0.1, 0.05, d=1)
+
+    def test_horizon_at_its_minimum_is_accepted(self):
+        # alpha = 0.5 needs K >= 1 / alpha^2 = 4 exactly: K = 4 passes, 3 does not
+        assert horizon_plan(4, 0.5, math.inf, d=2).m == 4
+        with pytest.raises(ValueError, match="horizon K=3 below the minimum 4 for alpha=0.5"):
+            horizon_plan(3, 0.5, math.inf, d=2)
 
     def test_beta_min_of_structural_and_horizon(self):
         plan = horizon_plan(16, 0.5, 1e9, d=2)
