@@ -70,9 +70,10 @@ def audit_assumptions(model: KernelModel, domain: Domain, grid_points_n: int,
     deviations at up to 24 points are taken over chunks of samples whose
     arrays hold at most ``ROW_BLOCK_ENTRIES`` entries.
 
-    The Gaussian models' per-pair and per-sample values are pair-local or
-    made by the BLAS calls of the one-sample evaluations, so their bounds
-    have the bits of a loop over pairs and samples. ReLU's pre-activations
+    The Gaussian models' per-pair and per-sample values are pair-local (the
+    synthetic model's) or entries with the bits of their pair or sample in
+    any product (the mixture's expanded products), so their bounds have the
+    bits of a loop over pairs and samples. ReLU's pre-activations
     of many samples and its exact pair gradients are matrix products, whose
     summation order differs from one sample's or one pair's, so its bounds
     may move by rounding. The finite-difference Hessian amplifies that most,

@@ -35,8 +35,7 @@ A solver iteration scores one pushed measure ``(T', c)`` on one batch at
 its support and at the birth candidates C in one pass, and hands what the
 next support field reuses on as an explicit value ``ev`` (each class says
 what its ``ev`` holds), which no call writes after ``pushed_values``
-returns it. The two loop evaluations have the bits of the stateless calls
-(the mixture's data side apart, below):
+returns it. The two loop evaluations have the bits of the stateless calls:
 
 * ``pushed_values(T', c, idx, C)`` -- ``certificate_values(T', T', c,
   idx)`` for the death step, ``certificate_values(C, T', c, idx)`` for the
@@ -48,15 +47,14 @@ returns it. The two loop evaluations have the bits of the stateless calls
 
 Where the two scorings share a block, ``pushed_values`` builds the rows of
 ``[T'; C]`` in one call and reduces each side by its own call on its row
-slice. Kernel entries are pair-local, and a matvec over a row slice of a
-C-contiguous block, or ``np.add.reduce`` along its rows, gives each row the
-bits of the same call on a separate array (``test_row_slices.py``), so both
-sides have the bits of two separate scorings. The mixture's densities are
-entries of one expanded product (``GmmKernel``), whose row results may
-depend on the product's shape: on OpenBLAS a row has the same bits in every
-product of two or more rows, and a one-row product, which numpy hands to
-gemv, may differ in the last bits. The tests hold the mixture's loop
-evaluations within the data-side rounding bound of the stateless ones.
+slice. The synthetic model's kernel entries are pair-local; the
+mixture's kernel entries and densities are entries of expanded products
+(``GmmKernel``), which ``_expanded_product`` builds so that each has the
+bits of its row and column in every product that holds both. A matvec over
+a row slice of a C-contiguous block, or ``np.add.reduce`` along its rows,
+gives each row the bits of the same call on a separate array
+(``test_row_slices.py``), so both sides have the bits of two separate
+scorings.
 
 Every loop evaluation, and the objective at the loop's cadence, also takes
 an optional ``workspace.Workspace`` ``ws``, which ``runner.run`` creates
@@ -79,7 +77,7 @@ import numpy as np
 # ``perfbench/micro.py`` imports the audit from here
 from .audit import AssumptionBounds, audit_assumptions
 from .domain import Box, DomainError
-from .gaussian import gauss_density, gauss_grad, gauss_norm, gauss_self, lattice_pair_sum
+from .gaussian import gauss_density, gauss_grad, gauss_norm, lattice_pair_sum
 from .workspace import ROW_BLOCK_ENTRIES, SELF_BLOCK_ENTRIES, buffer, out_buffer
 
 __all__ = ["KernelModel", "GaussianKernel", "SyntheticKernel", "GmmKernel", "ReluKernel",
@@ -168,19 +166,17 @@ class GaussianKernel(KernelModel):
 
     Entries are built by ``_kernel``, one multiply and one exp each, and
     reduced to the products ``K c`` (``_values``) and ``gauss_grad``'s
-    (``_grads``). ``GmmKernel`` scales these three by its kernel's constant.
+    (``_grads``). ``GmmKernel`` builds its entries from expanded products
+    instead and scales the two reductions by its kernel's constant.
     """
 
     _kvar: float
 
     def _kernel(self, a, b, ws=None, out=None):
         """``K(a, b)`` without a constant, in ``out`` or else in ``ws``'s
-        ``"work"``; one array against itself (``a is b``) by the symmetric
-        build."""
+        ``"work"``."""
         if out is None:
             out = out_buffer(ws, "work", len(a), len(b))
-        if a is b:
-            return gauss_self(a, self._kvar, ws, out)
         return gauss_density(a, b, self._kvar, ws, out)
 
     def kernel_matrix(self, a, b, idx=None):
@@ -364,9 +360,8 @@ class GmmKernel(GaussianKernel):
     data. The kernel itself carries no data dependence; only the
     observation side is estimated per sample.
 
-    Both variances' entries are built without their constants: the kernel's
-    by ``GaussianKernel``, one multiply and one exp each, the data side's
-    densities by one product and one exp (below). ``_knorm = (2 pi
+    Both variances' entries are built without their constants, each by one
+    entry of an expanded product and one exp (below). ``_knorm = (2 pi
     kvar)^(-d/2)`` multiplies what the
     kernel entries are reduced to, ``K c`` and the gradients' product (only
     ``kernel_matrix`` multiplies every entry, so it returns the kernel), and
@@ -425,26 +420,46 @@ class GmmKernel(GaussianKernel):
     (n = 24,000), against 90 ms for the cell list of sample pairs it
     replaces (2-core Xeon VM, one OpenBLAS thread).
 
-    Every data-side exponent ``-|t - x|^2 / s``, ``s = 2 yvar``, is one
-    entry of the product ``[a, -|a|^2/s, 1] @ [2b/s; 1; -|b|^2/s]``, ``d +
-    2`` inner terms, of ``a = t - c`` and ``b = x - c`` centred on the
-    centre c of the samples' box: the loop's batch rows, an exact run's
-    ``"ev.rows"``, and the means of the loss, ``certificate_values`` and
-    ``kkt_residual``. The sample side is built once (``_side``, one row per
-    sample), and a batch takes its rows. The centring rounds each
-    coordinate by a relative ``u = 2^-53`` at most, which moves the exponent
-    by ``2u (|a| + |b|)^2 / s`` at most. The product's cross terms ``a_k
-    (2 b_k / s)`` meet at most ``d + 3`` roundings and its norm terms ``2d
-    + 2``, so an exponent is within ``2 (d + 3) u (|a| + |b|)^2 / s`` of the
-    exact one, and a density within that relative error, apart from exp's
-    own. A call takes ``gauss_density``'s exact differences instead where
-    this bound, with |a| and |b| the largest over its points and over all
-    samples, exceeds ``_EXPANDED_ERROR = 1e-12``: on samples spread far
-    wider than ``sqrt(s)``, such as a ring of radius 3e153, the product's
-    exponents would be off by more than their size. On gmm_full.cfg (points
-    up to 19.4 and samples up to 11.9 from c, ``s = 2.16``) the bound is
-    about 5.0e-13, on gmm_desk.cfg 2.3e-13. The audit's per-sample
-    densities (``_sample_y``) have the bits of the one-sample evaluations.
+    Every exponent ``-|a - b|^2 / s``, ``s = 2 var``, of a kernel entry
+    (``var = kvar``) or a density (``var = yvar``), is one entry of the
+    product ``[a, |a|^2, 1] @ [2b/s; -1/s; -|b|^2/s]``, ``d + 2`` inner
+    terms, of the points a and b centred on the centre c of the samples'
+    box (``_left`` and ``_right``; ``_expanded_product`` takes it). A point
+    set's side ``[a, |a|^2, 1]`` serves both variances, so
+    ``pushed_values`` builds that of ``[T'; C]`` once for its data-side
+    rows and its kernel. The samples' side is built once (``_side``, a
+    C-contiguous (d + 2, n) array), and a batch's is built from its rows:
+    each column depends on its sample alone, so it is the whole side's
+    columns, and every product has a contiguous right operand. The bound:
+
+    * The centring rounds each coordinate by a relative ``u = 2^-53`` at
+      most, which moves the exponent by ``2u (|a| + |b|)^2 / s`` at most.
+    * A cross term ``a_k (2 b_k / s)``, with ``2 b_k / s`` formed as ``b_k
+      / var``, meets at most ``d + 3`` roundings: the quotient, the product
+      and the d + 1 additions of the sum. A norm term ``|a|^2 (-1 / s)``
+      meets at most ``2d + 3``: d - 1 in the sum of squares, one in each
+      square, ``-1 / s`` and the product, and the d + 1 additions;
+      ``|b|^2 / s`` one fewer.
+    * The cross terms add up to ``2 |a| |b| / s`` at most and the norm terms
+      to ``(|a|^2 + |b|^2) / s``, so an exponent is within ``(2d + 5) u
+      (|a| + |b|)^2 / s``, less than ``2 (d + 3) u (|a| + |b|)^2 / s``, of
+      the exact one, and an entry within that relative error, apart from
+      exp's own.
+
+    A call takes ``gauss_density``'s exact differences instead where this
+    bound, with |a| and |b| the largest over its two point sets (all
+    samples for a density), exceeds ``_EXPANDED_ERROR = 1e-12``: on samples
+    spread far wider than ``sqrt(s)``, such as a ring of radius 3e153, the
+    product's exponents would be off by more than their size. On
+    gmm_full.cfg (points up to 19.4 and samples up to 11.9 from c, ``s =
+    2.16`` for the densities and 4.16 for the kernel) the bound is about
+    5.0e-13 for a density and 4.0e-13 for a kernel entry, on gmm_desk.cfg
+    2.3e-13 and 1.7e-13. The entries are neither symmetric nor do they
+    move with the points, but ``_expanded_product`` gives each the bits of
+    its row and column in every product that holds both, so a loop
+    evaluation's rows, gathered survivors and born columns have the bits of
+    a fresh build, and the audit's per-sample densities (``_sample_y``)
+    those of the one-sample evaluations.
 
     Data-side means that feed no gradient (``certificate_values``, and so
     ``y_inner_many``, the loss and ``kkt_residual``), exact or batched, are
@@ -453,19 +468,19 @@ class GmmKernel(GaussianKernel):
 
     In the loop ``pushed_values`` builds the data-side rows of ``[T'; C]``,
     the pushed support and the birth candidates, in one call, in an exact
-    run into ``ws``'s ``"ev.rows"``; ``K(T', T')`` by the symmetric build and
-    ``K(C, T')`` on its own. ``ev`` holds the unnormalized ``K(T', T')`` and,
-    in an exact run, the data-side rows (unnormalized) and means of
-    ``[T'; C]``. ``support_field`` takes the survivors' block of
-    ``K(T', T')``, where ``keep[:|T'|]`` holds, by row-order gathers of
-    rows, then columns, which leave it C-ordered like a fresh build, and
-    builds the born rows ``K(T[p:], T)``, p survivors; the kernel entries
-    are pair-local, so they have fresh bits. In an exact run it reads the
-    data-side rows of ``[T'; C][keep]`` from ``ev`` (gathering only when
-    something died or was born), so the support's rows are one call's rows.
-    Both ``pushed_values`` and ``support_field`` finish the data side, and a
-    batch's rows go, before the kernels are built and multiplied, so fewer
-    arrays share the cache.
+    run into ``ws``'s ``"ev.rows"``, and the kernel ``K([T'; C], T')`` in
+    one product into ``"ev.kernel"``: its rows ``[:p]`` are ``K(T', T')``
+    and its rows ``[p:]`` the candidates'. ``ev`` holds that unnormalized
+    block and, in an exact run, the data-side rows (unnormalized) and means
+    of ``[T'; C]``. ``support_field`` reads ``K(T', T')`` whole where
+    nothing died or was born; otherwise it takes the kept rows' survivor
+    columns, ``K(T, T[:p])`` of ``T = [T'; C][keep]`` with p survivors, and
+    builds only the born columns ``K(T, T[p:])``. In an exact run it reads
+    the data-side rows of ``[T'; C][keep]`` from ``ev`` (gathering only
+    when something died or was born), so the support's rows are one call's
+    rows. Both ``pushed_values`` and ``support_field`` finish the data side,
+    and a batch's rows go, before the kernels are built and multiplied, so
+    fewer arrays share the cache.
     """
 
     def __init__(self, data: np.ndarray, tau: float):
@@ -488,16 +503,10 @@ class GmmKernel(GaussianKernel):
         if self.dim != 2:
             raise ValueError(f"mixture data must be planar (d = 2), got d = {self.dim}")
         self._y_norm_sq = self._pair_constant()
-        # the samples' side of the expanded product, centred on their box's
-        # centre, and the largest |b|; |b|^2 may overflow on data too wide
-        # for the product, whose every call then takes exact differences
         self._center = 0.5 * self.data.min(axis=0) + 0.5 * self.data.max(axis=0)
-        b = self.data - self._center
-        with np.errstate(over="ignore"):
-            norms = np.einsum("ij,ij->i", b, b)
-        self._reach = math.sqrt(float(norms.max()))
-        self._side = np.column_stack([b / self._yvar, np.ones(len(b)),
-                                      norms / (-2.0 * self._yvar)])
+        left = self._left(self.data)
+        self._reach = self._radius(left)
+        self._side = self._right(left, self._yvar)
 
     @property
     def n_samples(self):
@@ -507,6 +516,20 @@ class GmmKernel(GaussianKernel):
         k = self._kernel(a, b)
         k *= self._knorm
         return k
+
+    def _kernel(self, a, b, ws=None, out=None, sides=None):
+        """``K(a, b)`` without its constant, in ``out`` or else in ``ws``'s
+        ``"work"``: each exponent one entry of the expanded product of a's
+        and b's sides (``sides``, ``(_left(a), _left(b))``, where the caller
+        has them), or, where its bound fails, of ``gauss_density``'s exact
+        differences."""
+        out = buffer(ws, "work", len(a), len(b)) if out is None else out
+        if not out.size:
+            return out
+        left, top = (self._left(a), self._left(b)) if sides is None else sides
+        if not self._fits(self._radius(left) + self._radius(top), self._kvar):
+            return gauss_density(a, b, self._kvar, ws, out)
+        return np.exp(_expanded_product(left, self._right(top, self._kvar), out), out=out)
 
     def _values(self, k, coef):
         return (k @ coef) * self._knorm
@@ -535,42 +558,59 @@ class GmmKernel(GaussianKernel):
 
     def _samples(self, idx):
         """The batch ``idx``, every sample for None: its sample rows and its
-        rows of the expanded product's sample side ``[2b/s, 1, -|b|^2/s]``."""
+        columns of the samples' side ``_right(_left(x), yvar)``."""
         if idx is None:
             return self.data, self._side
-        return self.data.take(idx, axis=0), self._side.take(idx, axis=0)
+        x = self.data.take(idx, axis=0)
+        return x, self._right(self._left(x), self._yvar)
 
-    def _expanded_rows(self, t):
-        """The expanded product's side of the points t, ``[a, -|a|^2/s, 1]``,
-        or None where the bound on its exponents' error exceeds
-        ``_EXPANDED_ERROR``."""
-        d, s = self.dim, 2.0 * self._yvar
+    def _left(self, t):
+        """The points' side ``[a, |a|^2, 1]`` of every expanded product, one
+        row per point, ``a = t - c`` centred on the samples' box. |a|^2 is
+        inf on points too far out for the product."""
+        d = self.dim
         left = np.empty((len(t), d + 2))
         a = np.subtract(t, self._center, out=left[:, :d])
-        norms = np.einsum("ij,ij->i", a, a, out=left[:, d])
-        reach = math.sqrt(float(norms.max(initial=0.0))) + self._reach
-        if (d + 3) * 2.0**-52 * (reach * reach / s) > _EXPANDED_ERROR:
-            return None
-        norms /= -s
+        np.einsum("ij,ij->i", a, a, out=left[:, d])
         left[:, d + 1] = 1.0
         return left
 
-    def _density(self, t, batch, ws=None, out=None):
+    def _right(self, left, var):
+        """The other side ``[2a/s; -1/s; -|a|^2/s]``, ``s = 2 var``, of the
+        points whose side is ``left``, one column per point, C-contiguous.
+        Each column depends on its point alone, so a batch's sample side is
+        the columns of the whole data's."""
+        d = self.dim
+        right = left.T[[*range(d), d + 1, d]]
+        right[:d] /= var
+        right[d:] /= -2.0 * var
+        return right
+
+    def _radius(self, left):
+        """The largest |a| of the points whose side is ``left``."""
+        return math.sqrt(float(left[:, self.dim].max(initial=0.0)))
+
+    def _fits(self, reach, var):
+        """Whether the bound ``2 (d + 3) u reach^2 / s``, ``s = 2 var``, on
+        the expanded exponents of two point sets, ``reach`` the sum of
+        their largest |a|, is at most ``_EXPANDED_ERROR``."""
+        return (self.dim + 3) * 2.0**-52 * (reach * reach / (2.0 * var)) <= _EXPANDED_ERROR
+
+    def _density(self, t, batch, ws=None, out=None, left=None):
         """Density rows ``N(t_i; x_j, (1 + 2 tau^2) I)`` over the samples
         ``x`` of ``batch``, without their constant, in ``out`` or else in
         ``ws``'s ``"work"``, and their means, with it. Each exponent is one
-        entry of the expanded product, or, where its bound fails, of
-        ``gauss_density``'s exact differences. The means are ``np.mean``'s
-        own sum and division, without its wrapper."""
+        entry of the expanded product of t's side (``left``, ``_left(t)``,
+        where the caller has it) and the batch's, or, where its bound fails,
+        of ``gauss_density``'s exact differences. The means are
+        ``np.mean``'s own sum and division, without its wrapper."""
         x, side = batch
-        if out is None:
-            out = out_buffer(ws, "work", len(t), len(x))
-        left = self._expanded_rows(t)
-        if left is None:
+        out = buffer(ws, "work", len(t), len(x)) if out is None else out
+        left = self._left(t) if left is None else left
+        if not self._fits(self._radius(left) + self._reach, self._yvar):
             rows = gauss_density(t, x, self._yvar, ws, out)
         else:
-            rows = np.matmul(left, side.T, out=out)
-            np.exp(rows, out=rows)
+            rows = np.exp(_expanded_product(left, side, out), out=out)
         means = np.add.reduce(rows, axis=1)
         means /= x.shape[0]
         means *= self._ynorm
@@ -582,12 +622,12 @@ class GmmKernel(GaussianKernel):
 
     def _means(self, t, batch, ws=None):
         """``<y, phi_t>`` over the samples of ``batch``, built and averaged in
-        blocks of at most ``ROW_BLOCK_ENTRIES`` densities (one row once the
-        batch exceeds it)."""
+        ``_row_blocks`` of at most ``ROW_BLOCK_ENTRIES`` densities (two rows
+        once the batch exceeds half of it), none of one row: its product
+        would take two."""
         out = np.empty(len(t))
-        step = max(1, ROW_BLOCK_ENTRIES // len(batch[0]))
-        for lo in range(0, len(t), step):
-            out[lo : lo + step] = self._density(t[lo : lo + step], batch, ws)[1]
+        for block in _row_blocks(len(t), max(2, ROW_BLOCK_ENTRIES // len(batch[0]))):
+            out[block] = self._density(t[block], batch, ws)[1]
         return out
 
     def _sample_y(self, t, rows):
@@ -595,25 +635,25 @@ class GmmKernel(GaussianKernel):
         have one term each, so both are elementwise over the densities
         ``N(t_j; x_i, (1 + 2 tau^2) I)``, with the constant applied as
         ``_density`` and ``_y_grads`` apply it for one sample. The expanded
-        exponents are one stacked ``matmul``, which makes one BLAS call per
-        sample with the operands and strides of the sample's own
-        evaluation, so they have its bits."""
-        x = self.data[rows]
-        left = self._expanded_rows(t)
-        if left is None:
+        exponents are one ``_expanded_product``, whose every entry has the
+        bits of its point and sample in any product, so they have the bits
+        of each sample's own evaluation."""
+        x, left = self.data[rows], self._left(t)
+        if not self._fits(self._radius(left) + self._reach, self._yvar):
             k = gauss_density(t, x, self._yvar).T
         else:
-            k = np.matmul(left, self._side[rows][:, :, None])[..., 0]
-            np.exp(k, out=k)
+            side = np.ascontiguousarray(self._side[:, rows])
+            k = np.exp(_expanded_product(left, side, np.empty((len(t), len(x))))).T
         vals = k * self._ynorm
         return vals, (k[:, :, None] * x[:, None, :] * self._ynorm
                       - vals[:, :, None] * t) / self._yvar
 
-    def _data_side(self, t, batch, side=None, ws=None):
+    def _data_side(self, t, batch, side=None, ws=None, left=None):
         """``<y, phi_t>`` over the samples of ``batch`` and its gradients,
-        from the density rows and means ``side`` or fresh ones; the rows go
-        when it returns, before the caller builds its kernel."""
-        rows, means = self._density(t, batch, ws) if side is None else side
+        from the density rows and means ``side`` or fresh ones (from t's
+        side ``left`` where given); the rows go when it returns, before the
+        caller builds its kernel."""
+        rows, means = self._density(t, batch, ws, None, left) if side is None else side
         return means, self._y_grads(t, batch[0], rows, means)
 
     def _field(self, t, support, coef, k_s, y, y_grads):
@@ -632,50 +672,57 @@ class GmmKernel(GaussianKernel):
     def pushed_values(self, support, coef, idx, cand, ws=None):
         batch, p = self._samples(idx), len(support)
         points = np.concatenate([support, cand])
+        left = self._left(points)
         out = None if idx is not None else out_buffer(ws, "ev.rows", len(points), len(batch[0]))
-        rows, means = self._density(points, batch, ws, out)
+        rows, means = self._density(points, batch, ws, out, left)
         side = (rows, means) if idx is None else None
-        del rows  # a batch's rows go before the kernels are built
-        k = self._kernel(support, support, ws, out_buffer(ws, "ev.kernel", p, p))
-        return (self._values(k, coef) - means[:p],
-                self._values(self._kernel(cand, support, ws), coef) - means[p:], (k, side))
+        del rows  # a batch's rows go before the kernel is built
+        k = self._kernel(points, support, ws, out_buffer(ws, "ev.kernel", len(points), p),
+                         (left, left[:p]))
+        return (self._values(k[:p], coef) - means[:p], self._values(k[p:], coef) - means[p:],
+                (k, side))
 
     def support_field(self, t, coef, idx, ev, keep, ws=None):
         if ev is None:
             return self.certificate_field(t, t, coef, idx, ws)
         batch = self._samples(idx)
         k, side = ev
-        live = keep[: len(k)]
-        p = int(live.sum())
-        side = None if idx is not None or side is None else self._kept_side(side, keep, len(k), ws)
-        y, y_grads = self._data_side(t, batch, side, ws)
-        if p < len(t) or p < len(k):
-            k = self._support_kernel(t, k, live, p, ws)
+        pushed = k.shape[1]
+        p = int(keep[:pushed].sum())
+        side = None if idx is not None or side is None else self._kept_side(side, keep, pushed, ws)
+        # T's side, shared by its data-side rows and born columns
+        left = self._left(t) if side is None or p < len(t) else None
+        y, y_grads = self._data_side(t, batch, side, ws, left)
+        k = k[:pushed] if p == len(t) == pushed else self._support_kernel(t, k, keep, p, ws, left)
         return self._field(t, t, coef, k, y, y_grads)
 
-    def _support_kernel(self, t, k, keep, p, ws):
-        """The unnormalized ``K(T, T)`` of ``T = [T'[keep]; born]`` in
-        ``ws``'s ``"work"``, from ``k = K(T', T')``: the survivors' block by
-        row-order gathers of rows, then columns, in row blocks of at most
-        ``SELF_BLOCK_ENTRIES`` (so each block's rows stay in cache), which
-        leave it C-ordered like a fresh build; then the born rows
-        ``K(T[p:], T)``, mirrored into the born columns."""
+    def _support_kernel(self, t, k, keep, p, ws, left):
+        """The unnormalized ``K(T, T)`` of ``T = [T'; C][keep]``, p
+        survivors, in ``ws``'s ``"work"``, from ``k = K([T'; C], T')``: its
+        columns ``K(T, T[:p])`` are k's kept rows and survivors' columns,
+        then the born columns ``K(T, T[p:])`` are built from T's side
+        ``left``. If nobody died, the kept rows are ``k[:p]`` and the born
+        rows, copied whole; otherwise they are gathered by row-order gathers
+        of rows, then columns, in row blocks of at most
+        ``SELF_BLOCK_ENTRIES`` (so each block's rows stay in cache). Either
+        way the result is C-ordered like a fresh build."""
         full = buffer(ws, "work", len(t), len(t))
-        if p < len(keep):
+        pick = np.flatnonzero(keep)
+        if p == k.shape[1]:
+            full[:p, :p] = k[:p]
+            full[p:, :p] = k.take(pick[p:], axis=0)
+        elif p:
             # "clip" (the indices are in range) writes a C-ordered ``out`` in
             # place, where "raise" copies through a temporary of its size
-            live = np.flatnonzero(keep)
-            step = max(1, SELF_BLOCK_ENTRIES // len(keep))
-            for lo in range(0, p, step):
-                sub = live[lo : lo + step]
-                rows = np.take(k, sub, axis=0, out=out_buffer(ws, "diff", len(sub), len(keep)),
-                               mode="clip")
+            live = pick[:p]
+            step = max(1, SELF_BLOCK_ENTRIES // k.shape[1])
+            for lo in range(0, len(t), step):
+                sub = pick[lo : lo + step]
+                rows = np.take(k, sub, axis=0,
+                               out=out_buffer(ws, "diff", len(sub), k.shape[1]), mode="clip")
                 np.take(rows, live, axis=1, out=full[lo : lo + len(sub), :p], mode="clip")
-        else:
-            full[:p, :p] = k
         if p < len(t):
-            self._kernel(t[p:], t, ws, full[p:])
-            full[:p, p:] = full[p:, :p].T
+            self._kernel(t, t[p:], ws, full[:, p:], (left, left[p:]))
         return full
 
     def _kept_side(self, side, keep, p, ws):
@@ -689,6 +736,38 @@ class GmmKernel(GaussianKernel):
         pick = np.flatnonzero(keep)
         out = buffer(ws, "work", len(pick), rows.shape[1])
         return np.take(rows, pick, axis=0, out=out, mode="clip"), means[pick]
+
+
+def _row_blocks(rows, step):
+    """Slices of at most ``step >= 2`` rows that cover ``range(rows)``, the
+    last one taking a lone final row: no block has one row unless all of
+    ``rows`` is one."""
+    lo = 0
+    while lo < rows:
+        hi = lo + step if rows - lo - step >= 2 else rows
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _expanded_product(left, right, out):
+    """``left @ right`` into ``out``, each entry with the bits of its row of
+    ``left`` and column of ``right`` in any product that holds both. numpy
+    hands a one-row or one-column product to gemv or dot, whose bits differ
+    from a matrix product's, so such a product is taken from one of its row
+    or column repeated twice. Others go in ``_row_blocks`` of at most
+    ``ROW_BLOCK_ENTRIES`` entries: on OpenBLAS 0.3.31 a product of up to
+    10^6 multiply-adds takes its small-matrix kernel on one thread, whose
+    every entry has the same bits, where a larger one gives the columns
+    past the last multiple of 8 other bits, which also depend on the
+    thread count (``test_row_slices.py``)."""
+    rows, cols = len(left), right.shape[1]
+    if rows == 1 or cols == 1:
+        out[...] = np.matmul(np.repeat(left, 2, axis=0) if rows == 1 else left,
+                             np.repeat(right, 2, axis=1) if cols == 1 else right)[:rows, :cols]
+        return out
+    for block in _row_blocks(rows, max(2, ROW_BLOCK_ENTRIES // max(1, cols))):
+        np.matmul(left[block], right, out=out[block])
+    return out
 
 
 def relu_blocks(aug: np.ndarray, t: np.ndarray, ws=None):

@@ -15,11 +15,12 @@ __all__ = ["Workspace"]
 #: 128 x 128
 PRODUCT_ENTRIES = 4096
 #: entries per row block of an n-long evaluation: ``kernels.relu_blocks``'
-#: activations, ``GmmKernel``'s data-side means and the audit's chunks (1 MiB)
+#: activations, ``GmmKernel``'s data-side means and expanded products and the
+#: audit's chunks (1 MiB)
 ROW_BLOCK_ENTRIES = 2**17
-#: entries per row block of ``gaussian``'s coordinate differences, symmetric
-#: builds and pair-sum tiles, and of ``GmmKernel``'s survivor gathers
-#: (256 KiB, so a block and its temporaries stay in a core's cache)
+#: entries per row block of ``gaussian``'s coordinate differences and
+#: pair-sum tiles, and of ``GmmKernel``'s survivor gathers (256 KiB, so a
+#: block and its temporaries stay in a core's cache)
 SELF_BLOCK_ENTRIES = 2**15
 
 #: byte alignment of every workspace slot: a cache line, and the widest SIMD
@@ -48,20 +49,20 @@ class Workspace:
     a slot holds is overwritten by the next call that takes it:
 
     * ``"ev.kernel"`` and ``"ev.rows"``: ``ev``'s kernel block (the
-      mixture's ``K(T', T')``, the synthetic model's ``K([T'; C], P')``,
-      whose first p rows ``ev`` keeps) and, in an exact mixture run, the
-      data-side rows of ``[T'; C]``, which ``ev`` keeps whole.
+      mixture's ``K([T'; C], T')``, which ``ev`` keeps whole, the synthetic
+      model's ``K([T'; C], P')``, whose first p rows ``ev`` keeps) and, in
+      an exact mixture run, the data-side rows of ``[T'; C]``, which ``ev``
+      keeps whole.
       ``pushed_values`` writes them and the next iteration's
       ``support_field`` reads them, before the next ``pushed_values`` writes
       its own.
     * ``"work"``: the largest array of one evaluation step, used up within
       the call: data-side rows (a batch's of ``[T'; C]``, the loss's mean
       blocks, the exact support's assembled rows), then the kernel built
-      after them (the candidates' ``K(C, T')``, the assembled support
-      kernel, the loss's ``K(T, T)``), or a ReLU activation block.
-    * ``"diff"``: ``_sqdist``'s coordinate differences, and the survivors'
-      rows of ``K(T', T')`` while their columns are gathered.
-    * ``"block"``: ``gauss_self``'s row blocks.
+      after them (the assembled support kernel, the loss's ``K(T, T)``), or
+      a ReLU activation block.
+    * ``"diff"``: ``_sqdist``'s coordinate differences, and the kept rows
+      of ``K([T'; C], T')`` while their survivors' columns are gathered.
     """
 
     def __init__(self, offset: int = 0):

@@ -58,9 +58,11 @@ def y_at(model, t, i=None):
 
 def kernel_sum(model, a, b, coef, idx=None):
     """``K(A, B) c``. ReLU sums in feature space, ``relu(X_b A')'
-    (relu(X_b B') c) / m``; the Gaussian models take the product of the
-    entries without a constant and then multiply the mixture's constant in,
-    the bits of ``GaussianKernel.weighted_kernel``."""
+    (relu(X_b B') c) / m``; the Gaussian models take the product of
+    ``gauss_density``'s entries without a constant and then multiply the
+    mixture's constant in: the synthetic model's bits, and within
+    ``mixture_kernel_side_bound`` of the mixture's, whose entries are
+    expanded products."""
     if isinstance(model, ReluKernel):
         aug, _, u = relu_output(model, b, coef, idx)
         return np.maximum(aug @ a.T, 0.0).T @ u / aug.shape[0]
@@ -317,11 +319,12 @@ def mixture_grads(model, t, x):
     return ((rows @ x) * (model._ynorm / len(x)) - means[:, None] * t) / model._yvar
 
 
-def expansion_slack(model, t, x):
+def expansion_slack(model, t, x, var=None):
     """Per-entry bound ``(3 d + 10) u (|t_i - c| + |x_j - c|)^2 / s``,
-    ``s = 2 yvar``, ``c`` the model's centre, on the gap between
-    ``GmmKernel``'s data-side exponents and those of ``gauss_density``'s
-    exact differences.
+    ``s = 2 var``, ``c`` the model's centre, on the gap between
+    ``GmmKernel``'s expanded exponents of variance ``var`` and those of
+    ``gauss_density``'s exact differences: its data side's (``yvar``, the
+    default) or its kernel's (``kvar``).
 
     ``GmmKernel``'s docstring puts an expanded exponent within ``2 (d + 3)
     u (|a| + |b|)^2 / s`` of the true ``-|t - x|^2 / s``. ``gauss_density``
@@ -333,7 +336,7 @@ def expansion_slack(model, t, x):
     exact differences has no gap at all. A pair whose bound exceeds 1 never
     takes the expanded product, so the slack is capped at 1, which keeps it
     finite where the squares overflow."""
-    c, s = model._center, 2.0 * model._yvar
+    c, s = model._center, 2.0 * (model._yvar if var is None else var)
     with np.errstate(over="ignore"):
         reach = np.add.outer(np.sqrt(np.einsum("ij,ij->i", t - c, t - c)),
                              np.sqrt(np.einsum("ij,ij->i", x - c, x - c)))
@@ -358,6 +361,43 @@ def mixture_side_bound(model, t, idx=None):
     y_bound = size.sum(axis=1) / len(x)
     grad_bound = (size @ np.abs(x) / len(x) + y_bound[:, None] * np.abs(t)) / model._yvar
     return 1.01 * y_bound + FLOOR, 1.01 * grad_bound + FLOOR
+
+
+def mixture_kernel_bound(model, a, b):
+    """Elementwise bound between ``GmmKernel.kernel_matrix(a, b)`` and the
+    exact-difference entries ``gauss_density(a, b, kvar) * knorm``: their
+    exponents differ by ``expansion_slack`` at the kernel's variance, and
+    each side's exp is within 4u of its value and its product by the
+    constant within u, so an entry is within a relative ``expansion_slack +
+    10u`` of the exact one, and within ``ETA`` absolutely once it is
+    subnormal. A call that takes exact differences has no exponent gap."""
+    exact = gauss_density(a, b, model._kvar) * model._knorm
+    return 1.01 * (expansion_slack(model, a, b, model._kvar) + 10.0 * U) * exact + ETA
+
+
+def mixture_kernel_side_bound(model, t, support, coef):
+    """Elementwise bounds between the model's kernel side ``K(t, S) c`` and
+    its gradients and those of ``kernel_sum`` and ``gauss_grad`` over the
+    exact entries: each entry within ``mixture_kernel_bound``'s relative
+    ``eps_ij``, and each reduction of |S| terms rounding a term at most |S|
+    + 6 times on either side, the bounds of ``mixture_field``'s kernel side
+    with this ``eps_ij``."""
+    exact = gauss_density(t, support, model._kvar) * model._knorm
+    eps = expansion_slack(model, t, support, model._kvar) + 10.0 * U
+    size = entry_size(exact, eps, len(support) + 6)
+    c = np.abs(coef)
+    vals = size @ c
+    grads = ((size * c) @ np.abs(support) + vals[:, None] * np.abs(t)) / model._kvar
+    return 1.01 * vals + FLOOR, 1.01 * grads + FLOOR
+
+
+def mixture_field_bound(model, t, support, coef, idx=None):
+    """Elementwise bounds between the model's certificate values and
+    gradients and ``primitive_field``'s: its kernel side's
+    ``mixture_kernel_side_bound`` plus its data side's
+    ``mixture_side_bound``."""
+    return tuple(k + y for k, y in zip(mixture_kernel_side_bound(model, t, support, coef),
+                                      mixture_side_bound(model, t, idx)))
 
 
 def near(got, want, bound):
@@ -537,9 +577,8 @@ def mixture_field(model, t, support, coef, x):
     as ``exp(d2 * (-0.5 / var))`` and multiplies the densities' constants
     into the sums the entries are reduced to.
 
-    The kernel entries of both forms start from the same ``_sqdist`` bits,
-    so they differ by rounding alone. With ``z = d2 / (2 var)`` for one
-    entry:
+    Where both forms' entries start from the same ``_sqdist`` bits they
+    differ by rounding alone. With ``z = d2 / (2 var)`` for one entry:
 
     * ``divided`` rounds the exponent once (``-2 var`` is exact), the model
       twice (``-0.5 / var``, then the product), so the two exponents differ
@@ -550,11 +589,12 @@ def mixture_field(model, t, support, coef, x):
     * so every normalized entry is within ``eps_ij = (3.02 z + 10) u`` of
       the ``divided`` entry ``P_ij``, relative to it, and within ``ETA``
       absolutely once it is subnormal, where rounding is absolute.
-    * The model's data-side exponents come from the expanded product, within
-      ``2 (d + 3) u (|a| + |b|)^2 / s`` of the true exponent, where
-      ``divided``'s is within ``(d + 3) u z``. With ``z <= (|a| + |b|)^2 / s``
-      their gap is below the old ``3.01 z u`` plus ``expansion_slack``, which
-      each data-side ``eps_ij`` adds.
+    * The model's exponents, kernel and data side, come from expanded
+      products, within ``2 (d + 3) u (|a| + |b|)^2 / s`` of the true
+      exponent, where ``divided``'s is within ``(d + 3) u z``. With ``z <=
+      (|a| + |b|)^2 / s`` their gap is below the old ``3.01 z u`` plus
+      ``expansion_slack`` at the entry's variance, which each ``eps_ij``
+      adds.
 
     A reduction of q entries rounds each term at most q + 6 times on either
     side, whatever the summation order (the product, the constant, the
@@ -569,6 +609,7 @@ def mixture_field(model, t, support, coef, x):
     most ``(q + 6) q`` times per output: below ``FLOOR``, which is added to
     every bound."""
     k, k_eps = divided(t, support, model._kvar, model.dim)
+    k_eps += expansion_slack(model, t, support, model._kvar)
     ky, y_eps = divided(t, x, model._yvar, model.dim)
     y_eps += expansion_slack(model, t, x)
     m = len(x)

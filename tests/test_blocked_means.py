@@ -9,6 +9,9 @@ own, so the means must lie within the data-side bound
 ``mixture_means``, whose densities take exact differences, on both sides of
 every block edge, before and after an exact pushed evaluation, whose full
 rows go to its ``ev`` alone, and the temporaries must not grow with n.
+Where a test subtracts the means from ``K c``, the kernel side adds its own
+bound, ``reference.mixture_kernel_side_bound``: its entries are expanded
+products too.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from conicswarm.objective import kkt_residual, loss
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem
 from helpers import rng, traced_peak
-from reference import kernel_sum, mixture_means, mixture_side_bound, near
+from reference import kernel_sum, mixture_kernel_side_bound, mixture_means, mixture_side_bound, \
+    near
 
 ENTRIES = kernels.ROW_BLOCK_ENTRIES
 #: sample counts: a block of 43 rows, one of 4 rows, and one row per block
@@ -63,8 +67,8 @@ def test_blocked_means_match_one_shot(n, data, seed):
     coef = g.uniform(-1.0, 1.0, size=3)
     want, bound = mixture_means(model, t), mixture_side_bound(model, t)[0]
     assert near(model.y_inner_many(t), want, bound)
-    assert near(model.certificate_values(t, support, coef),
-                kernel_sum(model, t, support, coef) - want, bound)
+    assert near(model.certificate_values(t, support, coef), kernel_sum(model, t, support, coef)
+                - want, bound + mixture_kernel_side_bound(model, t, support, coef)[0])
 
 
 @pytest.mark.exactness
@@ -107,7 +111,8 @@ def test_batched_means_match_one_shot_across_the_block_edge(p):
     support = problem.domain.sample_uniform(g, size=3)
     coef = g.uniform(-1.0, 1.0, size=3)
     _, at_t, _ = model.pushed_values(support, coef, idx, t)
-    assert near(at_t, kernel_sum(model, t, support, coef) - want, bound)
+    assert near(at_t, kernel_sum(model, t, support, coef) - want,
+                bound + mixture_kernel_side_bound(model, t, support, coef)[0])
 
 
 @pytest.fixture(scope="module")

@@ -5,11 +5,11 @@
 batch, on an empty support, at the support itself and away from it, for
 signed and unsigned problems:
 
-* the mixture model must lie within the data-side bound
-  ``mixture_side_bound`` of the certificate assembled from the reference's
-  ``K c``, ``weighted_grad1_kernel`` and the plain data-side forms of
-  ``observation_terms`` (``primitive_field``): its kernel side has their
-  bits, and its densities' exponents come from an expanded product;
+* the mixture model must lie within ``mixture_field_bound`` of the
+  certificate assembled from the reference's ``K c``,
+  ``weighted_grad1_kernel`` and the plain data-side forms of
+  ``observation_terms`` (``primitive_field``): the exponents of its kernel
+  entries and densities come from expanded products;
 * the synthetic observation is a signed point measure, so its certificate
   is the weighted kernel of ``P = [S; atoms; anchors]`` with coefficients
   ``q = [c; -w; -eta_b]`` (``signed_measure``). It must reproduce, bit for
@@ -49,9 +49,9 @@ from conicswarm.objective import Problem, certificate, certificate_and_grad, kkt
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
 from helpers import same_bits, traced_peak
-from reference import masked_residual_grads, mixture_side_bound, near, observation_terms, \
-    primitive_field, relu_block_field, relu_residual_bound, residual_field, scaled_rows_bound, \
-    signed_field, signed_sum_bound
+from reference import masked_residual_grads, mixture_field_bound, mixture_side_bound, near, \
+    observation_terms, primitive_field, relu_block_field, relu_residual_bound, residual_field, \
+    scaled_rows_bound, signed_field, signed_sum_bound
 
 pytestmark = pytest.mark.exactness
 
@@ -108,7 +108,7 @@ def check_certificate(problem, swarm, points, signs, idx):
     want_vals, want_grads = fold(problem, signs, want)
     vals, grads = certificate_and_grad(problem, swarm, points, signs, idx)
     if isinstance(model, GmmKernel):
-        val_bound, grad_bound = mixture_side_bound(model, points, idx)
+        val_bound, grad_bound = mixture_field_bound(model, points, swarm.positions, coef, idx)
         assert near(vals, want_vals, val_bound) and near(grads, want_grads, grad_bound)
         assert near(certificate(problem, swarm, points, signs, idx), want_vals, val_bound)
         return

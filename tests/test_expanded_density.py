@@ -39,6 +39,12 @@ def cloud(g, size, d, width, offset):
     return g.uniform(-width, width, size=(size, d)) + offset
 
 
+def takes_product(model, t):
+    """Whether the data-side densities of the points t take the expanded
+    product: its bound holds for them against every sample."""
+    return model._fits(model._radius(model._left(t)) + model._reach, model._yvar)
+
+
 #: points and samples: 60 x 70 entries fall below ``PRODUCT_ENTRIES``, 70 x
 #: 70 above it, and 60 x 3,000 above ``ROW_BLOCK_ENTRIES``
 SIZES = (1, 60, 70, 300)
@@ -59,11 +65,14 @@ def test_densities_within_the_bound_of_exact_differences(p, n, width, offset, ta
     idx = g.integers(0, n, size=int(g.integers(1, 2 * n + 1))) if batch else None
     x = model.data if idx is None else model.data[idx]
 
-    rows, means = model._density(t, model._samples(idx))
+    batch = model._samples(idx)
+    if idx is not None:  # a batch's side is the whole side's columns
+        assert same_bits(batch[1], model._side[:, idx])
+    rows, means = model._density(t, batch)
     exact = gauss_density(t, x, model._yvar)
     slack = expansion_slack(model, t, x) + 8.0 * U
     assert np.all(np.abs(rows - exact) <= 1.01 * slack * exact + ETA)
-    if model._expanded_rows(t) is None:
+    if not takes_product(model, t):
         assert same_bits(rows, exact)
     want = mixture_means(model, t, x)
     bound = mixture_side_bound(model, t, idx)[0]
@@ -71,17 +80,25 @@ def test_densities_within_the_bound_of_exact_differences(p, n, width, offset, ta
     assert near(model.y_inner_many(t, idx), want, bound)
 
 
+def kernel_takes_product(model, t):
+    """Whether the kernel ``K(t, t)`` takes the expanded product."""
+    return model._fits(2.0 * model._radius(model._left(t)), model._kvar)
+
+
 def test_shipped_profiles_take_the_product_and_a_wide_ring_does_not():
     # gmm_full.cfg's domain corners lie 19.4 and its samples up to 11.9 from
-    # the samples' centre: the bound is about 5e-13 there, and every point
-    # of its domain takes the product; the same samples spread 1e6 times
-    # wider do not
+    # the samples' centre: the data-side bound is about 5e-13 there, the
+    # kernel's 4.0e-13 between opposite corners, and every point of its
+    # domain takes the product on both sides; the same samples spread 1e6
+    # times wider do not
     for name in ("gmm_full.cfg", "gmm_desk.cfg"):
         problem, _ = build_problem(load_config(CONFIGS / name))
         corners = grid_points(problem.domain, 2)
-        assert problem.model._expanded_rows(corners) is not None
+        assert takes_product(problem.model, corners)
+        assert kernel_takes_product(problem.model, corners)
     wide = GmmKernel(problem.model.data * 1e6, 0.2)
-    assert wide._expanded_rows(corners * 1e6) is None
+    assert not takes_product(wide, corners * 1e6)
+    assert not kernel_takes_product(wide, corners * 1e6)
 
 
 def test_audit_densities_take_exact_differences_where_the_bound_fails():
@@ -94,12 +111,12 @@ def test_audit_densities_take_exact_differences_where_the_bound_fails():
     wide = GmmKernel(problem.model.data[:40] * 1e6, 0.2)
     rows = np.arange(0, 40, 7)
     t = wide.data[rows] + rng(5).uniform(-1.0, 1.0, size=(len(rows), 2))
-    assert wide._expanded_rows(t) is None
+    assert not takes_product(wide, t)
     vals, grads = wide._sample_y(t, rows)
     assert vals.shape == (len(rows), len(t)) and grads.shape == (len(rows), len(t), 2)
     assert np.all(vals.diagonal() > 0.0)
     for j, i in enumerate(rows):
         one = GmmKernel(wide.data[i : i + 1], 0.2)
-        assert one._expanded_rows(t) is None
+        assert not takes_product(one, t)
         assert same_bits(vals[j], one.y_inner_many(t))
         assert np.array_equal(grads[j], one.grad_y_inner_many(t))

@@ -4,9 +4,10 @@
 multiplies the densities' constants ``(2 pi var)^(-d/2)`` into what the
 entries are reduced to. The reference's ``divided`` is the earlier form:
 each entry ``exp(d2 / (-2 var)) (2 pi var)^(-d/2)``, and every sum taken
-over the normalized entries (``mixture_field``). Both forms start from the
-same ``_sqdist`` bits, so they differ by rounding alone, within the bounds
-that ``mixture_field`` derives.
+over the normalized entries (``mixture_field``). The model's exponents are
+expanded products, within ``reference.expansion_slack`` of the exact ones,
+so the two forms differ by that and rounding, within the bounds that
+``mixture_field`` derives.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from conicswarm.kernels import GmmKernel
 from helpers import rng
-from reference import divided, entry_size, mixture_field
+from reference import divided, entry_size, expansion_slack, mixture_field
 
 pytestmark = pytest.mark.exactness
 
@@ -48,6 +49,7 @@ def test_gmm_within_rounding_of_the_divide_and_normalize_form(p, q, n, width, of
     x = model.data if idx is None else model.data[idx]
 
     k, k_eps = divided(t, support, model._kvar, d)
+    k_eps += expansion_slack(model, t, support, model._kvar)
     assert within(model.kernel_matrix(t, support), k, 1.01 * entry_size(k, k_eps, 0))
 
     (vals, grads, y), (val_bound, grad_bound, y_bound) = \

@@ -21,8 +21,9 @@ from conicswarm.verify import make_gmm_problem, make_relu_problem, make_syntheti
 from helpers import rng, same_bits, y_norm_sq_case
 import reference
 from reference import U, brute_pair_sum, brute_y_norm_sq, close_pair_sum, grad_k_at, \
-    grad_rounding_bound, k_at, kernel_sum, lattice_bound, pair_cutoff, plane_density, \
-    relu_sum_bound, scaled_kernel_grad, smoothed_sample, subtraction_exp_sum, y_at
+    grad_rounding_bound, k_at, kernel_sum, lattice_bound, mixture_kernel_bound, \
+    mixture_kernel_side_bound, near, pair_cutoff, plane_density, relu_sum_bound, \
+    scaled_kernel_grad, smoothed_sample, subtraction_exp_sum, y_at
 
 
 ALL_BUILDERS = [make_synthetic_problem, make_gmm_problem, make_relu_problem]
@@ -237,10 +238,12 @@ def test_vectorized_matches_scalar_loops():
         assert np.allclose(wg[i], manual, atol=1e-14)
 
 
-# ``K c``: the Gaussian models' ``weighted_kernel`` has the bits of the
-# reference's ``kernel_sum``, and with the synthetic constant 1 those of
-# ``kernel_matrix @ coef``. ReLU has no ``weighted_kernel``; its reference
-# sums in feature space, within ``relu_sum_bound`` of ``kernel_matrix @ coef``.
+# ``K c``: the synthetic model's ``weighted_kernel`` has the bits of the
+# reference's ``kernel_sum``, and with its constant 1 those of
+# ``kernel_matrix @ coef``; the mixture's entries are expanded products,
+# within ``mixture_kernel_side_bound`` of ``kernel_sum``'s exact differences.
+# ReLU has no ``weighted_kernel``; its reference sums in feature space,
+# within ``relu_sum_bound`` of ``kernel_matrix @ coef``.
 
 WEIGHTED_PROBLEMS = {
     "synthetic": make_synthetic_problem(seed=5),
@@ -274,9 +277,13 @@ def test_weighted_kernel_matches_kernel_matrix(name, seed, n_a, n_b, pairing, ba
         return
     got = model.weighted_kernel(a, b, coef, idx)
     assert got.shape == (a.shape[0],)
+    if name == "gmm":
+        bound = mixture_kernel_side_bound(model, a, b, coef)[0]
+        assert near(got, kernel_sum(model, a, b, coef), bound)
+        assert near(got, want, 2.0 * bound)
+        return
     assert np.array_equal(got, kernel_sum(model, a, b, coef))
-    if name == "synthetic":
-        assert np.array_equal(got, want)
+    assert np.array_equal(got, want)
 
 
 # Gaussian entries are finished from sums of squared coordinate differences,
@@ -284,6 +291,13 @@ def test_weighted_kernel_matches_kernel_matrix(name, seed, n_a, n_b, pairing, ba
 # permuted or single), a subset of columns and the transposed call all give
 # the bits of the full call. Points on a 2^-20 grid stay exact when shifted
 # by 1e6, so there the entries must equal those of the unshifted points.
+# The mixture's entries are expanded products of its centred points, each
+# with the bits of its row and column in any product, so its subsets of
+# rows and columns keep the bits; but ``K(b, a)'`` sums its terms in
+# another order, and a shift moves the points against the samples' centre
+# (by 1e6, past the product's bound, to exact differences), so it keeps
+# neither the transposed nor the shifted bits, which
+# ``test_mixture_kernel_within_its_bound`` holds within the bound instead.
 
 def dyadic_points(g, n, d):
     return np.round(g.uniform(-8.0, 8.0, size=(n, d)) * 2**20) / 2**20
@@ -308,22 +322,72 @@ def test_gaussian_entries_are_pair_local(p, q, d, points, offset, seed, data):
     g = rng(seed)
     a, b, x = points(g, p, d), points(g, q, d), points(g, 40, d)
     box = Box(np.full(d, -8.0), np.full(d, 8.0))
-    kernels = [SyntheticKernel(box, 1.3, [1.0], a[:1]).kernel_matrix,
-               lambda s, t: gauss_density(s, t, 1.18)]
+    # each kernel, and whether its entries are symmetric and move with the points
+    kernels = [(SyntheticKernel(box, 1.3, [1.0], a[:1]).kernel_matrix, True),
+               (lambda s, t: gauss_density(s, t, 1.18), True)]
     if d == 2:  # the mixture is planar
-        kernels.append(GmmKernel(x, 0.3).kernel_matrix)
+        kernels.append((GmmKernel(x, 0.3).kernel_matrix, False))
     rows = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2 * p))
     cols = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=2 * q))
     a_off, b_off = a + offset, b + offset
-    for kernel in kernels:
+    for kernel, symmetric in kernels:
         full = kernel(a_off, b_off)
-        if points is dyadic_points:  # the offset moves them exactly
+        if symmetric and points is dyadic_points:  # the offset moves them exactly
             assert same_bits(full, kernel(a, b))
-        assert same_bits(kernel(b_off, a_off).T, full)
+        if symmetric:
+            assert same_bits(kernel(b_off, a_off).T, full)
         assert same_bits(kernel(a_off[rows], b_off), full[rows])
         assert same_bits(kernel(a_off, b_off[cols]), full[:, cols])
         for i in rows:
             assert same_bits(kernel(a_off[i : i + 1], b_off), full[i : i + 1])
+
+
+# The mixture's kernel entries are expanded products of the centred points,
+# within ``mixture_kernel_bound`` of the exact differences: every block the
+# model builds, ``kernel_matrix``, the loop's pushed block ``K([T'; C], T')``
+# and the support field's assembled ``K(T, T)``, and the loss's ``K(T, T)``,
+# across the range of tau that ``config`` accepts. Samples spread 1e6 times
+# wider fail the product's bound and take exact differences.
+
+@pytest.mark.exactness
+@given(tau=st.one_of(st.sampled_from([1.4917e-154, 0.2, 1.891e153]),
+                     st.floats(-153.8, 153.2).map(lambda e: 10.0**e)),
+       spread=st.sampled_from([1.0, 3.0, 1e6]), p=SIZES, c=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_mixture_kernel_within_its_bound(tau, spread, p, c, seed, data):
+    g = rng(seed)
+    model = GmmKernel(spread * g.standard_normal((30, 2)), tau)
+    lo, hi = model.data.min(axis=0) - spread, model.data.max(axis=0) + spread
+    pushed, cand = g.uniform(lo, hi, size=(p, 2)), g.uniform(lo, hi, size=(c, 2))
+    points = np.vstack([pushed, cand])
+
+    def within(k, a, b):
+        exact = gauss_density(a, b, model._kvar) * model._knorm
+        return k.shape == exact.shape and \
+            bool(np.all(np.abs(k - exact) <= mixture_kernel_bound(model, a, b)))
+
+    assert within(model.kernel_matrix(points, pushed), points, pushed)
+    assert within(model.kernel_matrix(pushed, points), pushed, points)
+    _, _, ev = model.pushed_values(pushed, g.uniform(-1.0, 1.0, size=p), None, cand)
+    assert within(ev[0] * model._knorm, points, pushed)
+    # the kernel that the support field of T = [T'; C][keep] assembles from ev
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=p + c, max_size=p + c).filter(any)))
+    t = points[keep]
+    seen = []
+    real = GmmKernel._field
+    with mock.patch.object(GmmKernel, "_field", lambda self, *args: seen.append(args[3])
+                           or real(self, *args)):
+        model.support_field(t, np.ones(len(t)), None, ev, keep)
+    assert within(seen[0] * model._knorm, t, t)
+    # the loss's quadratic term reduces the kernel of the swarm against itself
+    reduced = []
+    values = GmmKernel._values
+    with mock.patch.object(GmmKernel, "_values", lambda self, k, coef: reduced.append(k)
+                           or values(self, k, coef)):
+        model.objective_value(t, np.ones(len(t)), np.ones(len(t)), 1e-4)
+    square = [k for k in reduced if k.shape == (len(t), len(t))]
+    assert len(square) == 1 and within(square[0] * model._knorm, t, t)
 
 
 # ``gauss_grad`` sums ``c_j grad_a K(a_i, b_j)`` as one product; the

@@ -4,14 +4,12 @@ Each iteration scores the pushed measure ``(T', c)`` on one batch at ``T'``
 and at the birth candidates ``C`` in one ``pushed_values`` call, and the
 next ``support_field`` takes its ``ev`` with the one mask ``keep`` over
 ``[T'; C]`` that selects ``T = [T'; C][keep]``: the survivors, then the born
-candidates. For the synthetic model (signed and unsigned),
-the mixture and the ReLU network, exact and mini-batch: (a) each call has
-the bits of a fresh model's stateless ``certificate_values`` or
-``certificate_field``; the mixture builds its density rows in expanded
-products of other shapes, and a one-row product goes through another BLAS
-routine, so there it lies within twice the data-side bound
-``mixture_side_bound`` of them; (b) every loop evaluation of runs with
-births and deaths at beta = 0 and > 0 has those bits, and the runs' rows
+candidates. For the synthetic model (signed and unsigned), the mixture and
+the ReLU network, exact and mini-batch: (a) each call has the bits of a
+fresh model's stateless ``certificate_values`` or ``certificate_field``,
+the mixture's too, although it builds its kernel entries and density rows
+in expanded products of other shapes; (b) every loop evaluation of runs
+with births and deaths at beta = 0 and > 0 has those bits, and the runs' rows
 and final swarms are those of the stateless evaluations; (c) the model's
 attributes are the same objects after a run, during and after an aborted
 one and after a weight overflow; (d) the trace does not depend on the
@@ -19,10 +17,10 @@ cadence; (e) no call after ``pushed_values`` writes its ``ev``; (f) each
 call has the stateless call's bits in the two cases that random masks and
 fresh coefficients rarely or never draw: an unchanged swarm with ``ev``'s
 own coefficients, and deaths among 200 points; (g) (a) holds for ReLU
-where every evaluation spans several row blocks. For the mixture, (b) and
-(f) rest on OpenBLAS giving each row of a product of two or more rows the
-same bits whatever their number. CI runs this again with OpenBLAS on two
-threads.
+where every evaluation spans several row blocks. For the mixture, (a), (b)
+and (f) rest on each entry of an expanded product having the same bits in
+every product that holds its row and column (``kernels._expanded_product``,
+``test_row_slices.py``). CI runs this again with OpenBLAS on two threads.
 """
 
 from __future__ import annotations
@@ -37,13 +35,12 @@ from hypothesis import given, settings, strategies as st
 import conicswarm.runner as runner
 from conicswarm import verify
 from conicswarm.domain import Ball
-from conicswarm.kernels import GmmKernel, ReluKernel
+from conicswarm.kernels import ReluKernel
 from conicswarm.runner import RunAborted, run
 from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.workspace import Workspace
 from helpers import attributes, loop_config, rng, rows, same_bits
-from reference import mixture_side_bound, near
 
 pytestmark = pytest.mark.exactness
 
@@ -67,16 +64,16 @@ def test_warm_model_gives_fresh_bits(name, seed, data):
     problem = WARM[name]
     warm, fresh = problem.model, BUILDERS[name]().model
     g, exact = rng(seed), data.draw(st.booleans())
-    # 70 and 200 points take ``_sqdist``'s product path and ``gauss_self``'s
-    # blocks, where the subsets a support field assembles take neither
+    # 70 and 200 points take ``_sqdist``'s product path, where the subsets a
+    # support field assembles do not
     size = data.draw(st.one_of(st.integers(0, 7), st.sampled_from([70, 200])))
     pushed = problem.domain.sample_uniform(g, size=size)
     cand = problem.domain.sample_uniform(g, size=data.draw(st.integers(1, 5)))
     coef = g.uniform(-1.0, 1.0, size=size)
     idx = None if exact else g.integers(0, warm.n_samples, size=32)
     vals, at_cand, ev = warm.pushed_values(pushed, coef, idx, cand)
-    assert as_fresh(warm, pushed, idx, vals, fresh.certificate_values(pushed, pushed, coef, idx))
-    assert as_fresh(warm, cand, idx, at_cand, fresh.certificate_values(cand, pushed, coef, idx))
+    assert same_bits(vals, fresh.certificate_values(pushed, pushed, coef, idx))
+    assert same_bits(at_cand, fresh.certificate_values(cand, pushed, coef, idx))
 
     def mask(n):  # all, none or any
         return np.array(data.draw(st.sampled_from([[True] * n, [False] * n])
@@ -86,18 +83,9 @@ def test_warm_model_gives_fresh_bits(name, seed, data):
     t = np.vstack([pushed[keep], cand[born]])
     c = g.uniform(-1.0, 1.0, size=len(t))
     idx = None if exact else g.integers(0, warm.n_samples, size=32)
-    for got, want, side in zip(warm.support_field(t, c, idx, ev, np.concatenate([keep, born])),
-                               fresh.certificate_field(t, t, c, idx), (0, 1)):
-        assert as_fresh(warm, t, idx, got, want, side)
-
-
-def as_fresh(model, t, idx, got, want, side=0):
-    """Whether a loop evaluation's values (``side`` 0) or gradients (1) at
-    t have the stateless call's bits, or for the mixture lie within twice
-    ``mixture_side_bound``: each is within it of the exact reference."""
-    if not isinstance(model, GmmKernel):
-        return same_bits(got, want)
-    return near(got, want, 2.0 * mixture_side_bound(model, t, idx)[side])
+    for got, want in zip(warm.support_field(t, c, idx, ev, np.concatenate([keep, born])),
+                         fresh.certificate_field(t, t, c, idx)):
+        assert same_bits(got, want)
 
 
 class Stateless:
@@ -258,7 +246,7 @@ def test_no_loop_evaluation_writes_ev(name, full_batch):
 def test_support_field_of_an_unchanged_swarm_has_fresh_bits(name, full_batch, size):
     # nothing died, nothing was born and the coefficients are ``ev``'s own,
     # as in most iterations: the mixture then reads ``ev``'s ``K(T', T')``
-    # and the synthetic model its ``K(T', P')`` whole, with ``ev``'s
+    # rows and the synthetic model its ``K(T', P')`` whole, with ``ev``'s
     # coefficients or a fresh ``c``
     problem = WARM[name]
     model, fresh, g = problem.model, BUILDERS[name]().model, rng(11)
@@ -278,9 +266,9 @@ def test_support_field_of_an_unchanged_swarm_has_fresh_bits(name, full_batch, si
 @each_batching
 @pytest.mark.parametrize("born", [0, 2])
 def test_support_field_after_deaths_at_200_points_has_fresh_bits(name, full_batch, born):
-    # 200 pushed points take ``_sqdist``'s product path and ``gauss_self``'s
-    # blocks; the mixture gathers the survivors' block of ``K(T', T')``,
-    # which must stay C-ordered for its products to sum as a fresh build's
+    # 200 pushed points take ``_sqdist``'s product path; the mixture gathers
+    # the kept rows' survivor columns of ``K([T'; C], T')``, which must stay
+    # C-ordered for its products to sum as a fresh build's
     problem = WARM[name]
     model, fresh, g = problem.model, BUILDERS[name]().model, rng(12)
     pushed = problem.domain.sample_uniform(g, size=200)

@@ -3,19 +3,22 @@
 ``pushed_values`` builds the rows of the pushed support ``T'`` and of the
 birth candidates ``C`` in one C-contiguous block of p + c rows and reduces
 each side on its own row slice: the synthetic model multiplies ``[:p]`` and
-``[p:]`` of ``K([T'; C], P')`` by q, one matvec each, and the mixture sums
-each row of the data-side densities of ``[T'; C]`` by one
-``np.add.reduce(rows, axis=1)``. The entries are pair-local, so the block's
-rows are the separate builds' rows; what remains is that the two calls give
+``[p:]`` of ``K([T'; C], P')`` by q, one matvec each, and the mixture those
+of ``K([T'; C], T')`` by c and sums each row of the data-side densities of
+``[T'; C]`` by one ``np.add.reduce(rows, axis=1)``. The synthetic entries
+are pair-local and the mixture's have the bits of their row and column in
+every product (below), so the block's rows are the separate builds' rows;
+what remains is that the two calls give
 each row the bits of the same call on a separate array, wherever the block,
 and so each slice, starts. This holds for the loop's shapes on both sides of
 ``PRODUCT_ENTRIES`` (where a block moves into the workspace) and of
 ``ROW_BLOCK_ENTRIES``, with the block 0, 16, 32 or 48 bytes past a 64-byte
 boundary and the separate arrays at the same offsets or fresh. The
-mixture's densities are entries of one expanded product, whose rows must
-have the same bits in every product of two or more rows. A numpy or BLAS
-that broke either would move the loop's bytes; these tests fail first. CI
-runs them again with OpenBLAS on two threads.
+mixture's kernel entries and densities are entries of expanded products,
+each of which must have the bits of its row and column in every product
+that holds both. A numpy or BLAS that broke either would move the loop's
+bytes; these tests fail first. CI runs them again with OpenBLAS on two
+threads.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conicswarm.kernels import GmmKernel
+from conicswarm.kernels import GmmKernel, _expanded_product
 from conicswarm.workspace import PRODUCT_ENTRIES, ROW_BLOCK_ENTRIES
 from helpers import rng, same_bits
 
@@ -104,28 +107,78 @@ def test_row_sums_of_a_stacked_block_have_separate_bits(seed, p, c, m, offset):
             assert same_bits(sums[rows], np.add.reduce(alone, axis=1))
 
 
-#: product heights: every count from 2 to 40, the 64- and 128-row edges, and
-#: the larger supports of a mixture run
-HEIGHTS = [*range(2, 41), 63, 64, 65, 127, 128, 129, 300, 599]
+#: product heights: one row, every count from 2 to 40, the 64- and 128-row
+#: edges, and the larger supports of a mixture run
+HEIGHTS = [*range(1, 41), 63, 64, 65, 127, 128, 129, 300, 599]
 
 
-@pytest.mark.parametrize("n", [256, 2000, 24000])
+@pytest.mark.parametrize("n", [256, 2000, 2001, 24000])
 def test_expanded_product_rows_have_the_same_bits_in_every_product_of_two_or_more_rows(n):
-    """The BLAS property the mixture's loop bits rest on: each row of the
-    expanded product ``left @ side.T`` (``GmmKernel._density``, ``d + 2 =
-    4`` inner terms) has the same bits in every product of two or more rows
-    that holds it, whatever the product's height and wherever its rows
-    start in ``left``. So the rows of ``[T'; C]`` that ``pushed_values``
-    builds in one product are those of a support field's own build. A
-    one-row product, which numpy hands to gemv, may differ in the last bits
-    and is not covered."""
+    """The BLAS property the mixture's loop bits rest on, on its data side:
+    each row of the expanded product ``_expanded_product(left, side)``
+    (``GmmKernel._density``, ``d + 2 = 4`` inner terms) against the
+    samples' C-contiguous (d + 2, n) side has the same bits in every
+    product that holds it, whatever the product's height and wherever its
+    rows start in ``left``, so the rows of ``[T'; C]`` that
+    ``pushed_values`` builds in one product are those of a support field's
+    own build. A plain product of two or more rows has them too, where it
+    stays below OpenBLAS's small-matrix size; a one-row product, which
+    numpy hands to gemv, is taken from two rows. A batch's side is the
+    whole side's columns, bit for bit, and so are its products'. 2,001
+    samples leave a tail past the last multiple of 8, whose bits a product
+    past the small-matrix size would split by thread count."""
     g = rng(n)
     model = GmmKernel(3.0 * g.standard_normal((n, 2)), 0.3)
-    left = model._expanded_rows(g.uniform(-8.0, 8.0, size=(7 + HEIGHTS[-1], 2)))
+    left = model._left(g.uniform(-8.0, 8.0, size=(7 + HEIGHTS[-1], 2)))
     side = model._side
-    whole = np.matmul(left, side.T)
+    assert side.shape == (4, n) and side.flags.c_contiguous
+    whole = _expanded_product(left, side, np.empty((len(left), n)))
     for start in (0, 1, 7):
         for height in HEIGHTS:
             rows = slice(start, start + height)
-            got = np.matmul(left[rows], side.T, out=np.empty((height, n)))
+            got = _expanded_product(left[rows], side, np.empty((height, n)))
             assert same_bits(got, whole[rows]), (start, height)
+            if height > 1 and height * n <= ROW_BLOCK_ENTRIES:
+                assert same_bits(np.matmul(left[rows], side), whole[rows]), (start, height)
+    idx = g.integers(0, n, size=256)
+    _, batch = model._samples(idx)
+    assert batch.flags.c_contiguous and same_bits(batch, side[:, idx])
+    assert same_bits(_expanded_product(left, batch, np.empty((len(left), 256))), whole[:, idx])
+
+
+#: kernel widths, the pushed support's p: small supports, both sides of
+#: multiples of 8, and supports whose (p + 32) x p kernel would pass
+#: OpenBLAS's small-matrix size as one product
+WIDTHS = [1, 2, 3, 7, 8, 9, 33, 255, 257, 449, 451, 488, 600, 1001]
+
+
+@pytest.mark.parametrize("p", WIDTHS)
+def test_kernel_entries_have_the_same_bits_in_every_product(p):
+    """The same property on the kernel side, rows and columns: each entry of
+    ``GmmKernel._kernel``'s expanded product against the points' (d + 2, p)
+    side has the bits of its row and column in every product that holds
+    both. So the stacked ``K([T'; C], T')`` of ``pushed_values`` has the
+    bits of ``K(T', T')`` and ``K(C, T')`` built apart, and the survivors'
+    block that a support field gathers from it, rows and columns, and the
+    born columns it builds have the bits of a fresh ``K(T, T)``, one row or
+    one column included."""
+    g = rng(p)
+    model = GmmKernel(3.0 * g.standard_normal((500, 2)), 0.2)
+    points = g.uniform(-19.0, 19.0, size=(p + 32, 2))  # gmm_full.cfg's reach
+    assert model._fits(2.0 * model._radius(model._left(points)), model._kvar)
+    support = points[:p]
+    stacked = model._kernel(points, support)
+    assert stacked.shape == (p + 32, p)
+    assert same_bits(model._kernel(support, support), stacked[:p])
+    assert same_bits(model._kernel(points[p:], support), stacked[p:])
+    for size in (1, 2, p // 2, p - 1):
+        rows = np.sort(g.choice(p + 32, size=max(1, size), replace=False))
+        cols = np.sort(g.choice(p, size=max(1, min(size, p)), replace=False))
+        assert same_bits(model._kernel(points[rows], support[cols]), stacked[rows][:, cols])
+        # a support field's T = [survivors; born]: the kept rows' survivor
+        # columns gathered, then the born columns built against all of T
+        pick = np.concatenate([cols, p + np.arange(size % 3 + 1)])
+        t = points[pick]
+        fresh = model._kernel(t, t)
+        assert same_bits(stacked[pick][:, cols], fresh[:, : len(cols)])
+        assert same_bits(model._kernel(t, t[len(cols) :]), fresh[:, len(cols) :])

@@ -5,10 +5,11 @@ birth candidates ``C`` against ``T'`` on the same batch in one
 ``pushed_values`` call, which builds the data-side rows of ``[T'; C]``
 together; the next support ``T = [T'; C][keep]`` is the survivors
 followed by the born candidates, under one mask ``keep`` over ``[T'; C]``.
-``ev`` carries ``K(T', T')`` and, in an exact run, the data-side rows and
-means of ``[T'; C]``, so ``support_field`` builds only the born rows
-``K(T_born, T)``, after deaths too, and in an exact run no data-side row at
-all. Every stateless evaluation builds fresh. That
+``ev`` carries ``K([T'; C], T')``, built in one product, and, in an exact
+run, the data-side rows and means of ``[T'; C]``, so ``support_field``
+builds only the born columns ``K(T, T_born)``, after deaths too (the born
+rows against the survivors are ``ev``'s candidate rows), and in an exact
+run no data-side row at all. Every stateless evaluation builds fresh. That
 the loop evaluations have the bits of the stateless ones, write nothing
 into ``ev`` and keep nothing in the model is checked for every model in
 ``test_loop_evaluations.py``.
@@ -19,51 +20,45 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import conicswarm.gaussian as gaussian
-import conicswarm.kernels as kernels
 import conicswarm.runner as runner
 from conicswarm.birth_death import DeathRule
 from conicswarm.kernels import GmmKernel
-from conicswarm.objective import loss
 from conicswarm.runner import run
-from conicswarm.swarm import ParticleSwarm
 from conicswarm.verify import make_gmm_problem, random_swarm
 from helpers import loop_config, rng, same_bits
-from reference import kernel_sum
 
 
-REAL_DENSITY, REAL_ROWS = gaussian.gauss_density, GmmKernel._density
+REAL_KERNEL, REAL_ROWS = GmmKernel._kernel, GmmKernel._density
 
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every ``gauss_density`` call as ``(var, |a|, |b|)``, and every
-    mixture data-side build (``GmmKernel._density``, exact differences or
-    the expanded product) as ``("rows", |t|, |x|)``."""
+    """Every mixture kernel build (``GmmKernel._kernel``, the expanded
+    product or exact differences) as ``("kernel", |a|, |b|)``, and every
+    data-side build (``GmmKernel._density``) as ``("rows", |t|, |x|)``."""
     log = []
 
-    def counting(a, b, var, *args, **kwargs):
-        log.append((var, a.shape[0], b.shape[0]))
-        return REAL_DENSITY(a, b, var, *args, **kwargs)
+    def counting_kernel(self, a, b, *args, **kwargs):
+        log.append(("kernel", a.shape[0], b.shape[0]))
+        return REAL_KERNEL(self, a, b, *args, **kwargs)
 
     def counting_rows(self, t, batch, *args, **kwargs):
         log.append(("rows", t.shape[0], batch[0].shape[0]))
         return REAL_ROWS(self, t, batch, *args, **kwargs)
 
-    for module in (gaussian, kernels):
-        monkeypatch.setattr(module, "gauss_density", counting)
+    monkeypatch.setattr(GmmKernel, "_kernel", counting_kernel)
     monkeypatch.setattr(GmmKernel, "_density", counting_rows)
     return log
 
 
-def data_rows(log, model, since=0, until=None):
+def data_rows(log, since=0, until=None):
     """Data-side density rows built in ``log[since:until]``."""
-    return sum(a for var, a, _ in log[since:until] if var == "rows")
+    return sum(a for kind, a, _ in log[since:until] if kind == "rows")
 
 
-def kernel_entries(log, model, since=0, until=None):
+def kernel_entries(log, since=0, until=None):
     """Kernel entries built in ``log[since:until]``."""
-    return sum(a * b for var, a, b in log[since:until] if var == model._kvar)
+    return sum(a * b for kind, a, b in log[since:until] if kind == "kernel")
 
 
 #: each loop evaluation and the position of its points among its arguments
@@ -79,8 +74,8 @@ def evaluations(monkeypatch, built):
         def counted(self, *args, _real=getattr(GmmKernel, name), _name=name, _at=at, **kwargs):
             since = len(built)
             result = _real(self, *args, **kwargs)
-            out.append((_name, len(args[_at]), data_rows(built, self, since),
-                        kernel_entries(built, self, since)))
+            out.append((_name, len(args[_at]), data_rows(built, since),
+                        kernel_entries(built, since)))
             return result
 
         monkeypatch.setattr(GmmKernel, name, counted)
@@ -101,7 +96,7 @@ def test_run_without_deaths_builds_no_support_kernel(evaluations, full_batch):
     sizes = [size for _, size, _, _ in fields]
     assert sizes == [rec.particles for rec in res.trace[:-1]]
     # the first support has no pushed evaluation before it; later, only the
-    # born rows against the whole support, and in a full-batch run no
+    # born columns against the whole support, and in a full-batch run no
     # data-side row: the pushed evaluation built the candidates' too
     assert [entries for *_, entries in fields] == \
         [sizes[0] ** 2] + [rec.births * rec.particles for rec in res.trace[1:-1]]
@@ -113,7 +108,7 @@ def test_run_without_deaths_builds_no_support_kernel(evaluations, full_batch):
 def test_iteration_after_deaths_builds_only_the_born_block(monkeypatch, built, full_batch):
     # the support's field is everything built between one iteration's mass
     # tweak and the next one's weight update (the loss runs only at k = K):
-    # after deaths as after births alone, K(T_born, T), and in a full-batch
+    # after deaths as after births alone, K(T, T_born), and in a full-batch
     # run no data-side row
     problem = make_gmm_problem(seed=7)
     init = random_swarm(problem, rng(8), max_particles=6)
@@ -126,10 +121,10 @@ def test_iteration_after_deaths_builds_only_the_born_block(monkeypatch, built, f
     steps = res.trace[1:-1]
     assert sum(rec.deaths > 0 for rec in steps) >= 5 and res.total_births > 0
     spans = list(zip(marks[1::2], marks[2::2]))
-    assert [kernel_entries(built, model, lo, hi) for lo, hi in spans] == \
+    assert [kernel_entries(built, lo, hi) for lo, hi in spans] == \
         [rec.births * rec.particles for rec in steps]
     if full_batch:
-        assert [data_rows(built, model, lo, hi) for lo, hi in spans] == [0] * len(steps)
+        assert [data_rows(built, lo, hi) for lo, hi in spans] == [0] * len(steps)
 
 
 def test_support_evaluation_builds_no_rows(built):
@@ -142,7 +137,7 @@ def test_support_evaluation_builds_no_rows(built):
     res = run(loop_config(init, True, death_rule=NO_DEATHS, trace_cadence=1000), problem)
     p = [rec.particles for rec in res.trace]
     assert res.total_deaths == 0 and res.total_births > 0
-    assert data_rows(built, problem.model) == 2 * p[0] + sum(pk + 4 for pk in p[:-1]) + p[-1]
+    assert data_rows(built) == 2 * p[0] + sum(pk + 4 for pk in p[:-1]) + p[-1]
 
 
 def scoped_pair(model, domain, idx=None):
@@ -158,11 +153,11 @@ def support_builds(built, model, support, ev=None, keep=None):
     """Data-side rows and kernel entries an exact support field builds."""
     since = len(built)
     model.support_field(support, np.ones(len(support)), None, ev, keep)
-    return data_rows(built, model, since), kernel_entries(built, model, since)
+    return data_rows(built, since), kernel_entries(built, since)
 
 
 def test_kept_support_with_births_builds_only_the_born_block(built):
-    # the two born rows against the p survivors and themselves, and no
+    # the p survivors and the two born points against the born, and no
     # data-side row: ``ev`` holds the candidates'; nothing without births
     problem = make_gmm_problem(seed=3)
     model = problem.model
@@ -205,29 +200,34 @@ def test_other_supports_are_built_fresh(built, case):
 
 @pytest.mark.exactness
 @pytest.mark.parametrize("idx", [None, np.arange(40)])
-def test_fresh_support_kernel_builds_the_upper_triangle(built, idx):
-    # a pushed evaluation, a stateless support field and the loss build K(T, T)
-    # as row blocks of ``block`` rows against themselves and the rows after
-    # them: p (p + 1) / 2 entries and fewer than p * block more, not p^2
+def test_each_kernel_entry_is_built_once(built, idx):
+    # a pushed evaluation builds K([T'; C], T'), (p + c) p entries, in one
+    # product; the support field of an unchanged swarm builds none; after
+    # births, and after deaths and births, only the born columns
+    # K(T, T_born): the born rows against the survivors are ev's candidate
+    # rows. Each has the bits of the stateless call.
     problem = make_gmm_problem(seed=3)
-    model = problem.model
-    p = 400
-    block = gaussian.SELF_BLOCK_ENTRIES // p
-    bound = p * (p + 1) // 2 + p * block
+    model, fresh = problem.model, make_gmm_problem(seed=3).model
+    p, c = 400, 4
     pushed = problem.domain.sample_uniform(rng(4), size=p)
+    points = np.vstack([pushed, problem.domain.sample_uniform(rng(5), size=c)])
     coef = np.linspace(0.1, 1.0, p)
     since = len(built)
-    vals, _, _ = model.pushed_values(pushed, coef, idx, pushed[:0])
-    assert kernel_entries(built, model, since) <= bound < p**2
-    since = len(built)
-    rest = pushed[1:]
-    model.certificate_field(rest, rest, coef[1:], idx)  # no ev to read
-    assert kernel_entries(built, model, since) <= bound
-    since = len(built)
-    loss(problem, ParticleSwarm(coef, np.ones(p), pushed))
-    assert kernel_entries(built, model, since) <= bound
-    assert same_bits(vals, kernel_sum(model, pushed, pushed, coef)
-                     - model.y_inner_many(pushed, idx))
+    vals, at_cand, ev = model.pushed_values(pushed, coef, idx, points[p:])
+    assert [e for e in built[since:] if e[0] == "kernel"] == [("kernel", p + c, p)]
+    assert same_bits(vals, fresh.certificate_values(pushed, pushed, coef, idx))
+    assert same_bits(at_cand, fresh.certificate_values(points[p:], pushed, coef, idx))
+    keep = np.arange(p + c) < p
+    for born, dead, entries in (([], [], 0), ([p, p + 2], [], (p + 2) * 2),
+                                ([p + 1], [0, 57, 399], (p - 2) * 1)):
+        keep[born], keep[dead] = True, False
+        t = points[keep]
+        since = len(built)
+        field = model.support_field(t, np.ones(len(t)), idx, ev, keep)
+        assert kernel_entries(built, since) == entries
+        for got, want in zip(field, fresh.certificate_field(t, t, np.ones(len(t)), idx)):
+            assert same_bits(got, want)
+        keep = np.arange(p + c) < p
 
 
 def test_mini_batch_unscoped_and_loss_calls_keep_nothing(built):
@@ -238,17 +238,17 @@ def test_mini_batch_unscoped_and_loss_calls_keep_nothing(built):
     pts = problem.domain.sample_uniform(rng(6), size=3)
     for _ in range(2):
         model.certificate_values(pts, pts, np.ones(3))
-    assert data_rows(built, model) == 6
+    assert data_rows(built) == 6
     model.pushed_values(pts, np.ones(3), None, pts)
-    assert data_rows(built, model) == 12
+    assert data_rows(built) == 12
     for _ in range(2):
         model.certificate_values(pts, pts, np.ones(3), np.arange(model.n_samples))
-    assert data_rows(built, model) == 18
+    assert data_rows(built) == 18
     model.certificate_field(pts, pts, np.ones(3))
-    assert data_rows(built, model) == 21
+    assert data_rows(built) == 21
     for _ in range(2):
         model.y_inner_many(pts)  # as the loss does: always the blocked means
-    assert data_rows(built, model) == 27
+    assert data_rows(built) == 27
 
 
 def test_batched_field_fetches_the_batch_once(monkeypatch):
@@ -297,4 +297,4 @@ def test_nothing_kept_after_run(built):
     since = len(built)
     positions = res.final_swarm.positions
     problem.model.certificate_field(positions, positions, np.ones(len(positions)))
-    assert data_rows(built, problem.model, since) == len(positions)
+    assert data_rows(built, since) == len(positions)

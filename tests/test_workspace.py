@@ -6,14 +6,14 @@ a 64-byte boundary, where the loop's BLAS calls and ufuncs run fastest;
 BLAS may pick its kernel by alignment, so each test here also forces the
 slots to the offsets 16, 32 and 48 past the boundary. For every model,
 exact and batched: (a) the three loop evaluations, at a 200-point support
-(``_sqdist``'s product path and ``gauss_self``'s blocks) with deaths and
-births, the mixture's survivor gathers among them and the Gaussian models'
-kernel blocks kept in ``"ev.kernel"``, have the bits of the same calls
-without a workspace, and those have the bits of the reference forms of
-``reference.py``, or for the mixture, whose densities take an expanded
-product where the reference takes exact differences, lie within the
-data-side bound ``mixture_side_bound`` of them; the loss has the bits of
-the call without a workspace; (b) a run with deaths and births writes the
+(``_sqdist``'s product path) with deaths and births, the mixture's survivor
+gathers among them and the Gaussian models' kernel blocks kept in
+``"ev.kernel"``, have the bits of the same calls without a workspace, and
+those have the bits of the reference forms of ``reference.py``, or for the
+mixture, whose kernel entries and densities take expanded products where
+the reference takes exact differences, lie within ``mixture_field_bound``
+of them; the loss has the bits of the call without a workspace; (b) a run
+with deaths and births writes the
 trace and final swarm of a run without a workspace. (c) A plain process on
 ``gmm_desk.cfg`` takes at most ``FAULT_BUDGET`` minor page faults per
 iteration of the loop.
@@ -40,7 +40,7 @@ from conicswarm.objective import loss
 from conicswarm.runner import trace_to_csv
 from conicswarm.swarm import ParticleSwarm
 from helpers import loop_config, rng, same_bits
-from reference import mixture_side_bound, near, primitive_field, relu_block_field, \
+from reference import mixture_field_bound, near, primitive_field, relu_block_field, \
     signed_field
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -69,13 +69,15 @@ def reference_field(model, t, support, coef, idx):
     return primitive_field(model, t, support, coef, idx)
 
 
-def as_reference(model, t, idx, got, want):
-    """Whether values and gradients ``got`` at t have the bits of the
-    reference field ``want``, or for the mixture lie within
-    ``mixture_side_bound`` of it."""
+def as_reference(model, t, support, coef, idx, got):
+    """Whether the values ``got[0]`` (and gradients ``got[1]``) of ``(S,
+    c)`` at t have the bits of the reference field, or for the mixture lie
+    within ``mixture_field_bound`` of it."""
+    want = reference_field(model, t, support, coef, idx)
     if not isinstance(model, GmmKernel):
         return all(same_bits(g, w) for g, w in zip(got, want))
-    return all(near(g, w, b) for g, w, b in zip(got, want, mixture_side_bound(model, t, idx)))
+    bounds = mixture_field_bound(model, t, support, coef, idx)
+    return all(near(g, w, b) for g, w, b in zip(got, want, bounds))
 
 
 @pytest.mark.exactness
@@ -108,15 +110,13 @@ def test_loop_evaluations_have_reference_bits_at_every_offset(name, full_batch, 
     vals, at_cand, ev = model.pushed_values(pushed, coef, idx, cand, ws)
     bare = model.pushed_values(pushed, coef, idx, cand)
     assert same_bits(vals, bare[0]) and same_bits(at_cand, bare[1])
-    assert as_reference(model, pushed, idx, [vals],
-                        reference_field(model, pushed, pushed, coef, idx)[:1])
+    assert as_reference(model, pushed, pushed, coef, idx, [vals])
     if name != "relu":
         # the Gaussian models keep their pushed kernel block in "ev.kernel";
         # the first support field below, of an unchanged swarm, reads it
         block = ev[1] if name == "synthetic" else ev[0]
         assert np.shares_memory(block, ws.take("ev.kernel", 1, PRODUCT_ENTRIES))
-    assert as_reference(model, cand, idx, [at_cand],
-                        reference_field(model, cand, pushed, coef, idx)[:1])
+    assert as_reference(model, cand, pushed, coef, idx, [at_cand])
     lived, some = g.random(200) >= 0.2, np.arange(40) % 3 == 0
     every, none = np.ones(200, dtype=bool), np.zeros(40, dtype=bool)
     for keep in [(every, none), (every, some), (lived, none), (lived, some), (~every, ~none)]:
@@ -127,7 +127,7 @@ def test_loop_evaluations_have_reference_bits_at_every_offset(name, full_batch, 
         got = model.support_field(t, c, idx, ev, keep, ws)
         for g_ws, g_bare in zip(got, model.support_field(t, c, idx, bare[2], keep)):
             assert same_bits(g_ws, g_bare)
-        assert as_reference(model, t, idx, got, reference_field(model, t, t, c, idx))
+        assert as_reference(model, t, t, c, idx, got)
         swarm = ParticleSwarm(np.abs(c), np.sign(c), t)
         assert same_bits(loss(problem, swarm, ws), loss(problem, swarm))
 
