@@ -77,7 +77,7 @@ import numpy as np
 # ``perfbench/micro.py`` imports the audit from here
 from .audit import AssumptionBounds, audit_assumptions
 from .domain import Box, DomainError
-from .gaussian import gauss_density, gauss_grad, gauss_norm, lattice_pair_sum
+from .gaussian import gauss_density, gauss_grad, gauss_norm, gauss_self, lattice_pair_sum
 from .workspace import ROW_BLOCK_ENTRIES, SELF_BLOCK_ENTRIES, buffer, out_buffer
 
 __all__ = ["KernelModel", "GaussianKernel", "SyntheticKernel", "GmmKernel", "ReluKernel",
@@ -174,9 +174,12 @@ class GaussianKernel(KernelModel):
 
     def _kernel(self, a, b, ws=None, out=None):
         """``K(a, b)`` without a constant, in ``out`` or else in ``ws``'s
-        ``"work"``."""
+        ``"work"``; one array against itself (``a is b``) by the symmetric
+        build."""
         if out is None:
             out = out_buffer(ws, "work", len(a), len(b))
+        if a is b:
+            return gauss_self(a, self._kvar, ws, out)
         return gauss_density(a, b, self._kvar, ws, out)
 
     def kernel_matrix(self, a, b, idx=None):

@@ -6,6 +6,10 @@
 per-coordinate subtraction reference for any BLAS thread count, so CI runs
 this file again with OpenBLAS on two threads; the largest shape below is
 past OpenBLAS's multithreading threshold for a product of inner size 2.
+
+``gaussian.gauss_self`` builds ``gauss_density(x, x)`` as an upper triangle
+of row blocks, each mirrored below the diagonal; it must give the bits of
+the full build.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conicswarm.gaussian as gaussian
+from conicswarm.gaussian import gauss_density
 from helpers import rng, same_bits
 from reference import reference_sqdist
 
@@ -70,3 +75,31 @@ def test_product_path_rows_equal_subtraction_path_rows():
     assert len(a) * len(b) >= gaussian.PRODUCT_ENTRIES > len(b)
     for i in range(len(a)):
         assert same_bits(gaussian._sqdist(a[i : i + 1], b), full[i : i + 1])
+
+
+#: support sizes around the block edges of ``SELF_BLOCK_ENTRIES`` = 2^15:
+#: 181 is one block (181^2 <= 2^15), 182 is blocks of 180 and 2, 256 is two
+#: blocks of 128, 255 and 257 straddle it, 313 is three blocks of 104 and one row
+SELF_SIZES = [0, 1, 2, 181, 182, 255, 256, 257, 313, 600]
+
+
+@pytest.mark.parametrize("p", SELF_SIZES)
+@pytest.mark.parametrize("d", [1, 2, 9])
+def test_gauss_self_has_the_bits_of_the_full_build(p, d):
+    x = rng(p).normal(size=(p, d)) * 3.0 + 1e3
+    assert same_bits(gaussian.gauss_self(x, 2.08), gauss_density(x, x, 2.08))
+
+
+@given(p=st.integers(0, 40), entries=st.sampled_from([1, 4, 9, 64]),
+       d=st.sampled_from([1, 2, 3, 9]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_gauss_self_small_blocks(p, entries, d, seed):
+    # small blocks give many blocks at small p: rows of 1, 2, ... rows each
+    x = np.round(rng(seed).uniform(-8.0, 8.0, size=(p, d)) * 2**20) / 2**20
+    full = gauss_density(x, x, 1.18)
+    saved = gaussian.SELF_BLOCK_ENTRIES
+    gaussian.SELF_BLOCK_ENTRIES = entries
+    try:
+        assert same_bits(gaussian.gauss_self(x, 1.18), full)
+    finally:
+        gaussian.SELF_BLOCK_ENTRIES = saved
