@@ -75,7 +75,8 @@ def _gmm_problem(data: np.ndarray, tau: float, kappa: float) -> Problem:
     """The unsigned mixture problem on the data's bounding box, 10% wider per side."""
     lo, hi = data.min(axis=0), data.max(axis=0)
     pad = 0.1 * (hi - lo)
-    return Problem(GmmKernel(data, tau), Box(lo - pad, hi + pad), kappa, signed=False)
+    domain = Box(lo - pad, hi + pad)
+    return Problem(GmmKernel(data, tau, domain), domain, kappa, signed=False)
 
 
 def gen_gmm(spec: GmmSpec, rng: np.random.Generator, kappa: float = 1e-4):

@@ -9,16 +9,14 @@ coordinate's differences are one BLAS product ``[a, 1] @ [1; -b]``, exact
 up to the sign of a zero for any BLAS summation order, FMA use or thread
 split. The entries carry no constant: callers multiply the sums they reduce
 them to by ``gauss_norm`` or their own, the values ``K c`` and the
-gradients of ``gauss_grad`` (one product ``K(A, B) @ [c B, c]``). One
-array against itself (``gauss_self``) is the upper triangle of row blocks,
-mirrored, with the bits of the full build. The synthetic model's kernel is
-``gauss_density``, and ``gauss_self`` for one array against itself. The
-mixture's kernel entries and data-side densities (``kernels.GmmKernel``)
-take their exponents from expanded products instead, within a stated bound
-of the exact ones, neither symmetric nor moving with the points, and fall
-back on ``gauss_density`` where that bound exceeds 1e-12. The planar pair
-sum of ``lattice_pair_sum`` is the squared norm of the smoothed samples on
-a lattice, within the bound that ``kernels.GmmKernel`` derives.
+gradients of ``gauss_grad`` (one product ``K(A, B) @ [c B, c]``). The
+synthetic model's kernel is ``gauss_density``. The mixture's kernel entries
+and data-side densities (``kernels.GmmKernel``) take their exponents from
+expanded products instead, within a stated bound of the exact ones, neither
+symmetric nor moving with the points, and fall back on ``gauss_density``
+where that bound exceeds 1e-12. The planar pair sum of ``lattice_pair_sum``
+is the squared norm of the smoothed samples on a lattice, within the bound
+that ``kernels.GmmKernel`` derives.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 
 from .workspace import PRODUCT_ENTRIES, SELF_BLOCK_ENTRIES, out_buffer
 
-__all__ = ["gauss_density", "gauss_norm", "gauss_self", "gauss_grad", "lattice_pair_sum"]
+__all__ = ["gauss_density", "gauss_norm", "gauss_grad", "lattice_pair_sum"]
 
 #: the spacing of ``lattice_pair_sum``'s lattice in units of tau, from the
 #: aliasing bound of ``kernels.GmmKernel``
@@ -110,26 +108,6 @@ def gauss_density(a: np.ndarray, b: np.ndarray, var: float, ws=None, out=None) -
     finished in the distance buffer (``_sqdist``'s, with its ``ws`` and
     ``out``)."""
     return _gauss_finish(_sqdist(a, b, ws, out), var)
-
-
-def gauss_self(x: np.ndarray, var: float, ws=None, out=None) -> np.ndarray:
-    """``gauss_density(x, x, var)``, in ``out`` if given, from the upper
-    triangle: row blocks of at most ``SELF_BLOCK_ENTRIES`` entries against
-    themselves and the rows after them, each built in ``ws``'s slot
-    ``"block"``, copied in and mirrored below the diagonal. Entries are
-    pair-local and ``K(a, b) = K(b, a)`` bit for bit, so the result has the
-    bits of the full build."""
-    p = len(x)
-    if p * p <= SELF_BLOCK_ENTRIES:
-        return gauss_density(x, x, var, ws, out)
-    k = np.empty((p, p)) if out is None else out
-    step = max(1, SELF_BLOCK_ENTRIES // p)
-    for lo in range(0, p, step):
-        hi = min(lo + step, p)
-        block = gauss_density(x[lo:hi], x[lo:], var, ws, out_buffer(ws, "block", hi - lo, p - lo))
-        k[lo:hi, lo:] = block
-        k[hi:, lo:hi] = block[:, hi - lo :].T
-    return k
 
 
 def _groups(x, gap):

@@ -77,7 +77,7 @@ import numpy as np
 # ``perfbench/micro.py`` imports the audit from here
 from .audit import AssumptionBounds, audit_assumptions
 from .domain import Box, DomainError
-from .gaussian import gauss_density, gauss_grad, gauss_norm, gauss_self, lattice_pair_sum
+from .gaussian import gauss_density, gauss_grad, gauss_norm, lattice_pair_sum
 from .workspace import ROW_BLOCK_ENTRIES, SELF_BLOCK_ENTRIES, buffer, out_buffer
 
 __all__ = ["KernelModel", "GaussianKernel", "SyntheticKernel", "GmmKernel", "ReluKernel",
@@ -174,12 +174,9 @@ class GaussianKernel(KernelModel):
 
     def _kernel(self, a, b, ws=None, out=None):
         """``K(a, b)`` without a constant, in ``out`` or else in ``ws``'s
-        ``"work"``; one array against itself (``a is b``) by the symmetric
-        build."""
+        ``"work"``."""
         if out is None:
             out = out_buffer(ws, "work", len(a), len(b))
-        if a is b:
-            return gauss_self(a, self._kvar, ws, out)
         return gauss_density(a, b, self._kvar, ws, out)
 
     def kernel_matrix(self, a, b, idx=None):
@@ -449,20 +446,25 @@ class GmmKernel(GaussianKernel):
       the exact one, and an entry within that relative error, apart from
       exp's own.
 
-    A call takes ``gauss_density``'s exact differences instead where this
-    bound, with |a| and |b| the largest over its two point sets (all
-    samples for a density), exceeds ``_EXPANDED_ERROR = 1e-12``: on samples
+    A point set takes the expanded products only where it lies within the
+    model's limit about c (``_point_limit``), the radius within which this
+    bound stays at most ``_EXPANDED_ERROR = 1e-12`` for the kernel between
+    two such sets and for the densities against every sample; a call with
+    a set past it takes ``gauss_density``'s exact differences. On samples
     spread far wider than ``sqrt(s)``, such as a ring of radius 3e153, the
-    product's exponents would be off by more than their size. On
-    gmm_full.cfg (points up to 19.4 and samples up to 11.9 from c, ``s =
-    2.16`` for the densities and 4.16 for the kernel) the bound is about
-    5.0e-13 for a density and 4.0e-13 for a kernel entry, on gmm_desk.cfg
-    2.3e-13 and 1.7e-13. The entries are neither symmetric nor do they
-    move with the points, but ``_expanded_product`` gives each the bits of
-    its row and column in every product that holds both, so a loop
-    evaluation's rows, gathered survivors and born columns have the bits of
-    a fresh build, and the audit's per-sample densities (``_sample_y``)
-    those of the one-sample evaluations.
+    product's exponents would be off by more than their size. A model built
+    with the run's domain takes the domain's radius as its limit, or -1
+    where that passes the bound, so every product of a run on the domain
+    takes one form, whatever the points. On gmm_full.cfg (domain corners
+    19.4 and samples up to 11.9 from c, ``s = 2.16`` for the densities and
+    4.16 for the kernel) the bound is about 5.0e-13 for a density and
+    4.0e-13 for a kernel entry, on gmm_desk.cfg 2.3e-13 and 1.7e-13. The
+    entries are neither symmetric nor do they move with the points, but
+    ``_expanded_product`` gives each the bits of its row and column in
+    every product that holds both, so a loop evaluation's rows, gathered
+    survivors and born columns have the bits of a fresh build, and the
+    audit's per-sample densities (``_sample_y``) those of the one-sample
+    evaluations.
 
     Data-side means that feed no gradient (``certificate_values``, and so
     ``y_inner_many``, the loss and ``kkt_residual``), exact or batched, are
@@ -486,7 +488,7 @@ class GmmKernel(GaussianKernel):
     fewer arrays share the cache.
     """
 
-    def __init__(self, data: np.ndarray, tau: float):
+    def __init__(self, data: np.ndarray, tau: float, domain: Box | None = None):
         self.data = np.asarray(data, dtype=float)
         if self.data.ndim != 2 or self.data.size == 0:
             raise ValueError("data must be a non-empty (n, d) array")
@@ -510,6 +512,7 @@ class GmmKernel(GaussianKernel):
         left = self._left(self.data)
         self._reach = self._radius(left)
         self._side = self._right(left, self._yvar)
+        self._limit = self._point_limit(domain)
 
     @property
     def n_samples(self):
@@ -524,13 +527,13 @@ class GmmKernel(GaussianKernel):
         """``K(a, b)`` without its constant, in ``out`` or else in ``ws``'s
         ``"work"``: each exponent one entry of the expanded product of a's
         and b's sides (``sides``, ``(_left(a), _left(b))``, where the caller
-        has them), or, where its bound fails, of ``gauss_density``'s exact
-        differences."""
+        has them), or, where a set lies past ``_limit``, of
+        ``gauss_density``'s exact differences."""
         out = buffer(ws, "work", len(a), len(b)) if out is None else out
         if not out.size:
             return out
         left, top = (self._left(a), self._left(b)) if sides is None else sides
-        if not self._fits(self._radius(left) + self._radius(top), self._kvar):
+        if not self._expands(left, top):
             return gauss_density(a, b, self._kvar, ws, out)
         return np.exp(_expanded_product(left, self._right(top, self._kvar), out), out=out)
 
@@ -593,24 +596,42 @@ class GmmKernel(GaussianKernel):
         """The largest |a| of the points whose side is ``left``."""
         return math.sqrt(float(left[:, self.dim].max(initial=0.0)))
 
-    def _fits(self, reach, var):
-        """Whether the bound ``2 (d + 3) u reach^2 / s``, ``s = 2 var``, on
-        the expanded exponents of two point sets, ``reach`` the sum of
-        their largest |a|, is at most ``_EXPANDED_ERROR``."""
-        return (self.dim + 3) * 2.0**-52 * (reach * reach / (2.0 * var)) <= _EXPANDED_ERROR
+    def _point_limit(self, domain):
+        """The largest |a| of a point set that takes the expanded products.
+        Without a domain, the radius within which both bounds hold: ``2 (d
+        + 3) u (|a| + |b|)^2 / s`` at most ``_EXPANDED_ERROR`` for the
+        kernel between two such sets and for the densities against every
+        sample. With one, the domain's radius about c, a hair over so that
+        no point's rounded |a| passes it, if that lies within; else -1, and
+        no point set takes them. Every point set of a run on the domain
+        then takes the same form."""
+        def span(var):  # the largest |a| + |b| whose bound holds
+            return math.sqrt(_EXPANDED_ERROR * 2.0 * var / ((self.dim + 3) * 2.0**-52))
+
+        limit = min(0.5 * span(self._kvar), span(self._yvar) - self._reach)
+        if domain is None:
+            return limit
+        far = np.maximum(np.abs(domain.lower - self._center), np.abs(domain.upper - self._center))
+        radius = math.sqrt(float(far @ far)) * (1.0 + 2.0**-40)
+        return radius if radius <= limit else -1.0
+
+    def _expands(self, *lefts):
+        """Whether the point sets whose sides are ``lefts`` take the
+        expanded products: each lies within ``_limit`` of c."""
+        return all(self._radius(left) <= self._limit for left in lefts)
 
     def _density(self, t, batch, ws=None, out=None, left=None):
         """Density rows ``N(t_i; x_j, (1 + 2 tau^2) I)`` over the samples
         ``x`` of ``batch``, without their constant, in ``out`` or else in
         ``ws``'s ``"work"``, and their means, with it. Each exponent is one
         entry of the expanded product of t's side (``left``, ``_left(t)``,
-        where the caller has it) and the batch's, or, where its bound fails,
-        of ``gauss_density``'s exact differences. The means are
+        where the caller has it) and the batch's, or, where t lies past
+        ``_limit``, of ``gauss_density``'s exact differences. The means are
         ``np.mean``'s own sum and division, without its wrapper."""
         x, side = batch
         out = buffer(ws, "work", len(t), len(x)) if out is None else out
         left = self._left(t) if left is None else left
-        if not self._fits(self._radius(left) + self._reach, self._yvar):
+        if not self._expands(left):
             rows = gauss_density(t, x, self._yvar, ws, out)
         else:
             rows = np.exp(_expanded_product(left, side, out), out=out)
@@ -642,7 +663,7 @@ class GmmKernel(GaussianKernel):
         bits of its point and sample in any product, so they have the bits
         of each sample's own evaluation."""
         x, left = self.data[rows], self._left(t)
-        if not self._fits(self._radius(left) + self._reach, self._yvar):
+        if not self._expands(left):
             k = gauss_density(t, x, self._yvar).T
         else:
             side = np.ascontiguousarray(self._side[:, rows])
@@ -757,19 +778,27 @@ def _expanded_product(left, right, out):
     ``left`` and column of ``right`` in any product that holds both. numpy
     hands a one-row or one-column product to gemv or dot, whose bits differ
     from a matrix product's, so such a product is taken from one of its row
-    or column repeated twice. Others go in ``_row_blocks`` of at most
-    ``ROW_BLOCK_ENTRIES`` entries: on OpenBLAS 0.3.31 a product of up to
-    10^6 multiply-adds takes its small-matrix kernel on one thread, whose
-    every entry has the same bits, where a larger one gives the columns
-    past the last multiple of 8 other bits, which also depend on the
-    thread count (``test_row_slices.py``)."""
+    or column repeated twice. Others go in blocks of at least two rows and
+    two columns: ``_row_blocks`` of at most ``ROW_BLOCK_ENTRIES / 2``
+    columns, each in ``_row_blocks`` of at most ``ROW_BLOCK_ENTRIES``
+    entries, so no block passes 2 x 10^5 entries, or 8 x 10^5
+    multiply-adds with the mixture's ``d + 2 = 4`` inner terms, at any
+    size. On OpenBLAS 0.3.31 a product of up
+    to 10^6 multiply-adds takes its small-matrix kernel on one thread,
+    whose every entry has the same bits, where a larger one gives the
+    columns past the last multiple of 8 other bits, which also depend on
+    the thread count (``test_row_slices.py``)."""
     rows, cols = len(left), right.shape[1]
     if rows == 1 or cols == 1:
-        out[...] = np.matmul(np.repeat(left, 2, axis=0) if rows == 1 else left,
-                             np.repeat(right, 2, axis=1) if cols == 1 else right)[:rows, :cols]
+        wide = _expanded_product(np.repeat(left, 2, axis=0) if rows == 1 else left,
+                                 np.repeat(right, 2, axis=1) if cols == 1 else right,
+                                 np.empty((max(rows, 2), max(cols, 2))))
+        out[...] = wide[:rows, :cols]
         return out
-    for block in _row_blocks(rows, max(2, ROW_BLOCK_ENTRIES // max(1, cols))):
-        np.matmul(left[block], right, out=out[block])
+    for band in _row_blocks(cols, ROW_BLOCK_ENTRIES // 2):
+        step = max(2, ROW_BLOCK_ENTRIES // (band.stop - band.start))
+        for block in _row_blocks(rows, step):
+            np.matmul(left[block], right[:, band], out=out[block, band])
     return out
 
 

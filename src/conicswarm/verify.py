@@ -61,9 +61,8 @@ def make_gmm_problem(seed=0, n=80, tau=0.3, kappa=1e-3):
         rng.standard_normal((n // 2, 2)) + np.array([2.5, 0.0]),
         rng.standard_normal((n - n // 2, 2)) + np.array([-2.5, 0.0]),
     ])
-    model = GmmKernel(data, tau)
-    lo, hi = data.min(axis=0) - 1.0, data.max(axis=0) + 1.0
-    return Problem(model=model, domain=Box(lo, hi), kappa=kappa, signed=False)
+    domain = Box(data.min(axis=0) - 1.0, data.max(axis=0) + 1.0)
+    return Problem(model=GmmKernel(data, tau, domain), domain=domain, kappa=kappa, signed=False)
 
 
 def make_relu_problem(seed=0, n=64, d=3, kappa=1e-3):

@@ -18,9 +18,9 @@ PRODUCT_ENTRIES = 4096
 #: activations, ``GmmKernel``'s data-side means and expanded products and the
 #: audit's chunks (1 MiB)
 ROW_BLOCK_ENTRIES = 2**17
-#: entries per row block of ``gaussian``'s coordinate differences,
-#: symmetric builds and pair-sum tiles, and of ``GmmKernel``'s survivor
-#: gathers (256 KiB, so a block and its temporaries stay in a core's cache)
+#: entries per row block of ``gaussian``'s coordinate differences and
+#: pair-sum tiles, and of ``GmmKernel``'s survivor gathers (256 KiB, so a
+#: block and its temporaries stay in a core's cache)
 SELF_BLOCK_ENTRIES = 2**15
 
 #: byte alignment of every workspace slot: a cache line, and the widest SIMD
@@ -63,7 +63,6 @@ class Workspace:
       a ReLU activation block.
     * ``"diff"``: ``_sqdist``'s coordinate differences, and the kept rows
       of ``K([T'; C], T')`` while their survivors' columns are gathered.
-    * ``"block"``: ``gauss_self``'s row blocks.
     """
 
     def __init__(self, offset: int = 0):

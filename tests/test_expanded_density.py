@@ -41,8 +41,8 @@ def cloud(g, size, d, width, offset):
 
 def takes_product(model, t):
     """Whether the data-side densities of the points t take the expanded
-    product: its bound holds for them against every sample."""
-    return model._fits(model._radius(model._left(t)) + model._reach, model._yvar)
+    product: they lie within the model's limit."""
+    return model._expands(model._left(t))
 
 
 #: points and samples: 60 x 70 entries fall below ``PRODUCT_ENTRIES``, 70 x
@@ -82,7 +82,7 @@ def test_densities_within_the_bound_of_exact_differences(p, n, width, offset, ta
 
 def kernel_takes_product(model, t):
     """Whether the kernel ``K(t, t)`` takes the expanded product."""
-    return model._fits(2.0 * model._radius(model._left(t)), model._kvar)
+    return model._expands(model._left(t), model._left(t))
 
 
 def test_shipped_profiles_take_the_product_and_a_wide_ring_does_not():

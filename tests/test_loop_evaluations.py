@@ -34,8 +34,9 @@ from hypothesis import given, settings, strategies as st
 
 import conicswarm.runner as runner
 from conicswarm import verify
-from conicswarm.domain import Ball
-from conicswarm.kernels import ReluKernel
+from conicswarm.domain import Ball, Box
+from conicswarm.gaussian import gauss_density
+from conicswarm.kernels import GmmKernel, ReluKernel
 from conicswarm.runner import RunAborted, run
 from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm
@@ -86,6 +87,37 @@ def test_warm_model_gives_fresh_bits(name, seed, data):
     for got, want in zip(warm.support_field(t, c, idx, ev, np.concatenate([keep, born])),
                          fresh.certificate_field(t, t, c, idx)):
         assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("far", [False, True])
+def test_mixture_products_of_one_domain_take_one_form(far):
+    # the mixture's expanded products hold their bound only within a limit
+    # about the samples' centre. A domain within it (corners at 0.99 of it)
+    # puts every product of a run on the expanded form; one past it
+    # (corners 0.2 short of twice it, so a far candidate and a survivor 1
+    # out pass the kernel's bound together while the survivors and a near
+    # newborn do not) puts every product on exact differences. Either way
+    # a support field whose far candidate was rejected has the bits of a
+    # fresh field, and the kernel has the bits of its form.
+    g = rng(12)
+    data = g.standard_normal((300, 2))
+    free = GmmKernel(data, 0.3)
+    corner = (2.0 * free._limit - 0.2 if far else 0.99 * free._limit) / np.sqrt(2.0)
+    domain = Box(free._center - corner, free._center + corner)
+    model = GmmKernel(data, 0.3, domain)
+    assert (model._limit < 0.0) == far
+    pushed = free._center + np.vstack([[1.0, 0.0], g.uniform(-0.5, 0.5, size=(11, 2))])
+    cand = np.vstack([domain.upper, free._center + 0.3])
+    coef = g.uniform(0.0, 1.0, size=12)
+    *_, ev = model.pushed_values(pushed, coef, None, cand)
+    keep = np.array([True] * 12 + [False, True])
+    t = np.vstack([pushed, cand[1:]])
+    c = g.uniform(0.0, 1.0, size=13)
+    for got, want in zip(model.support_field(t, c, None, ev, keep),
+                         model.certificate_field(t, t, c)):
+        assert same_bits(got, want)
+    want = gauss_density(t, t, model._kvar) if far else free._kernel(t, t)
+    assert same_bits(model._kernel(t, t), want)
 
 
 class Stateless:

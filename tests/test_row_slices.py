@@ -146,6 +146,34 @@ def test_expanded_product_rows_have_the_same_bits_in_every_product_of_two_or_mor
     assert same_bits(_expanded_product(left, batch, np.empty((len(left), 256))), whole[:, idx])
 
 
+def test_expanded_product_entries_keep_their_bits_past_the_small_matrix_size():
+    """The same property where a product of two rows over every sample
+    would pass OpenBLAS's small-matrix size (2 x 200,001 x 4 = 1.6 x 10^6
+    multiply-adds, where the loss means of a 10^6-sample run sit): each
+    entry of ``_expanded_product`` against the whole side has the bits of
+    a two-by-two product of its row and column, one row included, so the
+    bits do not depend on the thread count. 200,001 columns put the band
+    edges of ``ROW_BLOCK_ENTRIES / 2`` columns and a lone last column in
+    the product."""
+    n = 200_001
+    g = rng(n)
+    model = GmmKernel(3.0 * g.standard_normal((n, 2)), 0.3)
+    left = model._left(g.uniform(-8.0, 8.0, size=(5, 2)))
+    side = model._side
+    whole = _expanded_product(left, side, np.empty((5, n)))
+    edge = ROW_BLOCK_ENTRIES // 2
+    cols = np.concatenate([np.arange(8), np.arange(edge - 4, edge + 4),
+                           np.arange(3 * edge - 2, n), g.integers(0, n, size=64)])
+    for j in cols:
+        pair = side[:, [j, j - 1 if j else 1]]
+        for i in range(5):
+            two = np.matmul(left[[i, i - 1 if i else 1]], pair)
+            assert same_bits(whole[i, j], two[0, 0]), (i, j)
+    for rows in (slice(0, 1), slice(1, 3), slice(2, 5)):
+        got = _expanded_product(left[rows], side, np.empty((rows.stop - rows.start, n)))
+        assert same_bits(got, whole[rows]), rows
+
+
 #: kernel widths, the pushed support's p: small supports, both sides of
 #: multiples of 8, and supports whose (p + 32) x p kernel would pass
 #: OpenBLAS's small-matrix size as one product
@@ -165,7 +193,7 @@ def test_kernel_entries_have_the_same_bits_in_every_product(p):
     g = rng(p)
     model = GmmKernel(3.0 * g.standard_normal((500, 2)), 0.2)
     points = g.uniform(-19.0, 19.0, size=(p + 32, 2))  # gmm_full.cfg's reach
-    assert model._fits(2.0 * model._radius(model._left(points)), model._kvar)
+    assert model._expands(model._left(points))
     support = points[:p]
     stacked = model._kernel(points, support)
     assert stacked.shape == (p + 32, p)

@@ -7,9 +7,10 @@ per-coordinate subtraction reference for any BLAS thread count, so CI runs
 this file again with OpenBLAS on two threads; the largest shape below is
 past OpenBLAS's multithreading threshold for a product of inner size 2.
 
-``gaussian.gauss_self`` builds ``gauss_density(x, x)`` as an upper triangle
-of row blocks, each mirrored below the diagonal; it must give the bits of
-the full build.
+One array against itself, as the synthetic model's loss and ``|y|^2`` build
+it (``gauss_density(x, x)``, the "Gaussian self" block), goes through the
+same row blocks of ``SELF_BLOCK_ENTRIES`` entries; it must be symmetric bit
+for bit and have the bits of the subtraction reference's full build.
 """
 
 from __future__ import annotations
@@ -77,29 +78,41 @@ def test_product_path_rows_equal_subtraction_path_rows():
         assert same_bits(gaussian._sqdist(a[i : i + 1], b), full[i : i + 1])
 
 
-#: support sizes around the block edges of ``SELF_BLOCK_ENTRIES`` = 2^15:
+#: support sizes around the row blocks of ``SELF_BLOCK_ENTRIES`` = 2^15:
 #: 181 is one block (181^2 <= 2^15), 182 is blocks of 180 and 2, 256 is two
 #: blocks of 128, 255 and 257 straddle it, 313 is three blocks of 104 and one row
 SELF_SIZES = [0, 1, 2, 181, 182, 255, 256, 257, 313, 600]
+
+
+def full_build(x, var):
+    """``gauss_density(x, x, var)`` from the subtraction reference, in one
+    piece, finished by ``_gauss_finish``'s multiply and exp."""
+    d2 = reference_sqdist(x, x)
+    d2 *= -0.5 / var
+    return np.exp(d2)
 
 
 @pytest.mark.parametrize("p", SELF_SIZES)
 @pytest.mark.parametrize("d", [1, 2, 9])
 def test_gauss_self_has_the_bits_of_the_full_build(p, d):
     x = rng(p).normal(size=(p, d)) * 3.0 + 1e3
-    assert same_bits(gaussian.gauss_self(x, 2.08), gauss_density(x, x, 2.08))
+    k = gauss_density(x, x, 2.08)
+    assert same_bits(k, full_build(x, 2.08))
+    assert same_bits(k, k.T)
 
 
-@given(p=st.integers(0, 40), entries=st.sampled_from([1, 4, 9, 64]),
+@given(p=st.integers(64, 100), entries=st.sampled_from([1, 64, 300, 1000, 4096]),
        d=st.sampled_from([1, 2, 3, 9]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_gauss_self_small_blocks(p, entries, d, seed):
-    # small blocks give many blocks at small p: rows of 1, 2, ... rows each
+    # small blocks on the product path (p^2 >= PRODUCT_ENTRIES) give many
+    # blocks at small p: rows of 1, 3, 10, ... 64 each
     x = np.round(rng(seed).uniform(-8.0, 8.0, size=(p, d)) * 2**20) / 2**20
-    full = gauss_density(x, x, 1.18)
     saved = gaussian.SELF_BLOCK_ENTRIES
     gaussian.SELF_BLOCK_ENTRIES = entries
     try:
-        assert same_bits(gaussian.gauss_self(x, 1.18), full)
+        k = gauss_density(x, x, 1.18)
     finally:
         gaussian.SELF_BLOCK_ENTRIES = saved
+    assert same_bits(k, full_build(x, 1.18))
+    assert same_bits(k, k.T)

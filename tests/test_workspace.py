@@ -6,8 +6,7 @@ a 64-byte boundary, where the loop's BLAS calls and ufuncs run fastest;
 BLAS may pick its kernel by alignment, so each test here also forces the
 slots to the offsets 16, 32 and 48 past the boundary. For every model,
 exact and batched: (a) the three loop evaluations, at a 200-point support
-(``_sqdist``'s product path and, in the synthetic model's loss,
-``gauss_self``'s blocks) with deaths and births, the mixture's survivor
+(``_sqdist``'s product path) with deaths and births, the mixture's survivor
 gathers among them and the Gaussian models' kernel blocks kept in
 ``"ev.kernel"``, have the bits of the same calls without a workspace, and
 those have the bits of the reference forms of ``reference.py``, or for the
