@@ -171,6 +171,12 @@ class GaussianKernel(KernelModel):
     """
 
     _kvar: float
+    _y_norm_sq: float
+
+    @property
+    def y_norm_sq(self):
+        """``|y|^2``, computed once, when the model is built."""
+        return self._y_norm_sq
 
     def _kernel(self, a, b, ws=None, out=None):
         """``K(a, b)`` without a constant, in ``out`` or else in ``ws``'s
@@ -226,7 +232,7 @@ class SyntheticKernel(GaussianKernel):
     matrix ``K(t, P)`` of the signed point set ``P = [S; atoms; anchors]``;
     with the coefficients ``q = [c; -w; -eta_b]`` (``_q``) it gives the
     values ``K(t, P) q`` and, by one ``gauss_grad`` product, their
-    gradients. ``|y|^2`` is computed once.
+    gradients. ``|y|^2`` is computed once, at construction.
 
     In the loop ``pushed_values`` builds one block ``K([T'; C], P')`` in
     ``ws``'s ``"ev.kernel"`` and takes the values at T' and at the candidates
@@ -279,18 +285,12 @@ class SyntheticKernel(GaussianKernel):
         # and the exact parts of their coefficients in q, negated once
         self._fixed = np.vstack([self.atom_positions, self.anchors])
         self._neg_w, self._neg_eta_mean = -self.atom_weights, -self._eta_mean
-        self._y_norm_sq = None
+        coefs = np.concatenate([self.atom_weights, self._eta_mean])
+        self._y_norm_sq = float(coefs @ self.kernel_matrix(self._fixed, self._fixed) @ coefs)
 
     @property
     def n_samples(self):
         return self._n
-
-    @property
-    def y_norm_sq(self):
-        if self._y_norm_sq is None:
-            coefs = np.concatenate([self.atom_weights, self._eta_mean])
-            self._y_norm_sq = float(coefs @ self.kernel_matrix(self._fixed, self._fixed) @ coefs)
-        return self._y_norm_sq
 
     def noise_sup(self) -> tuple[float, float]:
         """Exact a.s. bounds on the per-sample noise of values and gradients."""
@@ -427,10 +427,11 @@ class GmmKernel(GaussianKernel):
     box (``_left`` and ``_right``; ``_expanded_product`` takes it). A point
     set's side ``[a, |a|^2, 1]`` serves both variances, so
     ``pushed_values`` builds that of ``[T'; C]`` once for its data-side
-    rows and its kernel. The samples' side is built once (``_side``, a
-    C-contiguous (d + 2, n) array), and a batch's is built from its rows:
-    each column depends on its sample alone, so it is the whole side's
-    columns, and every product has a contiguous right operand. The bound:
+    rows and its kernel. The samples' side is built once, at construction
+    (``_side``, a C-contiguous (d + 2, n) array), and every batch's side is
+    its columns of that array, gathered into a C-contiguous one: no sample
+    passes through ``_left`` or ``_right`` again, and every product has a
+    contiguous right operand. The bound:
 
     * The centring rounds each coordinate by a relative ``u = 2^-53`` at
       most, which moves the exponent by ``2u (|a| + |b|)^2 / s`` at most.
@@ -543,32 +544,23 @@ class GmmKernel(GaussianKernel):
     def _grads(self, k, a, b, coef):
         return gauss_grad(k, a, b, coef, self._kvar) * self._knorm
 
-    @property
-    def y_norm_sq(self):
-        return self._y_norm_sq
-
     def _pair_constant(self):
-        """``|y|^2``: the mean pair term times ``(4 pi tau^2)^(-d/2)``, split in
-        two square-root factors so that the product overflows only where the
-        value does; a value that is not a finite float is refused."""
-        mean = lattice_pair_sum(self.data, self.tau) / self.n_samples**2
-        try:
-            half = (4.0 * math.pi * self.tau**2) ** (-self.dim / 4.0)
-            value = mean * half * half
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValueError(f"tau = {self.tau!r} is too small in d = {self.dim}: "
-                             "|y|^2 is not a finite float")
-        return value
+        """``|y|^2``: the mean pair term times ``(4 pi tau^2)^(-1)``, as two
+        square-root factors ``half``. It is a finite float for every
+        accepted tau: in the plane the lattice's mean pair term is at most
+        about 1 (each exact term is at most 1, and the lattice sum lies
+        within the bound derived above of the exact one), and ``half * half
+        = 1 / (4 pi tau^2)`` is at most 3.6e306 where tau^2 is a normal
+        float."""
+        half = (4.0 * math.pi * self.tau**2) ** -0.5
+        return lattice_pair_sum(self.data, self.tau) / self.n_samples**2 * half * half
 
     def _samples(self, idx):
         """The batch ``idx``, every sample for None: its sample rows and its
-        columns of the samples' side ``_right(_left(x), yvar)``."""
+        columns of the samples' side ``_side``, C-contiguous."""
         if idx is None:
             return self.data, self._side
-        x = self.data.take(idx, axis=0)
-        return x, self._right(self._left(x), self._yvar)
+        return self.data.take(idx, axis=0), self._side.take(idx, axis=1)
 
     def _left(self, t):
         """The points' side ``[a, |a|^2, 1]`` of every expanded product, one
@@ -583,9 +575,9 @@ class GmmKernel(GaussianKernel):
 
     def _right(self, left, var):
         """The other side ``[2a/s; -1/s; -|a|^2/s]``, ``s = 2 var``, of the
-        points whose side is ``left``, one column per point, C-contiguous.
-        Each column depends on its point alone, so a batch's sample side is
-        the columns of the whole data's."""
+        points whose side is ``left``, one column per point, C-contiguous:
+        the kernel's side of its second point set, and once, at
+        construction, the samples' side ``_side``."""
         d = self.dim
         right = left.T[[*range(d), d + 1, d]]
         right[:d] /= var
@@ -658,16 +650,12 @@ class GmmKernel(GaussianKernel):
         """One sample's density row is its mean, and its gradient's products
         have one term each, so both are elementwise over the densities
         ``N(t_j; x_i, (1 + 2 tau^2) I)``, with the constant applied as
-        ``_density`` and ``_y_grads`` apply it for one sample. The expanded
-        exponents are one ``_expanded_product``, whose every entry has the
-        bits of its point and sample in any product, so they have the bits
-        of each sample's own evaluation."""
-        x, left = self.data[rows], self._left(t)
-        if not self._expands(left):
-            k = gauss_density(t, x, self._yvar).T
-        else:
-            side = np.ascontiguousarray(self._side[:, rows])
-            k = np.exp(_expanded_product(left, side, np.empty((len(t), len(x))))).T
+        ``_density`` and ``_y_grads`` apply it for one sample. The densities
+        are ``_density``'s rows over the slice's batch, whose every entry
+        has the bits of its point and sample in any call, so they have the
+        bits of each sample's own evaluation."""
+        batch = self._samples(np.arange(self.n_samples)[rows])
+        x, k = batch[0], self._density(t, batch)[0].T
         vals = k * self._ynorm
         return vals, (k[:, :, None] * x[:, None, :] * self._ynorm
                       - vals[:, :, None] * t) / self._yvar

@@ -66,8 +66,7 @@ def test_densities_within_the_bound_of_exact_differences(p, n, width, offset, ta
     x = model.data if idx is None else model.data[idx]
 
     batch = model._samples(idx)
-    if idx is not None:  # a batch's side is the whole side's columns
-        assert same_bits(batch[1], model._side[:, idx])
+    assert batch[1].flags.c_contiguous  # every product's right operand
     rows, means = model._density(t, batch)
     exact = gauss_density(t, x, model._yvar)
     slack = expansion_slack(model, t, x) + 8.0 * U

@@ -563,9 +563,14 @@ def lattice_with_repeats(n_distinct, repeats, d):
     return data, int(counts @ counts)
 
 
+#: the smallest tau that ``GmmKernel`` accepts: its square is the smallest
+#: normal float, and the next float down's is not normal
+SMALLEST_TAU = 1.4916681462400413e-154
+
+
 @pytest.mark.exactness
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("tau", [1.4917e-154, 2e-154, 2.5e-154, 3.2e-154, 1e-150])
+@pytest.mark.parametrize("tau", [SMALLEST_TAU, 1.4917e-154, 2e-154, 2.5e-154, 3.2e-154, 1e-150])
 @pytest.mark.parametrize("d", [2])
 def test_gmm_y_norm_sq_at_tiny_tau(tau, d):
     # the value n^-2 sum_k n_k^2 (4 pi tau^2)^(-1) is finite, up to about
@@ -576,6 +581,14 @@ def test_gmm_y_norm_sq_at_tiny_tau(tau, d):
     n = len(data)
     closed = pair_sum / n**2 * (4.0 * math.pi * tau**2) ** (-d / 2.0)
     assert GmmKernel(data, tau).y_norm_sq == pytest.approx(closed, rel=1e-13, abs=0)
+    if tau == SMALLEST_TAU:
+        with pytest.raises(ValueError, match="finite square that is a normal float"):
+            GmmKernel(data, math.nextafter(tau, 0.0))
+    # coincident samples, whose mean pair term is 1: the largest |y|^2 at
+    # this tau, 1 / (4 pi tau^2), up to 3.6e306, is a finite float within a
+    # few ulps of it, so no accepted tau overflows
+    peak = 1.0 / (4.0 * math.pi * tau**2)
+    assert abs(GmmKernel(np.full((60, d), 3.0), tau).y_norm_sq - peak) <= 4.0 * math.ulp(peak)
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
@@ -583,14 +596,6 @@ def test_gmm_refuses_data_off_the_plane(d):
     # the lattice of |y|^2 is planar, and so are both mixture readers' data
     with pytest.raises(ValueError, match=f"mixture data must be planar \\(d = 2\\), got d = {d}"):
         GmmKernel(lattice_with_repeats(50, [3], d)[0], 0.2)
-
-
-def test_gmm_y_norm_sq_refuses_a_value_that_is_not_a_finite_float():
-    # in the plane |y|^2 is at most 1 / (4 pi tau^2) < 3.6e306 for every
-    # accepted tau; the refusal guards the sum itself
-    with mock.patch.object(kernels, "lattice_pair_sum", lambda x, tau: math.inf):
-        with pytest.raises(ValueError, match="tau = 0.2 is too small in d = 2"):
-            GmmKernel(np.zeros((4, 2)), 0.2)
 
 
 #: batch indices: repeated, unsorted, both edges, and negative

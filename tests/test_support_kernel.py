@@ -262,11 +262,28 @@ def test_batched_field_fetches_the_batch_once(monkeypatch):
     assert len(fetched) == 1
 
 
+def test_stochastic_loop_evaluations_build_only_their_points_sides(monkeypatch):
+    # a batch's side is its columns of the samples' side, built with the
+    # model: a pushed evaluation builds the side of [T'; C] (``_left``) and
+    # its kernel's side of T' (``_right``), once each, and the support field
+    # of an unchanged swarm only T's side, for its data-side rows
+    problem = make_gmm_problem(seed=3)
+    model, g, calls = problem.model, rng(9), []
+    for name in ("_left", "_right"):
+        monkeypatch.setattr(GmmKernel, name, lambda self, *args, _real=getattr(GmmKernel, name),
+                            _name=name: calls.append(_name) or _real(self, *args))
+    pushed, _, ev = scoped_pair(model, problem.domain, g.integers(0, model.n_samples, size=32))
+    assert calls == ["_left", "_right"]
+    calls.clear()
+    model.support_field(pushed, np.ones(5), g.integers(0, model.n_samples, size=32), ev,
+                        np.arange(9) < 5)
+    assert calls == ["_left"]
+
+
 def test_mini_batch_iteration_fetches_two_batches():
     # the candidates are scored on the pushed support's batch, fetched once
     problem = make_gmm_problem(seed=7)
     model = problem.model
-    model.y_norm_sq  # its cell list indexes the data too
     fetched = []
 
     class Samples(np.ndarray):

@@ -176,9 +176,6 @@ def test_objective_from_one_block_matches_the_expanded_form(seed, dim, n_atoms, 
 
 
 def test_each_evaluation_builds_one_kernel_matrix(monkeypatch):
-    model, _ = model_pair(3, 2, 3, 3)
-    g = rng(4)
-    support, t = model.domain.sample_uniform(g, size=6), model.domain.sample_uniform(g, size=4)
     real, built = SyntheticKernel._kernel, []
 
     def counting(self, a, b, *args, **kwargs):
@@ -186,14 +183,19 @@ def test_each_evaluation_builds_one_kernel_matrix(monkeypatch):
         return real(self, a, b, *args, **kwargs)
 
     monkeypatch.setattr(SyntheticKernel, "_kernel", counting)
+    model, _ = model_pair(3, 2, 3, 3)
+    # |y|^2 of the model and of its reference twin, each at construction
+    assert built == [(6, 6)] * 2
+    g = rng(4)
+    support, t = model.domain.sample_uniform(g, size=6), model.domain.sample_uniform(g, size=4)
     for idx in (None, g.integers(0, 64, size=16)):
         built.clear()
         evaluations(model, t, support, np.ones(6), idx)
         assert built == [(4, 6 + 6)] * 2 + [(4, 6)] * 2
     built.clear()
     assert model.y_norm_sq == model.y_norm_sq
-    assert built == [(6, 6)]  # computed once
-    built.clear()  # the loss, after |y|^2: <y, phi_T>, then K(T, T)
+    assert built == []  # read, not built
+    # the loss: <y, phi_T>, then K(T, T)
     model.objective_value(t, np.ones(4), np.ones(4), 0.1)
     assert built == [(4, 6), (4, 4)]
 
