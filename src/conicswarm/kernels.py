@@ -59,8 +59,8 @@ scorings.
 Every loop evaluation, and the objective at the loop's cadence, also takes
 an optional ``workspace.Workspace`` ``ws``, which ``runner.run`` creates
 once per run and hands on next to ``ev``; the models keep it nowhere. The
-large temporaries are written into its slots through ``out=`` by the same
-ufuncs and BLAS calls, so no result changes by a bit. ``ev``'s own arrays
+temporaries are written into its slots through ``out=`` by the same ufuncs
+and BLAS calls, so no result changes by a bit. ``ev``'s own arrays
 live until the next ``pushed_values`` rewrites them, after the next
 ``support_field`` has read them; every other slot holds what one call uses
 up. Every caller outside the loop (the objective and certificates, the
@@ -78,7 +78,7 @@ import numpy as np
 from .audit import AssumptionBounds, audit_assumptions
 from .domain import Box, DomainError
 from .gaussian import gauss_density, gauss_grad, gauss_norm, lattice_pair_sum
-from .workspace import ROW_BLOCK_ENTRIES, SELF_BLOCK_ENTRIES, buffer, out_buffer
+from .workspace import ROW_BLOCK_ENTRIES, SELF_BLOCK_ENTRIES, buffer
 
 __all__ = ["KernelModel", "GaussianKernel", "SyntheticKernel", "GmmKernel", "ReluKernel",
            "AssumptionBounds", "audit_assumptions"]
@@ -181,9 +181,8 @@ class GaussianKernel(KernelModel):
     def _kernel(self, a, b, ws=None, out=None):
         """``K(a, b)`` without a constant, in ``out`` or else in ``ws``'s
         ``"work"``."""
-        if out is None:
-            out = out_buffer(ws, "work", len(a), len(b))
-        return gauss_density(a, b, self._kvar, ws, out)
+        out = buffer(ws, "work", len(a), len(b)) if out is None else out
+        return gauss_density(a, b, self._kvar, out)
 
     def kernel_matrix(self, a, b, idx=None):
         return self._kernel(a, b)
@@ -316,7 +315,7 @@ class SyntheticKernel(GaussianKernel):
         points, q = self._evaluation(support, coef, idx)
         p = len(support)
         k = self._kernel(np.concatenate([support, cand]), points, ws,
-                         out_buffer(ws, "ev.kernel", p + len(cand), len(points)))
+                         buffer(ws, "ev.kernel", p + len(cand), len(points)))
         return k[:p] @ q, k[p:] @ q, (points, k[:p])
 
     def certificate_values(self, t, support, coef, idx=None, ws=None):
@@ -535,7 +534,7 @@ class GmmKernel(GaussianKernel):
             return out
         left, top = (self._left(a), self._left(b)) if sides is None else sides
         if not self._expands(left, top):
-            return gauss_density(a, b, self._kvar, ws, out)
+            return gauss_density(a, b, self._kvar, out)
         return np.exp(_expanded_product(left, self._right(top, self._kvar), out), out=out)
 
     def _values(self, k, coef):
@@ -624,7 +623,7 @@ class GmmKernel(GaussianKernel):
         out = buffer(ws, "work", len(t), len(x)) if out is None else out
         left = self._left(t) if left is None else left
         if not self._expands(left):
-            rows = gauss_density(t, x, self._yvar, ws, out)
+            rows = gauss_density(t, x, self._yvar, out)
         else:
             rows = np.exp(_expanded_product(left, side, out), out=out)
         means = np.add.reduce(rows, axis=1)
@@ -685,11 +684,11 @@ class GmmKernel(GaussianKernel):
         batch, p = self._samples(idx), len(support)
         points = np.concatenate([support, cand])
         left = self._left(points)
-        out = None if idx is not None else out_buffer(ws, "ev.rows", len(points), len(batch[0]))
+        out = None if idx is not None else buffer(ws, "ev.rows", len(points), len(batch[0]))
         rows, means = self._density(points, batch, ws, out, left)
         side = (rows, means) if idx is None else None
         del rows  # a batch's rows go before the kernel is built
-        k = self._kernel(points, support, ws, out_buffer(ws, "ev.kernel", len(points), p),
+        k = self._kernel(points, support, ws, buffer(ws, "ev.kernel", len(points), p),
                          (left, left[:p]))
         return (self._values(k[:p], coef) - means[:p], self._values(k[p:], coef) - means[p:],
                 (k, side))
@@ -716,7 +715,7 @@ class GmmKernel(GaussianKernel):
         ``left``. If nobody died, the kept rows are ``k[:p]`` and the born
         rows, copied whole; otherwise they are gathered by row-order gathers
         of rows, then columns, in row blocks of at most
-        ``SELF_BLOCK_ENTRIES`` (so each block's rows stay in cache). Either
+        ``SELF_BLOCK_ENTRIES`` in one buffer (so they stay in cache). Either
         way the result is C-ordered like a fresh build."""
         full = buffer(ws, "work", len(t), len(t))
         pick = np.flatnonzero(keep)
@@ -728,10 +727,10 @@ class GmmKernel(GaussianKernel):
             # place, where "raise" copies through a temporary of its size
             live = pick[:p]
             step = max(1, SELF_BLOCK_ENTRIES // k.shape[1])
+            block = np.empty((min(step, len(t)), k.shape[1]))
             for lo in range(0, len(t), step):
                 sub = pick[lo : lo + step]
-                rows = np.take(k, sub, axis=0,
-                               out=out_buffer(ws, "diff", len(sub), k.shape[1]), mode="clip")
+                rows = np.take(k, sub, axis=0, out=block[: len(sub)], mode="clip")
                 np.take(rows, live, axis=1, out=full[lo : lo + len(sub), :p], mode="clip")
         if p < len(t):
             self._kernel(t, t[p:], ws, full[:, p:], (left, left[p:]))

@@ -7,13 +7,6 @@ import numpy as np
 __all__ = ["Workspace"]
 
 
-#: pairwise entries from which ``gaussian._sqdist`` forms coordinate
-#: differences as a product, and from which a workspace slot is used. Below
-#: it the product's set-up costs more than it saves: in d = 2 on a Xeon core
-#: with OpenBLAS 0.3.31 on one thread, 15 us against 10 us at 8 x 8, about
-#: even at 48 x 48, 22 us against 27 us at 64 x 64 and 34 us against 62 us at
-#: 128 x 128
-PRODUCT_ENTRIES = 4096
 #: entries per row block of an n-long evaluation: ``kernels.relu_blocks``'
 #: activations, ``GmmKernel``'s data-side means and expanded products and the
 #: audit's chunks (1 MiB)
@@ -29,24 +22,23 @@ _ALIGN = 64
 
 
 class Workspace:
-    """Reused buffers for the large temporaries of one run's loop
-    evaluations, in named slots.
+    """Reused buffers for the temporaries of one run's loop evaluations,
+    in named slots.
 
     ``runner.run`` creates one per run and hands it, next to ``ev``, to
     ``pushed_values``, ``support_field`` and the cadence ``loss``; the
-    models keep it nowhere. Every other caller passes
-    None, and numpy allocates as it would without one.
+    models keep it nowhere. Every other caller passes None, and ``buffer``
+    allocates each array fresh.
 
     ``take(slot, rows, cols)`` returns a C-ordered float64 array of that
     shape at the start of the slot, whose data start ``offset`` bytes past a
     64-byte boundary (0 in the loop; the tests try 16, 32 and 48 to show
-    that no bits depend on it). Below ``PRODUCT_ENTRIES`` entries it
-    returns None and the caller allocates, as a fresh small array costs less
-    than the bookkeeping. A slot asked for more than it holds is replaced by
-    one half as large again as the size asked, so it is replaced a number of
-    times logarithmic in its largest size, and its old buffer is freed
-    before the new one is allocated, so malloc may hand that memory on. What
-    a slot holds is overwritten by the next call that takes it:
+    that no bits depend on it), at every size: a loop buffer is the slot it
+    names. A slot asked for more than it holds is replaced by one half as
+    large again as the size asked, so it is replaced a number of times
+    logarithmic in its largest size, and its old buffer is freed before the
+    new one is allocated, so malloc may hand that memory on. What a slot
+    holds is overwritten by the next call that takes it:
 
     * ``"ev.kernel"`` and ``"ev.rows"``: ``ev``'s kernel block (the
       mixture's ``K([T'; C], T')``, which ``ev`` keeps whole, the synthetic
@@ -61,8 +53,9 @@ class Workspace:
       blocks, the exact support's assembled rows), then the kernel built
       after them (the assembled support kernel, the loss's ``K(T, T)``), or
       a ReLU activation block.
-    * ``"diff"``: ``_sqdist``'s coordinate differences, and the kept rows
-      of ``K([T'; C], T')`` while their survivors' columns are gathered.
+
+    ``_sqdist``'s coordinate differences and a death gather's kept rows, at
+    most ``SELF_BLOCK_ENTRIES`` a block, take one fresh buffer per call.
     """
 
     def __init__(self, offset: int = 0):
@@ -70,24 +63,15 @@ class Workspace:
         self._slots = {}
 
     def take(self, slot: str, rows: int, cols: int):
-        """The slot's first ``rows * cols`` entries as a (rows, cols) array,
-        or None below ``PRODUCT_ENTRIES`` entries."""
+        """The slot's first ``rows * cols`` entries as a (rows, cols) array."""
         size = rows * cols
-        if size < PRODUCT_ENTRIES:
-            return None
-        if len(self._slots.get(slot, ())) < size:
-            self._slots[slot] = ()  # free the old buffer first: malloc may reuse its memory
+        if slot not in self._slots or len(self._slots[slot]) < size:
+            self._slots.pop(slot, None)  # free the old buffer first: malloc may reuse its memory
             raw = np.empty(size + size // 2 + _ALIGN // 8)
             self._slots[slot] = raw[(self.offset - raw.ctypes.data) % _ALIGN // 8 :]
         return self._slots[slot][:size].reshape(rows, cols)
 
 
-def out_buffer(ws, slot, rows, cols):
-    """``ws.take(slot, rows, cols)``, or None without a workspace."""
-    return None if ws is None else ws.take(slot, rows, cols)
-
-
 def buffer(ws, slot, rows, cols):
-    """``out_buffer(ws, slot, rows, cols)``, or a fresh array where that is None."""
-    buf = out_buffer(ws, slot, rows, cols)
-    return np.empty((rows, cols)) if buf is None else buf
+    """``ws.take(slot, rows, cols)``, or a fresh array without a workspace."""
+    return np.empty((rows, cols)) if ws is None else ws.take(slot, rows, cols)

@@ -11,7 +11,7 @@ every product (below), so the block's rows are the separate builds' rows;
 what remains is that the two calls give
 each row the bits of the same call on a separate array, wherever the block,
 and so each slice, starts. This holds for the loop's shapes on both sides of
-``PRODUCT_ENTRIES`` (where a block moves into the workspace) and of
+``PRODUCT_ENTRIES`` (where ``_sqdist`` takes its product) and of
 ``ROW_BLOCK_ENTRIES``, with the block 0, 16, 32 or 48 bytes past a 64-byte
 boundary and the separate arrays at the same offsets or fresh. The
 mixture's kernel entries and densities are entries of expanded products,
@@ -27,8 +27,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conicswarm.gaussian import PRODUCT_ENTRIES
 from conicswarm.kernels import GmmKernel, _expanded_product
-from conicswarm.workspace import PRODUCT_ENTRIES, ROW_BLOCK_ENTRIES
+from conicswarm.workspace import ROW_BLOCK_ENTRIES
 from helpers import rng, same_bits
 
 pytestmark = pytest.mark.exactness

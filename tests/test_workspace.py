@@ -1,10 +1,10 @@
 """The loop's ``Workspace``: where its slots land changes no bit.
 
 ``runner.run`` hands one workspace to every loop evaluation and the cadence
-loss, which build their large temporaries in its slots. Its slots start on
-a 64-byte boundary, where the loop's BLAS calls and ufuncs run fastest;
-BLAS may pick its kernel by alignment, so each test here also forces the
-slots to the offsets 16, 32 and 48 past the boundary. For every model,
+loss, which build their temporaries in its slots at every size. Its slots
+start on a 64-byte boundary, where the loop's BLAS calls and ufuncs run
+fastest; BLAS may pick its kernel by alignment, so each test here also
+forces the slots to the offsets 16, 32 and 48 past the boundary. For every model,
 exact and batched: (a) the three loop evaluations, at a 200-point support
 (``_sqdist``'s product path) with deaths and births, the mixture's survivor
 gathers among them and the Gaussian models' kernel blocks kept in
@@ -14,9 +14,11 @@ mixture, whose kernel entries and densities take expanded products where
 the reference takes exact differences, lie within ``mixture_field_bound``
 of them; the loss has the bits of the call without a workspace; (b) a run
 with deaths and births writes the
-trace and final swarm of a run without a workspace. (c) A plain process on
-``gmm_desk.cfg`` takes at most ``FAULT_BUDGET`` minor page faults per
-iteration of the loop.
+trace and final swarm of a run without a workspace. (c) A pushed
+evaluation whose blocks lie below ``PRODUCT_ENTRIES`` entries, where
+``_sqdist`` takes no product, still keeps them in their slots. (d) A plain
+process on ``gmm_desk.cfg`` takes at most ``FAULT_BUDGET`` minor page faults
+per iteration of the loop.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ import pytest
 import conicswarm
 import conicswarm.runner as runner
 from conicswarm import verify
+from conicswarm.gaussian import PRODUCT_ENTRIES
 from conicswarm.kernels import GmmKernel, ReluKernel, SyntheticKernel
-from conicswarm.workspace import PRODUCT_ENTRIES, Workspace
+from conicswarm.workspace import Workspace
 from conicswarm.objective import loss
 from conicswarm.runner import trace_to_csv
 from conicswarm.swarm import ParticleSwarm
@@ -84,8 +87,9 @@ def as_reference(model, t, support, coef, idx, got):
 @each_offset
 def test_slots_start_at_the_offset_in_c_order(offset):
     ws = Workspace(offset)
-    assert ws.take("work", 1, PRODUCT_ENTRIES - 1) is None
-    for rows, cols in [(64, 64), (3, 4096), (200, 200), (65, 64)]:
+    # a slot's first take may be empty, in a run that starts from no particle
+    assert ws.take("ev.kernel", 3, 0).shape == (3, 0)
+    for rows, cols in [(1, PRODUCT_ENTRIES - 1), (64, 64), (3, 4096), (200, 200), (65, 64)]:
         buf = ws.take("work", rows, cols)
         assert buf.shape == (rows, cols) and buf.flags.c_contiguous
         assert buf.ctypes.data % 64 == offset
@@ -115,7 +119,7 @@ def test_loop_evaluations_have_reference_bits_at_every_offset(name, full_batch, 
         # the Gaussian models keep their pushed kernel block in "ev.kernel";
         # the first support field below, of an unchanged swarm, reads it
         block = ev[1] if name == "synthetic" else ev[0]
-        assert np.shares_memory(block, ws.take("ev.kernel", 1, PRODUCT_ENTRIES))
+        assert np.shares_memory(block, ws.take("ev.kernel", 1, 1))
     assert as_reference(model, cand, pushed, coef, idx, [at_cand])
     lived, some = g.random(200) >= 0.2, np.arange(40) % 3 == 0
     every, none = np.ones(200, dtype=bool), np.zeros(40, dtype=bool)
@@ -130,6 +134,24 @@ def test_loop_evaluations_have_reference_bits_at_every_offset(name, full_batch, 
         assert as_reference(model, t, t, c, idx, got)
         swarm = ParticleSwarm(np.abs(c), np.sign(c), t)
         assert same_bits(loss(problem, swarm, ws), loss(problem, swarm))
+
+
+@pytest.mark.parametrize("name", ["synthetic", "gmm"])
+def test_pushed_blocks_below_the_product_size_stay_in_their_slots(name):
+    # 20 particles and 4 candidates over the mixture's 100 samples: the
+    # kernel block and the exact rows are below PRODUCT_ENTRIES entries
+    problem = verify.make_gmm_problem(seed=7, n=100) if name == "gmm" else BUILDERS[name]()
+    model, g = problem.model, rng(5)
+    ws = Workspace()
+    pushed = problem.domain.sample_uniform(g, size=20)
+    cand = problem.domain.sample_uniform(g, size=4)
+    ev = model.pushed_values(pushed, g.uniform(0.0, 1.0, size=20), None, cand, ws)[2]
+    kept = {"ev.kernel": ev[1] if name == "synthetic" else ev[0]}
+    if name == "gmm":
+        kept["ev.rows"] = ev[1][0]
+    for slot, block in kept.items():
+        assert 0 < block.size < PRODUCT_ENTRIES
+        assert np.shares_memory(block, ws.take(slot, 1, 1))
 
 
 @pytest.mark.exactness
