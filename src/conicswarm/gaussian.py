@@ -12,11 +12,10 @@ them to by ``gauss_norm`` or their own, the values ``K c`` and the
 gradients of ``gauss_grad`` (one product ``K(A, B) @ [c B, c]``). The
 synthetic model's kernel is ``gauss_density``. The mixture's kernel entries
 and data-side densities (``kernels.GmmKernel``) take their exponents from
-expanded products instead, within a stated bound of the exact ones, neither
-symmetric nor moving with the points, and fall back on ``gauss_density``
-where that bound exceeds 1e-12. The planar pair sum of ``lattice_pair_sum``
-is the squared norm of the smoothed samples on a lattice, within the bound
-that ``kernels.GmmKernel`` derives.
+expanded products instead, within a derived budget of the exact ones,
+neither symmetric nor moving with the points. The planar pair sum of
+``lattice_pair_sum`` is the squared norm of the smoothed samples on a
+lattice, within the bound that ``kernels.GmmKernel`` derives.
 """
 
 from __future__ import annotations

@@ -83,9 +83,9 @@ from .workspace import ROW_BLOCK_ENTRIES, SELF_BLOCK_ENTRIES, buffer
 __all__ = ["KernelModel", "GaussianKernel", "SyntheticKernel", "GmmKernel", "ReluKernel",
            "AssumptionBounds", "audit_assumptions"]
 
-#: the bound on a mixture data-side exponent's error, ``2 (d + 3) u R^2 / s``,
-#: above which a call takes exact differences (``GmmKernel``)
-_EXPANDED_ERROR = 1e-12
+#: the budget E on each unnormalized mixture entry's absolute error, which
+#: ``GmmKernel`` derives and checks against its domain at construction
+_ENTRY_ERROR = 1e-9
 
 
 class KernelModel(ABC):
@@ -446,20 +446,29 @@ class GmmKernel(GaussianKernel):
       the exact one, and an entry within that relative error, apart from
       exp's own.
 
-    A point set takes the expanded products only where it lies within the
-    model's limit about c (``_point_limit``), the radius within which this
-    bound stays at most ``_EXPANDED_ERROR = 1e-12`` for the kernel between
-    two such sets and for the densities against every sample; a call with
-    a set past it takes ``gauss_density``'s exact differences. On samples
-    spread far wider than ``sqrt(s)``, such as a ring of radius 3e153, the
-    product's exponents would be off by more than their size. A model built
-    with the run's domain takes the domain's radius as its limit, or -1
-    where that passes the bound, so every product of a run on the domain
-    takes one form, whatever the points. On gmm_full.cfg (domain corners
-    19.4 and samples up to 11.9 from c, ``s = 2.16`` for the densities and
-    4.16 for the kernel) the bound is about 5.0e-13 for a density and
-    4.0e-13 for a kernel entry, on gmm_desk.cfg 2.3e-13 and 1.7e-13. The
-    entries are neither symmetric nor do they move with the points, but
+    Every entry is at most 1 before its constant, so the bound is also its
+    absolute error, apart from exp's own rounding. Every point set that the
+    model is called with lies in its run's domain, within ``_extent`` of c
+    (the support after projection, the births drawn in it, the audit's
+    points and the ``kkt:`` grid), and the samples lie within ``_reach``,
+    so a kernel entry is off by at most ``2 (d + 3) u (2 _extent)^2 / s``
+    and a density by at most ``2 (d + 3) u (_extent + _reach)^2 / s``. The
+    build refuses a domain where either passes the budget ``E =
+    _ENTRY_ERROR = 1e-9`` (``DomainError``, naming tau). A certificate
+    value ``_knorm sum_j c_j k_j - _ynorm mean_i rho_i`` then moves by at
+    most ``E (_knorm TV + _ynorm)``, ``TV = sum_j |c_j|``, and its gradient
+    by at most ``E (_knorm TV 2 _extent / kvar + _ynorm (_extent + _reach)
+    / yvar)``: each term ``k_j (s_j - t) / kvar`` or ``rho_i (x_i - t) /
+    yvar`` carries its entry's error times a distance within ``2 _extent``
+    or ``_extent + _reach``. On gmm_full.cfg (tau = 0.2, ``_knorm = 0.077``,
+    ``_ynorm = 0.147``) a value at TV = 1 moves by at most 2.2e-10, about
+    2e-6 of its kappa = 1e-4, so only a birth, death or ``kkt:`` decision
+    within that of its level can turn. Its samples are admitted on rings up
+    to a radius of about 514; on its shipped ring (domain corners 19.4 and
+    samples 11.9 from c) the bound is 5.0e-13 for a density and 4.0e-13 for
+    a kernel entry.
+
+    The entries are neither symmetric nor do they move with the points, but
     ``_expanded_product`` gives each the bits of its row and column in
     every product that holds both, so a loop evaluation's rows, gathered
     survivors and born columns have the bits of a fresh build, and the
@@ -488,7 +497,7 @@ class GmmKernel(GaussianKernel):
     fewer arrays share the cache.
     """
 
-    def __init__(self, data: np.ndarray, tau: float, domain: Box | None = None):
+    def __init__(self, data: np.ndarray, tau: float, domain: Box):
         self.data = np.asarray(data, dtype=float)
         if self.data.ndim != 2 or self.data.size == 0:
             raise ValueError("data must be a non-empty (n, d) array")
@@ -507,12 +516,12 @@ class GmmKernel(GaussianKernel):
                              "constants (2 pi var)^(-d/2) are below the smallest normal float")
         if self.dim != 2:
             raise ValueError(f"mixture data must be planar (d = 2), got d = {self.dim}")
-        self._y_norm_sq = self._pair_constant()
         self._center = 0.5 * self.data.min(axis=0) + 0.5 * self.data.max(axis=0)
         left = self._left(self.data)
-        self._reach = self._radius(left)
+        self._reach = math.sqrt(float(left[:, self.dim].max()))
+        self._extent = self._admit(domain)
         self._side = self._right(left, self._yvar)
-        self._limit = self._point_limit(domain)
+        self._y_norm_sq = self._pair_constant()
 
     @property
     def n_samples(self):
@@ -527,14 +536,11 @@ class GmmKernel(GaussianKernel):
         """``K(a, b)`` without its constant, in ``out`` or else in ``ws``'s
         ``"work"``: each exponent one entry of the expanded product of a's
         and b's sides (``sides``, ``(_left(a), _left(b))``, where the caller
-        has them), or, where a set lies past ``_limit``, of
-        ``gauss_density``'s exact differences."""
+        has them)."""
         out = buffer(ws, "work", len(a), len(b)) if out is None else out
         if not out.size:
             return out
         left, top = (self._left(a), self._left(b)) if sides is None else sides
-        if not self._expands(left, top):
-            return gauss_density(a, b, self._kvar, out)
         return np.exp(_expanded_product(left, self._right(top, self._kvar), out), out=out)
 
     def _values(self, k, coef):
@@ -563,8 +569,7 @@ class GmmKernel(GaussianKernel):
 
     def _left(self, t):
         """The points' side ``[a, |a|^2, 1]`` of every expanded product, one
-        row per point, ``a = t - c`` centred on the samples' box. |a|^2 is
-        inf on points too far out for the product."""
+        row per point, ``a = t - c`` centred on the samples' box."""
         d = self.dim
         left = np.empty((len(t), d + 2))
         a = np.subtract(t, self._center, out=left[:, :d])
@@ -583,49 +588,36 @@ class GmmKernel(GaussianKernel):
         right[d:] /= -2.0 * var
         return right
 
-    def _radius(self, left):
-        """The largest |a| of the points whose side is ``left``."""
-        return math.sqrt(float(left[:, self.dim].max(initial=0.0)))
-
-    def _point_limit(self, domain):
-        """The largest |a| of a point set that takes the expanded products.
-        Without a domain, the radius within which both bounds hold: ``2 (d
-        + 3) u (|a| + |b|)^2 / s`` at most ``_EXPANDED_ERROR`` for the
-        kernel between two such sets and for the densities against every
-        sample. With one, the domain's radius about c, a hair over so that
-        no point's rounded |a| passes it, if that lies within; else -1, and
-        no point set takes them. Every point set of a run on the domain
-        then takes the same form."""
-        def span(var):  # the largest |a| + |b| whose bound holds
-            return math.sqrt(_EXPANDED_ERROR * 2.0 * var / ((self.dim + 3) * 2.0**-52))
-
-        limit = min(0.5 * span(self._kvar), span(self._yvar) - self._reach)
-        if domain is None:
-            return limit
-        far = np.maximum(np.abs(domain.lower - self._center), np.abs(domain.upper - self._center))
-        radius = math.sqrt(float(far @ far)) * (1.0 + 2.0**-40)
-        return radius if radius <= limit else -1.0
-
-    def _expands(self, *lefts):
-        """Whether the point sets whose sides are ``lefts`` take the
-        expanded products: each lies within ``_limit`` of c."""
-        return all(self._radius(left) <= self._limit for left in lefts)
+    def _admit(self, domain):
+        """The domain's radius about c, the |a| of ``_left`` at its corner
+        farthest from c, which no point of the domain passes (rounding is
+        monotone); refused (``DomainError``) where the expanded entries'
+        bound there passes the budget ``_ENTRY_ERROR``, for the kernel
+        between two of its points or for the densities of one against every
+        sample."""
+        low, high = np.abs(domain.lower - self._center), np.abs(domain.upper - self._center)
+        corner = np.where(low > high, domain.lower, domain.upper)
+        radius = math.sqrt(float(self._left(corner[None])[0, self.dim]))
+        span, side = 2.0 * radius, radius + self._reach  # products overflow to inf, not raise
+        bound = (self.dim + 3) * 2.0**-53 * max(span * span / self._kvar, side * side / self._yvar)
+        if not bound <= _ENTRY_ERROR:
+            raise DomainError(
+                f"the domain lies up to {radius:.4g} and the samples up to {self._reach:.4g} "
+                f"from the samples' centre, so at tau = {self.tau!r} a mixture entry may be off "
+                f"by {bound:.2g}, past the budget {_ENTRY_ERROR:g}")
+        return radius
 
     def _density(self, t, batch, ws=None, out=None, left=None):
         """Density rows ``N(t_i; x_j, (1 + 2 tau^2) I)`` over the samples
         ``x`` of ``batch``, without their constant, in ``out`` or else in
         ``ws``'s ``"work"``, and their means, with it. Each exponent is one
         entry of the expanded product of t's side (``left``, ``_left(t)``,
-        where the caller has it) and the batch's, or, where t lies past
-        ``_limit``, of ``gauss_density``'s exact differences. The means are
+        where the caller has it) and the batch's. The means are
         ``np.mean``'s own sum and division, without its wrapper."""
         x, side = batch
         out = buffer(ws, "work", len(t), len(x)) if out is None else out
         left = self._left(t) if left is None else left
-        if not self._expands(left):
-            rows = gauss_density(t, x, self._yvar, out)
-        else:
-            rows = np.exp(_expanded_product(left, side, out), out=out)
+        rows = np.exp(_expanded_product(left, side, out), out=out)
         means = np.add.reduce(rows, axis=1)
         means /= x.shape[0]
         means *= self._ynorm

@@ -9,14 +9,26 @@ import numpy as np
 from conicswarm.birth_death import BirthRule, DeathRule
 from conicswarm.cli import build_problem
 from conicswarm.config import load_config
+from conicswarm.domain import Box
 from conicswarm.experiments import GmmSpec, gen_gmm
-from conicswarm.kernels import relu_blocks
+from conicswarm.kernels import GmmKernel, relu_blocks
 from conicswarm.runner import RunConfig
 from conicswarm.schedules import FixedPlan
 
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def mixture(data, tau, *points):
+    """``GmmKernel(data, tau, domain)`` on the bounding box of the samples
+    and of the point sets ``points`` that the caller evaluates, one unit
+    wider per side and more far from the origin, so that it has a width at
+    any scale: a domain that holds every point the model sees."""
+    every = np.vstack([np.asarray(data, dtype=float), *points])
+    lo, hi = every.min(axis=0), every.max(axis=0)
+    pad = 1.0 + 2.0**-40 * np.maximum(np.abs(lo), np.abs(hi))
+    return GmmKernel(data, tau, Box(lo - pad, hi + pad))
 
 
 def y_norm_sq_case(name):

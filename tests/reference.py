@@ -332,15 +332,27 @@ def expansion_slack(model, t, x, var=None):
     ``(d + 2) u`` of its value, and scales it by the rounded ``-0.5 / var``:
     its exponent is within ``(d + 4) u z`` of the true one, with ``z = |t -
     x|^2 / s <= (|a| + |b|)^2 / s``. The sum of the two is the bound, to
-    first order; callers' factor 1.01 covers the rest. A call that takes
-    exact differences has no gap at all. A pair whose bound exceeds 1 never
-    takes the expanded product, so the slack is capped at 1, which keeps it
-    finite where the squares overflow."""
+    first order; callers' factor 1.01 covers the rest."""
     c, s = model._center, 2.0 * (model._yvar if var is None else var)
-    with np.errstate(over="ignore"):
-        reach = np.add.outer(np.sqrt(np.einsum("ij,ij->i", t - c, t - c)),
-                             np.sqrt(np.einsum("ij,ij->i", x - c, x - c)))
-        return np.minimum((3 * model.dim + 10) * U * (reach * reach / s), 1.0)
+    reach = np.add.outer(np.sqrt(np.einsum("ij,ij->i", t - c, t - c)),
+                         np.sqrt(np.einsum("ij,ij->i", x - c, x - c)))
+    return (3 * model.dim + 10) * U * (reach * reach / s)
+
+
+def budget_radius(data, tau):
+    """The radius about the samples' centre c up to which ``GmmKernel``
+    admits a domain: the largest R at which ``2 (d + 3) u (|a| + |b|)^2 /
+    s`` stays within the budget ``_ENTRY_ERROR`` for the kernel between two
+    points within R (``|a| + |b| = 2R``) and for the densities of one
+    against every sample (``R + reach``), whichever is tighter. Also
+    returns whether the densities' bound is the tighter one."""
+    d = data.shape[1]
+    c = 0.5 * data.min(axis=0) + 0.5 * data.max(axis=0)
+    reach = math.sqrt(float(np.max(np.sum((data - c) ** 2, axis=1))))
+    per_var = kernels._ENTRY_ERROR / ((d + 3) * U)  # the largest (|a| + |b|)^2 / var
+    kernel = 0.5 * math.sqrt(per_var * 2.0 * (1.0 + tau**2))
+    density = math.sqrt(per_var * (1.0 + 2.0 * tau**2)) - reach
+    return min(kernel, density), density < kernel
 
 
 def mixture_side_bound(model, t, idx=None):
@@ -370,7 +382,7 @@ def mixture_kernel_bound(model, a, b):
     each side's exp is within 4u of its value and its product by the
     constant within u, so an entry is within a relative ``expansion_slack +
     10u`` of the exact one, and within ``ETA`` absolutely once it is
-    subnormal. A call that takes exact differences has no exponent gap."""
+    subnormal."""
     exact = gauss_density(a, b, model._kvar) * model._knorm
     return 1.01 * (expansion_slack(model, a, b, model._kvar) + 10.0 * U) * exact + ETA
 

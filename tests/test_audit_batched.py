@@ -69,8 +69,8 @@ def gmm(seed, n, dim):
     # the mixture is planar whatever ``dim`` the other builders draw
     g = rng(seed)
     data = 3.0 * g.standard_normal((n, 2))
-    lo, hi = data.min(axis=0) - 1.0, data.max(axis=0) + 1.0
-    return GmmKernel(data, float(g.uniform(0.1, 0.5))), Box(lo, hi)
+    domain = Box(data.min(axis=0) - 1.0, data.max(axis=0) + 1.0)
+    return GmmKernel(data, float(g.uniform(0.1, 0.5)), domain), domain
 
 
 def teacher(seed, n, dim):

@@ -105,7 +105,7 @@ def test_batched_means_match_one_shot_across_the_block_edge(p):
     g = rng(p)
     idx = g.integers(0, model.n_samples, size=256)
     t = problem.domain.sample_uniform(g, size=p)
-    want = mixture_means(kernels.GmmKernel(model.data[idx], model.tau), t)
+    want = mixture_means(kernels.GmmKernel(model.data[idx], model.tau, problem.domain), t)
     bound = mixture_side_bound(model, t, idx)[0]
     assert near(model.y_inner_many(t, idx), want, bound)
     support = problem.domain.sample_uniform(g, size=3)

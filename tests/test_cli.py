@@ -16,7 +16,7 @@ from conicswarm.config import ConfigError, load_config
 from conicswarm.runner import trace_from_csv
 from conicswarm.swarm import ParticleSwarm
 from helpers import same_bits
-from reference import SYNTHETIC_THEORY_REPORT, mixture_means
+from reference import SYNTHETIC_THEORY_REPORT, mixture_means, mixture_side_bound, near
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -493,8 +493,9 @@ class TestRunCommand:
                      id="no-births"),
         pytest.param(TINY_SYNTHETIC, "birth_threshold = 0.0", "birth_threshold = inf",
                      id="every-candidate-born"),
-        # a squared diameter of about 7e307, still a finite float
-        pytest.param(TINY_GMM, "tau = 0.2", "tau = 0.2\nring_radius = 3e153",
+        # the widest ring whose expanded entries the budget admits at this
+        # seed (about 550.8)
+        pytest.param(TINY_GMM, "tau = 0.2", "tau = 0.2\nring_radius = 550",
                      id="widest-ring"),
     ])
     def test_values_on_a_domain_edge_still_run(self, tmp_path, body, old, new):
@@ -504,13 +505,13 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "trace.csv").exists() and (out / "summary.txt").exists()
         if body is TINY_GMM:
-            # on the widest ring an expanded product's exponents would be off
-            # by far more than their size, so the data side must take exact
-            # differences: at 64 of the samples, whose densities are far from
-            # 0, against all 200, past the product path of ``_sqdist``
+            # on the widest ring the data side still lies within its bound of
+            # exact differences: at 64 of the samples, whose densities are far
+            # from 0, against all 200, past the product path of ``_sqdist``
             model = build_problem(load_config(cfg))[0].model
             t = model.data[:64]
-            assert same_bits(model.y_inner_many(t), mixture_means(model, t))
+            assert near(model.y_inner_many(t), mixture_means(model, t),
+                        mixture_side_bound(model, t)[0])
 
     def test_constant_mixture_column_exits_1_naming_file_and_column(self, tmp_path, capsys):
         data = tmp_path / "flat.csv"
@@ -1191,6 +1192,32 @@ def test_box_whose_squared_diameter_overflows_exits_2_naming_the_key(name, line,
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"error: [problem] {key}: the box's squared diameter "
                                        "sum((upper - lower)^2) is inf, not a finite float\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["ring_radius", "data_path"])
+def test_mixture_past_its_entry_budget_exits_2_naming_the_key_and_tau(key, tmp_path, capsys):
+    # the expanded entries' bound over the domain passes the budget 1e-9 on
+    # a ring of radius 5,000 (admitted up to about 514 at this seed) and on
+    # samples spread over 2e4
+    cfg = shipped_copy("gmm_desk.cfg", tmp_path, iterations=20)
+    body = cfg.read_text(encoding="utf-8")
+    if key == "data_path":
+        g = np.random.Generator(np.random.Philox(8))
+        np.savetxt(tmp_path / "spread.csv", g.uniform(-1e4, 1e4, size=(50, 2)), delimiter=",",
+                   header="x0,x1", comments="")
+        body = body.replace("components = 5\ngmm_samples = 2000\n", "")
+        body = body.replace("ring_radius = 5.0", "data_path = spread.csv")
+        key = f"data_path {tmp_path / 'spread.csv'}"
+    else:
+        body = body.replace("ring_radius = 5.0", "ring_radius = 5000")
+    cfg.write_text(body, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: \[problem\] {re.escape(key)}: the domain lies up to \S+ and the "
+                        r"samples up to \S+ from the samples' centre, so at tau = 0\.2 a mixture "
+                        r"entry may be off by \S+, past the budget 1e-09\n", err), err
     assert not out.exists()
 
 

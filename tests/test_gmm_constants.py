@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conicswarm.kernels import GmmKernel
-from helpers import rng
+from helpers import mixture, rng
 from reference import divided, entry_size, expansion_slack, mixture_field
 
 pytestmark = pytest.mark.exactness
@@ -41,9 +40,9 @@ def test_gmm_within_rounding_of_the_divide_and_normalize_form(p, q, n, width, of
     # ``width`` 20 puts most pairs' entries below the float range, 0.5 none;
     # the mixture is planar
     g, d = rng(seed), 2
-    model = GmmKernel(cloud(g, n, d, width, offset), tau)
-    t = cloud(g, p, d, width, offset)
+    data, t = cloud(g, n, d, width, offset), cloud(g, p, d, width, offset)
     support = t if equal else cloud(g, q, d, width, offset)
+    model = mixture(data, tau, t, support)
     coef = g.uniform(-1.0, 1.0, size=len(support))
     idx = g.integers(0, n, size=int(g.integers(1, 2 * n + 1))) if batch else None
     x = model.data if idx is None else model.data[idx]

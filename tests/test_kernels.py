@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
 from conicswarm import audit, gaussian, kernels
@@ -18,7 +18,7 @@ from conicswarm.experiments import GmmSpec, gen_gmm
 from conicswarm.gaussian import gauss_density
 from conicswarm.kernels import GmmKernel, ReluKernel, SyntheticKernel
 from conicswarm.verify import make_gmm_problem, make_relu_problem, make_synthetic_problem
-from helpers import rng, same_bits, y_norm_sq_case
+from helpers import mixture, rng, same_bits, y_norm_sq_case
 import reference
 from reference import U, brute_pair_sum, brute_y_norm_sq, close_pair_sum, grad_k_at, \
     grad_rounding_bound, k_at, kernel_sum, lattice_bound, mixture_kernel_bound, \
@@ -88,7 +88,7 @@ class TestGram:
         # the squares of 1e-160 and 1e-200 are subnormal or 0, and |y|^2's
         # scale (4 pi tau^2)^(-d/2) overflows or divides by 0
         with pytest.raises(ValueError, match="tau must be positive with a finite square"):
-            GmmKernel(np.zeros((4, 2)), tau)
+            mixture(np.zeros((4, 2)), tau)
 
     @pytest.mark.parametrize("tau, d", [(1e154, 2), (2e153, 2), (1e153, 3), (1e60, 12)])
     def test_gmm_refuses_a_tau_whose_gaussian_constants_vanish(self, tau, d):
@@ -96,10 +96,10 @@ class TestGram:
         # _ynorm; at 1e154 the variances overflow and both are 0, at 2e153
         # in d = 2 both are 1.99e-308, subnormal
         with pytest.raises(ValueError, match=re.escape(f"tau = {tau!r} is too large in d = {d}")):
-            GmmKernel(np.zeros((4, d)), tau)
+            mixture(np.zeros((4, d)), tau)
 
     def test_gmm_keeps_a_tau_whose_gaussian_constants_are_normal(self):
-        model = GmmKernel(np.zeros((4, 2)), 1e153)  # both constants 7.96e-308
+        model = mixture(np.zeros((4, 2)), 1e153)  # both constants 7.96e-308
         assert np.finfo(float).tiny <= min(model._knorm, model._ynorm) < 8e-308
 
     @pytest.mark.parametrize("sigma", [0.0, -1.2, math.nan, math.inf, 1e200, 1e-160, 1e-300])
@@ -109,6 +109,16 @@ class TestGram:
         box = Box(np.zeros(2), np.ones(2))
         with pytest.raises(ValueError, match="sigma must be positive with a finite square"):
             SyntheticKernel(box, sigma, [1.0], [[0.5, 0.5]])
+
+    def test_synthetic_keeps_the_smallest_sigma_with_a_normal_square(self):
+        # 2^-511 squares to exactly the smallest normal float, and the next
+        # float down to a subnormal one
+        box = Box(np.zeros(2), np.ones(2))
+        sigma = 2.0**-511
+        model = SyntheticKernel(box, sigma, [1.0], [[0.5, 0.5]])
+        assert model._kvar == np.finfo(float).tiny
+        with pytest.raises(ValueError, match="sigma must be positive with a finite square"):
+            SyntheticKernel(box, math.nextafter(sigma, 0.0), [1.0], [[0.5, 0.5]])
 
     def test_synthetic_refuses_a_sigma_too_small_for_its_box(self):
         # the box's squared diameter 2e304 is finite, but its Gaussian
@@ -121,7 +131,7 @@ class TestGram:
 
     def test_gmm_diagonal_closed_form_and_quadrature(self):
         tau = 0.3
-        model = GmmKernel(np.zeros((4, 2)), tau)
+        model = mixture(np.zeros((4, 2)), tau)
         t = np.array([[0.1, -0.2]])
         diag = model.kernel_matrix(t, t)[0, 0]
         closed = 1.0 / (4.0 * math.pi * (1.0 + tau**2))
@@ -143,7 +153,7 @@ class TestYInner:
     def test_gmm_matches_quadrature(self):
         tau = 0.25
         data = np.array([[0.5, -0.3], [-0.8, 0.6], [0.0, 0.1]])
-        model = GmmKernel(data, tau)
+        model = mixture(data, tau)
         t = np.array([0.2, 0.2])
         smoothed, feat = smoothed_sample(data, tau), plane_density(t, 1.0 + tau**2)
         val, _ = integrate.dblquad(lambda x1, x0: smoothed(x0, x1) * feat(x0, x1),
@@ -154,7 +164,7 @@ class TestYInner:
         # 0.5 |y|^2 equals half the integral of the squared smoothed sample
         tau = 0.35
         data = np.array([[0.4, 0.0], [-0.5, 0.3]])
-        model = GmmKernel(data, tau)
+        model = mixture(data, tau)
         smoothed = smoothed_sample(data, tau)
         val, _ = integrate.dblquad(lambda x1, x0: smoothed(x0, x1) ** 2, -10, 10, -10, 10,
                                    epsabs=1e-10)
@@ -294,10 +304,10 @@ def test_weighted_kernel_matches_kernel_matrix(name, seed, n_a, n_b, pairing, ba
 # The mixture's entries are expanded products of its centred points, each
 # with the bits of its row and column in any product, so its subsets of
 # rows and columns keep the bits; but ``K(b, a)'`` sums its terms in
-# another order, and a shift moves the points against the samples' centre
-# (by 1e6, past the product's bound, to exact differences), so it keeps
-# neither the transposed nor the shifted bits, which
+# another order, and a shift moves the points against the samples' centre,
+# so it keeps neither the transposed nor the shifted bits, which
 # ``test_mixture_kernel_within_its_bound`` holds within the bound instead.
+# Its samples move with the points, so that its domain holds them.
 
 def dyadic_points(g, n, d):
     return np.round(g.uniform(-8.0, 8.0, size=(n, d)) * 2**20) / 2**20
@@ -323,13 +333,13 @@ def test_gaussian_entries_are_pair_local(p, q, d, points, offset, seed, data):
     a, b, x = points(g, p, d), points(g, q, d), points(g, 40, d)
     box = Box(np.full(d, -8.0), np.full(d, 8.0))
     # each kernel, and whether its entries are symmetric and move with the points
+    a_off, b_off = a + offset, b + offset
     kernels = [(SyntheticKernel(box, 1.3, [1.0], a[:1]).kernel_matrix, True),
                (lambda s, t: gauss_density(s, t, 1.18), True)]
     if d == 2:  # the mixture is planar
-        kernels.append((GmmKernel(x, 0.3).kernel_matrix, False))
+        kernels.append((mixture(x + offset, 0.3, a_off, b_off).kernel_matrix, False))
     rows = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2 * p))
     cols = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=2 * q))
-    a_off, b_off = a + offset, b + offset
     for kernel, symmetric in kernels:
         full = kernel(a_off, b_off)
         if symmetric and points is dyadic_points:  # the offset moves them exactly
@@ -346,19 +356,19 @@ def test_gaussian_entries_are_pair_local(p, q, d, points, offset, seed, data):
 # within ``mixture_kernel_bound`` of the exact differences: every block the
 # model builds, ``kernel_matrix``, the loop's pushed block ``K([T'; C], T')``
 # and the support field's assembled ``K(T, T)``, and the loss's ``K(T, T)``,
-# across the range of tau that ``config`` accepts. Samples spread 1e6 times
-# wider fail the product's bound and take exact differences.
+# across the range of tau that ``config`` accepts.
 
 @pytest.mark.exactness
 @given(tau=st.one_of(st.sampled_from([1.4917e-154, 0.2, 1.891e153]),
                      st.floats(-153.8, 153.2).map(lambda e: 10.0**e)),
-       spread=st.sampled_from([1.0, 3.0, 1e6]), p=SIZES, c=st.integers(1, 8),
+       spread=st.sampled_from([1.0, 3.0]), p=SIZES, c=st.integers(1, 8),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_mixture_kernel_within_its_bound(tau, spread, p, c, seed, data):
     g = rng(seed)
-    model = GmmKernel(spread * g.standard_normal((30, 2)), tau)
-    lo, hi = model.data.min(axis=0) - spread, model.data.max(axis=0) + spread
+    samples = spread * g.standard_normal((30, 2))
+    lo, hi = samples.min(axis=0) - spread, samples.max(axis=0) + spread
+    model = GmmKernel(samples, tau, Box(lo, hi))
     pushed, cand = g.uniform(lo, hi, size=(p, 2)), g.uniform(lo, hi, size=(c, 2))
     points = np.vstack([pushed, cand])
 
@@ -467,8 +477,12 @@ def planar_layout(g, layout, n):
 @settings(max_examples=200, deadline=None)
 def test_gmm_y_norm_sq_matches_brute_force(n, tau, layout, offset, tile, seed):
     data = tau * (planar_layout(rng(seed), layout, n) + offset)
+    # a domain holds its samples, and no box whose squared diameter passes
+    # the float range is built, so no mixture has samples spread this far;
+    # ``test_gmm_lattice_within_its_bound_of_the_cell_list`` sums such pairs
+    assume(np.ptp(data, axis=0).max() < 1e153)
     with mock.patch.object(gaussian, "SELF_BLOCK_ENTRIES", tile or gaussian.SELF_BLOCK_ENTRIES):
-        model = GmmKernel(data, tau)
+        model = mixture(data, tau)
     # the same two square-root factors as the model's; at the largest tau
     # the value is subnormal, its last rounding an absolute 2^-1075
     half = (4.0 * math.pi * tau**2) ** -0.5
@@ -501,17 +515,16 @@ def test_gmm_y_norm_sq_agrees_with_the_subtraction_tiles(shape):
     n, scale = len(data), 4.0 * tau**2
     with mock.patch.object(reference, "_exp_sum", subtraction_exp_sum):
         exact = close_pair_sum(data, scale, pair_cutoff(n, scale))
-    assert GmmKernel(data, tau).y_norm_sq == pytest.approx(
+    assert mixture(data, tau).y_norm_sq == pytest.approx(
         exact / n**2 / (4.0 * math.pi * tau**2), rel=1e-14, abs=0)
 
 
 THREAD_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
-from conicswarm.kernels import GmmKernel
-from helpers import y_norm_sq_case
+from helpers import mixture, y_norm_sq_case
 for name in ("gmm_full", "offset"):
-    print(name, GmmKernel(*y_norm_sq_case(name)).y_norm_sq.hex())
+    print(name, mixture(*y_norm_sq_case(name)).y_norm_sq.hex())
 """
 
 
@@ -533,14 +546,18 @@ def test_gmm_y_norm_sq_bits_do_not_depend_on_the_blas_thread_count():
 
 def test_gmm_y_norm_sq_single_sample():
     tau = 0.3
-    model = GmmKernel(np.array([[0.4, -1.2]]), tau)
+    model = mixture(np.array([[0.4, -1.2]]), tau)
     assert model.y_norm_sq == pytest.approx(1.0 / (4.0 * math.pi * tau**2), rel=1e-15)
 
 
 def test_gmm_y_norm_sq_far_outlier():
+    # the pair sum splits the outlier into a group of its own; a mixture
+    # over samples this far apart passes the budget of its expanded entries
     data = np.vstack([rng(31).standard_normal((300, 2)), [[1e9, -1e9]]])
-    assert GmmKernel(data, 0.2).y_norm_sq == pytest.approx(brute_y_norm_sq(data, 0.2),
-                                                           rel=1e-13, abs=0)
+    pairs = gaussian.lattice_pair_sum(data, 0.2) / len(data) ** 2 / (4.0 * math.pi * 0.2**2)
+    assert pairs == pytest.approx(brute_y_norm_sq(data, 0.2), rel=1e-13, abs=0)
+    with pytest.raises(DomainError, match="past the budget"):
+        mixture(data, 0.2)
 
 
 def test_gmm_y_norm_sq_desk_shaped_data():
@@ -580,22 +597,22 @@ def test_gmm_y_norm_sq_at_tiny_tau(tau, d):
     data, pair_sum = lattice_with_repeats(170, [12, 9, 5, 4], d)
     n = len(data)
     closed = pair_sum / n**2 * (4.0 * math.pi * tau**2) ** (-d / 2.0)
-    assert GmmKernel(data, tau).y_norm_sq == pytest.approx(closed, rel=1e-13, abs=0)
+    assert mixture(data, tau).y_norm_sq == pytest.approx(closed, rel=1e-13, abs=0)
     if tau == SMALLEST_TAU:
         with pytest.raises(ValueError, match="finite square that is a normal float"):
-            GmmKernel(data, math.nextafter(tau, 0.0))
+            mixture(data, math.nextafter(tau, 0.0))
     # coincident samples, whose mean pair term is 1: the largest |y|^2 at
     # this tau, 1 / (4 pi tau^2), up to 3.6e306, is a finite float within a
     # few ulps of it, so no accepted tau overflows
     peak = 1.0 / (4.0 * math.pi * tau**2)
-    assert abs(GmmKernel(np.full((60, d), 3.0), tau).y_norm_sq - peak) <= 4.0 * math.ulp(peak)
+    assert abs(mixture(np.full((60, d), 3.0), tau).y_norm_sq - peak) <= 4.0 * math.ulp(peak)
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
 def test_gmm_refuses_data_off_the_plane(d):
     # the lattice of |y|^2 is planar, and so are both mixture readers' data
     with pytest.raises(ValueError, match=f"mixture data must be planar \\(d = 2\\), got d = {d}"):
-        GmmKernel(lattice_with_repeats(50, [3], d)[0], 0.2)
+        mixture(lattice_with_repeats(50, [3], d)[0], 0.2)
 
 
 #: batch indices: repeated, unsorted, both edges, and negative
@@ -605,7 +622,7 @@ BATCHES = [[3, 3, 3], [7, 0, 5, 0, 2], [0], [-1, 0, -8], list(range(7, -1, -1)) 
 @pytest.mark.parametrize("idx", BATCHES)
 def test_batch_gathers_have_the_bits_of_fancy_indexing(idx):
     g = rng(11)
-    gmm = GmmKernel(g.standard_normal((8, 2)), 0.3)
+    gmm = mixture(g.standard_normal((8, 2)), 0.3)
     relu = ReluKernel(g.standard_normal((8, 3)), g.standard_normal(8))
     for as_array in (False, True):
         batch = np.array(idx) if as_array else idx
@@ -618,7 +635,7 @@ def test_batch_gathers_have_the_bits_of_fancy_indexing(idx):
 @pytest.mark.parametrize("idx", [[8], [0, 9], [-9]])
 def test_batch_gathers_refuse_an_index_out_of_range(idx):
     g = rng(12)
-    gmm = GmmKernel(g.standard_normal((8, 2)), 0.3)
+    gmm = mixture(g.standard_normal((8, 2)), 0.3)
     relu = ReluKernel(g.standard_normal((8, 3)), g.standard_normal(8))
     for gather in (gmm._samples, relu._batch, relu._targets):
         with pytest.raises(IndexError):
@@ -628,7 +645,7 @@ def test_batch_gathers_refuse_an_index_out_of_range(idx):
 @pytest.mark.parametrize("data", [np.empty((0, 2)), np.empty((3, 0))])
 def test_gmm_rejects_empty_data(data):
     with pytest.raises(ValueError, match="non-empty"):
-        GmmKernel(data, 0.2)
+        GmmKernel(data, 0.2, Box(np.zeros(2), np.ones(2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -636,7 +653,7 @@ def test_gmm_rejects_non_finite_data(bad):
     data = np.zeros((4, 2))
     data[2, 1] = bad
     with pytest.raises(ValueError, match="finite"):
-        GmmKernel(data, 0.2)
+        GmmKernel(data, 0.2, Box(np.zeros(2), np.ones(2)))
 
 
 def test_relu_rejects_empty_features():

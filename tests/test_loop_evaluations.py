@@ -34,14 +34,14 @@ from hypothesis import given, settings, strategies as st
 
 import conicswarm.runner as runner
 from conicswarm import verify
-from conicswarm.domain import Ball, Box
-from conicswarm.gaussian import gauss_density
+from conicswarm.domain import Ball, Box, DomainError
 from conicswarm.kernels import GmmKernel, ReluKernel
 from conicswarm.runner import RunAborted, run
 from conicswarm.schedules import FixedPlan
 from conicswarm.swarm import ParticleSwarm
 from conicswarm.workspace import Workspace
-from helpers import attributes, loop_config, rng, rows, same_bits
+from helpers import attributes, loop_config, mixture, rng, rows, same_bits
+from reference import budget_radius
 
 pytestmark = pytest.mark.exactness
 
@@ -91,23 +91,26 @@ def test_warm_model_gives_fresh_bits(name, seed, data):
 
 @pytest.mark.parametrize("far", [False, True])
 def test_mixture_products_of_one_domain_take_one_form(far):
-    # the mixture's expanded products hold their bound only within a limit
-    # about the samples' centre. A domain within it (corners at 0.99 of it)
-    # puts every product of a run on the expanded form; one past it
-    # (corners 0.2 short of twice it, so a far candidate and a survivor 1
-    # out pass the kernel's bound together while the survivors and a near
-    # newborn do not) puts every product on exact differences. Either way
-    # a support field whose far candidate was rejected has the bits of a
-    # fresh field, and the kernel has the bits of its form.
+    # every mixture product takes the expanded form, which stays within the
+    # budget ``_ENTRY_ERROR`` over a domain that the build admits: the
+    # domain's radius about the samples' centre keeps the kernel's bound
+    # between two of its points and the densities' against every sample
+    # within it. A domain past that radius (corners at 1.01 of it) is
+    # refused at build, naming tau. On one within it (0.99), a support
+    # field whose far candidate was rejected has the bits of a fresh field,
+    # and the kernel has the bits of a model on a smaller domain.
     g = rng(12)
     data = g.standard_normal((300, 2))
-    free = GmmKernel(data, 0.3)
-    corner = (2.0 * free._limit - 0.2 if far else 0.99 * free._limit) / np.sqrt(2.0)
-    domain = Box(free._center - corner, free._center + corner)
+    center = 0.5 * data.min(axis=0) + 0.5 * data.max(axis=0)
+    corner = (1.01 if far else 0.99) * budget_radius(data, 0.3)[0] / np.sqrt(2.0)
+    domain = Box(center - corner, center + corner)
+    if far:
+        with pytest.raises(DomainError, match=r"at tau = 0\.3 .* past the budget 1e-09"):
+            GmmKernel(data, 0.3, domain)
+        return
     model = GmmKernel(data, 0.3, domain)
-    assert (model._limit < 0.0) == far
-    pushed = free._center + np.vstack([[1.0, 0.0], g.uniform(-0.5, 0.5, size=(11, 2))])
-    cand = np.vstack([domain.upper, free._center + 0.3])
+    pushed = center + np.vstack([[1.0, 0.0], g.uniform(-0.5, 0.5, size=(11, 2))])
+    cand = np.vstack([domain.upper, center + 0.3])
     coef = g.uniform(0.0, 1.0, size=12)
     *_, ev = model.pushed_values(pushed, coef, None, cand)
     keep = np.array([True] * 12 + [False, True])
@@ -116,8 +119,7 @@ def test_mixture_products_of_one_domain_take_one_form(far):
     for got, want in zip(model.support_field(t, c, None, ev, keep),
                          model.certificate_field(t, t, c)):
         assert same_bits(got, want)
-    want = gauss_density(t, t, model._kvar) if far else free._kernel(t, t)
-    assert same_bits(model._kernel(t, t), want)
+    assert same_bits(model._kernel(t, t), mixture(data, 0.3, t)._kernel(t, t))
 
 
 class Stateless:

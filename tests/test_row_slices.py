@@ -28,9 +28,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicswarm.gaussian import PRODUCT_ENTRIES
-from conicswarm.kernels import GmmKernel, _expanded_product
+from conicswarm.kernels import _expanded_product
 from conicswarm.workspace import ROW_BLOCK_ENTRIES
-from helpers import rng, same_bits
+from helpers import mixture, rng, same_bits
 
 pytestmark = pytest.mark.exactness
 
@@ -129,8 +129,9 @@ def test_expanded_product_rows_have_the_same_bits_in_every_product_of_two_or_mor
     samples leave a tail past the last multiple of 8, whose bits a product
     past the small-matrix size would split by thread count."""
     g = rng(n)
-    model = GmmKernel(3.0 * g.standard_normal((n, 2)), 0.3)
-    left = model._left(g.uniform(-8.0, 8.0, size=(7 + HEIGHTS[-1], 2)))
+    data, points = 3.0 * g.standard_normal((n, 2)), g.uniform(-8.0, 8.0, size=(7 + HEIGHTS[-1], 2))
+    model = mixture(data, 0.3, points)
+    left = model._left(points)
     side = model._side
     assert side.shape == (4, n) and side.flags.c_contiguous
     whole = _expanded_product(left, side, np.empty((len(left), n)))
@@ -158,8 +159,9 @@ def test_expanded_product_entries_keep_their_bits_past_the_small_matrix_size():
     the product."""
     n = 200_001
     g = rng(n)
-    model = GmmKernel(3.0 * g.standard_normal((n, 2)), 0.3)
-    left = model._left(g.uniform(-8.0, 8.0, size=(5, 2)))
+    data, points = 3.0 * g.standard_normal((n, 2)), g.uniform(-8.0, 8.0, size=(5, 2))
+    model = mixture(data, 0.3, points)
+    left = model._left(points)
     side = model._side
     whole = _expanded_product(left, side, np.empty((5, n)))
     edge = ROW_BLOCK_ENTRIES // 2
@@ -192,9 +194,9 @@ def test_kernel_entries_have_the_same_bits_in_every_product(p):
     born columns it builds have the bits of a fresh ``K(T, T)``, one row or
     one column included."""
     g = rng(p)
-    model = GmmKernel(3.0 * g.standard_normal((500, 2)), 0.2)
+    data = 3.0 * g.standard_normal((500, 2))
     points = g.uniform(-19.0, 19.0, size=(p + 32, 2))  # gmm_full.cfg's reach
-    assert model._expands(model._left(points))
+    model = mixture(data, 0.2, points)
     support = points[:p]
     stacked = model._kernel(points, support)
     assert stacked.shape == (p + 32, p)

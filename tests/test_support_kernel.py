@@ -17,11 +17,13 @@ into ``ev`` and keep nothing in the model is checked for every model in
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import conicswarm.runner as runner
-from conicswarm.birth_death import DeathRule
+from conicswarm.birth_death import BirthRule, DeathRule
 from conicswarm.kernels import GmmKernel
 from conicswarm.runner import run
 from conicswarm.verify import make_gmm_problem, random_swarm
@@ -34,8 +36,8 @@ REAL_KERNEL, REAL_ROWS = GmmKernel._kernel, GmmKernel._density
 @pytest.fixture
 def built(monkeypatch):
     """Every mixture kernel build (``GmmKernel._kernel``, the expanded
-    product or exact differences) as ``("kernel", |a|, |b|)``, and every
-    data-side build (``GmmKernel._density``) as ``("rows", |t|, |x|)``."""
+    product) as ``("kernel", |a|, |b|)``, and every data-side build
+    (``GmmKernel._density``) as ``("rows", |t|, |x|)``."""
     log = []
 
     def counting_kernel(self, a, b, *args, **kwargs):
@@ -278,6 +280,33 @@ def test_stochastic_loop_evaluations_build_only_their_points_sides(monkeypatch):
     model.support_field(pushed, np.ones(5), g.integers(0, model.n_samples, size=32), ev,
                         np.arange(9) < 5)
     assert calls == ["_left"]
+
+
+def test_exact_run_without_deaths_or_births_builds_no_side_of_the_support(monkeypatch):
+    # in an exact run the support field reads its data-side rows from ``ev``
+    # and needs T's side (``_left``) only for born columns: where nothing
+    # died and nothing was born it builds none, after the first field,
+    # which has no pushed evaluation before it and builds T's side for its
+    # rows and for both sides of its kernel
+    problem = make_gmm_problem(seed=7)
+    init = random_swarm(problem, rng(8), max_particles=6)
+    calls, sides = [], []
+    monkeypatch.setattr(GmmKernel, "_left", lambda self, t, _real=GmmKernel._left:
+                        calls.append(len(t)) or _real(self, t))
+    real = GmmKernel.support_field
+
+    def counted(self, *args, **kwargs):
+        since = len(calls)
+        result = real(self, *args, **kwargs)
+        sides.append(len(calls) - since)
+        return result
+
+    monkeypatch.setattr(GmmKernel, "support_field", counted)
+    config = loop_config(init, True, death_rule=NO_DEATHS,
+                         birth_rule=BirthRule(threshold_coeff=-math.inf, candidates_per_iter=4))
+    res = run(config, problem)
+    assert res.total_deaths == res.total_births == 0
+    assert sides == [3] + [0] * (len(res.trace) - 2)
 
 
 def test_mini_batch_iteration_fetches_two_batches():
