@@ -22,7 +22,7 @@ from .config import ConfigError, RunSpec, load_config, parse_value
 from .domain import Box, DomainError, grid_points
 from .kernels import SyntheticKernel
 from .objective import Problem, kkt_residual
-from .runner import RunAborted, RunConfig, run, trace_from_csv, trace_to_csv
+from .runner import RunAborted, RunConfig, check_start, run, trace_from_csv, trace_to_csv
 from .schedules import AnytimePlan, CalibrationError, FixedPlan, calibrate, horizon_plan
 from .swarm import ParticleSwarm
 
@@ -72,7 +72,7 @@ def build_problem(spec: RunSpec):
             model = SyntheticKernel(domain, prob["sigma"], weights, positions,
                                     n_samples=prob["n_samples"],
                                     noise_scale=prob["noise_scale"], seed=prob["seed"] + 1)
-        problem = Problem(model=model, domain=domain, kappa=prob["kappa"], signed=signed)
+        problem = Problem(model=model, kappa=prob["kappa"], signed=signed)
     elif model_kind == "gmm":
         if prob["data_path"]:
             where = spec.resolve_path(prob["data_path"])
@@ -147,13 +147,10 @@ def build_init_swarm(spec: RunSpec, problem: Problem, extras) -> ParticleSwarm:
             pos = problem.domain.sample_uniform(rng, size=p0)
         signs = rng.choice([-1.0, 1.0], size=p0) if problem.signed else np.ones(p0)
         where, swarm = init, ParticleSwarm(np.full(p0, w0), signs, pos).check()
-    outside = np.flatnonzero(~problem.domain.contains(swarm.positions))
-    if outside.size:
-        raise ConfigError(f"[run] init {where}: particle {outside[0]} at "
-                          f"{swarm.positions[outside[0]].tolist()} lies outside the domain")
-    if not problem.signed and np.any(swarm.signs < 0):
-        raise ConfigError(f"[run] init {where}: the problem is unsigned, "
-                          "but the swarm has negative signs")
+    try:
+        check_start(problem, swarm)
+    except ValueError as exc:
+        raise ConfigError(f"[run] init {where}: {exc}") from None
     return swarm
 
 

@@ -21,7 +21,7 @@ _MAX_GRID_POINTS = 50_000  # past this, grids are uniform draws, not lattices
 
 
 class DomainError(ValueError):
-    """Bounds that a domain refuses, alone or with a kernel width."""
+    """Bounds that a domain refuses, alone or with a kernel width; a domain a model refuses."""
 
 
 class Domain(ABC):
@@ -126,8 +126,10 @@ class Ball(Domain):
     def __init__(self, center, radius):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("ball requires radius > 0")
+        if self.center.ndim != 1 or not self.center.size or not np.all(np.isfinite(self.center)):
+            raise DomainError("ball center must be a finite, non-empty 1-d array")
+        if not 0.0 < self.radius < math.inf:
+            raise DomainError(f"ball requires a finite radius > 0, got {self.radius}")
         self.dim = self.center.size
 
     def __repr__(self):

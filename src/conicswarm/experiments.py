@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import read_numeric_csv
-from .domain import Ball, Box
+from .domain import Box
 from .kernels import GmmKernel, ReluKernel
 from .objective import Problem
 from .runner import RunResult
@@ -75,8 +75,7 @@ def _gmm_problem(data: np.ndarray, tau: float, kappa: float) -> Problem:
     """The unsigned mixture problem on the data's bounding box, 10% wider per side."""
     lo, hi = data.min(axis=0), data.max(axis=0)
     pad = 0.1 * (hi - lo)
-    domain = Box(lo - pad, hi + pad)
-    return Problem(GmmKernel(data, tau, domain), domain, kappa, signed=False)
+    return Problem(GmmKernel(data, tau, Box(lo - pad, hi + pad)), kappa, signed=False)
 
 
 def gen_gmm(spec: GmmSpec, rng: np.random.Generator, kappa: float = 1e-4):
@@ -153,8 +152,7 @@ def _split_dataset(features, targets, rng):
 def _relu_problem(dataset: RegressionDataset, kappa: float) -> Problem:
     model = ReluKernel(dataset.features[dataset.train_index],
                        dataset.targets[dataset.train_index])
-    domain = Ball(np.zeros(dataset.n_features + 1), 1.0)
-    return Problem(model=model, domain=domain, kappa=kappa, signed=True)
+    return Problem(model=model, kappa=kappa, signed=True)
 
 
 def load_regression(path, rng: np.random.Generator, kappa: float = 5e-4):

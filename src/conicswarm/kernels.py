@@ -6,7 +6,8 @@ mini-batch restriction ``idx``: ``None`` means the exact, full-data
 quantity, and a batch averages per-sample quantities, so ``idx =
 arange(n)`` reproduces the exact one.
 
-* ``n_samples`` and ``y_norm_sq``;
+* ``domain``, the position domain the model is built on, which every point
+  it is called with lies in, and its ``dim``; ``n_samples`` and ``y_norm_sq``;
 * ``kernel_matrix(A, B, idx)`` -- K(a_i, b_j), shape (|A|, |B|);
 * ``weighted_grad1_kernel(A, B, c, idx)`` -- sum_j c_j grad_a K(a_i, b_j);
 * ``certificate_field(T, S, c, idx)`` -- ``(K(T, S) c - <y, phi_T>,
@@ -76,7 +77,7 @@ import numpy as np
 
 # ``perfbench/micro.py`` imports the audit from here
 from .audit import AssumptionBounds, audit_assumptions
-from .domain import Box, DomainError
+from .domain import Ball, Box, Domain, DomainError
 from .gaussian import gauss_density, gauss_grad, gauss_norm, lattice_pair_sum
 from .workspace import ROW_BLOCK_ENTRIES, SELF_BLOCK_ENTRIES, buffer
 
@@ -91,6 +92,7 @@ _ENTRY_ERROR = 1e-9
 class KernelModel(ABC):
     """Abstract evaluator of the kernel and observation inner products."""
 
+    domain: Domain
     dim: int
     #: whether per-sample kernel values differ from the exact kernel; such a
     #: model also gives the audit its per-sample kernel, ``_sample_kernel``
@@ -448,9 +450,10 @@ class GmmKernel(GaussianKernel):
 
     Every entry is at most 1 before its constant, so the bound is also its
     absolute error, apart from exp's own rounding. Every point set that the
-    model is called with lies in its run's domain, within ``_extent`` of c
-    (the support after projection, the births drawn in it, the audit's
-    points and the ``kkt:`` grid), and the samples lie within ``_reach``,
+    model is called with lies in ``domain``, the run's, within ``_extent``
+    of c (the start swarm, which ``run`` checks, the support after
+    projection, the births drawn in it, the audit's points and the
+    ``kkt:`` grid), and the samples lie within ``_reach``,
     so a kernel entry is off by at most ``2 (d + 3) u (2 _extent)^2 / s``
     and a density by at most ``2 (d + 3) u (_extent + _reach)^2 / s``. The
     build refuses a domain where either passes the budget ``E =
@@ -516,6 +519,9 @@ class GmmKernel(GaussianKernel):
                              "constants (2 pi var)^(-d/2) are below the smallest normal float")
         if self.dim != 2:
             raise ValueError(f"mixture data must be planar (d = 2), got d = {self.dim}")
+        if not (isinstance(domain, Box) and domain.dim == self.dim):
+            raise DomainError(f"the mixture needs a Box in d = {self.dim}, got {domain!r}")
+        self.domain = domain
         self._center = 0.5 * self.data.min(axis=0) + 0.5 * self.data.max(axis=0)
         left = self._left(self.data)
         self._reach = math.sqrt(float(left[:, self.dim].max()))
@@ -810,9 +816,9 @@ def _relu_sum(aug: np.ndarray, t: np.ndarray, part, ws=None):
 class ReluKernel(KernelModel):
     """Empirical two-layer ReLU kernel over a regression sample.
 
-    Positions are neuron parameters ``t = (v, b)`` in R^{d+1}; the feature
-    evaluates ``relu(<v, x_k> + b)`` across the data, with the empirical
-    L2(P_n) inner product. The subgradient of relu at 0 is taken as 0.
+    Positions are neuron parameters ``t = (v, b)`` in ``domain``, the unit
+    ball of R^{d+1}; the feature evaluates ``relu(<v, x_k> + b)`` on the
+    data, with the empirical L2(P_n) inner product; relu'(0) is taken as 0.
 
     Every sum over the batch rows ``X_b`` of the activations
     ``act = relu(X_b t')`` is taken by the one pass ``_relu_sum`` over the
@@ -842,6 +848,7 @@ class ReluKernel(KernelModel):
         if not (np.all(np.isfinite(features)) and np.all(np.isfinite(self.targets))):
             raise ValueError("features and targets must be finite")
         self.dim = features.shape[1] + 1
+        self.domain = Ball(np.zeros(self.dim), 1.0)
         self._aug = np.hstack([features, np.ones((features.shape[0], 1))])
         self.features = self._aug[:, :-1]  # a view: the samples are held once
 

@@ -1,6 +1,7 @@
 """BLASSO objective, dual certificate and optimality residuals.
 
-For a lifted swarm with weights W, signs s and positions T the objective is
+For a lifted swarm with weights W, signs s and positions T in the domain X
+that the model is built on (``Problem.domain`` reads it) the objective is
 
     J(nu) = 0.5 * |y|^2 + <kappa - k_T, W> + 0.5 * W' K_T W
 
@@ -26,7 +27,7 @@ that ``kernels`` states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,18 +48,18 @@ __all__ = [
 
 @dataclass
 class Problem:
-    """A BLASSO instance: kernel model, position domain and penalty weight."""
+    """A BLASSO instance: kernel model and penalty weight; its position
+    domain is the model's, read at construction, so the two cannot differ."""
 
     model: KernelModel
-    domain: Domain
     kappa: float
     signed: bool = True
+    domain: Domain = field(init=False)
 
     def __post_init__(self):
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
-        if self.model.dim != self.domain.dim:
-            raise ValueError("model and domain dimensions disagree")
+        self.domain = self.model.domain
 
     @property
     def sign_choices(self):

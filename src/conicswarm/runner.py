@@ -140,15 +140,26 @@ class RunAborted(ValueError):
         self.swarm = swarm
 
 
+def check_start(problem: Problem, swarm: ParticleSwarm):
+    """Refuse (``ValueError``) a start swarm that a run of ``problem`` cannot
+    hold: a particle outside its domain, or a -1 sign on an unsigned
+    problem."""
+    outside = np.flatnonzero(~problem.domain.contains(swarm.positions))
+    if outside.size:
+        raise ValueError(f"particle {outside[0]} at {swarm.positions[outside[0]].tolist()} "
+                         "lies outside the domain")
+    if not problem.signed and np.any(swarm.signs < 0):
+        raise ValueError(f"the problem is unsigned, but {np.count_nonzero(swarm.signs < 0)} "
+                         "start particle(s) have sign -1")
+
+
 def run(config: RunConfig, problem: Problem) -> RunResult:
-    """Execute the loop and record one trace row per iteration; a start
-    swarm with a negative sign on an unsigned problem is refused."""
+    """Execute the loop and record one trace row per iteration from a start
+    swarm that ``check_start`` admits."""
     rng = np.random.Generator(np.random.Philox(config.seed))
     swarm = config.init_swarm
     model, kappa, signed = problem.model, problem.kappa, problem.signed
-    if not signed and np.any(swarm.signs < 0):
-        raise ValueError(f"the problem is unsigned, but {np.count_nonzero(swarm.signs < 0)} "
-                         "start particle(s) have sign -1")
+    check_start(problem, swarm)
     n = model.n_samples
     ws = Workspace()
     t0 = time.perf_counter()

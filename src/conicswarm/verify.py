@@ -52,7 +52,7 @@ def make_synthetic_problem(seed=0, dim=2, sigma=1.2, noise_scale=0.02, n_samples
         weights *= rng.choice([-1.0, 1.0], size=n_atoms)
     model = SyntheticKernel(domain, sigma, weights, positions, n_samples=n_samples,
                             noise_scale=noise_scale, seed=seed + 1)
-    return Problem(model=model, domain=domain, kappa=kappa, signed=signed)
+    return Problem(model=model, kappa=kappa, signed=signed)
 
 
 def make_gmm_problem(seed=0, n=80, tau=0.3, kappa=1e-3):
@@ -62,15 +62,14 @@ def make_gmm_problem(seed=0, n=80, tau=0.3, kappa=1e-3):
         rng.standard_normal((n - n // 2, 2)) + np.array([-2.5, 0.0]),
     ])
     domain = Box(data.min(axis=0) - 1.0, data.max(axis=0) + 1.0)
-    return Problem(model=GmmKernel(data, tau, domain), domain=domain, kappa=kappa, signed=False)
+    return Problem(model=GmmKernel(data, tau, domain), kappa=kappa, signed=False)
 
 
 def make_relu_problem(seed=0, n=64, d=3, kappa=1e-3):
     rng = _rng(seed)
     x = rng.standard_normal((n, d))
     y = np.tanh(x @ rng.standard_normal(d)) + 0.1 * rng.standard_normal(n)
-    model = ReluKernel(x, y)
-    return Problem(model=model, domain=Ball(np.zeros(d + 1), 1.0), kappa=kappa, signed=True)
+    return Problem(model=ReluKernel(x, y), kappa=kappa, signed=True)
 
 
 def random_swarm(problem, rng, max_particles=6, tv=None):

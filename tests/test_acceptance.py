@@ -118,7 +118,7 @@ def horizon_sweep():
     c = np.linalg.solve(kmat, np.ones(2))
     model = SyntheticKernel(domain, sigma, w_star + kappa * c, support, n_samples=64,
                             noise_scale=0.05, seed=5, center_noise=True)
-    problem = Problem(model=model, domain=domain, kappa=kappa, signed=False)
+    problem = Problem(model=model, kappa=kappa, signed=False)
     nu_star = ParticleSwarm(w_star, np.ones(2), support)
     grid = np.linspace(0.0, 1.0, 4001).reshape(-1, 1)
     rep = kkt_residual(problem, nu_star, grid)

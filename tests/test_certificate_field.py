@@ -144,7 +144,7 @@ def relu_run_scale_problem(n=2000, seed=1):
     """n samples in d + 1 = 9 and a swarm of p = 300."""
     g = np.random.Generator(np.random.Philox(seed))
     model = ReluKernel(g.standard_normal((n, 8)), g.standard_normal(n))
-    problem = Problem(model=model, domain=Ball(np.zeros(9), 1.0), kappa=1e-3)
+    problem = Problem(model=model, kappa=1e-3)
     swarm = ParticleSwarm(g.uniform(0.01, 1.0, size=300), g.choice([-1.0, 1.0], size=300),
                           problem.domain.sample_uniform(g, size=300))
     return problem, swarm, g

@@ -749,6 +749,12 @@ def shipped_copy(name, tmp_path, iterations=None):
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_every_shipped_problem_holds_its_models_domain(name, tmp_path):
+    problem, _ = build_problem(load_config(shipped_copy(name, tmp_path)))
+    assert problem.domain is problem.model.domain
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
 def test_run_and_report_every_shipped_config(name, tmp_path, capsys):
     # ``run`` at 60 iterations exits 0, or with one ``error:`` line naming the
     # cause, never with a traceback, and writes its trace and final swarm;

@@ -241,6 +241,18 @@ class TestBoxArithmetic:
                 assert np.all(np.isfinite(_sqdist(stack, stack[::-1])))
 
 
+class TestBallBounds:
+    # a ball's volume and draws need a finite positive radius, and its
+    # dimension is the length of a finite, one-axis centre
+    @pytest.mark.parametrize("center, radius", [([0.0, 0.0], np.nan), ([0.0, 0.0], np.inf),
+                                                ([0.0, 0.0], 0.0), ([0.0, 0.0], -1.0),
+                                                (np.zeros((2, 2)), 1.0), ([], 1.0),
+                                                ([0.0, np.nan], 1.0), ([np.inf, 0.0], 1.0)])
+    def test_ball_rejects_what_it_cannot_hold(self, center, radius):
+        with pytest.raises(DomainError, match="ball"):
+            Ball(center, radius)
+
+
 class TestVolume:
     def test_unit_cube(self):
         assert Box([0.0] * 3, [1.0] * 3).volume() == 1.0

@@ -656,6 +656,26 @@ def test_gmm_rejects_non_finite_data(bad):
         GmmKernel(data, 0.2, Box(np.zeros(2), np.ones(2)))
 
 
+@pytest.mark.parametrize("domain", [Ball([0.0, 0.0], 3.0), Box([-3.0], [3.0]),
+                                    Box(np.full(3, -3.0), np.full(3, 3.0))],
+                         ids=["ball", "box-1d", "box-3d"])
+def test_gmm_refuses_a_domain_that_is_not_a_box_of_its_dimension(domain):
+    # a ball raised a bare AttributeError and a 1-d box was admitted for
+    # planar data; the refusal names the domain
+    data = rng(2).standard_normal((20, 2))
+    with pytest.raises(DomainError, match=re.escape(repr(domain))):
+        GmmKernel(data, 0.2, domain)
+
+
+def test_each_model_keeps_the_domain_it_is_built_on():
+    box = Box([-4.0, -4.0], [4.0, 4.0])
+    assert GmmKernel(rng(2).standard_normal((20, 2)), 0.2, box).domain is box
+    assert SyntheticKernel(box, 1.0, [1.0], [[0.5, 0.5]]).domain is box
+    relu = ReluKernel(np.zeros((4, 3)), np.zeros(4))
+    assert isinstance(relu.domain, Ball) and relu.domain.dim == relu.dim == 4
+    assert relu.domain.radius == 1.0 and same_bits(relu.domain.center, np.zeros(4))
+
+
 def test_relu_rejects_empty_features():
     with pytest.raises(ValueError, match="at least one sample"):
         ReluKernel(np.empty((0, 3)), np.empty(0))

@@ -176,7 +176,9 @@ def test_run_has_the_bits_of_stateless_evaluations(name, full_batch, beta):
     problem, init = start(name)
     config = loop_config(init, full_batch, k_iters=60, plan=FixedPlan(0.5, 0.02, 32, beta))
     checked = Checked(problem.model, BUILDERS[name]().model)
-    res = run(config, dataclasses.replace(problem, model=checked))
+    wrapped = dataclasses.replace(problem, model=checked)
+    assert wrapped.domain is problem.domain  # read through the wrapper
+    res = run(config, wrapped)
     assert res.total_births > 0 and res.total_deaths > 0
     # every support field after the first reads a pushed evaluation; ReLU's
     # builds everything it reads, so its ``ev`` is None

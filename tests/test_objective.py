@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -7,7 +8,7 @@ import pytest
 from conicswarm import objective
 from conicswarm.domain import Box, grid_points
 from conicswarm.audit import audit_assumptions
-from conicswarm.kernels import SyntheticKernel
+from conicswarm.kernels import GmmKernel, SyntheticKernel
 from conicswarm.objective import Problem, certificate, certificate_and_grad, frechet_gap, \
     kkt_residual, loss
 from conicswarm.swarm import ParticleSwarm
@@ -43,9 +44,38 @@ def planted_stationary_instance(kappa=5e-3, sigma=0.15, seed=0):
     kmat = scratch.kernel_matrix(support, support)
     c = np.linalg.solve(kmat, np.ones(3))
     model = SyntheticKernel(domain, sigma, w_star + kappa * c, support, seed=seed)
-    problem = Problem(model=model, domain=domain, kappa=kappa, signed=False)
+    problem = Problem(model=model, kappa=kappa, signed=False)
     nu_star = ParticleSwarm(w_star, np.ones(3), support)
     return problem, nu_star
+
+
+class TestProblem:
+    def test_the_domain_is_the_models(self):
+        # a problem took a second domain that nothing tied to the model's: a
+        # box the mixture refuses was accepted next to the one it admitted
+        model = GmmKernel(rng(1).uniform(-3.0, 3.0, size=(50, 2)), 0.2,
+                          Box([-4.0, -4.0], [4.0, 4.0]))
+        wide = Box([-5000.0, -5000.0], [5000.0, 5000.0])
+        with pytest.raises(TypeError):
+            Problem(model, wide, 1e-4, signed=False)
+        with pytest.raises(TypeError):
+            Problem(model=model, domain=wide, kappa=1e-4, signed=False)
+        problem = Problem(model, 1e-4, signed=False)
+        # a plain attribute: perfbench's tracer wraps the public properties
+        assert vars(problem)["domain"] is model.domain
+        assert [f.name for f in dataclasses.fields(Problem) if f.init] == \
+            ["model", "kappa", "signed"]
+
+    @pytest.mark.parametrize("make", [make_synthetic_problem, make_gmm_problem,
+                                      make_relu_problem])
+    def test_each_verify_problem_holds_its_models_domain(self, make):
+        problem = make()
+        assert problem.domain is problem.model.domain
+
+    def test_replace_reads_the_new_models_domain(self):
+        problem = make_gmm_problem()
+        other = make_gmm_problem(seed=1).model
+        assert dataclasses.replace(problem, model=other).domain is other.domain
 
 
 class TestLoss:
@@ -254,7 +284,7 @@ class TestKkt:
     def test_empty_swarm_zero_observation(self):
         domain = Box([0.0, 0.0], [1.0, 1.0])
         model = SyntheticKernel(domain, 1.0, np.zeros(1), np.array([[0.5, 0.5]]))
-        problem = Problem(model=model, domain=domain, kappa=0.3, signed=False)
+        problem = Problem(model=model, kappa=0.3, signed=False)
         report = kkt_residual(problem, ParticleSwarm.empty(2), grid_points(domain, 9))
         assert report.min_cert_grid == pytest.approx(0.3)
         assert report.max_abs_cert_support <= 1e-12

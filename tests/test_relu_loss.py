@@ -123,7 +123,7 @@ def test_relu_loss_temporaries_do_not_scale_with_n():
     # ones hold one block of at most ROW_BLOCK_ENTRIES, 1 MiB, and r
     g = np.random.Generator(np.random.Philox(4))
     model = ReluKernel(g.standard_normal((16_512, 8)), g.standard_normal(16_512))
-    problem = Problem(model=model, domain=Ball(np.zeros(9), 1.0), kappa=1e-3)
+    problem = Problem(model=model, kappa=1e-3)
     swarm = ParticleSwarm(g.uniform(0.01, 1.0, size=400), g.choice([-1.0, 1.0], size=400),
                           problem.domain.sample_uniform(g, size=400))
     s, c = swarm.positions, swarm.weights * swarm.signs

@@ -52,6 +52,15 @@ class TestRunBasics:
         with pytest.raises(ValueError, match="unsigned, but 1 start particle"):
             run(small_config(init, k_iters=20), problem)
 
+    def test_start_outside_the_admitted_mixture_box_is_refused(self):
+        # the mixture bounds its entries' error on the box it admitted; a run
+        # from a particle 3,000 units outside it used to finish silently
+        problem = make_gmm_problem(seed=5)
+        far = problem.domain.upper + 3000.0
+        init = ParticleSwarm([0.05, 0.05], [1.0, 1.0], np.vstack([problem.domain.lower, far]))
+        with pytest.raises(ValueError, match=r"particle 1 at \[.*\] lies outside the domain"):
+            run(small_config(init, k_iters=5), problem)
+
     def test_run_reads_the_mixture_constant_built_with_the_model(self, monkeypatch):
         # |y|^2 is summed once, when the model is built; a run that summed it
         # again, inside its timer, would meet the failing lattice
@@ -185,7 +194,7 @@ class TestEscapeFixture:
         support = np.array([[0.2, 0.2], [0.8, 0.8], [0.2, 0.8]])
         model = SyntheticKernel(domain, 0.08, np.array([0.35, 0.3, 0.25]), support,
                                 n_samples=64, noise_scale=0.0)
-        problem = Problem(model=model, domain=domain, kappa=1e-3, signed=False)
+        problem = Problem(model=model, kappa=1e-3, signed=False)
         g = rng(11)
         pos = domain.project(support[0][None, :] + 0.02 * g.standard_normal((10, 2)))
         init = ParticleSwarm(np.full(10, 0.08), np.ones(10), pos)
