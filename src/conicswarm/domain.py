@@ -47,7 +47,8 @@ class Domain(ABC):
 
     @abstractmethod
     def volume(self) -> float:
-        """Lebesgue volume, positive and finite."""
+        """Lebesgue volume; ``inf``, with no warning, where it exceeds the
+        largest float."""
 
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -117,7 +118,10 @@ class Box(Domain):
         return self.lower + (self.upper - self.lower) * rng.random(shape)
 
     def volume(self):
-        return float(np.prod(self.upper - self.lower))
+        width = self.upper - self.lower
+        with np.errstate(over="ignore"):
+            vol = float(np.prod(width))
+        return vol if 0.0 < vol < math.inf else _exp_volume(float(np.sum(np.log(width))))
 
 
 class Ball(Domain):
@@ -159,7 +163,23 @@ class Ball(Domain):
 
     def volume(self):
         d = self.dim
-        return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * self.radius**d
+        try:
+            vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * self.radius**d
+        except OverflowError:  # gamma from d = 342 on, or the radius's power
+            vol = math.inf
+        if 0.0 < vol < math.inf:
+            return vol
+        return _exp_volume(d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
+                           + d * math.log(self.radius))
+
+
+def _exp_volume(log_volume: float) -> float:
+    """The volume of log ``log_volume``, for a domain whose closed form
+    leaves the float range on the way; ``inf`` where the volume itself does."""
+    try:
+        return math.exp(log_volume)
+    except OverflowError:
+        return math.inf
 
 
 def grid_points(domain: Domain, resolution: int) -> np.ndarray:

@@ -130,7 +130,9 @@ def _standardize(matrix: np.ndarray, what: str):
     if np.any(std < 1e-12):
         bad = [int(i) for i in np.nonzero(std < 1e-12)[0]]
         raise ValueError(f"constant {what} column(s) {bad}: cannot standardize")
-    return (matrix - mean) / std, mean, std
+    out = matrix - mean
+    out /= std
+    return out, mean, std
 
 
 def _split_dataset(features, targets, rng):

@@ -730,6 +730,25 @@ def test_calibrate_every_shipped_config_exits_0_or_names_the_cause(name, tmp_pat
         assert code == 0
 
 
+@pytest.mark.parametrize("variant", ["stochastic", "full"])
+def test_calibrate_a_wide_regression_csv(variant, tmp_path, capsys):
+    # 343 features put the ReLU model on the unit ball of R^344, whose
+    # volume 1.5e-226 is a normal float though gamma(173) overflows
+    rows = np.random.Generator(np.random.Philox(0)).standard_normal((40, 344))
+    np.savetxt(tmp_path / "wide.csv", rows, fmt="%.6g", delimiter=",", comments="",
+               header=",".join([f"x{i}" for i in range(343)] + ["target"]))
+    body = (CONFIGS / "housing_full.cfg").read_text(encoding="utf-8")
+    for old, new in (("data_path = california.csv", "data_path = wide.csv"),
+                     ("mode = manual\n", "mode = calibrated\n"),
+                     ("variant = stochastic", f"variant = {variant}")):
+        assert old in body
+        body = body.replace(old, new)
+    code = main(["calibrate", "--config", str(write_config(tmp_path, body))])
+    out, err = capsys.readouterr()
+    assert code == 0 and not err, err
+    assert "alpha = min of caps" in out
+
+
 def shipped_copy(name, tmp_path, iterations=None):
     """A copy of ``configs/<name>`` in ``tmp_path``, housing pointed at the
     stand-in, with ``[run] iterations`` set when given."""

@@ -1,15 +1,18 @@
 """The numeric CSV reader against Python's per-cell ``float``.
 
-``read_numeric_csv`` parses every data row in one ``np.loadtxt`` pass. Its
-cells must have the bits ``float`` gives them, its dialect must accept what
-a ``csv.reader`` loop accepted (quoted cells, blank and whitespace-only
-lines, any line ending), and each error must name the path, and for a row
-error the 1-based line.
+``read_numeric_csv`` streams every data row through one ``np.loadtxt``
+pass. Its cells must have the bits ``float`` gives them, its dialect must
+accept what a ``csv.reader`` loop accepted (quoted cells, blank and
+whitespace-only lines, any line ending), its peak memory must be about the
+parsed array, and each error must name the path, and for a row error the
+1-based line.
 """
 
 from __future__ import annotations
 
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -64,9 +67,31 @@ def test_dialect(tmp_path, text):
     ("a\n1\n2\n", (2, 1)),
     ("a,b,c\n", (0, 3)),
     ("a,b,c", (0, 3)),
+    ("a,b,c\n\n   \n\t\r\n\r \n", (0, 3)),
 ])
 def test_shapes(tmp_path, text, shape):
-    assert read_numeric_csv(write(tmp_path, text))[1].shape == shape
+    # a table with no data rows is empty, with no "input contained no data"
+    # warning from the parser
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_numeric_csv(write(tmp_path, text))[1].shape == shape
+
+
+def test_peak_memory_is_about_the_array(tmp_path):
+    # the rows stream from the file into the parser: no copy of the text and
+    # no list of lines (the whole text plus one string per line was 3x)
+    rows = np.random.Generator(np.random.Philox(0)).standard_normal((50_000, 9))
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, rows, fmt="%.6g", delimiter=",", comments="",
+               header=",".join(f"c{i}" for i in range(9)))
+    tracemalloc.start()
+    try:
+        got = read_numeric_csv(path)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == rows.shape
+    assert peak <= 1.5 * got.nbytes, peak / got.nbytes
 
 
 @pytest.mark.parametrize("text, message", [
@@ -74,6 +99,8 @@ def test_shapes(tmp_path, text, shape):
     ("a,b\n1,2\n\n3\n", "4: expected 2 fields, got 1"),
     ("a,b\n1,2\n3,4,5\n", "3: expected 2 fields, got 3"),
     ("a,b,c\n1,2\n3,4\n", "2: expected 3 fields, got 2"),
+    ("a,b,c\r\n1,2\r\n3,4\r\n", "2: expected 3 fields, got 2"),
+    ("a,b,c\r\r1,2\r  \r3,4", "3: expected 3 fields, got 2"),
     ("a,b\n1,2\n3,oops\n", "3: non-numeric cell (could not convert string to float: 'oops')"),
     ("a,b\n\n\n1,\n", "4: non-numeric cell (could not convert string to float: '')"),
 ])

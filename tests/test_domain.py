@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,47 @@ class TestVolume:
 
     def test_rectangle(self):
         assert Box([0.0, 0.0], [2.0, 3.0]).volume() == pytest.approx(6.0)
+
+    def test_ball_keeps_its_closed_form_bits_where_they_are_a_volume(self):
+        for d in range(1, 342):
+            for radius in (0.5, 1.0, 3.0):
+                closed = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius**d
+                if 0.0 < closed < math.inf:
+                    assert same_bits(Ball(np.zeros(d), radius).volume(), closed), (d, radius)
+
+    @staticmethod
+    def unit_ball(d):
+        """V_d = 2 pi V_{d-2} / d from V_0 = 1 and V_1 = 2, with no gamma."""
+        vol = [1.0, 2.0]
+        for k in range(2, d + 1):
+            vol.append(2.0 * math.pi * vol[k - 2] / k)
+        return vol[d]
+
+    @pytest.mark.parametrize("d, radius", [(342, 1.0), (344, 1.0), (344, 10.0), (344, 0.1),
+                                           (1000, 2.0)])
+    def test_ball_past_the_gamma_overflow(self, d, radius):
+        # gamma(d / 2 + 1) overflows from d = 342 on, though the unit ball of
+        # R^344 has volume 1.5e-226; a radius power may overflow on its own
+        expected = self.unit_ball(d) * (radius ** (d // 2)) * (radius ** (d - d // 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Ball(np.zeros(d), radius).volume() == pytest.approx(expected, rel=1e-12)
+
+    def test_box_past_an_overflowing_or_underflowing_product(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vol = Box([0.0] * 4, [1e-200, 1e-200, 1e150, 1e150]).volume()
+            assert vol == pytest.approx(1e-100, rel=1e-12)
+            vol = Box([0.0] * 4, [1e150, 1e150, 1e150, 1e-300]).volume()
+            assert vol == pytest.approx(1e150, rel=1e-12)
+
+    @pytest.mark.parametrize("domain", [Ball([0.0, 0.0], 1e200), Ball(np.zeros(2000), 1e3),
+                                        Box([0.0] * 3, [7.7e153] * 3)],
+                             ids=["disk", "ball_2000", "cube"])
+    def test_a_volume_past_the_float_range_is_inf_with_no_warning(self, domain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert domain.volume() == math.inf
 
 
 class TestGrid:
